@@ -6,8 +6,11 @@
 package fmossim_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
@@ -221,6 +224,97 @@ func BenchmarkBatchStep_Lanes(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRecordingCodec pins what the trajectory artifact costs to make
+// and to move: RAM256 under sequence 1 (truncated as in
+// BenchmarkCampaign_RAM256), captured (good-circuit settle plus the owned
+// copy of every step), encoded and decoded. B/op and allocs/op are the
+// point as much as ns/op: an owned step is three exact-size slabs, Encode
+// allocates its one buffer, and decoding allocates per step, not per list.
+func BenchmarkRecordingCodec(b *testing.B) {
+	m := ram.New(ram.Config{Rows: 16, Cols: 16})
+	seq := march.Sequence1(m)
+	if len(seq.Patterns) > 60 {
+		seq.Patterns = seq.Patterns[:60]
+	}
+	rec := core.Record(m.Net, seq, core.Options{})
+	var buf bytes.Buffer
+	if err := rec.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	enc := buf.Bytes()
+
+	b.Run("capture-clone", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			if got := core.Record(m.Net, seq, core.Options{}); len(got.Steps) != len(rec.Steps) {
+				b.Fatalf("captured %d steps, want %d", len(got.Steps), len(rec.Steps))
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			if err := rec.Encode(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			if _, err := switchsim.DecodeRecordingBytes(enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkShardResultCodec pins the cost and size of a shard job's
+// result line payload: one 64-fault RAM256 batch result through
+// json.Marshal and json.Unmarshal, as server.Result.Batch and a campaign
+// checkpoint carry it. wire-B is the size of the JSON value.
+func BenchmarkShardResultCodec(b *testing.B) {
+	m := ram.New(ram.Config{Rows: 16, Cols: 16})
+	seq := march.Sequence1(m)
+	if len(seq.Patterns) > 60 {
+		seq.Patterns = seq.Patterns[:60]
+	}
+	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
+	br, err := core.RunBatch(context.Background(), switchsim.NewTables(m.Net),
+		bench.NodeStuckOnly(m)[:64], core.Record(m.Net, seq, opts), seq, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire, err := json.Marshal(br)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(wire)))
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(br); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(wire)), "wire-B")
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(wire)))
+		for i := 0; i < b.N; i++ {
+			var got core.BatchResult
+			if err := json.Unmarshal(wire, &got); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkGoodCircuit_RAM64 measures the baseline every ratio is

@@ -412,10 +412,12 @@ func TestCampaignCheckpointVersionReject(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the file as the previous schema would have written it: same
-	// contents, version field 1 (a pre-versioned file decodes as 0 — also
-	// rejected).
-	for _, v := range []int{0, 1, 99} {
+	// Rewrite the file as another schema would have written it: same
+	// contents, another version field (a pre-versioned file decodes as 0 —
+	// also rejected). Version 2 spelled each completed batch out as a JSON
+	// object where this schema has a string; the version must be what the
+	// error names, not the first field that fails to decode.
+	for _, v := range []int{0, 1, 2, 99} {
 		raw, err := os.ReadFile(ckPath)
 		if err != nil {
 			t.Fatal(err)
@@ -428,6 +430,9 @@ func TestCampaignCheckpointVersionReject(t *testing.T) {
 			delete(doc, "version")
 		} else {
 			doc["version"] = v
+		}
+		if v == 2 {
+			doc["done"] = map[string]any{"0": map[string]any{"num_faults": 1, "per_setting": []any{}}}
 		}
 		mut, err := json.Marshal(doc)
 		if err != nil {

@@ -21,10 +21,12 @@ import (
 
 // checkpointVersion is the current checkpoint schema. Version 2 added
 // mid-batch partial snapshots (Partial) alongside the redundancy-trimming
-// engine; version-1 files (and pre-versioned files, which decode as
+// engine; version 3 carries each completed batch in core.BatchResult's
+// binary form (one base64 string) where version 2 spelled it out as a
+// JSON object. Files of any other version (pre-versioned files decode as
 // version 0) are refused with an explicit error rather than silently
 // reinterpreted.
-const checkpointVersion = 2
+const checkpointVersion = 3
 
 // Checkpoint is the serializable resume state of a campaign: the campaign
 // fingerprint (to refuse resuming a different campaign) plus the
@@ -106,9 +108,6 @@ func b2u(b bool) byte {
 // matches verifies the checkpoint belongs to the same campaign.
 func (c *Checkpoint) matches(want *Checkpoint) error {
 	switch {
-	case c.Version != checkpointVersion:
-		return fmt.Errorf("checkpoint schema version %d, this build writes version %d; delete the checkpoint file (completed batches will re-run) or finish the campaign with the build that wrote it",
-			c.Version, checkpointVersion)
 	case c.Sequence != want.Sequence || c.NumSettings != want.NumSettings:
 		return fmt.Errorf("sequence %q (%d settings), campaign runs %q (%d)",
 			c.Sequence, c.NumSettings, want.Sequence, want.NumSettings)
@@ -133,10 +132,27 @@ func (c *Checkpoint) Save(w io.Writer) error {
 	return enc.Encode(c)
 }
 
-// LoadCheckpoint reads a checkpoint previously written by Save.
+// LoadCheckpoint reads a checkpoint previously written by Save. The
+// schema version is read and checked before anything else is decoded: the
+// rest of an older file does not have this schema's shape, and the error
+// should say so rather than report whichever field broke first.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: reading checkpoint: %w", err)
+	}
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return nil, fmt.Errorf("campaign: decoding checkpoint: %w", err)
+	}
+	if head.Version != checkpointVersion {
+		return nil, fmt.Errorf("campaign: checkpoint schema version %d, this build writes version %d; delete the checkpoint file (completed batches will re-run) or finish the campaign with the build that wrote it",
+			head.Version, checkpointVersion)
+	}
 	c := &Checkpoint{}
-	if err := json.NewDecoder(r).Decode(c); err != nil {
+	if err := json.Unmarshal(data, c); err != nil {
 		return nil, fmt.Errorf("campaign: decoding checkpoint: %w", err)
 	}
 	return c, nil

@@ -692,27 +692,29 @@ func (b *FaultBatch) Observe() []int {
 
 // BatchResult is the outcome of replaying one fault batch over a recorded
 // good trajectory. All fields are deterministic (bit-identical for every
-// batching and worker count) except the FaultNS wall-clock figures, and
-// the whole value is JSON-serializable for campaign checkpoints.
+// batching and worker count) except the FaultNS wall-clock figures. It has
+// one serialised form, the column codec of resultcodec.go, which is also
+// what it marshals to inside JSON (shard result lines, campaign
+// checkpoints).
 type BatchResult struct {
 	// NumFaults is the batch width.
-	NumFaults int `json:"num_faults"`
+	NumFaults int
 	// PerSetting carries the fault-side stats of every input setting in
 	// sequence order (good-side fields zero: the producer owns them).
 	// Campaigns merge these at setting granularity so aggregates like
 	// MaxActive stay exact.
-	PerSetting []SettingStats `json:"per_setting"`
+	PerSetting []SettingStats
 	// PerPattern aggregates the batch's fault-side pattern stats.
-	PerPattern []PatternStats `json:"per_pattern"`
+	PerPattern []PatternStats
 	// Detected, Detections and Oscillated are indexed by batch fault
 	// index.
-	Detected   []bool      `json:"detected"`
-	Detections []Detection `json:"detections"`
-	Oscillated []bool      `json:"oscillated"`
+	Detected   []bool
+	Detections []Detection
+	Oscillated []bool
 	// Records holds each fault's final divergence records (nil when
 	// empty): the faulty circuit's state wherever it still differs from
 	// the good circuit at the end of the sequence.
-	Records []map[netlist.NodeID]logic.Value `json:"records,omitempty"`
+	Records []map[netlist.NodeID]logic.Value
 }
 
 // DetectedCount returns the number of detected faults in the batch.
@@ -752,7 +754,18 @@ func (b *FaultBatch) runRecording(ctx context.Context, rec *switchsim.Recording,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	br := &BatchResult{NumFaults: len(b.faults)}
+	// Every length is known up front: the stats tables of a long sequence
+	// are the bulk of what a batch allocates, and growing them by doubling
+	// allocated them twice over.
+	br := &BatchResult{
+		NumFaults:  len(b.faults),
+		PerSetting: make([]SettingStats, 0, seq.NumSettings()),
+		PerPattern: make([]PatternStats, 0, len(seq.Patterns)),
+		Detected:   make([]bool, 0, len(b.faults)),
+		Detections: make([]Detection, 0, len(b.faults)),
+		Oscillated: make([]bool, 0, len(b.faults)),
+		Records:    make([]map[netlist.NodeID]logic.Value, 0, len(b.faults)),
+	}
 	detTotal := 0
 	si := 1
 	startPat := 0

@@ -101,6 +101,7 @@ func (g *goodRunner) fill(init bool, inputs []switchsim.Change, res switchsim.Se
 func Record(nw *netlist.Network, seq *switchsim.Sequence, opts Options) *switchsim.Recording {
 	g := newGoodRunner(switchsim.NewTables(nw), opts)
 	rec := switchsim.NewRecording(nw)
+	rec.Steps = make([]switchsim.StepTrace, 0, 1+seq.NumSettings())
 	rec.Append(g.init())
 	setting := 0
 	for pi := range seq.Patterns {

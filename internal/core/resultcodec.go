@@ -1,0 +1,355 @@
+// The serialised form of a BatchResult: a varint column codec in the
+// idiom of switchsim's recording format, and the only form the value has.
+// A shard's NDJSON result line and a campaign checkpoint both carry it as
+// one base64 JSON string.
+//
+// A batch result is mostly its per-setting table: thirteen small integers
+// for every input setting of the sequence, most of them zero. Written
+// column by column as varints, a zero costs one byte and nothing is spent
+// on field names; as a JSON object the same table was an order of
+// magnitude larger and dominated a shard's round trip.
+//
+// Layout, every integer a uvarint of its two's-complement bits (so any
+// value survives, and the non-negative ones that occur are short):
+//
+//	magic "FMOSBRES"
+//	NumFaults
+//	len(PerSetting), then one column per SettingStats field
+//	len(PerPattern), one column per integer PatternStats field, then
+//	    the names (length-prefixed)
+//	len(Detected), one byte each
+//	len(Detections), then one column per Detection field
+//	len(Oscillated), one byte each
+//	len(Records), then per fault its record count and the (node, value)
+//	    pairs in ascending node order
+package core
+
+import (
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
+	"slices"
+
+	"fmossim/internal/logic"
+	"fmossim/internal/netlist"
+)
+
+const batchResultMagic = "FMOSBRES"
+
+// column is one integer field of a row type, named once so the encoder
+// and the decoder cannot disagree on the field list or its order.
+type column[T any] struct {
+	get func(*T) int64
+	set func(*T, int64)
+}
+
+func intCol[T any](field func(*T) *int) column[T] {
+	return column[T]{
+		get: func(r *T) int64 { return int64(*field(r)) },
+		set: func(r *T, v int64) { *field(r) = int(v) },
+	}
+}
+
+func int64Col[T any](field func(*T) *int64) column[T] {
+	return column[T]{
+		get: func(r *T) int64 { return *field(r) },
+		set: func(r *T, v int64) { *field(r) = v },
+	}
+}
+
+var settingCols = []column[SettingStats]{
+	intCol(func(s *SettingStats) *int { return &s.Pattern }),
+	intCol(func(s *SettingStats) *int { return &s.Setting }),
+	intCol(func(s *SettingStats) *int { return &s.ActiveCircuits }),
+	intCol(func(s *SettingStats) *int { return &s.LiveFaults }),
+	int64Col(func(s *SettingStats) *int64 { return &s.GoodWork }),
+	int64Col(func(s *SettingStats) *int64 { return &s.FaultWork }),
+	int64Col(func(s *SettingStats) *int64 { return &s.GoodNS }),
+	int64Col(func(s *SettingStats) *int64 { return &s.FaultNS }),
+	intCol(func(s *SettingStats) *int { return &s.LanesReplayed }),
+	intCol(func(s *SettingStats) *int { return &s.ScalarFallbacks }),
+	int64Col(func(s *SettingStats) *int64 { return &s.AdoptedVics }),
+	int64Col(func(s *SettingStats) *int64 { return &s.SolvedVics }),
+	intCol(func(s *SettingStats) *int { return &s.FaultsRetired }),
+}
+
+// patternCols lists every PatternStats field but Name, which is not an
+// integer and is written after them.
+var patternCols = []column[PatternStats]{
+	intCol(func(p *PatternStats) *int { return &p.Pattern }),
+	intCol(func(p *PatternStats) *int { return &p.Settings }),
+	intCol(func(p *PatternStats) *int { return &p.LiveBefore }),
+	intCol(func(p *PatternStats) *int { return &p.LiveAfter }),
+	intCol(func(p *PatternStats) *int { return &p.Detected }),
+	intCol(func(p *PatternStats) *int { return &p.MaxActive }),
+	int64Col(func(p *PatternStats) *int64 { return &p.GoodWork }),
+	int64Col(func(p *PatternStats) *int64 { return &p.FaultWork }),
+	int64Col(func(p *PatternStats) *int64 { return &p.GoodNS }),
+	int64Col(func(p *PatternStats) *int64 { return &p.FaultNS }),
+}
+
+var detectionCols = []column[Detection]{
+	intCol(func(d *Detection) *int { return &d.Pattern }),
+	intCol(func(d *Detection) *int { return &d.Setting }),
+	{
+		get: func(d *Detection) int64 { return int64(d.Output) },
+		set: func(d *Detection, v int64) { d.Output = netlist.NodeID(v) },
+	},
+	{
+		get: func(d *Detection) int64 { return int64(d.Good) },
+		set: func(d *Detection, v int64) { d.Good = logic.Value(v) },
+	},
+	{
+		get: func(d *Detection) int64 { return int64(d.Faulty) },
+		set: func(d *Detection, v int64) { d.Faulty = logic.Value(v) },
+	},
+	{
+		get: func(d *Detection) int64 { return int64(b2i(d.Hard)) },
+		set: func(d *Detection, v int64) { d.Hard = v != 0 },
+	},
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func appendColumns[T any](b []byte, rows []T, cols []column[T]) []byte {
+	for _, c := range cols {
+		for i := range rows {
+			b = binary.AppendUvarint(b, uint64(c.get(&rows[i])))
+		}
+	}
+	return b
+}
+
+func appendBools(b []byte, vs []bool) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = append(b, byte(b2i(v)))
+	}
+	return b
+}
+
+// AppendBinary appends the result's serialised form to b. It is lossless:
+// UnmarshalBinary rebuilds an equal value (empty slices and empty record
+// maps come back nil).
+func (br BatchResult) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, batchResultMagic...)
+	b = binary.AppendUvarint(b, uint64(int64(br.NumFaults)))
+
+	b = binary.AppendUvarint(b, uint64(len(br.PerSetting)))
+	b = appendColumns(b, br.PerSetting, settingCols)
+
+	b = binary.AppendUvarint(b, uint64(len(br.PerPattern)))
+	b = appendColumns(b, br.PerPattern, patternCols)
+	for i := range br.PerPattern {
+		b = binary.AppendUvarint(b, uint64(len(br.PerPattern[i].Name)))
+		b = append(b, br.PerPattern[i].Name...)
+	}
+
+	b = appendBools(b, br.Detected)
+	b = binary.AppendUvarint(b, uint64(len(br.Detections)))
+	b = appendColumns(b, br.Detections, detectionCols)
+	b = appendBools(b, br.Oscillated)
+
+	b = binary.AppendUvarint(b, uint64(len(br.Records)))
+	var nodes []netlist.NodeID
+	for _, recs := range br.Records {
+		nodes = nodes[:0]
+		for n := range recs {
+			nodes = append(nodes, n)
+		}
+		slices.Sort(nodes)
+		b = binary.AppendUvarint(b, uint64(len(nodes)))
+		for _, n := range nodes {
+			b = binary.AppendUvarint(b, uint64(int64(n)))
+			b = append(b, byte(recs[n]))
+		}
+	}
+	return b, nil
+}
+
+// UnmarshalBinary replaces br with the result serialised in data.
+// Malformed input is an error, never a panic, and no length prefix is
+// trusted beyond the bytes that could back it.
+func (br *BatchResult) UnmarshalBinary(data []byte) error {
+	if len(data) < len(batchResultMagic) || string(data[:len(batchResultMagic)]) != batchResultMagic {
+		return fmt.Errorf("core: not a batch result (bad magic)")
+	}
+	d := &resultDecoder{buf: data[len(batchResultMagic):]}
+	out := BatchResult{NumFaults: int(int64(d.uvarint()))}
+
+	out.PerSetting = decodeColumns(d, d.count(len(settingCols)), settingCols)
+
+	out.PerPattern = decodeColumns(d, d.count(len(patternCols)+1), patternCols)
+	for i := range out.PerPattern {
+		out.PerPattern[i].Name = string(d.bytes(d.count(1)))
+	}
+
+	out.Detected = d.bools()
+	out.Detections = decodeColumns(d, d.count(len(detectionCols)), detectionCols)
+	for i := range out.Detections {
+		if det := &out.Detections[i]; det.Good > logic.X || det.Faulty > logic.X {
+			d.fail(fmt.Errorf("detection %d: logic value out of range", i))
+		}
+	}
+	out.Oscillated = d.bools()
+	if len(out.Detections) != len(out.Detected) || len(out.Oscillated) != len(out.Detected) {
+		// campaign.Merge walks the three in step.
+		d.fail(fmt.Errorf("per-fault columns of %d, %d and %d faults",
+			len(out.Detected), len(out.Detections), len(out.Oscillated)))
+	}
+
+	if n := d.count(1); n > 0 {
+		out.Records = make([]map[netlist.NodeID]logic.Value, n)
+	}
+	for i := range out.Records {
+		n := d.count(2)
+		if n == 0 {
+			continue
+		}
+		recs := make(map[netlist.NodeID]logic.Value, n)
+		for j := 0; j < n && d.err == nil; j++ {
+			node := netlist.NodeID(d.uvarint())
+			v := logic.Value(d.byte())
+			if v > logic.X {
+				d.fail(fmt.Errorf("fault %d: record value %d out of range", i, v))
+			}
+			recs[node] = v
+		}
+		if len(recs) != n {
+			d.fail(fmt.Errorf("fault %d: duplicate record node", i))
+		}
+		out.Records[i] = recs
+	}
+
+	if d.err == nil && len(d.buf) != 0 {
+		d.fail(fmt.Errorf("%d trailing bytes", len(d.buf)))
+	}
+	if d.err != nil {
+		return fmt.Errorf("core: decoding batch result: %w", d.err)
+	}
+	*br = out
+	return nil
+}
+
+// MarshalJSON writes the binary form as one base64 string.
+func (br BatchResult) MarshalJSON() ([]byte, error) {
+	bin, err := br.AppendBinary(nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, base64.StdEncoding.EncodedLen(len(bin))+2)
+	out = append(out, '"')
+	out = base64.StdEncoding.AppendEncode(out, bin)
+	return append(out, '"'), nil
+}
+
+// UnmarshalJSON reads the base64 string MarshalJSON writes; null leaves
+// br as it is.
+func (br *BatchResult) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var bin []byte
+	if err := json.Unmarshal(data, &bin); err != nil {
+		return fmt.Errorf("core: batch result is not a base64 string: %w", err)
+	}
+	return br.UnmarshalBinary(bin)
+}
+
+// resultDecoder reads varints off the front of buf; the first error
+// sticks and every later read returns zero.
+type resultDecoder struct {
+	buf []byte
+	err error
+}
+
+func (d *resultDecoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+func (d *resultDecoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf)
+	switch {
+	case n == 0:
+		d.err = io.ErrUnexpectedEOF
+	case n < 0:
+		d.err = fmt.Errorf("varint overflows 64 bits")
+	}
+	d.buf = d.buf[max(n, 0):]
+	return v
+}
+
+func (d *resultDecoder) byte() byte {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.buf) == 0 {
+		d.err = io.ErrUnexpectedEOF
+		return 0
+	}
+	b := d.buf[0]
+	d.buf = d.buf[1:]
+	return b
+}
+
+// count reads a length prefix for elements of at least width bytes each,
+// refusing one the remaining input could not back: what is allocated for
+// it is then bounded by the size of the input.
+func (d *resultDecoder) count(width int) int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf)/width) {
+		d.fail(fmt.Errorf("length %d exceeds the %d bytes left", n, len(d.buf)))
+		return 0
+	}
+	return int(n)
+}
+
+func (d *resultDecoder) bytes(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *resultDecoder) bools() []bool {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]bool, n)
+	for i := range out {
+		b := d.byte()
+		if b > 1 {
+			d.fail(fmt.Errorf("bool byte %d", b))
+		}
+		out[i] = b == 1
+	}
+	return out
+}
+
+func decodeColumns[T any](d *resultDecoder, n int, cols []column[T]) []T {
+	if n == 0 {
+		return nil
+	}
+	rows := make([]T, n)
+	for _, c := range cols {
+		for i := range rows {
+			c.set(&rows[i], int64(d.uvarint()))
+		}
+	}
+	return rows
+}

@@ -40,8 +40,10 @@ func (c *coordinator) ensureRecording(ctx context.Context, wi int) error {
 	}
 	base := c.opts.Workers[wi]
 
-	// Presence check first: across coordinator runs (or after a worker
-	// restart mid-campaign) the recording may already be stored.
+	// Presence check first: the fingerprint is a function of the trajectory
+	// alone, so any earlier campaign over this circuit and sequence (or
+	// this one, before a coordinator restart) has left the worker holding
+	// it.
 	reqCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, base+"/recordings/"+c.fp, nil)
@@ -51,6 +53,7 @@ func (c *coordinator) ensureRecording(ctx context.Context, wi int) error {
 	if resp, err := c.opts.Client.Do(req); err == nil {
 		drain(resp)
 		if resp.StatusCode == http.StatusOK {
+			c.opts.Logf("distrib: recording %s already on %s", c.fp[:12], base)
 			c.uploaded[wi] = true
 			return nil
 		}
@@ -163,8 +166,8 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, sh *shardS
 	}
 
 	sc := bufio.NewScanner(resp.Body)
-	// A result line carries the whole BatchResult (records included):
-	// far beyond the scanner's 64KB default.
+	// A result line carries the whole BatchResult (per-setting table and
+	// records included): beyond the scanner's 64KB default.
 	sc.Buffer(make([]byte, 0, 64*1024), 256<<20)
 	sawTerminal := false
 	for sc.Scan() {

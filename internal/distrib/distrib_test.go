@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,5 +371,57 @@ func TestEarlyStopDoubleCancelNoLeak(t *testing.T) {
 				before, after, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// countingTransport counts the recording uploads each worker receives.
+type countingTransport struct {
+	mu   sync.Mutex
+	puts map[string]int // by worker host
+}
+
+func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPut && strings.HasPrefix(req.URL.Path, "/recordings/") {
+		ct.mu.Lock()
+		ct.puts[req.URL.Host]++
+		ct.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestSecondRunReusesRecording: the fingerprint names the trajectory, not
+// the capture, so a campaign over a circuit and sequence the workers have
+// already seen uploads nothing — even though its coordinator recorded the
+// good circuit afresh, with wall-clock figures of its own.
+func TestSecondRunReusesRecording(t *testing.T) {
+	spec := ram256Spec()
+	urls, _ := newWorkerPool(t, 2, server.Config{MaxJobs: 2})
+	ct := &countingTransport{puts: map[string]int{}}
+	client := &http.Client{Transport: ct}
+
+	for run, wantPuts := range []int{1, 0} {
+		wl, rec := resolveAndRecord(t, spec) // a fresh capture each run
+		want := monolithic(t, wl, rec, 16)
+		ct.mu.Lock()
+		clear(ct.puts)
+		ct.mu.Unlock()
+		got, err := distrib.Run(context.Background(), spec, distrib.Options{
+			Workers:   urls,
+			BatchSize: 16,
+			Recording: rec,
+			Client:    client,
+			Logf:      t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, got, want)
+		ct.mu.Lock()
+		for _, u := range urls {
+			if n := ct.puts[strings.TrimPrefix(u, "http://")]; n != wantPuts {
+				t.Errorf("run %d: %d PUT /recordings/ to %s, want %d", run+1, n, u, wantPuts)
+			}
+		}
+		ct.mu.Unlock()
 	}
 }

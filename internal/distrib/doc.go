@@ -8,7 +8,12 @@
 // good-circuit switchsim.Recording exactly once, uploads its encoded
 // bytes to each worker under their content fingerprint, and dispatches
 // shard jobs that replay it, so a campaign of W workers × B shards pays
-// for exactly one good-circuit simulation, cluster-wide.
+// for exactly one good-circuit simulation, cluster-wide. The fingerprint
+// is a function of the trajectory alone (the encoding carries no
+// timing), so the upload happens once per workload, not once per
+// campaign: a later Run over the same circuit and sequence finds the
+// recording on the worker ("recording <fp> already on <worker>" through
+// Logf) and uploads nothing.
 //
 // # Execution model
 //
@@ -20,7 +25,8 @@
 // recording_fp, include_batch) on the existing fmossimd job API. Worker
 // slots (InFlight per worker) pull shards from a shared queue, stream
 // each job's NDJSON progress, and return the raw core.BatchResult from
-// the terminal result line.
+// the terminal result line, where it travels in its binary column form
+// as one base64 string (see core.BatchResult).
 //
 // Failures requeue: a shard whose worker dies mid-stream (connection
 // refused, broken stream, failed job) goes back on the queue with its

@@ -22,10 +22,14 @@
 //
 // The server is also the worker half of distributed campaigns
 // (internal/distrib): PUT /recordings/{fp} stores a coordinator's
-// encoded good-circuit trajectory under its content fingerprint, and a
-// JobSpec with shard_lo/shard_hi runs exactly one batch of the fault
-// universe against it (core.RunBatch), returning the raw
-// core.BatchResult for setting-granularity merging on the coordinator.
+// encoded good-circuit trajectory under its content fingerprint —
+// decoded once, from the body bytes; a later PUT of a fingerprint the
+// store holds answers 201 with the stored meta, refreshes its eviction
+// age and decodes nothing — and a JobSpec with shard_lo/shard_hi runs
+// exactly one batch of the fault universe against it (core.RunBatch),
+// returning the raw core.BatchResult for setting-granularity merging on
+// the coordinator. On the result line Result.Batch is one base64 string:
+// core.BatchResult's binary column form, its only serialised form.
 // ResolveSpec exposes the spec-resolution path itself, so coordinator
 // and workers provably enumerate the same fault universe from the same
 // spec. The fingerprint contract and the merge-determinism guarantee are

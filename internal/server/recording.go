@@ -16,10 +16,10 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 
@@ -59,19 +59,11 @@ func newRecordingStore(max int) *recordingStore {
 }
 
 // put stores a decoded recording under its fingerprint, evicting the
-// oldest entries beyond the bound. Re-uploading an existing fingerprint
-// refreshes its eviction age.
+// oldest entries beyond the bound.
 func (s *recordingStore) put(fp string, rec *switchsim.Recording, size int) RecordingMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[fp]; ok {
-		for i, o := range s.order {
-			if o == fp {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-	}
+	s.unlist(fp)
 	s.entries[fp] = storedRecording{rec: rec, size: size}
 	s.order = append(s.order, fp)
 	for len(s.order) > s.max {
@@ -79,6 +71,27 @@ func (s *recordingStore) put(fp string, rec *switchsim.Recording, size int) Reco
 		s.order = s.order[1:]
 	}
 	return meta(fp, s.entries[fp])
+}
+
+// touch refreshes the eviction age of a stored fingerprint and returns its
+// meta; it reports false when the store does not hold fp.
+func (s *recordingStore) touch(fp string) (RecordingMeta, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[fp]
+	if !ok {
+		return RecordingMeta{}, false
+	}
+	s.unlist(fp)
+	s.order = append(s.order, fp)
+	return meta(fp, e), true
+}
+
+// unlist removes fp from the eviction order, if listed. Caller holds mu.
+func (s *recordingStore) unlist(fp string) {
+	if i := slices.Index(s.order, fp); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
+	}
 }
 
 func (s *recordingStore) get(fp string) (*switchsim.Recording, bool) {
@@ -105,12 +118,7 @@ func (s *recordingStore) delete(fp string) bool {
 		return false
 	}
 	delete(s.entries, fp)
-	for i, o := range s.order {
-		if o == fp {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.unlist(fp)
 	return true
 }
 
@@ -146,7 +154,13 @@ func (m *Manager) handlePutRecording(w http.ResponseWriter, r *http.Request) {
 			"fingerprint mismatch: body hashes to %s, not %s", got, fp))
 		return
 	}
-	rec, err := switchsim.DecodeRecording(bytes.NewReader(data))
+	// The hash matched, so a fingerprint the store holds names these very
+	// bytes: decoding them again would only rebuild what is stored.
+	if rm, ok := m.recordings.touch(fp); ok {
+		writeJSON(w, http.StatusCreated, rm)
+		return
+	}
+	rec, err := switchsim.DecodeRecordingBytes(data)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"fmossim/internal/core"
+	"fmossim/internal/march"
+	"fmossim/internal/ram"
 	"fmossim/internal/server"
 	"fmossim/internal/switchsim"
 )
@@ -147,6 +149,49 @@ func TestPutRecordingFingerprintMismatch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("mismatched fingerprint: %s, want 400", resp.Status)
+	}
+}
+
+// TestPutRecordingAgain: uploading a fingerprint the store already holds
+// answers 201 with the stored meta and counts as a use, so it is the other
+// recording that goes when the store overflows.
+func TestPutRecordingAgain(t *testing.T) {
+	m := ram.RAM64()
+	var recs []*switchsim.Recording
+	for n := 2; n <= 4; n++ {
+		seq := march.Sequence1(m)
+		seq.Patterns = seq.Patterns[:n]
+		recs = append(recs, core.Record(m.Net, seq, core.Options{}))
+	}
+	_, ts := newTestServer(t, server.Config{KeepRecordings: 2})
+	stored := func() []string {
+		resp, err := http.Get(ts.URL + "/recordings")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var metas []server.RecordingMeta
+		if err := json.NewDecoder(resp.Body).Decode(&metas); err != nil {
+			t.Fatal(err)
+		}
+		var fps []string
+		for _, rm := range metas {
+			fps = append(fps, rm.Fingerprint)
+		}
+		return fps
+	}
+
+	a := putRecording(t, ts, recs[0])
+	b := putRecording(t, ts, recs[1])
+	if again := putRecording(t, ts, recs[0]); again != a {
+		t.Fatalf("second upload stored under %s, first under %s", again, a)
+	}
+	if got := stored(); !reflect.DeepEqual(got, []string{b, a}) {
+		t.Fatalf("after re-upload the store lists %v, want [%s %s]", got, b, a)
+	}
+	c := putRecording(t, ts, recs[2])
+	if got := stored(); !reflect.DeepEqual(got, []string{a, c}) {
+		t.Fatalf("after overflow the store lists %v, want [%s %s]", got, a, c)
 	}
 }
 

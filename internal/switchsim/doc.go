@@ -44,8 +44,22 @@
 // DecodeRecording round-trip the artifact through a varint binary format,
 // fingerprint included, so a recording captured in one process replays
 // in another (or on another machine) with the same validation and the
-// same results. The fingerprint is deliberately structural rather than
+// same results. The structural fingerprint is deliberately not
 // content-addressed: two networks with equal shape but different
 // connectivity defeat it, so callers shipping recordings across trust
 // boundaries should pair them with their netlist source.
+//
+// The content fingerprint (Recording.Fingerprint, FingerprintBytes) is
+// the SHA-256 of the encoding, and the encoding's content is the
+// trajectory, never timing: Encode writes 0 in the slot that once held a
+// step's GoodNS and the decoder ignores the slot, so every capture of one
+// circuit and sequence fingerprints the same and a decoded recording
+// reports GoodNS 0. The measured times live only on the in-memory
+// recording a capture returned.
+//
+// An owned step (Recording.Append, DecodeRecording) keeps all its node
+// lists, change lists and vicinity traces in three exact-size arrays and
+// hands them out as capacity-clipped windows; Encode makes one pass with
+// one buffer, and DecodeRecordingBytes reads the byte slice in place.
+// DESIGN.md ("Wire forms") has the layout.
 package switchsim

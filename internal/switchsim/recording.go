@@ -11,7 +11,6 @@
 package switchsim
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -122,20 +121,11 @@ func (r *Recording) Validate(nw *netlist.Network, settings int) error {
 // scratch) into the recording. The trajectory is cloned only when usable:
 // an oscillated step's trajectory is never adopted, so it is dropped.
 func (r *Recording) Append(t *StepTrace) {
-	st := StepTrace{
-		Init:         t.Init,
-		InputChanges: slices.Clone(t.InputChanges),
-		Changed:      slices.Clone(t.Changed),
-		Explored:     slices.Clone(t.Explored),
-		Oscillated:   t.Oscillated,
-		GoodWork:     t.GoodWork,
-		GoodNS:       t.GoodNS,
+	st := *t
+	if st.Oscillated {
+		st.Traj = nil
 	}
-	if t.Traj != nil && !t.Oscillated {
-		st.Traj = t.Traj.Clone()
-	}
-	st.Snapshot = slices.Clone(t.Snapshot)
-	r.Steps = append(r.Steps, st)
+	r.Steps = append(r.Steps, st.owned())
 }
 
 // SnapshotAt returns the state frame captured at step index step (0 is
@@ -147,21 +137,74 @@ func (r *Recording) SnapshotAt(step int) []logic.Value {
 	return r.Steps[step].Snapshot
 }
 
-// Clone returns an owned deep copy of the trajectory, decoupled from the
-// recording solver's reusable storage.
-func (tr *Trajectory) Clone() *Trajectory {
-	out := &Trajectory{rounds: make([][]VicTrace, len(tr.rounds))}
-	for i, round := range tr.rounds {
-		rr := make([]VicTrace, len(round))
-		for j, vt := range round {
-			rr[j] = VicTrace{
-				Members: slices.Clone(vt.Members),
-				Changes: slices.Clone(vt.Changes),
+// stepSlabs are the backing arrays of one owned step. A step holds
+// hundreds of short lists (two per solved vicinity); each is handed out as
+// a capacity-clipped window into one of three allocations sized exactly by
+// a counting pass, so owning a step costs a fixed number of allocations
+// and no slack, and an append through a window can never reach its
+// neighbour.
+type stepSlabs struct {
+	nodes   []netlist.NodeID
+	changes []Change
+	vics    []VicTrace
+}
+
+// window appends a copy of src to the slab and returns the
+// capacity-clipped window holding it (nil when src is empty).
+func window[T any](slab *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	lo := len(*slab)
+	*slab = append(*slab, src...)
+	return (*slab)[lo:len(*slab):len(*slab)]
+}
+
+// owned returns a deep copy of the step that shares no storage with t.
+// Empty lists come back nil, whatever they were in t.
+func (t *StepTrace) owned() StepTrace {
+	nNodes := len(t.Explored)
+	nChanges := len(t.InputChanges) + len(t.Changed)
+	nVics := 0
+	if t.Traj != nil {
+		for _, round := range t.Traj.rounds {
+			nVics += len(round)
+			for i := range round {
+				nNodes += len(round[i].Members)
+				nChanges += len(round[i].Changes)
 			}
 		}
-		out.rounds[i] = rr
 	}
-	return out
+	sl := stepSlabs{
+		nodes:   make([]netlist.NodeID, 0, nNodes),
+		changes: make([]Change, 0, nChanges),
+		vics:    make([]VicTrace, 0, nVics),
+	}
+	st := *t
+	st.InputChanges = window(&sl.changes, t.InputChanges)
+	st.Changed = window(&sl.changes, t.Changed)
+	st.Explored = window(&sl.nodes, t.Explored)
+	st.Snapshot = slices.Clone(t.Snapshot)
+	if t.Traj != nil {
+		out := &Trajectory{}
+		if len(t.Traj.rounds) > 0 {
+			out.rounds = make([][]VicTrace, len(t.Traj.rounds))
+		}
+		for i, round := range t.Traj.rounds {
+			lo := len(sl.vics)
+			for j := range round {
+				sl.vics = append(sl.vics, VicTrace{
+					Members: window(&sl.nodes, round[j].Members),
+					Changes: window(&sl.changes, round[j].Changes),
+				})
+			}
+			if len(round) > 0 {
+				out.rounds[i] = sl.vics[lo:len(sl.vics):len(sl.vics)]
+			}
+		}
+		st.Traj = out
+	}
+	return st
 }
 
 // Serialization: a compact varint-framed binary format, so a trajectory
@@ -178,12 +221,13 @@ const (
 )
 
 // Fingerprint returns the recording's content fingerprint: the lowercase
-// hex SHA-256 of its Encode serialization. Two recordings share a
-// fingerprint iff their encoded bytes are identical, so the fingerprint
-// names a trajectory across process and machine boundaries — a
-// distributed campaign coordinator uploads the encoded recording to each
-// worker once and every shard job references it by fingerprint (see
-// FingerprintBytes for hashing bytes already in hand).
+// hex SHA-256 of its Encode serialization. The serialization carries the
+// trajectory and never its timing (see Encode), so every capture of one
+// circuit and sequence has the same fingerprint, and the fingerprint names
+// a trajectory across process and machine boundaries — a distributed
+// campaign coordinator uploads the encoded recording to each worker once
+// and every shard job references it by fingerprint (see FingerprintBytes
+// for hashing bytes already in hand).
 func (r *Recording) Fingerprint() (string, error) {
 	h := sha256.New()
 	if err := r.Encode(h); err != nil {
@@ -206,123 +250,130 @@ const (
 	flagSnapshot // v2 only: the step carries a state frame
 )
 
-// Encode writes the recording in the versioned binary format.
+// encodeChunk is the size at which Encode hands its buffer to the writer.
+const encodeChunk = 32 << 10
+
+// Encode writes the recording in the versioned binary format. The slot
+// that held a step's GoodNS is written as 0: wall-clock time belongs to a
+// capture run, not to the trajectory, and a byte stream that carried it
+// would never fingerprint the same twice.
 func (r *Recording) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(recordingMagic); err != nil {
-		return err
-	}
-	putUvarint(bw, uint64(r.NumNodes))
-	putUvarint(bw, uint64(r.NumTransistors))
-	putUvarint(bw, uint64(len(r.Steps)))
+	buf := make([]byte, 0, 2*encodeChunk)
+	buf = append(buf, recordingMagic...)
+	buf = binary.AppendUvarint(buf, uint64(r.NumNodes))
+	buf = binary.AppendUvarint(buf, uint64(r.NumTransistors))
+	buf = binary.AppendUvarint(buf, uint64(len(r.Steps)))
 	for i := range r.Steps {
-		st := &r.Steps[i]
-		var flags byte
-		if st.Init {
-			flags |= flagInit
-		}
-		if st.Oscillated {
-			flags |= flagOscillated
-		}
-		if st.Traj != nil {
-			flags |= flagTraj
-		}
-		if st.Snapshot != nil {
-			flags |= flagSnapshot
-		}
-		bw.WriteByte(flags)
-		putUvarint(bw, uint64(st.GoodWork))
-		putUvarint(bw, uint64(st.GoodNS))
-		putChanges(bw, st.InputChanges)
-		putChanges(bw, st.Changed)
-		putUvarint(bw, uint64(len(st.Explored)))
-		for _, n := range st.Explored {
-			putUvarint(bw, uint64(n))
-		}
-		if st.Traj != nil {
-			putUvarint(bw, uint64(len(st.Traj.rounds)))
-			for _, round := range st.Traj.rounds {
-				putUvarint(bw, uint64(len(round)))
-				for _, vt := range round {
-					putUvarint(bw, uint64(len(vt.Members)))
-					for _, n := range vt.Members {
-						putUvarint(bw, uint64(n))
-					}
-					putChanges(bw, vt.Changes)
-				}
+		buf = r.Steps[i].appendBinary(buf)
+		if len(buf) >= encodeChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
+			buf = buf[:0]
 		}
-		if st.Snapshot != nil {
-			// One value byte per node; the length is written so a decoder
-			// can reject a frame that does not match the header's node
-			// count without trusting it.
-			putUvarint(bw, uint64(len(st.Snapshot)))
-			for _, v := range st.Snapshot {
-				bw.WriteByte(byte(v))
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+func (st *StepTrace) appendBinary(b []byte) []byte {
+	var flags byte
+	if st.Init {
+		flags |= flagInit
+	}
+	if st.Oscillated {
+		flags |= flagOscillated
+	}
+	if st.Traj != nil {
+		flags |= flagTraj
+	}
+	if st.Snapshot != nil {
+		flags |= flagSnapshot
+	}
+	b = append(b, flags)
+	b = binary.AppendUvarint(b, uint64(st.GoodWork))
+	b = append(b, 0) // reserved: GoodNS until the fingerprint became content-only
+	b = appendChanges(b, st.InputChanges)
+	b = appendChanges(b, st.Changed)
+	b = appendNodes(b, st.Explored)
+	if st.Traj != nil {
+		b = binary.AppendUvarint(b, uint64(len(st.Traj.rounds)))
+		for _, round := range st.Traj.rounds {
+			b = binary.AppendUvarint(b, uint64(len(round)))
+			for i := range round {
+				b = appendNodes(b, round[i].Members)
+				b = appendChanges(b, round[i].Changes)
 			}
 		}
 	}
-	return bw.Flush()
+	if st.Snapshot != nil {
+		// One value byte per node; the length is written so a decoder
+		// can reject a frame that does not match the header's node
+		// count without trusting it.
+		b = binary.AppendUvarint(b, uint64(len(st.Snapshot)))
+		for _, v := range st.Snapshot {
+			b = append(b, byte(v))
+		}
+	}
+	return b
+}
+
+func appendNodes(b []byte, nodes []netlist.NodeID) []byte {
+	b = binary.AppendUvarint(b, uint64(len(nodes)))
+	for _, n := range nodes {
+		b = binary.AppendUvarint(b, uint64(n))
+	}
+	return b
+}
+
+func appendChanges(b []byte, chs []Change) []byte {
+	b = binary.AppendUvarint(b, uint64(len(chs)))
+	for _, ch := range chs {
+		b = binary.AppendUvarint(b, uint64(ch.Node))
+		b = append(b, byte(ch.Value))
+	}
+	return b
 }
 
 // DecodeRecording reads a recording previously written by Encode.
 func DecodeRecording(r io.Reader) (*Recording, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(recordingMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("switchsim: reading recording header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("switchsim: reading recording: %w", err)
 	}
-	if string(magic) != recordingMagic && string(magic) != recordingMagicV1 {
+	return DecodeRecordingBytes(data)
+}
+
+// minStepBytes is the shortest encoding of a step: flags, work, the
+// reserved slot and three empty lists.
+const minStepBytes = 6
+
+// DecodeRecordingBytes decodes a recording held in memory. The result
+// shares no storage with data. Every step reports GoodNS 0: the slot is
+// not trajectory content, whatever an older stream wrote there.
+func DecodeRecordingBytes(data []byte) (*Recording, error) {
+	if len(data) < len(recordingMagic) {
+		return nil, fmt.Errorf("switchsim: reading recording header: %w", io.ErrUnexpectedEOF)
+	}
+	if magic := string(data[:len(recordingMagic)]); magic != recordingMagic && magic != recordingMagicV1 {
 		return nil, fmt.Errorf("switchsim: not a recording (bad magic %q)", magic)
 	}
-	d := &decoder{br: br}
+	d := &decoder{buf: data[len(recordingMagic):]}
 	rec := &Recording{
 		NumNodes:       int(d.uvarint()),
 		NumTransistors: int(d.uvarint()),
 	}
-	nSteps := int(d.uvarint())
-	if d.err == nil && (nSteps < 0 || nSteps > 1<<28) {
-		return nil, fmt.Errorf("switchsim: recording step count %d out of range", nSteps)
+	nSteps := d.uvarint()
+	if d.err == nil && nSteps > uint64(len(d.buf)/minStepBytes) {
+		return nil, fmt.Errorf("switchsim: recording step count %d exceeds its %d bytes", nSteps, len(d.buf))
 	}
-	maxNode := uint64(rec.NumNodes)
+	d.maxNode = uint64(rec.NumNodes)
 	// Preallocation is bounded: a corrupt header must not provoke a huge
-	// up-front allocation; append grows the rest incrementally while the
-	// decoder validates each step.
-	rec.Steps = make([]StepTrace, 0, min(nSteps, 4096))
-	for i := 0; i < nSteps && d.err == nil; i++ {
-		flags := d.byte()
-		st := StepTrace{
-			Init:       flags&flagInit != 0,
-			Oscillated: flags&flagOscillated != 0,
-			GoodWork:   int64(d.uvarint()),
-			GoodNS:     int64(d.uvarint()),
-		}
-		st.InputChanges = d.changes(maxNode)
-		st.Changed = d.changes(maxNode)
-		st.Explored = d.nodes(maxNode)
-		if flags&flagTraj != 0 {
-			nRounds := int(d.uvarint())
-			traj := &Trajectory{}
-			for r := 0; r < nRounds && d.err == nil; r++ {
-				nVics := int(d.uvarint())
-				var round []VicTrace
-				for v := 0; v < nVics && d.err == nil; v++ {
-					round = append(round, VicTrace{
-						Members: d.nodes(maxNode),
-						Changes: d.changes(maxNode),
-					})
-				}
-				traj.rounds = append(traj.rounds, round)
-			}
-			st.Traj = traj
-		}
-		if flags&flagSnapshot != 0 {
-			// A v1 recording never sets this bit (the format predates it);
-			// if one does, the byte stream is corrupt and the frame decode
-			// below fails on length or value validation anyway.
-			st.Snapshot = d.snapshot(maxNode)
-		}
-		rec.Steps = append(rec.Steps, st)
+	// up-front allocation; append grows the rest while the decoder
+	// validates each step.
+	rec.Steps = make([]StepTrace, 0, min(nSteps, 1<<16))
+	for i := uint64(0); i < nSteps && d.err == nil; i++ {
+		rec.Steps = append(rec.Steps, d.step())
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("switchsim: decoding recording: %w", d.err)
@@ -330,34 +381,34 @@ func DecodeRecording(r io.Reader) (*Recording, error) {
 	return rec, nil
 }
 
-func putUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	bw.Write(buf[:binary.PutUvarint(buf[:], v)])
-}
-
-func putChanges(bw *bufio.Writer, chs []Change) {
-	putUvarint(bw, uint64(len(chs)))
-	for _, ch := range chs {
-		putUvarint(bw, uint64(ch.Node))
-		bw.WriteByte(byte(ch.Value))
-	}
-}
-
-// decoder wraps the varint reads with sticky error handling and node-range
-// validation.
+// decoder reads varints off the front of buf with sticky error handling
+// and node-range validation. A step is parsed into the scratch lists
+// (which grow only as input is consumed, so a lying length prefix cannot
+// provoke an allocation) and then copied out to exact-size slabs.
 type decoder struct {
-	br  *bufio.Reader
-	err error
+	buf     []byte
+	err     error
+	maxNode uint64
+
+	nodes   []netlist.NodeID
+	changes []Change
+	vics    []VicTrace
+	rounds  [][]VicTrace
+	traj    Trajectory
 }
 
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		d.err = err
+	v, n := binary.Uvarint(d.buf)
+	switch {
+	case n == 0:
+		d.err = io.ErrUnexpectedEOF
+	case n < 0:
+		d.err = fmt.Errorf("varint overflows 64 bits")
 	}
+	d.buf = d.buf[max(n, 0):]
 	return v
 }
 
@@ -365,75 +416,118 @@ func (d *decoder) byte() byte {
 	if d.err != nil {
 		return 0
 	}
-	b, err := d.br.ReadByte()
-	if err != nil {
-		d.err = err
+	if len(d.buf) == 0 {
+		d.err = io.ErrUnexpectedEOF
+		return 0
 	}
+	b := d.buf[0]
+	d.buf = d.buf[1:]
 	return b
 }
 
-func (d *decoder) node(maxNode uint64) netlist.NodeID {
+// step parses one step into scratch and returns an owned copy.
+func (d *decoder) step() StepTrace {
+	d.nodes, d.changes, d.vics, d.rounds = d.nodes[:0], d.changes[:0], d.vics[:0], d.rounds[:0]
+	flags := d.byte()
+	st := StepTrace{
+		Init:       flags&flagInit != 0,
+		Oscillated: flags&flagOscillated != 0,
+		GoodWork:   int64(d.uvarint()),
+	}
+	d.uvarint() // reserved slot
+	st.InputChanges = d.changeList()
+	st.Changed = d.changeList()
+	st.Explored = d.nodeList()
+	if flags&flagTraj != 0 {
+		nRounds := d.uvarint()
+		for r := uint64(0); r < nRounds && d.err == nil; r++ {
+			lo := len(d.vics)
+			nVics := d.uvarint()
+			for v := uint64(0); v < nVics && d.err == nil; v++ {
+				d.vics = append(d.vics, VicTrace{Members: d.nodeList(), Changes: d.changeList()})
+			}
+			d.rounds = append(d.rounds, d.vics[lo:])
+		}
+		d.traj.rounds = d.rounds
+		st.Traj = &d.traj
+	}
+	if d.err != nil {
+		return StepTrace{}
+	}
+	st = st.owned()
+	if flags&flagSnapshot != 0 {
+		// A v1 recording never sets this bit (the format predates it);
+		// if one does, the byte stream is corrupt and the frame decode
+		// fails on length or value validation anyway.
+		st.Snapshot = d.snapshot()
+	}
+	return st
+}
+
+func (d *decoder) node() netlist.NodeID {
 	v := d.uvarint()
-	if d.err == nil && v >= maxNode {
-		d.err = fmt.Errorf("node id %d out of range (%d nodes)", v, maxNode)
+	if d.err == nil && v >= d.maxNode {
+		d.err = fmt.Errorf("node id %d out of range (%d nodes)", v, d.maxNode)
 	}
 	return netlist.NodeID(v)
 }
 
-func (d *decoder) nodes(maxNode uint64) []netlist.NodeID {
-	n := int(d.uvarint())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if uint64(n) > maxNode {
-		d.err = fmt.Errorf("node list length %d exceeds node count %d", n, maxNode)
-		return nil
-	}
-	out := make([]netlist.NodeID, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.node(maxNode))
-	}
-	return out
-}
-
-// snapshot decodes one state frame: exactly one value byte per node.
-func (d *decoder) snapshot(maxNode uint64) []logic.Value {
+// nodeList parses one node list into the scratch and returns the window
+// holding it. The window stays readable until the next step: growing the
+// scratch moves later appends to a new array and leaves this one as it is.
+func (d *decoder) nodeList() []netlist.NodeID {
 	n := d.uvarint()
-	if d.err != nil {
-		return nil
+	if d.err == nil && n > d.maxNode {
+		d.err = fmt.Errorf("node list length %d exceeds node count %d", n, d.maxNode)
 	}
-	if n != maxNode {
-		d.err = fmt.Errorf("snapshot frame has %d values, network has %d nodes", n, maxNode)
-		return nil
-	}
-	out := make([]logic.Value, 0, n)
+	lo := len(d.nodes)
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		v := logic.Value(d.byte())
-		if d.err == nil && v > logic.X {
-			d.err = fmt.Errorf("bad snapshot value %d", v)
-		}
-		out = append(out, v)
+		d.nodes = append(d.nodes, d.node())
 	}
-	return out
+	return d.nodes[lo:]
 }
 
-func (d *decoder) changes(maxNode uint64) []Change {
-	n := int(d.uvarint())
-	if d.err != nil || n == 0 {
-		return nil
+// changeList is nodeList for change lists.
+func (d *decoder) changeList() []Change {
+	n := d.uvarint()
+	if d.err == nil && n > d.maxNode {
+		d.err = fmt.Errorf("change list length %d exceeds node count %d", n, d.maxNode)
 	}
-	if uint64(n) > maxNode {
-		d.err = fmt.Errorf("change list length %d exceeds node count %d", n, maxNode)
-		return nil
-	}
-	out := make([]Change, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		node := d.node(maxNode)
+	lo := len(d.changes)
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		node := d.node()
 		v := logic.Value(d.byte())
 		if d.err == nil && v > logic.X {
 			d.err = fmt.Errorf("bad logic value %d", v)
 		}
-		out = append(out, Change{Node: node, Value: v})
+		d.changes = append(d.changes, Change{Node: node, Value: v})
 	}
+	return d.changes[lo:]
+}
+
+// snapshot decodes one state frame: exactly one value byte per node.
+func (d *decoder) snapshot() []logic.Value {
+	n := d.uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if n != d.maxNode {
+		d.err = fmt.Errorf("snapshot frame has %d values, network has %d nodes", n, d.maxNode)
+		return nil
+	}
+	if n > uint64(len(d.buf)) {
+		d.err = io.ErrUnexpectedEOF
+		return nil
+	}
+	out := make([]logic.Value, n)
+	for i := range out {
+		v := logic.Value(d.buf[i])
+		if v > logic.X {
+			d.err = fmt.Errorf("bad snapshot value %d", v)
+			return nil
+		}
+		out[i] = v
+	}
+	d.buf = d.buf[n:]
 	return out
 }
