@@ -24,10 +24,10 @@
 // bit-identical to the monolithic run.
 //
 // -trim enables redundancy trimming: materialization-equivalent fault
-// classes collapse onto one representative lane after a probation window
-// (-trim-probation N overrides it), and worker solvers memoize
-// read-verified vicinity outcomes. Results stay byte-identical; only
-// executed work shrinks. -snapshot-every N captures a good-state frame
+// classes collapse onto one representative lane after a probation
+// window, and a batch whose circuits have all been dropped skips the
+// rest of the sequence. Results stay byte-identical; only executed work
+// shrinks. -snapshot-every N captures a good-state frame
 // every N settings so a checkpointed campaign interrupted mid-batch
 // resumes from the last frame instead of replaying the batch's prefix.
 package main

@@ -28,8 +28,7 @@ func main() {
 	shards := flag.Int("shards", 0, "campaign mode: concurrent batches (0: GOMAXPROCS)")
 	coverageTarget := flag.Float64("coverage-target", 0, "campaign mode: stop once this coverage fraction is reached")
 	checkpoint := flag.String("checkpoint", "", "campaign mode: resumable checkpoint file")
-	trim := flag.Bool("trim", false, "redundancy trimming: collapse equivalent fault classes and memoize vicinity outcomes (results are byte-identical)")
-	trimProbation := flag.Int("trim-probation", 0, "class-collapse probation window in settings (0: default)")
+	trim := flag.Bool("trim", false, "redundancy trimming: collapse equivalent fault classes and skip the tail of fully-dropped batches (results are byte-identical)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "capture a good-state frame every N settings so interrupted batches resume mid-sequence (campaign mode with -checkpoint)")
 	flag.Parse()
 
@@ -68,7 +67,6 @@ func main() {
 	opts := core.Options{
 		Observe:       outs,
 		Trim:          *trim,
-		TrimProbation: *trimProbation,
 		SnapshotEvery: *snapshotEvery,
 	}
 	if *noDrop {

@@ -45,8 +45,8 @@
 //	    -workload ram256 -batch 64 -coverage-target 0.95
 //
 // Inline circuits work too: -net/-patterns/-observe mirror cmd/fmossim,
-// and -trim/-trim-probation enable redundancy trimming on every shard
-// (results stay byte-identical). Shards are dispatched expensive-first:
+// and -trim enables redundancy trimming on every shard (results stay
+// byte-identical). Shards are dispatched expensive-first:
 // the coordinator estimates each shard's cost from the recording's head
 // activity over its faults' sites and front-loads the heavy ones, so the
 // tail of the campaign is never one large shard on an idle pool. SIGINT

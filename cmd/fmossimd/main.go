@@ -46,7 +46,6 @@ func main() {
 	inFlight := flag.Int("in-flight", 0, "concurrent shards per worker (default 2)")
 	attempts := flag.Int("attempts", 0, "dispatch attempts per shard before the campaign fails (default 3)")
 	trim := flag.Bool("trim", false, "redundancy trimming on every shard (results are byte-identical)")
-	trimProbation := flag.Int("trim-probation", 0, "class-collapse probation window in settings (0: default)")
 	flag.Parse()
 
 	if *coordinator {
@@ -56,7 +55,7 @@ func main() {
 			netPath: *netPath, patPath: *patPath, observe: *observe, drop: *drop,
 			batch: *batch, coverageTarget: *coverageTarget,
 			simWorkers: *simWorkers, inFlight: *inFlight, attempts: *attempts,
-			trim: *trim, trimProbation: *trimProbation,
+			trim: *trim,
 		})
 		return
 	}
@@ -107,7 +106,6 @@ type coordinatorConfig struct {
 	coverageTarget                 float64
 	simWorkers, inFlight, attempts int
 	trim                           bool
-	trimProbation                  int
 }
 
 // runCoordinator executes one distributed campaign and prints the merged
@@ -138,7 +136,6 @@ func runCoordinator(cfg coordinatorConfig) {
 		Drop:           cfg.drop,
 		CoverageTarget: cfg.coverageTarget,
 		Trim:           cfg.trim,
-		TrimProbation:  cfg.trimProbation,
 	}
 	if cfg.netPath != "" {
 		spec.Netlist = readFile(cfg.netPath)

@@ -85,11 +85,11 @@ type Options struct {
 	Workers int
 	// Trim enables redundancy trimming: materialization-equivalent fault
 	// classes collapse onto one representative lane after a probation
-	// window (see trim.go), and the worker solvers memoize read-verified
-	// vicinity solves (see switchsim/vicmemo.go). Every BatchResult field
-	// is byte-identical with trimming on or off — the trims shed executed
-	// wall-clock work, not counted work; the executed savings are reported
-	// separately through FaultBatch.TrimStats.
+	// window (see trim.go), and a replay whose circuits have all been
+	// dropped skips the remaining settings' fault-side work (skipStep).
+	// Every BatchResult field is byte-identical with trimming on or off —
+	// the trims shed executed wall-clock work, not counted work; the
+	// class census is reported separately through FaultBatch.TrimStats.
 	Trim bool
 	// TrimProbation sets the class-collapse probation window in settings
 	// (0 selects DefaultTrimProbation). Candidate members must keep their

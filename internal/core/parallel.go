@@ -111,9 +111,6 @@ func newFaultWorker(b *FaultBatch) *faultWorker {
 	}
 	w.solve.StaticLocality = b.opts.StaticLocality
 	w.solve.MaxRounds = b.opts.MaxRounds
-	if b.opts.Trim && !b.opts.StaticLocality {
-		w.solve.Memo = switchsim.NewVicMemo(b.tab, 0)
-	}
 	return w
 }
 

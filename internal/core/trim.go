@@ -36,7 +36,6 @@ package core
 import (
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
-	"fmossim/internal/switchsim"
 )
 
 // DefaultTrimProbation is the probation window (in settings) used when
@@ -186,20 +185,20 @@ func (b *FaultBatch) resolveFault(fi int) *faultState {
 	return fs
 }
 
-// TrimStats aggregates the batch's redundancy-trimming counters: the
-// class-collapse census and the pooled vicinity-memo traffic of the
-// worker solvers. Like FaultNS, these are wall-clock-class data — memo
-// hit patterns depend on which worker ran which circuit, so they are
-// exempt from the determinism contract (deterministic for Workers=1) and
-// never part of BatchResult.
+// TrimStats is the batch's class-collapse census. The counts are a
+// function of the fault slice and the recording alone — the same for
+// every Options.Workers value — but describe how the result was reached,
+// not the result, so they are never part of BatchResult.
 type TrimStats struct {
 	// ClassCandidates is the number of faults grouped under a
 	// representative at construction; LanesFreed of them collapsed after
 	// probation.
 	ClassCandidates int
 	LanesFreed      int
-	// Memo is the pooled vicinity-memo traffic across the worker pool.
-	Memo switchsim.MemoStats
+	// Memo is always zero: it exists only until a benchmark PR drops
+	// switchsim.vicmemo_hit_ratio and switchsim.vicmemo_saved_units,
+	// which benchmarks/layers.go reads from these fields.
+	Memo struct{ Hits, Misses, SavedUnits int64 }
 }
 
 // TrimStats returns the batch's trimming counters (zero when Options.Trim
@@ -218,11 +217,6 @@ func (b *FaultBatch) TrimStats() TrimStats {
 					ts.ClassCandidates++
 				}
 			}
-		}
-	}
-	for _, w := range b.workers {
-		if w.solve.Memo != nil {
-			ts.Memo.Add(w.solve.Memo.Stats())
 		}
 	}
 	return ts

@@ -37,10 +37,10 @@ func mustJSON(t *testing.T, br *BatchResult) []byte {
 
 // TestTrimByteIdentical verifies the central trimming contract: with
 // Options.Trim on, every BatchResult field is byte-identical to the
-// untrimmed run — for a plain fault list (vicinity memo only) and for a
-// list assembled with materialization-equivalent and duplicate faults
-// (class collapse fires too), across lane widths, worker counts, and
-// probation windows.
+// untrimmed run — for a plain fault list (no classes form, so only the
+// dead-tail skip is exercised) and for a list assembled with
+// materialization-equivalent and duplicate faults (class collapse fires
+// too), across lane widths, worker counts, and probation windows.
 func TestTrimByteIdentical(t *testing.T) {
 	m := ram.RAM64()
 	seq := march.Sequence1(m)
@@ -62,18 +62,19 @@ func TestTrimByteIdentical(t *testing.T) {
 	overlap = append(overlap, plain[:8]...) // duplicates
 
 	cases := []struct {
-		name   string
-		faults []fault.Fault
-		lane   int
-		work   int
-		prob   int
+		name    string
+		faults  []fault.Fault
+		lane    int
+		work    int
+		prob    int
+		classes int // expected ClassCandidates, all of which must collapse
 	}{
-		{"plain/w1", plain, 64, 1, 0},
-		{"plain/lane7", plain, 7, 1, 0},
-		{"plain/workers4", plain, 64, 4, 0},
-		{"overlap/w1", overlap, 64, 1, 0},
-		{"overlap/prob1", overlap, 64, 1, 1},
-		{"overlap/lane5-workers3", overlap, 5, 3, 3},
+		{"plain/w1", plain, 64, 1, 0, 0},
+		{"plain/lane7", plain, 7, 1, 0, 0},
+		{"plain/workers4", plain, 64, 4, 0, 0},
+		{"overlap/w1", overlap, 64, 1, 0, 30},
+		{"overlap/prob1", overlap, 64, 1, 1, 30},
+		{"overlap/lane5-workers3", overlap, 5, 3, 3, 30},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,13 +104,9 @@ func TestTrimByteIdentical(t *testing.T) {
 				t.Fatalf("trimmed result differs from untrimmed\noff: %.400s\non:  %.400s", jOff, jOn)
 			}
 			ts := batch.TrimStats()
-			t.Logf("classes: %d candidates, %d lanes freed; memo: %d hits / %d misses / %d stores, %d units saved",
-				ts.ClassCandidates, ts.LanesFreed, ts.Memo.Hits, ts.Memo.Misses, ts.Memo.Stores, ts.Memo.SavedUnits)
-			if tc.name == "overlap/w1" && ts.LanesFreed == 0 {
-				t.Error("overlap fault list collapsed no lanes; class grouping is not firing")
-			}
-			if tc.work == 1 && ts.Memo.Hits == 0 {
-				t.Error("memo recorded no hits on a march sequence; memoization is not firing")
+			if ts.ClassCandidates != tc.classes || ts.LanesFreed != tc.classes {
+				t.Errorf("classes: %d candidates, %d lanes freed; want %d of each",
+					ts.ClassCandidates, ts.LanesFreed, tc.classes)
 			}
 		})
 	}

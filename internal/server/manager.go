@@ -323,11 +323,10 @@ func (m *Manager) runJob(job *Job) {
 	}
 	res, err := campaign.Run(job.ctx, wl.Net, wl.Faults, wl.Seq, campaign.Options{
 		Sim: core.Options{
-			Observe:       wl.Observe,
-			Drop:          job.Spec.dropPolicy(),
-			Workers:       job.Spec.Workers,
-			Trim:          job.Spec.Trim,
-			TrimProbation: job.Spec.TrimProbation,
+			Observe: wl.Observe,
+			Drop:    job.Spec.dropPolicy(),
+			Workers: job.Spec.Workers,
+			Trim:    job.Spec.Trim,
 		},
 		BatchSize:      job.Spec.BatchSize,
 		Shards:         shards,
@@ -380,11 +379,10 @@ func (m *Manager) runShard(job *Job, wl *Workload, start time.Time) {
 		job.batches = 1
 	})
 	opts := core.Options{
-		Observe:       wl.Observe,
-		Drop:          job.Spec.dropPolicy(),
-		Workers:       job.Spec.Workers,
-		Trim:          job.Spec.Trim,
-		TrimProbation: job.Spec.TrimProbation,
+		Observe: wl.Observe,
+		Drop:    job.Spec.dropPolicy(),
+		Workers: job.Spec.Workers,
+		Trim:    job.Spec.Trim,
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = m.fairShare()

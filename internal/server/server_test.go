@@ -443,7 +443,8 @@ func TestSubmitValidation(t *testing.T) {
 			"fault_model": "paper"}, // paper universe needs a built-in workload
 		{"workload": "ram64", "coverage_target": 1.5},
 		{"workload": "ram64", "shards": -1},
-		{"workload": "ram64", "bogus_field": true}, // unknown field
+		{"workload": "ram64", "bogus_field": true},               // unknown field
+		{"workload": "ram64", "trim": true, "trim_probation": 3}, // removed knob: rejected, not ignored
 	} {
 		_, resp := submit(t, ts, spec)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -67,12 +67,10 @@ type JobSpec struct {
 	// Drop is the fault-dropping policy: "any" (default), "hard", or
 	// "never".
 	Drop string `json:"drop,omitempty"`
-	// Trim enables redundancy trimming (fault equivalence classes plus
-	// vicinity-outcome memoization); TrimProbation overrides the class
-	// probation window. Results are byte-identical either way — trimming
-	// sheds executed work only.
-	Trim          bool `json:"trim,omitempty"`
-	TrimProbation int  `json:"trim_probation,omitempty"`
+	// Trim enables redundancy trimming (fault-class collapse plus the
+	// fully-dropped-batch tail skip; see core.Options.Trim). Results are
+	// byte-identical either way — trimming sheds executed work only.
+	Trim bool `json:"trim,omitempty"`
 
 	// IncludePerFault adds the per-fault outcome table to the job result.
 	IncludePerFault bool `json:"include_per_fault,omitempty"`
@@ -153,7 +151,6 @@ func (s *JobSpec) validate() error {
 		v    int
 	}{{"max_patterns", s.MaxPatterns}, {"sample_every", s.SampleEvery},
 		{"batch_size", s.BatchSize}, {"shards", s.Shards}, {"workers", s.Workers},
-		{"trim_probation", s.TrimProbation},
 		{"shard_lo", s.ShardLo}, {"shard_hi", s.ShardHi}} {
 		if f.v < 0 {
 			return fmt.Errorf("%s must be non-negative", f.name)

@@ -211,14 +211,10 @@ func (t *StepTrace) owned() StepTrace {
 // captured on one machine (or in one process) can be stored and replayed
 // by later fault campaigns without re-simulating the good circuit.
 
-// recordingMagic versions the on-disk format. Version 2 added optional
-// per-step state snapshot frames (flagSnapshot); Encode always writes the
-// current version, DecodeRecording accepts both (a v1 recording simply
-// carries no frames).
-const (
-	recordingMagicV1 = "FMOSREC1"
-	recordingMagic   = "FMOSREC2"
-)
+// recordingMagic versions the on-disk format: version 2, with optional
+// per-step state snapshot frames (flagSnapshot). It is the only version
+// Encode writes and the only one DecodeRecording accepts.
+const recordingMagic = "FMOSREC2"
 
 // Fingerprint returns the recording's content fingerprint: the lowercase
 // hex SHA-256 of its Encode serialization. The serialization carries the
@@ -350,12 +346,12 @@ const minStepBytes = 6
 
 // DecodeRecordingBytes decodes a recording held in memory. The result
 // shares no storage with data. Every step reports GoodNS 0: the slot is
-// not trajectory content, whatever an older stream wrote there.
+// not trajectory content, whatever the stream carries there.
 func DecodeRecordingBytes(data []byte) (*Recording, error) {
 	if len(data) < len(recordingMagic) {
 		return nil, fmt.Errorf("switchsim: reading recording header: %w", io.ErrUnexpectedEOF)
 	}
-	if magic := string(data[:len(recordingMagic)]); magic != recordingMagic && magic != recordingMagicV1 {
+	if magic := string(data[:len(recordingMagic)]); magic != recordingMagic {
 		return nil, fmt.Errorf("switchsim: not a recording (bad magic %q)", magic)
 	}
 	d := &decoder{buf: data[len(recordingMagic):]}
@@ -456,9 +452,6 @@ func (d *decoder) step() StepTrace {
 	}
 	st = st.owned()
 	if flags&flagSnapshot != 0 {
-		// A v1 recording never sets this bit (the format predates it);
-		// if one does, the byte stream is corrupt and the frame decode
-		// fails on length or value validation anyway.
 		st.Snapshot = d.snapshot()
 	}
 	return st

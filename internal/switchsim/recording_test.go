@@ -79,8 +79,8 @@ func TestRecordingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordingDecodeV1 verifies the decoder still accepts the previous
-// stream version (no snapshot frames).
+// TestRecordingDecodeV1 verifies the decoder rejects the retired
+// FMOSREC1 stream version by its magic, even when the body would parse.
 func TestRecordingDecodeV1(t *testing.T) {
 	rec := fakeRecording()
 	for i := range rec.Steps {
@@ -91,14 +91,9 @@ func TestRecordingDecodeV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := buf.Bytes()
-	copy(enc, recordingMagicV1)
-	got, err := DecodeRecording(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatalf("v1 stream rejected: %v", err)
-	}
-	rec.Steps[0].GoodNS = 0 // a v1 stream's timing slot is ignored too
-	if !reflect.DeepEqual(rec, got) {
-		t.Fatal("v1 round trip mismatch")
+	copy(enc, "FMOSREC1")
+	if _, err := DecodeRecording(bytes.NewReader(enc)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("v1 stream: err = %v, want bad magic", err)
 	}
 }
 

@@ -259,12 +259,6 @@ func (s *Solver) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *Trajecto
 func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *ReplayIndex, word int, bit uint) SettleResult {
 	nw := s.tab.Net
 	traj := ix.traj
-	memo := s.Memo
-	if s.StaticLocality {
-		// Memo capture classifies closed edges as frontier stops, which
-		// only holds under dynamic locality.
-		memo = nil
-	}
 	s.work.Settles++
 	s.exploredEpoch++
 	s.explored = s.explored[:0]
@@ -411,12 +405,7 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 					}
 				}
 			}
-			// Solve with full switch-level dynamics — unless a memoized
-			// solve of this seed verifies against the live read set, in
-			// which case its outcome (and exact work) is adopted instead.
-			if memo != nil && memo.adopt(s, c, seed, xmode) {
-				continue
-			}
+			// Solve with full switch-level dynamics.
 			if !s.exploreVicinity(c, seed) {
 				continue
 			}
@@ -428,11 +417,7 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 				s.markDiverged(u)
 			}
 			newVal := s.vicNewVal()
-			relax0 := s.work.RelaxSteps
 			s.solveVicinity(c, newVal)
-			if memo != nil {
-				memo.store(s, c, newVal, s.work.RelaxSteps-relax0)
-			}
 			for i, u := range s.vic {
 				nv := newVal[i]
 				if xmode {

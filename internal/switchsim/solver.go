@@ -22,14 +22,6 @@ type Solver struct {
 	// handling kicks in. Zero selects a default based on network size.
 	MaxRounds int
 
-	// Memo, when non-nil, memoizes vicinity solves inside
-	// SettleReplayIndexed: outcomes are adopted only after their captured
-	// read vector re-verifies against the live circuit, and hits credit
-	// the exact work the solve would have counted, so results and work
-	// totals are bit-identical with or without it (see vicmemo.go).
-	// Ignored under StaticLocality.
-	Memo *VicMemo
-
 	// Record enables trajectory recording during Settle: the per-round
 	// vicinity/change history lands in Traj. Used by the concurrent
 	// simulator's good-circuit settles.
