@@ -16,15 +16,10 @@
 //	benchtab -out DIR         # where CSV files go (default .)
 //	benchtab -quick           # smaller instances for fig 3 / scaling
 //	benchtab -json            # also write machine-readable BENCH_results.json
-//	benchtab -compare old.json# fail (exit 1) on >20% work-unit or alloc regression
 //
 // The JSON report carries each figure's headline metrics plus wall-clock
 // run times, so the performance trajectory can be tracked across commits
-// by CI without parsing human-oriented output. With -compare, the fresh
-// results are checked against a previous BENCH_results.json: any
-// deterministic cost metric — the "*_work" solver work units, or the
-// "allocs" allocation count of the figure's run — that grew by more than
-// 20% fails the run with a non-zero exit (wall times are printed for
-// context but never gate, since CI baselines may come from a different
-// physical runner).
+// by CI without parsing human-oriented output. Regressions are gated
+// elsewhere: benchmarks/run.sh -pair compares wall clock, allocation and
+// exact counts on interleaved runs of two builds.
 package main

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"fmossim/internal/bench"
@@ -45,8 +44,8 @@ func (r *report) add(fig string, start time.Time, metrics map[string]float64) {
 // allocCounter snapshots the process-wide cumulative allocation count
 // (runtime.MemStats.Mallocs) so each figure can report the allocations its
 // run performed. The count is a deterministic property of the workload up
-// to minor goroutine-scheduling variance, which the comparison tolerance
-// absorbs — unlike bytes-in-use, it is not perturbed by GC timing.
+// to minor goroutine-scheduling variance — unlike bytes-in-use, it is not
+// perturbed by GC timing.
 type allocCounter struct{ start uint64 }
 
 func startAllocs() allocCounter {
@@ -66,7 +65,6 @@ func main() {
 	out := flag.String("out", ".", "output directory for CSV files")
 	quick := flag.Bool("quick", false, "use smaller circuit instances (fast smoke runs)")
 	jsonOut := flag.Bool("json", false, "also write BENCH_results.json to the output directory")
-	compare := flag.String("compare", "", "previous BENCH_results.json to compare against; exit non-zero on >20% work-unit or allocation-count regression (wall times informational)")
 	flag.Parse()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -209,72 +207,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", path)
 	}
-
-	if *compare != "" {
-		if !compareReports(rep, *compare, regressionTolerance) {
-			os.Exit(1)
-		}
-	}
-}
-
-// regressionTolerance is the accepted growth factor on deterministic
-// cost metrics (work units, allocation counts) before a figure counts as
-// regressed.
-const regressionTolerance = 1.20
-
-// compareReports checks this run against a previous report, printing a
-// per-figure verdict. The gate runs on the deterministic cost metrics:
-// the "*_work" keys (solver work units are bit-identical for a given
-// engine, so a >20% growth is a real cost regression, never runner noise)
-// and the "allocs" key (the figure's allocation count — a property of the
-// workload up to minor scheduling variance, so a >20% growth means an
-// allocation path leaked into the hot loop); wall-clock times are printed
-// for context only, since CI baselines may come from a different physical
-// runner. Figures present in only one report are noted but do not fail.
-func compareReports(rep *report, oldPath string, tolerance float64) bool {
-	buf, err := os.ReadFile(oldPath)
-	if err != nil {
-		fatal(err)
-	}
-	old := &report{}
-	if err := json.Unmarshal(buf, old); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", oldPath, err))
-	}
-	fmt.Printf("== Comparison against %s (tolerance %.0f%% on work units and allocs) ==\n", oldPath, 100*(tolerance-1))
-	ok := true
-	compared := 0
-	for fig, metrics := range rep.Figures {
-		oldMetrics := old.Figures[fig]
-		if newNS, oldNS := rep.WallNS[fig], old.WallNS[fig]; oldNS > 0 {
-			fmt.Printf("  %-10s wall %.3fs vs %.3fs (%.2fx, informational)\n",
-				fig, float64(newNS)/1e9, float64(oldNS)/1e9, float64(newNS)/float64(oldNS))
-		}
-		for key, newVal := range metrics {
-			if !strings.HasSuffix(key, "_work") && key != "allocs" {
-				continue
-			}
-			oldVal, present := oldMetrics[key]
-			if !present || oldVal <= 0 {
-				fmt.Printf("  %-10s %-22s %.0f (no baseline)\n", fig, key, newVal)
-				continue
-			}
-			compared++
-			ratio := newVal / oldVal
-			verdict := "ok"
-			if ratio > tolerance {
-				verdict = "REGRESSED"
-				ok = false
-			}
-			fmt.Printf("  %-10s %-22s %.0f vs %.0f (%.2fx) %s\n", fig, key, newVal, oldVal, ratio, verdict)
-		}
-	}
-	if compared == 0 {
-		fmt.Println("  no common work metrics to compare")
-	}
-	if !ok {
-		fmt.Printf("FAIL: work-unit regression beyond %.0f%%\n", 100*(tolerance-1))
-	}
-	return ok
 }
 
 func writeCSV(path string, write func(*os.File) error) {

@@ -18,7 +18,8 @@
 // Large fault universes can run as a sharded campaign: -batch N splits
 // the fault list into batches of N faults, -shards N replays that many
 // batches concurrently against a once-recorded good-circuit trajectory,
-// -coverage-target F stops early once the detected fraction reaches F,
+// -coverage-target F stops early once the detected fraction reaches F
+// (internal/campaign, "Early stop and cancellation", is the rule),
 // and -checkpoint FILE makes the campaign resumable (completed batches
 // are reloaded instead of re-simulated). Campaign results are
 // bit-identical to the monolithic run.

@@ -49,6 +49,8 @@
 // byte-identical). Shards are dispatched expensive-first:
 // the coordinator estimates each shard's cost from the recording's head
 // activity over its faults' sites and front-loads the heavy ones, so the
-// tail of the campaign is never one large shard on an idle pool. SIGINT
-// cancels the campaign and DELETEs every outstanding worker job.
+// tail of the campaign is never one large shard on an idle pool.
+// -coverage-target and SIGINT follow internal/campaign's "Early stop and
+// cancellation": at the target, shards already on a worker finish; a
+// SIGINT before it DELETEs every outstanding worker job.
 package main

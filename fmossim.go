@@ -208,8 +208,8 @@ type (
 // dispatched over the workers' HTTP job API with retry/requeue on worker
 // failure, and the per-shard batch results merge at setting granularity
 // into a result bit-identical to Campaign on one machine with the same
-// batch size. spec.CoverageTarget stops the campaign early cluster-wide;
-// cancelling ctx cancels every outstanding worker job.
+// batch size. spec.CoverageTarget and ctx mean what they mean to
+// Campaign (see internal/campaign, "Early stop and cancellation").
 func DistributedCampaign(ctx context.Context, spec JobSpec, opts DistribOptions) (*CampaignResult, error) {
 	return distrib.Run(ctx, spec, opts)
 }

@@ -5,9 +5,7 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -35,10 +33,9 @@ type Options struct {
 	// runtime.GOMAXPROCS(0), capped by the batch count.
 	Shards int
 
-	// CoverageTarget, in (0,1], stops the campaign early: once the
-	// detected fraction of the whole universe reaches the target, no new
-	// batches are started (in-flight batches finish). Unstarted batches
-	// are reported as skipped.
+	// CoverageTarget, in (0,1], stops the campaign early once the detected
+	// fraction of the whole universe reaches it; see the package
+	// documentation, "Early stop and cancellation".
 	CoverageTarget float64
 
 	// Recording, when non-nil, is a pre-captured good trajectory (see
@@ -60,12 +57,11 @@ type Options struct {
 	// Progress, when non-nil, receives one ProgressEvent per simulated
 	// input setting of every batch plus one batch-completion event per
 	// batch. Events originate on the shard goroutines but are delivered
-	// one at a time (serialized under an internal lock, which is what
-	// makes the campaign-wide Detected counter monotonic across the
-	// delivered events): the callback need not be safe for concurrent
-	// use, but it must be fast — while it runs, no other shard can
-	// deliver progress. Progress never changes simulation results and is
-	// not part of the checkpoint fingerprint.
+	// one at a time, with the counters defined in the package
+	// documentation ("Early stop and cancellation"): the callback need
+	// not be safe for concurrent use, but it must be fast — while it
+	// runs, no other shard can deliver progress. Progress never changes
+	// simulation results and is not part of the checkpoint fingerprint.
 	Progress func(ProgressEvent)
 }
 
@@ -73,7 +69,9 @@ type Options struct {
 // Options.Progress, either after a batch simulated one input setting or
 // (BatchDone) when a batch finished. The campaign-wide Detected counter
 // is monotonically non-decreasing across the events any single campaign
-// emits, so a consumer can stream coverage as it converges.
+// emits, so a consumer can stream coverage as it converges; what it
+// counts is defined in the package documentation ("Early stop and
+// cancellation").
 type ProgressEvent struct {
 	// Batch is the reporting batch's index; Pattern and Setting locate
 	// the setting it just simulated.
@@ -181,38 +179,46 @@ func (r *Result) Coverage() float64 { return r.Run.Coverage() }
 // trajectory, shard faults into batches, replay the batches across the
 // shard pool, and merge.
 //
-// Cancelling ctx stops the campaign cooperatively: no new batches start,
-// in-flight batches abort between settings (well under a second on any
-// realistic workload), and Run returns ctx's error. Batches checkpointed
-// before the cancellation remain resumable. A nil ctx never cancels.
+// Cancelling ctx before the coverage target is reached stops the campaign
+// cooperatively: no new batches start, in-flight batches abort between
+// settings (well under a second on any realistic workload), and Run
+// returns ctx's error; see the package documentation ("Early stop and
+// cancellation") for the full rule. Batches checkpointed before the
+// cancellation remain resumable. A nil ctx never cancels.
 func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	l, rec, err := Execute(ctx, nw, faults, seq, opts)
+	if err != nil {
+		return nil, err
 	}
-	rec := opts.Recording
+	return l.Finish(rec, seq)
+}
+
+// Execute is Run without the merge: it replays the batches and returns
+// the drained ledger with the recording they ran against. The caller ends
+// with Ledger.Finish — which is Run — or, when it only forwards raw
+// batches, with Ledger.Verdict and Ledger.Batch.
+func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts Options) (l *Ledger, rec *switchsim.Recording, err error) {
+	rec = opts.Recording
 	if rec == nil {
 		rec = core.Record(nw, seq, opts.Sim)
 	}
 	if err := rec.Validate(nw, seq.NumSettings()); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	tab := opts.Tables
+	if tab == nil {
+		tab = switchsim.NewTables(nw)
+	} else if tab.Net != nw {
+		return nil, nil, fmt.Errorf("campaign: Options.Tables was built over a different network")
 	}
 
-	nf := len(faults)
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = (nf + shards - 1) / shards
-		if batchSize == 0 {
-			batchSize = 1
-		}
-	}
-	nBatches := (nf + batchSize - 1) / batchSize
-	if shards > nBatches && nBatches > 0 {
-		shards = nBatches
-	}
+	l = NewLedger(ctx, len(faults), opts.BatchSize, shards, opts.CoverageTarget, opts.Progress)
+	nBatches := l.Batches()
+	shards = min(shards, nBatches)
 	simOpts := opts.Sim
 	if simOpts.Workers <= 0 && shards > 1 {
 		simOpts.Workers = 1
@@ -220,172 +226,72 @@ func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *sw
 
 	// Resume: completed batches come from the checkpoint, not from
 	// simulation.
-	results := make([]*core.BatchResult, nBatches)
 	partials := make(map[int]*core.BatchSnapshot)
 	ck := &Checkpoint{
 		Version:        checkpointVersion,
 		Sequence:       seq.Name,
 		NumSettings:    seq.NumSettings(),
-		NumFaults:      nf,
+		NumFaults:      len(faults),
 		NumNodes:       nw.NumNodes(),
 		NumTransistors: nw.NumTransistors(),
-		BatchSize:      batchSize,
+		BatchSize:      l.BatchSize(),
 		NumBatches:     nBatches,
 		FaultsHash:     hashFaults(faults),
 		SimHash:        hashSimOptions(simOpts),
 		Done:           map[int]*core.BatchResult{},
 	}
-	resumed := 0
 	if opts.CheckpointPath != "" {
 		prev, err := loadCheckpointFile(opts.CheckpointPath)
+		if err == nil && prev != nil {
+			if err = prev.matches(ck); err != nil {
+				err = fmt.Errorf("campaign: checkpoint %s: %w", opts.CheckpointPath, err)
+			}
+		}
 		if err != nil {
-			return nil, err
+			l.close()
+			return nil, nil, err
 		}
 		if prev != nil {
-			if err := prev.matches(ck); err != nil {
-				return nil, fmt.Errorf("campaign: checkpoint %s: %w", opts.CheckpointPath, err)
-			}
-			// Restore completed batches in ascending batch order so the
-			// whole resume path — counters included — is deterministic.
-			done := make([]int, 0, len(prev.Done))
-			for i := range prev.Done {
-				done = append(done, i)
-			}
-			sort.Ints(done)
-			for _, i := range done {
-				if br := prev.Done[i]; i >= 0 && i < nBatches && br != nil {
-					results[i] = br
+			// Walk the batches in index order so the whole resume path —
+			// counters included — is deterministic. A completed batch comes
+			// back as is. A mid-batch snapshot of an interrupted batch is
+			// usable only when the trim mode still matches the capture
+			// (class state present iff trimming) and the recording carries
+			// a state frame at the snapshot's step; otherwise it is dropped
+			// and the batch re-runs from the start, same result.
+			for i := 0; i < nBatches; i++ {
+				if br := prev.Done[i]; br != nil {
+					l.resume(i, br)
 					ck.Done[i] = br
-					resumed++
+				} else if snap := prev.Partial[i]; snap != nil &&
+					(len(snap.Sigs) > 0) == simOpts.Trim && rec.SnapshotAt(snap.Step) != nil {
+					partials[i] = snap
 				}
-			}
-			// Mid-batch snapshots of interrupted batches: usable only when
-			// the trim mode still matches the capture (class state present
-			// iff trimming) and the recording carries a state frame at the
-			// snapshot's step. Unusable partials are dropped — the batch
-			// re-runs from the start, same result.
-			partIdx := make([]int, 0, len(prev.Partial))
-			for i := range prev.Partial {
-				partIdx = append(partIdx, i)
-			}
-			sort.Ints(partIdx)
-			for _, i := range partIdx {
-				snap := prev.Partial[i]
-				if i < 0 || i >= nBatches || snap == nil || results[i] != nil {
-					continue
-				}
-				if (len(snap.Sigs) > 0) != simOpts.Trim {
-					continue
-				}
-				if rec.SnapshotAt(snap.Step) == nil {
-					continue
-				}
-				partials[i] = snap
 			}
 		}
 	}
 
 	var (
-		detected atomic.Int64
-		stop     atomic.Bool
-		cursor   atomic.Int64
-		ran      atomic.Int64
-		ckMu     sync.Mutex
-		errMu    sync.Mutex
-		firstErr error
-
-		// Progress-only state: observed detections and completed batches,
-		// campaign-wide. Kept separate from the early-stop counter (which
-		// only advances at batch completion) so streaming coverage is as
-		// fresh as the per-setting events. progressMu serializes counter
-		// update and event delivery together — that atomicity is what
-		// makes the Detected field monotonic across delivered events.
-		progressMu  sync.Mutex
-		obsDetected int
-		batchesDone int
+		cursor atomic.Int64
+		ckMu   sync.Mutex
+		wg     sync.WaitGroup
 	)
-	emitProgress := func(ev ProgressEvent, newlyDetected, batchDone bool) {
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		if newlyDetected {
-			obsDetected += len(ev.NewlyDetected)
-		}
-		if batchDone {
-			batchesDone++
-		}
-		ev.Detected = obsDetected
-		ev.BatchesDone = batchesDone
-		opts.Progress(ev)
-	}
-	var target int64
-	if opts.CoverageTarget > 0 && nf > 0 {
-		target = int64(math.Ceil(opts.CoverageTarget * float64(nf)))
-	}
-	countDetected := func(br *core.BatchResult) int64 {
-		return int64(br.DetectedCount())
-	}
-	for _, br := range results {
-		if br != nil {
-			n := countDetected(br)
-			detected.Add(n)
-			obsDetected += int(n) // pre-pool: no lock needed yet
-			batchesDone++
-		}
-	}
-	if target > 0 && detected.Load() >= target {
-		stop.Store(true)
-	}
-
-	tab := opts.Tables
-	if tab == nil {
-		tab = switchsim.NewTables(nw)
-	} else if tab.Net != nw {
-		return nil, fmt.Errorf("campaign: Options.Tables was built over a different network")
-	}
-	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				if stop.Load() || ctx.Err() != nil {
-					return
-				}
 				i := int(cursor.Add(1)) - 1
 				if i >= nBatches {
 					return
 				}
-				if results[i] != nil {
-					continue // resumed from checkpoint
+				if !l.Start(i) {
+					continue // resumed from checkpoint, or the campaign has stopped
 				}
-				lo := i * batchSize
-				hi := min(lo+batchSize, nf)
+				lo, hi := l.Window(i)
 				batchOpts := simOpts
-				if opts.Progress != nil {
-					batchOpts.OnObserve = func(bp core.BatchProgress) {
-						ev := ProgressEvent{
-							Batch:           i,
-							Pattern:         bp.Pattern,
-							Setting:         bp.Setting,
-							ActiveCircuits:  bp.ActiveCircuits,
-							LiveFaults:      bp.LiveFaults,
-							LanesReplayed:   bp.LanesReplayed,
-							ScalarFallbacks: bp.ScalarFallbacks,
-							AdoptedVics:     bp.AdoptedVics,
-							SolvedVics:      bp.SolvedVics,
-							FaultsRetired:   bp.FaultsRetired,
-							LaneCapacity:    bp.LaneCapacity,
-							NumFaults:       nf,
-							Batches:         nBatches,
-						}
-						if len(bp.Detected) > 0 {
-							ev.NewlyDetected = make([]int, len(bp.Detected))
-							for j, fi := range bp.Detected {
-								ev.NewlyDetected[j] = lo + fi
-							}
-						}
-						emitProgress(ev, true, false)
-					}
+				if obs := l.observer(i); obs != nil {
+					batchOpts.OnObserve = obs
 				}
 				if opts.CheckpointPath != "" && batchOpts.SnapshotEvery > 0 {
 					// Persist mid-batch snapshots so an interrupted batch
@@ -407,36 +313,15 @@ func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *sw
 				var br *core.BatchResult
 				var err error
 				if snap := partials[i]; snap != nil {
-					br, err = core.RunBatchFrom(ctx, tab, faults[lo:hi], rec, seq, snap, batchOpts)
+					br, err = core.RunBatchFrom(l.Context(), tab, faults[lo:hi], rec, seq, snap, batchOpts)
 				} else {
-					br, err = core.RunBatch(ctx, tab, faults[lo:hi], rec, seq, batchOpts)
+					br, err = core.RunBatch(l.Context(), tab, faults[lo:hi], rec, seq, batchOpts)
 				}
 				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					stop.Store(true)
+					l.Fail(err)
 					return
 				}
-				results[i] = br
-				ran.Add(1)
-				if opts.Progress != nil {
-					ev := ProgressEvent{
-						Batch:     i,
-						NumFaults: nf,
-						Batches:   nBatches,
-						BatchDone: true,
-					}
-					if n := len(br.PerPattern); n > 0 {
-						ev.LiveFaults = br.PerPattern[n-1].LiveAfter
-					}
-					emitProgress(ev, false, true)
-				}
-				if target > 0 && detected.Add(countDetected(br)) >= target {
-					stop.Store(true)
-				}
+				l.Complete(i, br)
 				if opts.CheckpointPath != "" {
 					ckMu.Lock()
 					ck.Done[i] = br
@@ -444,12 +329,7 @@ func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *sw
 					err := ck.saveFile(opts.CheckpointPath)
 					ckMu.Unlock()
 					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						stop.Store(true)
+						l.Fail(err)
 						return
 					}
 				}
@@ -457,24 +337,7 @@ func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *sw
 		}()
 	}
 	wg.Wait()
-	if firstErr == nil && ctx.Err() != nil && int(ran.Load())+resumed < nBatches {
-		// Cancelled with batches still outstanding — unless the coverage
-		// target was reached first, in which case the early-stopped result
-		// stands.
-		if target == 0 || detected.Load() < target {
-			firstErr = fmt.Errorf("campaign: cancelled: %w", ctx.Err())
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	res := Merge(rec, seq, nf, batchSize, results)
-	res.Batches = nBatches
-	res.BatchesRun = int(ran.Load())
-	res.BatchesResumed = resumed
-	res.BatchesSkipped = nBatches - res.BatchesRun - resumed
-	return res, nil
+	return l, rec, nil
 }
 
 // Merge combines per-batch results into a monolithic-equivalent
@@ -490,8 +353,8 @@ func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *sw
 // determinism point shared by Run and by distributed coordinators
 // (internal/distrib): any scheduler that produces the same per-batch
 // results — on one machine or many — merges to the same Result. The
-// caller owns the Batches/BatchesRun/BatchesResumed/BatchesSkipped
-// accounting fields.
+// Batches/BatchesRun/BatchesResumed/BatchesSkipped accounting fields are
+// left zero here; Ledger.Finish fills them.
 func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int, results []*core.BatchResult) *Result {
 	nSettings := seq.NumSettings()
 	res := &Result{Recording: rec}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
@@ -264,6 +265,55 @@ func TestCampaignEarlyStop(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("no per-fault skip markers")
+	}
+}
+
+// TestCampaignCancelAtTarget: the counter Progress shows is the counter
+// that stops the campaign, so a caller who cancels the moment an event
+// shows the target met gets the early-stopped result — in-flight batches
+// finish and are merged — while a cancel before that point aborts the
+// campaign promptly with context.Canceled.
+func TestCampaignCancelAtTarget(t *testing.T) {
+	m, faults, seq := testBench(t)
+	opts := campaign.Options{
+		Sim:       core.Options{Observe: []netlist.NodeID{m.DataOut}},
+		BatchSize: ceilDiv(len(faults), 8),
+		Shards:    2,
+	}
+
+	const target = 0.1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	atTarget := opts
+	atTarget.CoverageTarget = target
+	atTarget.Progress = func(ev campaign.ProgressEvent) {
+		if ev.Coverage() >= target {
+			cancel()
+		}
+	}
+	res, err := campaign.Run(ctx, m.Net, faults, seq, atTarget)
+	if err != nil {
+		t.Fatalf("cancel at the target returned error: %v", err)
+	}
+	if res.Coverage() < target {
+		t.Fatalf("coverage %.3f below target", res.Coverage())
+	}
+	if res.BatchesRun+res.BatchesSkipped+res.BatchesResumed != res.Batches || res.BatchesSkipped == 0 {
+		t.Fatalf("batch accounting: %d run + %d skipped + %d resumed of %d",
+			res.BatchesRun, res.BatchesSkipped, res.BatchesResumed, res.Batches)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	before := opts
+	before.CoverageTarget = 0.9
+	before.Progress = func(campaign.ProgressEvent) { cancel() }
+	start := time.Now()
+	if _, err := campaign.Run(ctx, m.Net, faults, seq, before); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel before the target returned %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("cancel before the target took %v", d)
 	}
 }
 

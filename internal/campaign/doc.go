@@ -14,6 +14,37 @@
 // per-setting progress (Options.Progress), and cancel cooperatively
 // (the Run context).
 //
+// # Early stop and cancellation
+//
+// Coverage, early stop and the ruling on a caller's cancel have one
+// definition, kept by one type — the Ledger — that every scheduler of
+// batches drives: Run's shard pool, the distributed coordinator's worker
+// slots (internal/distrib), and a job server's shard jobs
+// (internal/server, through Execute — Run without the merge).
+//
+//   - ProgressEvent.Detected counts a detection when it is observed: each
+//     batch reports its cumulative detection count after every setting,
+//     the ledger keeps each batch's highest report and delivers their sum
+//     (batches resumed from a checkpoint are counted before the first
+//     event). Duplicate, stale and restarted-from-zero reports never lower
+//     it, and events are delivered one at a time, so Detected and
+//     BatchesDone are monotonic across the events of one campaign.
+//   - Early stop fires when that same counter reaches
+//     ceil(CoverageTarget × universe). From then on no batch that has not
+//     started starts; every batch that has started runs to completion and
+//     is merged (a shard whose worker dies is still rerun); batches that
+//     never started are reported as skipped, per fault and in
+//     Result.BatchesSkipped.
+//   - A context cancelled at or after that point is a no-op: the
+//     early-stopped result stands. The ruling is made before the event
+//     that shows the target met is delivered, so a caller may cancel from
+//     inside the Progress callback the moment Coverage() reaches the
+//     target and still get the result, not an error.
+//   - A context cancelled before that point aborts the campaign: no new
+//     batch starts, in-flight batches stop between settings, and the
+//     error wraps ctx's. If every batch had already completed, the result
+//     stands.
+//
 // # Recording fingerprint contract
 //
 // A switchsim.Recording is bound to the exact (network, sequence) pair it

@@ -1,0 +1,307 @@
+// The campaign ledger: batch windows, the coverage count, the early-stop
+// decision, the ruling on a caller's cancel, and the final verdict and
+// batch accounting — written once, for every scheduler that runs batches.
+// The rules themselves are stated in doc.go ("Early stop and
+// cancellation").
+package campaign
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sync"
+
+	"fmossim/internal/core"
+	"fmossim/internal/switchsim"
+)
+
+// Ledger is the bookkeeping of one campaign, shared by every scheduler
+// that executes its batches: Run's shard pool, the distributed
+// coordinator's worker slots, a job server's single shard. The scheduler
+// decides where a batch runs and what happens when a worker dies; the
+// ledger decides everything the result depends on. A scheduler asks Start
+// before (re)running a batch, runs it under Context, feeds what the batch
+// reports to Report, hands the outcome to Complete or Fail, and returns
+// Finish. All methods are safe for concurrent use.
+type Ledger struct {
+	ctx       context.Context // the caller's
+	run       context.Context // what batches execute under
+	cancelRun context.CancelFunc
+	unhook    func() bool
+
+	nf, batchSize, nBatches int
+	target                  int // detections that stop the campaign; 0: no target
+	progress                func(ProgressEvent)
+
+	// mu serializes counter updates and event delivery together: that is
+	// what makes Detected monotonic across delivered events, and what lets
+	// a cancel issued from inside the Progress callback be ruled on after
+	// the event that provoked it was accounted.
+	mu      sync.Mutex
+	results []*core.BatchResult
+	started []bool
+	// seen[i] is the highest cumulative detection count batch i has
+	// reported, detected their sum. Folding with max absorbs duplicate and
+	// stale reports, and a retried shard restarting its count at zero:
+	// none of them rolls coverage back.
+	seen     []int
+	detected int
+
+	done, resumed, inflight int
+	reached, aborted        bool
+	err                     error
+	idle                    chan struct{}
+}
+
+// NewLedger opens the ledger of a campaign over nf faults. batchSize is
+// the number of faults per batch; 0 splits the universe evenly into parts
+// batches. coverageTarget (0: none) and progress (nil: none) are
+// Options.CoverageTarget and Options.Progress; ctx is the caller's.
+func NewLedger(ctx context.Context, nf, batchSize, parts int, coverageTarget float64, progress func(ProgressEvent)) *Ledger {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if batchSize <= 0 {
+		batchSize = max((nf+parts-1)/max(parts, 1), 1)
+	}
+	n := (nf + batchSize - 1) / batchSize
+	l := &Ledger{
+		ctx: ctx, nf: nf, batchSize: batchSize, nBatches: n, progress: progress,
+		results: make([]*core.BatchResult, n),
+		started: make([]bool, n),
+		seen:    make([]int, n),
+		idle:    make(chan struct{}),
+	}
+	if coverageTarget > 0 && nf > 0 {
+		l.target = int(math.Ceil(coverageTarget * float64(nf)))
+	}
+	if n == 0 {
+		close(l.idle)
+	}
+	// Batches run under a context detached from the caller's: a cancel
+	// reaches them only through abort, which rules on it under mu.
+	l.run, l.cancelRun = context.WithCancel(context.WithoutCancel(ctx))
+	l.unhook = context.AfterFunc(ctx, l.abort)
+	return l
+}
+
+// Batches returns the number of batches the universe splits into.
+func (l *Ledger) Batches() int { return l.nBatches }
+
+// BatchSize returns the number of faults per batch (the last may be short).
+func (l *Ledger) BatchSize() int { return l.batchSize }
+
+// Window returns batch i's universe fault range [lo, hi).
+func (l *Ledger) Window(i int) (lo, hi int) {
+	lo = i * l.batchSize
+	return lo, min(lo+l.batchSize, l.nf)
+}
+
+// Context is the context batches execute under: cancelled when the
+// campaign is aborted or has failed, never by the coverage target.
+func (l *Ledger) Context() context.Context { return l.run }
+
+// Idle is closed once nothing remains to run: every batch is complete,
+// or the target is reached and every started batch is complete.
+func (l *Ledger) Idle() <-chan struct{} { return l.idle }
+
+// outstanding returns how many batches still have to complete.
+func (l *Ledger) outstanding() int {
+	if l.reached {
+		return l.inflight
+	}
+	return l.nBatches - l.done
+}
+
+// abort is the ruling on the caller's cancel: it stops the run only
+// while the target is unmet.
+func (l *Ledger) abort() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.reached && !l.aborted {
+		l.aborted = true
+		l.cancelRun()
+	}
+}
+
+// Start reports whether batch i may run now: true for a batch that has
+// not started while the campaign is live, and for one that did start and
+// has to run again (a shard requeued after its worker died); false once
+// the batch is complete, the target is reached, or the campaign is
+// aborted or failed.
+func (l *Ledger) Start(i int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.aborted || l.err != nil || l.results[i] != nil || l.reached && !l.started[i] {
+		return false
+	}
+	if !l.started[i] {
+		l.started[i] = true
+		l.inflight++
+	}
+	return true
+}
+
+// fold raises batch i's cumulative detection count to cum and decides
+// early stop: the counter Progress shows is the counter that stops the
+// campaign. Called under mu, after any change to done or inflight.
+func (l *Ledger) fold(i, cum int) {
+	if cum > l.seen[i] {
+		l.detected += cum - l.seen[i]
+		l.seen[i] = cum
+	}
+	if l.target > 0 && l.detected >= l.target && !l.aborted {
+		l.reached = true
+	}
+	if l.outstanding() == 0 {
+		select {
+		case <-l.idle:
+		default:
+			close(l.idle)
+		}
+	}
+}
+
+// deliver rewrites a batch-relative report into the campaign-wide event
+// and hands it to Progress. Called under mu.
+func (l *Ledger) deliver(i int, ev ProgressEvent) {
+	if l.progress == nil {
+		return
+	}
+	if len(ev.NewlyDetected) > 0 {
+		lo, _ := l.Window(i)
+		newly := make([]int, len(ev.NewlyDetected))
+		for j, fi := range ev.NewlyDetected {
+			newly[j] = lo + fi
+		}
+		ev.NewlyDetected = newly
+	}
+	ev.Batch, ev.Batches, ev.BatchesDone = i, l.nBatches, l.done
+	ev.Detected, ev.NumFaults = l.detected, l.nf
+	l.progress(ev)
+}
+
+// Report folds one report of batch i into the campaign-wide view and
+// delivers it. On entry ev is batch-relative: Detected is the batch's own
+// cumulative detection count (0 when the report carries none) and
+// NewlyDetected indexes the batch's faults. Reports may arrive
+// duplicated, late, or from a rerun of the batch.
+func (l *Ledger) Report(i int, ev ProgressEvent) {
+	if l.progress == nil && l.target == 0 {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.fold(i, ev.Detected)
+	l.deliver(i, ev)
+}
+
+// observer returns the core.Options.OnObserve hook for batch i, or nil
+// when neither Progress nor a coverage target needs per-setting reports.
+func (l *Ledger) observer(i int) func(core.BatchProgress) {
+	if l.progress == nil && l.target == 0 {
+		return nil
+	}
+	return func(bp core.BatchProgress) {
+		l.Report(i, ProgressEvent{
+			Pattern:         bp.Pattern,
+			Setting:         bp.Setting,
+			ActiveCircuits:  bp.ActiveCircuits,
+			LiveFaults:      bp.LiveFaults,
+			LanesReplayed:   bp.LanesReplayed,
+			ScalarFallbacks: bp.ScalarFallbacks,
+			AdoptedVics:     bp.AdoptedVics,
+			SolvedVics:      bp.SolvedVics,
+			FaultsRetired:   bp.FaultsRetired,
+			LaneCapacity:    bp.LaneCapacity,
+			NewlyDetected:   bp.Detected,
+			Detected:        bp.DetectedTotal,
+		})
+	}
+}
+
+// resume pre-counts batch i as completed by an earlier run (checkpoint).
+func (l *Ledger) resume(i int, br *core.BatchResult) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.results[i] = br
+	l.done++
+	l.resumed++
+	l.fold(i, br.DetectedCount())
+}
+
+// Complete records batch i's result and delivers its BatchDone event.
+func (l *Ledger) Complete(i int, br *core.BatchResult) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.results[i] = br
+	l.done++
+	l.inflight--
+	l.fold(i, br.DetectedCount())
+	ev := ProgressEvent{BatchDone: true}
+	if n := len(br.PerPattern); n > 0 {
+		ev.LiveFaults = br.PerPattern[n-1].LiveAfter
+	}
+	l.deliver(i, ev)
+}
+
+// Fail records the campaign's first error and stops the run.
+func (l *Ledger) Fail(err error) {
+	l.mu.Lock()
+	if l.err == nil {
+		l.err = err
+	}
+	l.mu.Unlock()
+	l.cancelRun()
+}
+
+// close detaches the ledger from the caller's context and releases the
+// run context. Idempotent.
+func (l *Ledger) close() {
+	l.unhook()
+	l.cancelRun()
+}
+
+// Verdict closes the ledger after the scheduler has drained and reports
+// how the campaign ended: the caller's cancel if it aborted the run with
+// batches outstanding, else the first failure, else nil — the completed
+// batches stand.
+func (l *Ledger) Verdict() error {
+	l.close()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch n := l.outstanding(); {
+	case l.aborted && n > 0:
+		return fmt.Errorf("campaign: cancelled: %w", l.ctx.Err())
+	case l.err != nil:
+		return l.err
+	case n > 0:
+		return fmt.Errorf("campaign: %d of %d batches incomplete", n, l.nBatches)
+	}
+	return nil
+}
+
+// Batch returns batch i's raw result, nil unless it completed. A shard
+// job hands it to its coordinator as is, without paying for a merge.
+func (l *Ledger) Batch(i int) *core.BatchResult {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.results[i]
+}
+
+// Finish is Verdict followed, when it is nil, by the merge of every
+// completed batch and the batch accounting; batches that never ran merge
+// as skipped.
+func (l *Ledger) Finish(rec *switchsim.Recording, seq *switchsim.Sequence) (*Result, error) {
+	if err := l.Verdict(); err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	res := Merge(rec, seq, l.nf, l.batchSize, l.results)
+	res.Batches = l.nBatches
+	res.BatchesResumed = l.resumed
+	res.BatchesRun = l.done - l.resumed
+	res.BatchesSkipped = l.nBatches - l.done
+	return res, nil
+}

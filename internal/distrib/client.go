@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"fmossim/internal/campaign"
 	"fmossim/internal/core"
 	"fmossim/internal/server"
 	"fmossim/internal/switchsim"
@@ -177,7 +178,7 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, sh *shardS
 		}
 		switch l.Type {
 		case "snapshot":
-			c.progress(sh, l.Detected, nil, 0, 0, l.LiveFaults, false)
+			c.ledger.Report(sh.idx, campaign.ProgressEvent{Detected: l.Detected, LiveFaults: l.LiveFaults})
 			if l.State.Terminal() {
 				sawTerminal = true
 				if l.State != server.StateDone {
@@ -185,7 +186,7 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, sh *shardS
 				}
 			}
 		case "detections":
-			c.progress(sh, 0, l.Faults, l.Pattern, l.Setting, 0, false)
+			c.ledger.Report(sh.idx, campaign.ProgressEvent{Pattern: l.Pattern, Setting: l.Setting, NewlyDetected: l.Faults})
 		case "result":
 			if l.Result == nil || l.Result.Batch == nil {
 				return nil, fmt.Errorf("job %s on %s: result line without batch payload", jobID, base)

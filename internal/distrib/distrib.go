@@ -7,7 +7,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -56,9 +55,9 @@ type Options struct {
 
 	// Progress, when non-nil, receives the merged cluster-wide progress
 	// view: one event per streamed snapshot or detection group of any
-	// shard, with Detected folded monotonically across shards (per-shard
-	// maxima, summed under one lock — a stale or re-delivered line never
-	// rolls coverage back). NewlyDetected indices are universe indices.
+	// shard plus one per completed shard, delivered and counted exactly
+	// as campaign.Options.Progress (the same campaign.Ledger folds both).
+	// NewlyDetected indices are universe indices.
 	Progress func(campaign.ProgressEvent)
 
 	// Logf, when non-nil, receives coordinator lifecycle messages
@@ -99,7 +98,6 @@ func (e *dispatchError) Unwrap() error { return e.err }
 // shardState tracks one shard through dispatch, failure and requeue.
 type shardState struct {
 	idx      int
-	lo, hi   int
 	attempts int
 	last     int // worker index of the last failed attempt, -1 initially
 	bounced  int // consecutive prefer-a-different-worker requeues
@@ -110,16 +108,14 @@ type shardState struct {
 // campaign.Merge into a result bit-identical to the single-process
 // engine. See the package documentation for the execution model.
 //
-// The spec is a regular (non-shard) JobSpec; its CoverageTarget, when
-// set, stops the campaign early cluster-wide: no new shards are
-// dispatched and outstanding jobs are cancelled with DELETE, their
-// faults reported as skipped — exactly the single-process early-stop
-// accounting. Cancelling ctx likewise cancels every outstanding job and
-// returns ctx's error.
+// The spec is a regular (non-shard) JobSpec. Its CoverageTarget and a
+// cancelled ctx mean here exactly what they mean to campaign.Run — one
+// campaign.Ledger keeps both (package campaign, "Early stop and
+// cancellation"): at the target no new shard is dispatched, shards
+// already on a worker finish and are merged, and never-dispatched shards
+// are reported as skipped; a cancel before that point DELETEs every
+// outstanding job and returns ctx's error.
 func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opts = opts.withDefaults()
 	if len(opts.Workers) == 0 {
 		return nil, fmt.Errorf("distrib: no workers configured")
@@ -134,7 +130,6 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	if err != nil {
 		return nil, err
 	}
-	nf := len(wl.Faults)
 
 	rec := opts.Recording
 	if rec == nil {
@@ -146,20 +141,6 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	encoded, fp, err := encodeRecording(rec)
 	if err != nil {
 		return nil, err
-	}
-
-	slots := len(opts.Workers) * opts.InFlight
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = (nf + slots - 1) / slots
-		if batchSize == 0 {
-			batchSize = 1
-		}
-	}
-	nBatches := (nf + batchSize - 1) / batchSize
-	var target int64
-	if spec.CoverageTarget > 0 && nf > 0 {
-		target = int64(math.Ceil(spec.CoverageTarget * float64(nf)))
 	}
 
 	// shardSpec is the worker-side template: the workload fields verbatim
@@ -174,33 +155,24 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	shardSpec.RecordingFP = fp
 	shardSpec.IncludeBatch = true
 
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-
+	slots := len(opts.Workers) * opts.InFlight
+	ledger := campaign.NewLedger(ctx, len(wl.Faults), opts.BatchSize, slots, spec.CoverageTarget, opts.Progress)
+	nBatches := ledger.Batches()
 	c := &coordinator{
-		opts:      opts,
-		spec:      shardSpec,
-		encoded:   encoded,
-		fp:        fp,
-		nf:        nf,
-		nBatches:  nBatches,
-		results:   make([]*core.BatchResult, nBatches),
-		pending:   make(chan *shardState, nBatches),
-		done:      make(chan struct{}),
-		perShard:  make([]int, nBatches),
-		uploaded:  make([]bool, len(opts.Workers)),
-		uploadMu:  make([]sync.Mutex, len(opts.Workers)),
-		fails:     make([]int32, len(opts.Workers)),
-		target:    target,
-		cancelRun: cancelRun,
+		opts:     opts,
+		spec:     shardSpec,
+		encoded:  encoded,
+		fp:       fp,
+		ledger:   ledger,
+		pending:  make(chan *shardState, nBatches),
+		uploaded: make([]bool, len(opts.Workers)),
+		uploadMu: make([]sync.Mutex, len(opts.Workers)),
+		fails:    make([]int32, len(opts.Workers)),
 	}
-	c.remaining.Store(int64(nBatches))
-	c.aliveSlots.Store(int64(slots))
 	// Seed the queue expensive-shards-first (see plan.go): the windows are
 	// the plain index-order split, only the dispatch order is planned.
-	for _, i := range planShardOrder(rec, wl.Net, wl.Faults, nBatches, batchSize) {
-		lo := i * batchSize
-		c.pending <- &shardState{idx: i, lo: lo, hi: min(lo+batchSize, nf), last: -1}
+	for _, i := range planShardOrder(rec, wl.Net, wl.Faults, nBatches, ledger.BatchSize()) {
+		c.pending <- &shardState{idx: i, last: -1}
 	}
 
 	var wg sync.WaitGroup
@@ -209,140 +181,55 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 			wg.Add(1)
 			go func(wi int) {
 				defer wg.Done()
-				c.slot(runCtx, wi)
+				c.slot(ledger.Context(), wi)
 			}(wi)
 		}
 	}
 	wg.Wait()
 
-	if err := c.firstErr(); err != nil {
-		return nil, err
+	select {
+	case <-ledger.Idle():
+	default: // every slot gave up on its worker with shards still to run
+		ledger.Fail(errors.New("distrib: all workers unavailable"))
 	}
-	completed := 0
-	for _, br := range c.results {
-		if br != nil {
-			completed++
-		}
-	}
-	if ctx.Err() != nil && completed < nBatches && (target == 0 || c.completedDetected.Load() < target) {
-		return nil, fmt.Errorf("distrib: cancelled: %w", ctx.Err())
-	}
-	if completed < nBatches && target == 0 {
-		// Slots drained without finishing and without a coverage target:
-		// only possible when every worker was abandoned.
-		return nil, fmt.Errorf("distrib: %d of %d shards incomplete: all workers unavailable",
-			nBatches-completed, nBatches)
-	}
-
-	res := campaign.Merge(rec, wl.Seq, nf, batchSize, c.results)
-	res.Batches = nBatches
-	res.BatchesRun = completed
-	res.BatchesSkipped = nBatches - completed
-	return res, nil
+	return ledger.Finish(rec, wl.Seq)
 }
 
-// coordinator is the shared state of one distributed run.
+// coordinator is the shared state of one distributed run. Everything the
+// result depends on — which shards are complete, the merged coverage
+// count, when to stop, how the run ended — is the ledger's; what is left
+// here is where shards run and what happens when a worker fails.
 type coordinator struct {
 	opts    Options
 	spec    server.JobSpec
 	encoded []byte
 	fp      string
 
-	nf       int
-	nBatches int
-	target   int64
-
-	results []*core.BatchResult // indexed by shard; written once each
+	ledger  *campaign.Ledger
 	pending chan *shardState
-	done    chan struct{} // closed when remaining hits zero
-
-	remaining         atomic.Int64
-	completedDetected atomic.Int64
-	aliveSlots        atomic.Int64
-	cancelRun         context.CancelFunc
 
 	uploadMu []sync.Mutex // per worker
 	uploaded []bool
 	fails    []int32 // consecutive transport failures per worker (atomic)
-
-	errMu sync.Mutex
-	err   error
-
-	// Merged-progress state: per-shard folded detection maxima and their
-	// sum, mutated and delivered under one lock so the cluster-wide
-	// Detected counter is monotonic across delivered events.
-	progressMu  sync.Mutex
-	perShard    []int
-	total       int
-	batchesDone int
-}
-
-func (c *coordinator) fatal(err error) {
-	c.errMu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.errMu.Unlock()
-	c.cancelRun()
-}
-
-func (c *coordinator) firstErr() error {
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	return c.err
-}
-
-// progress folds one shard's streamed line into the merged view and
-// delivers it. detected is the shard's cumulative count as reported;
-// newly lists shard-relative first detections (offset to universe
-// indices here).
-func (c *coordinator) progress(sh *shardState, detected int, newly []int, pattern, setting, live int, batchDone bool) {
-	if c.opts.Progress == nil && !batchDone {
-		return
-	}
-	c.progressMu.Lock()
-	defer c.progressMu.Unlock()
-	if detected > c.perShard[sh.idx] {
-		c.total += detected - c.perShard[sh.idx]
-		c.perShard[sh.idx] = detected
-	}
-	if batchDone {
-		c.batchesDone++
-	}
-	if c.opts.Progress == nil {
-		return
-	}
-	ev := campaign.ProgressEvent{
-		Batch: sh.idx, Pattern: pattern, Setting: setting,
-		LiveFaults: live, Detected: c.total, NumFaults: c.nf,
-		Batches: c.nBatches, BatchesDone: c.batchesDone, BatchDone: batchDone,
-	}
-	if len(newly) > 0 {
-		ev.NewlyDetected = make([]int, len(newly))
-		for i, fi := range newly {
-			ev.NewlyDetected[i] = sh.lo + fi
-		}
-	}
-	c.opts.Progress(ev)
 }
 
 // slot is one worker dispatch slot: it pulls shards from the queue and
-// runs them on worker wi until the queue drains, the run is cancelled, or
-// the worker is abandoned after repeated transport failures.
+// runs them on worker wi until the ledger has nothing left to run, the
+// run is aborted, or the worker is abandoned after repeated transport
+// failures.
 func (c *coordinator) slot(ctx context.Context, wi int) {
-	defer func() {
-		if c.aliveSlots.Add(-1) == 0 && c.remaining.Load() > 0 && ctx.Err() == nil {
-			c.fatal(fmt.Errorf("distrib: all workers unavailable with %d shards outstanding",
-				c.remaining.Load()))
-		}
-	}()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-c.done:
+		case <-c.ledger.Idle():
 			return
 		case sh := <-c.pending:
+			if !c.ledger.Start(sh.idx) {
+				// The campaign stopped before this shard was ever
+				// dispatched: it merges as skipped.
+				continue
+			}
 			// Prefer a different worker for a retry: the one that just
 			// failed this shard is the least likely to complete it. The
 			// bounce budget keeps this a preference, not a deadlock — if
@@ -361,12 +248,9 @@ func (c *coordinator) slot(ctx context.Context, wi int) {
 				continue
 			}
 			sh.bounced = 0
-			err := c.runShard(ctx, wi, sh)
+			err := c.dispatch(ctx, wi, sh)
 			if err == nil {
 				atomic.StoreInt32(&c.fails[wi], 0)
-				if c.remaining.Add(-1) == 0 {
-					close(c.done)
-				}
 				continue
 			}
 			if ctx.Err() != nil {
@@ -385,7 +269,7 @@ func (c *coordinator) slot(ctx context.Context, wi int) {
 			c.opts.Logf("distrib: shard %d failed on %s (attempt %d): %v",
 				sh.idx, c.opts.Workers[wi], sh.attempts, err)
 			if sh.attempts >= c.opts.MaxAttempts {
-				c.fatal(fmt.Errorf("distrib: shard %d failed %d times, last on %s: %w",
+				c.ledger.Fail(fmt.Errorf("distrib: shard %d failed %d times, last on %s: %w",
 					sh.idx, sh.attempts, c.opts.Workers[wi], err))
 				return
 			}
@@ -399,26 +283,26 @@ func (c *coordinator) slot(ctx context.Context, wi int) {
 	}
 }
 
-// runShard executes one shard on one worker: ensure the recording is
-// uploaded, submit the job, stream it to a terminal state, and store the
-// batch result. Any error leaves the shard unassigned (the caller
-// requeues); the outstanding job, if any, is cancelled with DELETE when
-// the shard did not complete — which is also how campaign-wide
-// cancellation and coverage-target stop reach the workers.
-func (c *coordinator) runShard(ctx context.Context, wi int, sh *shardState) (err error) {
+// dispatch executes one shard on one worker: ensure the recording is
+// uploaded, submit the job, stream it to a terminal state, and hand the
+// batch result to the ledger. Any error leaves the shard unassigned (the
+// caller requeues); the outstanding job, if any, is cancelled with DELETE
+// when the shard did not complete — which is also how an aborted campaign
+// reaches the workers.
+func (c *coordinator) dispatch(ctx context.Context, wi int, sh *shardState) (err error) {
 	base := c.opts.Workers[wi]
 	if err := c.ensureRecording(ctx, wi); err != nil {
 		return &dispatchError{fmt.Errorf("uploading recording: %w", err)}
 	}
 
 	spec := c.spec
-	spec.ShardLo, spec.ShardHi = sh.lo, sh.hi
+	spec.ShardLo, spec.ShardHi = c.ledger.Window(sh.idx)
 	jobID, err := c.submit(ctx, base, &spec)
 	if err != nil {
 		return &dispatchError{err}
 	}
 	defer func() {
-		if err != nil || ctx.Err() != nil {
+		if err != nil {
 			c.deleteJob(base, jobID)
 		}
 	}()
@@ -438,12 +322,6 @@ func (c *coordinator) runShard(ctx context.Context, wi int, sh *shardState) (err
 		}
 		return err
 	}
-	c.results[sh.idx] = br
-	c.progress(sh, br.DetectedCount(), nil, 0, 0, 0, true)
-	if c.target > 0 && c.completedDetected.Add(int64(br.DetectedCount())) >= c.target {
-		// Coverage target reached: stop dispatch and cancel every
-		// outstanding shard, cluster-wide. Their faults merge as skipped.
-		c.cancelRun()
-	}
+	c.ledger.Complete(sh.idx, br)
 	return nil
 }

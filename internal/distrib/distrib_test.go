@@ -194,8 +194,9 @@ func TestWorkerKilledMidRun(t *testing.T) {
 }
 
 // TestCoverageTargetStopsEarly: a cluster-wide coverage target stops
-// dispatch, cancels outstanding shards, and reports the rest skipped with
-// the target actually met.
+// dispatch, lets the shards already on a worker finish, and reports the
+// rest skipped with the target actually met — every shard whose
+// detections the merged progress counted is in the result.
 func TestCoverageTargetStopsEarly(t *testing.T) {
 	spec := server.JobSpec{
 		Workload:       "ram64",
@@ -203,11 +204,18 @@ func TestCoverageTargetStopsEarly(t *testing.T) {
 		FaultModel:     "paper",
 		CoverageTarget: 0.25,
 	}
+	const batchSize = 24
 	urls, _ := newWorkerPool(t, 2, server.Config{MaxJobs: 2})
+	streamed := map[int]bool{} // shards that streamed a detection; Progress is serialized
 	got, err := distrib.Run(context.Background(), spec, distrib.Options{
 		Workers:   urls,
-		BatchSize: 24,
+		BatchSize: batchSize,
 		InFlight:  1,
+		Progress: func(ev campaign.ProgressEvent) {
+			if len(ev.NewlyDetected) > 0 {
+				streamed[ev.Batch] = true
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +235,14 @@ func TestCoverageTargetStopsEarly(t *testing.T) {
 	}
 	if got.BatchesSkipped > 0 && skipped == 0 {
 		t.Errorf("%d batches skipped but no fault marked skipped", got.BatchesSkipped)
+	}
+	if len(streamed) == 0 {
+		t.Error("no shard streamed a detection")
+	}
+	for i := range streamed {
+		if got.PerFault[i*batchSize].Skipped {
+			t.Errorf("shard %d streamed detections into the merged progress but merged as skipped", i)
+		}
 	}
 }
 

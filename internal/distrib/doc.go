@@ -32,8 +32,12 @@
 // refused, broken stream, failed job) goes back on the queue with its
 // attempt count incremented and is preferentially picked up by a
 // different worker; a shard exhausting MaxAttempts fails the campaign.
-// Cancelling the context — or reaching CoverageTarget — stops dispatch
-// and propagates DELETE to every outstanding job, cluster-wide.
+//
+// Coverage, early stop and cancellation are not the coordinator's to
+// define: it drives the same campaign.Ledger as campaign.Run (package
+// campaign, "Early stop and cancellation"). Reaching CoverageTarget
+// stops dispatch and lets the shards already on a worker finish; a
+// cancel before that propagates DELETE to every outstanding job.
 //
 // # Determinism
 //
@@ -41,8 +45,8 @@
 // over the same spec and batch size: shard jobs run core.RunBatch (whose
 // results are deterministic for every worker count) against the same
 // fingerprinted recording, and the coordinator merges the per-batch
-// results with campaign.Merge — the same setting-granularity merge the
-// single-process engine uses. Scheduling, retries, worker count and
+// results through the ledger with campaign.Merge — the same
+// setting-granularity merge the single-process engine uses. Scheduling, retries, worker count and
 // shard arrival order leave no trace in the output. See ARCHITECTURE.md
 // for the fingerprint contract and the merge-determinism guarantee.
 package distrib

@@ -26,8 +26,9 @@
 // decoded once, from the body bytes; a later PUT of a fingerprint the
 // store holds answers 201 with the stored meta, refreshes its eviction
 // age and decodes nothing — and a JobSpec with shard_lo/shard_hi runs
-// exactly one batch of the fault universe against it (core.RunBatch),
-// returning the raw core.BatchResult for setting-granularity merging on
+// exactly one batch of the fault universe against it (a one-batch
+// campaign over the window, executed like a campaign job but left
+// unmerged), returning the raw core.BatchResult for setting-granularity merging on
 // the coordinator. On the result line Result.Batch is one base64 string:
 // core.BatchResult's binary column form, its only serialised form.
 // ResolveSpec exposes the spec-resolution path itself, so coordinator

@@ -114,14 +114,10 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 
-	events      int64
-	batches     int
-	batchesDone int
-	numFaults   int
-	detected    int
-	liveFaults  int
-	detlog      []DetectionGroup
-	result      *Result
+	events int64
+	last   campaign.ProgressEvent // the counters the snapshot shows
+	detlog []DetectionGroup
+	result *Result
 
 	// notify is closed and replaced on every publication: subscribers
 	// re-read the snapshot (and the detection log past their cursor)
@@ -150,20 +146,12 @@ func (j *Job) publish(f func()) {
 	j.mu.Unlock()
 }
 
-// onProgress folds one campaign progress event into the snapshot.
-// Events arrive concurrently from the shard goroutines, so monotonic
-// counters fold with max: a stale event never rolls coverage back.
+// onProgress publishes one campaign progress event. The campaign ledger
+// delivers events one at a time with monotonic counters, so the latest
+// event is the current state.
 func (j *Job) onProgress(ev campaign.ProgressEvent) {
 	j.publish(func() {
-		if ev.Detected > j.detected {
-			j.detected = ev.Detected
-		}
-		if ev.BatchesDone > j.batchesDone {
-			j.batchesDone = ev.BatchesDone
-		}
-		j.batches = ev.Batches
-		j.numFaults = ev.NumFaults
-		j.liveFaults = ev.LiveFaults
+		j.last = ev
 		if len(ev.NewlyDetected) > 0 {
 			j.detlog = append(j.detlog, DetectionGroup{
 				Batch: ev.Batch, Pattern: ev.Pattern, Setting: ev.Setting,
@@ -194,10 +182,8 @@ func (j *Job) finish(state State, errMsg string, res *Result) {
 		j.finished = time.Now()
 		j.result = res
 		if res != nil {
-			j.detected = res.Detected
-			j.batchesDone = res.Batches - res.BatchesSkipped
-			j.batches = res.Batches
-			j.numFaults = res.NumFaults
+			j.last.Detected, j.last.NumFaults = res.Detected, res.NumFaults
+			j.last.BatchesDone, j.last.Batches = res.Batches-res.BatchesSkipped, res.Batches
 		}
 	})
 	j.cancel()
@@ -213,13 +199,10 @@ func (j *Job) Snapshot() Snapshot {
 func (j *Job) snapshotLocked() Snapshot {
 	s := Snapshot{
 		ID: j.ID, State: j.state, Error: j.errMsg,
-		Batches: j.batches, BatchesDone: j.batchesDone,
-		NumFaults: j.numFaults, Detected: j.detected,
-		LiveFaults: j.liveFaults, Events: j.events,
-		SubmittedAt: j.submitted,
-	}
-	if j.numFaults > 0 {
-		s.Coverage = float64(j.detected) / float64(j.numFaults)
+		Batches: j.last.Batches, BatchesDone: j.last.BatchesDone,
+		NumFaults: j.last.NumFaults, Detected: j.last.Detected,
+		Coverage: j.last.Coverage(), LiveFaults: j.last.LiveFaults,
+		Events: j.events, SubmittedAt: j.submitted,
 	}
 	if !j.started.IsZero() {
 		t := j.started

@@ -13,8 +13,6 @@ import (
 
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
-	"fmossim/internal/fault"
-	"fmossim/internal/netlist"
 )
 
 // Config sizes the server.
@@ -308,20 +306,12 @@ func (m *Manager) runJob(job *Job) {
 		job.finish(StateCancelled, "cancelled", nil)
 		return
 	}
-	if job.Spec.IsShard() {
-		m.runShard(job, wl, start)
-		return
-	}
-	job.publish(func() {
-		job.numFaults = len(wl.Faults)
-		job.liveFaults = len(wl.Faults)
-	})
 
-	shards := job.Spec.Shards
-	if shards <= 0 {
-		shards = m.fairShare()
-	}
-	res, err := campaign.Run(job.ctx, wl.Net, wl.Faults, wl.Seq, campaign.Options{
+	// A shard job is a one-batch campaign over its window of the universe,
+	// run exactly like a campaign job (progress and detection indices are
+	// relative to the window; the coordinator offsets them by shard_lo).
+	faults := wl.Faults
+	opts := campaign.Options{
 		Sim: core.Options{
 			Observe: wl.Observe,
 			Drop:    job.Spec.dropPolicy(),
@@ -329,19 +319,61 @@ func (m *Manager) runJob(job *Job) {
 			Trim:    job.Spec.Trim,
 		},
 		BatchSize:      job.Spec.BatchSize,
-		Shards:         shards,
+		Shards:         job.Spec.Shards,
 		CoverageTarget: job.Spec.CoverageTarget,
 		Recording:      wl.Recording,
 		Tables:         wl.Tables,
 		Progress:       job.onProgress,
+	}
+	if opts.Shards <= 0 {
+		opts.Shards = m.fairShare()
+	}
+	if job.Spec.IsShard() {
+		lo, hi := job.Spec.ShardLo, job.Spec.ShardHi
+		if hi > len(faults) {
+			job.finish(StateFailed, fmt.Sprintf("shard window [%d,%d) out of range: universe has %d faults",
+				lo, hi, len(faults)), nil)
+			return
+		}
+		faults = faults[lo:hi]
+		opts.BatchSize, opts.Shards = hi-lo, 1
+		if opts.Sim.Workers <= 0 {
+			opts.Sim.Workers = m.fairShare()
+		}
+	}
+	job.publish(func() {
+		job.last.NumFaults, job.last.LiveFaults = len(faults), len(faults)
 	})
+
+	var r *Result
+	l, rec, err := campaign.Execute(job.ctx, wl.Net, faults, wl.Seq, opts)
+	switch {
+	case err != nil:
+	case job.Spec.IsShard():
+		// The coordinator merges, so the worker does not: the raw batch
+		// comes straight off the ledger.
+		if err = l.Verdict(); err == nil {
+			br := l.Batch(0)
+			r = &Result{Detected: br.DetectedCount(), NumFaults: br.NumFaults, Batches: 1, BatchesRun: 1}
+			r.Coverage = float64(r.Detected) / float64(r.NumFaults)
+			if job.Spec.IncludeBatch {
+				r.Batch = br
+			}
+		}
+	default:
+		var res *campaign.Result
+		if res, err = l.Finish(rec, wl.Seq); err == nil {
+			r = buildResult(wl, res, job.Spec.IncludePerFault)
+		}
+	}
 	switch {
 	case err != nil && (errors.Is(err, context.Canceled) || job.ctx.Err() != nil):
 		job.finish(StateCancelled, "cancelled", nil)
 	case err != nil:
 		job.finish(StateFailed, err.Error(), nil)
 	default:
-		job.finish(StateDone, "", buildResult(wl, res, job.Spec.IncludePerFault, time.Since(start)))
+		r.WallNS = time.Since(start).Nanoseconds()
+		job.finish(StateDone, "", r)
 	}
 }
 
@@ -355,121 +387,8 @@ func (m *Manager) fairShare() int {
 	return n
 }
 
-// runShard executes a shard job: exactly one batch over the spec's fault
-// window, replayed against the referenced (or cached, or freshly
-// captured) good trajectory. Per-setting progress streams through the
-// same snapshot/detection machinery as campaign jobs; detection indices
-// in the stream are shard-relative (the coordinator offsets them by
-// shard_lo into universe indices).
-func (m *Manager) runShard(job *Job, wl *Workload, start time.Time) {
-	lo, hi := job.Spec.ShardLo, job.Spec.ShardHi
-	if hi > len(wl.Faults) {
-		job.finish(StateFailed, fmt.Sprintf("shard window [%d,%d) out of range: universe has %d faults",
-			lo, hi, len(wl.Faults)), nil)
-		return
-	}
-	rec := wl.Recording
-	if rec == nil {
-		rec = core.Record(wl.Net, wl.Seq, core.Options{})
-	}
-	width := hi - lo
-	job.publish(func() {
-		job.numFaults = width
-		job.liveFaults = width
-		job.batches = 1
-	})
-	opts := core.Options{
-		Observe: wl.Observe,
-		Drop:    job.Spec.dropPolicy(),
-		Workers: job.Spec.Workers,
-		Trim:    job.Spec.Trim,
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = m.fairShare()
-	}
-	opts.OnObserve = func(bp core.BatchProgress) {
-		ev := campaign.ProgressEvent{
-			Pattern: bp.Pattern, Setting: bp.Setting,
-			ActiveCircuits: bp.ActiveCircuits, LiveFaults: bp.LiveFaults,
-			Detected: bp.DetectedTotal, NumFaults: width, Batches: 1,
-		}
-		if len(bp.Detected) > 0 {
-			ev.NewlyDetected = append([]int(nil), bp.Detected...)
-		}
-		job.onProgress(ev)
-	}
-	br, err := core.RunBatch(job.ctx, wl.Tables, wl.Faults[lo:hi], rec, wl.Seq, opts)
-	switch {
-	case err != nil && (errors.Is(err, context.Canceled) || job.ctx.Err() != nil):
-		job.finish(StateCancelled, "cancelled", nil)
-	case err != nil:
-		job.finish(StateFailed, err.Error(), nil)
-	default:
-		job.finish(StateDone, "", buildShardResult(wl, br, lo, &job.Spec, time.Since(start)))
-	}
-}
-
-// buildShardResult summarizes a finished shard job. Coverage is relative
-// to the shard width; the good-circuit side (work, time) is owned by the
-// coordinator's recording and reported as zero here.
-func buildShardResult(wl *Workload, br *core.BatchResult, lo int, spec *JobSpec, wall time.Duration) *Result {
-	r := &Result{
-		Detected:   br.DetectedCount(),
-		NumFaults:  br.NumFaults,
-		Batches:    1,
-		BatchesRun: 1,
-		WallNS:     wall.Nanoseconds(),
-	}
-	if br.NumFaults > 0 {
-		r.Coverage = float64(r.Detected) / float64(br.NumFaults)
-	}
-	for i := range br.Detected {
-		if br.Detected[i] && br.Detections[i].Hard {
-			r.HardDetected++
-		}
-		if br.Oscillated[i] {
-			r.Oscillated++
-		}
-	}
-	for _, ps := range br.PerSetting {
-		r.FaultWork += ps.FaultWork
-	}
-	if spec.IncludeBatch {
-		r.Batch = br
-	}
-	if !spec.IncludePerFault {
-		return r
-	}
-	r.PerFault = make([]PerFault, br.NumFaults)
-	for fi := 0; fi < br.NumFaults; fi++ {
-		r.PerFault[fi] = perFaultRow(wl.Net, wl.Faults[lo+fi],
-			br.Detected[fi], br.Oscillated[fi], false, br.Detections[fi])
-	}
-	return r
-}
-
-// perFaultRow renders one fault's outcome as the wire-format row shared
-// by campaign and shard results.
-func perFaultRow(nw *netlist.Network, f fault.Fault, detected, oscillated, skipped bool, d core.Detection) PerFault {
-	pf := PerFault{
-		Fault:      f.Describe(nw),
-		Detected:   detected,
-		Oscillated: oscillated,
-		Skipped:    skipped,
-	}
-	if detected {
-		pf.Pattern = d.Pattern
-		pf.Setting = d.Setting
-		pf.Output = nw.Name(d.Output)
-		pf.Good = d.Good.String()
-		pf.Faulty = d.Faulty.String()
-		pf.Hard = d.Hard
-	}
-	return pf
-}
-
 // buildResult summarizes a finished campaign.
-func buildResult(wl *Workload, res *campaign.Result, includePerFault bool, wall time.Duration) *Result {
+func buildResult(wl *Workload, res *campaign.Result, includePerFault bool) *Result {
 	r := &Result{
 		Coverage:       res.Coverage(),
 		Detected:       res.Run.Detected,
@@ -482,7 +401,6 @@ func buildResult(wl *Workload, res *campaign.Result, includePerFault bool, wall 
 		BatchesSkipped: res.BatchesSkipped,
 		GoodWork:       res.Run.GoodWork,
 		FaultWork:      res.Run.FaultWork,
-		WallNS:         wall.Nanoseconds(),
 	}
 	if !includePerFault {
 		return r
@@ -490,8 +408,21 @@ func buildResult(wl *Workload, res *campaign.Result, includePerFault bool, wall 
 	r.PerFault = make([]PerFault, len(res.PerFault))
 	for fi := range res.PerFault {
 		o := &res.PerFault[fi]
-		r.PerFault[fi] = perFaultRow(wl.Net, wl.Faults[fi],
-			o.Detected, o.Oscillated, o.Skipped, o.Detection)
+		pf := PerFault{
+			Fault:      wl.Faults[fi].Describe(wl.Net),
+			Detected:   o.Detected,
+			Oscillated: o.Oscillated,
+			Skipped:    o.Skipped,
+		}
+		if d := o.Detection; o.Detected {
+			pf.Pattern = d.Pattern
+			pf.Setting = d.Setting
+			pf.Output = wl.Net.Name(d.Output)
+			pf.Good = d.Good.String()
+			pf.Faulty = d.Faulty.String()
+			pf.Hard = d.Hard
+		}
+		r.PerFault[fi] = pf
 	}
 	return r
 }

@@ -222,10 +222,11 @@ func TestShardJobMissingRecording(t *testing.T) {
 func TestShardSpecValidation(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	for _, spec := range []map[string]any{
-		{"workload": "ram64", "shard_lo": 3, "shard_hi": 3},          // empty window
-		{"workload": "ram64", "shard_lo": 2},                         // lo without hi
-		{"workload": "ram64", "include_batch": true},                 // batch payload needs a shard
-		{"workload": "ram64", "shard_hi": 8, "coverage_target": 0.5}, // coordinator owns early stop
+		{"workload": "ram64", "shard_lo": 3, "shard_hi": 3},             // empty window
+		{"workload": "ram64", "shard_lo": 2},                            // lo without hi
+		{"workload": "ram64", "include_batch": true},                    // batch payload needs a shard
+		{"workload": "ram64", "shard_hi": 8, "coverage_target": 0.5},    // coordinator owns early stop
+		{"workload": "ram64", "shard_hi": 8, "include_per_fault": true}, // the batch payload is the per-fault table
 		{"netlist": invNet, "patterns": invPatterns, "observe": []string{"out"}, "shard_hi": -1},
 	} {
 		_, resp := submit(t, ts, spec)

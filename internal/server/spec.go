@@ -81,7 +81,9 @@ type JobSpec struct {
 	// core.RunBatch over the half-open window [shard_lo, shard_hi) of the
 	// resolved fault universe — so a coordinator that resolves the same
 	// spec locally (server.ResolveSpec) can partition the universe and
-	// know each worker sees identical fault indices.
+	// know each worker sees identical fault indices. Its result carries
+	// the window's detected count and coverage and, with IncludeBatch,
+	// the raw batch; nothing is merged on the worker.
 	ShardLo int `json:"shard_lo,omitempty"`
 	ShardHi int `json:"shard_hi,omitempty"`
 	// RecordingFP references a good-circuit trajectory previously
@@ -165,6 +167,8 @@ func (s *JobSpec) validate() error {
 		return fmt.Errorf("include_batch requires a shard job (shard_hi > 0)")
 	case s.IsShard() && s.CoverageTarget != 0:
 		return fmt.Errorf("coverage_target does not apply to shard jobs (the coordinator owns early stop)")
+	case s.IsShard() && s.IncludePerFault:
+		return fmt.Errorf("include_per_fault does not apply to shard jobs (include_batch carries every fault's outcome)")
 	}
 	return nil
 }
