@@ -379,3 +379,79 @@ func BenchmarkSolver_SettleRAM64Pattern(b *testing.B) {
 		sim.RunPattern(&r)
 	}
 }
+
+// BenchmarkVicinityKernel measures one explore-gather-relax of a single
+// vicinity, by member count, on settled RAM256 states: a lone node (over
+// half of all solves) and the two- and three-member vicinities that with
+// it make up 98 % of a grading, from the good run; and a bit line joined to
+// its sixteen cells, from the circuit whose phi2b clock is stuck at 0 — the
+// kind of vicinity the head of a grading pays for. Each iteration
+// re-settles the settled circuit from one seed, so the vicinity is solved
+// once and nothing changes.
+func BenchmarkVicinityKernel(b *testing.B) {
+	m := ram.RAM256()
+	tab := switchsim.NewTables(m.Net)
+	var settings []switchsim.Setting
+	for _, p := range march.Sequence1(m).Patterns[:4] {
+		settings = append(settings, p.Settings...)
+	}
+	// build returns the circuit (with the named node stuck at 0, if any)
+	// settled after the first steps settings.
+	build := func(stuck string, steps int) (*switchsim.Circuit, *switchsim.Solver) {
+		c, sv := switchsim.NewCircuit(tab), switchsim.NewSolver(tab)
+		if stuck != "" {
+			c.ForceNode(m.Net.MustLookup(stuck), logic.Lo)
+		}
+		sv.Init(c)
+		for _, set := range settings[:steps] {
+			sv.Step(c, set)
+		}
+		return c, sv
+	}
+	for _, tc := range []struct {
+		members int
+		stuck   string
+	}{{1, ""}, {2, ""}, {3, ""}, {17, "phi2b"}} {
+		// Find the first settled state, and in it the first seed, whose
+		// vicinity has this many members.
+		steps, seed := 0, netlist.NoNode
+		c, sv := build(tc.stuck, 0)
+		for seed == netlist.NoNode && steps < len(settings) {
+			sv.Step(c, settings[steps])
+			steps++
+			for i := 0; i < m.Net.NumNodes() && seed == netlist.NoNode; i++ {
+				if n := netlist.NodeID(i); !c.IsInputLike(n) && len(sv.Settle(c, []netlist.NodeID{n}).Explored) == tc.members {
+					seed = n
+				}
+			}
+		}
+		if seed == netlist.NoNode {
+			b.Fatalf("no settled %d-member vicinity (stuck %q)", tc.members, tc.stuck)
+		}
+		b.Run(fmt.Sprintf("members=%d", tc.members), func(b *testing.B) {
+			c, sv := build(tc.stuck, steps)
+			seeds := []netlist.NodeID{seed}
+			if res := sv.Settle(c, seeds); len(res.Explored) != tc.members || len(res.Changed) != 0 {
+				b.Fatalf("seed %s: %d members, %d changes", m.Net.Name(seed), len(res.Explored), len(res.Changed))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sv.Settle(c, seeds)
+			}
+		})
+	}
+}
+
+// BenchmarkRecord_RAM256 measures capturing the RAM256 sequence-1
+// recording: the good-circuit run plus what owning its trajectory costs.
+// B/op is the recording's footprint (see TestRecordingFootprint).
+func BenchmarkRecord_RAM256(b *testing.B) {
+	m := ram.RAM256()
+	seq := march.Sequence1(m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := core.Record(m.Net, seq, core.Options{})
+		b.ReportMetric(float64(rec.GoodWork()), "work-units")
+	}
+}

@@ -84,8 +84,8 @@ type FaultBatch struct {
 	recRows   [][]laneCell
 
 	// ix is the per-setting trajectory index shared by every activated
-	// lane (built once per Step from interestMask; read-only during the
-	// parallel fan-out).
+	// lane (built from interestMask by the Steps that activate a circuit,
+	// see runActivated; read-only during the parallel fan-out).
 	ix *switchsim.ReplayIndex
 
 	// Scratch for per-setting scheduling.
@@ -370,17 +370,6 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 		// path).
 		traj = nil
 	}
-	if traj != nil && len(b.faults) > 0 {
-		// One shared index serves every activated lane this setting: the
-		// trajectory indexing and static-flag closure that each circuit's
-		// replay used to recompute (SettleReplay's Pass A) is paid once
-		// per setting for the whole word group. interestMask is exactly
-		// the per-lane static divergence rows: write-back only ever
-		// mutates a circuit's own lane bits, so the snapshot taken here
-		// matches what each circuit would have seeded at its own turn.
-		b.ix.Build(traj, b.words, b.interestMask, b.interestNZ)
-	}
-
 	var nActive int
 	if trace.Init {
 		// Power-on initialization: every circuit settles from its own
@@ -437,8 +426,8 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 // skipStep emits the SettingStats a full Step would produce when every
 // circuit in the batch is dropped — all-zero activity with only the
 // position counters and the previous observation's retirements filled in
-// — without building the replay index or advancing the mirrors (nothing
-// reads them once the batch is empty). Used by the trimmed replay loop to
+// — without scheduling or advancing the mirrors (nothing reads them once
+// the batch is empty). Used by the trimmed replay loop to
 // shed the dead tail of a fully-retired batch.
 func (b *FaultBatch) skipStep() SettingStats {
 	st := SettingStats{

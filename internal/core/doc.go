@@ -57,7 +57,8 @@
 // three word-wide structures — per-node interest masks answering "which
 // circuits care about this node" with popcounts instead of list walks, a
 // per-setting switchsim.ReplayIndex whose static-divergence flag closure
-// is built once per word and shared by every circuit in it, and packed
+// is built once per word — on demand, by the Steps that activate a
+// circuit — and shared by every circuit in it, and packed
 // divergence-record rows (two-plane ternary values, switchsim.LanePlanes)
 // that make the post-settle diff and Observe comparison word-wide.
 // Retiring a detected circuit clears its lane bit from each row it

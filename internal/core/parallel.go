@@ -232,11 +232,10 @@ func (w *faultWorker) stepFaulty(ci CircuitID, setting switchsim.Setting, extraS
 	var res switchsim.SettleResult
 	if traj != nil {
 		// The prebuilt per-setting index carries this circuit's static
-		// divergence set in its lane of the interest-mask rows (the same
-		// neighborhood the retired per-circuit seeding registered:
-		// divergence records with their gated channel terminals, plus the
-		// fault sites), so no per-circuit trajectory indexing or seeding
-		// happens here — see FaultBatch.Step and SettleReplayIndexed.
+		// divergence set in its lane of the interest-mask rows (divergence
+		// records with their gated channel terminals, plus the fault
+		// sites), so no per-circuit trajectory indexing or seeding happens
+		// here — see runActivated and SettleReplayIndexed.
 		word, bit := b.lane(ci)
 		res = w.solve.SettleReplayIndexed(w.scratch, seeds, b.ix, word, bit)
 	} else {
@@ -330,10 +329,23 @@ func (b *FaultBatch) applyOps(ci CircuitID, ops []recOp, osc bool) {
 // Collapsed-class representatives have their per-circuit work delta
 // measured and credited to their members (times the live member count),
 // so work totals stay byte-identical to the untrimmed run.
+//
+// The replay index is built here, on demand: a setting that activates no
+// circuit (a third of them on the RAM workloads) never pays for one. One
+// shared index serves every activated lane: the trajectory indexing and
+// static-flag closure a per-circuit replay would recompute is paid once for
+// the whole word group. interestMask is exactly the per-lane static
+// divergence rows, and the build still precedes every write-back of the
+// setting — write-back only ever mutates a circuit's own lane bits, so the
+// snapshot taken here matches what each circuit would have seeded at its
+// own turn.
 func (b *FaultBatch) runActivated(setting switchsim.Setting, extraSeeds []netlist.NodeID, traj *switchsim.Trajectory, goodChanged []switchsim.Change) {
 	active := b.active
 	if len(active) == 0 {
 		return
+	}
+	if traj != nil {
+		b.ix.Build(traj, b.words, b.interestMask, b.interestNZ)
 	}
 	if len(b.workers) == 1 || len(active) < minParallelBatch {
 		w := b.workers[0]

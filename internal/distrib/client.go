@@ -19,14 +19,12 @@ import (
 	"fmossim/internal/switchsim"
 )
 
-// encodeRecording serializes the recording once and fingerprints the
-// bytes: the upload body and the shard jobs' recording_fp reference.
-func encodeRecording(rec *switchsim.Recording) ([]byte, string, error) {
-	var buf bytes.Buffer
-	if err := rec.Encode(&buf); err != nil {
-		return nil, "", fmt.Errorf("distrib: encoding recording: %w", err)
-	}
-	return buf.Bytes(), switchsim.FingerprintBytes(buf.Bytes()), nil
+// encodeRecording serializes the recording once, into one buffer sized
+// up front, and fingerprints the bytes: the upload body and the shard
+// jobs' recording_fp reference.
+func encodeRecording(rec *switchsim.Recording) ([]byte, string) {
+	encoded := rec.AppendBinary(nil)
+	return encoded, switchsim.FingerprintBytes(encoded)
 }
 
 // ensureRecording uploads the encoded recording to worker wi unless a

@@ -138,10 +138,7 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	if err := rec.Validate(wl.Net, wl.Seq.NumSettings()); err != nil {
 		return nil, err
 	}
-	encoded, fp, err := encodeRecording(rec)
-	if err != nil {
-		return nil, err
-	}
+	encoded, fp := encodeRecording(rec)
 
 	// shardSpec is the worker-side template: the workload fields verbatim
 	// (so workers resolve the same universe), campaign-level fields

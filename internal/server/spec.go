@@ -211,8 +211,9 @@ type Workload struct {
 	Faults  []fault.Fault
 	Seq     *switchsim.Sequence
 	Observe []netlist.NodeID
-	// Recording is the cached good-circuit trajectory, nil when the
-	// workload has not been recorded yet.
+	// Recording is the good-circuit trajectory the job replays: the
+	// cached capture of a built-in workload, or the upload a spec's
+	// recording_fp names. Nil until one of the two is attached.
 	Recording *switchsim.Recording
 
 	ram *ram.RAM // non-nil for built-in workloads
@@ -297,11 +298,16 @@ func truncate(seq *switchsim.Sequence, n int) {
 }
 
 // resolve turns a validated spec into a runnable workload, sharing cached
-// tables and trajectories for built-in workloads.
+// tables and trajectories for built-in workloads. A spec that names an
+// uploaded recording is resolved without one: the job runs on the upload,
+// and a worker must not simulate a good circuit it was sent.
 func (m *Manager) resolve(spec *JobSpec) (*Workload, error) {
 	if spec.Workload != "" {
 		e := m.cache.builtin(spec)
-		wl := &Workload{Net: e.nw, Tables: e.tab, Seq: e.seq, Recording: e.recording(), ram: e.m}
+		wl := &Workload{Net: e.nw, Tables: e.tab, Seq: e.seq, ram: e.m}
+		if spec.RecordingFP == "" {
+			wl.Recording = e.recording()
+		}
 		return finishResolve(spec, wl)
 	}
 	return resolveInline(spec)

@@ -19,8 +19,14 @@
 //     solvers, batches, and server jobs.
 //   - Circuit: the dynamic state of one circuit instance.
 //   - Solver: the steady-state settling engine, including the
-//     trajectory-guided replay path (SettleReplay) faulty circuits use to
-//     adopt provably identical regions of the good circuit's settle.
+//     trajectory-guided replay path (SettleReplayIndexed) faulty circuits
+//     use to adopt provably identical regions of the good circuit's
+//     settle. Its vicinity kernel gathers once: the walk that collects a
+//     vicinity's members also summarizes each member's input-like
+//     neighbours and lists its conducting edges to other members, and
+//     the two relaxation phases read only that — same visiting order,
+//     same fixpoints, same work counters as a relaxation over the full
+//     channel lists (DESIGN.md, "Vicinity kernel").
 //   - Simulator: the user-facing logic simulator driving test sequences.
 //   - Recording/StepTrace: the serializable trajectory artifact described
 //     below.
@@ -28,9 +34,10 @@
 //     concurrent fault simulator — a two-plane ternary encoding holding
 //     one value for each of up to 64 circuits per 64-bit word, and a
 //     per-setting index whose flag-then-mark closure over a recording's
-//     trajectories is built once per lane word and shared by every
-//     circuit in it (internal/core packs faulty circuits into lanes;
-//     see that package's doc for the lane lifecycle).
+//     trajectories is built once per lane word — and only for a setting
+//     that activates a circuit — and shared by every circuit in it
+//     (internal/core packs faulty circuits into lanes; see that
+//     package's doc for the lane lifecycle).
 //
 // # Recording fingerprint contract
 //
@@ -57,9 +64,13 @@
 // reports GoodNS 0. The measured times live only on the in-memory
 // recording a capture returned.
 //
-// An owned step (Recording.Append, DecodeRecording) keeps all its node
-// lists, change lists and vicinity traces in three exact-size arrays and
-// hands them out as capacity-clipped windows; Encode makes one pass with
-// one buffer, and DecodeRecordingBytes reads the byte slice in place.
-// DESIGN.md ("Wire forms") has the layout.
+// A Trajectory is four flat, pointer-free arrays (round ends, per-vicinity
+// member and change ends, nodes, changes) read through RoundSpan, Members
+// and Changes; the recording solver appends straight into them. An owned
+// step (Recording.Append, DecodeRecording) copies them, with its own
+// lists, into exact-size arrays handed out as capacity-clipped windows — a
+// fixed number of allocations per step whatever the vicinity count.
+// Encode makes one pass with one chunk buffer, AppendBinary one pass into
+// one buffer sized up front, and DecodeRecordingBytes reads the byte slice
+// in place. DESIGN.md ("Wire forms") has the layout.
 package switchsim

@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 
 	"fmossim/internal/logic"
@@ -137,16 +138,34 @@ func (r *Recording) SnapshotAt(step int) []logic.Value {
 	return r.Steps[step].Snapshot
 }
 
-// stepSlabs are the backing arrays of one owned step. A step holds
-// hundreds of short lists (two per solved vicinity); each is handed out as
-// a capacity-clipped window into one of three allocations sized exactly by
-// a counting pass, so owning a step costs a fixed number of allocations
-// and no slack, and an append through a window can never reach its
-// neighbour.
-type stepSlabs struct {
-	nodes   []netlist.NodeID
-	changes []Change
-	vics    []VicTrace
+// owned returns a deep copy of the step that shares no storage with t.
+// A step's lists are copied into exact-size arrays: one of nodes (Explored,
+// then the trajectory's members), one of changes (InputChanges, Changed,
+// then the trajectory's), and the trajectory's two span tables — a fixed
+// number of allocations whatever the vicinity count, and no slack. The
+// lists are capacity-clipped windows, so an append through one can never
+// reach its neighbour. Empty lists come back nil, whatever they were in t.
+func (t *StepTrace) owned() StepTrace {
+	tr := t.Traj
+	if tr == nil {
+		tr = &Trajectory{}
+	}
+	nodes := make([]netlist.NodeID, 0, len(t.Explored)+len(tr.nodes))
+	changes := make([]Change, 0, len(t.InputChanges)+len(t.Changed)+len(tr.changes))
+	st := *t
+	st.InputChanges = window(&changes, t.InputChanges)
+	st.Changed = window(&changes, t.Changed)
+	st.Explored = window(&nodes, t.Explored)
+	st.Snapshot = slices.Clone(t.Snapshot)
+	if t.Traj != nil {
+		st.Traj = &Trajectory{
+			roundEnd: cloneOrNil(tr.roundEnd),
+			vics:     cloneOrNil(tr.vics),
+			nodes:    window(&nodes, tr.nodes),
+			changes:  window(&changes, tr.changes),
+		}
+	}
+	return st
 }
 
 // window appends a copy of src to the slab and returns the
@@ -160,51 +179,14 @@ func window[T any](slab *[]T, src []T) []T {
 	return (*slab)[lo:len(*slab):len(*slab)]
 }
 
-// owned returns a deep copy of the step that shares no storage with t.
-// Empty lists come back nil, whatever they were in t.
-func (t *StepTrace) owned() StepTrace {
-	nNodes := len(t.Explored)
-	nChanges := len(t.InputChanges) + len(t.Changed)
-	nVics := 0
-	if t.Traj != nil {
-		for _, round := range t.Traj.rounds {
-			nVics += len(round)
-			for i := range round {
-				nNodes += len(round[i].Members)
-				nChanges += len(round[i].Changes)
-			}
-		}
+// cloneOrNil returns an exact-size copy of src, nil when src is empty.
+func cloneOrNil[T any](src []T) []T {
+	if len(src) == 0 {
+		return nil
 	}
-	sl := stepSlabs{
-		nodes:   make([]netlist.NodeID, 0, nNodes),
-		changes: make([]Change, 0, nChanges),
-		vics:    make([]VicTrace, 0, nVics),
-	}
-	st := *t
-	st.InputChanges = window(&sl.changes, t.InputChanges)
-	st.Changed = window(&sl.changes, t.Changed)
-	st.Explored = window(&sl.nodes, t.Explored)
-	st.Snapshot = slices.Clone(t.Snapshot)
-	if t.Traj != nil {
-		out := &Trajectory{}
-		if len(t.Traj.rounds) > 0 {
-			out.rounds = make([][]VicTrace, len(t.Traj.rounds))
-		}
-		for i, round := range t.Traj.rounds {
-			lo := len(sl.vics)
-			for j := range round {
-				sl.vics = append(sl.vics, VicTrace{
-					Members: window(&sl.nodes, round[j].Members),
-					Changes: window(&sl.changes, round[j].Changes),
-				})
-			}
-			if len(round) > 0 {
-				out.rounds[i] = sl.vics[lo:len(sl.vics):len(sl.vics)]
-			}
-		}
-		st.Traj = out
-	}
-	return st
+	out := make([]T, len(src))
+	copy(out, src)
+	return out
 }
 
 // Serialization: a compact varint-framed binary format, so a trajectory
@@ -249,16 +231,12 @@ const (
 // encodeChunk is the size at which Encode hands its buffer to the writer.
 const encodeChunk = 32 << 10
 
-// Encode writes the recording in the versioned binary format. The slot
-// that held a step's GoodNS is written as 0: wall-clock time belongs to a
-// capture run, not to the trajectory, and a byte stream that carried it
-// would never fingerprint the same twice.
+// Encode writes the recording in the versioned binary format, through one
+// chunk-sized buffer. The slot that held a step's GoodNS is written as 0:
+// wall-clock time belongs to a capture run, not to the trajectory, and a
+// byte stream that carried it would never fingerprint the same twice.
 func (r *Recording) Encode(w io.Writer) error {
-	buf := make([]byte, 0, 2*encodeChunk)
-	buf = append(buf, recordingMagic...)
-	buf = binary.AppendUvarint(buf, uint64(r.NumNodes))
-	buf = binary.AppendUvarint(buf, uint64(r.NumTransistors))
-	buf = binary.AppendUvarint(buf, uint64(len(r.Steps)))
+	buf := r.appendHeader(make([]byte, 0, 2*encodeChunk))
 	for i := range r.Steps {
 		buf = r.Steps[i].appendBinary(buf)
 		if len(buf) >= encodeChunk {
@@ -270,6 +248,49 @@ func (r *Recording) Encode(w io.Writer) error {
 	}
 	_, err := w.Write(buf)
 	return err
+}
+
+// AppendBinary appends the bytes Encode writes to dst and returns the
+// extended slice, for a caller that wants the whole encoding in memory:
+// dst grows at most once, to a bound computed from the list lengths.
+func (r *Recording) AppendBinary(dst []byte) []byte {
+	if need := r.encodedBound(); cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
+	dst = r.appendHeader(dst)
+	for i := range r.Steps {
+		dst = r.Steps[i].appendBinary(dst)
+	}
+	return dst
+}
+
+func (r *Recording) appendHeader(b []byte) []byte {
+	b = append(b, recordingMagic...)
+	b = binary.AppendUvarint(b, uint64(r.NumNodes))
+	b = binary.AppendUvarint(b, uint64(r.NumTransistors))
+	return binary.AppendUvarint(b, uint64(len(r.Steps)))
+}
+
+// encodedBound returns an upper bound on the encoded size of a well-formed
+// recording (node ids and list lengths within NumNodes), one addition per
+// step: a varint of a value ≤ NumNodes is at most idLen bytes.
+func (r *Recording) encodedBound() int {
+	const big = binary.MaxVarintLen64
+	idLen := (bits.Len64(uint64(r.NumNodes)|1) + 6) / 7
+	n := len(recordingMagic) + 3*big
+	for i := range r.Steps {
+		st := &r.Steps[i]
+		nodes, changes, lists := len(st.Explored), len(st.InputChanges)+len(st.Changed), 3
+		n += 2 + 3*big // flags and reserved slot; work, round count, frame length
+		if tr := st.Traj; tr != nil {
+			nodes += len(tr.nodes)
+			changes += len(tr.changes)
+			lists += 2 * len(tr.vics)
+			n += big * len(tr.roundEnd)
+		}
+		n += idLen*(nodes+changes+lists) + changes + len(st.Snapshot)
+	}
+	return n
 }
 
 func (st *StepTrace) appendBinary(b []byte) []byte {
@@ -292,13 +313,14 @@ func (st *StepTrace) appendBinary(b []byte) []byte {
 	b = appendChanges(b, st.InputChanges)
 	b = appendChanges(b, st.Changed)
 	b = appendNodes(b, st.Explored)
-	if st.Traj != nil {
-		b = binary.AppendUvarint(b, uint64(len(st.Traj.rounds)))
-		for _, round := range st.Traj.rounds {
-			b = binary.AppendUvarint(b, uint64(len(round)))
-			for i := range round {
-				b = appendNodes(b, round[i].Members)
-				b = appendChanges(b, round[i].Changes)
+	if tr := st.Traj; tr != nil {
+		b = binary.AppendUvarint(b, uint64(tr.NumRounds()))
+		for r := range tr.roundEnd {
+			lo, hi := tr.RoundSpan(r)
+			b = binary.AppendUvarint(b, uint64(hi-lo))
+			for vi := lo; vi < hi; vi++ {
+				b = appendNodes(b, tr.Members(vi))
+				b = appendChanges(b, tr.Changes(vi))
 			}
 		}
 	}
@@ -380,7 +402,7 @@ func DecodeRecordingBytes(data []byte) (*Recording, error) {
 // decoder reads varints off the front of buf with sticky error handling
 // and node-range validation. A step is parsed into the scratch lists
 // (which grow only as input is consumed, so a lying length prefix cannot
-// provoke an allocation) and then copied out to exact-size slabs.
+// provoke an allocation) and then copied out to exact-size arrays.
 type decoder struct {
 	buf     []byte
 	err     error
@@ -388,8 +410,6 @@ type decoder struct {
 
 	nodes   []netlist.NodeID
 	changes []Change
-	vics    []VicTrace
-	rounds  [][]VicTrace
 	traj    Trajectory
 }
 
@@ -423,7 +443,7 @@ func (d *decoder) byte() byte {
 
 // step parses one step into scratch and returns an owned copy.
 func (d *decoder) step() StepTrace {
-	d.nodes, d.changes, d.vics, d.rounds = d.nodes[:0], d.changes[:0], d.vics[:0], d.rounds[:0]
+	d.nodes, d.changes = d.nodes[:0], d.changes[:0]
 	flags := d.byte()
 	st := StepTrace{
 		Init:       flags&flagInit != 0,
@@ -431,21 +451,23 @@ func (d *decoder) step() StepTrace {
 		GoodWork:   int64(d.uvarint()),
 	}
 	d.uvarint() // reserved slot
-	st.InputChanges = d.changeList()
-	st.Changed = d.changeList()
-	st.Explored = d.nodeList()
+	st.InputChanges = d.changeList(&d.changes)
+	st.Changed = d.changeList(&d.changes)
+	st.Explored = d.nodeList(&d.nodes)
 	if flags&flagTraj != 0 {
+		tr := &d.traj
+		tr.reset()
 		nRounds := d.uvarint()
 		for r := uint64(0); r < nRounds && d.err == nil; r++ {
-			lo := len(d.vics)
 			nVics := d.uvarint()
 			for v := uint64(0); v < nVics && d.err == nil; v++ {
-				d.vics = append(d.vics, VicTrace{Members: d.nodeList(), Changes: d.changeList()})
+				d.nodeList(&tr.nodes)
+				d.changeList(&tr.changes)
+				tr.endVicinity()
 			}
-			d.rounds = append(d.rounds, d.vics[lo:])
+			tr.endRound()
 		}
-		d.traj.rounds = d.rounds
-		st.Traj = &d.traj
+		st.Traj = tr
 	}
 	if d.err != nil {
 		return StepTrace{}
@@ -465,37 +487,38 @@ func (d *decoder) node() netlist.NodeID {
 	return netlist.NodeID(v)
 }
 
-// nodeList parses one node list into the scratch and returns the window
-// holding it. The window stays readable until the next step: growing the
-// scratch moves later appends to a new array and leaves this one as it is.
-func (d *decoder) nodeList() []netlist.NodeID {
+// nodeList parses one node list onto the end of *dst and returns the
+// window holding it. The window stays readable until the next step:
+// growing the scratch moves later appends to a new array and leaves this
+// one as it is.
+func (d *decoder) nodeList(dst *[]netlist.NodeID) []netlist.NodeID {
 	n := d.uvarint()
 	if d.err == nil && n > d.maxNode {
 		d.err = fmt.Errorf("node list length %d exceeds node count %d", n, d.maxNode)
 	}
-	lo := len(d.nodes)
+	lo := len(*dst)
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		d.nodes = append(d.nodes, d.node())
+		*dst = append(*dst, d.node())
 	}
-	return d.nodes[lo:]
+	return (*dst)[lo:]
 }
 
 // changeList is nodeList for change lists.
-func (d *decoder) changeList() []Change {
+func (d *decoder) changeList(dst *[]Change) []Change {
 	n := d.uvarint()
 	if d.err == nil && n > d.maxNode {
 		d.err = fmt.Errorf("change list length %d exceeds node count %d", n, d.maxNode)
 	}
-	lo := len(d.changes)
+	lo := len(*dst)
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		node := d.node()
 		v := logic.Value(d.byte())
 		if d.err == nil && v > logic.X {
 			d.err = fmt.Errorf("bad logic value %d", v)
 		}
-		d.changes = append(d.changes, Change{Node: node, Value: v})
+		*dst = append(*dst, Change{Node: node, Value: v})
 	}
-	return d.changes[lo:]
+	return (*dst)[lo:]
 }
 
 // snapshot decodes one state frame: exactly one value byte per node.

@@ -3,6 +3,7 @@ package switchsim_test
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"fmossim/internal/core"
@@ -74,6 +75,23 @@ func TestFingerprintIgnoresWallClock(t *testing.T) {
 	}
 }
 
+// TestFingerprintStable pins the fingerprint of the RAM64 sequence-1
+// recording. It names the trajectory in recording stores and shard jobs
+// across processes and versions, so a change to how trajectories are held
+// in memory, or to the order in which the solver visits and relaxes a
+// vicinity, must leave every byte of the encoding where it was.
+func TestFingerprintStable(t *testing.T) {
+	const want = "c91db750759b84edd4a95711f32556ca904792fcc6e13e1c70d357d93f09f1f2"
+	m := ram.RAM64()
+	rec := core.Record(m.Net, march.Sequence1(m), core.Options{})
+	if got := fingerprint(t, rec); got != want {
+		t.Fatalf("RAM64 sequence 1 fingerprints %s, want %s", got, want)
+	}
+	if got := switchsim.FingerprintBytes(rec.AppendBinary(nil)); got != want {
+		t.Fatalf("AppendBinary fingerprints %s, want %s", got, want)
+	}
+}
+
 // TestRecordingCodecAllocs guards the codec's allocation behaviour:
 // encoding costs a constant number of allocations however long the
 // recording, decoding a small multiple of its step count (the slabs of
@@ -102,14 +120,19 @@ func TestRecordingCodecAllocs(t *testing.T) {
 			t.Errorf("%d steps: Encode made %.0f allocations, want at most 4", len(rec.Steps), encAllocs)
 		}
 		counts = append(counts, encAllocs)
+		// In memory it is one buffer, sized before the first byte.
+		if n := testing.AllocsPerRun(5, func() { rec.AppendBinary(nil) }); n != 1 {
+			t.Errorf("%d steps: AppendBinary made %.0f allocations, want 1", len(rec.Steps), n)
+		}
 
 		decAllocs := testing.AllocsPerRun(5, func() {
 			if _, err := switchsim.DecodeRecordingBytes(enc); err != nil {
 				t.Fatal(err)
 			}
 		})
-		// Per step: the three slabs, the trajectory and its round table,
-		// now and then a state frame; plus the decoder's own scratch.
+		// Per step: the node and change arrays, the trajectory and its two
+		// span tables, now and then a state frame; plus the decoder's own
+		// scratch.
 		if limit := float64(6*len(rec.Steps) + 64); decAllocs > limit {
 			t.Errorf("%d steps: DecodeRecordingBytes made %.0f allocations, want at most %.0f",
 				len(rec.Steps), decAllocs, limit)
@@ -117,5 +140,36 @@ func TestRecordingCodecAllocs(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("Encode allocations grow with the recording: %.0f for the short one, %.0f for the long", counts[0], counts[1])
+	}
+}
+
+// TestRecordingFootprint bounds what capturing a recording allocates: for
+// RAM256 sequence 1 at most 14 MB, in a number of objects proportional to
+// the step count and independent of the 415 509 vicinities (one slice
+// header pair per vicinity used to cost 20 MB of the 30 MB total).
+func TestRecordingFootprint(t *testing.T) {
+	m := ram.RAM256()
+	seq := march.Sequence1(m)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec := core.Record(m.Net, seq, core.Options{})
+	runtime.ReadMemStats(&after)
+
+	vics := 0
+	for i := range rec.Steps {
+		if tr := rec.Steps[i].Traj; tr != nil && tr.NumRounds() > 0 {
+			_, end := tr.RoundSpan(tr.NumRounds() - 1)
+			vics += end
+		}
+	}
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("%d steps, %d vicinities: %.1f MB in %d objects", len(rec.Steps), vics, float64(bytes)/1e6, objects)
+	if bytes > 14e6 {
+		t.Errorf("core.Record allocated %.1f MB, want at most 14 MB", float64(bytes)/1e6)
+	}
+	if limit := uint64(6*len(rec.Steps) + 512); objects > limit || vics < 10*len(rec.Steps) {
+		t.Errorf("core.Record allocated %d objects for %d steps and %d vicinities, want at most %d",
+			objects, len(rec.Steps), vics, limit)
 	}
 }

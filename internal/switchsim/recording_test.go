@@ -10,6 +10,26 @@ import (
 	"fmossim/internal/netlist"
 )
 
+// testVic is one vicinity of a hand-built trajectory.
+type testVic struct {
+	members []netlist.NodeID
+	changes []Change
+}
+
+// testTrajectory builds a trajectory from its rounds' vicinities.
+func testTrajectory(rounds ...[]testVic) *Trajectory {
+	tr := &Trajectory{}
+	for _, round := range rounds {
+		for _, v := range round {
+			tr.nodes = append(tr.nodes, v.members...)
+			tr.changes = append(tr.changes, v.changes...)
+			tr.endVicinity()
+		}
+		tr.endRound()
+	}
+	return tr
+}
+
 // fakeRecording builds a small recording by hand, exercising every field.
 func fakeRecording() *Recording {
 	rec := &Recording{NumNodes: 16, NumTransistors: 9}
@@ -19,15 +39,15 @@ func fakeRecording() *Recording {
 		Explored: []netlist.NodeID{3, 5, 7},
 		GoodWork: 1234,
 		GoodNS:   99,
-		Traj: &Trajectory{rounds: [][]VicTrace{
-			{
-				{Members: []netlist.NodeID{3, 5}, Changes: []Change{{Node: 3, Value: logic.Hi}}},
-				{Members: []netlist.NodeID{7}},
+		Traj: testTrajectory(
+			[]testVic{
+				{members: []netlist.NodeID{3, 5}, changes: []Change{{Node: 3, Value: logic.Hi}}},
+				{members: []netlist.NodeID{7}},
 			},
-			{
-				{Members: []netlist.NodeID{5}, Changes: []Change{{Node: 5, Value: logic.X}}},
+			[]testVic{
+				{members: []netlist.NodeID{5}, changes: []Change{{Node: 5, Value: logic.X}}},
 			},
-		}},
+		),
 	})
 	snap := make([]logic.Value, rec.NumNodes)
 	for i := range snap {

@@ -5,11 +5,12 @@ import (
 	"fmossim/internal/netlist"
 )
 
-// SettleReplay settles circuit c — a faulty circuit's materialized
-// pre-step view — against the good circuit's recorded trajectory. This is
-// the concurrent simulator's fast path: regions where the faulty circuit
-// provably behaves identically to the good circuit are not re-solved;
-// their recorded changes are adopted instead.
+// SettleReplayIndexed settles circuit c — a faulty circuit's materialized
+// pre-step view — against the good circuit's recorded trajectory, as lane
+// (word, bit) of a prebuilt ReplayIndex. This is the concurrent
+// simulator's fast path: regions where the faulty circuit provably behaves
+// identically to the good circuit are not re-solved; their recorded
+// changes are adopted instead.
 //
 // The replay reproduces a standalone simulation of the faulty circuit
 // exactly, including within-round processing order: the seeds are the
@@ -24,238 +25,36 @@ import (
 // adopted: the faulty circuit was not perturbed there ("divergence by
 // inaction" — the caller's good-changed diff records the difference).
 //
-// Flags blocking adoption accumulate per replay: the static interest set
-// (divergence records and their gated terminals, fault sites, and any
-// node that is input-like in c but not in the good circuit — i.e. fault
-// forces) seeded by the caller through BeginReplay/SeedDiverged, members
-// of vicinities this replay solves, the channel terminals of transistors
-// those members gate, and the change sites of unadopted trajectory
-// vicinities (with their gated terminals). The diverged set is kept as a
-// queue re-scanned against each round's member→vicinity index, so
-// per-round flagging costs O(diverged set), not O(trajectory). Blocking
-// is conservative: a blocked-but-identical vicinity is simply solved by
-// the wave with the same result, at the cost of extra work.
+// Flags blocking adoption come from two places. The static ones — the
+// lane's interest set (divergence records and their gated terminals, fault
+// sites, and any node that is input-like in c but not in the good circuit,
+// i.e. fault forces) closed over the change sites of the vicinities it
+// flags — are precomputed by ReplayIndex.Build for every lane of the word
+// group at once; the caller must have Built the index from this setting's
+// trajectory and a div row set in which this lane's bits are exactly that
+// static set. The dynamic ones accumulate per replay: members of
+// vicinities this replay solves, the channel terminals of transistors
+// those members gate, and the change sites of trajectory vicinities
+// flagged because of them. The dynamic set is kept as a list re-scanned
+// against each round's member→vicinity map, and a vicinity's static bit is
+// probed only when a seed or a dynamic mark first touches it, so a round
+// costs the lane its own activity and divergence, never the round's
+// vicinity count. Blocking is conservative: a blocked-but-identical
+// vicinity is simply solved by the wave with the same result, at the cost
+// of extra work.
 //
-// Callers MUST call BeginReplay (then SeedDiverged for each statically
-// diverged node) before each SettleReplay; the replay consumes the epoch.
+// Members of already-adopted vicinities are excluded from the same round's
+// later explorations by the index's vicinity map, so adopting a vicinity
+// is O(changes), not O(members). A faulty circuit can only conduct into an
+// adopted vicinity through a transistor whose gate diverged after the
+// adoption decision; the gate's change marks the terminals diverged and
+// perturbs them for the next round, where the vicinity is flagged and
+// re-solved — the unit-delay schedule.
+//
 // The replay ends as soon as its pending queue drains: trajectory rounds
 // beyond the circuit's own wave cannot affect its state (unreached
 // vicinities are never adopted, and divergence-by-inaction is the
 // caller's good-changed diff), so they are not scanned.
-func (s *Solver) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *Trajectory) SettleResult {
-	nw := s.tab.Net
-	s.work.Settles++
-	s.exploredEpoch++
-	s.explored = s.explored[:0]
-	s.changedEpoch++
-	s.changed = s.changed[:0]
-
-	maxRounds := s.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = s.defaultMaxRounds()
-	}
-	hardCap := maxRounds + 2*(nw.NumNodes()+nw.NumTransistors()) + 16
-
-	s.pend = s.pend[:0]
-	s.next = s.next[:0]
-	s.pendEpoch++
-	for _, n := range seeds {
-		if c.IsInputLike(n) || s.pendStamp[n] == s.pendEpoch {
-			continue
-		}
-		s.pendStamp[n] = s.pendEpoch
-		s.pend = append(s.pend, n)
-	}
-
-	res := SettleResult{}
-	xmode := false
-	adopted := int64(0)
-
-	for round := 0; len(s.pend) > 0; round++ {
-		res.Rounds++
-		s.work.Rounds++
-		if res.Rounds > maxRounds && !xmode {
-			xmode = true
-			res.Oscillated = true
-		}
-		if res.Rounds > hardCap {
-			for _, n := range s.pend {
-				if c.val[n] != logic.X {
-					c.val[n] = logic.X
-					s.noteChanged(n)
-				}
-			}
-			break
-		}
-
-		s.epoch++ // vicinity stamps for this round
-		s.next = s.next[:0]
-		s.pendEpoch++
-
-		var trajRound []VicTrace
-		if round < traj.NumRounds() {
-			trajRound = traj.Round(round)
-		}
-		if cap(s.vicAdopted) < len(trajRound) {
-			s.vicAdopted = make([]bool, len(trajRound)*2)
-		}
-		flagged := s.vicAdopted[:len(trajRound)]
-
-		// Pass A — index this round's trajectory vicinities by member
-		// node and compute initial divergence flags in the same
-		// traversal: a vicinity containing a diverged (or fault-forced)
-		// member must not be adopted, and its unfollowed changes may
-		// leave their nodes — and the transistors they gate — diverged.
-		genRound := s.dynGen
-		for vi := range trajRound {
-			vt := &trajRound[vi]
-			flag := false
-			for _, u := range vt.Members {
-				adopted++ // indexing cost, counted honestly
-				s.nodeVic[u] = int32(vi)
-				s.nodeVicStamp[u] = s.epoch
-				if !flag && (s.dynStamp[u] == s.dynEpoch || c.IsInputLike(u)) {
-					flag = true
-				}
-			}
-			flagged[vi] = flag
-			if flag {
-				for _, ch := range vt.Changes {
-					s.markDiverged(ch.Node)
-				}
-			}
-		}
-		// Fixpoint continuation, needed only when the first traversal
-		// added marks: the good circuit propagates eagerly within a
-		// round, so one round's trajectory can contain chains of
-		// dependent vicinities; a vicinity whose changes this circuit
-		// will not follow must poison downstream vicinities of the SAME
-		// round before any adoption decision is made.
-		if s.dynGen != genRound {
-			for again := true; again; {
-				again = false
-				for vi := range trajRound {
-					if flagged[vi] {
-						continue
-					}
-					vt := &trajRound[vi]
-					for _, u := range vt.Members {
-						adopted++
-						if s.dynStamp[u] == s.dynEpoch || c.IsInputLike(u) {
-							flagged[vi] = true
-							again = true
-							for _, ch := range vt.Changes {
-								s.markDiverged(ch.Node)
-							}
-							break
-						}
-					}
-				}
-			}
-		}
-		genA := s.dynGen // divergence set as of the adoption decisions
-
-		// Pass B — service the pend queue in order: adopt where provably
-		// identical (re-checking against marks added by this pass's own
-		// solves), solve otherwise.
-		for _, seed := range s.pend {
-			if c.IsInputLike(seed) || s.stamp[seed] == s.epoch {
-				continue // forced by the fault, or already serviced
-			}
-			if s.nodeVicStamp[seed] == s.epoch && !flagged[s.nodeVic[seed]] {
-				vt := &trajRound[s.nodeVic[seed]]
-				// An unflagged vicinity had no diverged member at the end
-				// of Pass A; if no mark was added since (no solve ran),
-				// that still holds and the member re-scan is skipped.
-				adoptable := s.dynGen == genA
-				if !adoptable {
-					adoptable = true
-					for _, u := range vt.Members {
-						adopted++
-						if s.dynStamp[u] == s.dynEpoch {
-							adoptable = false
-							break
-						}
-					}
-				}
-				if adoptable {
-					s.work.AdoptedVics++
-					for _, u := range vt.Members {
-						s.stamp[u] = s.epoch // serviced
-					}
-					for _, ch := range vt.Changes {
-						u := ch.Node
-						nv := ch.Value
-						if xmode {
-							nv = logic.Lub(c.val[u], nv)
-						}
-						adopted++
-						if nv == c.val[u] {
-							continue
-						}
-						c.val[u] = nv
-						s.noteChanged(u)
-						s.propagate(c, u)
-					}
-					continue
-				}
-			}
-			// Solve with full switch-level dynamics.
-			if !s.exploreVicinity(c, seed) {
-				continue
-			}
-			for _, u := range s.vic {
-				if s.exploredStamp[u] != s.exploredEpoch {
-					s.exploredStamp[u] = s.exploredEpoch
-					s.explored = append(s.explored, u)
-				}
-				s.markDiverged(u)
-			}
-			newVal := s.vicNewVal()
-			s.solveVicinity(c, newVal)
-			for i, u := range s.vic {
-				nv := newVal[i]
-				if xmode {
-					nv = logic.Lub(c.val[u], nv)
-				}
-				if nv == c.val[u] {
-					continue
-				}
-				c.val[u] = nv
-				s.noteChanged(u)
-				s.propagate(c, u)
-			}
-		}
-
-		s.pend, s.next = s.next, s.pend
-	}
-
-	s.work.AdoptedChanges += adopted
-	res.Changed = s.changed
-	res.Explored = s.explored
-	return res
-}
-
-// SettleReplayIndexed is SettleReplay driven by a prebuilt ReplayIndex:
-// the trajectory indexing and static flag computation that SettleReplay
-// performs per circuit (Pass A) come precomputed from the index, shared by
-// every lane of the word group, and only this lane's dynamic divergence is
-// examined per round. The replay is the index's lane (word, bit); the
-// caller must have Built the index from this setting's trajectory and a
-// div row set in which that lane's bits are exactly the static divergence
-// set it would otherwise have seeded via BeginReplay/SeedDiverged. No
-// seeding calls are needed (or allowed): the replay opens its own epoch.
-//
-// Lane-for-lane, the replay makes the same adoption decisions and solves
-// the same vicinities in the same order as SettleReplay, with one
-// refinement: members of already-adopted vicinities are excluded from the
-// same round's later explorations by the index's vicinity map instead of
-// by member stamps, so adopting a vicinity is O(changes), not O(members).
-// A faulty circuit can only conduct into an adopted vicinity through a
-// transistor whose gate diverged after the adoption decision; the gate's
-// change marks the terminals diverged and perturbs them for the next
-// round, where the vicinity is flagged and re-solved — the unit-delay
-// schedule the scalar path follows too.
 func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *ReplayIndex, word int, bit uint) SettleResult {
 	nw := s.tab.Net
 	traj := ix.traj
@@ -305,33 +104,31 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 			break
 		}
 
-		s.epoch++ // vicinity stamps for this round
+		s.beginRound()
 		s.next = s.next[:0]
 		s.pendEpoch++
 
+		// The round's trajectory vicinities are [vlo, vlo+nvic); vicOf
+		// and the per-vicinity state are round-local (0-based). The flags
+		// layout is word-major, so fw is this lane's word for each.
 		var (
-			trajRound []VicTrace
+			vlo, nvic int
 			vicOf     []int32
 			vicStamp  []uint32
-			flags     []uint64
+			fw        []uint64
 		)
 		if round < ix.rounds {
-			trajRound = traj.Round(round)
+			var vhi int
+			vlo, vhi = traj.RoundSpan(round)
+			nvic = vhi - vlo
 			vicOf, vicStamp = ix.vicOf[round], ix.vicStamp[round]
-			flags = ix.flags[round]
+			fw = ix.flags[round][word*nvic:]
 		}
-		if cap(s.vicState) < len(trajRound) {
-			s.vicState = make([]uint8, len(trajRound)*2)
+		if len(s.vicState) < nvic {
+			s.vicState = make([]uint32, nvic*2)
 		}
-		vicState := s.vicState[:len(trajRound)]
-
-		// Static flags: one bit probe per vicinity, precomputed by Build.
-		// The flags layout is word-major, so this lane's probes are one
-		// contiguous branchless scan.
-		fw := flags[word*len(trajRound):]
-		for vi := range vicState {
-			vicState[vi] = uint8(fw[vi]>>bit) & vicFlagged
-		}
+		vicState := s.vicState
+		s.nextVicTag()
 		// Dynamic overlay: flag vicinities containing nodes this replay has
 		// marked (solved members and their gated terminals, from any earlier
 		// round). A newly flagged vicinity's unfollowed changes are marked in
@@ -343,9 +140,9 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 				if vicStamp[u] != ix.epoch {
 					continue
 				}
-				if vi := vicOf[u]; vicState[vi]&vicFlagged == 0 {
+				if vi := vicOf[u]; s.probeVic(vi, fw, bit)&vicFlagged == 0 {
 					vicState[vi] |= vicFlagged
-					for _, ch := range trajRound[vi].Changes {
+					for _, ch := range traj.Changes(vlo + int(vi)) {
 						s.markDiverged(ch.Node)
 					}
 				}
@@ -364,19 +161,18 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 			}
 			if vicStamp != nil && vicStamp[seed] == ix.epoch {
 				vi := vicOf[seed]
-				st := vicState[vi]
+				st := s.probeVic(vi, fw, bit)
 				if st&vicServiced != 0 {
 					continue // adopted earlier this round
 				}
 				if st&vicFlagged == 0 {
-					vt := &trajRound[vi]
 					// An unflagged vicinity had no diverged member at the
 					// adoption decisions; if no mark was added since (no
 					// solve ran), that still holds without rescanning.
 					adoptable := s.dynGen == genA
 					if !adoptable {
 						adoptable = true
-						for _, u := range vt.Members {
+						for _, u := range traj.Members(vlo + int(vi)) {
 							adopted++
 							if s.dynStamp[u] == s.dynEpoch {
 								adoptable = false
@@ -387,7 +183,7 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 					if adoptable {
 						s.work.AdoptedVics++
 						vicState[vi] |= vicServiced
-						for _, ch := range vt.Changes {
+						for _, ch := range traj.Changes(vlo + int(vi)) {
 							u := ch.Node
 							nv := ch.Value
 							if xmode {
@@ -442,21 +238,17 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 	return res
 }
 
-// BeginReplay opens a new replay divergence epoch: the caller seeds the
-// statically diverged nodes (divergence records with their gated channel
-// terminals, fault sites, fault-forced nodes) via SeedDiverged, then runs
-// SettleReplay, which consumes the epoch. Folding the static set into the
-// dynamic divergence queue lets the adoption flagging cost scale with the
-// circuit's divergence instead of the trajectory size.
-func (s *Solver) BeginReplay() {
-	s.dynEpoch++
-	s.dynList = s.dynList[:0]
+// probeVic returns the state of the current round's trajectory vicinity vi
+// for the replaying lane, whose static flag words are fw: the round's first
+// touch loads the lane's static bit under the round's tag.
+func (s *Solver) probeVic(vi int32, fw []uint64, bit uint) uint32 {
+	st := s.vicState[vi]
+	if st&^(vicTagStep-1) != s.rvTag {
+		st = s.rvTag | uint32(fw[vi]>>bit)&vicFlagged
+		s.vicState[vi] = st
+	}
+	return st
 }
-
-// SeedDiverged marks node n as statically diverged from the good circuit
-// for the upcoming SettleReplay: trajectory vicinities containing n are
-// solved rather than adopted.
-func (s *Solver) SeedDiverged(n netlist.NodeID) { s.markDyn(n) }
 
 // markDiverged flags a node that may now differ from the good circuit,
 // together with the channel terminals of the transistors it gates (which

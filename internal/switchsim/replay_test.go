@@ -48,11 +48,12 @@ func TestTrajectoryRecording(t *testing.T) {
 	final := map[netlist.NodeID]logic.Value{}
 	total := 0
 	for r := 0; r < sv.Traj.NumRounds(); r++ {
-		for _, vt := range sv.Traj.Round(r) {
-			if len(vt.Members) == 0 {
+		lo, hi := sv.Traj.RoundSpan(r)
+		for vi := lo; vi < hi; vi++ {
+			if len(sv.Traj.Members(vi)) == 0 {
 				t.Fatal("empty vicinity recorded")
 			}
-			for _, ch := range vt.Changes {
+			for _, ch := range sv.Traj.Changes(vi) {
 				if !changed[ch.Node] {
 					t.Errorf("recorded change on %s not in Changed", nw.Name(ch.Node))
 				}
@@ -96,8 +97,9 @@ func TestReplayPureAdoption(t *testing.T) {
 
 	seeds := fsv.ApplySetting(shadow, set)
 	w0 := fsv.Work()
-	fsv.BeginReplay()
-	res := fsv.SettleReplay(shadow, seeds, &gsv.Traj)
+	sr := switchsim.NewScalarReplay(fsv)
+	sr.BeginReplay()
+	res := sr.SettleReplay(shadow, seeds, &gsv.Traj)
 	d := fsv.Work().Sub(w0)
 
 	for i := 0; i < nw.NumNodes(); i++ {
@@ -138,9 +140,10 @@ func TestReplayBlockedVicinitySolved(t *testing.T) {
 
 	seeds := fsv.ApplySetting(shadow, set)
 	w0 := fsv.Work()
-	fsv.BeginReplay()
-	fsv.SeedDiverged(n2)
-	fsv.SettleReplay(shadow, seeds, &gsv.Traj)
+	sr := switchsim.NewScalarReplay(fsv)
+	sr.BeginReplay()
+	sr.SeedDiverged(n2)
+	sr.SettleReplay(shadow, seeds, &gsv.Traj)
 	d := fsv.Work().Sub(w0)
 
 	if d.Vicinities == 0 {
@@ -170,6 +173,7 @@ func TestReplayRandomNoFaultMatchesGood(t *testing.T) {
 		shadow := switchsim.NewCircuit(tab)
 		fsv := switchsim.NewSolver(tab)
 		fsv.Init(shadow)
+		sr := switchsim.NewScalarReplay(fsv)
 
 		for step := 0; step < 8; step++ {
 			set := tc.RandomSetting(rng, 10)
@@ -180,8 +184,8 @@ func TestReplayRandomNoFaultMatchesGood(t *testing.T) {
 				fsv.Settle(shadow, seeds)
 				continue
 			}
-			fsv.BeginReplay()
-			fsv.SettleReplay(shadow, seeds, traj)
+			sr.BeginReplay()
+			sr.SettleReplay(shadow, seeds, traj)
 			for i := 0; i < tc.Net.NumNodes(); i++ {
 				id := netlist.NodeID(i)
 				if shadow.Value(id) != good.Value(id) {

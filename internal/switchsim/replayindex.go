@@ -1,32 +1,34 @@
 // Word-packed trajectory indexing for lane-grouped fault replays.
 //
-// SettleReplay's Pass A — indexing each trajectory round's vicinities by
-// member node and computing adoption-blocking flags from the circuit's
-// static divergence set — costs O(trajectory) per faulty circuit, and a
-// batch pays it once per activated circuit per setting. The profile says
-// that indexing, not solving, dominates a converged campaign: most
-// activated circuits adopt every vicinity and change nothing.
+// Replaying one faulty circuit against a trajectory needs, per round, the
+// round's vicinities indexed by member node and an adoption-blocking flag
+// for every vicinity that contains a node of the circuit's static
+// divergence set — closed over the change sites of the vicinities so
+// flagged (see SettleReplayIndexed for the adoption rule). Done per
+// circuit that is O(trajectory) per activated circuit per setting, and the
+// profile says that indexing, not solving, dominates a converged campaign:
+// most activated circuits adopt every vicinity and change nothing.
 //
-// A ReplayIndex hoists that pass out of the per-circuit loop and pays it
-// once per setting for up to 64×words fault circuits at a time. Faults are
-// packed into lanes (one bit position of a lane word); the caller supplies
-// its static divergence sets as word-packed per-node rows (bit set in
-// div[n*words+w] ⟺ lane (w, bit) is statically diverged at n — the
-// batch engine's interest mask). Build computes, per trajectory vicinity,
-// the word-packed set of lanes for which the vicinity is statically
-// flagged, by running the same flag-then-mark-changes fixpoint as the
-// scalar Pass A — but over all lanes at once with bitwise ORs, and with
-// the marks of flagged vicinities (change sites and their gated channel
-// terminals) carried forward across rounds in a lane-packed overlay. The
-// closure is a least fixpoint of monotone bitwise operations, so each
-// lane's column of the result is exactly the flag set the scalar Pass A
-// would compute for that lane alone: results are bit-identical for every
-// lane width and packing.
+// A ReplayIndex pays it once per setting for up to 64×words fault circuits
+// at a time. Faults are packed into lanes (one bit position of a lane
+// word); the caller supplies its static divergence sets as word-packed
+// per-node rows (bit set in div[n*words+w] ⟺ lane (w, bit) is statically
+// diverged at n — the batch engine's interest mask). Build computes, per
+// trajectory vicinity, the word-packed set of lanes for which the vicinity
+// is statically flagged, by running the flag-then-mark-changes fixpoint
+// over all lanes at once with bitwise ORs, and with the marks of flagged
+// vicinities (change sites and their gated channel terminals) carried
+// forward across rounds in a lane-packed overlay. The closure is a least
+// fixpoint of monotone bitwise operations, so each lane's column of the
+// result is exactly the flag set a one-circuit pass would compute for that
+// lane alone (the scalar oracle of the tests): results are bit-identical
+// for every lane width and packing.
 //
 // SettleReplayIndexed then replays one lane against the prebuilt index:
-// static flags come from one bit probe per vicinity, and only the lane's
-// own dynamic divergence (members of vicinities it solves, and their gated
-// terminals) is rescanned per round — cost ∝ the lane's divergence, with
+// a static flag is one bit probe, made only for the vicinities the lane's
+// wave or divergence touches, and only the lane's own dynamic divergence
+// (members of vicinities it solves, and their gated terminals) is
+// rescanned per round — cost ∝ the lane's activity and divergence, with
 // the trajectory-sized work shared across the whole word group.
 package switchsim
 
@@ -34,14 +36,18 @@ import (
 	"fmossim/internal/netlist"
 )
 
-// Per-vicinity state bits of one indexed-replay round.
+// Per-vicinity state of one indexed-replay round: two flag bits under a
+// round tag (see Solver.vicState).
 const (
 	// vicFlagged blocks adoption: some member is (statically or
 	// dynamically) diverged for this lane.
-	vicFlagged uint8 = 1 << iota
+	vicFlagged uint32 = 1 << iota
 	// vicServiced marks the vicinity as already adopted this round; its
 	// members are excluded from later explorations of the same round.
 	vicServiced
+	// vicTagStep is the round tag's unit: tags occupy the bits above the
+	// flags.
+	vicTagStep
 )
 
 // ReplayIndex is the per-setting shared index over one good-circuit
@@ -66,11 +72,10 @@ type ReplayIndex struct {
 	// vicStamp[r][n] == epoch.
 	vicOf    [][]int32
 	vicStamp [][]uint32
-	// flags[r][w*len(round)+vi] is the word of lanes for which vicinity
-	// vi of round r is statically flagged (must be solved, not adopted).
-	// The layout is word-major: one lane's per-vicinity probe loop in
-	// SettleReplayIndexed — the hot reader, run once per activated
-	// circuit per round — walks its word's flags contiguously.
+	// flags[r][w*nvic+vi] is the word of lanes for which the vi-th of
+	// round r's nvic vicinities is statically flagged (must be solved, not
+	// adopted). The layout is word-major: the probes of one lane — the hot
+	// reader, SettleReplayIndexed — stay within its word's stretch.
 	flags [][]uint64
 
 	// Static-divergence overlay accumulated by the closure: lanes marked
@@ -101,12 +106,11 @@ func NewReplayIndex(tab *Tables) *ReplayIndex {
 // divergence rows are overwhelmingly zero, and the summary lets Build skip
 // them with one load per member instead of a words-long OR.
 //
-// The static flag closure mirrors the scalar Pass A exactly, lane-wise:
-// a vicinity is flagged for every lane with a diverged member, a flagged
-// vicinity's unfollowed changes mark their nodes and the channel terminals
-// of transistors they gate as diverged for those lanes, marks poison
-// downstream vicinities of the same round (repeat until stable) and
-// persist into all later rounds.
+// The static flag closure, lane-wise: a vicinity is flagged for every lane
+// with a diverged member, a flagged vicinity's unfollowed changes mark
+// their nodes and the channel terminals of transistors they gate as
+// diverged for those lanes, marks poison downstream vicinities of the same
+// round (repeat until stable) and persist into all later rounds.
 func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []int32) {
 	ix.epoch++
 	ix.words = words
@@ -134,9 +138,10 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 	orBuf, newBuf := ix.orBuf[:words], ix.newBuf[:words]
 
 	for r := 0; r < ix.rounds; r++ {
-		round := traj.Round(r)
+		vlo, vhi := traj.RoundSpan(r)
+		nvic := vhi - vlo
 		vicOf, vicStamp := ix.vicOf[r], ix.vicStamp[r]
-		need := len(round) * words
+		need := nvic * words
 		if cap(ix.flags[r]) < need {
 			ix.flags[r] = make([]uint64, need+need/2)
 		}
@@ -144,24 +149,23 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 		for i := range flags {
 			flags[i] = 0
 		}
-		for vi := range round {
-			for _, u := range round[vi].Members {
-				vicOf[u] = int32(vi)
+		for vi := vlo; vi < vhi; vi++ {
+			for _, u := range traj.Members(vi) {
+				vicOf[u] = int32(vi - vlo)
 				vicStamp[u] = ix.epoch
 			}
 		}
 		// Flag closure: the first sweep both computes initial flags and,
 		// by marking as it goes, lets later vicinities of the round see
 		// earlier marks; further sweeps run only until no new lane flags
-		// appear (the scalar Pass A's within-round fixpoint).
+		// appear (the within-round fixpoint).
 		for again := true; again; {
 			again = false
-			for vi := range round {
-				vt := &round[vi]
+			for vi := vlo; vi < vhi; vi++ {
 				for w := range orBuf {
 					orBuf[w] = 0
 				}
-				for _, u := range vt.Members {
+				for _, u := range traj.Members(vi) {
 					hasDiv := divNZ == nil || divNZ[u] != 0
 					hasExtra := ix.extraStamp[u] == ix.epoch
 					if !hasDiv && !hasExtra {
@@ -182,7 +186,7 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 				}
 				anyNew := false
 				for w := range orBuf {
-					fw := &flags[w*len(round)+vi]
+					fw := &flags[w*nvic+vi-vlo]
 					newBuf[w] = orBuf[w] &^ *fw
 					if newBuf[w] != 0 {
 						*fw |= newBuf[w]
@@ -196,7 +200,7 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 				// Newly flagged lanes will not follow this vicinity's
 				// changes: mark the change sites, and the channel terminals
 				// of the transistors they gate, diverged for those lanes.
-				for _, ch := range vt.Changes {
+				for _, ch := range traj.Changes(vi) {
 					ix.markLanes(ch.Node, newBuf)
 					for _, e := range ix.tab.GatedByOf(ch.Node) {
 						ix.markLanes(e.Src, newBuf)
@@ -221,9 +225,6 @@ func (ix *ReplayIndex) markLanes(u netlist.NodeID, m []uint64) {
 	}
 }
 
-// Flagged reports whether vicinity vi of round r is statically flagged for
-// lane (word, bit). Exported for tests.
-func (ix *ReplayIndex) Flagged(r, vi, word int, bit uint) bool {
-	nvic := len(ix.traj.Round(r))
-	return ix.flags[r][word*nvic+vi]>>bit&1 != 0
-}
+// Builds returns how many times Build has run on this index. Exported for
+// tests.
+func (ix *ReplayIndex) Builds() int { return int(ix.epoch) }

@@ -35,7 +35,7 @@ func staticDivSet(nw *netlist.Network, n netlist.NodeID) []netlist.NodeID {
 
 // TestIndexedReplayMatchesScalar: property — for random structured
 // circuits with random stuck-node faults, SettleReplayIndexed driven by a
-// prebuilt word-packed ReplayIndex reproduces the scalar SettleReplay
+// prebuilt word-packed ReplayIndex reproduces the scalar replay oracle
 // exactly: same values, same Changed/Explored sets in the same order, same
 // round counts. Two faults share one index as separate lanes (different
 // words and bit positions), checking cross-lane isolation of the packed
@@ -48,6 +48,7 @@ func TestIndexedReplayMatchesScalar(t *testing.T) {
 		static          []netlist.NodeID
 		scalar, indexed *switchsim.Circuit
 		ssv, isv        *switchsim.Solver
+		sr              *switchsim.ScalarReplay
 	}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -80,6 +81,7 @@ func TestIndexedReplayMatchesScalar(t *testing.T) {
 			}
 			ln.scalar = switchsim.NewCircuit(tab)
 			ln.ssv = switchsim.NewSolver(tab)
+			ln.sr = switchsim.NewScalarReplay(ln.ssv)
 			ln.indexed = switchsim.NewCircuit(tab)
 			ln.isv = switchsim.NewSolver(tab)
 			// Power-on with the fault present, both replicas identically.
@@ -104,11 +106,11 @@ func TestIndexedReplayMatchesScalar(t *testing.T) {
 			ix.Build(traj, words, div, nil)
 			for li, ln := range lanes {
 				sSeeds := ln.ssv.ApplySetting(ln.scalar, set)
-				ln.ssv.BeginReplay()
+				ln.sr.BeginReplay()
 				for _, u := range ln.static {
-					ln.ssv.SeedDiverged(u)
+					ln.sr.SeedDiverged(u)
 				}
-				resS := ln.ssv.SettleReplay(ln.scalar, sSeeds, traj)
+				resS := ln.sr.SettleReplay(ln.scalar, sSeeds, traj)
 
 				iSeeds := ln.isv.ApplySetting(ln.indexed, set)
 				resI := ln.isv.SettleReplayIndexed(ln.indexed, iSeeds, ix, ln.word, ln.bit)

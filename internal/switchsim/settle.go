@@ -40,30 +40,69 @@ type Change struct {
 	Value logic.Value
 }
 
-// VicTrace records one solved vicinity of a settling round: its member
-// nodes and the changes it produced.
-type VicTrace struct {
-	Members []netlist.NodeID
-	Changes []Change
+// vicSpan closes one solved vicinity of a trajectory: the ends of its
+// member and change lists in the trajectory's flat arrays (each list starts
+// where the previous vicinity's ended).
+type vicSpan struct {
+	memberEnd, changeEnd uint32
 }
 
 // Trajectory is a full settling history: the solved vicinities of each
-// round, in order. It is the "good circuit script" the concurrent
-// simulator's faulty-circuit replays follow. Its storage is owned by the
-// recording solver and reused: a trajectory is valid only until the next
-// recording Settle on the same Solver.
+// round, in order, each with its member nodes and the changes it produced.
+// It is the "good circuit script" the concurrent simulator's
+// faulty-circuit replays follow. Vicinities are numbered across the whole
+// trajectory; RoundSpan gives a round's range. The storage is four flat,
+// pointer-free arrays, so a trajectory costs the same handful of
+// allocations whatever its vicinity count. A solver's Traj is reused
+// scratch: valid only until the next recording Settle on the same Solver.
 type Trajectory struct {
-	rounds [][]VicTrace
+	roundEnd []uint32 // roundEnd[r]: one past round r's last vicinity
+	vics     []vicSpan
+	nodes    []netlist.NodeID // member lists, back to back
+	changes  []Change         // change lists, back to back
 }
 
 // NumRounds returns the number of recorded rounds.
-func (tr *Trajectory) NumRounds() int { return len(tr.rounds) }
+func (tr *Trajectory) NumRounds() int { return len(tr.roundEnd) }
 
-// Round returns the solved vicinities of round r.
-func (tr *Trajectory) Round(r int) []VicTrace { return tr.rounds[r] }
+// RoundSpan returns the vicinity range [lo, hi) of round r.
+func (tr *Trajectory) RoundSpan(r int) (lo, hi int) {
+	if r > 0 {
+		lo = int(tr.roundEnd[r-1])
+	}
+	return lo, int(tr.roundEnd[r])
+}
+
+// Members returns the member nodes of vicinity vi.
+func (tr *Trajectory) Members(vi int) []netlist.NodeID {
+	lo := uint32(0)
+	if vi > 0 {
+		lo = tr.vics[vi-1].memberEnd
+	}
+	return tr.nodes[lo:tr.vics[vi].memberEnd]
+}
+
+// Changes returns the changes vicinity vi produced.
+func (tr *Trajectory) Changes(vi int) []Change {
+	lo := uint32(0)
+	if vi > 0 {
+		lo = tr.vics[vi-1].changeEnd
+	}
+	return tr.changes[lo:tr.vics[vi].changeEnd]
+}
 
 func (tr *Trajectory) reset() {
-	tr.rounds = tr.rounds[:0]
+	tr.roundEnd, tr.vics, tr.nodes, tr.changes = tr.roundEnd[:0], tr.vics[:0], tr.nodes[:0], tr.changes[:0]
+}
+
+// endVicinity closes the vicinity whose members and changes were just
+// appended; endRound closes the round.
+func (tr *Trajectory) endVicinity() {
+	tr.vics = append(tr.vics, vicSpan{uint32(len(tr.nodes)), uint32(len(tr.changes))})
+}
+
+func (tr *Trajectory) endRound() {
+	tr.roundEnd = append(tr.roundEnd, uint32(len(tr.vics)))
 }
 
 // Settle drives the circuit to a steady state starting from the given
@@ -127,13 +166,14 @@ func (s *Solver) Settle(c *Circuit, seeds []netlist.NodeID) SettleResult {
 			break
 		}
 
-		s.epoch++ // fresh vicinity stamps for this round
+		s.beginRound()
+		if cap(s.kn) < len(s.pend) {
+			// Every pending seed is solved this round: size the kernel
+			// storage once instead of doubling up to a settle-all.
+			s.kn = make([]vicNode, 0, len(s.pend))
+		}
 		s.next = s.next[:0]
 		s.pendEpoch++
-		var roundTrace []VicTrace
-		if s.Record {
-			roundTrace = s.nextRoundBuf()
-		}
 
 		for _, seed := range s.pend {
 			if !s.exploreVicinity(c, seed) {
@@ -148,10 +188,8 @@ func (s *Solver) Settle(c *Circuit, seeds []netlist.NodeID) SettleResult {
 			newVal := s.vicNewVal()
 			s.solveVicinity(c, newVal)
 
-			var vt *VicTrace
 			if s.Record {
-				roundTrace, vt = appendVicTrace(roundTrace)
-				vt.Members = append(vt.Members, s.vic...)
+				s.Traj.nodes = append(s.Traj.nodes, s.vic...)
 			}
 
 			for i, u := range s.vic {
@@ -164,16 +202,19 @@ func (s *Solver) Settle(c *Circuit, seeds []netlist.NodeID) SettleResult {
 				}
 				c.val[u] = nv
 				s.noteChanged(u)
-				if vt != nil {
-					vt.Changes = append(vt.Changes, Change{Node: u, Value: nv})
+				if s.Record {
+					s.Traj.changes = append(s.Traj.changes, Change{Node: u, Value: nv})
 				}
 				// The state change switches the transistors this node
 				// gates; their channel terminals are perturbed next round.
 				s.propagate(c, u)
 			}
+			if s.Record {
+				s.Traj.endVicinity()
+			}
 		}
 		if s.Record {
-			s.storeRound(roundTrace)
+			s.Traj.endRound()
 		}
 		s.pend, s.next = s.next, s.pend
 	}
@@ -214,42 +255,6 @@ func (s *Solver) vicNewVal() []logic.Value {
 	}
 	s.newVal = s.newVal[:len(s.vic)]
 	return s.newVal
-}
-
-// nextRoundBuf returns a length-0 round buffer, reusing the backing array
-// the next trajectory slot held after a previous recording settle.
-func (s *Solver) nextRoundBuf() []VicTrace {
-	tr := &s.Traj
-	if len(tr.rounds) < cap(tr.rounds) {
-		return tr.rounds[:len(tr.rounds)+1][len(tr.rounds)][:0]
-	}
-	return nil
-}
-
-// storeRound appends the finished round to the trajectory.
-func (s *Solver) storeRound(rt []VicTrace) {
-	tr := &s.Traj
-	if len(tr.rounds) < cap(tr.rounds) {
-		tr.rounds = tr.rounds[:len(tr.rounds)+1]
-		tr.rounds[len(tr.rounds)-1] = rt
-	} else {
-		tr.rounds = append(tr.rounds, rt)
-	}
-}
-
-// appendVicTrace extends rt by one VicTrace, reusing the slot's previous
-// Members/Changes backing arrays when possible. The returned pointer is
-// valid until the next appendVicTrace call on rt.
-func appendVicTrace(rt []VicTrace) ([]VicTrace, *VicTrace) {
-	if len(rt) < cap(rt) {
-		rt = rt[:len(rt)+1]
-		vt := &rt[len(rt)-1]
-		vt.Members = vt.Members[:0]
-		vt.Changes = vt.Changes[:0]
-		return rt, vt
-	}
-	rt = append(rt, VicTrace{})
-	return rt, &rt[len(rt)-1]
 }
 
 func (s *Solver) noteChanged(n netlist.NodeID) {

@@ -128,7 +128,7 @@ type Work struct {
 	// RelaxSteps counts per-node relaxation recomputations.
 	RelaxSteps int64
 	// AdoptedChanges counts good-trajectory changes adopted by faulty
-	// replays instead of being re-solved (see Solver.SettleReplay).
+	// replays instead of being re-solved (see Solver.SettleReplayIndexed).
 	AdoptedChanges int64
 	// AdoptedVics counts trajectory vicinities adopted whole by faulty
 	// replays. A pure occupancy statistic: it is excluded from Units (the
