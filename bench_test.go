@@ -196,6 +196,9 @@ func BenchmarkCampaign_RAM256(b *testing.B) {
 // ns/op shows what the packing itself buys — wider words share one
 // ReplayIndex probe row and one interest-mask row across more fault
 // circuits — and allocs/op tracks the per-width cost of the packed index.
+// The replay counters say how much of the walk the compiled good wave
+// took over (lane width changes how many lanes share a compile, not what a
+// lane skips).
 func BenchmarkBatchStep_Lanes(b *testing.B) {
 	m := ram.RAM64()
 	faults := bench.NodeStuckOnly(m)
@@ -206,7 +209,7 @@ func BenchmarkBatchStep_Lanes(b *testing.B) {
 		b.Run(fmt.Sprintf("lanes=%d", lw), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				br, err := core.RunBatch(context.Background(), tab, faults, rec, seq, core.Options{
+				fb, err := core.NewFaultBatch(tab, faults, core.Options{
 					Observe:   []netlist.NodeID{m.DataOut},
 					Workers:   1,
 					LaneWidth: lw,
@@ -214,16 +217,25 @@ func BenchmarkBatchStep_Lanes(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				detected := 0
-				for _, d := range br.Detected {
-					if d {
-						detected++
-					}
+				br, err := fb.RunRecording(context.Background(), rec, seq)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(100*float64(detected)/float64(len(faults)), "coverage-%")
+				b.ReportMetric(100*float64(br.DetectedCount())/float64(len(faults)), "coverage-%")
+				reportReplayStats(b, fb.ReplayStats())
 			}
 		})
 	}
+}
+
+// reportReplayStats reports how a batch's replays rode the good wave: the
+// lanes one compile serves, the share of lanes that skipped rounds, and
+// what each of those skipped.
+func reportReplayStats(b *testing.B, rs switchsim.ReplayStats) {
+	b.ReportMetric(float64(rs.Lanes)/float64(max(rs.Compiles, 1)), "lanes/compile")
+	b.ReportMetric(100*float64(rs.FastForwarded)/float64(max(rs.Lanes, 1)), "ff-lanes-%")
+	b.ReportMetric(float64(rs.RoundsSkipped)/float64(max(rs.FastForwarded, 1)), "rounds-skipped/ff-lane")
+	b.ReportMetric(float64(rs.AdoptionsSkipped)/float64(max(rs.FastForwarded, 1)), "adoptions-skipped/ff-lane")
 }
 
 // BenchmarkRecordingCodec pins what the trajectory artifact costs to make
@@ -453,5 +465,132 @@ func BenchmarkRecord_RAM256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec := core.Record(m.Net, seq, core.Options{})
 		b.ReportMetric(float64(rec.GoodWork()), "work-units")
+	}
+}
+
+// BenchmarkReplayWalk times one lane's replay of one RAM256 setting by how
+// many leading rounds it shares with the good circuit: none (it walks
+// every round, as every lane did before the good wave was compiled), one,
+// or two and more — and for the lanes that share some, riding the compiled
+// wave against walking the same rounds on an index that was only Built.
+// The lanes are stuck-at circuits over the first patterns of sequence 1,
+// each sampled with its state before the setting; an iteration restores a
+// sample (two array copies, the same for every class), seeds it and
+// replays it. ns/replay is the figure; the rounds and
+// adoptions still walked say what the difference bought.
+func BenchmarkReplayWalk(b *testing.B) {
+	m := ram.RAM256()
+	nw := m.Net
+	tab := switchsim.NewTables(nw)
+	var settings []switchsim.Setting
+	for _, p := range march.Sequence1(m).Patterns[:6] {
+		settings = append(settings, p.Settings...)
+	}
+
+	type lane struct {
+		node netlist.NodeID
+		c    *switchsim.Circuit
+		sv   *switchsim.Solver
+	}
+	var lanes []*lane
+	for i := 0; i < nw.NumNodes() && len(lanes) < 48; i += 5 {
+		if n := netlist.NodeID(i); nw.Node(n).Kind != netlist.Input {
+			ln := &lane{node: n, c: switchsim.NewCircuit(tab), sv: switchsim.NewSolver(tab)}
+			ln.c.ForceNode(n, logic.Value(len(lanes)%2))
+			ln.sv.SettleAll(ln.c)
+			lanes = append(lanes, ln)
+		}
+	}
+	// sample is one (setting, lane) replay: the index Built and Compiled
+	// for the setting, and the lane's circuit as it was before it.
+	type sample struct {
+		ix   [2]*switchsim.ReplayIndex // Built only; Built and Compiled
+		set  switchsim.Setting
+		ln   *lane
+		bit  uint
+		from *switchsim.Circuit
+	}
+	classes := make([][]sample, 3)
+
+	good, pre := switchsim.NewCircuit(tab), switchsim.NewCircuit(tab)
+	gsv := switchsim.NewSolver(tab)
+	gsv.Record = true
+	gsv.Init(good)
+	div := make([]uint64, nw.NumNodes())
+	for _, set := range settings {
+		clear(div)
+		for li, ln := range lanes {
+			mark := func(n netlist.NodeID) {
+				if nw.Node(n).Kind != netlist.Input {
+					div[n] |= 1 << uint(li)
+				}
+			}
+			// The batch engine's static set: the fault's site, every node
+			// where the lane differs, and what those gate.
+			for i := 0; i < nw.NumNodes(); i++ {
+				if n := netlist.NodeID(i); n == ln.node || ln.c.Value(n) != good.Value(n) {
+					mark(n)
+					for _, tr := range nw.GatedBy(n) {
+						mark(nw.Transistor(tr).Source)
+						mark(nw.Transistor(tr).Drain)
+					}
+				}
+			}
+		}
+		pre.CopyStateFrom(good)
+		if gsv.Step(good, set).Oscillated {
+			b.Fatal("RAM256 good circuit oscillated")
+		}
+		// The index keeps a pointer to the trajectory: give each setting
+		// its own copy through a one-step recording.
+		rec := switchsim.NewRecording(nw)
+		rec.Append(&switchsim.StepTrace{Traj: &gsv.Traj})
+		walk, ix := switchsim.NewReplayIndex(tab), switchsim.NewReplayIndex(tab)
+		walk.Build(rec.Steps[0].Traj, 1, div, nil)
+		ix.Build(rec.Steps[0].Traj, 1, div, nil)
+		ix.Compile(pre, set, nil, []uint64{1<<uint(len(lanes)) - 1})
+		for li, ln := range lanes {
+			from := switchsim.NewCircuit(tab)
+			from.CopyStateFrom(ln.c)
+			r0 := ln.sv.ReplayStats().RoundsSkipped
+			ln.sv.SettleReplayIndexed(ln.c, ln.sv.ApplySetting(ln.c, set), ix, 0, uint(li))
+			k := min(int(ln.sv.ReplayStats().RoundsSkipped-r0), 2)
+			classes[k] = append(classes[k], sample{[2]*switchsim.ReplayIndex{walk, ix}, set, ln, uint(li), from})
+		}
+	}
+
+	for k, name := range []string{"prefix=0/walk", "prefix=1/walk", "prefix=1/ride", "prefix=2+/walk", "prefix=2+/ride"} {
+		samples, ride := classes[(k+1)/2], (k+1)%2
+		if len(samples) == 0 {
+			b.Fatalf("no lane with %s", name)
+		}
+		b.Run(name, func(b *testing.B) {
+			// walked totals the rounds and adoptions the lanes' replays
+			// have walked so far: what they counted less what they skipped.
+			walked := func() (rounds, adoptions int64) {
+				for _, ln := range lanes {
+					w, rs := ln.sv.Work(), ln.sv.ReplayStats()
+					rounds += w.Rounds - rs.RoundsSkipped
+					adoptions += w.AdoptedVics - rs.AdoptionsSkipped
+				}
+				return rounds, adoptions
+			}
+			r0, a0 := walked()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range samples {
+					s := &samples[j]
+					s.ln.c.CopyStateFrom(s.from)
+					s.ln.sv.SettleReplayIndexed(s.ln.c, s.ln.sv.ApplySetting(s.ln.c, s.set), s.ix[ride], 0, s.bit)
+				}
+			}
+			b.StopTimer()
+			r1, a1 := walked()
+			replays := float64(b.N * len(samples))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/replays, "ns/replay")
+			b.ReportMetric(float64(r1-r0)/replays, "walked-rounds/replay")
+			b.ReportMetric(float64(a1-a0)/replays, "walked-adoptions/replay")
+			b.ReportMetric(float64(len(samples)), "samples")
+		})
 	}
 }

@@ -85,8 +85,12 @@ type FaultBatch struct {
 
 	// ix is the per-setting trajectory index shared by every activated
 	// lane (built from interestMask by the Steps that activate a circuit,
-	// see runActivated; read-only during the parallel fan-out).
-	ix *switchsim.ReplayIndex
+	// see runActivated; read-only during the parallel fan-out). noCompile
+	// is a test hook: it leaves the good wave uncompiled, so every lane
+	// walks every round — the reference the fast-forward is checked
+	// against.
+	ix        *switchsim.ReplayIndex
+	noCompile bool
 
 	// Scratch for per-setting scheduling.
 	touchStamp []uint32
@@ -96,7 +100,9 @@ type FaultBatch struct {
 	inputEpoch uint32
 
 	// Per-setting scheduling scratch: the word-wide activation
-	// accumulator and the reused active list / parallel result buffers.
+	// accumulator (candidates while scheduling, then the lane bits of the
+	// circuits actually scheduled, see activeMask) and the reused active
+	// list / parallel result buffers.
 	activeWords []uint64
 	active      []CircuitID
 	results     []stepResult

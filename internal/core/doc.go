@@ -58,7 +58,10 @@
 // circuits care about this node" with popcounts instead of list walks, a
 // per-setting switchsim.ReplayIndex whose static-divergence flag closure
 // is built once per word — on demand, by the Steps that activate a
-// circuit — and shared by every circuit in it, and packed
+// circuit, which also compile the good circuit's wave so that lanes still
+// in step with it skip their shared leading rounds (FaultBatch.ReplayStats
+// counts them, outside every result) — and shared by every circuit in it,
+// and packed
 // divergence-record rows (two-plane ternary values, switchsim.LanePlanes)
 // that make the post-settle diff and Observe comparison word-wide.
 // Retiring a detected circuit clears its lane bit from each row it

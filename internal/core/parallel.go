@@ -338,7 +338,10 @@ func (b *FaultBatch) applyOps(ci CircuitID, ops []recOp, osc bool) {
 // divergence rows, and the build still precedes every write-back of the
 // setting — write-back only ever mutates a circuit's own lane bits, so the
 // snapshot taken here matches what each circuit would have seeded at its
-// own turn.
+// own turn. The good wave is compiled in the same place, from prev (the
+// pre-step state every lane is materialized from, which nothing writes
+// until the step's applyDelta), for the lanes about to run; index and wave
+// are read-only during the fan-out.
 func (b *FaultBatch) runActivated(setting switchsim.Setting, extraSeeds []netlist.NodeID, traj *switchsim.Trajectory, goodChanged []switchsim.Change) {
 	active := b.active
 	if len(active) == 0 {
@@ -346,6 +349,9 @@ func (b *FaultBatch) runActivated(setting switchsim.Setting, extraSeeds []netlis
 	}
 	if traj != nil {
 		b.ix.Build(traj, b.words, b.interestMask, b.interestNZ)
+		if !b.noCompile {
+			b.ix.Compile(b.prev, setting, extraSeeds, b.activeMask())
+		}
 	}
 	if len(b.workers) == 1 || len(active) < minParallelBatch {
 		w := b.workers[0]
@@ -418,6 +424,18 @@ func (b *FaultBatch) runActivated(setting switchsim.Setting, extraSeeds []netlis
 	}
 }
 
+// activeMask returns the lane bits of the scheduled active circuits, in the
+// index's word layout.
+func (b *FaultBatch) activeMask() []uint64 {
+	m := b.activeWords
+	clear(m)
+	for _, ci := range b.active {
+		word, bit := b.lane(ci)
+		m[word] |= 1 << bit
+	}
+	return m
+}
+
 // applyDelta advances prev by one change list (changed inputs or the good
 // settle's changed set, with post-step values) and appends it to the
 // delta log the worker mirrors sync from lazily. Called at the end of
@@ -458,6 +476,20 @@ func (b *FaultBatch) trimDeltaLog() {
 	for _, w := range b.workers {
 		w.deltaPos = 0
 	}
+}
+
+// ReplayStats reports how the batch's indexed replays got to their
+// results: indexes built, good waves compiled, lanes replayed, and what the
+// fast-forward skipped (see switchsim.ReplayStats). Like TrimStats it
+// describes the route, not the result, and is never part of BatchResult;
+// unlike the work counters it may differ between two code versions that
+// agree on every result.
+func (b *FaultBatch) ReplayStats() switchsim.ReplayStats {
+	rs := switchsim.ReplayStats{Builds: int64(b.ix.Builds()), Compiles: b.ix.Compiles()}
+	for _, w := range b.workers {
+		rs.Add(w.solve.ReplayStats())
+	}
+	return rs
 }
 
 // faultWork sums the fault-side solver work counters across the pool,

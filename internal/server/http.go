@@ -169,31 +169,23 @@ func (m *Manager) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
+		// Wait for what must not be delayed — a detection group or a state
+		// change closes notify — or for the next snapshot to fall due:
+		// progress without detections wakes nobody, so an event storm
+		// coalesces into one snapshot line per StreamInterval.
+		due := m.cfg.StreamInterval - time.Since(lastSnapshot)
+		if due <= 0 {
+			due = m.cfg.StreamInterval
+		}
+		tick := time.NewTimer(due)
 		select {
 		case <-notify:
+		case <-tick.C:
 		case <-r.Context().Done():
-			return
 		}
-		// Pace the loop so event storms coalesce instead of becoming one
-		// snapshot line per simulated setting — but cut the wait short as
-		// soon as detections arrive or the job turns terminal: those
-		// lines are never delayed.
-		pace := time.NewTimer(m.cfg.StreamInterval)
-	coalesce:
-		for {
-			det, term, next := job.pending(cursor)
-			if det || term {
-				pace.Stop()
-				break
-			}
-			select {
-			case <-pace.C:
-				break coalesce
-			case <-next:
-			case <-r.Context().Done():
-				pace.Stop()
-				return
-			}
+		tick.Stop()
+		if r.Context().Err() != nil {
+			return
 		}
 	}
 }

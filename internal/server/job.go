@@ -119,9 +119,12 @@ type Job struct {
 	detlog []DetectionGroup
 	result *Result
 
-	// notify is closed and replaced on every publication: subscribers
-	// re-read the snapshot (and the detection log past their cursor)
-	// each time the channel they hold closes.
+	// notify is closed and replaced whenever something a subscriber must
+	// not wait for happens — a detection group is logged, the state
+	// changes — and subscribers then re-read the snapshot and the
+	// detection log past their cursor. Progress without detections, one
+	// event per simulated setting, updates the counters and wakes nobody:
+	// stream handlers pick it up on their own StreamInterval timer.
 	notify chan struct{}
 }
 
@@ -141,24 +144,33 @@ func (j *Job) publish(f func()) {
 	j.mu.Lock()
 	f()
 	j.events++
-	close(j.notify)
-	j.notify = make(chan struct{})
+	j.wakeLocked()
 	j.mu.Unlock()
 }
 
-// onProgress publishes one campaign progress event. The campaign ledger
+// wakeLocked wakes every subscriber; the caller holds the job lock.
+func (j *Job) wakeLocked() {
+	close(j.notify)
+	j.notify = make(chan struct{})
+}
+
+// onProgress records one campaign progress event. The campaign ledger
 // delivers events one at a time with monotonic counters, so the latest
-// event is the current state.
+// event is the current state. Only an event that carries detections wakes
+// the subscribers; the rest — nearly all of them — cost a lock and a
+// struct copy, no channel and no allocation.
 func (j *Job) onProgress(ev campaign.ProgressEvent) {
-	j.publish(func() {
-		j.last = ev
-		if len(ev.NewlyDetected) > 0 {
-			j.detlog = append(j.detlog, DetectionGroup{
-				Batch: ev.Batch, Pattern: ev.Pattern, Setting: ev.Setting,
-				Faults: ev.NewlyDetected,
-			})
-		}
-	})
+	j.mu.Lock()
+	j.last = ev
+	j.events++
+	if len(ev.NewlyDetected) > 0 {
+		j.detlog = append(j.detlog, DetectionGroup{
+			Batch: ev.Batch, Pattern: ev.Pattern, Setting: ev.Setting,
+			Faults: ev.NewlyDetected,
+		})
+		j.wakeLocked()
+	}
+	j.mu.Unlock()
 }
 
 func (j *Job) setRunning() {
@@ -226,19 +238,10 @@ func (j *Job) Result() *Result {
 // Cancel requests cooperative cancellation. Safe to call in any state.
 func (j *Job) Cancel() { j.cancel() }
 
-// pending peeks (without consuming anything) at whether the job has
-// detection groups past cursor or is terminal, and returns the current
-// notification channel. Streaming handlers use it to cut their pacing
-// wait short for events that must not be delayed.
-func (j *Job) pending(cursor int) (detections, terminal bool, notify <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return cursor < len(j.detlog), j.state.Terminal(), j.notify
-}
-
 // observe returns, atomically: the current snapshot, the detection groups
 // appended since cursor (and the advanced cursor), and the channel that
-// closes on the next publication. Streaming handlers loop on it.
+// closes at the next detection group or state change. Streaming handlers
+// loop on it.
 func (j *Job) observe(cursor int) (Snapshot, []DetectionGroup, int, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -37,7 +37,15 @@
 //     trajectories is built once per lane word — and only for a setting
 //     that activates a circuit — and shared by every circuit in it
 //     (internal/core packs faulty circuits into lanes; see that
-//     package's doc for the lane lifecycle).
+//     package's doc for the lane lifecycle). The index also compiles the
+//     good circuit's own wave through the trajectory's leading rounds
+//     (ReplayIndex.Compile: the pend queue at each round boundary and
+//     the switch flips of each round), and a replay whose seeds are the
+//     good circuit's skips the rounds before the first one that flags a
+//     vicinity for its lane, flips a transistor it pins, or lies past
+//     its round limit — same SettleResult, same Work, less walking
+//     (DESIGN.md, "Riding the good wave"). ReplayStats counts what was
+//     skipped; it is diagnostic and belongs to no result.
 //
 // # Recording fingerprint contract
 //

@@ -55,6 +55,35 @@ import (
 // beyond the circuit's own wave cannot affect its state (unreached
 // vicinities are never adopted, and divergence-by-inaction is the
 // caller's good-changed diff), so they are not scanned.
+//
+// Riding the good wave. While the circuit's pend queue is the good
+// circuit's and no vicinity of the round is flagged for its lane, a round
+// of the loop below does what the good circuit did: every seed lands in an
+// unflagged vicinity and is adopted or already serviced, every change is
+// written where the two circuits agree, every write flips the transistors
+// it flipped in the good circuit and pushes the same terminals. If the
+// index was Compiled for the setting, those leading rounds are not walked:
+// a replay whose deduplicated seeds equal the compiled P_0 skips rounds
+// 0..k-1, k being the first round (ReplayIndex.sharedRounds)
+//
+//   - whose roundAny bit is set for the lane — some vicinity must be solved,
+//     and with it the lane's divergence, flips and pushes become its own;
+//   - in which the good circuit flips a transistor c pins — an adopted
+//     change only flips transistors gated by members of unflagged
+//     vicinities, where c's values are the good circuit's, so c's flips
+//     can differ from the good circuit's at a pinned transistor alone; the
+//     pin's gate is not in the lane's static set, so no flag says so;
+//   - past MaxRounds — from there on adopted values are joined with the old
+//     ones, which the compiled writes are not.
+//
+// c's pushes can differ from the good circuit's only at a node c forces
+// (input-like in c alone); a forced storage node is a fault site, so a
+// round in which it is pending is flagged, and it can appear only in P_k,
+// which is loaded without it. The skipped rounds' writes, flips, Rounds,
+// AdoptedVics, AdoptedChanges and Changed entries are added exactly as the
+// walk would have produced them and nothing else was touched (no solve
+// ran), so SettleResult, Work and the circuit are the walk's, bit for bit.
+// An index that was only Built compiles nothing and every replay walks.
 func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *ReplayIndex, word int, bit uint) SettleResult {
 	nw := s.tab.Net
 	traj := ix.traj
@@ -86,8 +115,21 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 	res := SettleResult{}
 	xmode := false
 	adopted := int64(0)
+	zeroChange := int64(0)
+	s.replay.Lanes++
 
-	for round := 0; len(s.pend) > 0; round++ {
+	// Riding the good wave: the rounds this lane shares with the good
+	// circuit are applied from the compiled wave, not walked.
+	first := ix.sharedRounds(c, s.pend, word, bit, maxRounds)
+	if first > 0 {
+		res.Rounds = first
+		adopted = s.rideWave(c, ix, first)
+	}
+
+	for round := first; len(s.pend) > 0; round++ {
+		if s.onRound != nil {
+			s.onRound(round)
+		}
 		res.Rounds++
 		s.work.Rounds++
 		if res.Rounds > maxRounds && !xmode {
@@ -108,20 +150,19 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 		s.next = s.next[:0]
 		s.pendEpoch++
 
-		// The round's trajectory vicinities are [vlo, vlo+nvic); vicOf
+		// The round's trajectory vicinities are [vlo, vlo+nvic); the map
 		// and the per-vicinity state are round-local (0-based). The flags
 		// layout is word-major, so fw is this lane's word for each.
 		var (
 			vlo, nvic int
-			vicOf     []int32
-			vicStamp  []uint32
+			vicMap    []uint64
 			fw        []uint64
 		)
 		if round < ix.rounds {
 			var vhi int
 			vlo, vhi = traj.RoundSpan(round)
 			nvic = vhi - vlo
-			vicOf, vicStamp = ix.vicOf[round], ix.vicStamp[round]
+			vicMap = ix.vicMap[round]
 			fw = ix.flags[round][word*nvic:]
 		}
 		if len(s.vicState) < nvic {
@@ -134,13 +175,13 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 		// round). A newly flagged vicinity's unfollowed changes are marked in
 		// turn, growing the list as it is scanned — the within-round flag
 		// fixpoint for free.
-		if vicStamp != nil {
+		if vicMap != nil {
 			for i := 0; i < len(s.dynList); i++ {
-				u := s.dynList[i]
-				if vicStamp[u] != ix.epoch {
+				m := vicMap[s.dynList[i]]
+				if uint32(m>>32) != ix.epoch {
 					continue
 				}
-				if vi := vicOf[u]; s.probeVic(vi, fw, bit)&vicFlagged == 0 {
+				if vi := int32(uint32(m) >> 1); s.probeVic(vi, fw, bit)&vicFlagged == 0 {
 					vicState[vi] |= vicFlagged
 					for _, ch := range traj.Changes(vlo + int(vi)) {
 						s.markDiverged(ch.Node)
@@ -149,55 +190,66 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 			}
 		}
 		genA := s.dynGen // divergence set as of the adoption decisions
-		if vicStamp != nil {
-			s.rvVicOf, s.rvVicStamp, s.rvEpoch, s.rvState = vicOf, vicStamp, ix.epoch, vicState
-		} else {
-			s.rvVicOf, s.rvVicStamp, s.rvState = nil, nil, nil
+		s.rvMap, s.rvEpoch, s.rvState = vicMap, ix.epoch, nil
+		if vicMap != nil {
+			s.rvState = vicState
 		}
 
+		// Every pending node is a storage node of this circuit (seeds and
+		// pushes are filtered as they are queued), and one solved earlier
+		// this round is turned away by exploreVicinity.
 		for _, seed := range s.pend {
-			if c.IsInputLike(seed) || s.stamp[seed] == s.epoch {
-				continue // forced by the fault, or solved this round
-			}
-			if vicStamp != nil && vicStamp[seed] == ix.epoch {
-				vi := vicOf[seed]
-				st := s.probeVic(vi, fw, bit)
-				if st&vicServiced != 0 {
-					continue // adopted earlier this round
-				}
-				if st&vicFlagged == 0 {
-					// An unflagged vicinity had no diverged member at the
-					// adoption decisions; if no mark was added since (no
-					// solve ran), that still holds without rescanning.
-					adoptable := s.dynGen == genA
-					if !adoptable {
-						adoptable = true
-						for _, u := range traj.Members(vlo + int(vi)) {
-							adopted++
-							if s.dynStamp[u] == s.dynEpoch {
-								adoptable = false
-								break
+			if vicMap != nil {
+				if m := vicMap[seed]; uint32(m>>32) == ix.epoch {
+					vi := int32(uint32(m) >> 1)
+					st := s.probeVic(vi, fw, bit)
+					if st&vicServiced != 0 {
+						continue // adopted earlier this round
+					}
+					if st&vicFlagged == 0 {
+						// An unflagged vicinity had no diverged member at the
+						// adoption decisions; if no mark was added since, that
+						// still holds without rescanning — and the seed cannot
+						// have been solved this round, for a solve marks its
+						// members, and a member marked before the decisions
+						// had flagged this vicinity.
+						adoptable := s.dynGen == genA
+						if !adoptable {
+							if s.stamp[seed] == s.epoch {
+								continue // solved this round
+							}
+							adoptable = true
+							for _, u := range traj.Members(vlo + int(vi)) {
+								adopted++
+								if s.dynStamp[u] == s.dynEpoch {
+									adoptable = false
+									break
+								}
 							}
 						}
-					}
-					if adoptable {
-						s.work.AdoptedVics++
-						vicState[vi] |= vicServiced
-						for _, ch := range traj.Changes(vlo + int(vi)) {
-							u := ch.Node
-							nv := ch.Value
-							if xmode {
-								nv = logic.Lub(c.val[u], nv)
-							}
-							adopted++
-							if nv == c.val[u] {
+						if adoptable {
+							s.work.AdoptedVics++
+							vicState[vi] = st | vicServiced
+							if m&1 == 0 {
+								zeroChange++
 								continue
 							}
-							c.val[u] = nv
-							s.noteChanged(u)
-							s.propagate(c, u)
+							for _, ch := range traj.Changes(vlo + int(vi)) {
+								u := ch.Node
+								nv := ch.Value
+								if xmode {
+									nv = logic.Lub(c.val[u], nv)
+								}
+								adopted++
+								if nv == c.val[u] {
+									continue
+								}
+								c.val[u] = nv
+								s.noteChanged(u)
+								s.propagate(c, u)
+							}
+							continue
 						}
-						continue
 					}
 				}
 			}
@@ -230,12 +282,48 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 
 		s.pend, s.next = s.next, s.pend
 	}
-	s.rvVicOf, s.rvVicStamp, s.rvState = nil, nil, nil
+	s.rvMap, s.rvState = nil, nil
 
 	s.work.AdoptedChanges += adopted
+	s.replay.ZeroChangeAdoptions += zeroChange
 	res.Changed = s.changed
 	res.Explored = s.explored
 	return res
+}
+
+// rideWave applies the first k rounds of ix's compiled wave to c, whose
+// replay shares them with the good circuit (sharedRounds): the rounds'
+// writes and flips, their share of the work counters, and P_k as the pend
+// queue. It returns the adopted-change count of the skipped rounds.
+func (s *Solver) rideWave(c *Circuit, ix *ReplayIndex, k int) (adopted int64) {
+	traj, wv := ix.traj, &ix.wave
+	nvic := int(traj.roundEnd[k-1])
+	nch := traj.changesBefore(nvic)
+	for _, ch := range traj.changes[:nch] {
+		if c.val[ch.Node] == ch.Value {
+			continue
+		}
+		c.val[ch.Node] = ch.Value
+		s.noteChanged(ch.Node)
+	}
+	for _, f := range wv.flips[:wv.flipEnd[k-1]] {
+		c.ts[f.t] = f.st
+	}
+	// The good circuit may have perturbed the node this lane forces; a
+	// forced node is never pending, and a queue holding nothing else would
+	// cost a round the walk never ran.
+	s.pend = s.pend[:0]
+	for _, n := range wv.pendAt(k) {
+		if !c.inputLike[n] {
+			s.pend = append(s.pend, n)
+		}
+	}
+	s.work.Rounds += int64(k)
+	s.work.AdoptedVics += int64(nvic)
+	s.replay.FastForwarded++
+	s.replay.RoundsSkipped += int64(k)
+	s.replay.AdoptionsSkipped += int64(nvic)
+	return int64(nch)
 }
 
 // probeVic returns the state of the current round's trajectory vicinity vi

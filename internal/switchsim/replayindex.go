@@ -30,9 +30,18 @@
 // (members of vicinities it solves, and their gated terminals) is
 // rescanned per round — cost ∝ the lane's activity and divergence, with
 // the trajectory-sized work shared across the whole word group.
+//
+// Compile shares one thing more: the good circuit's own wave through the
+// leading rounds, which every lane still in step with it would otherwise
+// re-walk seed by seed. It is walked once, as deep as some active lane can
+// follow, and such a lane applies its writes and flips in two loops and
+// resumes at the round where it first has something of its own to do.
 package switchsim
 
 import (
+	"slices"
+
+	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
 )
 
@@ -68,15 +77,24 @@ type ReplayIndex struct {
 	traj   *Trajectory
 	rounds int
 
-	// Per-round member→vicinity maps: vicOf[r][n] is valid when
-	// vicStamp[r][n] == epoch.
-	vicOf    [][]int32
-	vicStamp [][]uint32
+	// Per-round member→vicinity maps, one word per node so that a pend seed
+	// is classified with one load: vicMap[r][n] is epoch<<32 | vi<<1 |
+	// hasChanges, valid when its high half equals epoch; vi is the
+	// round-local index of the vicinity holding n, and hasChanges says
+	// whether that vicinity changed any node (four adoptions in five on the
+	// RAM workloads change nothing and never look at the change list).
+	vicMap [][]uint64
 	// flags[r][w*nvic+vi] is the word of lanes for which the vi-th of
 	// round r's nvic vicinities is statically flagged (must be solved, not
 	// adopted). The layout is word-major: the probes of one lane — the hot
 	// reader, SettleReplayIndexed — stay within its word's stretch.
 	flags [][]uint64
+	// roundAny[r*words+w] is the OR of round r's flag words: the lanes for
+	// which some vicinity of the round is flagged. A lane whose bit is
+	// clear adopts the whole round (see Compile).
+	roundAny []uint64
+
+	wave compiledWave
 
 	// Static-divergence overlay accumulated by the closure: lanes marked
 	// diverged at a node by earlier (or same-round) flagged vicinities,
@@ -118,11 +136,17 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 	ix.rounds = traj.NumRounds()
 	n := ix.tab.Net.NumNodes()
 
-	for len(ix.vicOf) < ix.rounds {
-		ix.vicOf = append(ix.vicOf, make([]int32, n))
-		ix.vicStamp = append(ix.vicStamp, make([]uint32, n))
+	ix.wave.depth = 0 // nothing compiled for this trajectory yet
+
+	for len(ix.vicMap) < ix.rounds {
+		ix.vicMap = append(ix.vicMap, make([]uint64, n))
 		ix.flags = append(ix.flags, nil)
 	}
+	if need := ix.rounds * words; cap(ix.roundAny) < need {
+		ix.roundAny = make([]uint64, need+need/2)
+	}
+	ix.roundAny = ix.roundAny[:ix.rounds*words]
+	clear(ix.roundAny)
 	if len(ix.extra) < n*words {
 		ix.extra = make([]uint64, n*words)
 		// Rows are epoch-guarded; a fresh array needs no clearing, but the
@@ -140,7 +164,7 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 	for r := 0; r < ix.rounds; r++ {
 		vlo, vhi := traj.RoundSpan(r)
 		nvic := vhi - vlo
-		vicOf, vicStamp := ix.vicOf[r], ix.vicStamp[r]
+		vicMap, roundAny := ix.vicMap[r], ix.roundAny[r*words:(r+1)*words]
 		need := nvic * words
 		if cap(ix.flags[r]) < need {
 			ix.flags[r] = make([]uint64, need+need/2)
@@ -150,9 +174,12 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 			flags[i] = 0
 		}
 		for vi := vlo; vi < vhi; vi++ {
+			m := uint64(ix.epoch)<<32 | uint64(vi-vlo)<<1
+			if len(traj.Changes(vi)) > 0 {
+				m |= 1
+			}
 			for _, u := range traj.Members(vi) {
-				vicOf[u] = int32(vi - vlo)
-				vicStamp[u] = ix.epoch
+				vicMap[u] = m
 			}
 		}
 		// Flag closure: the first sweep both computes initial flags and,
@@ -190,6 +217,7 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 					newBuf[w] = orBuf[w] &^ *fw
 					if newBuf[w] != 0 {
 						*fw |= newBuf[w]
+						roundAny[w] |= newBuf[w]
 						anyNew = true
 					}
 				}
@@ -228,3 +256,222 @@ func (ix *ReplayIndex) markLanes(u netlist.NodeID, m []uint64) {
 // Builds returns how many times Build has run on this index. Exported for
 // tests.
 func (ix *ReplayIndex) Builds() int { return int(ix.epoch) }
+
+// compiledWave is the good circuit's own wave through the leading rounds
+// of the indexed trajectory, walked once by Compile for every lane of the
+// setting: the pend queue at the start of each round and the switch flips
+// each round makes. The value writes need no copy — they are the
+// trajectory's change list — and the adoption counts are its vicinity and
+// change counts.
+type compiledWave struct {
+	// depth is the number of compiled rounds; zero after every Build until
+	// Compile runs, so an index that was only Built fast-forwards nothing.
+	depth int
+	// pend[pendEnd[r-1]:pendEnd[r]] is P_r, the good circuit's pend queue
+	// at the start of round r, for r in [0, depth].
+	pend    []netlist.NodeID
+	pendEnd []uint32
+	// flips[flipEnd[r-1]:flipEnd[r]] are round r's switch flips in order,
+	// for r in [0, depth).
+	flips   []waveFlip
+	flipEnd []uint32
+
+	// val overlays the pre-step state with the wave's writes so far:
+	// val[n] is valid when valStamp[n] == epoch. pendStamp dedups the
+	// pushes of one round, as Solver.pendStamp does.
+	val       []logic.Value
+	valStamp  []uint32
+	epoch     uint32
+	pendStamp []uint32
+	pendEpoch uint32
+
+	alive    []uint64 // lanes still in lockstep at the round being compiled
+	compiles int64
+}
+
+// waveFlip is one transistor's new conduction state.
+type waveFlip struct {
+	t  netlist.TransID
+	st logic.Value
+}
+
+// value returns node n's state in the wave: the overlay if the wave wrote
+// n, the pre-step state otherwise.
+func (wv *compiledWave) value(pre *Circuit, n netlist.NodeID) logic.Value {
+	if wv.valStamp[n] == wv.epoch {
+		return wv.val[n]
+	}
+	return pre.val[n]
+}
+
+func (wv *compiledWave) write(n netlist.NodeID, v logic.Value) {
+	wv.valStamp[n] = wv.epoch
+	wv.val[n] = v
+}
+
+// push appends storage node n to the pend list being built, once.
+func (wv *compiledWave) push(tab *Tables, n netlist.NodeID) {
+	if tab.isInput[n] || wv.pendStamp[n] == wv.pendEpoch {
+		return
+	}
+	wv.pendStamp[n] = wv.pendEpoch
+	wv.pend = append(wv.pend, n)
+}
+
+// Compile walks the good circuit's own wave through the leading rounds of
+// the trajectory last Built, so that every lane in lockstep with it can
+// skip them (see SettleReplayIndexed, "Riding the good wave"). pre is the
+// fault-free pre-step state and is only read; setting and extraSeeds are
+// what each lane's replay is seeded from (the reduced setting, or the
+// storage nodes of the initialization step); active has the bits of the
+// lanes about to replay, in Build's word layout.
+//
+// The walk is the one a lane with no divergence would make: the seeds of
+// ApplySetting deduplicated in order, every change of every vicinity
+// written unless the node already holds the value, every transistor whose
+// state the write changes flipped and its storage terminals pushed once
+// per round. It runs on an overlay of pre — the good circuit carries no
+// pins, so a transistor's state is a function of its gate's value — and
+// therefore has no mirror to keep in step and nothing to undo.
+//
+// It goes only as deep as some active lane can follow: round r is compiled
+// while a lane remains whose roundAny bits are clear for rounds 0..r, and
+// nothing is compiled (not even the seeds) when every active lane is
+// flagged in round 0.
+func (ix *ReplayIndex) Compile(pre *Circuit, setting Setting, extraSeeds []netlist.NodeID, active []uint64) {
+	wv, tab, traj, words := &ix.wave, ix.tab, ix.traj, ix.words
+	wv.depth = 0
+	if ix.rounds == 0 {
+		return
+	}
+	wv.alive = append(wv.alive[:0], active[:words]...)
+	if !wv.stillAlive(ix.roundAny[:words]) {
+		return
+	}
+	if wv.val == nil {
+		n := tab.Net.NumNodes()
+		wv.val = make([]logic.Value, n)
+		wv.valStamp = make([]uint32, n)
+		wv.pendStamp = make([]uint32, n)
+	}
+	wv.compiles++
+	wv.epoch++
+	wv.pendEpoch++
+	wv.pend, wv.pendEnd = wv.pend[:0], wv.pendEnd[:0]
+	wv.flips, wv.flipEnd = wv.flips[:0], wv.flipEnd[:0]
+
+	// P_0: the good circuit's response to the setting, as ApplySetting and
+	// the settle's seed dedup produce it.
+	nw := tab.Net
+	for _, a := range setting {
+		old := wv.value(pre, a.Node)
+		if old == a.Value {
+			continue
+		}
+		wv.write(a.Node, a.Value)
+		for _, e := range tab.GatedByOf(a.Node) {
+			if logic.SwitchState(e.Typ, a.Value) != logic.SwitchState(e.Typ, old) {
+				wv.push(tab, e.Src)
+				wv.push(tab, e.Drn)
+			}
+		}
+		for _, e := range tab.ChannelOf(a.Node) {
+			tr := nw.Transistor(e.T)
+			if logic.SwitchState(tr.Type, wv.value(pre, tr.Gate)) != logic.Lo {
+				wv.push(tab, e.Other)
+			}
+		}
+	}
+	if setting == nil {
+		for _, n := range extraSeeds {
+			wv.push(tab, n)
+		}
+	}
+	wv.pendEnd = append(wv.pendEnd, uint32(len(wv.pend)))
+
+	for r := 0; ; {
+		wv.pendEpoch++
+		lo, hi := traj.RoundSpan(r)
+		for _, ch := range traj.changes[traj.changesBefore(lo):traj.changesBefore(hi)] {
+			old := wv.value(pre, ch.Node)
+			if ch.Value == old {
+				continue
+			}
+			wv.write(ch.Node, ch.Value)
+			for _, e := range tab.GatedByOf(ch.Node) {
+				ns := logic.SwitchState(e.Typ, ch.Value)
+				if ns == logic.SwitchState(e.Typ, old) {
+					continue
+				}
+				wv.flips = append(wv.flips, waveFlip{e.T, ns})
+				wv.push(tab, e.Src)
+				wv.push(tab, e.Drn)
+			}
+		}
+		wv.flipEnd = append(wv.flipEnd, uint32(len(wv.flips)))
+		wv.pendEnd = append(wv.pendEnd, uint32(len(wv.pend)))
+		r++
+		wv.depth = r
+		if r == ix.rounds || !wv.stillAlive(ix.roundAny[r*words:(r+1)*words]) {
+			return
+		}
+	}
+}
+
+// stillAlive drops the lanes flagged in a round from the lockstep set and
+// reports whether any remain.
+func (wv *compiledWave) stillAlive(roundAny []uint64) bool {
+	left := uint64(0)
+	for w := range wv.alive {
+		wv.alive[w] &^= roundAny[w]
+		left |= wv.alive[w]
+	}
+	return left != 0
+}
+
+// pendAt returns P_r for r in [0, depth].
+func (wv *compiledWave) pendAt(r int) []netlist.NodeID {
+	lo := uint32(0)
+	if r > 0 {
+		lo = wv.pendEnd[r-1]
+	}
+	return wv.pend[lo:wv.pendEnd[r]]
+}
+
+// sharedRounds returns how many leading rounds the lane (word, bit) of
+// circuit c, whose deduplicated seeds are pend, provably shares with the
+// good circuit: zero unless its seeds are P_0, and then the rounds before
+// the first one that flags a vicinity for the lane, flips a transistor c
+// pins, or lies past maxRounds.
+func (ix *ReplayIndex) sharedRounds(c *Circuit, pend []netlist.NodeID, word int, bit uint, maxRounds int) int {
+	wv := &ix.wave
+	k := 0
+	for k < wv.depth && ix.roundAny[k*ix.words+word]>>bit&1 == 0 {
+		k++
+	}
+	if k > maxRounds {
+		k = maxRounds
+	}
+	if k == 0 || !slices.Equal(pend, wv.pendAt(0)) {
+		return 0
+	}
+	if c.nPins > 0 {
+		// The good circuit flips the pinned transistor and perturbs its
+		// terminals; the lane does neither, and from that round on its
+		// pend queue is its own.
+		lo := uint32(0)
+		for r := 0; r < k; r++ {
+			hi := wv.flipEnd[r]
+			for _, f := range wv.flips[lo:hi] {
+				if c.pinTrans[f.t] != unpinned {
+					return r
+				}
+			}
+			lo = hi
+		}
+	}
+	return k
+}
+
+// Compiles returns how many good waves this index has compiled.
+func (ix *ReplayIndex) Compiles() int64 { return ix.wave.compiles }

@@ -15,18 +15,17 @@ import (
 type ScalarReplay struct {
 	s *Solver
 
-	// nodeVic[n] is the index of the trajectory vicinity containing n this
-	// round (valid when nodeVicStamp matches the round epoch); state is
-	// the per-round flagged/serviced buffer.
-	nodeVic      []int32
-	nodeVicStamp []uint32
-	state        []uint32
+	// nodeVic[n] names the trajectory vicinity containing n this round, in
+	// the layout of ReplayIndex.vicMap under the solver's round epoch;
+	// state is the per-round flagged/serviced buffer.
+	nodeVic []uint64
+	state   []uint32
 }
 
 // NewScalarReplay returns a scalar replayer driving solver s.
 func NewScalarReplay(s *Solver) *ScalarReplay {
 	n := s.tab.Net.NumNodes()
-	return &ScalarReplay{s: s, nodeVic: make([]int32, n), nodeVicStamp: make([]uint32, n)}
+	return &ScalarReplay{s: s, nodeVic: make([]uint64, n)}
 }
 
 // BeginReplay opens a new replay divergence epoch: the caller seeds the
@@ -117,8 +116,7 @@ func (sr *ScalarReplay) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *T
 			state[vi-vlo] = s.rvTag
 			for _, u := range traj.Members(vi) {
 				adopted++ // indexing cost, counted honestly
-				sr.nodeVic[u] = int32(vi - vlo)
-				sr.nodeVicStamp[u] = s.epoch
+				sr.nodeVic[u] = uint64(s.epoch)<<32 | uint64(vi-vlo)<<1
 				if s.dynStamp[u] == s.dynEpoch || c.IsInputLike(u) {
 					state[vi-vlo] |= vicFlagged
 				}
@@ -157,7 +155,7 @@ func (sr *ScalarReplay) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *T
 			}
 		}
 		genA := s.dynGen // divergence set as of the adoption decisions
-		s.rvVicOf, s.rvVicStamp, s.rvEpoch, s.rvState = sr.nodeVic, sr.nodeVicStamp, s.epoch, state
+		s.rvMap, s.rvEpoch, s.rvState = sr.nodeVic, s.epoch, state
 
 		// Pass B — service the pend queue in order: adopt where provably
 		// identical (re-checking against marks added by this pass's own
@@ -166,8 +164,8 @@ func (sr *ScalarReplay) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *T
 			if c.IsInputLike(seed) || s.stamp[seed] == s.epoch {
 				continue // forced by the fault, or solved this round
 			}
-			if sr.nodeVicStamp[seed] == s.epoch {
-				vi := sr.nodeVic[seed]
+			if m := sr.nodeVic[seed]; uint32(m>>32) == s.epoch {
+				vi := uint32(m) >> 1
 				if state[vi]&vicServiced != 0 {
 					continue // adopted earlier this round
 				}
@@ -236,7 +234,7 @@ func (sr *ScalarReplay) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *T
 
 		s.pend, s.next = s.next, s.pend
 	}
-	s.rvVicOf, s.rvVicStamp, s.rvState = nil, nil, nil
+	s.rvMap, s.rvState = nil, nil
 
 	s.work.AdoptedChanges += adopted
 	res.Changed = s.changed

@@ -84,11 +84,17 @@ func (tr *Trajectory) Members(vi int) []netlist.NodeID {
 
 // Changes returns the changes vicinity vi produced.
 func (tr *Trajectory) Changes(vi int) []Change {
-	lo := uint32(0)
-	if vi > 0 {
-		lo = tr.vics[vi-1].changeEnd
+	return tr.changes[tr.changesBefore(vi):tr.vics[vi].changeEnd]
+}
+
+// changesBefore returns how many changes the vicinities before vi produced:
+// the start of vi's change list, and the end of the list of everything
+// before it.
+func (tr *Trajectory) changesBefore(vi int) uint32 {
+	if vi == 0 {
+		return 0
 	}
-	return tr.changes[lo:tr.vics[vi].changeEnd]
+	return tr.vics[vi-1].changeEnd
 }
 
 func (tr *Trajectory) reset() {

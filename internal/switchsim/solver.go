@@ -70,16 +70,16 @@ type Solver struct {
 	dynList  []netlist.NodeID
 
 	// Indexed-replay round context (SettleReplayIndexed): the current
-	// round's member→vicinity map from the prebuilt ReplayIndex and the
-	// per-vicinity flagged/serviced state. While rvState is non-nil,
-	// exploreVicinity treats members of serviced (adopted) vicinities as
-	// outside the exploration frontier: the good circuit kept them in a
-	// separate vicinity this round, and any divergence that would bridge
-	// into them is marked and re-solved next round.
-	rvVicOf    []int32
-	rvVicStamp []uint32
-	rvEpoch    uint32
-	rvState    []uint32
+	// round's member→vicinity map from the prebuilt ReplayIndex (entries
+	// valid under rvEpoch, see ReplayIndex.vicMap) and the per-vicinity
+	// flagged/serviced state. While rvState is non-nil, exploreVicinity
+	// treats members of serviced (adopted) vicinities as outside the
+	// exploration frontier: the good circuit kept them in a separate
+	// vicinity this round, and any divergence that would bridge into them
+	// is marked and re-solved next round.
+	rvMap   []uint64
+	rvEpoch uint32
+	rvState []uint32
 	// vicState backs rvState. An entry is the round's tag (rvTag, a
 	// multiple of vicTagStep, new every replay round) plus the flag bits;
 	// one carrying any other tag is stale and reads as "not probed yet",
@@ -97,11 +97,15 @@ type Solver struct {
 	newVal     []logic.Value
 	seedBuf    []netlist.NodeID
 
-	work Work
+	work   Work
+	replay ReplayStats
 
 	// onSolve, when non-nil, observes every vicinity solve as solveVicinity
-	// returns. The tests hang the kernel oracle on it.
+	// returns. The tests hang the kernel oracle on it. onRound observes the
+	// start of every round an indexed replay walks (s.pend is the round's
+	// queue); the fast-forward tests check the compiled wave against it.
 	onSolve func(c *Circuit, newVal []logic.Value)
+	onRound func(round int)
 }
 
 // vicNode is the kernel's view of one node solved this round: what the
@@ -166,6 +170,11 @@ func (s *Solver) markDyn(n netlist.NodeID) {
 
 // Work returns the accumulated work counters.
 func (s *Solver) Work() Work { return s.work }
+
+// ReplayStats returns what this solver's indexed replays did since it was
+// made. Unlike Work it is no part of any result: it describes how the
+// replay got there, not what it computed.
+func (s *Solver) ReplayStats() ReplayStats { return s.replay }
 
 // ResetWork zeroes the work counters.
 func (s *Solver) ResetWork() { s.work = Work{} }
@@ -306,10 +315,11 @@ func (s *Solver) gatherGhost(c *Circuit, j int32) {
 // the current indexed-replay round that has already been adopted. Valid
 // only while rvState is set (inside SettleReplayIndexed rounds).
 func (s *Solver) servicedThisRound(n netlist.NodeID) bool {
-	if s.rvVicStamp[n] != s.rvEpoch {
+	m := s.rvMap[n]
+	if uint32(m>>32) != s.rvEpoch {
 		return false
 	}
-	st := s.rvState[s.rvVicOf[n]]
+	st := s.rvState[uint32(m)>>1]
 	return st&^(vicTagStep-1) == s.rvTag && st&vicServiced != 0
 }
 

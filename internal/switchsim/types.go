@@ -183,3 +183,37 @@ func (w Work) Scaled(k int64) Work {
 func (w Work) Units() int64 {
 	return w.RelaxSteps + 4*w.NodesSolved + 16*w.Vicinities + 32*w.Settles + w.AdoptedChanges
 }
+
+// ReplayStats describes how indexed replays reached their results: how
+// many lanes ran, how many of them skipped leading rounds on the compiled
+// good wave and what the skipping saved, and how many of the adoptions
+// that were walked changed nothing. It is diagnostic only — never part of
+// a result, a codec or a checkpoint — and, unlike Work, is free to change
+// when the replay is reorganised.
+type ReplayStats struct {
+	// Builds counts replay indexes built (one per setting that activated
+	// a lane); Compiles the good waves compiled for them — fewer, since a
+	// setting whose active lanes are all flagged in round 0 compiles
+	// nothing.
+	Builds, Compiles int64
+	// Lanes counts indexed replays; FastForwarded those that skipped at
+	// least one round.
+	Lanes, FastForwarded int64
+	// RoundsSkipped and AdoptionsSkipped total the rounds and the adopted
+	// vicinities the fast-forwarded lanes did not walk.
+	RoundsSkipped, AdoptionsSkipped int64
+	// ZeroChangeAdoptions counts walked adoptions of a vicinity that
+	// changed no node.
+	ZeroChangeAdoptions int64
+}
+
+// Add accumulates r2 into r.
+func (r *ReplayStats) Add(r2 ReplayStats) {
+	r.Builds += r2.Builds
+	r.Compiles += r2.Compiles
+	r.Lanes += r2.Lanes
+	r.FastForwarded += r2.FastForwarded
+	r.RoundsSkipped += r2.RoundsSkipped
+	r.AdoptionsSkipped += r2.AdoptionsSkipped
+	r.ZeroChangeAdoptions += r2.ZeroChangeAdoptions
+}
