@@ -12,11 +12,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"fmossim/internal/bench"
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
+	"fmossim/internal/fault"
 	"fmossim/internal/logic"
 	"fmossim/internal/march"
 	"fmossim/internal/netlist"
@@ -591,6 +593,130 @@ func BenchmarkReplayWalk(b *testing.B) {
 			b.ReportMetric(float64(r1-r0)/replays, "walked-rounds/replay")
 			b.ReportMetric(float64(a1-a0)/replays, "walked-adoptions/replay")
 			b.ReportMetric(float64(len(samples)), "samples")
+		})
+	}
+}
+
+// BenchmarkMaterialize times what a lane-step pays before its settle and
+// after its diff: copy prev into the worker's scratch, write the lane's
+// divergence records over it (values, then the transistors they gate), apply
+// the fault, and drop it again — the steps of core's stepFaulty, through the
+// same switchsim calls. The lanes are RAM256 stuck-at circuits still live at
+// the end of a pattern of sequence 1 (prev is the good state there), bucketed
+// by how many records they hold; the copy is the same two memmoves in every
+// bucket, so the spread across buckets is the overlay.
+func BenchmarkMaterialize(b *testing.B) {
+	m := ram.RAM256()
+	tab := switchsim.NewTables(m.Net)
+	seq := march.Sequence1(m)
+	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
+	rec := core.Record(m.Net, seq, opts)
+	fb, err := core.NewFaultBatch(tab, bench.NodeStuckOnly(m), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	type lane struct {
+		prev  *switchsim.Circuit
+		f     fault.Fault
+		nodes []netlist.NodeID
+		vals  []logic.Value
+	}
+	buckets := []struct {
+		name  string
+		most  int
+		lanes []lane
+	}{{"records=0", 0, nil}, {"records<=4", 4, nil}, {"records<=16", 16, nil}, {"records>16", 1 << 30, nil}}
+	const perBucket = 64
+	good := switchsim.NewCircuit(tab)
+	sample := func() {
+		prev := switchsim.NewCircuit(tab)
+		prev.CopyStateFrom(good)
+		for fi := 0; fi < fb.NumFaults(); fi++ {
+			if _, dropped := fb.Detected(fi); dropped {
+				continue
+			}
+			ln := lane{prev: prev, f: fb.Fault(fi)}
+			recs := fb.Records(fi)
+			for n := range recs {
+				ln.nodes = append(ln.nodes, n)
+			}
+			slices.Sort(ln.nodes)
+			for _, n := range ln.nodes {
+				ln.vals = append(ln.vals, recs[n])
+			}
+			for k := range buckets {
+				if bk := &buckets[k]; len(ln.nodes) <= bk.most {
+					if len(bk.lanes) < perBucket {
+						bk.lanes = append(bk.lanes, ln)
+					}
+					break
+				}
+			}
+		}
+	}
+	step := func(t *switchsim.StepTrace) {
+		fb.Step(t)
+		for _, chs := range [][]switchsim.Change{t.InputChanges, t.Changed} {
+			for _, ch := range chs {
+				good.OverrideValue(ch.Node, ch.Value)
+				good.RefreshGates(ch.Node)
+			}
+		}
+	}
+	full := func() bool {
+		for _, bk := range buckets {
+			if len(bk.lanes) < perBucket {
+				return false
+			}
+		}
+		return true
+	}
+	step(&rec.Steps[0])
+	sample()
+	si := 1
+	for pi := 0; pi < len(seq.Patterns) && !full(); pi++ {
+		p := &seq.Patterns[pi]
+		fb.BeginPattern()
+		for i := range p.Settings {
+			step(&rec.Steps[si])
+			si++
+			if p.ObserveAt(i) {
+				fb.Observe()
+			}
+		}
+		fb.EndPattern()
+		if pi&(pi+1) == 0 { // patterns 0, 1, 3, 7, …
+			sample()
+		}
+	}
+
+	scratch := switchsim.NewCircuit(tab)
+	for _, bk := range buckets {
+		if len(bk.lanes) == 0 {
+			b.Fatalf("no live lane with %s", bk.name)
+		}
+		b.Run(bk.name, func(b *testing.B) {
+			records := 0
+			for i := 0; i < b.N; i++ {
+				ln := &bk.lanes[i%len(bk.lanes)]
+				scratch.CopyStateFrom(ln.prev)
+				for j, n := range ln.nodes {
+					scratch.OverrideValue(n, ln.vals[j])
+				}
+				for _, n := range ln.nodes {
+					scratch.RefreshGates(n)
+				}
+				ln.f.Apply(scratch)
+				if ln.f.Kind.IsNodeFault() {
+					scratch.DropForce(ln.f.Node)
+				} else {
+					scratch.DropPin(ln.f.Trans)
+				}
+				records += len(ln.nodes)
+			}
+			b.ReportMetric(float64(records)/float64(b.N), "records/op")
+			b.ReportMetric(float64(len(bk.lanes)), "samples")
 		})
 	}
 }

@@ -44,13 +44,14 @@ type FaultBatch struct {
 	// prev holds the good circuit's pre-step state: faulty circuits are
 	// materialized from it so their settling starts from their own
 	// previous steady state. It is advanced by delta application at the
-	// end of each step, never by full copies.
+	// end of each step, never by full copies, and is read-only while
+	// circuits run.
 	prev *switchsim.Circuit
 
 	// workers execute activated faulty circuits; each owns a scratch
-	// circuit (a live mirror of prev, patched and reverted per circuit by
-	// an undo log) and a private solver. workers[0] doubles as the inline
-	// path when parallel dispatch isn't worthwhile.
+	// circuit (overwritten from prev at the start of every lane-step) and
+	// a private solver. workers[0] doubles as the inline path when
+	// parallel dispatch isn't worthwhile.
 	workers []*faultWorker
 
 	faults []*faultState
@@ -113,12 +114,6 @@ type FaultBatch struct {
 	// the initialization step perturbs.
 	settingBuf switchsim.Setting
 	allNodes   []netlist.NodeID
-
-	// deltaLog accumulates the mirror deltas (changed inputs + changed
-	// storage nodes, post-step values) the worker scratch mirrors sync
-	// from lazily, each on its own goroutine (see faultWorker.catchUp);
-	// trimDeltaLog bounds it.
-	deltaLog []switchsim.Change
 
 	started    bool // the initialization trace has been consumed
 	patternIdx int
@@ -349,9 +344,9 @@ func (b *FaultBatch) touch(n netlist.NodeID) {
 // Step executes one good-circuit step trace against every live circuit in
 // the batch: scheduling from the trace's activity, simulating each
 // activated circuit (adopting from the trajectory where provably
-// identical), diffing into divergence records, and finally advancing the
-// pre-step mirrors to the post-step state. Returns the fault-side setting
-// statistics (the caller owns the good-side fields).
+// identical), diffing into divergence records, and finally advancing prev
+// to the post-step state. Returns the fault-side setting statistics (the
+// caller owns the good-side fields).
 func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 	t0 := time.Now() //fmossim:nondeterminism-ok FaultNS wall-clock stats are contract-exempt (doc.go)
 	w0 := b.faultWork()
@@ -393,13 +388,10 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 		nActive = b.simulateActivated(b.reducedSetting(trace.InputChanges), traj, trace.Changed)
 	}
 
-	// Advance prev (and, lazily, the worker scratch mirrors) to the
-	// post-step state: cost proportional to the step's activity, and by
-	// the time the next step's circuits materialize, each mirror catches
-	// up to its pre-step state.
-	b.applyDelta(trace.InputChanges)
-	b.applyDelta(trace.Changed)
-	b.trimDeltaLog()
+	// Advance prev to the post-step state the next step's circuits
+	// materialize from: cost proportional to the step's activity.
+	b.applyToCircuit(b.prev, trace.InputChanges)
+	b.applyToCircuit(b.prev, trace.Changed)
 
 	dw := b.faultWork().Sub(w0)
 	st := SettingStats{
@@ -432,9 +424,9 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 // skipStep emits the SettingStats a full Step would produce when every
 // circuit in the batch is dropped — all-zero activity with only the
 // position counters and the previous observation's retirements filled in
-// — without scheduling or advancing the mirrors (nothing reads them once
-// the batch is empty). Used by the trimmed replay loop to
-// shed the dead tail of a fully-retired batch.
+// — without scheduling or advancing good and prev (nothing reads them once
+// the batch is empty). Used by the trimmed replay loop to shed the dead
+// tail of a fully-retired batch.
 func (b *FaultBatch) skipStep() SettingStats {
 	st := SettingStats{
 		Pattern:       b.patternIdx,

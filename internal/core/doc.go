@@ -8,9 +8,9 @@
 // activity it generates — together with the input changes — determines
 // which faulty circuits must be re-simulated ("events are scheduled on a
 // circuit-by-circuit basis"). Each activated faulty circuit is then
-// simulated separately by materializing its view (good state overlaid with
-// its records and fault), settling only from its perturbed nodes, and
-// diffing the touched region back into records. This exploits the
+// simulated separately by materializing its view (a copy of the good
+// pre-step state overlaid with its records and fault), settling only from
+// its perturbed nodes, and diffing the touched region back into records. This exploits the
 // data-dependent locality of each circuit individually, which is the
 // paper's key adaptation of concurrent simulation to the switch level,
 // where logic-element boundaries (transistor vicinities) differ between

@@ -109,8 +109,8 @@ func TestFastForwardMatchesWalkBatch(t *testing.T) {
 					}
 				}
 				if steps%97 == 0 {
-					// The undo log must take a fast-forwarded scratch back
-					// to prev like any other.
+					// A fast-forwarded lane must leave its scratch like any
+					// other: fault dropped, pooled record bits cleared.
 					if err := ff.CheckInvariants(); err != nil {
 						t.Fatalf("%s static=%v %s: %v", seq.Name, static, where, err)
 					}
@@ -131,14 +131,13 @@ func TestFastForwardMatchesWalkBatch(t *testing.T) {
 
 // TestCompileMirrorTracksPrev guards what the good wave is compiled from.
 // There is no separate mirror to fall behind: Compile reads prev itself
-// through an overlay. A mirror that lagged the delta log could be corrupted
-// in two places — when trimDeltaLog resets the log under laggards, and when
-// restoreSnapshot loads a frame — so the test goes through both (a RAM64
-// run long enough to trim, one worker and three; a resume from a
-// mid-sequence snapshot) and checks before every step, compile included,
-// that prev is the state an independent good circuit had before the step,
-// and after it the state it has now; the results must be those of a batch
-// that compiles nothing.
+// through an overlay, as every lane's materialization copies prev itself.
+// prev is written in two places — delta application at the end of each step,
+// and restoreSnapshot loading a frame — so the test goes through both (a full
+// RAM64 run, one worker and three; a resume from a mid-sequence snapshot) and
+// checks before every step, compile included, that prev is the state an
+// independent good circuit had before the step, and after it the state it
+// has now; the results must be those of a batch that compiles nothing.
 func TestCompileMirrorTracksPrev(t *testing.T) {
 	m := ram.RAM64()
 	seq := march.Sequence1(m)
@@ -205,7 +204,6 @@ func TestCompileMirrorTracksPrev(t *testing.T) {
 		}
 
 		// Then the state every compile reads, step by step.
-		trims, logged := 0, 0
 		stepChecked := func(b *FaultBatch, si int) {
 			if !b.prev.StateEquals(ref) {
 				t.Fatalf("workers=%d step %d: prev is not the pre-step good state", workers, si)
@@ -215,10 +213,6 @@ func TestCompileMirrorTracksPrev(t *testing.T) {
 			if !b.prev.StateEquals(ref) {
 				t.Fatalf("workers=%d step %d: prev is not the post-step good state", workers, si)
 			}
-			if len(b.deltaLog) < logged {
-				trims++
-			}
-			logged = len(b.deltaLog)
 		}
 		b, _ := NewFaultBatch(tab, faults, opts)
 		ref.Reset()
@@ -231,13 +225,10 @@ func TestCompileMirrorTracksPrev(t *testing.T) {
 				stepChecked(b, si)
 				si++
 				if p.ObserveAt(i) {
-					b.Observe() // circuits drop, workers fall idle and lag the log
+					b.Observe()
 				}
 			}
 			b.EndPattern()
-		}
-		if trims == 0 {
-			t.Fatalf("workers=%d: the delta log was never trimmed", workers)
 		}
 		if b.ReplayStats().Compiles == 0 {
 			t.Fatalf("workers=%d: nothing was compiled", workers)
@@ -250,7 +241,6 @@ func TestCompileMirrorTracksPrev(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref.LoadState(rec.SnapshotAt(mid.Step))
-		logged = 0
 		for si := mid.Step + 1; si < len(rec.Steps); si++ {
 			stepChecked(rb, si)
 		}

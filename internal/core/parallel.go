@@ -1,24 +1,24 @@
-// Fault-circuit execution engine: activity-proportional materialization
-// plus parallel execution of activated circuits.
+// Fault-circuit execution engine: materialization by copy plus parallel
+// execution of activated circuits.
 //
 // Materialization. A faulty circuit's pre-step view is the good circuit's
 // pre-step state (prev) overlaid with the circuit's divergence records and
-// fault pin. Instead of copying the whole state per circuit (O(nodes +
-// transistors)), each worker keeps a scratch circuit that is a standing
-// mirror of prev: a step overlays only the records and the fault, settles,
-// diffs, and then reverts exactly the touched nodes — the overlay set, the
-// changed inputs, and the settle's changed set — via an undo log. The cost
-// of simulating a circuit is therefore proportional to its activity, never
-// to circuit size, which is the paper's central scaling claim carried down
-// into the constant factors.
+// fault pin. A lane-step is copy, overlay, settle, diff, drop the fault: the
+// worker's scratch circuit takes prev's node values and transistor states in
+// two memmoves, the records and the fault go on top, and after the diff only
+// the fault's one pin or force is lifted — whatever else the settle left in
+// the scratch is overwritten by the next lane's copy. Every lane starts from
+// the same prev, so there is nothing to revert to and nothing to keep in
+// sync between settings (DESIGN.md "Materialization by copy" has the
+// measurements and the circuit size at which a revert would pay again).
 //
 // Memory pooling. The diff pass tests record membership with a node-indexed
 // bitmap and compares old values through a dense value array. Those dense
 // mirrors are worker-owned scratch, populated from the circuit's sparse
-// record store on entry and cleared on exit of each stepFaulty (cost ∝
-// records, which the overlay walks anyway). Per-fault memory is therefore
-// only the sparse store itself: total bookkeeping is O(workers × nodes +
-// total divergence), not O(faults × nodes).
+// record store on entry and cleared on exit of each stepFaulty (the bitmap
+// whole: a few words, cheaper than revisiting the records). Per-fault
+// memory is therefore only the sparse store itself: total bookkeeping is
+// O(workers × nodes + total divergence), not O(faults × nodes).
 //
 // Parallelism. Given the good trajectory, the pre-step state, and the good
 // post-step state, the activated circuits of one setting are mutually
@@ -64,19 +64,13 @@ type stepResult struct {
 }
 
 // faultWorker owns the per-goroutine state needed to execute one faulty
-// circuit at a time: the scratch mirror of prev, a private solver, the
-// undo log, the pooled dense record mirrors, and epoch-stamped diff
+// circuit at a time: the scratch circuit each lane is materialized into, a
+// private solver, the pooled dense record mirrors, and epoch-stamped diff
 // scratch.
 type faultWorker struct {
 	batch   *FaultBatch
 	scratch *switchsim.Circuit
 	solve   *switchsim.Solver
-
-	// Undo log: the nodes whose scratch state diverged from the prev
-	// mirror during the current circuit's step.
-	undoStamp []uint32
-	undoEpoch uint32
-	undo      []netlist.NodeID
 
 	// Diff dedup stamps.
 	diffStamp []uint32
@@ -90,12 +84,13 @@ type faultWorker struct {
 	recBits []uint64
 	recVal  []logic.Value
 
-	// deltaPos marks how far into the batch's delta log this worker's
-	// scratch mirror has been synced (see catchUp).
-	deltaPos int
-
 	// ops is the worker's diff arena for the current setting.
 	ops []recOp
+
+	// onLane is a test hook: called with the circuit once its pre-step view
+	// is materialized (materialized true, before the setting is applied) and
+	// again once its fault is dropped (materialized false).
+	onLane func(ci CircuitID, materialized bool)
 }
 
 func newFaultWorker(b *FaultBatch) *faultWorker {
@@ -104,7 +99,6 @@ func newFaultWorker(b *FaultBatch) *faultWorker {
 		batch:     b,
 		scratch:   switchsim.NewCircuit(b.tab),
 		solve:     switchsim.NewSolver(b.tab),
-		undoStamp: make([]uint32, n),
 		diffStamp: make([]uint32, n),
 		recBits:   make([]uint64, (n+63)/64),
 		recVal:    make([]logic.Value, n),
@@ -114,41 +108,12 @@ func newFaultWorker(b *FaultBatch) *faultWorker {
 	return w
 }
 
-// catchUp replays the batch's pending delta-log suffix into this worker's
-// scratch mirror, bringing it up to prev (the current pre-step state).
-// Syncing is lazy and per-worker: the coordinator only appends deltas to
-// the shared log (and advances prev), and each worker catches up on its
-// own goroutine the next time it executes a circuit — so mirror
-// maintenance parallelizes instead of costing O(delta × workers) serial
-// time per setting, and workers idle through a quiet stretch pay nothing
-// until they run again. The log is read-only during fan-outs; it is
-// appended and trimmed only between them (see trimDeltaLog).
-func (w *faultWorker) catchUp() {
-	b := w.batch
-	if w.deltaPos == len(b.deltaLog) {
-		return
-	}
-	for _, ch := range b.deltaLog[w.deltaPos:] {
-		w.scratch.OverrideValue(ch.Node, ch.Value)
-		w.scratch.RefreshGates(ch.Node)
-	}
-	w.deltaPos = len(b.deltaLog)
-}
-
-// noteUndo stamps node n into the current circuit's undo set.
-func (w *faultWorker) noteUndo(n netlist.NodeID) {
-	if w.undoStamp[n] != w.undoEpoch {
-		w.undoStamp[n] = w.undoEpoch
-		w.undo = append(w.undo, n)
-	}
-}
-
 // diffNode compares the scratch (faulty) state against the good post-step
 // state at node n and appends the record mutation, if any, to the op
 // arena. Nodes already diffed this epoch are skipped. Input nodes are
 // diffed too: a forced (faulted) input diverges from the good circuit's
 // input value.
-func (w *faultWorker) diffNode(fs *faultState, n netlist.NodeID) {
+func (w *faultWorker) diffNode(n netlist.NodeID) {
 	if w.diffStamp[n] == w.diffEpoch {
 		return
 	}
@@ -164,15 +129,15 @@ func (w *faultWorker) diffNode(fs *faultState, n netlist.NodeID) {
 	}
 }
 
-func (w *faultWorker) diffNodes(fs *faultState, nodes []netlist.NodeID) {
+func (w *faultWorker) diffNodes(nodes []netlist.NodeID) {
 	for _, n := range nodes {
-		w.diffNode(fs, n)
+		w.diffNode(n)
 	}
 }
 
-func (w *faultWorker) diffChanges(fs *faultState, chs []switchsim.Change) {
+func (w *faultWorker) diffChanges(chs []switchsim.Change) {
 	for _, ch := range chs {
-		w.diffNode(fs, ch.Node)
+		w.diffNode(ch.Node)
 	}
 }
 
@@ -185,47 +150,38 @@ func (w *faultWorker) diffChanges(fs *faultState, chs []switchsim.Change) {
 // bit-for-bit. The scheduler's interest hits decide only *whether* the
 // circuit runs, never what it re-solves.
 //
-// The scratch circuit enters as a mirror of prev, is patched with the
-// circuit's records and fault, settled, diffed against the good post-step
-// state into the op arena, and reverted to the mirror before returning.
-// The returned range [lo,hi) locates the circuit's ops; osc reports an
-// oscillation.
+// The scratch circuit is materialized from prev, patched with the circuit's
+// records and fault, settled and diffed against the good post-step state
+// into the op arena; the fault is dropped before returning, so the scratch
+// carries no pin and no force between lane-steps. The returned range
+// [lo,hi) locates the circuit's ops; osc reports an oscillation.
 func (w *faultWorker) stepFaulty(ci CircuitID, setting switchsim.Setting, extraSeeds []netlist.NodeID, traj *switchsim.Trajectory, goodChanged []switchsim.Change) (lo, hi int, osc bool) {
 	b := w.batch
 	fs := b.faults[ci-1]
-	w.catchUp()
 
-	// Materialize the faulty circuit's pre-step view: overlay the
-	// divergence records (populating the pooled dense mirrors in the same
-	// walk), fix up transistor states for divergent gates, and apply the
-	// fault pin. Re-applying the fault is a materialization fix-up (the
-	// mirrored transistor states are the good circuit's), not a
+	// Materialize the faulty circuit's pre-step view: copy prev, overlay
+	// the divergence records (populating the pooled dense mirrors in the
+	// same walk), fix up transistor states for divergent gates, and apply
+	// the fault pin. Applying the fault is a materialization fix-up (the
+	// copied transistor states are the good circuit's), not a
 	// perturbation, so its seeds are discarded.
-	w.undoEpoch++
-	w.undo = w.undo[:0]
+	w.scratch.CopyStateFrom(b.prev)
 	for i, n := range fs.recs.nodes {
 		v := fs.recs.vals[i]
 		w.scratch.OverrideValue(n, v)
 		w.recBits[uint(n)>>6] |= 1 << (uint(n) & 63)
 		w.recVal[n] = v
-		w.noteUndo(n)
 	}
 	for _, n := range fs.recs.nodes {
 		w.scratch.RefreshGates(n)
 	}
 	fs.f.Apply(w.scratch)
-	nodeFault := fs.f.Kind.IsNodeFault()
-	if nodeFault {
-		w.noteUndo(fs.f.Node)
+	if w.onLane != nil {
+		w.onLane(ci, true)
 	}
 
 	seeds := extraSeeds
 	if setting != nil {
-		for _, a := range setting {
-			if w.scratch.Value(a.Node) != a.Value {
-				w.noteUndo(a.Node)
-			}
-		}
 		seeds = w.solve.ApplySetting(w.scratch, setting)
 	}
 
@@ -246,38 +202,28 @@ func (w *faultWorker) stepFaulty(ci CircuitID, setting switchsim.Setting, extraS
 	// anywhere the faulty settle explored, anywhere the good circuit
 	// changed (divergence by inaction: the faulty circuit's wave was
 	// blocked where the good circuit's was not), and at the forced node.
+	nodeFault := fs.f.Kind.IsNodeFault()
 	w.diffEpoch++
 	lo = len(w.ops)
-	w.diffNodes(fs, res.Explored)
-	w.diffChanges(fs, goodChanged)
+	w.diffNodes(res.Explored)
+	w.diffChanges(goodChanged)
 	if nodeFault {
-		w.diffNode(fs, fs.f.Node)
+		w.diffNode(fs.f.Node)
 	}
 	hi = len(w.ops)
 
-	// Revert the scratch to the prev mirror: restore exactly the touched
-	// nodes (overlay set, changed inputs, settle changes), refresh the
-	// transistors they gate, and lift the fault pin. The pooled bitmap is
-	// cleared in the same pass (recVal needs no clearing: it is
-	// meaningful only under set bits).
-	for _, n := range res.Changed {
-		w.noteUndo(n)
-	}
+	// Drop the fault: CopyStateFrom carries values and transistor states
+	// only, so the one pin or force this lane applied is all the next
+	// lane's copy would not overwrite. The pooled bitmap is cleared here
+	// too (recVal needs no clearing: it is meaningful only under set bits).
 	if nodeFault {
 		w.scratch.DropForce(fs.f.Node)
-	}
-	for _, n := range w.undo {
-		pv := b.prev.Value(n)
-		if w.scratch.Value(n) != pv {
-			w.scratch.OverrideValue(n, pv)
-			w.scratch.RefreshGates(n)
-		}
-	}
-	if !nodeFault {
+	} else {
 		w.scratch.DropPin(fs.f.Trans)
 	}
-	for _, n := range fs.recs.nodes {
-		w.recBits[uint(n)>>6] &^= 1 << (uint(n) & 63)
+	clear(w.recBits)
+	if w.onLane != nil {
+		w.onLane(ci, false)
 	}
 	return lo, hi, res.Oscillated
 }
@@ -291,18 +237,16 @@ func (w *faultWorker) stepFaulty(ci CircuitID, setting switchsim.Setting, extraS
 func (w *faultWorker) insertFault(ci CircuitID) (lo, hi int) {
 	b := w.batch
 	fs := b.faults[ci-1]
-	w.catchUp()
 	if !fs.f.Kind.IsNodeFault() {
 		return 0, 0
 	}
+	w.scratch.CopyStateFrom(b.prev)
 	fs.f.Apply(w.scratch)
 	w.diffEpoch++
 	lo = len(w.ops)
-	w.diffNode(fs, fs.f.Node)
+	w.diffNode(fs.f.Node)
 	hi = len(w.ops)
 	w.scratch.DropForce(fs.f.Node)
-	w.scratch.OverrideValue(fs.f.Node, b.prev.Value(fs.f.Node))
-	w.scratch.RefreshGates(fs.f.Node)
 	return lo, hi
 }
 
@@ -340,8 +284,8 @@ func (b *FaultBatch) applyOps(ci CircuitID, ops []recOp, osc bool) {
 // snapshot taken here matches what each circuit would have seeded at its
 // own turn. The good wave is compiled in the same place, from prev (the
 // pre-step state every lane is materialized from, which nothing writes
-// until the step's applyDelta), for the lanes about to run; index and wave
-// are read-only during the fan-out.
+// until the step's end), for the lanes about to run; index and wave are
+// read-only during the fan-out.
 func (b *FaultBatch) runActivated(setting switchsim.Setting, extraSeeds []netlist.NodeID, traj *switchsim.Trajectory, goodChanged []switchsim.Change) {
 	active := b.active
 	if len(active) == 0 {
@@ -434,48 +378,6 @@ func (b *FaultBatch) activeMask() []uint64 {
 		m[word] |= 1 << bit
 	}
 	return m
-}
-
-// applyDelta advances prev by one change list (changed inputs or the good
-// settle's changed set, with post-step values) and appends it to the
-// delta log the worker mirrors sync from lazily. Called at the end of
-// each step, so the coordinator's cost is proportional to the step's
-// activity alone — independent of the worker count, and replacing the
-// former O(nodes + transistors) full copy per setting.
-func (b *FaultBatch) applyDelta(chs []switchsim.Change) {
-	for _, ch := range chs {
-		b.prev.OverrideValue(ch.Node, ch.Value)
-		b.prev.RefreshGates(ch.Node)
-	}
-	b.deltaLog = append(b.deltaLog, chs...)
-}
-
-// trimDeltaLog bounds the delta log. When every worker has caught up it
-// is simply reset; otherwise, once the log outgrows the cost of a full
-// state copy, laggard workers are synced wholesale from prev and the log
-// reset — so a worker that sits out a long quiet stretch costs one
-// amortized O(circuit) copy instead of an unbounded replay.
-func (b *FaultBatch) trimDeltaLog() {
-	maxLag := 0
-	for _, w := range b.workers {
-		if lag := len(b.deltaLog) - w.deltaPos; lag > maxLag {
-			maxLag = lag
-		}
-	}
-	if maxLag > 0 {
-		if len(b.deltaLog) <= b.nw.NumNodes()+b.nw.NumTransistors() {
-			return
-		}
-		for _, w := range b.workers {
-			if w.deltaPos != len(b.deltaLog) {
-				w.scratch.CopyStateFrom(b.prev)
-			}
-		}
-	}
-	b.deltaLog = b.deltaLog[:0]
-	for _, w := range b.workers {
-		w.deltaPos = 0
-	}
 }
 
 // ReplayStats reports how the batch's indexed replays got to their

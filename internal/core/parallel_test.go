@@ -36,7 +36,7 @@ func mixedFaults(m *ram.RAM, nNode, nTrans int) []fault.Fault {
 // the concurrent simulator at Workers=1 and Workers=4 must produce
 // bit-identical divergence records and detections after every pattern,
 // agree with the serial reference on every first detection, and keep all
-// store/interest/scratch-mirror invariants intact throughout.
+// store/interest/scratch invariants intact throughout.
 func TestParallelMatchesSerialEngine(t *testing.T) {
 	m := ram.RAM64()
 	faults := mixedFaults(m, 40, 20)

@@ -29,11 +29,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"slices"
 
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
+	"fmossim/internal/switchsim"
 )
 
 const batchResultMagic = "FMOSBRES"
@@ -181,58 +181,58 @@ func (br *BatchResult) UnmarshalBinary(data []byte) error {
 	if len(data) < len(batchResultMagic) || string(data[:len(batchResultMagic)]) != batchResultMagic {
 		return fmt.Errorf("core: not a batch result (bad magic)")
 	}
-	d := &resultDecoder{buf: data[len(batchResultMagic):]}
-	out := BatchResult{NumFaults: int(int64(d.uvarint()))}
+	d := &resultDecoder{switchsim.VarintReader{Buf: data[len(batchResultMagic):]}}
+	out := BatchResult{NumFaults: int(int64(d.Uvarint()))}
 
-	out.PerSetting = decodeColumns(d, d.count(len(settingCols)), settingCols)
+	out.PerSetting = decodeColumns(d, d.Count(len(settingCols)), settingCols)
 
-	out.PerPattern = decodeColumns(d, d.count(len(patternCols)+1), patternCols)
+	out.PerPattern = decodeColumns(d, d.Count(len(patternCols)+1), patternCols)
 	for i := range out.PerPattern {
-		out.PerPattern[i].Name = string(d.bytes(d.count(1)))
+		out.PerPattern[i].Name = string(d.bytes(d.Count(1)))
 	}
 
 	out.Detected = d.bools()
-	out.Detections = decodeColumns(d, d.count(len(detectionCols)), detectionCols)
+	out.Detections = decodeColumns(d, d.Count(len(detectionCols)), detectionCols)
 	for i := range out.Detections {
 		if det := &out.Detections[i]; det.Good > logic.X || det.Faulty > logic.X {
-			d.fail(fmt.Errorf("detection %d: logic value out of range", i))
+			d.Fail(fmt.Errorf("detection %d: logic value out of range", i))
 		}
 	}
 	out.Oscillated = d.bools()
 	if len(out.Detections) != len(out.Detected) || len(out.Oscillated) != len(out.Detected) {
 		// campaign.Merge walks the three in step.
-		d.fail(fmt.Errorf("per-fault columns of %d, %d and %d faults",
+		d.Fail(fmt.Errorf("per-fault columns of %d, %d and %d faults",
 			len(out.Detected), len(out.Detections), len(out.Oscillated)))
 	}
 
-	if n := d.count(1); n > 0 {
+	if n := d.Count(1); n > 0 {
 		out.Records = make([]map[netlist.NodeID]logic.Value, n)
 	}
 	for i := range out.Records {
-		n := d.count(2)
+		n := d.Count(2)
 		if n == 0 {
 			continue
 		}
 		recs := make(map[netlist.NodeID]logic.Value, n)
-		for j := 0; j < n && d.err == nil; j++ {
-			node := netlist.NodeID(d.uvarint())
-			v := logic.Value(d.byte())
+		for j := 0; j < n && d.Err == nil; j++ {
+			node := netlist.NodeID(d.Uvarint())
+			v := logic.Value(d.Byte())
 			if v > logic.X {
-				d.fail(fmt.Errorf("fault %d: record value %d out of range", i, v))
+				d.Fail(fmt.Errorf("fault %d: record value %d out of range", i, v))
 			}
 			recs[node] = v
 		}
 		if len(recs) != n {
-			d.fail(fmt.Errorf("fault %d: duplicate record node", i))
+			d.Fail(fmt.Errorf("fault %d: duplicate record node", i))
 		}
 		out.Records[i] = recs
 	}
 
-	if d.err == nil && len(d.buf) != 0 {
-		d.fail(fmt.Errorf("%d trailing bytes", len(d.buf)))
+	if d.Err == nil && len(d.Buf) != 0 {
+		d.Fail(fmt.Errorf("%d trailing bytes", len(d.Buf)))
 	}
-	if d.err != nil {
-		return fmt.Errorf("core: decoding batch result: %w", d.err)
+	if d.Err != nil {
+		return fmt.Errorf("core: decoding batch result: %w", d.Err)
 	}
 	*br = out
 	return nil
@@ -263,78 +263,31 @@ func (br *BatchResult) UnmarshalJSON(data []byte) error {
 	return br.UnmarshalBinary(bin)
 }
 
-// resultDecoder reads varints off the front of buf; the first error
-// sticks and every later read returns zero.
+// resultDecoder is the sticky-error reader the recording codec uses, plus
+// the byte strings and bool columns of a batch result.
 type resultDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *resultDecoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *resultDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	switch {
-	case n == 0:
-		d.err = io.ErrUnexpectedEOF
-	case n < 0:
-		d.err = fmt.Errorf("varint overflows 64 bits")
-	}
-	d.buf = d.buf[max(n, 0):]
-	return v
-}
-
-func (d *resultDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-// count reads a length prefix for elements of at least width bytes each,
-// refusing one the remaining input could not back: what is allocated for
-// it is then bounded by the size of the input.
-func (d *resultDecoder) count(width int) int {
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.buf)/width) {
-		d.fail(fmt.Errorf("length %d exceeds the %d bytes left", n, len(d.buf)))
-		return 0
-	}
-	return int(n)
+	switchsim.VarintReader
 }
 
 func (d *resultDecoder) bytes(n int) []byte {
-	if d.err != nil {
+	if d.Err != nil {
 		return nil
 	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
+	b := d.Buf[:n]
+	d.Buf = d.Buf[n:]
 	return b
 }
 
 func (d *resultDecoder) bools() []bool {
-	n := d.count(1)
+	n := d.Count(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]bool, n)
 	for i := range out {
-		b := d.byte()
+		b := d.Byte()
 		if b > 1 {
-			d.fail(fmt.Errorf("bool byte %d", b))
+			d.Fail(fmt.Errorf("bool byte %d", b))
 		}
 		out[i] = b == 1
 	}
@@ -348,7 +301,7 @@ func decodeColumns[T any](d *resultDecoder, n int, cols []column[T]) []T {
 	rows := make([]T, n)
 	for _, c := range cols {
 		for i := range rows {
-			c.set(&rows[i], int64(d.uvarint()))
+			c.set(&rows[i], int64(d.Uvarint()))
 		}
 	}
 	return rows

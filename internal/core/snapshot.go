@@ -215,15 +215,10 @@ func (b *FaultBatch) restoreSnapshot(rec *switchsim.Recording, snap *BatchSnapsh
 		}
 	}
 
-	// Fast-forward the fault-free mirrors to the frame and resync every
-	// worker's scratch: O(nodes), independent of the skipped prefix.
+	// Fast-forward the fault-free mirrors to the frame: O(nodes),
+	// independent of the skipped prefix.
 	b.good.LoadState(frame)
 	b.prev.LoadState(frame)
-	b.deltaLog = b.deltaLog[:0]
-	for _, w := range b.workers {
-		w.scratch.CopyStateFrom(b.prev)
-		w.deltaPos = 0
-	}
 
 	b.started = true
 	b.patternIdx = snap.Pattern

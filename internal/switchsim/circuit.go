@@ -377,8 +377,9 @@ func (c *Circuit) RefreshGates(n netlist.NodeID) {
 }
 
 // DropForce removes a node force without touching the node's value,
-// perturbation bookkeeping, or transistor states: the materialization-undo
-// counterpart of ForceNode. Callers restore the value separately.
+// perturbation bookkeeping, or transistor states: how the concurrent
+// simulator lifts a lane's fault from a scratch circuit whose values the
+// next CopyStateFrom overwrites anyway.
 func (c *Circuit) DropForce(n netlist.NodeID) {
 	if c.forceNode[n] != unforced {
 		c.nForces--
@@ -388,8 +389,8 @@ func (c *Circuit) DropForce(n netlist.NodeID) {
 }
 
 // DropPin removes a transistor pin and recomputes the transistor's
-// conduction state from its (already restored) gate value: the
-// materialization-undo counterpart of PinTransistor.
+// conduction state from its gate value: DropForce's counterpart for
+// PinTransistor.
 func (c *Circuit) DropPin(t netlist.TransID) {
 	if c.pinTrans[t] != unpinned {
 		c.nPins--
@@ -399,8 +400,8 @@ func (c *Circuit) DropPin(t netlist.TransID) {
 }
 
 // StateEquals reports whether c and o hold identical node values,
-// transistor states, and fault pins. Used by tests to verify the
-// concurrent simulator's scratch-mirror invariant.
+// transistor states, and fault pins. Used by tests to hold the concurrent
+// simulator's prev and materialized scratch circuits to independent builds.
 func (c *Circuit) StateEquals(o *Circuit) bool {
 	if c.Tab != o.Tab || c.nPins != o.nPins || c.nForces != o.nForces {
 		return false

@@ -376,36 +376,36 @@ func DecodeRecordingBytes(data []byte) (*Recording, error) {
 	if magic := string(data[:len(recordingMagic)]); magic != recordingMagic {
 		return nil, fmt.Errorf("switchsim: not a recording (bad magic %q)", magic)
 	}
-	d := &decoder{buf: data[len(recordingMagic):]}
+	d := &decoder{VarintReader: VarintReader{Buf: data[len(recordingMagic):]}}
 	rec := &Recording{
-		NumNodes:       int(d.uvarint()),
-		NumTransistors: int(d.uvarint()),
+		NumNodes:       int(d.Uvarint()),
+		NumTransistors: int(d.Uvarint()),
 	}
-	nSteps := d.uvarint()
-	if d.err == nil && nSteps > uint64(len(d.buf)/minStepBytes) {
-		return nil, fmt.Errorf("switchsim: recording step count %d exceeds its %d bytes", nSteps, len(d.buf))
+	nSteps := d.Uvarint()
+	if d.Err == nil && nSteps > uint64(len(d.Buf)/minStepBytes) {
+		return nil, fmt.Errorf("switchsim: recording step count %d exceeds its %d bytes", nSteps, len(d.Buf))
 	}
 	d.maxNode = uint64(rec.NumNodes)
 	// Preallocation is bounded: a corrupt header must not provoke a huge
 	// up-front allocation; append grows the rest while the decoder
 	// validates each step.
 	rec.Steps = make([]StepTrace, 0, min(nSteps, 1<<16))
-	for i := uint64(0); i < nSteps && d.err == nil; i++ {
+	for i := uint64(0); i < nSteps && d.Err == nil; i++ {
 		rec.Steps = append(rec.Steps, d.step())
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("switchsim: decoding recording: %w", d.err)
+	if d.Err != nil {
+		return nil, fmt.Errorf("switchsim: decoding recording: %w", d.Err)
 	}
 	return rec, nil
 }
 
-// decoder reads varints off the front of buf with sticky error handling
-// and node-range validation. A step is parsed into the scratch lists
-// (which grow only as input is consumed, so a lying length prefix cannot
-// provoke an allocation) and then copied out to exact-size arrays.
+// decoder reads varints off the front of its input with sticky error
+// handling (VarintReader) and node-range validation. A step is parsed into
+// the scratch lists (which grow only as input is consumed, so a lying
+// length prefix cannot provoke an allocation) and then copied out to
+// exact-size arrays.
 type decoder struct {
-	buf     []byte
-	err     error
+	VarintReader
 	maxNode uint64
 
 	nodes   []netlist.NodeID
@@ -413,54 +413,26 @@ type decoder struct {
 	traj    Trajectory
 }
 
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	switch {
-	case n == 0:
-		d.err = io.ErrUnexpectedEOF
-	case n < 0:
-		d.err = fmt.Errorf("varint overflows 64 bits")
-	}
-	d.buf = d.buf[max(n, 0):]
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
 // step parses one step into scratch and returns an owned copy.
 func (d *decoder) step() StepTrace {
 	d.nodes, d.changes = d.nodes[:0], d.changes[:0]
-	flags := d.byte()
+	flags := d.Byte()
 	st := StepTrace{
 		Init:       flags&flagInit != 0,
 		Oscillated: flags&flagOscillated != 0,
-		GoodWork:   int64(d.uvarint()),
+		GoodWork:   int64(d.Uvarint()),
 	}
-	d.uvarint() // reserved slot
+	d.Uvarint() // reserved slot
 	st.InputChanges = d.changeList(&d.changes)
 	st.Changed = d.changeList(&d.changes)
 	st.Explored = d.nodeList(&d.nodes)
 	if flags&flagTraj != 0 {
 		tr := &d.traj
 		tr.reset()
-		nRounds := d.uvarint()
-		for r := uint64(0); r < nRounds && d.err == nil; r++ {
-			nVics := d.uvarint()
-			for v := uint64(0); v < nVics && d.err == nil; v++ {
+		nRounds := d.Uvarint()
+		for r := uint64(0); r < nRounds && d.Err == nil; r++ {
+			nVics := d.Uvarint()
+			for v := uint64(0); v < nVics && d.Err == nil; v++ {
 				d.nodeList(&tr.nodes)
 				d.changeList(&tr.changes)
 				tr.endVicinity()
@@ -469,7 +441,7 @@ func (d *decoder) step() StepTrace {
 		}
 		st.Traj = tr
 	}
-	if d.err != nil {
+	if d.Err != nil {
 		return StepTrace{}
 	}
 	st = st.owned()
@@ -480,9 +452,9 @@ func (d *decoder) step() StepTrace {
 }
 
 func (d *decoder) node() netlist.NodeID {
-	v := d.uvarint()
-	if d.err == nil && v >= d.maxNode {
-		d.err = fmt.Errorf("node id %d out of range (%d nodes)", v, d.maxNode)
+	v := d.Uvarint()
+	if d.Err == nil && v >= d.maxNode {
+		d.Err = fmt.Errorf("node id %d out of range (%d nodes)", v, d.maxNode)
 	}
 	return netlist.NodeID(v)
 }
@@ -492,12 +464,12 @@ func (d *decoder) node() netlist.NodeID {
 // growing the scratch moves later appends to a new array and leaves this
 // one as it is.
 func (d *decoder) nodeList(dst *[]netlist.NodeID) []netlist.NodeID {
-	n := d.uvarint()
-	if d.err == nil && n > d.maxNode {
-		d.err = fmt.Errorf("node list length %d exceeds node count %d", n, d.maxNode)
+	n := d.Uvarint()
+	if d.Err == nil && n > d.maxNode {
+		d.Err = fmt.Errorf("node list length %d exceeds node count %d", n, d.maxNode)
 	}
 	lo := len(*dst)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := uint64(0); i < n && d.Err == nil; i++ {
 		*dst = append(*dst, d.node())
 	}
 	return (*dst)[lo:]
@@ -505,16 +477,16 @@ func (d *decoder) nodeList(dst *[]netlist.NodeID) []netlist.NodeID {
 
 // changeList is nodeList for change lists.
 func (d *decoder) changeList(dst *[]Change) []Change {
-	n := d.uvarint()
-	if d.err == nil && n > d.maxNode {
-		d.err = fmt.Errorf("change list length %d exceeds node count %d", n, d.maxNode)
+	n := d.Uvarint()
+	if d.Err == nil && n > d.maxNode {
+		d.Err = fmt.Errorf("change list length %d exceeds node count %d", n, d.maxNode)
 	}
 	lo := len(*dst)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := uint64(0); i < n && d.Err == nil; i++ {
 		node := d.node()
-		v := logic.Value(d.byte())
-		if d.err == nil && v > logic.X {
-			d.err = fmt.Errorf("bad logic value %d", v)
+		v := logic.Value(d.Byte())
+		if d.Err == nil && v > logic.X {
+			d.Err = fmt.Errorf("bad logic value %d", v)
 		}
 		*dst = append(*dst, Change{Node: node, Value: v})
 	}
@@ -523,27 +495,27 @@ func (d *decoder) changeList(dst *[]Change) []Change {
 
 // snapshot decodes one state frame: exactly one value byte per node.
 func (d *decoder) snapshot() []logic.Value {
-	n := d.uvarint()
-	if d.err != nil {
+	n := d.Uvarint()
+	if d.Err != nil {
 		return nil
 	}
 	if n != d.maxNode {
-		d.err = fmt.Errorf("snapshot frame has %d values, network has %d nodes", n, d.maxNode)
+		d.Err = fmt.Errorf("snapshot frame has %d values, network has %d nodes", n, d.maxNode)
 		return nil
 	}
-	if n > uint64(len(d.buf)) {
-		d.err = io.ErrUnexpectedEOF
+	if n > uint64(len(d.Buf)) {
+		d.Err = io.ErrUnexpectedEOF
 		return nil
 	}
 	out := make([]logic.Value, n)
 	for i := range out {
-		v := logic.Value(d.buf[i])
+		v := logic.Value(d.Buf[i])
 		if v > logic.X {
-			d.err = fmt.Errorf("bad snapshot value %d", v)
+			d.Err = fmt.Errorf("bad snapshot value %d", v)
 			return nil
 		}
 		out[i] = v
 	}
-	d.buf = d.buf[n:]
+	d.Buf = d.Buf[n:]
 	return out
 }
