@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -108,7 +110,8 @@ func BenchmarkScaling(b *testing.B) {
 // the stuck-at universe, at worker counts 1, 2, 4, and NumCPU. Results
 // are bit-identical across worker counts (asserted by reporting detected
 // coverage); ns/op shows the scaling, allocs/op the steady-state
-// allocation behavior of the undo-log materialization path.
+// allocation behavior of the per-worker scratch circuits, which
+// materialize each lane by copying prev.
 func BenchmarkParallelScaling(b *testing.B) {
 	sizes := []struct {
 		name       string
@@ -157,13 +160,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 // narrow batches run the same fault count through a fraction of the
 // resident state.
 func BenchmarkCampaign_RAM256(b *testing.B) {
-	m := ram.New(ram.Config{Rows: 16, Cols: 16})
-	faults := bench.NodeStuckOnly(m)
-	seq := march.Sequence1(m)
-	if len(seq.Patterns) > 60 {
-		seq.Patterns = seq.Patterns[:60]
-	}
-	rec := core.Record(m.Net, seq, core.Options{})
+	m, faults, seq, rec := campaignRAM256()
 	for _, cfg := range []struct {
 		name      string
 		batchSize int
@@ -185,6 +182,58 @@ func BenchmarkCampaign_RAM256(b *testing.B) {
 				}
 				b.ReportMetric(100*res.Coverage(), "coverage-%")
 				b.ReportMetric(float64(res.Batches), "batches")
+			}
+		})
+	}
+}
+
+// campaignRAM256 is the campaign benchmarks' workload: RAM256, the first
+// 60 patterns of sequence 1, the stuck-at universe, and the trajectory
+// recorded once outside any timed loop.
+func campaignRAM256() (*ram.RAM, []fault.Fault, *switchsim.Sequence, *switchsim.Recording) {
+	m := ram.New(ram.Config{Rows: 16, Cols: 16})
+	seq := march.Sequence1(m)
+	if len(seq.Patterns) > 60 {
+		seq.Patterns = seq.Patterns[:60]
+	}
+	return m, bench.NodeStuckOnly(m), seq, core.Record(m.Net, seq, core.Options{})
+}
+
+// BenchmarkCampaign_Checkpointed prices Options.CheckpointPath: the
+// workload of BenchmarkCampaign_RAM256 at batch 64 on one shard, without a
+// checkpoint and with one in a fresh temporary file per iteration. The
+// gap between the two rows is the per-batch completion save, which
+// rewrites (and fsyncs) every result completed so far; ckbytes is the
+// size of the file the last save left.
+func BenchmarkCampaign_Checkpointed(b *testing.B) {
+	m, faults, seq, rec := campaignRAM256()
+	for _, checkpointed := range []bool{false, true} {
+		b.Run(fmt.Sprintf("checkpoint=%v", checkpointed), func(b *testing.B) {
+			b.ReportAllocs()
+			path := ""
+			if checkpointed {
+				path = filepath.Join(b.TempDir(), "campaign.ck")
+			}
+			for i := 0; i < b.N; i++ {
+				res, err := campaign.Run(context.Background(), m.Net, faults, seq, campaign.Options{
+					Sim:            core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1},
+					BatchSize:      64,
+					Shards:         1,
+					Recording:      rec,
+					CheckpointPath: path,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.Batches), "batches")
+				if checkpointed {
+					fi, err := os.Stat(path)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(fi.Size()), "ckbytes")
+					os.Remove(path) // the next iteration must not resume
+				}
 			}
 		})
 	}

@@ -21,14 +21,17 @@
 // -coverage-target F stops early once the detected fraction reaches F
 // (internal/campaign, "Early stop and cancellation", is the rule),
 // and -checkpoint FILE makes the campaign resumable (completed batches
-// are reloaded instead of re-simulated). Campaign results are
-// bit-identical to the monolithic run.
+// are reloaded instead of re-simulated; a batch that was in flight
+// re-runs from its first setting). Campaign results are bit-identical to
+// the monolithic run.
 //
 // -trim enables redundancy trimming: materialization-equivalent fault
 // classes collapse onto one representative lane after a probation
 // window, and a batch whose circuits have all been dropped skips the
 // rest of the sequence. Results stay byte-identical; only executed work
-// shrinks. -snapshot-every N captures a good-state frame
-// every N settings so a checkpointed campaign interrupted mid-batch
-// resumes from the last frame instead of replaying the batch's prefix.
+// shrinks.
+//
+// The flags bind to the same campaign spec fmossimd takes
+// (server.JobSpec), so circuit, sequence, observed nodes and fault
+// universe are resolved by the code that resolves a submitted job.
 package main

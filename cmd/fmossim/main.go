@@ -12,79 +12,72 @@ import (
 
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
-	"fmossim/internal/fault"
 	"fmossim/internal/netlist"
-	"fmossim/internal/switchsim"
+	"fmossim/internal/server"
 )
 
 func main() {
+	// The flags bind straight to the campaign spec fmossimd takes, so both
+	// commands resolve circuit, sequence, observed nodes and fault universe
+	// through server.ResolveSpec.
+	var spec server.JobSpec
 	netPath := flag.String("net", "", "netlist file (required)")
 	faultPath := flag.String("faults", "", "fault list file (default: all storage-node stuck-at faults)")
 	patPath := flag.String("patterns", "", "pattern script (required)")
 	observe := flag.String("observe", "", "comma-separated observed output nodes (required)")
 	verbose := flag.Bool("v", false, "print every detection")
 	noDrop := flag.Bool("nodrop", false, "keep simulating detected faults")
-	batch := flag.Int("batch", 0, "campaign mode: faults per batch (0 with -shards: split evenly)")
-	shards := flag.Int("shards", 0, "campaign mode: concurrent batches (0: GOMAXPROCS)")
-	coverageTarget := flag.Float64("coverage-target", 0, "campaign mode: stop once this coverage fraction is reached")
+	flag.IntVar(&spec.BatchSize, "batch", 0, "campaign mode: faults per batch (0 with -shards: split evenly)")
+	flag.IntVar(&spec.Shards, "shards", 0, "campaign mode: concurrent batches (0: GOMAXPROCS)")
+	flag.Float64Var(&spec.CoverageTarget, "coverage-target", 0, "campaign mode: stop once this coverage fraction is reached")
 	checkpoint := flag.String("checkpoint", "", "campaign mode: resumable checkpoint file")
-	trim := flag.Bool("trim", false, "redundancy trimming: collapse equivalent fault classes and skip the tail of fully-dropped batches (results are byte-identical)")
-	snapshotEvery := flag.Int("snapshot-every", 0, "capture a good-state frame every N settings so interrupted batches resume mid-sequence (campaign mode with -checkpoint)")
+	flag.BoolVar(&spec.Trim, "trim", false, "redundancy trimming: collapse equivalent fault classes and skip the tail of fully-dropped batches (results are byte-identical)")
 	flag.Parse()
 
 	if *netPath == "" || *patPath == "" || *observe == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	nw := readNet(*netPath)
-	var outs []netlist.NodeID
-	for _, name := range strings.Split(*observe, ",") {
-		id := nw.Lookup(strings.TrimSpace(name))
-		if id == netlist.NoNode {
-			fatal(fmt.Errorf("unknown observed node %q", name))
-		}
-		outs = append(outs, id)
-	}
-
-	var faults []fault.Fault
-	if *faultPath == "" {
-		faults = fault.NodeStuckFaults(nw, fault.Options{})
-	} else {
-		f, err := os.Open(*faultPath)
-		if err != nil {
-			fatal(err)
-		}
-		faults, err = fault.ReadList(f, nw)
-		f.Close()
-		if err != nil {
-			fatal(err)
+	spec.Netlist = readFile(*netPath)
+	spec.Patterns = readFile(*patPath)
+	if *faultPath != "" {
+		// An empty Faults selects the default universe; a file that says
+		// nothing must not.
+		if spec.Faults = readFile(*faultPath); spec.Faults == "" {
+			fatal(fmt.Errorf("fault list %s is empty", *faultPath))
 		}
 	}
-
-	seq := readPatterns(*patPath, nw)
-
-	opts := core.Options{
-		Observe:       outs,
-		Trim:          *trim,
-		SnapshotEvery: *snapshotEvery,
-	}
+	spec.Observe = strings.Split(*observe, ",")
 	if *noDrop {
-		opts.Drop = core.NeverDrop
+		spec.Drop = "never"
 	}
 
+	wl, err := server.ResolveSpec(&spec)
+	if err != nil {
+		fatal(err)
+	}
+	nw, faults, seq := wl.Net, wl.Faults, wl.Seq
+	// The sequence is named after its file: the summary prints the name and
+	// a checkpoint is keyed by it.
+	seq.Name = *patPath
+	for _, issue := range netlist.Lint(nw) {
+		fmt.Fprintln(os.Stderr, "lint:", issue)
+	}
+
+	opts := spec.SimOptions(wl)
 	detected := func(int) (core.Detection, bool) { return core.Detection{}, false }
-	if *batch > 0 || *shards > 0 || *coverageTarget > 0 || *checkpoint != "" {
+	if spec.BatchSize > 0 || spec.Shards > 0 || spec.CoverageTarget > 0 || *checkpoint != "" {
 		// Interrupting a campaign cancels it cooperatively; completed
 		// batches stay in the checkpoint (if any) for the next resume.
 		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer cancel()
 		res, err := campaign.Run(ctx, nw, faults, seq, campaign.Options{
 			Sim:            opts,
-			BatchSize:      *batch,
-			Shards:         *shards,
-			CoverageTarget: *coverageTarget,
+			BatchSize:      spec.BatchSize,
+			Shards:         spec.Shards,
+			CoverageTarget: spec.CoverageTarget,
 			CheckpointPath: *checkpoint,
+			Tables:         wl.Tables,
 		})
 		if err != nil {
 			fatal(err)
@@ -115,34 +108,12 @@ func main() {
 	}
 }
 
-func readNet(path string) *netlist.Network {
-	f, err := os.Open(path)
+func readFile(path string) string {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	nw, err := netlist.Read(f)
-	if err != nil {
-		fatal(err)
-	}
-	for _, issue := range netlist.Lint(nw) {
-		fmt.Fprintln(os.Stderr, "lint:", issue)
-	}
-	return nw
-}
-
-// readPatterns parses the pattern script (format: switchsim.ParseSequence).
-func readPatterns(path string, nw *netlist.Network) *switchsim.Sequence {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	seq, err := switchsim.ParseSequence(f, path, nw)
-	if err != nil {
-		fatal(err)
-	}
-	return seq
+	return string(data)
 }
 
 func fatal(err error) {

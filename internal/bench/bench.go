@@ -222,10 +222,3 @@ var (
 	// serial/concurrent ratio and the slow decay.
 	PaperFig2 = CurveShape{ConcVsGood: 18, SerialVsConc: 9, HeadFraction: 0.07, TailSlowdown: 0}
 )
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -226,7 +226,6 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 
 	// Resume: completed batches come from the checkpoint, not from
 	// simulation.
-	partials := make(map[int]*core.BatchSnapshot)
 	ck := &Checkpoint{
 		Version:        checkpointVersion,
 		Sequence:       seq.Name,
@@ -254,18 +253,11 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		if prev != nil {
 			// Walk the batches in index order so the whole resume path —
 			// counters included — is deterministic. A completed batch comes
-			// back as is. A mid-batch snapshot of an interrupted batch is
-			// usable only when the trim mode still matches the capture
-			// (class state present iff trimming) and the recording carries
-			// a state frame at the snapshot's step; otherwise it is dropped
-			// and the batch re-runs from the start, same result.
+			// back as is; an interrupted one re-runs from its first setting.
 			for i := 0; i < nBatches; i++ {
 				if br := prev.Done[i]; br != nil {
 					l.resume(i, br)
 					ck.Done[i] = br
-				} else if snap := prev.Partial[i]; snap != nil &&
-					(len(snap.Sigs) > 0) == simOpts.Trim && rec.SnapshotAt(snap.Step) != nil {
-					partials[i] = snap
 				}
 			}
 		}
@@ -293,30 +285,7 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 				if obs := l.observer(i); obs != nil {
 					batchOpts.OnObserve = obs
 				}
-				if opts.CheckpointPath != "" && batchOpts.SnapshotEvery > 0 {
-					// Persist mid-batch snapshots so an interrupted batch
-					// resumes from its last frame instead of from setting
-					// zero. Best-effort: a failed partial save is ignored
-					// (the completion save below surfaces persistent I/O
-					// trouble), so it can never fail an otherwise healthy
-					// campaign.
-					batchOpts.OnSnapshot = func(s *core.BatchSnapshot) {
-						ckMu.Lock()
-						if ck.Partial == nil {
-							ck.Partial = map[int]*core.BatchSnapshot{}
-						}
-						ck.Partial[i] = s
-						ck.saveFile(opts.CheckpointPath)
-						ckMu.Unlock()
-					}
-				}
-				var br *core.BatchResult
-				var err error
-				if snap := partials[i]; snap != nil {
-					br, err = core.RunBatchFrom(l.Context(), tab, faults[lo:hi], rec, seq, snap, batchOpts)
-				} else {
-					br, err = core.RunBatch(l.Context(), tab, faults[lo:hi], rec, seq, batchOpts)
-				}
+				br, err := core.RunBatch(l.Context(), tab, faults[lo:hi], rec, seq, batchOpts)
 				if err != nil {
 					l.Fail(err)
 					return
@@ -325,7 +294,6 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 				if opts.CheckpointPath != "" {
 					ckMu.Lock()
 					ck.Done[i] = br
-					delete(ck.Partial, i)
 					err := ck.saveFile(opts.CheckpointPath)
 					ckMu.Unlock()
 					if err != nil {

@@ -445,8 +445,8 @@ func TestCampaignCancellation(t *testing.T) {
 }
 
 // TestCampaignCheckpointVersionReject: a checkpoint written under an
-// older schema (pre-trim, no partial snapshots) is refused with an error
-// naming the version, instead of silently reinterpreting its contents.
+// older schema is refused with an error naming the version, instead of
+// silently reinterpreting its contents.
 func TestCampaignCheckpointVersionReject(t *testing.T) {
 	m, faults, seq := testBench(t)
 	obs := []netlist.NodeID{m.DataOut}
@@ -501,80 +501,86 @@ func TestCampaignCheckpointVersionReject(t *testing.T) {
 	}
 }
 
-// TestCampaignPartialResume: a campaign interrupted mid-batch leaves a
-// partial snapshot in the checkpoint; resuming restarts that batch from
-// the snapshot (not from setting zero) and merges to the identical
-// result. A trim-mode flip between the runs discards the partial but
-// still converges to the same result.
-func TestCampaignPartialResume(t *testing.T) {
+// TestCampaignCheckpointIgnoresPartial: builds that saved mid-batch state
+// wrote a "partial" object next to "done", keyed by batch. This build
+// reads past it: the completed batches resume, the batch the partial
+// described re-runs from its first setting, and the merge is byte for
+// byte the uninterrupted one.
+func TestCampaignCheckpointIgnoresPartial(t *testing.T) {
 	m, faults, seq := testBench(t)
-	obs := []netlist.NodeID{m.DataOut}
-
-	ref, err := campaign.Run(context.Background(), m.Net, faults, seq, campaign.Options{
-		Sim:       core.Options{Observe: obs, Workers: 1},
-		BatchSize: len(faults),
-		Shards:    1,
-	})
+	opts := campaign.Options{
+		Sim:            core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1},
+		BatchSize:      ceilDiv(len(faults), 3),
+		Shards:         1,
+		CheckpointPath: filepath.Join(t.TempDir(), "campaign.ck"),
+	}
+	want, err := campaign.Run(context.Background(), m.Net, faults, seq, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, flip := range []bool{false, true} {
-		ckPath := filepath.Join(t.TempDir(), "campaign.ck")
-		ctx, cancel := context.WithCancel(context.Background())
-		opts := campaign.Options{
-			Sim:            core.Options{Observe: obs, Workers: 1, Trim: true, SnapshotEvery: 4},
-			BatchSize:      len(faults), // one batch: only partial progress can survive
-			Shards:         1,
-			CheckpointPath: ckPath,
-			Progress: func(ev campaign.ProgressEvent) {
-				// Cancel mid-batch, past a few snapshot frames.
-				if ev.Pattern >= 2 {
-					cancel()
-				}
-			},
-		}
-		if _, err := campaign.Run(ctx, m.Net, faults, seq, opts); !errors.Is(err, context.Canceled) {
-			t.Fatalf("interrupted campaign returned %v, want context.Canceled", err)
-		}
-		raw, err := os.ReadFile(ckPath)
-		if err != nil {
-			t.Fatalf("no checkpoint after mid-batch interruption: %v", err)
-		}
-		if !strings.Contains(string(raw), "\"partial\"") {
-			t.Fatal("checkpoint carries no partial snapshot")
-		}
-
-		opts.Sim.Trim = !flip // flip=true resumes untrimmed, discarding the partial
-		var first *campaign.ProgressEvent
-		opts.Progress = func(ev campaign.ProgressEvent) {
-			if first == nil && !ev.BatchDone {
-				e := ev
-				first = &e
-			}
-		}
-		res, err := campaign.Run(context.Background(), m.Net, faults, seq, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !flip {
-			// Same trim mode: the batch must have restarted mid-sequence.
-			if first == nil || (first.Pattern == 0 && first.Setting == 0) {
-				t.Fatalf("resume replayed from the start (first event %+v)", first)
-			}
-		} else if first != nil && (first.Pattern != 0 || first.Setting != 0) {
-			t.Fatalf("trim-mode flip should discard the partial; first event %+v", first)
-		}
-		if res.Run.Detected != ref.Run.Detected || res.Run.FaultWork != ref.Run.FaultWork {
-			t.Fatalf("flip=%v: resumed result diverged: %d/%d vs %d/%d", flip,
-				res.Run.Detected, res.Run.FaultWork, ref.Run.Detected, ref.Run.FaultWork)
-		}
-		for fi := range faults {
-			rd, rok := ref.Detected(fi)
-			gd, gok := res.Detected(fi)
-			if rok != gok || rd != gd {
-				t.Fatalf("flip=%v: fault %d detection differs after partial resume", flip, fi)
-			}
-		}
+	// The file as the older build left it with batch 1 interrupted: no
+	// result for it, a snapshot of its state instead.
+	raw, err := os.ReadFile(opts.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var done map[string]json.RawMessage
+	if err := json.Unmarshal(doc["done"], &done); err != nil {
+		t.Fatal(err)
+	}
+	delete(done, "1")
+	if doc["done"], err = json.Marshal(done); err != nil {
+		t.Fatal(err)
+	}
+	doc["partial"] = json.RawMessage(`{"1":{"num_faults":2,"num_nodes":9,"num_transistors":9,
+		"step":8,"pattern":1,"setting_done":1,"detected":[true,false],
+		"detections":[{"Pattern":0,"Setting":3,"Output":4,"Good":1,"Faulty":0,"Hard":true},{}],
+		"dropped":[true,false],"oscillated":[false,false],"records":[null,[{"n":99999,"v":7}]],
+		"retired":1,"last_retired":1,"settings_run":8,"per_setting":[],"per_pattern":[],
+		"partial_pattern":{},"detected_total":1}}`)
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(opts.CheckpointPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := campaign.Run(context.Background(), m.Net, faults, seq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.BatchesResumed != 2 || got.BatchesRun != 1 {
+		t.Fatalf("resumed %d and ran %d of %d batches, want 2 and 1", got.BatchesResumed, got.BatchesRun, got.Batches)
+	}
+	if a, b := maskedJSON(t, got), maskedJSON(t, want); a != b {
+		t.Fatal("the merge differs from the uninterrupted run's")
+	}
+	if raw, err = os.ReadFile(opts.CheckpointPath); err != nil || strings.Contains(string(raw), "partial") {
+		t.Fatalf("rewritten checkpoint still carries a partial (read error %v)", err)
+	}
+}
+
+// maskedJSON renders a campaign result with the wall-clock fields zeroed:
+// the bytes two equivalent executions must agree on.
+func maskedJSON(t *testing.T, res *campaign.Result) string {
+	t.Helper()
+	run := res.Run
+	run.GoodNS, run.FaultNS = 0, 0
+	run.PerPattern = append([]core.PatternStats(nil), run.PerPattern...)
+	for i := range run.PerPattern {
+		run.PerPattern[i].GoodNS, run.PerPattern[i].FaultNS = 0, 0
+	}
+	b, err := json.Marshal(struct {
+		Run      core.Result
+		PerFault []campaign.FaultOutcome
+	}{run, res.PerFault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -19,13 +19,13 @@ import (
 	"fmossim/internal/fault"
 )
 
-// checkpointVersion is the current checkpoint schema. Version 2 added
-// mid-batch partial snapshots (Partial) alongside the redundancy-trimming
-// engine; version 3 carries each completed batch in core.BatchResult's
-// binary form (one base64 string) where version 2 spelled it out as a
-// JSON object. Files of any other version (pre-versioned files decode as
+// checkpointVersion is the current checkpoint schema: version 3 carries
+// each completed batch in core.BatchResult's binary form (one base64
+// string). Files of any other version (pre-versioned files decode as
 // version 0) are refused with an explicit error rather than silently
-// reinterpreted.
+// reinterpreted. A version 3 file written by a build that still saved
+// mid-batch state has a "partial" object next to "done"; it is ignored,
+// and the batches it described re-run.
 const checkpointVersion = 3
 
 // Checkpoint is the serializable resume state of a campaign: the campaign
@@ -50,16 +50,6 @@ type Checkpoint struct {
 	SimHash    uint64 `json:"sim_hash"`
 
 	Done map[int]*core.BatchResult `json:"done"`
-
-	// Partial holds mid-batch snapshots (see core.BatchSnapshot) for
-	// batches interrupted between settings, keyed by batch index: on
-	// resume those batches restart from the snapshot instead of from the
-	// beginning (core.RunBatchFrom). A partial entry is dropped the moment
-	// its batch completes, and silently discarded on resume when it is no
-	// longer usable (trim mode changed, or the recording carries no state
-	// frame at its step) — the batch then just re-runs from scratch, so
-	// partials are purely a cost optimization, never a correctness input.
-	Partial map[int]*core.BatchSnapshot `json:"partial,omitempty"`
 }
 
 // hashFaults digests the fault list content.
@@ -76,13 +66,11 @@ func hashFaults(faults []fault.Fault) uint64 {
 }
 
 // hashSimOptions digests the result-shaping simulator options. Workers,
-// the OnObserve/OnSnapshot hooks, and the trimming knobs (Trim,
-// TrimProbation, SnapshotEvery) are deliberately excluded: results are
-// bit-identical for every worker count, hooks never shape them, and the
-// redundancy trims shed executed work while keeping every BatchResult
-// field byte-identical — all of them are legitimate things to change
-// between resume runs. (A trim-mode change does invalidate mid-batch
-// Partial snapshots; those are discarded on resume, never fingerprinted.)
+// the OnObserve hook, and the trimming knobs (Trim, TrimProbation) are
+// deliberately excluded: results are bit-identical for every worker
+// count, the hook never shapes them, and the redundancy trims shed
+// executed work while keeping every BatchResult field byte-identical —
+// all of them are legitimate things to change between resume runs.
 func hashSimOptions(opts core.Options) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -48,17 +48,16 @@ type Case struct {
 	TrimProbation int
 
 	// Interrupt, when true, cancels the campaign after InterruptAfter
-	// progress events and resumes it from the checkpoint; SnapshotEvery
-	// (when > 0) additionally exercises mid-batch partial snapshots.
+	// progress events and resumes it from the checkpoint: completed
+	// batches come back, the interrupted ones re-run.
 	Interrupt      bool
 	InterruptAfter int
-	SnapshotEvery  int
 }
 
 func (c Case) String() string {
-	return fmt.Sprintf("ram%dx%d/seq2=%v/max=%d/mix=%d/lane=%d/w=%d/b=%d/s=%d/trim=%v(p%d)/int=%v@%d/snap=%d",
+	return fmt.Sprintf("ram%dx%d/seq2=%v/max=%d/mix=%d/lane=%d/w=%d/b=%d/s=%d/trim=%v(p%d)/int=%v@%d",
 		c.Rows, c.Cols, c.Seq2, c.MaxPatterns, c.FaultMix, c.LaneWidth, c.Workers,
-		c.NumBatches, c.Shards, c.Trim, c.TrimProbation, c.Interrupt, c.InterruptAfter, c.SnapshotEvery)
+		c.NumBatches, c.Shards, c.Trim, c.TrimProbation, c.Interrupt, c.InterruptAfter)
 }
 
 // genCase draws one configuration. Geometry and depth come from the
@@ -86,9 +85,6 @@ func genCase(rng *rand.Rand) Case {
 	if rng.Intn(3) == 0 {
 		c.Interrupt = true
 		c.InterruptAfter = 1 + rng.Intn(40)
-		if rng.Intn(2) == 1 {
-			c.SnapshotEvery = 2 + rng.Intn(7)
-		}
 	}
 	return c
 }
@@ -181,7 +177,6 @@ func runCase(t *testing.T, c Case) string {
 			Workers:       c.Workers,
 			Trim:          c.Trim,
 			TrimProbation: c.TrimProbation,
-			SnapshotEvery: c.SnapshotEvery,
 		},
 		BatchSize: (len(faults) + c.NumBatches - 1) / c.NumBatches,
 		Shards:    c.Shards,
@@ -239,14 +234,15 @@ func TestDifferentialEquivalence(t *testing.T) {
 
 // TestDifferentialPinnedCases locks in the corners the random draw might
 // miss at the bounded budget: trim with a one-setting probation window,
-// single-fault lanes, and an interrupted trimmed campaign resuming from
-// a mid-batch snapshot.
+// single-fault lanes, and trimmed campaigns interrupted inside their only
+// batch (the checkpoint holds nothing to resume) and inside the first of
+// two.
 func TestDifferentialPinnedCases(t *testing.T) {
 	pinned := []Case{
 		{Rows: 4, Cols: 4, FaultMix: 1, LaneWidth: 1, Workers: 2, NumBatches: 3, Shards: 2,
 			Trim: true, TrimProbation: 1},
 		{Rows: 4, Cols: 4, FaultMix: 1, LaneWidth: 64, Workers: 1, NumBatches: 1, Shards: 1,
-			Trim: true, Interrupt: true, InterruptAfter: 25, SnapshotEvery: 3},
+			Trim: true, Interrupt: true, InterruptAfter: 25},
 		{Rows: 2, Cols: 4, Seq2: true, FaultMix: 0, LaneWidth: 7, Workers: 3, NumBatches: 5, Shards: 3},
 		{Rows: 4, Cols: 4, FaultMix: 1, MaxPatterns: 8, LaneWidth: 13, Workers: 2, NumBatches: 2,
 			Shards: 2, Trim: true, TrimProbation: 3, Interrupt: true, InterruptAfter: 10},

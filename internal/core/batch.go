@@ -725,13 +725,6 @@ func (br *BatchResult) DetectedCount() int {
 // a cancelled replay returns ctx's error with no partial result. A nil
 // ctx behaves like context.Background().
 func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording, seq *switchsim.Sequence) (*BatchResult, error) {
-	return b.runRecording(ctx, rec, seq, nil)
-}
-
-// runRecording is the shared replay loop behind RunRecording and
-// RunRecordingFrom: snap, when non-nil, restores a mid-sequence snapshot
-// and the loop continues with the setting after it.
-func (b *FaultBatch) runRecording(ctx context.Context, rec *switchsim.Recording, seq *switchsim.Sequence, snap *BatchSnapshot) (*BatchResult, error) {
 	if b.started {
 		return nil, fmt.Errorf("core: batch already ran; build a fresh FaultBatch per replay")
 	}
@@ -754,38 +747,13 @@ func (b *FaultBatch) runRecording(ctx context.Context, rec *switchsim.Recording,
 		Records:    make([]map[netlist.NodeID]logic.Value, 0, len(b.faults)),
 	}
 	detTotal := 0
+	b.Step(&rec.Steps[0])
 	si := 1
-	startPat := 0
-	var resume *PatternStats
-	if snap != nil {
-		if err := b.restoreSnapshot(rec, snap); err != nil {
-			return nil, err
-		}
-		br.PerSetting = append(br.PerSetting, snap.PerSetting...)
-		br.PerPattern = append(br.PerPattern, snap.PerPattern...)
-		detTotal = snap.DetectedTotal
-		si = snap.Step + 1
-		startPat = snap.Pattern
-		partial := snap.PartialPattern
-		resume = &partial
-	} else {
-		b.Step(&rec.Steps[0])
-	}
-
-	for pi := startPat; pi < len(seq.Patterns); pi++ {
+	for pi := range seq.Patterns {
 		p := &seq.Patterns[pi]
-		var ps PatternStats
-		i0 := 0
-		if pi == startPat && resume != nil {
-			// Resume mid-pattern: the partial aggregate carries on and
-			// BeginPattern is skipped (the setting counter was restored).
-			ps = *resume
-			i0 = snap.SettingDone + 1
-		} else {
-			b.BeginPattern()
-			ps = PatternStats{Pattern: pi, Name: p.Name, LiveBefore: b.live}
-		}
-		for i := i0; i < len(p.Settings); i++ {
+		b.BeginPattern()
+		ps := PatternStats{Pattern: pi, Name: p.Name, LiveBefore: b.live}
+		for i := range p.Settings {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("core: batch replay cancelled at pattern %d setting %d: %w", pi, i, err)
 			}
@@ -815,9 +783,6 @@ func (b *FaultBatch) runRecording(ctx context.Context, rec *switchsim.Recording,
 				det = b.Observe()
 				ps.Detected += len(det)
 				detTotal += len(det)
-			}
-			if b.opts.OnSnapshot != nil && rec.Steps[si-1].Snapshot != nil {
-				b.opts.OnSnapshot(b.captureSnapshot(si-1, pi, i, br, &ps, detTotal))
 			}
 			if b.opts.OnObserve != nil {
 				b.opts.OnObserve(BatchProgress{

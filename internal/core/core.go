@@ -102,21 +102,6 @@ type Options struct {
 	// goroutine and must be fast; it never affects simulation results and
 	// is excluded from campaign checkpoint fingerprints.
 	OnObserve func(BatchProgress)
-
-	// SnapshotEvery, when > 0, makes Record capture a full good-circuit
-	// state frame every that many settings. Frames add O(nodes) bytes
-	// each to the recording and never affect simulation results; they
-	// exist so batch replays can resume mid-sequence (RunBatchFrom)
-	// without replaying the prefix. Excluded from campaign checkpoint
-	// fingerprints.
-	SnapshotEvery int
-
-	// OnSnapshot, when non-nil, is invoked by batch replays after every
-	// setting whose recording step carries a state frame, with a
-	// serializable snapshot of the batch at that boundary (see
-	// BatchSnapshot). Called synchronously like OnObserve; never affects
-	// results; excluded from checkpoint fingerprints.
-	OnSnapshot func(*BatchSnapshot)
 }
 
 // BatchProgress is one setting's progress report from a batch replay: the

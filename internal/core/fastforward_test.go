@@ -132,12 +132,11 @@ func TestFastForwardMatchesWalkBatch(t *testing.T) {
 // TestCompileMirrorTracksPrev guards what the good wave is compiled from.
 // There is no separate mirror to fall behind: Compile reads prev itself
 // through an overlay, as every lane's materialization copies prev itself.
-// prev is written in two places — delta application at the end of each step,
-// and restoreSnapshot loading a frame — so the test goes through both (a full
-// RAM64 run, one worker and three; a resume from a mid-sequence snapshot) and
-// checks before every step, compile included, that prev is the state an
-// independent good circuit had before the step, and after it the state it
-// has now; the results must be those of a batch that compiles nothing.
+// prev is written in one place — delta application at the end of each step —
+// so the test goes through a full RAM64 run, one worker and three, and checks
+// before every step, compile included, that prev is the state an independent
+// good circuit had before the step, and after it the state it has now; the
+// results must be those of a batch that compiles nothing.
 func TestCompileMirrorTracksPrev(t *testing.T) {
 	m := ram.RAM64()
 	seq := march.Sequence1(m)
@@ -148,7 +147,7 @@ func TestCompileMirrorTracksPrev(t *testing.T) {
 	}
 	faults := wideUniverse(m)
 	tab := switchsim.NewTables(m.Net)
-	base := Options{Observe: []netlist.NodeID{m.DataOut}, SnapshotEvery: 50}
+	base := Options{Observe: []netlist.NodeID{m.DataOut}}
 	rec := Record(m.Net, seq, base)
 
 	// The reference: a good circuit stepped by its own solver.
@@ -170,19 +169,14 @@ func TestCompileMirrorTracksPrev(t *testing.T) {
 		opts := base
 		opts.Workers = workers
 
-		// The answers first: whole run and resumed run, compiled and not.
-		var snaps []*BatchSnapshot
-		run := func(noCompile bool, snap *BatchSnapshot) []byte {
-			o := opts
-			if noCompile && snap == nil {
-				o.OnSnapshot = func(s *BatchSnapshot) { snaps = append(snaps, s) }
-			}
-			nb, err := NewFaultBatch(tab, faults, o)
+		// The answers first: the whole run, compiled and not.
+		run := func(noCompile bool) []byte {
+			nb, err := NewFaultBatch(tab, faults, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			nb.noCompile = noCompile
-			br, err := nb.runRecording(nil, rec, seq, snap)
+			br, err := nb.RunRecording(nil, rec, seq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,16 +185,8 @@ func TestCompileMirrorTracksPrev(t *testing.T) {
 			}
 			return mustJSON(t, br)
 		}
-		want := run(true, nil)
-		if len(snaps) < 3 {
-			t.Fatalf("workers=%d: %d snapshots captured", workers, len(snaps))
-		}
-		mid := snaps[len(snaps)/2]
-		if string(run(false, nil)) != string(want) {
+		if string(run(false)) != string(run(true)) {
 			t.Fatalf("workers=%d: compiled run differs from the walking run", workers)
-		}
-		if string(run(false, mid)) != string(want) {
-			t.Fatalf("workers=%d: compiled run resumed at step %d differs from the walking run", workers, mid.Step)
 		}
 
 		// Then the state every compile reads, step by step.
@@ -232,20 +218,6 @@ func TestCompileMirrorTracksPrev(t *testing.T) {
 		}
 		if b.ReplayStats().Compiles == 0 {
 			t.Fatalf("workers=%d: nothing was compiled", workers)
-		}
-
-		// Resumed: prev is loaded from the frame, and every later compile
-		// must still read the right state.
-		rb, _ := NewFaultBatch(tab, faults, opts)
-		if err := rb.restoreSnapshot(rec, mid); err != nil {
-			t.Fatal(err)
-		}
-		ref.LoadState(rec.SnapshotAt(mid.Step))
-		for si := mid.Step + 1; si < len(rec.Steps); si++ {
-			stepChecked(rb, si)
-		}
-		if rb.ReplayStats().Compiles == 0 {
-			t.Fatalf("workers=%d: nothing was compiled after the resume", workers)
 		}
 	}
 }

@@ -93,26 +93,17 @@ func (g *goodRunner) fill(init bool, inputs []switchsim.Change, res switchsim.Se
 // replay the recording without any good-circuit solver work — the
 // record-once/replay-many half of the campaign engine.
 //
-// Only the good-side options (StaticLocality, MaxRounds, SnapshotEvery)
-// are consulted; Observe and the fault-side options configure consumers,
-// not the capture. With SnapshotEvery > 0, every that-many-th setting's
-// step additionally carries a full state frame (see StepTrace.Snapshot),
-// the anchor mid-sequence batch resume needs.
+// Only the good-side options (StaticLocality, MaxRounds) are consulted;
+// Observe and the fault-side options configure consumers, not the capture.
 func Record(nw *netlist.Network, seq *switchsim.Sequence, opts Options) *switchsim.Recording {
 	g := newGoodRunner(switchsim.NewTables(nw), opts)
 	rec := switchsim.NewRecording(nw)
 	rec.Steps = make([]switchsim.StepTrace, 0, 1+seq.NumSettings())
 	rec.Append(g.init())
-	setting := 0
 	for pi := range seq.Patterns {
 		p := &seq.Patterns[pi]
 		for i := range p.Settings {
-			tr := g.step(p.Settings[i])
-			setting++
-			if opts.SnapshotEvery > 0 && setting%opts.SnapshotEvery == 0 {
-				tr.Snapshot = g.good.Snapshot()
-			}
-			rec.Append(tr)
+			rec.Append(g.step(p.Settings[i]))
 		}
 	}
 	return rec

@@ -17,8 +17,8 @@ import (
 // every part of the serialised form: a shard of the stuck-at universe with
 // fault dropping (detections, a long per-setting table), a never-dropping
 // run under a round limit of two (final divergence records on most faults,
-// oscillation flags on nearly all), and a trimmed batch resumed from a
-// mid-sequence snapshot.
+// oscillation flags on nearly all), and the whole universe in one trimmed
+// batch.
 func codecSeeds(tb testing.TB) []*BatchResult {
 	tb.Helper()
 	m := ram.RAM64()
@@ -40,23 +40,13 @@ func codecSeeds(tb testing.TB) []*BatchResult {
 		tb.Fatal(err)
 	}
 
-	resumeOpts := Options{Observe: obs, Workers: 1, Trim: true, TrimProbation: 4, SnapshotEvery: 7}
-	rec := Record(m.Net, seq, resumeOpts)
-	var snaps []*BatchSnapshot
-	capture := resumeOpts
-	capture.OnSnapshot = func(s *BatchSnapshot) { snaps = append(snaps, s) }
-	if _, err := RunBatch(nil, tab, faults, rec, seq, capture); err != nil {
-		tb.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		tb.Fatal("no snapshot captured")
-	}
-	resumed, err := RunBatchFrom(nil, tab, faults, rec, seq, snaps[len(snaps)/2], resumeOpts)
+	trimOpts := Options{Observe: obs, Workers: 1, Trim: true, TrimProbation: 4}
+	trimmed, err := RunBatch(nil, tab, faults, Record(m.Net, seq, trimOpts), seq, trimOpts)
 	if err != nil {
 		tb.Fatal(err)
 	}
 
-	seeds := []*BatchResult{shard, osc, resumed}
+	seeds := []*BatchResult{shard, osc, trimmed}
 	var sawDetected, sawOsc, sawRecords bool
 	for _, br := range seeds {
 		for fi := 0; fi < br.NumFaults; fi++ {

@@ -175,13 +175,6 @@ patterns:
 	return fr
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Estimate reproduces the paper's serial-time estimator: the sum over all
 // faults of the number of patterns required to detect the fault (the full
 // sequence length for undetected faults) times the average cost of

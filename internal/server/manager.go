@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"fmossim/internal/campaign"
-	"fmossim/internal/core"
 )
 
 // Config sizes the server.
@@ -312,12 +311,7 @@ func (m *Manager) runJob(job *Job) {
 	// relative to the window; the coordinator offsets them by shard_lo).
 	faults := wl.Faults
 	opts := campaign.Options{
-		Sim: core.Options{
-			Observe: wl.Observe,
-			Drop:    job.Spec.dropPolicy(),
-			Workers: job.Spec.Workers,
-			Trim:    job.Spec.Trim,
-		},
+		Sim:            job.Spec.SimOptions(wl),
 		BatchSize:      job.Spec.BatchSize,
 		Shards:         job.Spec.Shards,
 		CoverageTarget: job.Spec.CoverageTarget,

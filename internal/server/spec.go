@@ -184,6 +184,17 @@ func (s *JobSpec) dropPolicy() core.DropPolicy {
 	return core.DropAnyDifference
 }
 
+// SimOptions returns the per-batch simulator options the spec selects
+// over its resolved workload.
+func (s *JobSpec) SimOptions(wl *Workload) core.Options {
+	return core.Options{
+		Observe: wl.Observe,
+		Drop:    s.dropPolicy(),
+		Workers: s.Workers,
+		Trim:    s.Trim,
+	}
+}
+
 // workloadKey identifies the shareable part of a built-in workload — the
 // circuit plus the exact test sequence — for the Tables and Recording
 // caches. Inline netlists are not cached (the parse is the cheap part;

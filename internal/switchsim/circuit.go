@@ -438,14 +438,13 @@ func (c *Circuit) Snapshot() []logic.Value {
 	return out
 }
 
-// LoadState overwrites every node value from a state frame (as returned
-// by Snapshot) and rederives all transistor states: the O(nodes)
-// fast-forward a replay consumer uses to jump its fault-free mirrors to a
-// recorded mid-sequence snapshot. The circuit must carry no pins or
-// forces — frames describe the good circuit only.
+// LoadState overwrites every node value from vals (as returned by
+// Snapshot) and rederives all transistor states. The materialization
+// oracle builds its reference circuit this way. The circuit must carry no
+// pins or forces.
 func (c *Circuit) LoadState(vals []logic.Value) {
 	if len(vals) != len(c.val) {
-		panic(fmt.Sprintf("switchsim: LoadState frame has %d values, circuit has %d nodes", len(vals), len(c.val)))
+		panic(fmt.Sprintf("switchsim: LoadState has %d values, circuit has %d nodes", len(vals), len(c.val)))
 	}
 	if c.Faulty() {
 		panic("switchsim: LoadState into a faulted circuit")

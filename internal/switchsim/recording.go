@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"slices"
 
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
@@ -53,13 +52,6 @@ type StepTrace struct {
 	// Traj is the recorded settle trajectory (nil when not recorded or
 	// when borrowed live from a non-recording path).
 	Traj *Trajectory
-	// Snapshot, when non-nil, is a full good-circuit state frame: every
-	// node's value after this step, in node-id order. Frames let a
-	// consumer fast-forward its good-state mirrors to this step in
-	// O(nodes) instead of replaying every intermediate delta, which is
-	// what makes mid-sequence batch resume cheap (see core.RunBatchFrom).
-	// Captured every Options.SnapshotEvery settings by core.Record.
-	Snapshot []logic.Value
 	// GoodWork and GoodNS are the solver work units and wall-clock
 	// nanoseconds the good-circuit settle consumed.
 	GoodWork int64
@@ -129,15 +121,6 @@ func (r *Recording) Append(t *StepTrace) {
 	r.Steps = append(r.Steps, st.owned())
 }
 
-// SnapshotAt returns the state frame captured at step index step (0 is
-// the initialization), or nil when that step carries none.
-func (r *Recording) SnapshotAt(step int) []logic.Value {
-	if step < 0 || step >= len(r.Steps) {
-		return nil
-	}
-	return r.Steps[step].Snapshot
-}
-
 // owned returns a deep copy of the step that shares no storage with t.
 // A step's lists are copied into exact-size arrays: one of nodes (Explored,
 // then the trajectory's members), one of changes (InputChanges, Changed,
@@ -156,7 +139,6 @@ func (t *StepTrace) owned() StepTrace {
 	st.InputChanges = window(&changes, t.InputChanges)
 	st.Changed = window(&changes, t.Changed)
 	st.Explored = window(&nodes, t.Explored)
-	st.Snapshot = slices.Clone(t.Snapshot)
 	if t.Traj != nil {
 		st.Traj = &Trajectory{
 			roundEnd: cloneOrNil(tr.roundEnd),
@@ -193,9 +175,10 @@ func cloneOrNil[T any](src []T) []T {
 // captured on one machine (or in one process) can be stored and replayed
 // by later fault campaigns without re-simulating the good circuit.
 
-// recordingMagic versions the on-disk format: version 2, with optional
-// per-step state snapshot frames (flagSnapshot). It is the only version
-// Encode writes and the only one DecodeRecording accepts.
+// recordingMagic versions the on-disk format. It is the only version
+// Encode writes and the only one DecodeRecording accepts. Version 2 could
+// also carry per-step state frames (flagFrame); this build writes none and
+// refuses a stream that has one.
 const recordingMagic = "FMOSREC2"
 
 // Fingerprint returns the recording's content fingerprint: the lowercase
@@ -225,7 +208,7 @@ const (
 	flagInit byte = 1 << iota
 	flagOscillated
 	flagTraj
-	flagSnapshot // v2 only: the step carries a state frame
+	flagFrame // a state frame follows the step: no longer written, refused on decode
 )
 
 // encodeChunk is the size at which Encode hands its buffer to the writer.
@@ -281,14 +264,14 @@ func (r *Recording) encodedBound() int {
 	for i := range r.Steps {
 		st := &r.Steps[i]
 		nodes, changes, lists := len(st.Explored), len(st.InputChanges)+len(st.Changed), 3
-		n += 2 + 3*big // flags and reserved slot; work, round count, frame length
+		n += 2 + 2*big // flags and reserved slot; work, round count
 		if tr := st.Traj; tr != nil {
 			nodes += len(tr.nodes)
 			changes += len(tr.changes)
 			lists += 2 * len(tr.vics)
 			n += big * len(tr.roundEnd)
 		}
-		n += idLen*(nodes+changes+lists) + changes + len(st.Snapshot)
+		n += idLen*(nodes+changes+lists) + changes
 	}
 	return n
 }
@@ -303,9 +286,6 @@ func (st *StepTrace) appendBinary(b []byte) []byte {
 	}
 	if st.Traj != nil {
 		flags |= flagTraj
-	}
-	if st.Snapshot != nil {
-		flags |= flagSnapshot
 	}
 	b = append(b, flags)
 	b = binary.AppendUvarint(b, uint64(st.GoodWork))
@@ -322,15 +302,6 @@ func (st *StepTrace) appendBinary(b []byte) []byte {
 				b = appendNodes(b, tr.Members(vi))
 				b = appendChanges(b, tr.Changes(vi))
 			}
-		}
-	}
-	if st.Snapshot != nil {
-		// One value byte per node; the length is written so a decoder
-		// can reject a frame that does not match the header's node
-		// count without trusting it.
-		b = binary.AppendUvarint(b, uint64(len(st.Snapshot)))
-		for _, v := range st.Snapshot {
-			b = append(b, byte(v))
 		}
 	}
 	return b
@@ -417,6 +388,10 @@ type decoder struct {
 func (d *decoder) step() StepTrace {
 	d.nodes, d.changes = d.nodes[:0], d.changes[:0]
 	flags := d.Byte()
+	if flags&flagFrame != 0 {
+		d.Fail(fmt.Errorf("recording carries state frames, which this build no longer reads; re-record"))
+		return StepTrace{}
+	}
 	st := StepTrace{
 		Init:       flags&flagInit != 0,
 		Oscillated: flags&flagOscillated != 0,
@@ -444,11 +419,7 @@ func (d *decoder) step() StepTrace {
 	if d.Err != nil {
 		return StepTrace{}
 	}
-	st = st.owned()
-	if flags&flagSnapshot != 0 {
-		st.Snapshot = d.snapshot()
-	}
-	return st
+	return st.owned()
 }
 
 func (d *decoder) node() netlist.NodeID {
@@ -491,31 +462,4 @@ func (d *decoder) changeList(dst *[]Change) []Change {
 		*dst = append(*dst, Change{Node: node, Value: v})
 	}
 	return (*dst)[lo:]
-}
-
-// snapshot decodes one state frame: exactly one value byte per node.
-func (d *decoder) snapshot() []logic.Value {
-	n := d.Uvarint()
-	if d.Err != nil {
-		return nil
-	}
-	if n != d.maxNode {
-		d.Err = fmt.Errorf("snapshot frame has %d values, network has %d nodes", n, d.maxNode)
-		return nil
-	}
-	if n > uint64(len(d.Buf)) {
-		d.Err = io.ErrUnexpectedEOF
-		return nil
-	}
-	out := make([]logic.Value, n)
-	for i := range out {
-		v := logic.Value(d.Buf[i])
-		if v > logic.X {
-			d.Err = fmt.Errorf("bad snapshot value %d", v)
-			return nil
-		}
-		out[i] = v
-	}
-	d.Buf = d.Buf[n:]
-	return out
 }

@@ -104,7 +104,7 @@ func TestRecordingCodecAllocs(t *testing.T) {
 
 	var counts []float64
 	for _, seq := range []*switchsim.Sequence{&short, full} {
-		rec := core.Record(m.Net, seq, core.Options{SnapshotEvery: 64})
+		rec := core.Record(m.Net, seq, core.Options{})
 		var buf bytes.Buffer
 		if err := rec.Encode(&buf); err != nil {
 			t.Fatal(err)
@@ -131,8 +131,7 @@ func TestRecordingCodecAllocs(t *testing.T) {
 			}
 		})
 		// Per step: the node and change arrays, the trajectory and its two
-		// span tables, now and then a state frame; plus the decoder's own
-		// scratch.
+		// span tables; plus the decoder's own scratch.
 		if limit := float64(6*len(rec.Steps) + 64); decAllocs > limit {
 			t.Errorf("%d steps: DecodeRecordingBytes made %.0f allocations, want at most %.0f",
 				len(rec.Steps), decAllocs, limit)

@@ -2,11 +2,12 @@ package switchsim_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fmossim/internal/core"
-	"fmossim/internal/logic"
 	"fmossim/internal/march"
 	"fmossim/internal/ram"
 	"fmossim/internal/switchsim"
@@ -14,28 +15,34 @@ import (
 
 // FuzzDecodeRecording throws arbitrary bytes at the recording decoder.
 // The decoder's contract: malformed input — bad magic, truncated
-// varints, out-of-range node ids, snapshot frames of the wrong length —
-// returns an error; it never panics and never silently accepts a frame
-// that violates the recording's own fingerprint. Anything that does
-// decode must re-encode and re-decode to the identical recording
-// (decode is a left inverse of encode on the decoder's image).
+// varints, out-of-range node ids, a step flagged as carrying a state
+// frame — returns an error; it never panics. Anything that does decode
+// must re-encode and re-decode to the identical recording (decode is a
+// left inverse of encode on the decoder's image).
 //
 // The seed corpus is real: the paper's RAM64 circuit recorded through
-// test sequence 1 with mid-sequence state frames, plus truncations and
-// a corrupted-magic variant, so the fuzzer starts inside the format
-// rather than rediscovering the magic string.
+// test sequence 1, the same stream with the first step's frame bit set
+// (which must be refused), plus truncations and a corrupted-magic
+// variant of both, so the fuzzer starts inside the format rather than
+// rediscovering the magic string.
 func FuzzDecodeRecording(f *testing.F) {
 	m := ram.RAM64()
 	seq := march.Sequence1(m)
 	seq.Patterns = seq.Patterns[:8] // keep the corpus entries small
-	withFrames := core.Record(m.Net, seq, core.Options{SnapshotEvery: 4})
-	plain := core.Record(m.Net, seq, core.Options{})
-	for _, rec := range []*switchsim.Recording{withFrames, plain} {
-		var buf bytes.Buffer
-		if err := rec.Encode(&buf); err != nil {
-			f.Fatal(err)
-		}
-		enc := buf.Bytes()
+	plain := core.Record(m.Net, seq, core.Options{}).AppendBinary(nil)
+	// The first step's flag byte follows the magic and the three header
+	// varints; bit 3 said a state frame follows the step.
+	flags := len("FMOSREC2")
+	for i := 0; i < 3; i++ {
+		_, n := binary.Uvarint(plain[flags:])
+		flags += n
+	}
+	framed := append([]byte(nil), plain...)
+	framed[flags] |= 1 << 3
+	if _, err := switchsim.DecodeRecordingBytes(framed); err == nil || !strings.Contains(err.Error(), "state frames") {
+		f.Fatalf("frame bit set: err = %v, want the state-frames refusal", err)
+	}
+	for _, enc := range [][]byte{framed, plain} {
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
 		f.Add(enc[:len(enc)-1])
@@ -50,19 +57,6 @@ func FuzzDecodeRecording(f *testing.F) {
 		rec, err := switchsim.DecodeRecording(bytes.NewReader(data))
 		if err != nil {
 			return
-		}
-		for i := range rec.Steps {
-			if s := rec.Steps[i].Snapshot; s != nil {
-				if len(s) != rec.NumNodes {
-					t.Fatalf("step %d: decoded snapshot has %d values, recording has %d nodes",
-						i, len(s), rec.NumNodes)
-				}
-				for _, v := range s {
-					if v > logic.X {
-						t.Fatalf("step %d: decoded snapshot value %d out of range", i, v)
-					}
-				}
-			}
 		}
 		var buf bytes.Buffer
 		if err := rec.Encode(&buf); err != nil {
