@@ -26,10 +26,13 @@
 // the monolithic run.
 //
 // -trim enables redundancy trimming: materialization-equivalent fault
-// classes collapse onto one representative lane after a probation
-// window, and a batch whose circuits have all been dropped skips the
-// rest of the sequence. Results stay byte-identical; only executed work
-// shrinks.
+// classes collapse onto one representative lane when a batch is built,
+// and a batch whose circuits have all been dropped skips the rest of the
+// sequence. Results stay byte-identical; only executed work shrinks.
+//
+// The summary's detected: and work: lines are the result, identical from
+// run to run and across every batching; the wall: line after them is this
+// process's own clock around the run (the result carries none).
 //
 // The flags bind to the same campaign spec fmossimd takes
 // (server.JobSpec), so circuit, sequence, observed nodes and fault

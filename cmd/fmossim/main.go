@@ -9,6 +9,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
@@ -66,6 +67,7 @@ func main() {
 
 	opts := spec.SimOptions(wl)
 	detected := func(int) (core.Detection, bool) { return core.Detection{}, false }
+	start := time.Now()
 	if spec.BatchSize > 0 || spec.Shards > 0 || spec.CoverageTarget > 0 || *checkpoint != "" {
 		// Interrupting a campaign cancels it cooperatively; completed
 		// batches stay in the checkpoint (if any) for the next resume.
@@ -95,6 +97,8 @@ func main() {
 		res.Summary(os.Stdout)
 		detected = sim.Detected
 	}
+	// The result carries no clock; the time is this process's, taken here.
+	fmt.Printf("  wall: %.3fs\n", time.Since(start).Seconds())
 
 	if *verbose {
 		for i := range faults {

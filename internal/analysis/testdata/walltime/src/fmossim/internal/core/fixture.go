@@ -15,7 +15,7 @@ func clockReads() int64 {
 }
 
 func annotatedClock() time.Time {
-	return time.Now() //fmossim:nondeterminism-ok wall-clock stats fields are contract-exempt
+	return time.Now() //fmossim:nondeterminism-ok fixture: an annotated clock read with a reason is accepted
 }
 
 func clockFreeTimeAPIsAreFine(d time.Duration) time.Duration {

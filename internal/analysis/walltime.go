@@ -41,7 +41,7 @@ var Walltime = &Analyzer{
 	Doc: "ban clock and randomness reads in the deterministic engine\n\n" +
 		"time.Now/Since/Until and math/rand (v1 or v2) must not appear in the\n" +
 		"engine packages; server/distrib timeout plumbing is allowlisted. A\n" +
-		"deliberate exception (e.g. contract-exempt wall-clock stats fields)\n" +
+		"deliberate exception (e.g. a caller-seeded *rand.Rand parameter)\n" +
 		"carries //fmossim:nondeterminism-ok <reason>.",
 	Run: runWalltime,
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"time"
 
 	"fmossim/internal/core"
 	"fmossim/internal/fault"
@@ -99,10 +100,11 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			t0 := time.Now()
 			res := sim.Run(seq)
+			row.NSPerPattern = float64(time.Since(t0).Nanoseconds()) / nPat
 			row.Detected = res.Detected
 			row.ConcPerPattern = float64(res.TotalWork()) / nPat
-			row.NSPerPattern = float64(res.TotalNS()) / nPat
 			det := make([]int, len(fs))
 			for i := range fs {
 				if d, ok := sim.Detected(i); ok {

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"fmossim/internal/core"
 	"fmossim/internal/march"
@@ -79,7 +80,9 @@ func scalingPoint(m *ram.RAM) (*ScalingPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	t0 := time.Now()
 	res := sim.Run(seq)
+	concNS := time.Since(t0).Nanoseconds()
 
 	det := make([]int, len(faults))
 	for i := range faults {
@@ -100,7 +103,7 @@ func scalingPoint(m *ram.RAM) (*ScalingPoint, error) {
 		GoodWork:       goodRes.GoodWork,
 		ConcurrentWork: res.TotalWork(),
 		SerialEstWork:  serial.Estimate(det, goodRes.GoodPerPattern, len(seq.Patterns)) + goodRes.GoodWork,
-		ConcurrentNS:   res.TotalNS(),
+		ConcurrentNS:   concNS,
 	}, nil
 }
 

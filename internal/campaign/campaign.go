@@ -144,11 +144,8 @@ type FaultOutcome struct {
 
 // Result is a campaign's merged outcome.
 type Result struct {
-	// Run is the merged aggregate in core.Result form. Its deterministic
-	// fields (work units, detection counts, per-pattern active/live
-	// statistics) are bit-identical to a monolithic run when no batch was
-	// skipped; NS fields combine the recording's good-circuit times with
-	// summed per-batch fault times.
+	// Run is the merged aggregate in core.Result form: bit-identical to a
+	// monolithic run when no batch was skipped.
 	Run core.Result
 	// PerFault holds one outcome per fault, in universe order.
 	PerFault []FaultOutcome
@@ -256,7 +253,10 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 			// back as is; an interrupted one re-runs from its first setting.
 			for i := 0; i < nBatches; i++ {
 				if br := prev.Done[i]; br != nil {
-					l.resume(i, br)
+					if err := l.resume(i, br); err != nil {
+						l.close()
+						return nil, nil, fmt.Errorf("checkpoint %s: %w", opts.CheckpointPath, err)
+					}
 					ck.Done[i] = br
 				}
 			}
@@ -290,7 +290,10 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 					l.Fail(err)
 					return
 				}
-				l.Complete(i, br)
+				if err := l.Complete(i, br); err != nil {
+					l.Fail(err)
+					return
+				}
 				if opts.CheckpointPath != "" {
 					ckMu.Lock()
 					ck.Done[i] = br
@@ -312,15 +315,17 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 // core.Result plus per-fault outcomes. Batches are merged at setting
 // granularity: per-setting active-circuit and live counts sum across
 // batches (each fault lives in exactly one), so pattern aggregates like
-// MaxActive match a monolithic run exactly. Good-circuit work and time
-// come from the recording, counted once.
+// MaxActive match a monolithic run exactly. Good-circuit work comes from
+// the recording, counted once.
 //
 // results is indexed by batch: batch i covers universe faults
 // [i*batchSize, min((i+1)*batchSize, nf)). A nil entry marks a batch that
-// was never simulated; its faults merge as Skipped. Merge is the single
-// determinism point shared by Run and by distributed coordinators
-// (internal/distrib): any scheduler that produces the same per-batch
-// results — on one machine or many — merges to the same Result. The
+// was never simulated; its faults merge as Skipped. Every other entry must
+// have the shape of its window and of seq — the Ledger checks that where a
+// batch arrives (ErrBatchShape), so Merge indexes without truncating.
+// Merge is the single determinism point shared by Run and by distributed
+// coordinators (internal/distrib): any scheduler that produces the same
+// per-batch results — on one machine or many — merges to the same Result. The
 // Batches/BatchesRun/BatchesResumed/BatchesSkipped accounting fields are
 // left zero here; Ledger.Finish fills them.
 func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int, results []*core.BatchResult) *Result {
@@ -334,7 +339,6 @@ func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int,
 	// never simulated, hence never dropped).
 	active := make([]int, nSettings)
 	faultWork := make([]int64, nSettings)
-	faultNS := make([]int64, nSettings)
 	for bi, br := range results {
 		lo := bi * batchSize
 		width := min(batchSize, nf-lo)
@@ -344,46 +348,32 @@ func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int,
 			}
 			continue
 		}
-		for si := range br.PerSetting {
-			if si >= nSettings {
-				break
-			}
+		for si := range active {
 			active[si] += br.PerSetting[si].ActiveCircuits
 			faultWork[si] += br.PerSetting[si].FaultWork
-			faultNS[si] += br.PerSetting[si].FaultNS
 		}
-		for j := 0; j < width && j < len(br.Detected); j++ {
+		for j := 0; j < width; j++ {
 			o := &res.PerFault[lo+j]
 			o.Detected = br.Detected[j]
 			o.Detection = br.Detections[j]
 			o.Oscillated = br.Oscillated[j]
-			if j < len(br.Records) {
-				o.Records = br.Records[j]
-			}
+			o.Records = br.Records[j]
 		}
 	}
 
 	// Assemble per-pattern statistics from the sequence structure, the
 	// recording's good-side figures, and the per-setting/-pattern sums.
 	si := 0
-	step := 1 // rec.Steps[0] is the initialization
 	for pi := range seq.Patterns {
 		p := &seq.Patterns[pi]
 		ps := core.PatternStats{Pattern: pi, Name: p.Name, Settings: len(p.Settings)}
 		for range p.Settings {
-			if step < len(rec.Steps) {
-				ps.GoodWork += rec.Steps[step].GoodWork
-				ps.GoodNS += rec.Steps[step].GoodNS
-			}
-			if si < nSettings {
-				ps.FaultWork += faultWork[si]
-				ps.FaultNS += faultNS[si]
-				if active[si] > ps.MaxActive {
-					ps.MaxActive = active[si]
-				}
+			ps.GoodWork += rec.Steps[si+1].GoodWork // Steps[0] is the initialization
+			ps.FaultWork += faultWork[si]
+			if active[si] > ps.MaxActive {
+				ps.MaxActive = active[si]
 			}
 			si++
-			step++
 		}
 		for bi, br := range results {
 			lo := bi * batchSize
@@ -393,17 +383,13 @@ func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int,
 				ps.LiveAfter += width
 				continue
 			}
-			if pi < len(br.PerPattern) {
-				ps.LiveBefore += br.PerPattern[pi].LiveBefore
-				ps.LiveAfter += br.PerPattern[pi].LiveAfter
-				ps.Detected += br.PerPattern[pi].Detected
-			}
+			ps.LiveBefore += br.PerPattern[pi].LiveBefore
+			ps.LiveAfter += br.PerPattern[pi].LiveAfter
+			ps.Detected += br.PerPattern[pi].Detected
 		}
 		res.Run.PerPattern = append(res.Run.PerPattern, ps)
 		res.Run.GoodWork += ps.GoodWork
 		res.Run.FaultWork += ps.FaultWork
-		res.Run.GoodNS += ps.GoodNS
-		res.Run.FaultNS += ps.FaultNS
 	}
 
 	for fi := range res.PerFault {

@@ -66,11 +66,11 @@ func hashFaults(faults []fault.Fault) uint64 {
 }
 
 // hashSimOptions digests the result-shaping simulator options. Workers,
-// the OnObserve hook, and the trimming knobs (Trim, TrimProbation) are
-// deliberately excluded: results are bit-identical for every worker
-// count, the hook never shapes them, and the redundancy trims shed
-// executed work while keeping every BatchResult field byte-identical —
-// all of them are legitimate things to change between resume runs.
+// the OnObserve hook, and Trim are deliberately excluded: results are
+// bit-identical for every worker count, the hook never shapes them, and
+// the redundancy trims shed executed work while keeping every BatchResult
+// field byte-identical — all of them are legitimate things to change
+// between resume runs.
 func hashSimOptions(opts core.Options) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -44,8 +44,7 @@ type Case struct {
 	NumBatches int
 	Shards     int
 
-	Trim          bool
-	TrimProbation int
+	Trim bool
 
 	// Interrupt, when true, cancels the campaign after InterruptAfter
 	// progress events and resumes it from the checkpoint: completed
@@ -55,9 +54,9 @@ type Case struct {
 }
 
 func (c Case) String() string {
-	return fmt.Sprintf("ram%dx%d/seq2=%v/max=%d/mix=%d/lane=%d/w=%d/b=%d/s=%d/trim=%v(p%d)/int=%v@%d",
+	return fmt.Sprintf("ram%dx%d/seq2=%v/max=%d/mix=%d/lane=%d/w=%d/b=%d/s=%d/trim=%v/int=%v@%d",
 		c.Rows, c.Cols, c.Seq2, c.MaxPatterns, c.FaultMix, c.LaneWidth, c.Workers,
-		c.NumBatches, c.Shards, c.Trim, c.TrimProbation, c.Interrupt, c.InterruptAfter)
+		c.NumBatches, c.Shards, c.Trim, c.Interrupt, c.InterruptAfter)
 }
 
 // genCase draws one configuration. Geometry and depth come from the
@@ -78,10 +77,7 @@ func genCase(rng *rand.Rand) Case {
 	if rng.Intn(3) > 0 {
 		c.MaxPatterns = 4 + rng.Intn(12)
 	}
-	if rng.Intn(2) == 1 {
-		c.Trim = true
-		c.TrimProbation = []int{0, 1, 3, 8}[rng.Intn(4)]
-	}
+	c.Trim = rng.Intn(2) == 1
 	if rng.Intn(3) == 0 {
 		c.Interrupt = true
 		c.InterruptAfter = 1 + rng.Intn(40)
@@ -116,22 +112,15 @@ func workload(c Case) (*ram.RAM, *switchsim.Sequence, []fault.Fault) {
 	return m, seq, faults
 }
 
-// canonical renders a campaign result with every wall-clock field
-// masked: the byte string two equivalent executions must agree on.
+// canonical renders what a campaign merged — its Result without the
+// recording and the resume accounting: the byte string two equivalent
+// executions must agree on.
 func canonical(t *testing.T, res *campaign.Result) string {
 	t.Helper()
-	run := res.Run
-	run.GoodNS, run.FaultNS = 0, 0
-	pp := make([]core.PatternStats, len(run.PerPattern))
-	for i, p := range run.PerPattern {
-		p.GoodNS, p.FaultNS = 0, 0
-		pp[i] = p
-	}
-	run.PerPattern = pp
 	b, err := json.Marshal(struct {
 		Run      core.Result
 		PerFault []campaign.FaultOutcome
-	}{run, res.PerFault})
+	}{res.Run, res.PerFault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +161,10 @@ func runCase(t *testing.T, c Case) string {
 	m, seq, faults := workload(c)
 	opts := campaign.Options{
 		Sim: core.Options{
-			Observe:       []netlist.NodeID{m.DataOut},
-			LaneWidth:     c.LaneWidth,
-			Workers:       c.Workers,
-			Trim:          c.Trim,
-			TrimProbation: c.TrimProbation,
+			Observe:   []netlist.NodeID{m.DataOut},
+			LaneWidth: c.LaneWidth,
+			Workers:   c.Workers,
+			Trim:      c.Trim,
 		},
 		BatchSize: (len(faults) + c.NumBatches - 1) / c.NumBatches,
 		Shards:    c.Shards,
@@ -233,19 +221,19 @@ func TestDifferentialEquivalence(t *testing.T) {
 }
 
 // TestDifferentialPinnedCases locks in the corners the random draw might
-// miss at the bounded budget: trim with a one-setting probation window,
-// single-fault lanes, and trimmed campaigns interrupted inside their only
-// batch (the checkpoint holds nothing to resume) and inside the first of
-// two.
+// miss at the bounded budget: trimmed classes spread over single-fault
+// lanes and three batches, and trimmed campaigns interrupted inside their
+// only batch (the checkpoint holds nothing to resume) and inside the first
+// of two.
 func TestDifferentialPinnedCases(t *testing.T) {
 	pinned := []Case{
 		{Rows: 4, Cols: 4, FaultMix: 1, LaneWidth: 1, Workers: 2, NumBatches: 3, Shards: 2,
-			Trim: true, TrimProbation: 1},
+			Trim: true},
 		{Rows: 4, Cols: 4, FaultMix: 1, LaneWidth: 64, Workers: 1, NumBatches: 1, Shards: 1,
 			Trim: true, Interrupt: true, InterruptAfter: 25},
 		{Rows: 2, Cols: 4, Seq2: true, FaultMix: 0, LaneWidth: 7, Workers: 3, NumBatches: 5, Shards: 3},
 		{Rows: 4, Cols: 4, FaultMix: 1, MaxPatterns: 8, LaneWidth: 13, Workers: 2, NumBatches: 2,
-			Shards: 2, Trim: true, TrimProbation: 3, Interrupt: true, InterruptAfter: 10},
+			Shards: 2, Trim: true, Interrupt: true, InterruptAfter: 10},
 	}
 	refs := map[string]string{}
 	for _, c := range pinned {

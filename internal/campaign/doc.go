@@ -59,7 +59,11 @@
 // resume from a checkpoint whose fingerprint differs, because attributing
 // stale batch results to a different campaign would be silent corruption.
 // Worker counts and progress callbacks are deliberately outside the
-// fingerprint: they never change results.
+// fingerprint: they never change results. The fingerprint says which
+// campaign a file belongs to, not that its batches are well-formed: the
+// Ledger checks every batch result it is handed — from a checkpoint or
+// from a worker — against the batch's window and, at the merge, the
+// sequence, and refuses a mismatch with ErrBatchShape.
 //
 // # Batch/merge determinism guarantee
 //
@@ -71,7 +75,7 @@
 // records, and deterministic statistics (work units, active-circuit
 // counts, live counts) are bit-identical to a monolithic core.Simulator
 // run over the same fault list, for every batch size, shard count, and
-// worker count. Wall-clock fields are the only exception. Early stop
+// worker count, with no exempt fields: a result carries no clock. Early stop
 // (CoverageTarget) intentionally breaks the equivalence: skipped batches
 // are reported per fault, never silently counted. The guarantee is
 // asserted across batch/worker combinations by TestCampaignMatchesMonolithic.

@@ -7,6 +7,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -220,18 +221,45 @@ func (l *Ledger) observer(i int) func(core.BatchProgress) {
 	}
 }
 
+// ErrBatchShape reports a batch result that does not describe the batch it
+// was handed in for: a checkpoint entry or a worker's result line of the
+// wrong width or length. Merging one would yield a quietly different
+// Result, so the ledger refuses it where it arrives.
+var ErrBatchShape = errors.New("batch result has the wrong shape")
+
+// checkWidth verifies br covers exactly batch i's window of the universe.
+func (l *Ledger) checkWidth(i int, br *core.BatchResult) error {
+	lo, hi := l.Window(i)
+	if w := hi - lo; br.NumFaults != w || len(br.Detected) != w || len(br.Detections) != w ||
+		len(br.Oscillated) != w || len(br.Records) != w {
+		return fmt.Errorf("campaign: batch %d: %w: %d faults (columns of %d, %d, %d and %d), the window holds %d",
+			i, ErrBatchShape, br.NumFaults, len(br.Detected), len(br.Detections), len(br.Oscillated), len(br.Records), w)
+	}
+	return nil
+}
+
 // resume pre-counts batch i as completed by an earlier run (checkpoint).
-func (l *Ledger) resume(i int, br *core.BatchResult) {
+func (l *Ledger) resume(i int, br *core.BatchResult) error {
+	if err := l.checkWidth(i, br); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.results[i] = br
 	l.done++
 	l.resumed++
 	l.fold(i, br.DetectedCount())
+	return nil
 }
 
-// Complete records batch i's result and delivers its BatchDone event.
-func (l *Ledger) Complete(i int, br *core.BatchResult) {
+// Complete records batch i's result and delivers its BatchDone event. A
+// result that is not as wide as the batch's window is refused with
+// ErrBatchShape and the batch stays outstanding: the scheduler runs it
+// again or fails the campaign.
+func (l *Ledger) Complete(i int, br *core.BatchResult) error {
+	if err := l.checkWidth(i, br); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.results[i] = br
@@ -243,6 +271,7 @@ func (l *Ledger) Complete(i int, br *core.BatchResult) {
 		ev.LiveFaults = br.PerPattern[n-1].LiveAfter
 	}
 	l.deliver(i, ev)
+	return nil
 }
 
 // Fail records the campaign's first error and stops the run.
@@ -291,13 +320,20 @@ func (l *Ledger) Batch(i int) *core.BatchResult {
 
 // Finish is Verdict followed, when it is nil, by the merge of every
 // completed batch and the batch accounting; batches that never ran merge
-// as skipped.
+// as skipped. A batch whose per-setting or per-pattern table is not as long
+// as seq fails the campaign with ErrBatchShape.
 func (l *Ledger) Finish(rec *switchsim.Recording, seq *switchsim.Sequence) (*Result, error) {
 	if err := l.Verdict(); err != nil {
 		return nil, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for i, br := range l.results {
+		if br != nil && (len(br.PerSetting) != seq.NumSettings() || len(br.PerPattern) != len(seq.Patterns)) {
+			return nil, fmt.Errorf("campaign: batch %d: %w: %d settings in %d patterns, the sequence has %d in %d",
+				i, ErrBatchShape, len(br.PerSetting), len(br.PerPattern), seq.NumSettings(), len(seq.Patterns))
+		}
+	}
 	res := Merge(rec, seq, l.nf, l.batchSize, l.results)
 	res.Batches = l.nBatches
 	res.BatchesResumed = l.resumed

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"fmossim/internal/core"
+	"fmossim/internal/logic"
+	"fmossim/internal/netlist"
 	"fmossim/internal/switchsim"
 )
 
@@ -17,6 +19,7 @@ func batchWith(n, det int) *core.BatchResult {
 		Detected:   make([]bool, n),
 		Detections: make([]core.Detection, n),
 		Oscillated: make([]bool, n),
+		Records:    make([]map[netlist.NodeID]logic.Value, n),
 	}
 	for i := 0; i < det; i++ {
 		br.Detected[i] = true
@@ -165,5 +168,38 @@ func TestLedgerCancelRule(t *testing.T) {
 	}
 	if _, err := l.Finish(&switchsim.Recording{}, seq); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted campaign returned %v, want context.Canceled", err)
+	}
+}
+
+// TestLedgerRefusesWrongShape: a batch result that is not as wide as its
+// window is refused where it arrives — the batch stays outstanding and may
+// run again — and one whose tables are not as long as the sequence fails
+// the merge; neither is ever truncated into a Result.
+func TestLedgerRefusesWrongShape(t *testing.T) {
+	seq := &switchsim.Sequence{Name: "none"}
+	l := NewLedger(context.Background(), 15, 10, 0, 0, nil)
+	if err := l.resume(1, batchWith(10, 0)); !errors.Is(err, ErrBatchShape) {
+		t.Fatalf("a 10-wide result resumed into the 5-wide last window: %v", err)
+	}
+	short := batchWith(10, 2)
+	short.Detected = short.Detected[:9]
+	l.Start(0)
+	for _, br := range []*core.BatchResult{batchWith(3, 1), short} {
+		if err := l.Complete(0, br); !errors.Is(err, ErrBatchShape) {
+			t.Fatalf("a result of %d faults (%d flags) completed a 10-wide batch: %v", br.NumFaults, len(br.Detected), err)
+		}
+	}
+	if l.Batch(0) != nil || !l.Start(0) || l.outstanding() != 2 {
+		t.Fatal("a refused result must leave its batch outstanding and free to run again")
+	}
+
+	long := batchWith(10, 2)
+	long.PerSetting = make([]core.SettingStats, 1)
+	l.Start(1)
+	if err := errors.Join(l.Complete(0, long), l.Complete(1, batchWith(5, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Finish(&switchsim.Recording{}, seq); !errors.Is(err, ErrBatchShape) {
+		t.Fatalf("a batch with one setting merged over a sequence with none: %v", err)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"time"
 
 	"fmossim/internal/fault"
 	"fmossim/internal/logic"
@@ -124,18 +123,12 @@ type FaultBatch struct {
 	retired     int
 	lastRetired int
 
-	// Redundancy trimming (Options.Trim, see trim.go): the candidate
-	// class representatives, the probation window and the settings run so
-	// far, and the work credited to collapsed members (their
-	// representative's per-step work, fanned out so totals stay
-	// byte-identical to the untrimmed run).
-	classReps    []int
-	classPending bool // candidates exist and probation has not ended
-	anyCollapsed bool
-	lanesFreed   int
-	probation    int
-	settingsRun  int
-	creditWork   switchsim.Work
+	// Redundancy trimming (Options.Trim, see trim.go): the number of faults
+	// collapsed onto a class representative at construction, and the work
+	// credited to them (their representative's per-step work, fanned out so
+	// totals stay byte-identical to the untrimmed run).
+	lanesFreed int
+	creditWork switchsim.Work
 }
 
 // laneCell is one lane word of a node's packed record row: the membership
@@ -221,16 +214,16 @@ func newBatch(tab *switchsim.Tables, good *switchsim.Circuit, faults []fault.Fau
 	}
 	b.live = len(b.faults)
 	if opts.Trim {
-		b.probation = opts.TrimProbation
-		if b.probation <= 0 {
-			b.probation = DefaultTrimProbation
-		}
 		b.groupClasses()
 	}
 
 	// Register static interest and record each fault's immediate (reset
-	// state) divergence, all before initialization.
+	// state) divergence, all before initialization. A class member has
+	// neither: its representative carries both.
 	for fi, fs := range b.faults {
+		if fs.repFi >= 0 {
+			continue
+		}
 		ci := CircuitID(fi + 1)
 		for _, n := range fs.sites {
 			b.incInterest(n, ci)
@@ -348,14 +341,7 @@ func (b *FaultBatch) touch(n netlist.NodeID) {
 // to the post-step state. Returns the fault-side setting statistics (the
 // caller owns the good-side fields).
 func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
-	t0 := time.Now() //fmossim:nondeterminism-ok FaultNS wall-clock stats are contract-exempt (doc.go)
 	w0 := b.faultWork()
-
-	if b.classPending && !trace.Init && b.settingsRun >= b.probation {
-		// Probation over: surviving candidate members surrender their
-		// lanes before this setting's scheduling snapshot is taken.
-		b.collapseClasses()
-	}
 
 	if b.ownsGood {
 		// Advance the owned good mirror to the post-step state before
@@ -378,11 +364,13 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 		// of the serial reference's reset + inject + settle-all.
 		b.started = true
 		b.active = b.active[:0]
-		for fi := range b.faults {
-			b.active = append(b.active, CircuitID(fi+1))
+		for fi, fs := range b.faults {
+			if fs.repFi < 0 {
+				b.active = append(b.active, CircuitID(fi+1))
+			}
 		}
 		b.runActivated(nil, b.allStorageNodes(), traj, trace.Changed)
-		nActive = len(b.active)
+		nActive = b.activeWithMembers()
 	} else {
 		b.markTouched(trace)
 		nActive = b.simulateActivated(b.reducedSetting(trace.InputChanges), traj, trace.Changed)
@@ -400,7 +388,6 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 		ActiveCircuits: nActive,
 		LiveFaults:     b.live,
 		FaultWork:      dw.Units(),
-		FaultNS:        time.Since(t0).Nanoseconds(), //fmossim:nondeterminism-ok FaultNS wall-clock stats are contract-exempt (doc.go)
 		AdoptedVics:    dw.AdoptedVics,
 		SolvedVics:     dw.Vicinities,
 		FaultsRetired:  b.retired - b.lastRetired,
@@ -413,10 +400,6 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 	b.lastRetired = b.retired
 	if !trace.Init {
 		b.settingIdx++
-		b.settingsRun++
-		if b.classPending {
-			b.verifyClassSigs()
-		}
 	}
 	return st
 }
@@ -435,7 +418,6 @@ func (b *FaultBatch) skipStep() SettingStats {
 	}
 	b.lastRetired = b.retired
 	b.settingIdx++
-	b.settingsRun++
 	return st
 }
 
@@ -543,18 +525,7 @@ func (b *FaultBatch) simulateActivated(setting switchsim.Setting, traj *switchsi
 		}
 	}
 	b.runActivated(setting, nil, traj, goodChanged)
-	nActive := len(b.active)
-	if b.anyCollapsed {
-		// Collapsed members share their representative's interest set and
-		// records, so untrimmed they would have activated exactly when it
-		// did: count them so ActiveCircuits stays byte-identical.
-		for _, ci := range b.active {
-			if fs := b.faults[ci-1]; len(fs.classMembers) > 0 {
-				nActive += b.liveCollapsedMembers(fs)
-			}
-		}
-	}
-	return nActive
+	return b.activeWithMembers()
 }
 
 // faultInert reports whether a divergence-free circuit provably cannot
@@ -635,16 +606,14 @@ func (b *FaultBatch) Observe() []int {
 					}
 					fs.detected = true
 					detectedNow = append(detectedNow, fi)
-					// Fan the detection out to collapsed class members:
-					// their (surrendered) records equal the
-					// representative's, so untrimmed they would have been
-					// detected at this same output with the same values.
+					// Fan the detection out to the class members: untrimmed
+					// their records would equal the representative's, so
+					// they would have been detected at this same output
+					// with the same values.
 					for _, mfi := range fs.classMembers {
-						if cm := b.faults[mfi]; cm.collapsed && !cm.dropped && !cm.detected {
-							cm.det = fs.det
-							cm.detected = true
-							detectedNow = append(detectedNow, mfi)
-						}
+						cm := b.faults[mfi]
+						cm.det, cm.detected = fs.det, true
+						detectedNow = append(detectedNow, mfi)
 					}
 				}
 				drop := false
@@ -657,15 +626,10 @@ func (b *FaultBatch) Observe() []int {
 				}
 				if drop {
 					b.dropCircuit(ci)
-					for _, mfi := range fs.classMembers {
-						if cm := b.faults[mfi]; cm.collapsed && !cm.dropped {
-							b.dropCollapsedMember(cm)
-						}
-					}
 				}
 			}
 		}
-		if b.anyCollapsed {
+		if b.lanesFreed > 0 {
 			// The untrimmed scan reports each output's detections in
 			// ascending fault order (words ascending, bits ascending);
 			// fanned-out members were appended next to their
@@ -678,11 +642,10 @@ func (b *FaultBatch) Observe() []int {
 }
 
 // BatchResult is the outcome of replaying one fault batch over a recorded
-// good trajectory. All fields are deterministic (bit-identical for every
-// batching and worker count) except the FaultNS wall-clock figures. It has
-// one serialised form, the column codec of resultcodec.go, which is also
-// what it marshals to inside JSON (shard result lines, campaign
-// checkpoints).
+// good trajectory. Every field is deterministic: bit-identical for every
+// batching and worker count, from run to run. It has one serialised form,
+// the column codec of resultcodec.go, which is also what it marshals to
+// inside JSON (shard result lines, campaign checkpoints).
 type BatchResult struct {
 	// NumFaults is the batch width.
 	NumFaults int
@@ -772,7 +735,6 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 			si++
 			br.PerSetting = append(br.PerSetting, st)
 			ps.FaultWork += st.FaultWork
-			ps.FaultNS += st.FaultNS
 			if st.ActiveCircuits > ps.MaxActive {
 				ps.MaxActive = st.ActiveCircuits
 			}
@@ -809,10 +771,9 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 	}
 
 	for fi, fs := range b.faults {
-		// Collapsed class members read their representative's outcomes:
-		// detection state is already fanned out at observation time, and
-		// oscillation flags and final records were identical at collapse
-		// and evolve only on the representative's lane afterwards.
+		// Class members read their representative's outcomes: detection
+		// state is already fanned out at observation time, and oscillation
+		// flags and final records live only on the representative's lane.
 		src := b.resolveFault(fi)
 		br.Detected = append(br.Detected, fs.detected)
 		br.Detections = append(br.Detections, fs.det)

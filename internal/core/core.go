@@ -84,18 +84,13 @@ type Options struct {
 	// fully inline.
 	Workers int
 	// Trim enables redundancy trimming: materialization-equivalent fault
-	// classes collapse onto one representative lane after a probation
-	// window (see trim.go), and a replay whose circuits have all been
-	// dropped skips the remaining settings' fault-side work (skipStep).
+	// classes collapse onto one representative lane at construction (see
+	// trim.go), and a replay whose circuits have all been dropped skips the
+	// remaining settings' fault-side work (skipStep).
 	// Every BatchResult field is byte-identical with trimming on or off —
 	// the trims shed executed wall-clock work, not counted work; the
 	// class census is reported separately through FaultBatch.TrimStats.
 	Trim bool
-	// TrimProbation sets the class-collapse probation window in settings
-	// (0 selects DefaultTrimProbation). Candidate members must keep their
-	// divergence signature identical to their representative's through
-	// the window before their lanes collapse.
-	TrimProbation int
 	// OnObserve, when non-nil, is invoked by batch replays
 	// (FaultBatch.RunRecording) after every input setting with that
 	// setting's progress. It is called synchronously from the replaying
@@ -160,16 +155,12 @@ type faultState struct {
 	// oscillated notes any settle of this circuit hit the round limit.
 	oscillated bool
 
-	// Equivalence-class bookkeeping (Options.Trim, see trim.go). sig is
-	// the incremental XOR-fold of the record store; repFi the batch index
-	// of this fault's representative (meaningful when it has one);
-	// classMembers, on a representative, the batch indices of its
-	// candidate (after collapse: collapsed) members.
-	sig            uint64
-	repFi          int
-	classMembers   []int
-	classCancelled bool
-	collapsed      bool
+	// Equivalence-class bookkeeping (Options.Trim, see trim.go): repFi is
+	// the batch index of the representative this fault is collapsed onto
+	// (-1: it runs in its own lane); classMembers, on a representative, the
+	// batch indices of the faults collapsed onto it.
+	repFi        int
+	classMembers []int
 }
 
 // Simulator is the concurrent fault simulator: a good-circuit producer
@@ -180,8 +171,6 @@ type Simulator struct {
 
 	gr    *goodRunner
 	batch *FaultBatch
-
-	stats RunStats
 }
 
 // New builds a concurrent simulator over a finalized network with the
@@ -200,7 +189,6 @@ func New(nw *netlist.Network, faults []fault.Fault, opts Options) (*Simulator, e
 		return nil, err
 	}
 	s := &Simulator{nw: nw, opts: opts, gr: gr, batch: batch}
-	s.stats.LiveFaults = batch.Live()
 	// Power-on initialization, run as a concurrent step.
 	batch.Step(gr.init())
 	return s, nil
@@ -256,7 +244,6 @@ func (s *Simulator) StepSetting(setting switchsim.Setting) SettingStats {
 	trace := s.gr.step(setting)
 	st := s.batch.Step(trace)
 	st.GoodWork = trace.GoodWork
-	st.GoodNS = trace.GoodNS
 	return st
 }
 
@@ -271,8 +258,6 @@ func (s *Simulator) RunPattern(p *switchsim.Pattern) PatternStats {
 		st := s.StepSetting(p.Settings[i])
 		ps.GoodWork += st.GoodWork
 		ps.FaultWork += st.FaultWork
-		ps.GoodNS += st.GoodNS
-		ps.FaultNS += st.FaultNS
 		if st.ActiveCircuits > ps.MaxActive {
 			ps.MaxActive = st.ActiveCircuits
 		}
@@ -283,8 +268,6 @@ func (s *Simulator) RunPattern(p *switchsim.Pattern) PatternStats {
 	}
 	ps.LiveAfter = b.Live()
 	b.EndPattern()
-	s.stats.Patterns++
-	s.stats.LiveFaults = b.Live()
 	return ps
 }
 

@@ -48,6 +48,12 @@
 // so results are bit-identical for every Options.Workers value; across
 // batches, any partition of the fault universe replayed against the same
 // recording merges (at setting granularity) to the monolithic result.
+// Neither side reads a clock, and no field of a StepTrace, BatchResult or
+// Result is a time: a result is a pure function of the network, the fault
+// list, the sequence and the result-shaping options, with no exempt
+// fields, and whoever wants a duration takes it around the call.
+// Redundancy trimming (Options.Trim, trim.go) keeps that true by deciding
+// fault equivalence once, from structure, when a batch is built.
 //
 // # Word-packed lanes
 //

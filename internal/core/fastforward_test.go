@@ -95,7 +95,6 @@ func TestFastForwardMatchesWalkBatch(t *testing.T) {
 			steps := 0
 			lockstep(t, rec, &seq, ff, walk, func(where string, sa, sb SettingStats) {
 				steps++
-				sa.FaultNS, sb.FaultNS = 0, 0
 				if sa != sb {
 					t.Fatalf("%s static=%v %s: stats %+v, walking %+v", seq.Name, static, where, sa, sb)
 				}

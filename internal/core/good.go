@@ -8,8 +8,6 @@
 package core
 
 import (
-	"time"
-
 	"fmossim/internal/netlist"
 	"fmossim/internal/switchsim"
 )
@@ -42,10 +40,9 @@ func newGoodRunner(tab *switchsim.Tables, opts Options) *goodRunner {
 // init runs the power-on initialization settle (every storage node
 // perturbed from the reset state) and returns its borrowed trace.
 func (g *goodRunner) init() *switchsim.StepTrace {
-	t0 := time.Now() //fmossim:nondeterminism-ok GoodNS wall-clock stats are contract-exempt (doc.go)
 	w0 := g.gsolve.Work()
 	res := g.gsolve.SettleAll(g.good)
-	return g.fill(true, nil, res, w0, t0)
+	return g.fill(true, nil, res, w0)
 }
 
 // step applies one input setting, settles the good circuit, and returns
@@ -53,7 +50,6 @@ func (g *goodRunner) init() *switchsim.StepTrace {
 // values, so the trace carries exactly the assignments that perturb any
 // circuit (an unchanged input is a no-op in faulty circuits too).
 func (g *goodRunner) step(setting switchsim.Setting) *switchsim.StepTrace {
-	t0 := time.Now() //fmossim:nondeterminism-ok GoodNS wall-clock stats are contract-exempt (doc.go)
 	w0 := g.gsolve.Work()
 	g.inputBuf = g.inputBuf[:0]
 	for _, a := range setting {
@@ -63,13 +59,13 @@ func (g *goodRunner) step(setting switchsim.Setting) *switchsim.StepTrace {
 	}
 	seeds := g.gsolve.ApplySetting(g.good, setting)
 	res := g.gsolve.Settle(g.good, seeds)
-	return g.fill(false, g.inputBuf, res, w0, t0)
+	return g.fill(false, g.inputBuf, res, w0)
 }
 
 // fill assembles the borrowed step trace from a settle result: changed
 // nodes paired with their post-step values, the explored set, and the
 // recorded trajectory.
-func (g *goodRunner) fill(init bool, inputs []switchsim.Change, res switchsim.SettleResult, w0 switchsim.Work, t0 time.Time) *switchsim.StepTrace {
+func (g *goodRunner) fill(init bool, inputs []switchsim.Change, res switchsim.SettleResult, w0 switchsim.Work) *switchsim.StepTrace {
 	g.changeBuf = g.changeBuf[:0]
 	for _, n := range res.Changed {
 		g.changeBuf = append(g.changeBuf, switchsim.Change{Node: n, Value: g.good.Value(n)})
@@ -82,7 +78,6 @@ func (g *goodRunner) fill(init bool, inputs []switchsim.Change, res switchsim.Se
 		Oscillated:   res.Oscillated,
 		Traj:         &g.gsolve.Traj,
 		GoodWork:     g.gsolve.Work().Sub(w0).Units(),
-		GoodNS:       time.Since(t0).Nanoseconds(), //fmossim:nondeterminism-ok GoodNS wall-clock stats are contract-exempt (doc.go)
 	}
 	return &g.trace
 }

@@ -13,18 +13,6 @@ import (
 	"fmossim/internal/switchsim"
 )
 
-// normalizeBatchResult zeroes the wall-clock fields, the only
-// nondeterministic part of a BatchResult, so byte comparison tests the
-// deterministic remainder.
-func normalizeBatchResult(br *core.BatchResult) {
-	for i := range br.PerSetting {
-		br.PerSetting[i].FaultNS = 0
-	}
-	for i := range br.PerPattern {
-		br.PerPattern[i].FaultNS = 0
-	}
-}
-
 // TestBatchLaneWidthInvariance: the packed-lane batch produces a
 // byte-for-byte identical BatchResult for every lane width and worker
 // count — the merge-determinism contract of the word-packed engine. The
@@ -48,7 +36,6 @@ func TestBatchLaneWidthInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lane width %d, workers %d: %v", laneWidth, workers, err)
 		}
-		normalizeBatchResult(br)
 		buf, err := json.Marshal(br)
 		if err != nil {
 			t.Fatal(err)

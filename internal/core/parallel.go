@@ -54,8 +54,8 @@ type recOp struct {
 
 // stepResult locates one activated circuit's diff in its worker's op
 // arena. work carries the circuit's solver-work delta when the circuit is
-// a collapsed-class representative (measured so the members' credit can
-// be fanned out at write-back).
+// a class representative (measured so the members' credit can be fanned
+// out at write-back).
 type stepResult struct {
 	wid    int
 	lo, hi int
@@ -270,9 +270,10 @@ func (b *FaultBatch) applyOps(ci CircuitID, ops []recOp, osc bool) {
 // runActivated executes the scheduled active circuits — inline on
 // workers[0] when the batch is small or the pool has size 1, sharded
 // across the pool otherwise — and merges their diffs deterministically.
-// Collapsed-class representatives have their per-circuit work delta
-// measured and credited to their members (times the live member count),
-// so work totals stay byte-identical to the untrimmed run.
+// Class representatives have their per-circuit work delta measured and
+// credited once per member (a scheduled representative is live, and its
+// members with it), so work totals stay byte-identical to the untrimmed
+// run.
 //
 // The replay index is built here, on demand: a setting that activates no
 // circuit (a third of them on the RAM workloads) never pays for one. One
@@ -301,16 +302,14 @@ func (b *FaultBatch) runActivated(setting switchsim.Setting, extraSeeds []netlis
 		w := b.workers[0]
 		w.ops = w.ops[:0]
 		for _, ci := range active {
-			fs := b.faults[ci-1]
-			credit := 0
+			members := len(b.faults[ci-1].classMembers)
 			var w0 switchsim.Work
-			if b.anyCollapsed && len(fs.classMembers) > 0 {
-				credit = b.liveCollapsedMembers(fs)
+			if members > 0 {
 				w0 = w.solve.Work()
 			}
 			lo, hi, osc := w.stepFaulty(ci, setting, extraSeeds, traj, goodChanged)
-			if credit > 0 {
-				b.creditWork.Add(w.solve.Work().Sub(w0).Scaled(int64(credit)))
+			if members > 0 {
+				b.creditWork.Add(w.solve.Work().Sub(w0).Scaled(int64(members)))
 			}
 			b.applyOps(ci, w.ops[lo:hi], osc)
 			w.ops = w.ops[:lo]
@@ -340,7 +339,7 @@ func (b *FaultBatch) runActivated(setting switchsim.Setting, extraSeeds []netlis
 					return
 				}
 				ci := active[i]
-				measure := b.anyCollapsed && len(b.faults[ci-1].classMembers) > 0
+				measure := len(b.faults[ci-1].classMembers) > 0
 				var w0 switchsim.Work
 				if measure {
 					w0 = w.solve.Work()
@@ -359,10 +358,8 @@ func (b *FaultBatch) runActivated(setting switchsim.Setting, extraSeeds []netlis
 	// which worker computed what or when it finished.
 	for i, ci := range active {
 		r := results[i]
-		if fs := b.faults[ci-1]; b.anyCollapsed && len(fs.classMembers) > 0 {
-			if credit := b.liveCollapsedMembers(fs); credit > 0 {
-				b.creditWork.Add(r.work.Scaled(int64(credit)))
-			}
+		if members := len(b.faults[ci-1].classMembers); members > 0 {
+			b.creditWork.Add(r.work.Scaled(int64(members)))
 		}
 		b.applyOps(ci, b.workers[r.wid].ops[r.lo:r.hi], r.osc)
 	}
@@ -395,7 +392,7 @@ func (b *FaultBatch) ReplayStats() switchsim.ReplayStats {
 }
 
 // faultWork sums the fault-side solver work counters across the pool,
-// plus the work credited to collapsed class members (their
+// plus the work credited to class members (their
 // representative's, fanned out — see trim.go). Each circuit's work is
 // deterministic and the sum is order-independent, so the total is
 // identical for every worker count (and every lane width: the per-lane

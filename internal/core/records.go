@@ -89,14 +89,6 @@ func (b *FaultBatch) recRow(n netlist.NodeID) []laneCell {
 func (b *FaultBatch) setRecord(n netlist.NodeID, ci CircuitID, v logic.Value) {
 	fs := b.faults[ci-1]
 	i, exists := fs.recs.find(n)
-	if b.classPending {
-		// Divergence signature for class probation: XOR-fold, so updates
-		// retract the old term and add the new one in O(1).
-		if exists {
-			fs.sig ^= sigHash(n, fs.recs.vals[i])
-		}
-		fs.sig ^= sigHash(n, v)
-	}
 	word, bit := b.lane(ci)
 	cell := &b.recRow(n)[word]
 	cell.pl.Set(bit, v)
@@ -117,9 +109,6 @@ func (b *FaultBatch) clearRecord(n netlist.NodeID, ci CircuitID) {
 	if !exists {
 		return
 	}
-	if b.classPending {
-		fs.sig ^= sigHash(n, fs.recs.vals[i])
-	}
 	fs.recs.deleteAt(i)
 	word, bit := b.lane(ci)
 	cell := &b.recRows[b.recRowIdx[n]][word]
@@ -131,6 +120,7 @@ func (b *FaultBatch) clearRecord(n netlist.NodeID, ci CircuitID) {
 // dropCircuit purges every record and interest registration of circuit ci
 // — its lane bit leaves every packed plane in O(records), and it will
 // never be simulated again: the paper's fault dropping, lane-mask retired.
+// Its class members, which own no lane state, are dropped with it.
 func (b *FaultBatch) dropCircuit(ci CircuitID) {
 	fs := b.faults[ci-1]
 	word, bit := b.lane(ci)
@@ -145,8 +135,11 @@ func (b *FaultBatch) dropCircuit(ci CircuitID) {
 		b.decInterest(n, ci)
 	}
 	fs.dropped = true
-	b.live--
-	b.retired++
+	for _, mfi := range fs.classMembers {
+		b.faults[mfi].dropped = true
+	}
+	b.live -= 1 + len(fs.classMembers)
+	b.retired += 1 + len(fs.classMembers)
 }
 
 // CheckInvariants verifies the bidirectional consistency of the record
@@ -247,9 +240,12 @@ func (b *FaultBatch) checkRecordInvariants() error {
 	}
 	for fi, fs := range b.faults {
 		ci := CircuitID(fi + 1)
-		if fs.dropped || fs.collapsed {
-			// A collapsed class member surrendered its lane: no interest
-			// registrations remain (its representative carries the class).
+		if fs.repFi >= 0 && (fs.recs.size() > 0 || fs.dropped != b.faults[fs.repFi].dropped) {
+			return errf("class member %d owns records or is not dropped with its representative", ci)
+		}
+		if fs.dropped || fs.repFi >= 0 {
+			// A class member owns no lane: its representative carries the
+			// class's interest registrations.
 			continue
 		}
 		for _, n := range fs.sites {

@@ -5,9 +5,9 @@ import (
 	"io"
 )
 
-// SettingStats instruments one input setting. All fields except the NS
-// wall-clock figures are deterministic: identical for every worker count,
-// shard split, and lane width.
+// SettingStats instruments one input setting. Every field is
+// deterministic: identical for every worker count, shard split, and lane
+// width.
 type SettingStats struct {
 	Pattern, Setting int
 	// ActiveCircuits is the number of faulty circuits re-simulated.
@@ -16,8 +16,6 @@ type SettingStats struct {
 	LiveFaults int
 	// GoodWork/FaultWork are deterministic solver work units.
 	GoodWork, FaultWork int64
-	// GoodNS/FaultNS are wall-clock nanoseconds.
-	GoodNS, FaultNS int64
 
 	// Lane occupancy: LanesReplayed counts activated circuits settled
 	// against the shared trajectory index this setting; ScalarFallbacks
@@ -48,20 +46,10 @@ type PatternStats struct {
 	// circuits in any setting of the pattern.
 	MaxActive           int
 	GoodWork, FaultWork int64
-	GoodNS, FaultNS     int64
 }
 
 // Work returns the pattern's total work units (good + faulty).
 func (p PatternStats) Work() int64 { return p.GoodWork + p.FaultWork }
-
-// NS returns the pattern's total wall-clock nanoseconds.
-func (p PatternStats) NS() int64 { return p.GoodNS + p.FaultNS }
-
-// RunStats aggregates across a run.
-type RunStats struct {
-	Patterns   int
-	LiveFaults int
-}
 
 // Result is the outcome of simulating a sequence.
 type Result struct {
@@ -78,24 +66,21 @@ type Result struct {
 
 	// Totals.
 	GoodWork, FaultWork int64
-	GoodNS, FaultNS     int64
 }
 
 func (r *Result) finish(b *FaultBatch) {
 	for _, ps := range r.PerPattern {
 		r.GoodWork += ps.GoodWork
 		r.FaultWork += ps.FaultWork
-		r.GoodNS += ps.GoodNS
-		r.FaultNS += ps.FaultNS
 	}
-	for _, fs := range b.faults {
+	for fi, fs := range b.faults {
 		if fs.detected {
 			r.Detected++
 			if fs.det.Hard {
 				r.HardDetected++
 			}
 		}
-		if fs.oscillated {
+		if b.Oscillated(fi) {
 			r.Oscillated++
 		}
 	}
@@ -111,9 +96,6 @@ func (r *Result) Coverage() float64 {
 
 // TotalWork returns the run's total deterministic work units.
 func (r *Result) TotalWork() int64 { return r.GoodWork + r.FaultWork }
-
-// TotalNS returns the run's wall-clock nanoseconds.
-func (r *Result) TotalNS() int64 { return r.GoodNS + r.FaultNS }
 
 // CumulativeDetections returns, per pattern index, the total number of
 // faults detected up to and including that pattern: the rising curve of
@@ -144,6 +126,4 @@ func (r *Result) Summary(w io.Writer) {
 	fmt.Fprintf(w, "  detected: %d (%.1f%%), hard %d, oscillated %d\n",
 		r.Detected, 100*r.Coverage(), r.HardDetected, r.Oscillated)
 	fmt.Fprintf(w, "  work: good %d + faulty %d = %d units\n", r.GoodWork, r.FaultWork, r.TotalWork())
-	fmt.Fprintf(w, "  time: good %.3fs + faulty %.3fs = %.3fs\n",
-		float64(r.GoodNS)/1e9, float64(r.FaultNS)/1e9, float64(r.TotalNS())/1e9)
 }

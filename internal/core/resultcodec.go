@@ -4,7 +4,11 @@
 // one base64 JSON string.
 //
 // A batch result is mostly its per-setting table: thirteen small integers
-// for every input setting of the sequence, most of them zero. Written
+// for every input setting of the sequence, most of them zero (two of the
+// thirteen, and two of a pattern's ten, are reserved slots: they held
+// wall-clock nanoseconds until the result stopped carrying a clock, are
+// written 0, and are skipped on read, so files and peers on either side
+// of that change still understand each other). Written
 // column by column as varints, a zero costs one byte and nothing is spent
 // on field names; as a JSON object the same table was an order of
 // magnitude larger and dominated a shard's round trip.
@@ -59,6 +63,14 @@ func int64Col[T any](field func(*T) *int64) column[T] {
 	}
 }
 
+// reservedCol is a slot no field owns: written 0, read and dropped.
+func reservedCol[T any]() column[T] {
+	return column[T]{
+		get: func(*T) int64 { return 0 },
+		set: func(*T, int64) {},
+	}
+}
+
 var settingCols = []column[SettingStats]{
 	intCol(func(s *SettingStats) *int { return &s.Pattern }),
 	intCol(func(s *SettingStats) *int { return &s.Setting }),
@@ -66,8 +78,8 @@ var settingCols = []column[SettingStats]{
 	intCol(func(s *SettingStats) *int { return &s.LiveFaults }),
 	int64Col(func(s *SettingStats) *int64 { return &s.GoodWork }),
 	int64Col(func(s *SettingStats) *int64 { return &s.FaultWork }),
-	int64Col(func(s *SettingStats) *int64 { return &s.GoodNS }),
-	int64Col(func(s *SettingStats) *int64 { return &s.FaultNS }),
+	reservedCol[SettingStats](),
+	reservedCol[SettingStats](),
 	intCol(func(s *SettingStats) *int { return &s.LanesReplayed }),
 	intCol(func(s *SettingStats) *int { return &s.ScalarFallbacks }),
 	int64Col(func(s *SettingStats) *int64 { return &s.AdoptedVics }),
@@ -86,8 +98,8 @@ var patternCols = []column[PatternStats]{
 	intCol(func(p *PatternStats) *int { return &p.MaxActive }),
 	int64Col(func(p *PatternStats) *int64 { return &p.GoodWork }),
 	int64Col(func(p *PatternStats) *int64 { return &p.FaultWork }),
-	int64Col(func(p *PatternStats) *int64 { return &p.GoodNS }),
-	int64Col(func(p *PatternStats) *int64 { return &p.FaultNS }),
+	reservedCol[PatternStats](),
+	reservedCol[PatternStats](),
 }
 
 var detectionCols = []column[Detection]{

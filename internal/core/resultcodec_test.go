@@ -40,7 +40,7 @@ func codecSeeds(tb testing.TB) []*BatchResult {
 		tb.Fatal(err)
 	}
 
-	trimOpts := Options{Observe: obs, Workers: 1, Trim: true, TrimProbation: 4}
+	trimOpts := Options{Observe: obs, Workers: 1, Trim: true}
 	trimmed, err := RunBatch(nil, tab, faults, Record(m.Net, seq, trimOpts), seq, trimOpts)
 	if err != nil {
 		tb.Fatal(err)
@@ -171,6 +171,41 @@ func TestBatchResultCodecCoversEveryField(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&got, want) {
 		t.Fatalf("round trip differs:\ngot  %+v\nwant %+v", &got, want)
+	}
+}
+
+// TestBatchResultReservedSlots: the two per-setting and two per-pattern
+// columns that carried wall-clock nanoseconds until the result lost its
+// clock are still on the wire — written 0, skipped on read — so a payload
+// written before that change (a checkpoint, an older worker's result line)
+// decodes to the value this build would have computed.
+func TestBatchResultReservedSlots(t *testing.T) {
+	want := &BatchResult{
+		NumFaults:  1,
+		PerSetting: []SettingStats{{Pattern: 1, Setting: 2, ActiveCircuits: 3, LiveFaults: 4, GoodWork: 5, FaultWork: 6, LanesReplayed: 7}},
+		PerPattern: []PatternStats{{Pattern: 1, Settings: 2, LiveBefore: 3, LiveAfter: 4, Detected: 5, MaxActive: 6, GoodWork: 7, FaultWork: 8, Name: "p"}},
+		Detected:   []bool{false},
+		Detections: make([]Detection, 1),
+		Oscillated: []bool{false},
+	}
+	bin := encodeResult(t, want)
+	// One row of one-byte values per table: a column is a byte.
+	settings := len(batchResultMagic) + 2 // NumFaults, len(PerSetting)
+	patterns := settings + len(settingCols) + 1
+	slots := []int{settings + 6, settings + 7, patterns + 8, patterns + 9}
+	old := append([]byte(nil), bin...)
+	for _, at := range slots {
+		if bin[at] != 0 {
+			t.Fatalf("reserved slot at byte %d holds %d, want 0", at, bin[at])
+		}
+		old[at] = 0x7f
+	}
+	var got BatchResult
+	if err := got.UnmarshalBinary(old); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("a payload with non-zero reserved slots decodes to\n%+v, want\n%+v", &got, want)
 	}
 }
 

@@ -11,23 +11,9 @@ import (
 	"fmossim/internal/switchsim"
 )
 
-// stripWall zeroes the wall-clock fields (the only contract-exempt data)
-// so results can be compared byte-for-byte via their JSON encoding.
-func stripWall(br *BatchResult) {
-	for i := range br.PerSetting {
-		br.PerSetting[i].FaultNS = 0
-		br.PerSetting[i].GoodNS = 0
-	}
-	for i := range br.PerPattern {
-		br.PerPattern[i].FaultNS = 0
-		br.PerPattern[i].GoodNS = 0
-	}
-}
-
-// mustJSON encodes a BatchResult canonically for byte comparison.
+// mustJSON marshals a BatchResult for byte comparison.
 func mustJSON(t *testing.T, br *BatchResult) []byte {
 	t.Helper()
-	stripWall(br)
 	bs, err := json.Marshal(br)
 	if err != nil {
 		t.Fatal(err)
@@ -35,18 +21,37 @@ func mustJSON(t *testing.T, br *BatchResult) []byte {
 	return bs
 }
 
+// times returns n copies of f.
+func times(f fault.Fault, n int) []fault.Fault {
+	out := make([]fault.Fault, n)
+	for i := range out {
+		out[i] = f
+	}
+	return out
+}
+
 // TestTrimByteIdentical verifies the central trimming contract: with
 // Options.Trim on, every BatchResult field is byte-identical to the
 // untrimmed run — for a plain fault list (no classes form, so only the
-// dead-tail skip is exercised) and for a list assembled with
-// materialization-equivalent and duplicate faults (class collapse fires
-// too), across lane widths, worker counts, and probation windows.
+// dead-tail skip is exercised) and for lists assembled with
+// materialization-equivalent and duplicate faults, across lane widths,
+// worker counts and drop policies. Classes collapse at construction, so a
+// member never runs a single setting of its own: the cases below are the
+// ones where that matters most — a class detected by the first
+// observation, one that oscillates in the initialization step, an
+// input-node representative, a batch that is one class.
 func TestTrimByteIdentical(t *testing.T) {
 	m := ram.RAM64()
 	seq := march.Sequence1(m)
 	base := Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
-	rec := Record(m.Net, seq, base)
 	tab := switchsim.NewTables(m.Net)
+	// The good side reads MaxRounds, so each round limit has its recording.
+	recs := map[int]*switchsim.Recording{}
+	for _, mr := range []int{0, 2} {
+		o := base
+		o.MaxRounds = mr
+		recs[mr] = Record(m.Net, seq, o)
+	}
 
 	plain := fault.NodeStuckFaults(m.Net, fault.Options{})
 
@@ -61,28 +66,89 @@ func TestTrimByteIdentical(t *testing.T) {
 	overlap = append(overlap, plain[:8]...)
 	overlap = append(overlap, plain[:8]...) // duplicates
 
+	// The output node stuck at the value it does not reset to differs from
+	// the good circuit at the very first observation.
+	dout1 := fault.Fault{Kind: fault.NodeStuck1, Node: m.DataOut}
+	// A frozen access clock: an input-node fault, whose interest sites are
+	// its whole conducting neighbourhood.
+	phi2 := fault.Fault{Kind: fault.NodeStuck1, Node: m.PhiTwo}
+
+	// Thirty-two faults twice over, for the round limit of two: under it
+	// every circuit oscillates in the initialization step.
+	twice := append(append([]fault.Fault(nil), plain[:32]...), plain[:32]...)
+
 	cases := []struct {
-		name    string
-		faults  []fault.Fault
-		lane    int
-		work    int
-		prob    int
-		classes int // expected ClassCandidates, all of which must collapse
+		name      string
+		faults    []fault.Fault
+		lane      int
+		work      int
+		drop      DropPolicy
+		maxRounds int
+		classes   int // expected ClassCandidates, every one a freed lane
+		// premise, when set, checks the case exercises what its name says,
+		// on the trimmed result and the batch that produced it.
+		premise func(t *testing.T, br *BatchResult, b *FaultBatch)
 	}{
-		{"plain/w1", plain, 64, 1, 0, 0},
-		{"plain/lane7", plain, 7, 1, 0, 0},
-		{"plain/workers4", plain, 64, 4, 0, 0},
-		{"overlap/w1", overlap, 64, 1, 0, 30},
-		{"overlap/prob1", overlap, 64, 1, 1, 30},
-		{"overlap/lane5-workers3", overlap, 5, 3, 3, 30},
+		{name: "plain/w1", faults: plain, lane: 64, work: 1},
+		{name: "plain/lane7", faults: plain, lane: 7, work: 1},
+		{name: "plain/workers4", faults: plain, lane: 64, work: 4},
+		{name: "overlap/w1", faults: overlap, lane: 64, work: 1, classes: 30},
+		{name: "overlap/lane5-workers3", faults: overlap, lane: 5, work: 3, classes: 30},
+		{name: "overlap/never-drop", faults: overlap, lane: 64, work: 1, drop: NeverDrop, classes: 30,
+			premise: func(t *testing.T, br *BatchResult, b *FaultBatch) {
+				if b.Live() != len(overlap) || br.DetectedCount() == 0 {
+					t.Fatalf("%d of %d live, %d detected: want every circuit live and some detected",
+						b.Live(), len(overlap), br.DetectedCount())
+				}
+			}},
+		{name: "overlap/drop-hard-only", faults: overlap, lane: 64, work: 1, drop: DropHardOnly, classes: 30},
+		{name: "first-observation", faults: append(times(dout1, 2), plain[:6]...), lane: 64, work: 1, classes: 1,
+			premise: func(t *testing.T, br *BatchResult, _ *FaultBatch) {
+				for fi := 0; fi < 2; fi++ {
+					if d := br.Detections[fi]; !br.Detected[fi] || d.Pattern != 0 || d.Setting != 0 {
+						t.Fatalf("fault %d: detected %v at pattern %d setting %d, want the first observation",
+							fi, br.Detected[fi], d.Pattern, d.Setting)
+					}
+				}
+			}},
+		{name: "init-oscillation", faults: twice, lane: 64, work: 1, drop: NeverDrop, maxRounds: 2, classes: 32,
+			premise: func(t *testing.T, br *BatchResult, _ *FaultBatch) {
+				// A fresh trimmed batch, stepped through the initialization
+				// alone: the flags it raises there must be in the result,
+				// for representative and member alike.
+				o := base
+				o.MaxRounds, o.Trim = 2, true
+				b, err := NewFaultBatch(tab, twice, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Step(&recs[2].Steps[0])
+				for fi := range twice {
+					if !b.Oscillated(fi) || !br.Oscillated[fi] {
+						t.Fatalf("fault %d: oscillated in the initialization step %v, in the result %v; want both",
+							fi, b.Oscillated(fi), br.Oscillated[fi])
+					}
+				}
+			}},
+		{name: "class-of-four", faults: append(times(plain[9], 4), plain[:6]...), lane: 64, work: 1, classes: 3},
+		{name: "one-class", faults: times(plain[9], 5), lane: 3, work: 2, classes: 4},
+		{name: "input-node-representative", faults: append(times(phi2, 3), plain[:6]...), lane: 64, work: 1, classes: 2,
+			premise: func(t *testing.T, br *BatchResult, _ *FaultBatch) {
+				if m.Net.Node(phi2.Node).Kind != netlist.Input {
+					t.Fatal("phi2 is not an input node")
+				}
+				if !br.Detected[0] || !br.Detected[2] {
+					t.Fatal("a frozen access clock went undetected")
+				}
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			off := base
-			off.LaneWidth, off.Workers = tc.lane, tc.work
+			off.LaneWidth, off.Workers, off.Drop, off.MaxRounds = tc.lane, tc.work, tc.drop, tc.maxRounds
 			on := off
 			on.Trim = true
-			on.TrimProbation = tc.prob
+			rec := recs[tc.maxRounds]
 
 			bOff, err := RunBatch(nil, tab, tc.faults, rec, seq, off)
 			if err != nil {
@@ -91,6 +157,9 @@ func TestTrimByteIdentical(t *testing.T) {
 			batch, err := NewFaultBatch(tab, tc.faults, on)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if err := batch.CheckInvariants(); err != nil {
+				t.Fatalf("trimmed batch invariants at construction: %v", err)
 			}
 			bOn, err := batch.RunRecording(nil, rec, seq)
 			if err != nil {
@@ -107,6 +176,9 @@ func TestTrimByteIdentical(t *testing.T) {
 			if ts.ClassCandidates != tc.classes || ts.LanesFreed != tc.classes {
 				t.Errorf("classes: %d candidates, %d lanes freed; want %d of each",
 					ts.ClassCandidates, ts.LanesFreed, tc.classes)
+			}
+			if tc.premise != nil {
+				tc.premise(t, bOn, batch)
 			}
 		})
 	}

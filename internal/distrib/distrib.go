@@ -319,6 +319,6 @@ func (c *coordinator) dispatch(ctx context.Context, wi int, sh *shardState) (err
 		}
 		return err
 	}
-	c.ledger.Complete(sh.idx, br)
-	return nil
+	// A result of the wrong width costs the shard this attempt.
+	return c.ledger.Complete(sh.idx, br)
 }

@@ -1,13 +1,18 @@
 package distrib_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,9 +60,7 @@ func ram256Spec() server.JobSpec {
 }
 
 // resolveAndRecord resolves the spec locally and records the good
-// trajectory once; passing the same Recording to both the monolithic
-// baseline and the coordinator makes even the good-side wall-clock
-// figures identical, so only fault-side NS fields need masking.
+// trajectory once, for the monolithic baseline and the coordinator alike.
 func resolveAndRecord(t *testing.T, spec server.JobSpec) (*server.Workload, *switchsim.Recording) {
 	t.Helper()
 	wl, err := server.ResolveSpec(&spec)
@@ -82,10 +85,8 @@ func monolithic(t *testing.T, wl *server.Workload, rec *switchsim.Recording, bat
 }
 
 // assertIdentical checks the distributed result against the monolithic
-// one on every deterministic field: merged aggregates, per-pattern
-// statistics (fault-side wall clock masked — it is measured, not
-// derived), and the full per-fault outcome table including divergence
-// records.
+// one field by field: merged aggregates, per-pattern statistics, and the
+// full per-fault outcome table including divergence records.
 func assertIdentical(t *testing.T, got, want *campaign.Result) {
 	t.Helper()
 	if got.Run.Detected != want.Run.Detected || got.Run.HardDetected != want.Run.HardDetected ||
@@ -102,9 +103,7 @@ func assertIdentical(t *testing.T, got, want *campaign.Result) {
 		t.Fatalf("pattern count %d, want %d", len(got.Run.PerPattern), len(want.Run.PerPattern))
 	}
 	for pi := range want.Run.PerPattern {
-		g, w := got.Run.PerPattern[pi], want.Run.PerPattern[pi]
-		g.FaultNS, w.FaultNS = 0, 0
-		if !reflect.DeepEqual(g, w) {
+		if g, w := got.Run.PerPattern[pi], want.Run.PerPattern[pi]; g != w {
 			t.Fatalf("pattern %d stats: got %+v, want %+v", pi, g, w)
 		}
 	}
@@ -186,6 +185,65 @@ func TestWorkerKilledMidRun(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got.BatchesRun != got.Batches {
+		t.Errorf("batches: %d run of %d", got.BatchesRun, got.Batches)
+	}
+	assertIdentical(t, got, want)
+}
+
+// TestShortBatchIsRetried: a worker that answers a shard with a result one
+// fault narrower than the window costs the shard that attempt — the ledger
+// refuses the result by name, the shard runs again, and the merge is the
+// monolithic one, not one with a fault quietly reading as undetected.
+func TestShortBatchIsRetried(t *testing.T) {
+	spec := ram256Spec()
+	wl, rec := resolveAndRecord(t, spec)
+	want := monolithic(t, wl, rec, 32)
+
+	// The shim sits in front of a real worker and narrows the window of
+	// the first shard job it forwards.
+	mgr := server.NewManager(server.Config{MaxJobs: 2, StreamInterval: 2 * time.Millisecond})
+	worker := mgr.Handler()
+	var narrowed atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/jobs" && narrowed.CompareAndSwap(false, true) {
+			var job map[string]any
+			if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
+				t.Error(err)
+			}
+			job["shard_hi"] = job["shard_hi"].(float64) - 1
+			body, _ := json.Marshal(job)
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+		}
+		worker.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		mgr.Close()
+	})
+
+	var mu sync.Mutex
+	var refused []string
+	got, err := distrib.Run(context.Background(), spec, distrib.Options{
+		Workers:   []string{ts.URL},
+		BatchSize: 32,
+		Recording: rec,
+		Logf: func(format string, args ...any) {
+			for _, a := range args {
+				if err, ok := a.(error); ok && errors.Is(err, campaign.ErrBatchShape) {
+					mu.Lock()
+					refused = append(refused, err.Error())
+					mu.Unlock()
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refused) != 1 {
+		t.Fatalf("the ledger refused %d results, want the one short batch: %q", len(refused), refused)
 	}
 	if got.BatchesRun != got.Batches {
 		t.Errorf("batches: %d run of %d", got.BatchesRun, got.Batches)

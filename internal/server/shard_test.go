@@ -95,7 +95,7 @@ func TestShardJobMatchesRunBatch(t *testing.T) {
 		t.Fatalf("GET /recordings/%s: %s", fp, gresp.Status)
 	}
 
-	snap, resp := submit(t, ts, map[string]any{
+	shard := map[string]any{
 		"netlist":       invNet,
 		"patterns":      invPatterns,
 		"observe":       []string{"out"},
@@ -103,7 +103,8 @@ func TestShardJobMatchesRunBatch(t *testing.T) {
 		"shard_hi":      hi,
 		"recording_fp":  fp,
 		"include_batch": true,
-	})
+	}
+	snap, resp := submit(t, ts, shard)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit shard: %s", resp.Status)
 	}
@@ -116,24 +117,50 @@ func TestShardJobMatchesRunBatch(t *testing.T) {
 		t.Fatalf("shard result shape: %+v", res)
 	}
 
-	// The batch payload survives its JSON round trip bit-identically on
-	// every deterministic field (NS wall-clock figures are measured per
-	// run and masked).
-	got := res.Batch
-	for i := range got.PerSetting {
-		got.PerSetting[i].FaultNS = 0
-		want.PerSetting[i].FaultNS = 0
-	}
-	for i := range got.PerPattern {
-		got.PerPattern[i].FaultNS = 0
-		want.PerPattern[i].FaultNS = 0
-	}
-	if !reflect.DeepEqual(got, want) {
+	// The batch payload survives its JSON round trip bit-identically.
+	if got := res.Batch; !reflect.DeepEqual(got, want) {
 		t.Fatalf("batch result differs:\ngot  %+v\nwant %+v", got, want)
 	}
 	if res.Detected != want.DetectedCount() {
 		t.Fatalf("detected %d, want %d", res.Detected, want.DetectedCount())
 	}
+
+	// A batch result is a function of the window and the recording alone:
+	// a second job over the same window puts the same string on the wire,
+	// the one the local run marshals to.
+	again, resp := submit(t, ts, shard)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit shard again: %s", resp.Status)
+	}
+	waitTerminal(t, ts, again.ID)
+	local, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := batchString(t, ts, snap.ID), batchString(t, ts, again.ID)
+	if first != second || first != string(local) {
+		t.Fatalf("batch strings differ: %d and %d bytes on the wire, %d locally", len(first), len(second), len(local))
+	}
+}
+
+// batchString returns the raw "batch" value of a finished shard job's
+// result, as the status endpoint serves it.
+func batchString(t *testing.T, ts *httptest.Server, id string) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Result struct {
+			Batch json.RawMessage `json:"batch"`
+		} `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || len(st.Result.Batch) == 0 {
+		t.Fatalf("job %s: no batch in its result (decode error %v)", id, err)
+	}
+	return string(st.Result.Batch)
 }
 
 // TestPutRecordingFingerprintMismatch: the server re-hashes the body and

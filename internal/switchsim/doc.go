@@ -66,11 +66,9 @@
 //
 // The content fingerprint (Recording.Fingerprint, FingerprintBytes) is
 // the SHA-256 of the encoding, and the encoding's content is the
-// trajectory, never timing: Encode writes 0 in the slot that once held a
-// step's GoodNS and the decoder ignores the slot, so every capture of one
-// circuit and sequence fingerprints the same and a decoded recording
-// reports GoodNS 0. The measured times live only on the in-memory
-// recording a capture returned.
+// trajectory, never timing: a StepTrace carries no clock, Encode writes 0
+// in the per-step slot that once held one and the decoder skips the slot,
+// so every capture of one circuit and sequence fingerprints the same.
 //
 // A Trajectory is four flat, pointer-free arrays (round ends, per-vicinity
 // member and change ends, nodes, changes) read through RoundSpan, Members

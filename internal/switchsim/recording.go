@@ -52,10 +52,8 @@ type StepTrace struct {
 	// Traj is the recorded settle trajectory (nil when not recorded or
 	// when borrowed live from a non-recording path).
 	Traj *Trajectory
-	// GoodWork and GoodNS are the solver work units and wall-clock
-	// nanoseconds the good-circuit settle consumed.
+	// GoodWork is the solver work units the good-circuit settle consumed.
 	GoodWork int64
-	GoodNS   int64
 }
 
 // Recording is the captured good-circuit trajectory of an entire test
@@ -215,9 +213,10 @@ const (
 const encodeChunk = 32 << 10
 
 // Encode writes the recording in the versioned binary format, through one
-// chunk-sized buffer. The slot that held a step's GoodNS is written as 0:
-// wall-clock time belongs to a capture run, not to the trajectory, and a
-// byte stream that carried it would never fingerprint the same twice.
+// chunk-sized buffer. Each step has one reserved byte, written as 0: it
+// held the capture's wall-clock time until the fingerprint became
+// content-only (time belongs to a capture run, not to the trajectory, and
+// a byte stream that carried it would never fingerprint the same twice).
 func (r *Recording) Encode(w io.Writer) error {
 	buf := r.appendHeader(make([]byte, 0, 2*encodeChunk))
 	for i := range r.Steps {
@@ -289,7 +288,7 @@ func (st *StepTrace) appendBinary(b []byte) []byte {
 	}
 	b = append(b, flags)
 	b = binary.AppendUvarint(b, uint64(st.GoodWork))
-	b = append(b, 0) // reserved: GoodNS until the fingerprint became content-only
+	b = append(b, 0) // reserved
 	b = appendChanges(b, st.InputChanges)
 	b = appendChanges(b, st.Changed)
 	b = appendNodes(b, st.Explored)
@@ -338,8 +337,8 @@ func DecodeRecording(r io.Reader) (*Recording, error) {
 const minStepBytes = 6
 
 // DecodeRecordingBytes decodes a recording held in memory. The result
-// shares no storage with data. Every step reports GoodNS 0: the slot is
-// not trajectory content, whatever the stream carries there.
+// shares no storage with data. Each step's reserved slot is skipped,
+// whatever the stream carries there.
 func DecodeRecordingBytes(data []byte) (*Recording, error) {
 	if len(data) < len(recordingMagic) {
 		return nil, fmt.Errorf("switchsim: reading recording header: %w", io.ErrUnexpectedEOF)
