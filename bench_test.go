@@ -240,42 +240,32 @@ func BenchmarkCampaign_Checkpointed(b *testing.B) {
 }
 
 // BenchmarkBatchStep_Lanes pins the word-packed lane engine's stepping
-// cost as a function of lane packing density: RAM64 under sequence 1 with
-// the stuck-at universe, replayed through core.RunBatch at 1, 8, and 64
-// faults per lane word. Results are bit-identical at every width (the
-// merge-determinism contract, asserted by TestBatchLaneWidthInvariance);
-// ns/op shows what the packing itself buys — wider words share one
-// ReplayIndex probe row and one interest-mask row across more fault
-// circuits — and allocs/op tracks the per-width cost of the packed index.
-// The replay counters say how much of the walk the compiled good wave
-// took over (lane width changes how many lanes share a compile, not what a
-// lane skips).
+// cost: RAM64 under sequence 1 with the stuck-at universe (seven lane
+// words), replayed through core.RunBatch. allocs/op tracks the cost of the
+// packed index; the replay counters say how much of the walk the compiled
+// good wave took over.
 func BenchmarkBatchStep_Lanes(b *testing.B) {
 	m := ram.RAM64()
 	faults := bench.NodeStuckOnly(m)
 	seq := march.Sequence1(m)
 	rec := core.Record(m.Net, seq, core.Options{})
 	tab := switchsim.NewTables(m.Net)
-	for _, lw := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("lanes=%d", lw), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fb, err := core.NewFaultBatch(tab, faults, core.Options{
-					Observe:   []netlist.NodeID{m.DataOut},
-					Workers:   1,
-					LaneWidth: lw,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				br, err := fb.RunRecording(context.Background(), rec, seq)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(100*float64(br.DetectedCount())/float64(len(faults)), "coverage-%")
-				reportReplayStats(b, fb.ReplayStats())
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fb, err := core.NewFaultBatch(tab, faults, core.Options{
+			Observe: []netlist.NodeID{m.DataOut},
+			Workers: 1,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		br, err := fb.RunRecording(context.Background(), rec, seq)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(100*float64(br.DetectedCount())/float64(len(faults)), "coverage-%")
+		reportReplayStats(b, fb.ReplayStats())
 	}
 }
 
@@ -408,23 +398,6 @@ func BenchmarkAblation_FaultDropping(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(r.PenaltyFactor, "no-drop-penalty")
-	}
-}
-
-// BenchmarkAblation_DynamicLocality measures the dynamic-locality design
-// choice ([9] in the paper): with static DC partitioning, every
-// perturbation solves a huge vicinity.
-func BenchmarkAblation_DynamicLocality(b *testing.B) {
-	m := ram.New(ram.Config{Rows: 4, Cols: 4})
-	faults := bench.NodeStuckOnly(m)[:20]
-	seq := march.Sequence1(m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.AblationDynamicLocality(m, faults, seq)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.PenaltyFactor, "static-penalty")
 	}
 }
 

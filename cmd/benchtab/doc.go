@@ -11,7 +11,7 @@
 //	benchtab -fig 3           # Figure 3: RAM256 fault sweep       -> fig3.csv
 //	benchtab -fig scaling     # RAM64 vs RAM256 scaling factors
 //	benchtab -fig faultclass  # §5: fault-class comparison
-//	benchtab -fig ablation    # design-choice ablations
+//	benchtab -fig ablation    # fault-dropping ablation
 //	benchtab -fig all         # everything
 //	benchtab -out DIR         # where CSV files go (default .)
 //	benchtab -quick           # smaller instances for fig 3 / scaling

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"fmossim/internal/bench"
@@ -60,13 +62,23 @@ func (a allocCounter) delta() float64 {
 	return float64(ms.Mallocs - a.start)
 }
 
+// figNames are the values -fig accepts.
+var figNames = []string{"1", "2", "3", "scaling", "faultclass", "ablation", "all"}
+
+func validFig(name string) bool { return slices.Contains(figNames, name) }
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 3, scaling, faultclass, ablation, all")
+	valid := strings.Join(figNames, ", ")
+	fig := flag.String("fig", "all", "figure to regenerate: "+valid)
 	out := flag.String("out", ".", "output directory for CSV files")
 	quick := flag.Bool("quick", false, "use smaller circuit instances (fast smoke runs)")
 	jsonOut := flag.Bool("json", false, "also write BENCH_results.json to the output directory")
 	flag.Parse()
 
+	if !validFig(*fig) {
+		fmt.Fprintf(os.Stderr, "benchtab: unknown -fig %q (valid: %s)\n", *fig, valid)
+		os.Exit(2)
+	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
@@ -172,23 +184,11 @@ func main() {
 		fmt.Println()
 	}
 	if all || *fig == "ablation" {
-		fmt.Println("== Ablations (RAM64 unless noted) ==")
+		fmt.Println("== Ablations (RAM64) ==")
 		m := ram.RAM64()
 		faults := bench.NodeStuckOnly(m)
 		seq := march.Sequence1(m)
 		if r, err := bench.AblationDropping(m, faults, seq); err == nil {
-			r.Summarize(os.Stdout)
-		} else {
-			fatal(err)
-		}
-		if r, err := bench.AblationTrajectoryAdoption(m, faults, seq); err == nil {
-			r.Summarize(os.Stdout)
-		} else {
-			fatal(err)
-		}
-		small := ram.New(ram.Config{Rows: 4, Cols: 4})
-		if r, err := bench.AblationDynamicLocality(small, bench.NodeStuckOnly(small), march.Sequence1(small)); err == nil {
-			fmt.Print("  (4×4 instance) ")
 			r.Summarize(os.Stdout)
 		} else {
 			fatal(err)

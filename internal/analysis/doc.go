@@ -5,7 +5,7 @@
 // Every performance refactor of the engine (lane packing, worklist
 // relaxation, distributed sharding) must preserve the same guarantee:
 // identical detections, records and deterministic statistics for every
-// worker count, lane width and shard split. Equivalence tests catch a
+// worker count, batch size and shard split. Equivalence tests catch a
 // violation only when a workload happens to trigger it; these analyzers
 // turn the contract's load-bearing clauses into compile-time-style gates
 // that fail CI on the pattern itself:

@@ -1,7 +1,7 @@
 // The walltime analyzer: the deterministic engine must not read the
 // clock or a random source. Wall-clock reads and math/rand inside the
 // settle/replay/merge kernel are how "bit-identical for every worker
-// count, lane width and shard split" quietly stops being true; timeout
+// count, batch size and shard split" quietly stops being true; timeout
 // and jitter plumbing belongs to the service plane (server, distrib),
 // which is allowlisted.
 package analysis

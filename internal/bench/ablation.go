@@ -109,62 +109,6 @@ func AblationDropping(m *ram.RAM, faults []fault.Fault, seq *switchsim.Sequence)
 	}, nil
 }
 
-// AblationDynamicLocality measures the dynamic-locality optimization: the
-// same run with vicinities extended to full DC-connected components, as
-// in pre-MOSSIM-II simulators ([9] in the paper). On the RAM, whose bit
-// lines join most of the circuit into a few DC components, static
-// partitioning makes every perturbation solve a huge vicinity.
-func AblationDynamicLocality(m *ram.RAM, faults []fault.Fault, seq *switchsim.Sequence) (*AblationResult, error) {
-	base, err := core.New(m.Net, faults, core.Options{Observe: []netlist.NodeID{m.DataOut}})
-	if err != nil {
-		return nil, err
-	}
-	bres := base.Run(seq)
-	abl, err := core.New(m.Net, faults, core.Options{
-		Observe: []netlist.NodeID{m.DataOut}, StaticLocality: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ares := abl.Run(seq)
-	return &AblationResult{
-		Name:           "dynamic locality",
-		BaselineWork:   bres.TotalWork(),
-		AblatedWork:    ares.TotalWork(),
-		PenaltyFactor:  stats.Ratio(float64(ares.TotalWork()), float64(bres.TotalWork())),
-		BaselineDetect: bres.Detected,
-		AblatedDetect:  ares.Detected,
-	}, nil
-}
-
-// AblationTrajectoryAdoption measures the trajectory-guided replay: with
-// FullReplay, every activated circuit re-settles the whole input setting
-// instead of adopting the good circuit's recorded changes in identical
-// regions. Detection results are identical by construction; only the cost
-// changes.
-func AblationTrajectoryAdoption(m *ram.RAM, faults []fault.Fault, seq *switchsim.Sequence) (*AblationResult, error) {
-	base, err := core.New(m.Net, faults, core.Options{Observe: []netlist.NodeID{m.DataOut}})
-	if err != nil {
-		return nil, err
-	}
-	bres := base.Run(seq)
-	abl, err := core.New(m.Net, faults, core.Options{
-		Observe: []netlist.NodeID{m.DataOut}, FullReplay: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ares := abl.Run(seq)
-	return &AblationResult{
-		Name:           "trajectory adoption",
-		BaselineWork:   bres.TotalWork(),
-		AblatedWork:    ares.TotalWork(),
-		PenaltyFactor:  stats.Ratio(float64(ares.TotalWork()), float64(bres.TotalWork())),
-		BaselineDetect: bres.Detected,
-		AblatedDetect:  ares.Detected,
-	}, nil
-}
-
 // Summarize renders an ablation result.
 func (r *AblationResult) Summarize(w io.Writer) {
 	fmt.Fprintf(w, "  %-20s baseline %12d ablated %12d penalty ×%.2f (detected %d vs %d)\n",

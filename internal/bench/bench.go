@@ -17,17 +17,9 @@ import (
 	"fmossim/internal/switchsim"
 )
 
-// PaperFaults returns the paper's fault universe for a RAM instance:
-// every single storage-node stuck-at-0 and stuck-at-1 fault plus every
-// adjacent-bit-line short. For RAM64 this yields a universe of the same
-// order as the paper's 428-fault set; for RAM256 comparable to the
-// paper's "all 1382 possible single stuck-at and single bus short
-// faults".
-func PaperFaults(m *ram.RAM) []fault.Fault {
-	fs := fault.NodeStuckFaults(m.Net, fault.Options{})
-	fs = append(fs, fault.BridgeFaults(m.BitlineShorts)...)
-	return fs
-}
+// PaperFaults returns the paper's fault universe for a RAM instance (see
+// ram.RAM.PaperFaults).
+func PaperFaults(m *ram.RAM) []fault.Fault { return m.PaperFaults() }
 
 // NodeStuckOnly returns just the storage-node stuck-at universe (the
 // Figure 1/2 working set).

@@ -157,32 +157,10 @@ func TestAblations(t *testing.T) {
 		t.Errorf("dropping must not change coverage: %d vs %d",
 			drop.BaselineDetect, drop.AblatedDetect)
 	}
-
-	loc, err := bench.AblationDynamicLocality(m, faults, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loc.PenaltyFactor <= 1 {
-		t.Errorf("static locality should cost more: ×%f", loc.PenaltyFactor)
-	}
-	if loc.BaselineDetect != loc.AblatedDetect {
-		t.Errorf("locality must not change coverage: %d vs %d",
-			loc.BaselineDetect, loc.AblatedDetect)
-	}
 	var buf bytes.Buffer
 	drop.Summarize(&buf)
-	loc.Summarize(&buf)
 	if !strings.Contains(buf.String(), "penalty") {
 		t.Error("ablation summary missing")
-	}
-}
-
-func TestPaperFaultsComposition(t *testing.T) {
-	m := small()
-	fs := bench.PaperFaults(m)
-	want := 2*m.Net.NumStorageNodes() + len(m.BitlineShorts)
-	if len(fs) != want {
-		t.Errorf("paper universe has %d faults, want %d", len(fs), want)
 	}
 }
 
@@ -238,20 +216,5 @@ func TestSequenceOrderingMatchesPaper(t *testing.T) {
 	if r2.SerialVsConc >= r1.SerialVsConc {
 		t.Errorf("sequence 2's concurrency advantage (%.1f) should be below sequence 1's (%.1f)",
 			r2.SerialVsConc, r1.SerialVsConc)
-	}
-}
-
-func TestAblationTrajectoryAdoption(t *testing.T) {
-	m := small()
-	faults := bench.NodeStuckOnly(m)[:20]
-	r, err := bench.AblationTrajectoryAdoption(m, faults, march.Sequence1(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.PenaltyFactor <= 1 {
-		t.Errorf("full replay should cost more than trajectory adoption: ×%f", r.PenaltyFactor)
-	}
-	if r.BaselineDetect != r.AblatedDetect {
-		t.Errorf("adoption must not change coverage: %d vs %d", r.BaselineDetect, r.AblatedDetect)
 	}
 }

@@ -82,18 +82,6 @@ type ProgressEvent struct {
 	// figures (activated faulty circuits; undropped faults).
 	ActiveCircuits int `json:"active_circuits"`
 	LiveFaults     int `json:"live_faults"`
-	// Lane occupancy of the batch's word-packed fault planes at this
-	// setting: the activated circuits split into trajectory-indexed lane
-	// replays vs scalar fallbacks, the adopted/solved vicinity split,
-	// the faults retired (lane bits cleared) by this setting's
-	// observation, and the batch's allocated lane capacity (LiveFaults /
-	// LaneCapacity is the packing efficiency — see PackingEfficiency).
-	LanesReplayed   int   `json:"lanes_replayed,omitempty"`
-	ScalarFallbacks int   `json:"scalar_fallbacks,omitempty"`
-	AdoptedVics     int64 `json:"adopted_vics,omitempty"`
-	SolvedVics      int64 `json:"solved_vics,omitempty"`
-	FaultsRetired   int   `json:"faults_retired,omitempty"`
-	LaneCapacity    int   `json:"lane_capacity,omitempty"`
 	// NewlyDetected lists the universe fault indices first detected at
 	// this setting's observation (nil when none).
 	NewlyDetected []int `json:"newly_detected,omitempty"`
@@ -115,16 +103,6 @@ func (e ProgressEvent) Coverage() float64 {
 		return 0
 	}
 	return float64(e.Detected) / float64(e.NumFaults)
-}
-
-// PackingEfficiency returns the live fraction of the reporting batch's
-// allocated lanes (0 when the event carries no lane figures): how full
-// the word-packed planes still are as dropping retires lanes.
-func (e ProgressEvent) PackingEfficiency() float64 {
-	if e.LaneCapacity == 0 {
-		return 0
-	}
-	return float64(e.LiveFaults) / float64(e.LaneCapacity)
 }
 
 // FaultOutcome is the merged result for one fault of the universe.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,7 +98,11 @@ func assertMatchesMonolithic(t *testing.T, tag string, nw *netlist.Network, faul
 // TestCampaignMatchesMonolithic is the batch-equivalence suite of the
 // campaign engine: splitting the universe into 1, 3, and 7 batches, at
 // several per-batch worker counts and shard counts, must reproduce the
-// monolithic simulator's detections, records, and statistics bit for bit.
+// monolithic simulator's detections, records, and statistics bit for bit;
+// so must batch sizes 1, 7, 8, 64 and 65, which between them put faults at
+// every (word, bit) position of the packed lanes — the packing is a pure
+// indexing layer: which lane a fault occupies never changes what its
+// circuit computes.
 func TestCampaignMatchesMonolithic(t *testing.T) {
 	m, faults, seq := testBench(t)
 	obs := []netlist.NodeID{m.DataOut}
@@ -115,22 +120,42 @@ func TestCampaignMatchesMonolithic(t *testing.T) {
 	// path never needs the good solver again.
 	rec := core.Record(m.Net, seq, core.Options{})
 
+	run := func(tag string, batchSize, workers int) *campaign.Result {
+		res, err := campaign.Run(context.Background(), m.Net, faults, seq, campaign.Options{
+			Sim:       core.Options{Observe: obs, Workers: workers},
+			BatchSize: batchSize,
+			Shards:    2,
+			Recording: rec,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if want := ceilDiv(len(faults), batchSize); res.Batches != want {
+			t.Fatalf("%s: ran %d batches, want %d", tag, res.Batches, want)
+		}
+		assertMatchesMonolithic(t, tag, m.Net, faults, mono, monoRes, res)
+		return res
+	}
 	for _, nBatches := range []int{1, 3, 7} {
 		for _, workers := range []int{1, 3} {
-			tag := "batches=" + string(rune('0'+nBatches)) + "/workers=" + string(rune('0'+workers))
-			res, err := campaign.Run(context.Background(), m.Net, faults, seq, campaign.Options{
-				Sim:       core.Options{Observe: obs, Workers: workers},
-				BatchSize: ceilDiv(len(faults), nBatches),
-				Shards:    2,
-				Recording: rec,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
+			run(fmt.Sprintf("batches=%d/workers=%d", nBatches, workers), ceilDiv(len(faults), nBatches), workers)
+		}
+	}
+
+	// Batch sizes that put a fault at every kind of lane position: alone in
+	// its word, in a partly filled word, on the last bit of a full word,
+	// and as the only bit of a second word. Merged bytes equal the
+	// one-batch run's.
+	if len(faults) < 130 {
+		t.Fatalf("%d faults: the one-batch run should span three lane words", len(faults))
+	}
+	whole := mergedJSON(t, run("one batch", len(faults), 1))
+	for _, batchSize := range []int{1, 7, 8, 64, 65} {
+		for _, workers := range []int{1, 4} {
+			tag := fmt.Sprintf("batchsize=%d/workers=%d", batchSize, workers)
+			if mergedJSON(t, run(tag, batchSize, workers)) != whole {
+				t.Fatalf("%s: merged result differs from the one-batch run's bytes", tag)
 			}
-			if res.Batches != nBatches {
-				t.Fatalf("%s: ran %d batches", tag, res.Batches)
-			}
-			assertMatchesMonolithic(t, tag, m.Net, faults, mono, monoRes, res)
 		}
 	}
 }

@@ -78,19 +78,12 @@ func hashSimOptions(opts core.Options) uint64 {
 		binary.LittleEndian.PutUint32(buf[:4], uint32(o))
 		h.Write(buf[:4])
 	}
+	// Bytes 1-3 are zero and stay in the layout: dropping them would
+	// change the key of every checkpoint already written.
 	buf[0] = byte(opts.Drop)
-	buf[1] = b2u(opts.StaticLocality)
-	buf[2] = b2u(opts.FullReplay)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(opts.MaxRounds))
 	h.Write(buf[:8])
 	return h.Sum64()
-}
-
-func b2u(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // matches verifies the checkpoint belongs to the same campaign.
@@ -106,7 +99,7 @@ func (c *Checkpoint) matches(want *Checkpoint) error {
 		return fmt.Errorf("network fingerprint %d/%d, campaign network is %d/%d",
 			c.NumNodes, c.NumTransistors, want.NumNodes, want.NumTransistors)
 	case c.SimHash != want.SimHash:
-		return fmt.Errorf("simulator options differ (observe/drop/ablations/rounds)")
+		return fmt.Errorf("simulator options differ (observe/drop/rounds)")
 	case c.BatchSize != want.BatchSize || c.NumBatches != want.NumBatches:
 		return fmt.Errorf("batching %d×%d, campaign uses %d×%d",
 			c.NumBatches, c.BatchSize, want.NumBatches, want.BatchSize)

@@ -1,8 +1,8 @@
 // Package difftest is the differential equivalence harness of the
 // campaign engine: seeded random execution configurations — circuit
-// size, test sequence, fault-universe mix, lane width, worker count,
-// batching, sharding, redundancy trimming, and mid-campaign
-// interrupt/resume points — are cross-checked byte-for-byte against a
+// size, test sequence, fault-universe mix, worker count, batching,
+// sharding, redundancy trimming, and mid-campaign interrupt/resume
+// points — are cross-checked byte-for-byte against a
 // monolithic single-batch reference over the same workload.
 //
 // The property under test is the repo's determinism contract: every
@@ -39,7 +39,6 @@ type Case struct {
 	MaxPatterns int // 0 = full sequence
 	FaultMix    int // 0 plain stuck-at, 1 overlapping mix (classes fire)
 
-	LaneWidth  int
 	Workers    int
 	NumBatches int
 	Shards     int
@@ -54,8 +53,8 @@ type Case struct {
 }
 
 func (c Case) String() string {
-	return fmt.Sprintf("ram%dx%d/seq2=%v/max=%d/mix=%d/lane=%d/w=%d/b=%d/s=%d/trim=%v/int=%v@%d",
-		c.Rows, c.Cols, c.Seq2, c.MaxPatterns, c.FaultMix, c.LaneWidth, c.Workers,
+	return fmt.Sprintf("ram%dx%d/seq2=%v/max=%d/mix=%d/w=%d/b=%d/s=%d/trim=%v/int=%v@%d",
+		c.Rows, c.Cols, c.Seq2, c.MaxPatterns, c.FaultMix, c.Workers,
 		c.NumBatches, c.Shards, c.Trim, c.Interrupt, c.InterruptAfter)
 }
 
@@ -69,7 +68,6 @@ func genCase(rng *rand.Rand) Case {
 		Cols:       geom[1],
 		Seq2:       rng.Intn(2) == 1,
 		FaultMix:   rng.Intn(2),
-		LaneWidth:  []int{1, 3, 7, 13, 32, 64}[rng.Intn(6)],
 		Workers:    1 + rng.Intn(4),
 		NumBatches: 1 + rng.Intn(6),
 		Shards:     1 + rng.Intn(3),
@@ -132,8 +130,8 @@ func refKey(c Case) string {
 	return fmt.Sprintf("%dx%d/%v/%d/%d", c.Rows, c.Cols, c.Seq2, c.MaxPatterns, c.FaultMix)
 }
 
-// reference runs the monolithic baseline — one batch, one worker, full
-// lanes, no trimming — and caches its canonical bytes per workload.
+// reference runs the monolithic baseline — one batch, one worker, no
+// trimming — and caches its canonical bytes per workload.
 func reference(t *testing.T, cache map[string]string, c Case) string {
 	t.Helper()
 	key := refKey(c)
@@ -161,10 +159,9 @@ func runCase(t *testing.T, c Case) string {
 	m, seq, faults := workload(c)
 	opts := campaign.Options{
 		Sim: core.Options{
-			Observe:   []netlist.NodeID{m.DataOut},
-			LaneWidth: c.LaneWidth,
-			Workers:   c.Workers,
-			Trim:      c.Trim,
+			Observe: []netlist.NodeID{m.DataOut},
+			Workers: c.Workers,
+			Trim:    c.Trim,
 		},
 		BatchSize: (len(faults) + c.NumBatches - 1) / c.NumBatches,
 		Shards:    c.Shards,
@@ -221,18 +218,18 @@ func TestDifferentialEquivalence(t *testing.T) {
 }
 
 // TestDifferentialPinnedCases locks in the corners the random draw might
-// miss at the bounded budget: trimmed classes spread over single-fault
-// lanes and three batches, and trimmed campaigns interrupted inside their
+// miss at the bounded budget: trimmed classes spread over three batches,
+// and trimmed campaigns interrupted inside their
 // only batch (the checkpoint holds nothing to resume) and inside the first
 // of two.
 func TestDifferentialPinnedCases(t *testing.T) {
 	pinned := []Case{
-		{Rows: 4, Cols: 4, FaultMix: 1, LaneWidth: 1, Workers: 2, NumBatches: 3, Shards: 2,
+		{Rows: 4, Cols: 4, FaultMix: 1, Workers: 2, NumBatches: 3, Shards: 2,
 			Trim: true},
-		{Rows: 4, Cols: 4, FaultMix: 1, LaneWidth: 64, Workers: 1, NumBatches: 1, Shards: 1,
+		{Rows: 4, Cols: 4, FaultMix: 1, Workers: 1, NumBatches: 1, Shards: 1,
 			Trim: true, Interrupt: true, InterruptAfter: 25},
-		{Rows: 2, Cols: 4, Seq2: true, FaultMix: 0, LaneWidth: 7, Workers: 3, NumBatches: 5, Shards: 3},
-		{Rows: 4, Cols: 4, FaultMix: 1, MaxPatterns: 8, LaneWidth: 13, Workers: 2, NumBatches: 2,
+		{Rows: 2, Cols: 4, Seq2: true, FaultMix: 0, Workers: 3, NumBatches: 5, Shards: 3},
+		{Rows: 4, Cols: 4, FaultMix: 1, MaxPatterns: 8, Workers: 2, NumBatches: 2,
 			Shards: 2, Trim: true, Interrupt: true, InterruptAfter: 10},
 	}
 	refs := map[string]string{}

@@ -205,18 +205,12 @@ func (l *Ledger) observer(i int) func(core.BatchProgress) {
 	}
 	return func(bp core.BatchProgress) {
 		l.Report(i, ProgressEvent{
-			Pattern:         bp.Pattern,
-			Setting:         bp.Setting,
-			ActiveCircuits:  bp.ActiveCircuits,
-			LiveFaults:      bp.LiveFaults,
-			LanesReplayed:   bp.LanesReplayed,
-			ScalarFallbacks: bp.ScalarFallbacks,
-			AdoptedVics:     bp.AdoptedVics,
-			SolvedVics:      bp.SolvedVics,
-			FaultsRetired:   bp.FaultsRetired,
-			LaneCapacity:    bp.LaneCapacity,
-			NewlyDetected:   bp.Detected,
-			Detected:        bp.DetectedTotal,
+			Pattern:        bp.Pattern,
+			Setting:        bp.Setting,
+			ActiveCircuits: bp.ActiveCircuits,
+			LiveFaults:     bp.LiveFaults,
+			NewlyDetected:  bp.Detected,
+			Detected:       bp.DetectedTotal,
 		})
 	}
 }

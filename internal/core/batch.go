@@ -56,13 +56,10 @@ type FaultBatch struct {
 	faults []*faultState
 	live   int // undropped circuits, maintained on drop (O(1) queries)
 
-	// Lane packing: circuit ci occupies bit (ci-1)%laneWidth of lane word
-	// (ci-1)/laneWidth. words is the per-node row stride of the packed
-	// planes below. laneWidth < 64 leaves the top bits of every word
-	// unused; it exists so tests and benches can vary occupancy without
-	// changing results.
-	laneWidth int
-	words     int
+	// Lane packing: circuit ci occupies bit (ci-1)%64 of lane word
+	// (ci-1)/64. words is the per-node row stride of the packed planes
+	// below.
+	words int
 
 	// interest[n] refcounts the circuits whose re-simulation triggers
 	// include node n; interestMask mirrors it as word-packed per-node
@@ -143,7 +140,7 @@ type laneCell struct {
 // lane returns circuit ci's lane coordinates in the packed planes.
 func (b *FaultBatch) lane(ci CircuitID) (word int, bit uint) {
 	fi := int(ci) - 1
-	return fi / b.laneWidth, uint(fi % b.laneWidth)
+	return fi >> 6, uint(fi & 63)
 }
 
 // NewFaultBatch builds a replay-mode consumer over a shared Tables: the
@@ -168,21 +165,13 @@ func newBatch(tab *switchsim.Tables, good *switchsim.Circuit, faults []fault.Fau
 			return nil, fmt.Errorf("core: observed node %d out of range", o)
 		}
 	}
-	laneWidth := opts.LaneWidth
-	if laneWidth == 0 {
-		laneWidth = 64
-	}
-	if laneWidth < 1 || laneWidth > 64 {
-		return nil, fmt.Errorf("core: LaneWidth %d out of range [1,64]", opts.LaneWidth)
-	}
-	words := (len(faults) + laneWidth - 1) / laneWidth
+	words := (len(faults) + 63) / 64
 	b := &FaultBatch{
 		tab:          tab,
 		nw:           nw,
 		opts:         opts,
 		good:         good,
 		prev:         switchsim.NewCircuit(tab),
-		laneWidth:    laneWidth,
 		words:        words,
 		interest:     make([]interestList, nw.NumNodes()),
 		interestMask: make([]uint64, nw.NumNodes()*words),
@@ -351,10 +340,9 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 	}
 
 	traj := trace.Traj
-	if trace.Oscillated || b.opts.FullReplay {
+	if trace.Oscillated {
 		// X-resolution makes the trajectory unreliable as an oracle; fall
-		// back to full replays this step (also the FullReplay ablation's
-		// path).
+		// back to full replays this step.
 		traj = nil
 	}
 	var nActive int
@@ -517,7 +505,7 @@ func (b *FaultBatch) simulateActivated(setting switchsim.Setting, traj *switchsi
 	b.active = b.active[:0]
 	for w, m := range aw {
 		for m != 0 {
-			fi := w*b.laneWidth + bits.TrailingZeros64(m)
+			fi := w<<6 + bits.TrailingZeros64(m)
 			m &= m - 1
 			if fs := b.faults[fi]; !fs.dropped && !b.faultInert(fs) {
 				b.active = append(b.active, CircuitID(fi+1))
@@ -587,7 +575,7 @@ func (b *FaultBatch) Observe() []int {
 			for m != 0 {
 				bit := uint(bits.TrailingZeros64(m))
 				m &= m - 1
-				fi := w*b.laneWidth + int(bit)
+				fi := w<<6 + int(bit)
 				ci := CircuitID(fi + 1)
 				fs := b.faults[fi]
 				if fs.dropped {
@@ -740,7 +728,6 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 			}
 			ps.Settings++
 			var det []int
-			retired0 := b.retired
 			if p.ObserveAt(i) && !skipped {
 				det = b.Observe()
 				ps.Detected += len(det)
@@ -753,15 +740,6 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 					LiveFaults:     b.live,
 					Detected:       det,
 					DetectedTotal:  detTotal,
-					// Occupancy: the setting's replay split plus the drops
-					// of the observation that just ran (fresher than the
-					// one-setting lag SettingStats reports).
-					LanesReplayed:   st.LanesReplayed,
-					ScalarFallbacks: st.ScalarFallbacks,
-					AdoptedVics:     st.AdoptedVics,
-					SolvedVics:      st.SolvedVics,
-					FaultsRetired:   b.retired - retired0,
-					LaneCapacity:    b.words * b.laneWidth,
 				})
 			}
 		}

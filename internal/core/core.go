@@ -58,22 +58,8 @@ type Options struct {
 	Observe []netlist.NodeID
 	// Drop selects the dropping policy; default DropAnyDifference.
 	Drop DropPolicy
-	// StaticLocality switches both good and faulty settling to static
-	// DC-partition locality (ablation).
-	StaticLocality bool
-	// FullReplay disables trajectory-guided adoption: every activated
-	// faulty circuit fully re-settles the input setting (ablation of the
-	// event-granularity optimization). Results are identical; only cost
-	// changes.
-	FullReplay bool
 	// MaxRounds overrides the solver round limit (0 = default).
 	MaxRounds int
-	// LaneWidth sets how many fault circuits share one 64-bit lane word
-	// in the batch's packed interest/record planes (1..64; 0 selects 64).
-	// Results are bit-identical for every width — the packing changes
-	// only constant factors (narrow widths exist for tests and benches
-	// isolating the word-packing win).
-	LaneWidth int
 	// Workers sets the number of fault-circuit execution workers. The
 	// activated circuits of a setting are independent given the good
 	// trajectory and the pre-step state, so they are sharded across
@@ -112,20 +98,6 @@ type BatchProgress struct {
 	// DetectedTotal is the cumulative number of detected faults in the
 	// batch after this setting.
 	DetectedTotal int
-
-	// Lane occupancy of the setting (see SettingStats): the
-	// replayed/fallback split of the activated circuits, the
-	// adopted/solved vicinity split, and the faults retired by this
-	// setting's observation. LaneCapacity is the batch's allocated lane
-	// count (words × lane width, ≥ the batch width): LiveFaults over
-	// LaneCapacity is the packing efficiency of the word-parallel
-	// planes.
-	LanesReplayed   int
-	ScalarFallbacks int
-	AdoptedVics     int64
-	SolvedVics      int64
-	FaultsRetired   int
-	LaneCapacity    int
 }
 
 // Detection describes the first detection of one fault.

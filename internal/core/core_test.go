@@ -385,50 +385,82 @@ func TestDroppedCircuitStaysDropped(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalence: the trajectory-replay fast path and the
-// full-replay path are different implementations of the same semantics;
-// they must produce identical detections and identical divergence records
-// after every pattern, on the realistic RAM workload.
+// TestEngineEquivalence: on the realistic RAM workload, every faulty
+// circuit the concurrent engine tracks (trajectory adoption, lane packing,
+// scheduling and all) holds, after every pattern, exactly the state of an
+// independent switchsim.Circuit carrying the same fault from power-on, and
+// is first detected where that circuit first differs at the output.
+// Oscillating circuits are excluded as in TestEquivalenceWithSerial.
 func TestEngineEquivalence(t *testing.T) {
 	m := ram.New(ram.Config{Rows: 4, Cols: 4})
-	faults := fault.NodeStuckFaults(m.Net, fault.Options{})
+	nw := m.Net
+	faults := fault.NodeStuckFaults(nw, fault.Options{})
 	seq := march.Sequence1(m)
 
-	mk := func(full bool) *core.Simulator {
-		s, err := core.New(m.Net, faults, core.Options{
-			Observe:    []netlist.NodeID{m.DataOut},
-			Drop:       core.NeverDrop,
-			FullReplay: full,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	sim, err := core.New(nw, faults, core.Options{
+		Observe: []netlist.NodeID{m.DataOut},
+		Drop:    core.NeverDrop,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast, slow := mk(false), mk(true)
+
+	tab := switchsim.NewTables(nw)
+	rsolve := switchsim.NewSolver(tab)
+	good := switchsim.NewCircuit(tab)
+	rsolve.SettleAll(good)
+	ref := make([]*switchsim.Circuit, len(faults))
+	excluded := make([]bool, len(faults))
+	firstDiff := make([]int, len(faults)) // pattern of the first output difference, -1 if none
+	for i, f := range faults {
+		ref[i] = switchsim.NewCircuit(tab)
+		f.Apply(ref[i])
+		excluded[i] = rsolve.SettleAll(ref[i]).Oscillated
+		firstDiff[i] = -1
+	}
+
 	for pi := range seq.Patterns {
-		fast.RunPattern(&seq.Patterns[pi])
-		slow.RunPattern(&seq.Patterns[pi])
-		for fi := range faults {
-			fr, sr := fast.Records(fi), slow.Records(fi)
-			if len(fr) != len(sr) {
-				t.Fatalf("pattern %d fault %s: %d records (fast) vs %d (full)",
-					pi, faults[fi].Describe(m.Net), len(fr), len(sr))
+		p := &seq.Patterns[pi]
+		sim.RunPattern(p)
+		for si, setting := range p.Settings {
+			rsolve.Step(good, setting)
+			for fi := range faults {
+				if rsolve.Step(ref[fi], setting).Oscillated {
+					excluded[fi] = true
+				}
+				if p.ObserveAt(si) && firstDiff[fi] < 0 && ref[fi].Value(m.DataOut) != good.Value(m.DataOut) {
+					firstDiff[fi] = pi
+				}
 			}
-			for n, v := range fr {
-				if sr[n] != v {
-					t.Fatalf("pattern %d fault %s node %s: fast=%s full=%s",
-						pi, faults[fi].Describe(m.Net), m.Net.Name(n), v, sr[n])
+		}
+		for fi := range faults {
+			if excluded[fi] || sim.Oscillated(fi) {
+				excluded[fi] = true
+				continue
+			}
+			for n := 0; n < nw.NumNodes(); n++ {
+				id := netlist.NodeID(n)
+				if got, want := sim.FaultValue(fi, id), ref[fi].Value(id); got != want {
+					t.Fatalf("pattern %d fault %s node %s: concurrent=%s reference=%s",
+						pi, faults[fi].Describe(nw), nw.Name(id), got, want)
 				}
 			}
 		}
 	}
+	checked := 0
 	for fi := range faults {
-		fd, fok := fast.Detected(fi)
-		sd, sok := slow.Detected(fi)
-		if fok != sok || (fok && fd != sd) {
-			t.Errorf("fault %s: detection differs between engines", faults[fi].Describe(m.Net))
+		if excluded[fi] {
+			continue
 		}
+		checked++
+		d, ok := sim.Detected(fi)
+		if ok != (firstDiff[fi] >= 0) || (ok && d.Pattern != firstDiff[fi]) {
+			t.Errorf("fault %s: detected=%v at pattern %d, reference first differs at pattern %d",
+				faults[fi].Describe(nw), ok, d.Pattern, firstDiff[fi])
+		}
+	}
+	if checked < len(faults)/2 {
+		t.Fatalf("only %d of %d circuits compared", checked, len(faults))
 	}
 }
 

@@ -57,9 +57,8 @@
 //
 // # Word-packed lanes
 //
-// Inside a batch, faulty circuits are packed into 64-bit lane words
-// (Options.LaneWidth circuits per word, up to 64): circuit ci occupies
-// bit (ci-1)%laneWidth of word (ci-1)/laneWidth. The packing drives
+// Inside a batch, faulty circuits are packed into 64-bit lane words:
+// circuit ci occupies bit (ci-1)%64 of word (ci-1)/64. The packing drives
 // three word-wide structures — per-node interest masks answering "which
 // circuits care about this node" with popcounts instead of list walks, a
 // per-setting switchsim.ReplayIndex whose static-divergence flag closure
@@ -71,10 +70,11 @@
 // divergence-record rows (two-plane ternary values, switchsim.LanePlanes)
 // that make the post-settle diff and Observe comparison word-wide.
 // Retiring a detected circuit clears its lane bit from each row it
-// occupies (O(records), no per-node list surgery). All of it is pure
-// indexing: lane width changes how circuits are grouped, never what any
-// circuit computes, so BatchResult is byte-identical at every
-// Options.LaneWidth (TestBatchLaneWidthInvariance).
+// occupies (O(records), no per-node list surgery). The packing is a pure
+// indexing layer: which lane a fault occupies never changes what its
+// circuit computes, so BatchResult is byte-identical wherever batch
+// boundaries put a fault (TestCampaignMatchesMonolithic runs batch sizes
+// 1, 7, 8, 64 and 65).
 // Recordings carry a fingerprint (network shape + setting count) that
 // RunBatch validates before replaying. Cancellation (the RunBatch
 // context) and progress reporting (Options.OnObserve) never affect

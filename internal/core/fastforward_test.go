@@ -55,76 +55,69 @@ func lockstep(t *testing.T, rec *switchsim.Recording, seq *switchsim.Sequence, a
 	}
 }
 
-// TestFastForwardMatchesWalkBatch: RAM64 under both sequences and both
-// localities with the wide universe — after every setting, a batch whose
-// lanes ride the compiled good wave has the SettingStats, the summed
-// solver work (all seven counters), the detections and every fault's
-// divergence records of a batch that compiles nothing and walks.
+// TestFastForwardMatchesWalkBatch: RAM64 under both sequences with the wide
+// universe — after every setting, a batch whose lanes ride the compiled
+// good wave has the SettingStats, the summed solver work (all seven
+// counters), the detections and every fault's divergence records of a
+// batch that compiles nothing and walks.
 func TestFastForwardMatchesWalkBatch(t *testing.T) {
 	m := ram.RAM64()
 	faults := wideUniverse(m)
 	tab := switchsim.NewTables(m.Net)
-	// Sequence 1 in full; of the others the head, where every circuit is
-	// live — static locality activates five times the lanes with vicinities
-	// to match, so it gets the shortest.
+	// Sequence 1 in full; of sequence 2 the head, where every circuit is
+	// live.
 	for _, tc := range []struct {
 		full     *switchsim.Sequence
-		static   bool
 		patterns int
 	}{
-		{march.Sequence1(m), false, 1 << 30},
-		{march.Sequence1(m), true, 16},
-		{march.Sequence2(m), false, 120},
-		{march.Sequence2(m), true, 16},
+		{march.Sequence1(m), 1 << 30},
+		{march.Sequence2(m), 120},
 	} {
-		{
-			static := tc.static
-			if testing.Short() {
-				tc.patterns = min(tc.patterns, 48)
-			}
-			seq := *tc.full
-			seq.Patterns = seq.Patterns[:min(tc.patterns, len(seq.Patterns))]
-			opts := Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1, StaticLocality: static}
-			rec := Record(m.Net, &seq, opts)
-			ff, err := NewFaultBatch(tab, faults, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			walk, _ := NewFaultBatch(tab, faults, opts)
-			walk.noCompile = true
-			steps := 0
-			lockstep(t, rec, &seq, ff, walk, func(where string, sa, sb SettingStats) {
-				steps++
-				if sa != sb {
-					t.Fatalf("%s static=%v %s: stats %+v, walking %+v", seq.Name, static, where, sa, sb)
-				}
-				if wa, wb := ff.faultWork(), walk.faultWork(); wa != wb {
-					t.Fatalf("%s static=%v %s: work %+v, walking %+v", seq.Name, static, where, wa, wb)
-				}
-				for fi := range faults {
-					ra, rb := &ff.faults[fi].recs, &walk.faults[fi].recs
-					if !slices.Equal(ra.nodes, rb.nodes) || !slices.Equal(ra.vals, rb.vals) {
-						t.Fatalf("%s static=%v %s: fault %s records differ", seq.Name, static, where, faults[fi].Describe(m.Net))
-					}
-				}
-				if steps%97 == 0 {
-					// A fast-forwarded lane must leave its scratch like any
-					// other: fault dropped, pooled record bits cleared.
-					if err := ff.CheckInvariants(); err != nil {
-						t.Fatalf("%s static=%v %s: %v", seq.Name, static, where, err)
-					}
-				}
-			})
-			rs := ff.ReplayStats()
-			if rs.FastForwarded == 0 || rs.Compiles == 0 || rs.Compiles > int64(ff.ix.Builds()) {
-				t.Fatalf("%s static=%v: %+v over %d index builds", seq.Name, static, rs, ff.ix.Builds())
-			}
-			if ws := walk.ReplayStats(); ws.Compiles != 0 || ws.FastForwarded != 0 || ws.Lanes != rs.Lanes {
-				t.Fatalf("%s static=%v: the walking batch reports %+v", seq.Name, static, ws)
-			}
-			t.Logf("%s static=%v: %d compiles for %d lanes over %d builds, %d fast-forwarded (%d rounds, %d adoptions)",
-				seq.Name, static, rs.Compiles, rs.Lanes, ff.ix.Builds(), rs.FastForwarded, rs.RoundsSkipped, rs.AdoptionsSkipped)
+		if testing.Short() {
+			tc.patterns = min(tc.patterns, 48)
 		}
+		seq := *tc.full
+		seq.Patterns = seq.Patterns[:min(tc.patterns, len(seq.Patterns))]
+		opts := Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
+		rec := Record(m.Net, &seq, opts)
+		ff, err := NewFaultBatch(tab, faults, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk, _ := NewFaultBatch(tab, faults, opts)
+		walk.noCompile = true
+		steps := 0
+		lockstep(t, rec, &seq, ff, walk, func(where string, sa, sb SettingStats) {
+			steps++
+			if sa != sb {
+				t.Fatalf("%s %s: stats %+v, walking %+v", seq.Name, where, sa, sb)
+			}
+			if wa, wb := ff.faultWork(), walk.faultWork(); wa != wb {
+				t.Fatalf("%s %s: work %+v, walking %+v", seq.Name, where, wa, wb)
+			}
+			for fi := range faults {
+				ra, rb := &ff.faults[fi].recs, &walk.faults[fi].recs
+				if !slices.Equal(ra.nodes, rb.nodes) || !slices.Equal(ra.vals, rb.vals) {
+					t.Fatalf("%s %s: fault %s records differ", seq.Name, where, faults[fi].Describe(m.Net))
+				}
+			}
+			if steps%97 == 0 {
+				// A fast-forwarded lane must leave its scratch like any
+				// other: fault dropped, pooled record bits cleared.
+				if err := ff.CheckInvariants(); err != nil {
+					t.Fatalf("%s %s: %v", seq.Name, where, err)
+				}
+			}
+		})
+		rs := ff.ReplayStats()
+		if rs.FastForwarded == 0 || rs.Compiles == 0 || rs.Compiles > int64(ff.ix.Builds()) {
+			t.Fatalf("%s: %+v over %d index builds", seq.Name, rs, ff.ix.Builds())
+		}
+		if ws := walk.ReplayStats(); ws.Compiles != 0 || ws.FastForwarded != 0 || ws.Lanes != rs.Lanes {
+			t.Fatalf("%s: the walking batch reports %+v", seq.Name, ws)
+		}
+		t.Logf("%s: %d compiles for %d lanes over %d builds, %d fast-forwarded (%d rounds, %d adoptions)",
+			seq.Name, rs.Compiles, rs.Lanes, ff.ix.Builds(), rs.FastForwarded, rs.RoundsSkipped, rs.AdoptionsSkipped)
 	}
 }
 

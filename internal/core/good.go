@@ -32,7 +32,6 @@ func newGoodRunner(tab *switchsim.Tables, opts Options) *goodRunner {
 		gsolve: switchsim.NewSolver(tab),
 	}
 	g.gsolve.Record = true
-	g.gsolve.StaticLocality = opts.StaticLocality
 	g.gsolve.MaxRounds = opts.MaxRounds
 	return g
 }
@@ -88,8 +87,8 @@ func (g *goodRunner) fill(init bool, inputs []switchsim.Change, res switchsim.Se
 // replay the recording without any good-circuit solver work — the
 // record-once/replay-many half of the campaign engine.
 //
-// Only the good-side options (StaticLocality, MaxRounds) are consulted;
-// Observe and the fault-side options configure consumers, not the capture.
+// Only the good-side option (MaxRounds) is consulted; Observe and the
+// fault-side options configure consumers, not the capture.
 func Record(nw *netlist.Network, seq *switchsim.Sequence, opts Options) *switchsim.Recording {
 	g := newGoodRunner(switchsim.NewTables(nw), opts)
 	rec := switchsim.NewRecording(nw)

@@ -103,7 +103,6 @@ func newFaultWorker(b *FaultBatch) *faultWorker {
 		recBits:   make([]uint64, (n+63)/64),
 		recVal:    make([]logic.Value, n),
 	}
-	w.solve.StaticLocality = b.opts.StaticLocality
 	w.solve.MaxRounds = b.opts.MaxRounds
 	return w
 }
@@ -395,8 +394,9 @@ func (b *FaultBatch) ReplayStats() switchsim.ReplayStats {
 // plus the work credited to class members (their
 // representative's, fanned out — see trim.go). Each circuit's work is
 // deterministic and the sum is order-independent, so the total is
-// identical for every worker count (and every lane width: the per-lane
-// replay examines only its own lane's divergence).
+// identical for every worker count (and wherever a fault sits in the
+// packed words: the per-lane replay examines only its own lane's
+// divergence).
 func (b *FaultBatch) faultWork() switchsim.Work {
 	t := b.creditWork
 	for _, w := range b.workers {

@@ -192,7 +192,7 @@ func (b *FaultBatch) checkRecordInvariants() error {
 				return errf("node %s word %d: plane bits outside membership", b.nw.Name(netlist.NodeID(n)), w)
 			}
 			for m := cell.member; m != 0; m &= m - 1 {
-				fi := w*b.laneWidth + bits.TrailingZeros64(m)
+				fi := w<<6 + bits.TrailingZeros64(m)
 				if fi >= len(b.faults) {
 					return errf("node %s word %d: member bit beyond fault count", b.nw.Name(netlist.NodeID(n)), w)
 				}

@@ -34,8 +34,8 @@ func times(f fault.Fault, n int) []fault.Fault {
 // Options.Trim on, every BatchResult field is byte-identical to the
 // untrimmed run — for a plain fault list (no classes form, so only the
 // dead-tail skip is exercised) and for lists assembled with
-// materialization-equivalent and duplicate faults, across lane widths,
-// worker counts and drop policies. Classes collapse at construction, so a
+// materialization-equivalent and duplicate faults, across worker counts
+// and drop policies. Classes collapse at construction, so a
 // member never runs a single setting of its own: the cases below are the
 // ones where that matters most — a class detected by the first
 // observation, one that oscillates in the initialization step, an
@@ -80,7 +80,6 @@ func TestTrimByteIdentical(t *testing.T) {
 	cases := []struct {
 		name      string
 		faults    []fault.Fault
-		lane      int
 		work      int
 		drop      DropPolicy
 		maxRounds int
@@ -89,20 +88,19 @@ func TestTrimByteIdentical(t *testing.T) {
 		// on the trimmed result and the batch that produced it.
 		premise func(t *testing.T, br *BatchResult, b *FaultBatch)
 	}{
-		{name: "plain/w1", faults: plain, lane: 64, work: 1},
-		{name: "plain/lane7", faults: plain, lane: 7, work: 1},
-		{name: "plain/workers4", faults: plain, lane: 64, work: 4},
-		{name: "overlap/w1", faults: overlap, lane: 64, work: 1, classes: 30},
-		{name: "overlap/lane5-workers3", faults: overlap, lane: 5, work: 3, classes: 30},
-		{name: "overlap/never-drop", faults: overlap, lane: 64, work: 1, drop: NeverDrop, classes: 30,
+		{name: "plain/w1", faults: plain, work: 1},
+		{name: "plain/workers4", faults: plain, work: 4},
+		{name: "overlap/w1", faults: overlap, work: 1, classes: 30},
+		{name: "overlap/workers3", faults: overlap, work: 3, classes: 30},
+		{name: "overlap/never-drop", faults: overlap, work: 1, drop: NeverDrop, classes: 30,
 			premise: func(t *testing.T, br *BatchResult, b *FaultBatch) {
 				if b.Live() != len(overlap) || br.DetectedCount() == 0 {
 					t.Fatalf("%d of %d live, %d detected: want every circuit live and some detected",
 						b.Live(), len(overlap), br.DetectedCount())
 				}
 			}},
-		{name: "overlap/drop-hard-only", faults: overlap, lane: 64, work: 1, drop: DropHardOnly, classes: 30},
-		{name: "first-observation", faults: append(times(dout1, 2), plain[:6]...), lane: 64, work: 1, classes: 1,
+		{name: "overlap/drop-hard-only", faults: overlap, work: 1, drop: DropHardOnly, classes: 30},
+		{name: "first-observation", faults: append(times(dout1, 2), plain[:6]...), work: 1, classes: 1,
 			premise: func(t *testing.T, br *BatchResult, _ *FaultBatch) {
 				for fi := 0; fi < 2; fi++ {
 					if d := br.Detections[fi]; !br.Detected[fi] || d.Pattern != 0 || d.Setting != 0 {
@@ -111,7 +109,7 @@ func TestTrimByteIdentical(t *testing.T) {
 					}
 				}
 			}},
-		{name: "init-oscillation", faults: twice, lane: 64, work: 1, drop: NeverDrop, maxRounds: 2, classes: 32,
+		{name: "init-oscillation", faults: twice, work: 1, drop: NeverDrop, maxRounds: 2, classes: 32,
 			premise: func(t *testing.T, br *BatchResult, _ *FaultBatch) {
 				// A fresh trimmed batch, stepped through the initialization
 				// alone: the flags it raises there must be in the result,
@@ -130,9 +128,9 @@ func TestTrimByteIdentical(t *testing.T) {
 					}
 				}
 			}},
-		{name: "class-of-four", faults: append(times(plain[9], 4), plain[:6]...), lane: 64, work: 1, classes: 3},
-		{name: "one-class", faults: times(plain[9], 5), lane: 3, work: 2, classes: 4},
-		{name: "input-node-representative", faults: append(times(phi2, 3), plain[:6]...), lane: 64, work: 1, classes: 2,
+		{name: "class-of-four", faults: append(times(plain[9], 4), plain[:6]...), work: 1, classes: 3},
+		{name: "one-class", faults: times(plain[9], 5), work: 2, classes: 4},
+		{name: "input-node-representative", faults: append(times(phi2, 3), plain[:6]...), work: 1, classes: 2,
 			premise: func(t *testing.T, br *BatchResult, _ *FaultBatch) {
 				if m.Net.Node(phi2.Node).Kind != netlist.Input {
 					t.Fatal("phi2 is not an input node")
@@ -145,7 +143,7 @@ func TestTrimByteIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			off := base
-			off.LaneWidth, off.Workers, off.Drop, off.MaxRounds = tc.lane, tc.work, tc.drop, tc.maxRounds
+			off.Workers, off.Drop, off.MaxRounds = tc.work, tc.drop, tc.maxRounds
 			on := off
 			on.Trim = true
 			rec := recs[tc.maxRounds]

@@ -5,6 +5,7 @@ package ram
 import (
 	"fmt"
 
+	"fmossim/internal/fault"
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
 	"fmossim/internal/switchsim"
@@ -254,6 +255,17 @@ func RAM64() *RAM { return New(Config{Rows: 8, Cols: 8}) }
 // RAM256 builds the 16×16 (256-bit) instance corresponding to the paper's
 // RAM256.
 func RAM256() *RAM { return New(Config{Rows: 16, Cols: 16}) }
+
+// PaperFaults returns the paper's fault universe for the instance: every
+// single storage-node stuck-at-0 and stuck-at-1 fault plus every
+// adjacent-bit-line short. For RAM64 this yields a universe of the same
+// order as the paper's 428-fault set; for RAM256 comparable to the
+// paper's "all 1382 possible single stuck-at and single bus short
+// faults".
+func (r *RAM) PaperFaults() []fault.Fault {
+	fs := fault.NodeStuckFaults(r.Net, fault.Options{})
+	return append(fs, fault.BridgeFaults(r.BitlineShorts)...)
+}
 
 // addrSetting fills pairs with the address bits of addr.
 func (r *RAM) addrSetting(addr int, pairs map[string]logic.Value) {

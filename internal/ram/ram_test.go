@@ -2,8 +2,10 @@ package ram_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"fmossim/internal/bench"
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
 	"fmossim/internal/ram"
@@ -175,6 +177,19 @@ func TestRAMStats(t *testing.T) {
 		for _, is := range netlist.Lint(m64.Net) {
 			t.Logf("lint: %s", is)
 		}
+	}
+}
+
+func TestPaperFaultsComposition(t *testing.T) {
+	m := ram.New(ram.Config{Rows: 4, Cols: 4})
+	fs := m.PaperFaults()
+	want := 2*m.Net.NumStorageNodes() + len(m.BitlineShorts)
+	if len(fs) != want {
+		t.Errorf("paper universe has %d faults, want %d", len(fs), want)
+	}
+	// The experiment harness's name for the same universe forwards here.
+	if !slices.Equal(bench.PaperFaults(m), fs) {
+		t.Error("bench.PaperFaults differs from RAM.PaperFaults")
 	}
 }
 

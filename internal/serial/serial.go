@@ -21,9 +21,8 @@ type Options struct {
 	StopOnDetect bool
 	// HardOnly requires both values definite for a detection.
 	HardOnly bool
-	// StaticLocality and MaxRounds mirror the concurrent options.
-	StaticLocality bool
-	MaxRounds      int
+	// MaxRounds mirrors the concurrent option.
+	MaxRounds int
 }
 
 // FaultResult is the serial outcome for one fault.
@@ -79,7 +78,6 @@ func (r *Result) Coverage() float64 {
 func goodTrace(tab *switchsim.Tables, seq *switchsim.Sequence, opts Options) (trace [][]logic.Value, perPattern []int64, total int64) {
 	c := switchsim.NewCircuit(tab)
 	sv := switchsim.NewSolver(tab)
-	sv.StaticLocality = opts.StaticLocality
 	sv.MaxRounds = opts.MaxRounds
 	sv.Init(c)
 	w0 := sv.Work().Units()
@@ -116,7 +114,6 @@ func Run(nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opt
 
 	c := switchsim.NewCircuit(tab)
 	sv := switchsim.NewSolver(tab)
-	sv.StaticLocality = opts.StaticLocality
 	sv.MaxRounds = opts.MaxRounds
 
 	for _, f := range faults {

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"fmossim/internal/bench"
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
 	"fmossim/internal/fault"
@@ -250,7 +249,7 @@ func expectedRAM256(t *testing.T) (*ram.RAM, []fault.Fault, *campaign.Result) {
 	m := ram.RAM256()
 	seq := march.Sequence1(m)
 	seq.Patterns = seq.Patterns[:60]
-	all := bench.PaperFaults(m)
+	all := m.PaperFaults()
 	var faults []fault.Fault
 	for i := 0; i < len(all); i += 8 {
 		faults = append(faults, all[i])

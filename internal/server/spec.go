@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"fmossim/internal/bench"
 	"fmossim/internal/core"
 	"fmossim/internal/fault"
 	"fmossim/internal/march"
@@ -387,7 +386,7 @@ func resolveFaults(spec *JobSpec, nw *netlist.Network, m *ram.RAM) ([]fault.Faul
 		if m == nil {
 			return nil, fmt.Errorf("fault_model paper requires a built-in workload")
 		}
-		faults = bench.PaperFaults(m)
+		faults = m.PaperFaults()
 	default:
 		faults = fault.NodeStuckFaults(nw, fault.Options{})
 	}

@@ -47,7 +47,7 @@ type ffRig struct {
 
 const ffWords = 2
 
-func newFFRig(t testing.TB, nw *netlist.Network, static bool) *ffRig {
+func newFFRig(t testing.TB, nw *netlist.Network) *ffRig {
 	tab := switchsim.NewTables(nw)
 	r := &ffRig{
 		t: t, nw: nw, tab: tab,
@@ -58,7 +58,6 @@ func newFFRig(t testing.TB, nw *netlist.Network, static bool) *ffRig {
 		ixWalk: switchsim.NewReplayIndex(tab),
 	}
 	r.gsv.Record = true
-	r.gsv.StaticLocality = static
 	return r
 }
 
@@ -70,9 +69,6 @@ func (r *ffRig) addLane(apply func(c *switchsim.Circuit), sites []netlist.NodeID
 		word: i % ffWords, bit: uint(i/ffWords*5) % 64, sites: sites,
 		ff: switchsim.NewCircuit(r.tab), walk: switchsim.NewCircuit(r.tab),
 		sf: switchsim.NewSolver(r.tab), sw: switchsim.NewSolver(r.tab),
-	}
-	for _, s := range []*switchsim.Solver{ln.sf, ln.sw} {
-		s.StaticLocality = r.gsv.StaticLocality
 	}
 	apply(ln.ff)
 	apply(ln.walk)
@@ -197,11 +193,11 @@ func inputStuckSites(nw *netlist.Network, in netlist.NodeID) []netlist.NodeID {
 }
 
 // TestFastForwardMatchesWalkRAM64: stuck storage nodes, a stuck input and
-// pinned transistors of RAM64, replayed under both sequences and both
-// localities — a lane that rides the compiled good wave ends every setting
-// with the circuit state, SettleResult and work counters of one that
-// walks, and the walking lane's pend queue is the compiled one at every
-// round boundary the other skipped.
+// pinned transistors of RAM64, replayed under both sequences — a lane that
+// rides the compiled good wave ends every setting with the circuit state,
+// SettleResult and work counters of one that walks, and the walking lane's
+// pend queue is the compiled one at every round boundary the other
+// skipped.
 func TestFastForwardMatchesWalkRAM64(t *testing.T) {
 	m := ram.RAM64()
 	nw := m.Net
@@ -211,48 +207,46 @@ func TestFastForwardMatchesWalkRAM64(t *testing.T) {
 			short.Patterns = seq.Patterns[:40]
 			seq = &short
 		}
-		for _, static := range []bool{false, true} {
-			r := newFFRig(t, nw, static)
-			for i := 0; i < nw.NumNodes() && len(r.lanes) < 20; i += 9 {
-				if n := netlist.NodeID(i); nw.Node(n).Kind != netlist.Input {
-					r.addLane(forceLane(n, logic.Value(len(r.lanes)%2)), staticDivSet(nw, n))
-				}
+		r := newFFRig(t, nw)
+		for i := 0; i < nw.NumNodes() && len(r.lanes) < 20; i += 9 {
+			if n := netlist.NodeID(i); nw.Node(n).Kind != netlist.Input {
+				r.addLane(forceLane(n, logic.Value(len(r.lanes)%2)), staticDivSet(nw, n))
 			}
-			in := nw.Inputs()[len(nw.Inputs())/2]
-			r.addLane(forceLane(in, logic.Hi), inputStuckSites(nw, in))
-			for i := 3; i < nw.NumTransistors() && len(r.lanes) < 32; i += nw.NumTransistors() / 11 {
-				tr := netlist.TransID(i)
-				r.addLane(pinLane(tr, logic.Value(i%2)), pinSites(nw, tr))
-			}
-			r.init()
-			for pi := range seq.Patterns {
-				for _, set := range seq.Patterns[pi].Settings {
-					if !r.step(set) {
-						t.Fatal("RAM64 good circuit oscillated")
-					}
-				}
-			}
-			var rs switchsim.ReplayStats
-			for _, ln := range r.lanes {
-				rs.Add(ln.sf.ReplayStats())
-			}
-			if rs.FastForwarded == 0 || r.shadow.Lanes != int(rs.FastForwarded) || r.shadow.Rounds < int(rs.RoundsSkipped) {
-				t.Fatalf("%s static=%v: %+v, shadow checked %d lanes over %d round boundaries", seq.Name, static, rs, r.shadow.Lanes, r.shadow.Rounds)
-			}
-			t.Logf("%s static=%v: %d of %d replays fast-forwarded %d rounds (%d adoptions); %d round boundaries shadowed",
-				seq.Name, static, rs.FastForwarded, rs.Lanes, rs.RoundsSkipped, rs.AdoptionsSkipped, r.shadow.Rounds)
 		}
+		in := nw.Inputs()[len(nw.Inputs())/2]
+		r.addLane(forceLane(in, logic.Hi), inputStuckSites(nw, in))
+		for i := 3; i < nw.NumTransistors() && len(r.lanes) < 32; i += nw.NumTransistors() / 11 {
+			tr := netlist.TransID(i)
+			r.addLane(pinLane(tr, logic.Value(i%2)), pinSites(nw, tr))
+		}
+		r.init()
+		for pi := range seq.Patterns {
+			for _, set := range seq.Patterns[pi].Settings {
+				if !r.step(set) {
+					t.Fatal("RAM64 good circuit oscillated")
+				}
+			}
+		}
+		var rs switchsim.ReplayStats
+		for _, ln := range r.lanes {
+			rs.Add(ln.sf.ReplayStats())
+		}
+		if rs.FastForwarded == 0 || r.shadow.Lanes != int(rs.FastForwarded) || r.shadow.Rounds < int(rs.RoundsSkipped) {
+			t.Fatalf("%s: %+v, shadow checked %d lanes over %d round boundaries", seq.Name, rs, r.shadow.Lanes, r.shadow.Rounds)
+		}
+		t.Logf("%s: %d of %d replays fast-forwarded %d rounds (%d adoptions); %d round boundaries shadowed",
+			seq.Name, rs.FastForwarded, rs.Lanes, rs.RoundsSkipped, rs.AdoptionsSkipped, r.shadow.Rounds)
 	}
 }
 
 // soupFastForward runs one seeded soup with a clean lane, a forced node
 // and a pinned transistor through a few settings. It returns the rig for
 // its counters.
-func soupFastForward(t testing.TB, seed int64, static bool, xProb int) *ffRig {
+func soupFastForward(t testing.TB, seed int64, xProb int) *ffRig {
 	rng := rand.New(rand.NewSource(seed))
 	tc := testnet.Soup(rng)
 	nw := tc.Net
-	r := newFFRig(t, nw, static)
+	r := newFFRig(t, nw)
 	r.addLane(func(*switchsim.Circuit) {}, nil)
 	f := tc.Outputs[rng.Intn(len(tc.Outputs))]
 	r.addLane(forceLane(f, logic.Value(rng.Intn(3))), staticDivSet(nw, f))
@@ -276,7 +270,7 @@ func TestFastForwardMatchesWalkSoups(t *testing.T) {
 	}
 	lanes, rounds := 0, 0
 	for seed := int64(0); seed < n; seed++ {
-		r := soupFastForward(t, seed, seed%2 == 1, int(seed%4)*10)
+		r := soupFastForward(t, seed, int(seed%4)*10)
 		lanes, rounds = lanes+r.shadow.Lanes, rounds+r.shadow.Rounds
 	}
 	if lanes == 0 {
@@ -288,10 +282,10 @@ func TestFastForwardMatchesWalkSoups(t *testing.T) {
 // FuzzReplayFastForward lets the fuzzer pick the soup.
 func FuzzReplayFastForward(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
-		f.Add(seed, seed%2 == 1, uint8(seed%4)*10)
+		f.Add(seed, uint8(seed%4)*10)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, static bool, xProb uint8) {
-		soupFastForward(t, seed, static, int(xProb%101))
+	f.Fuzz(func(t *testing.T, seed int64, xProb uint8) {
+		soupFastForward(t, seed, int(xProb%101))
 	})
 }
 
@@ -327,7 +321,7 @@ func toggleA(nw *netlist.Network, v logic.Value) switchsim.Setting {
 // flips the transistor and queues x and y, and the lane must do neither.
 func TestFastForwardStopsBeforePinnedFlip(t *testing.T) {
 	nw, pass := stopNet()
-	r := newFFRig(t, nw, false)
+	r := newFFRig(t, nw)
 	pinned := r.addLane(pinLane(pass, logic.Lo), pinSites(nw, pass))
 	clean := r.addLane(func(*switchsim.Circuit) {}, nil)
 	r.init()
@@ -354,7 +348,7 @@ func TestFastForwardStopsBeforePinnedFlip(t *testing.T) {
 func TestFastForwardDropsForcedNodeFromPend(t *testing.T) {
 	nw, _ := stopNet()
 	x := nw.MustLookup("x")
-	r := newFFRig(t, nw, false)
+	r := newFFRig(t, nw)
 	forced := r.addLane(forceLane(x, logic.Hi), staticDivSet(nw, x))
 	r.init()
 	for i, v := range []logic.Value{logic.Hi, logic.Lo} {
@@ -376,7 +370,7 @@ func TestFastForwardDropsForcedNodeFromPend(t *testing.T) {
 func TestFastForwardNeedsSeedsInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tc := testnet.Structured(rng)
-	r := newFFRig(t, tc.Net, false)
+	r := newFFRig(t, tc.Net)
 	clean := r.addLane(func(*switchsim.Circuit) {}, nil)
 	r.init()
 	reversed := 0
@@ -413,7 +407,7 @@ func TestFastForwardNeedsSeedsInOrder(t *testing.T) {
 // walking lane does.
 func TestFastForwardStopsAtMaxRounds(t *testing.T) {
 	nw, _ := stopNet()
-	r := newFFRig(t, nw, false)
+	r := newFFRig(t, nw)
 	ln := r.addLane(func(*switchsim.Circuit) {}, nil)
 	r.init() // power-on needs more than two rounds
 	ln.sf.MaxRounds, ln.sw.MaxRounds = 2, 2

@@ -19,8 +19,7 @@ type KernelOracle struct {
 	t   testing.TB
 	sut *Solver // the solver under test
 
-	tab            *Tables
-	StaticLocality bool
+	tab *Tables
 
 	stamp []uint32
 	epoch uint32
@@ -56,7 +55,7 @@ type KernelOracle struct {
 func AttachKernelOracle(t testing.TB, s *Solver) *KernelOracle {
 	n := s.tab.Net.NumNodes()
 	o := &KernelOracle{
-		t: t, sut: s, tab: s.tab, StaticLocality: s.StaticLocality,
+		t: t, sut: s, tab: s.tab,
 		stamp:      make([]uint32, n),
 		def:        make([]logic.Strength, n),
 		hd:         make([]logic.Strength, n),
@@ -131,13 +130,12 @@ func (s *KernelOracle) exploreVicinity(c *Circuit, seed netlist.NodeID) bool {
 	s.queue = s.queue[:0]
 	s.stamp[seed] = s.epoch
 	s.queue = append(s.queue, seed)
-	dynamic := !s.StaticLocality
 	for len(s.queue) > 0 {
 		u := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
 		s.vic = append(s.vic, u)
 		for _, e := range s.tab.ChannelOf(u) {
-			if dynamic && c.ts[e.T] == logic.Lo {
+			if c.ts[e.T] == logic.Lo {
 				continue // the source and drain of an open transistor are electrically isolated
 			}
 			v := e.Other

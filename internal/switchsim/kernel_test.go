@@ -15,8 +15,7 @@ import (
 // TestKernelMatchesOracleRAM64 checks every vicinity solve of a RAM64
 // sequence-1 good run, and of stuck-at lanes replayed against its
 // trajectories, against the pre-gather kernel: same members, same new
-// values, same Vicinities/NodesSolved/RelaxSteps, under dynamic and static
-// locality.
+// values, same Vicinities/NodesSolved/RelaxSteps.
 func TestKernelMatchesOracleRAM64(t *testing.T) {
 	m := ram.RAM64()
 	nw := m.Net
@@ -26,93 +25,88 @@ func TestKernelMatchesOracleRAM64(t *testing.T) {
 		short.Patterns = seq.Patterns[:48]
 		seq = &short
 	}
-	for _, static := range []bool{false, true} {
-		tab := switchsim.NewTables(nw)
-		good := switchsim.NewCircuit(tab)
-		gsv := switchsim.NewSolver(tab)
-		gsv.Record = true
-		gsv.StaticLocality = static
-		goodOracle := switchsim.AttachKernelOracle(t, gsv)
+	tab := switchsim.NewTables(nw)
+	good := switchsim.NewCircuit(tab)
+	gsv := switchsim.NewSolver(tab)
+	gsv.Record = true
+	goodOracle := switchsim.AttachKernelOracle(t, gsv)
 
-		// One lane per stuck-at fault on a spread of storage nodes, each a
-		// full faulty circuit replayed against the good trajectory with the
-		// batch engine's static set: the fault's neighbourhood plus every
-		// node where the lane already differs from the good circuit, with
-		// the terminals those gate.
-		type lane struct {
-			node   netlist.NodeID
-			c      *switchsim.Circuit
-			sv     *switchsim.Solver
-			oracle *switchsim.KernelOracle
-		}
-		var lanes []*lane
-		for i := 0; i < nw.NumNodes() && len(lanes) < 24; i += 7 {
-			n := netlist.NodeID(i)
-			if nw.Node(n).Kind == netlist.Input {
-				continue
-			}
-			ln := &lane{node: n, c: switchsim.NewCircuit(tab), sv: switchsim.NewSolver(tab)}
-			ln.sv.StaticLocality = static
-			ln.oracle = switchsim.AttachKernelOracle(t, ln.sv)
-			ln.c.ForceNode(n, logic.Value(len(lanes)%2))
-			ln.sv.SettleAll(ln.c)
-			lanes = append(lanes, ln)
-		}
-		gsv.Init(good)
-
-		ix := switchsim.NewReplayIndex(tab)
-		div := make([]uint64, nw.NumNodes())
-		for pi := range seq.Patterns {
-			for _, set := range seq.Patterns[pi].Settings {
-				for i := range div {
-					div[i] = 0
-				}
-				for li, ln := range lanes {
-					mark := func(n netlist.NodeID) {
-						for _, u := range staticDivSet(nw, n) {
-							div[u] |= 1 << uint(li)
-						}
-					}
-					mark(ln.node)
-					for i := 0; i < nw.NumNodes(); i++ {
-						if n := netlist.NodeID(i); ln.c.Value(n) != good.Value(n) {
-							mark(n)
-						}
-					}
-				}
-				res := gsv.Step(good, set)
-				if res.Oscillated {
-					t.Fatal("RAM64 good circuit oscillated")
-				}
-				ix.Build(&gsv.Traj, 1, div, nil)
-				for li, ln := range lanes {
-					ln.sv.SettleReplayIndexed(ln.c, ln.sv.ApplySetting(ln.c, set), ix, 0, uint(li))
-				}
-			}
-		}
-		replayed, ghosts := 0, goodOracle.Ghosts
-		for _, ln := range lanes {
-			replayed += ln.oracle.Solves
-			ghosts += ln.oracle.Ghosts
-		}
-		if goodOracle.Solves == 0 || goodOracle.Multi == 0 || replayed == 0 {
-			t.Fatalf("static=%v: oracle saw %d good solves (%d multi-node), %d replay solves",
-				static, goodOracle.Solves, goodOracle.Multi, replayed)
-		}
-		t.Logf("static=%v: %d good solves (%d multi-node), %d replay solves, %d with a ghost neighbour",
-			static, goodOracle.Solves, goodOracle.Multi, replayed, ghosts)
+	// One lane per stuck-at fault on a spread of storage nodes, each a
+	// full faulty circuit replayed against the good trajectory with the
+	// batch engine's static set: the fault's neighbourhood plus every
+	// node where the lane already differs from the good circuit, with
+	// the terminals those gate.
+	type lane struct {
+		node   netlist.NodeID
+		c      *switchsim.Circuit
+		sv     *switchsim.Solver
+		oracle *switchsim.KernelOracle
 	}
+	var lanes []*lane
+	for i := 0; i < nw.NumNodes() && len(lanes) < 24; i += 7 {
+		n := netlist.NodeID(i)
+		if nw.Node(n).Kind == netlist.Input {
+			continue
+		}
+		ln := &lane{node: n, c: switchsim.NewCircuit(tab), sv: switchsim.NewSolver(tab)}
+		ln.oracle = switchsim.AttachKernelOracle(t, ln.sv)
+		ln.c.ForceNode(n, logic.Value(len(lanes)%2))
+		ln.sv.SettleAll(ln.c)
+		lanes = append(lanes, ln)
+	}
+	gsv.Init(good)
+
+	ix := switchsim.NewReplayIndex(tab)
+	div := make([]uint64, nw.NumNodes())
+	for pi := range seq.Patterns {
+		for _, set := range seq.Patterns[pi].Settings {
+			for i := range div {
+				div[i] = 0
+			}
+			for li, ln := range lanes {
+				mark := func(n netlist.NodeID) {
+					for _, u := range staticDivSet(nw, n) {
+						div[u] |= 1 << uint(li)
+					}
+				}
+				mark(ln.node)
+				for i := 0; i < nw.NumNodes(); i++ {
+					if n := netlist.NodeID(i); ln.c.Value(n) != good.Value(n) {
+						mark(n)
+					}
+				}
+			}
+			res := gsv.Step(good, set)
+			if res.Oscillated {
+				t.Fatal("RAM64 good circuit oscillated")
+			}
+			ix.Build(&gsv.Traj, 1, div, nil)
+			for li, ln := range lanes {
+				ln.sv.SettleReplayIndexed(ln.c, ln.sv.ApplySetting(ln.c, set), ix, 0, uint(li))
+			}
+		}
+	}
+	replayed, ghosts := 0, goodOracle.Ghosts
+	for _, ln := range lanes {
+		replayed += ln.oracle.Solves
+		ghosts += ln.oracle.Ghosts
+	}
+	if goodOracle.Solves == 0 || goodOracle.Multi == 0 || replayed == 0 {
+		t.Fatalf("oracle saw %d good solves (%d multi-node), %d replay solves",
+			goodOracle.Solves, goodOracle.Multi, replayed)
+	}
+	t.Logf("%d good solves (%d multi-node), %d replay solves, %d with a ghost neighbour",
+		goodOracle.Solves, goodOracle.Multi, replayed, ghosts)
 }
 
 // soupKernelRun drives one random transistor soup — X inputs, a pinned
 // transistor and a forced node among them — through a few settings with
 // the oracle attached, and returns it.
-func soupKernelRun(t testing.TB, seed int64, static bool, xProb int) *switchsim.KernelOracle {
+func soupKernelRun(t testing.TB, seed int64, xProb int) *switchsim.KernelOracle {
 	rng := rand.New(rand.NewSource(seed))
 	tc := testnet.Soup(rng)
 	nw := tc.Net
 	sim := switchsim.NewSimulator(nw)
-	sim.Solver.StaticLocality = static
 	oracle := switchsim.AttachKernelOracle(t, sim.Solver)
 	if nw.NumTransistors() > 0 && rng.Intn(2) == 0 {
 		sim.Circuit.PinTransistor(netlist.TransID(rng.Intn(nw.NumTransistors())), logic.Value(rng.Intn(2)))
@@ -138,7 +132,7 @@ func TestKernelMatchesOracleSoups(t *testing.T) {
 	}
 	solves, multi, ghosts := 0, 0, 0
 	for seed := int64(0); seed < n; seed++ {
-		o := soupKernelRun(t, seed, seed%2 == 1, int(seed%4)*10)
+		o := soupKernelRun(t, seed, int(seed%4)*10)
 		solves, multi, ghosts = solves+o.Solves, multi+o.Multi, ghosts+o.Ghosts
 	}
 	if ghosts == 0 {
@@ -150,10 +144,10 @@ func TestKernelMatchesOracleSoups(t *testing.T) {
 // FuzzVicinityKernel lets the fuzzer pick the soup.
 func FuzzVicinityKernel(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
-		f.Add(seed, seed%2 == 1, uint8(seed%4)*10)
+		f.Add(seed, uint8(seed%4)*10)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, static bool, xProb uint8) {
-		soupKernelRun(t, seed, static, int(xProb%101))
+	f.Fuzz(func(t *testing.T, seed int64, xProb uint8) {
+		soupKernelRun(t, seed, int(xProb%101))
 	})
 }
 

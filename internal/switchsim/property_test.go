@@ -78,35 +78,6 @@ func TestSimulationDeterministic(t *testing.T) {
 
 func int32ToNodeID(n int) netlist.NodeID { return netlist.NodeID(n) }
 
-// TestStaticLocalityEquivalence: restricting vicinity exploration to
-// dynamic locality (the paper's approach) must not change simulation
-// results versus static DC-connected partitioning — it is purely a
-// performance optimization.
-func TestStaticLocalityEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c := testnet.Structured(rng)
-		seq := c.RandomSequence(rng, 10, 10)
-
-		dyn := switchsim.NewSimulator(c.Net)
-		stat := switchsim.NewSimulator(c.Net)
-		stat.Solver.StaticLocality = true
-		dyn.Init()
-		stat.Init()
-		for i := range seq.Patterns {
-			dyn.RunPattern(&seq.Patterns[i])
-			stat.RunPattern(&seq.Patterns[i])
-			a, b := dyn.Circuit.Snapshot(), stat.Circuit.Snapshot()
-			for n := range a {
-				if a[n] != b[n] {
-					t.Fatalf("seed %d pattern %d: node %s dynamic=%s static=%s",
-						seed, i, c.Net.Name(int32ToNodeID(n)), a[n], b[n])
-				}
-			}
-		}
-	}
-}
-
 // TestMonotonicity: one steady-state response, computed from a common
 // initial charge state, must be monotone in the information ordering —
 // weakening some inputs to X can only make the resulting node states less

@@ -22,7 +22,7 @@
 // fixpoint of monotone bitwise operations, so each lane's column of the
 // result is exactly the flag set a one-circuit pass would compute for that
 // lane alone (the scalar oracle of the tests): results are bit-identical
-// for every lane width and packing.
+// whichever lanes share a word.
 //
 // SettleReplayIndexed then replays one lane against the prebuilt index:
 // a static flag is one bit probe, made only for the vicinities the lane's

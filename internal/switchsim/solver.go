@@ -12,12 +12,6 @@ import (
 type Solver struct {
 	tab *Tables
 
-	// StaticLocality disables dynamic vicinity exploration: vicinities
-	// extend through transistors regardless of conduction state, i.e. the
-	// network is partitioned only by its DC-connected components, as in
-	// pre-MOSSIM-II switch-level simulators. Used by ablation benches.
-	StaticLocality bool
-
 	// MaxRounds bounds the unit-delay settling loop before oscillation
 	// handling kicks in. Zero selects a default based on network size.
 	MaxRounds int
@@ -249,7 +243,6 @@ func (s *Solver) exploreVicinity(c *Circuit, seed netlist.NodeID) bool {
 	edges := s.edges[:0]
 	s.stamp[seed] = s.epoch
 	s.queue = append(s.queue, seed)
-	dynamic := !s.StaticLocality
 	for len(s.queue) > 0 {
 		u := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
@@ -261,16 +254,14 @@ func (s *Solver) exploreVicinity(c *Circuit, seed netlist.NodeID) bool {
 		k.sdef, k.shd, k.sld, k.shp, k.slp = 0, 0, 0, 0, 0
 		for _, e := range s.tab.ChannelOf(u) {
 			st := c.ts[e.T]
-			if st == logic.Lo && dynamic {
+			if st == logic.Lo {
 				continue // the source and drain of an open transistor are electrically isolated
 			}
 			v := e.Other
 			if c.IsInputLike(v) {
-				// Vicinities do not extend through input nodes; a
-				// conducting one is a signal source.
-				if st != logic.Lo {
-					k.addSource(st, e.Drive, s.tab.Charge[v], c.val[v])
-				}
+				// Vicinities do not extend through input nodes: one
+				// behind a conducting transistor is a signal source.
+				k.addSource(st, e.Drive, s.tab.Charge[v], c.val[v])
 				continue
 			}
 			if s.stamp[v] != s.epoch {
@@ -280,9 +271,7 @@ func (s *Solver) exploreVicinity(c *Circuit, seed netlist.NodeID) bool {
 				s.stamp[v] = s.epoch
 				s.queue = append(s.queue, v)
 			}
-			if st != logic.Lo {
-				edges = append(edges, vicEdge{to: int32(v), drive: e.Drive, hi: st == logic.Hi})
-			}
+			edges = append(edges, vicEdge{to: int32(v), drive: e.Drive, hi: st == logic.Hi})
 		}
 		k.edgeHi = int32(len(edges))
 	}
