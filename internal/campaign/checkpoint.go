@@ -73,16 +73,17 @@ func hashFaults(faults []fault.Fault) uint64 {
 // between resume runs.
 func hashSimOptions(opts core.Options) uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
+	var id [4]byte
 	for _, o := range opts.Observe {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(o))
-		h.Write(buf[:4])
+		binary.LittleEndian.PutUint32(id[:], uint32(o))
+		h.Write(id[:])
 	}
-	// Bytes 1-3 are zero and stay in the layout: dropping them would
-	// change the key of every checkpoint already written.
-	buf[0] = byte(opts.Drop)
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(opts.MaxRounds))
-	h.Write(buf[:8])
+	// Bytes 1-3 of the tail are zero and stay in the layout: dropping
+	// them would change the key of every checkpoint already written.
+	var tail [8]byte
+	tail[0] = byte(opts.Drop)
+	binary.LittleEndian.PutUint32(tail[4:8], uint32(opts.MaxRounds))
+	h.Write(tail[:])
 	return h.Sum64()
 }
 

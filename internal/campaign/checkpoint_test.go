@@ -94,6 +94,31 @@ func TestCheckpointBytesStable(t *testing.T) {
 	}
 }
 
+// TestSimHashGolden pins the options key to the values commit aaeea9d
+// computes — the last commit that wrote the two ablation flags, always
+// zero, into bytes 1 and 2 — so a checkpoint written before they left
+// still resumes. RAM256's output has an id above 255: the key of the
+// observed ids must not leak into the zero bytes that follow it.
+func TestSimHashGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		m         *ram.RAM
+		drop      core.DropPolicy
+		maxRounds int
+		want      uint64
+	}{
+		{"ram64", ram.RAM64(), 0, 0, 0xd44862f117ecb7c0},
+		{"ram64/drop1/rounds50", ram.RAM64(), 1, 50, 0x32e3429032a34413},
+		{"ram256", ram.RAM256(), 0, 0, 0x8ba5e9af19512118},
+		{"ram256/drop1/rounds50", ram.RAM256(), 1, 50, 0xeaeb48436d501b4b},
+	} {
+		opts := core.Options{Observe: []netlist.NodeID{tc.m.DataOut}, Drop: tc.drop, MaxRounds: tc.maxRounds}
+		if got := hashSimOptions(opts); got != tc.want {
+			t.Errorf("%s (observe %d): SimHash %#x, want %#x", tc.name, tc.m.DataOut, got, tc.want)
+		}
+	}
+}
+
 // TestCheckpointWrongWidthRefused: a checkpoint whose fingerprint matches
 // but whose batch 1 is three faults wide is refused by name, not merged
 // with the rest of the window reading as undetected.
