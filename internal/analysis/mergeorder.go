@@ -13,10 +13,12 @@ import (
 	"go/types"
 )
 
-// mergeTypePkg/mergeFuncPkg locate the contract's anchors.
+// mergeTypePkg/mergeFuncPkg locate the contract's anchors; fanoutPkg is
+// the pool whose Each runs its last argument on spawned goroutines.
 const (
 	mergeTypePkg = "fmossim/internal/core"     // core.BatchResult
 	mergeFuncPkg = "fmossim/internal/campaign" // campaign.Merge
+	fanoutPkg    = "fmossim/internal/fanout"   // fanout.Each
 )
 
 // Mergeorder flags, inside functions that construct core.BatchResult
@@ -27,8 +29,9 @@ var Mergeorder = &Analyzer{
 	Doc: "merge-feeding functions must order circuits by ascending id\n\n" +
 		"Functions that build core.BatchResult values or call campaign.Merge\n" +
 		"may not iterate maps (unless collect-then-sort) or append to shared\n" +
-		"slices from spawned goroutines: batch slices are indexed by fault id\n" +
-		"and the merge's bit-identity depends on that order.",
+		"slices from spawned goroutines (go statements and fanout.Each\n" +
+		"callbacks): batch slices are indexed by fault id and the merge's\n" +
+		"bit-identity depends on that order.",
 	Run: runMergeorder,
 }
 
@@ -88,14 +91,22 @@ func checkMergeFeeder(pass *Pass, fd *ast.FuncDecl) {
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 				reportSharedAppends(pass, fd, lit)
 			}
+		case *ast.CallExpr:
+			// fanout.Each spawns the goroutines itself: its callback is
+			// as concurrent as a go'd literal.
+			if isPkgFunc(calleeObj(info, n), fanoutPkg, "Each") && len(n.Args) > 0 {
+				if lit, ok := ast.Unparen(n.Args[len(n.Args)-1]).(*ast.FuncLit); ok {
+					reportSharedAppends(pass, fd, lit)
+				}
+			}
 		}
 		return true
 	})
 }
 
-// reportSharedAppends flags appends inside a go'd literal whose target
-// slice is declared outside the literal: the append order then depends on
-// goroutine scheduling.
+// reportSharedAppends flags appends inside a spawned literal (go'd, or a
+// fanout.Each callback) whose target slice is declared outside the
+// literal: the append order then depends on goroutine scheduling.
 func reportSharedAppends(pass *Pass, fd *ast.FuncDecl, lit *ast.FuncLit) {
 	info := pass.TypesInfo
 	ast.Inspect(lit.Body, func(n ast.Node) bool {

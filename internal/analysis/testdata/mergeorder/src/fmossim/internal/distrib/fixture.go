@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"fmossim/internal/core"
+	"fmossim/internal/fanout"
 )
 
 func buildFromMap(m map[int]core.Detection) *core.BatchResult {
@@ -43,6 +44,28 @@ func concurrentAppend(shards []*core.BatchResult) []core.Detection {
 	}
 	wg.Wait()
 	return dets
+}
+
+// fanout.Each runs its callback on spawned goroutines: an append to an
+// outer slice there is as scheduling-dependent as one in a go'd literal.
+func eachAppend(shards []*core.BatchResult) []core.Detection {
+	var dets []core.Detection
+	var mu sync.Mutex
+	fanout.Each(len(shards), 4, func(_, i int) {
+		mu.Lock()
+		dets = append(dets, shards[i].Detections...) // want `append to dets \(declared outside the goroutine\) in merge-feeding function eachAppend`
+		mu.Unlock()
+	})
+	return dets
+}
+
+// An indexed write is owned by i: the slot, not the schedule, orders it.
+func eachIndexed(shards []*core.BatchResult) []int {
+	counts := make([]int, len(shards))
+	fanout.Each(len(shards), 4, func(_, i int) {
+		counts[i] = shards[i].DetectedCount()
+	})
+	return counts
 }
 
 func goroutineLocalAppend(shards []*core.BatchResult, sink func([]int)) {

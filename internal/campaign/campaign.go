@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"fmossim/internal/core"
+	"fmossim/internal/fanout"
 	"fmossim/internal/fault"
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
@@ -19,7 +19,7 @@ import (
 // Options configures a fault campaign.
 type Options struct {
 	// Sim carries the per-batch simulator options (Observe is required;
-	// Drop, ablations, MaxRounds as in core.Options). Sim.Workers is the
+	// Drop, MaxRounds and Trim as in core.Options). Sim.Workers is the
 	// per-batch worker pool; when 0 it defaults to 1 if the campaign runs
 	// more than one shard (so shards × workers does not oversubscribe)
 	// and to GOMAXPROCS otherwise.
@@ -241,51 +241,32 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		}
 	}
 
-	var (
-		cursor atomic.Int64
-		ckMu   sync.Mutex
-		wg     sync.WaitGroup
-	)
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= nBatches {
-					return
-				}
-				if !l.Start(i) {
-					continue // resumed from checkpoint, or the campaign has stopped
-				}
-				lo, hi := l.Window(i)
-				batchOpts := simOpts
-				if obs := l.observer(i); obs != nil {
-					batchOpts.OnObserve = obs
-				}
-				br, err := core.RunBatch(l.Context(), tab, faults[lo:hi], rec, seq, batchOpts)
-				if err != nil {
-					l.Fail(err)
-					return
-				}
-				if err := l.Complete(i, br); err != nil {
-					l.Fail(err)
-					return
-				}
-				if opts.CheckpointPath != "" {
-					ckMu.Lock()
-					ck.Done[i] = br
-					err := ck.saveFile(opts.CheckpointPath)
-					ckMu.Unlock()
-					if err != nil {
-						l.Fail(err)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	// Once the campaign has failed, Start refuses every later batch, so a
+	// failing shard goes on draining indices without running them.
+	var ckMu sync.Mutex
+	fanout.Each(nBatches, shards, func(_, i int) {
+		if !l.Start(i) {
+			return // resumed from checkpoint, or the campaign has stopped
+		}
+		lo, hi := l.Window(i)
+		batchOpts := simOpts
+		if obs := l.observer(i); obs != nil {
+			batchOpts.OnObserve = obs
+		}
+		br, err := core.RunBatch(l.Context(), tab, faults[lo:hi], rec, seq, batchOpts)
+		if err == nil {
+			err = l.Complete(i, br)
+		}
+		if err == nil && opts.CheckpointPath != "" {
+			ckMu.Lock()
+			ck.Done[i] = br
+			err = ck.saveFile(opts.CheckpointPath)
+			ckMu.Unlock()
+		}
+		if err != nil {
+			l.Fail(err)
+		}
+	})
 	return l, rec, nil
 }
 

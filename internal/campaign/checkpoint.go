@@ -42,7 +42,7 @@ type Checkpoint struct {
 	NumBatches     int    `json:"num_batches"`
 	// FaultsHash digests the fault list's content (kind/node/transistor
 	// per fault, in order) and SimHash the result-shaping simulator
-	// options (observed outputs, drop policy, ablations, round limit):
+	// options (observed outputs, drop policy, round limit):
 	// resuming with a same-sized but different universe, or with
 	// different options, would silently attribute stale batch results,
 	// so both are part of the fingerprint.

@@ -26,20 +26,17 @@ import (
 )
 
 // FaultBatch executes one slice of the fault universe against good-circuit
-// step traces. Construct with NewFaultBatch (replay mode: the batch owns a
-// good-state mirror maintained from trace deltas) or internally via
-// newBatch sharing a live producer's circuit.
+// step traces. Construct with NewFaultBatch.
 type FaultBatch struct {
 	tab  *switchsim.Tables
 	nw   *netlist.Network
 	opts Options
 
 	// good is the post-step good-circuit state the diff pass compares
-	// against: the producer's circuit in live mode (shared, already
-	// settled when Step runs), or an owned mirror advanced from trace
-	// deltas in replay mode.
-	good     *switchsim.Circuit
-	ownsGood bool
+	// against: the batch's own mirror, advanced from each trace's deltas
+	// at the start of Step — live or replayed, the trace is all a batch
+	// reads of the good circuit.
+	good *switchsim.Circuit
 	// prev holds the good circuit's pre-step state: faulty circuits are
 	// materialized from it so their settling starts from their own
 	// previous steady state. It is advanced by delta application at the
@@ -49,8 +46,7 @@ type FaultBatch struct {
 
 	// workers execute activated faulty circuits; each owns a scratch
 	// circuit (overwritten from prev at the start of every lane-step) and
-	// a private solver. workers[0] doubles as the inline path when
-	// parallel dispatch isn't worthwhile.
+	// a private solver. There are never more than the batch has faults.
 	workers []*faultWorker
 
 	faults []*faultState
@@ -98,12 +94,17 @@ type FaultBatch struct {
 
 	// Per-setting scheduling scratch: the word-wide activation
 	// accumulator (candidates while scheduling, then the lane bits of the
-	// circuits actually scheduled, see activeMask) and the reused active
-	// list / parallel result buffers.
+	// circuits actually scheduled, see activeMask), the reused active list,
+	// and one result slot per fault for the fan-out.
 	activeWords []uint64
 	active      []CircuitID
 	results     []stepResult
 	detBuf      []int
+
+	// in is the current setting's lane-step inputs; laneStep is stepLane
+	// bound once, the fan-out body (see runActivated).
+	in       laneInputs
+	laneStep func(wid, i int)
 
 	// settingBuf is the reusable reduced setting rebuilt per step from
 	// the trace's input changes; allNodes caches the storage-node list
@@ -115,17 +116,9 @@ type FaultBatch struct {
 	patternIdx int
 	settingIdx int
 
-	// retired counts circuits dropped so far; Step reports the delta
-	// since the previous Step (the drops of the interleaved observation).
-	retired     int
-	lastRetired int
-
-	// Redundancy trimming (Options.Trim, see trim.go): the number of faults
-	// collapsed onto a class representative at construction, and the work
-	// credited to them (their representative's per-step work, fanned out so
-	// totals stay byte-identical to the untrimmed run).
+	// lanesFreed is the number of faults collapsed onto a class
+	// representative at construction (Options.Trim, see trim.go).
 	lanesFreed int
-	creditWork switchsim.Work
 }
 
 // laneCell is one lane word of a node's packed record row: the membership
@@ -143,19 +136,14 @@ func (b *FaultBatch) lane(ci CircuitID) (word int, bit uint) {
 	return fi >> 6, uint(fi & 63)
 }
 
-// NewFaultBatch builds a replay-mode consumer over a shared Tables: the
-// batch owns its good-state mirror and is driven entirely by recorded
-// traces (RunRecording), so campaigns construct one per fault shard with
-// no good-circuit solver at all. Fault insertion happens here, against the
-// reset state: defects are present from power-on.
+// NewFaultBatch builds a consumer over a shared Tables, at the reset state.
+// The batch runs no good-circuit solver: it is driven by step traces, live
+// from a Simulator's producer or recorded (RunRecording), so campaigns
+// construct one per fault shard. The first trace it steps must be the
+// initialization step, which is where the faults are inserted: every
+// circuit is materialized with its fault applied to the reset state, so
+// defects are present from power-on.
 func NewFaultBatch(tab *switchsim.Tables, faults []fault.Fault, opts Options) (*FaultBatch, error) {
-	return newBatch(tab, nil, faults, opts)
-}
-
-// newBatch builds the consumer. good is the post-step good-state source to
-// share (live mode; it must still hold the reset state), or nil to create
-// an owned mirror (replay mode).
-func newBatch(tab *switchsim.Tables, good *switchsim.Circuit, faults []fault.Fault, opts Options) (*FaultBatch, error) {
 	nw := tab.Net
 	if len(opts.Observe) == 0 {
 		return nil, fmt.Errorf("core: no observed outputs configured")
@@ -170,7 +158,7 @@ func newBatch(tab *switchsim.Tables, good *switchsim.Circuit, faults []fault.Fau
 		tab:          tab,
 		nw:           nw,
 		opts:         opts,
-		good:         good,
+		good:         switchsim.NewCircuit(tab),
 		prev:         switchsim.NewCircuit(tab),
 		words:        words,
 		interest:     make([]interestList, nw.NumNodes()),
@@ -181,19 +169,21 @@ func newBatch(tab *switchsim.Tables, good *switchsim.Circuit, faults []fault.Fau
 		touchStamp:   make([]uint32, nw.NumNodes()),
 		inputStamp:   make([]uint32, nw.NumNodes()),
 		activeWords:  make([]uint64, words),
+		results:      make([]stepResult, len(faults)),
 	}
 	for i := range b.recRowIdx {
 		b.recRowIdx[i] = -1
 	}
-	if good == nil {
-		b.good = switchsim.NewCircuit(tab)
-		b.ownsGood = true
-	}
+	b.laneStep = b.stepLane
 
+	// A batch cannot use more workers than it has lanes, and each one holds
+	// a scratch circuit, a solver and node-sized diff arrays: the pool is
+	// capped at the fault count, whatever Workers asks for.
 	nWorkers := opts.Workers
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
 	}
+	nWorkers = max(1, min(nWorkers, len(faults)))
 	for i := 0; i < nWorkers; i++ {
 		b.workers = append(b.workers, newFaultWorker(b))
 	}
@@ -206,18 +196,15 @@ func newBatch(tab *switchsim.Tables, good *switchsim.Circuit, faults []fault.Fau
 		b.groupClasses()
 	}
 
-	// Register static interest and record each fault's immediate (reset
-	// state) divergence, all before initialization. A class member has
-	// neither: its representative carries both.
+	// Register static interest before initialization. A class member has
+	// none: its representative carries it.
 	for fi, fs := range b.faults {
 		if fs.repFi >= 0 {
 			continue
 		}
-		ci := CircuitID(fi + 1)
 		for _, n := range fs.sites {
-			b.incInterest(n, ci)
+			b.incInterest(n, CircuitID(fi+1))
 		}
-		b.insertFault(ci)
 	}
 	return b, nil
 }
@@ -253,21 +240,6 @@ func siteSet(nw *netlist.Network, f fault.Fault) []netlist.NodeID {
 		sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
 	}
 	return sites
-}
-
-// insertFault records the immediate divergence a fault forces before any
-// settling: a forced node whose pinned value differs from the good
-// circuit's reset value. Transistor pins change no node values by
-// themselves, so they create no insertion records; their effects appear
-// during the initialization settle, which runs as a regular concurrent
-// step so that fault insertion happens *before* initialization — a
-// manufacturing defect is present from power-on, exactly as in the serial
-// reference simulation.
-func (b *FaultBatch) insertFault(ci CircuitID) {
-	w := b.workers[0]
-	w.ops = w.ops[:0]
-	lo, hi := w.insertFault(ci)
-	b.applyOps(ci, w.ops[lo:hi], false)
 }
 
 // NumFaults returns the number of faults in the batch.
@@ -332,12 +304,10 @@ func (b *FaultBatch) touch(n netlist.NodeID) {
 func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 	w0 := b.faultWork()
 
-	if b.ownsGood {
-		// Advance the owned good mirror to the post-step state before
-		// anything reads it (scheduling, inertness checks, the diff).
-		b.applyToCircuit(b.good, trace.InputChanges)
-		b.applyToCircuit(b.good, trace.Changed)
-	}
+	// Advance the good mirror to the post-step state before anything reads
+	// it (scheduling, inertness checks, the diff).
+	b.applyToCircuit(b.good, trace.InputChanges)
+	b.applyToCircuit(b.good, trace.Changed)
 
 	traj := trace.Traj
 	if trace.Oscillated {
@@ -347,9 +317,11 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 	}
 	var nActive int
 	if trace.Init {
-		// Power-on initialization: every circuit settles from its own
-		// (faulted) view of the reset state — the concurrent counterpart
-		// of the serial reference's reset + inject + settle-all.
+		// Power-on initialization, and fault insertion with it: every
+		// circuit is materialized from the reset state with its fault
+		// applied, settles from there, and diffs the forced node with the
+		// rest — the concurrent counterpart of the serial reference's
+		// reset + inject + settle-all.
 		b.started = true
 		b.active = b.active[:0]
 		for fi, fs := range b.faults {
@@ -357,7 +329,7 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 				b.active = append(b.active, CircuitID(fi+1))
 			}
 		}
-		b.runActivated(nil, b.allStorageNodes(), traj, trace.Changed)
+		b.runActivated(laneInputs{extraSeeds: b.allStorageNodes(), traj: traj, goodChanged: trace.Changed})
 		nActive = b.activeWithMembers()
 	} else {
 		b.markTouched(trace)
@@ -378,14 +350,12 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 		FaultWork:      dw.Units(),
 		AdoptedVics:    dw.AdoptedVics,
 		SolvedVics:     dw.Vicinities,
-		FaultsRetired:  b.retired - b.lastRetired,
 	}
 	if traj != nil {
 		st.LanesReplayed = nActive
 	} else {
 		st.ScalarFallbacks = nActive
 	}
-	b.lastRetired = b.retired
 	if !trace.Init {
 		b.settingIdx++
 	}
@@ -394,17 +364,11 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 
 // skipStep emits the SettingStats a full Step would produce when every
 // circuit in the batch is dropped — all-zero activity with only the
-// position counters and the previous observation's retirements filled in
-// — without scheduling or advancing good and prev (nothing reads them once
-// the batch is empty). Used by the trimmed replay loop to shed the dead
-// tail of a fully-retired batch.
+// position counters filled in — without scheduling or advancing good and
+// prev (nothing reads them once the batch is empty). Used by the trimmed
+// replay loop to shed the dead tail of a fully-retired batch.
 func (b *FaultBatch) skipStep() SettingStats {
-	st := SettingStats{
-		Pattern:       b.patternIdx,
-		Setting:       b.settingIdx,
-		FaultsRetired: b.retired - b.lastRetired,
-	}
-	b.lastRetired = b.retired
+	st := SettingStats{Pattern: b.patternIdx, Setting: b.settingIdx}
 	b.settingIdx++
 	return st
 }
@@ -512,7 +476,7 @@ func (b *FaultBatch) simulateActivated(setting switchsim.Setting, traj *switchsi
 			}
 		}
 	}
-	b.runActivated(setting, nil, traj, goodChanged)
+	b.runActivated(laneInputs{setting: setting, traj: traj, goodChanged: goodChanged})
 	return b.activeWithMembers()
 }
 
@@ -765,10 +729,10 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 	return br, nil
 }
 
-// RunBatch builds a replay-mode batch over one slice of the fault universe
-// and runs it against a recorded good trajectory: the campaign engine's
-// unit of work. Batches over the same Tables are independent and safe to
-// run concurrently. Cancelling ctx stops the replay between settings (see
+// RunBatch builds a batch over one slice of the fault universe and runs it
+// against a recorded good trajectory: the campaign engine's unit of work.
+// Batches over the same Tables are independent and safe to run
+// concurrently. Cancelling ctx stops the replay between settings (see
 // RunRecording); a nil ctx never cancels.
 func RunBatch(ctx context.Context, tab *switchsim.Tables, faults []fault.Fault, rec *switchsim.Recording, seq *switchsim.Sequence, opts Options) (*BatchResult, error) {
 	b, err := NewFaultBatch(tab, faults, opts)

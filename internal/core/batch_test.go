@@ -13,7 +13,7 @@ import (
 	"fmossim/internal/switchsim"
 )
 
-// TestRunBatchMatchesMonolithic: a single replay-mode batch over a
+// TestRunBatchMatchesMonolithic: a single batch replayed over a
 // recorded trajectory reproduces the monolithic simulator exactly —
 // the core seam the campaign engine builds on.
 func TestRunBatchMatchesMonolithic(t *testing.T) {
@@ -101,9 +101,9 @@ func allocBytes(f func()) uint64 {
 func TestBatchMemoryScalesWithWidth(t *testing.T) {
 	m := ram.RAM256()
 	tab := switchsim.NewTables(m.Net)
-	// Transistor faults have two-node site sets and no insertion records:
-	// their construction cost isolates the per-fault bookkeeping from
-	// workload-dependent site fanout.
+	// Transistor faults have two-node site sets: their construction cost
+	// isolates the per-fault bookkeeping from workload-dependent site
+	// fanout.
 	faults := fault.TransistorStuckFaults(m.Net, fault.Options{})
 	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
 	const small, delta = 16, 256

@@ -147,21 +147,19 @@ type Simulator struct {
 
 // New builds a concurrent simulator over a finalized network with the
 // given fault list. The good circuit is initialized and fully settled, and
-// every fault is inserted (its initial divergence computed) before the
-// first pattern, so faults that corrupt the quiescent state are detectable
-// from pattern one.
+// every faulty circuit with it, its fault inserted at the reset state,
+// before the first pattern, so faults that corrupt the quiescent state are
+// detectable from pattern one.
 func New(nw *netlist.Network, faults []fault.Fault, opts Options) (*Simulator, error) {
 	tab := switchsim.NewTables(nw)
 	gr := newGoodRunner(tab, opts)
-	// The batch shares the producer's circuit as its good-state view; it
-	// is constructed before initialization, so fault insertion sees the
-	// reset state: defects are present from power-on.
-	batch, err := newBatch(tab, gr.good, faults, opts)
+	batch, err := NewFaultBatch(tab, faults, opts)
 	if err != nil {
 		return nil, err
 	}
 	s := &Simulator{nw: nw, opts: opts, gr: gr, batch: batch}
-	// Power-on initialization, run as a concurrent step.
+	// Power-on initialization, run as a concurrent step: it inserts the
+	// faults (see FaultBatch.Step).
 	batch.Step(gr.init())
 	return s, nil
 }

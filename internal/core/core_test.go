@@ -52,9 +52,9 @@ func TestInverterStuckFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Good circuit settles with a=0 -> out=1, so out-sa0 diverges at
-	// insertion and is detected by the very first observation; out-sa1 is
-	// latent until a=1.
+	// Good circuit settles with a=0 -> out=1, so out-sa0 diverges from
+	// power-on (the initialization step inserts it) and is detected by the
+	// very first observation; out-sa1 is latent until a=1.
 	res := sim.Run(toggleSeq(nw, 4))
 	if res.Detected != 2 {
 		t.Fatalf("detected %d of 2 faults", res.Detected)

@@ -39,13 +39,23 @@
 // the classic monolithic configuration. Record captures the producer's
 // traces as a switchsim.Recording, against which independent batches
 // replay without a good-circuit solver (RunBatch; see internal/campaign
-// for the sharded engine built on top).
+// for the sharded engine built on top). Either way a batch reads the good
+// circuit only through the traces: it keeps its own good-state mirror,
+// advanced from each trace's deltas, and a live batch and a replayed one
+// run the same code.
+//
+// Faults are inserted by the initialization step, the first trace every
+// batch steps: each circuit is materialized from the reset state with its
+// fault applied, settled, and diffed — the forced node included — so a
+// defect is present from power-on, as in the serial reference.
 //
 // The replay path is deterministic by construction: a batch's results
 // depend only on the recording and the batch's own fault slice. Within a
-// batch, activated circuits are executed by a worker pool whose
-// divergence-record write-back is merged in ascending circuit-id order,
-// so results are bit-identical for every Options.Workers value; across
+// batch, the activated circuits of a setting are fanned out over the
+// batch's workers (internal/fanout — one body, inline on one worker when
+// the pool or the setting is small), and their divergence-record
+// write-back is merged in ascending circuit-id order afterwards, so
+// results are bit-identical for every Options.Workers value; across
 // batches, any partition of the fault universe replayed against the same
 // recording merges (at setting granularity) to the monolithic result.
 // Neither side reads a clock, and no field of a StepTrace, BatchResult or

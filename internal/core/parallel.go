@@ -23,25 +23,24 @@
 // Parallelism. Given the good trajectory, the pre-step state, and the good
 // post-step state, the activated circuits of one setting are mutually
 // independent: each reads only shared immutable state and its own records,
-// and writes only its own diff. Circuits are therefore sharded across a
-// worker pool, each worker owning a private scratch circuit and solver;
-// divergence-record write-back (the only mutation of shared structures) is
-// deferred and merged on the coordinating goroutine in ascending
-// circuit-id order, so results are bit-identical to serial execution for
-// every worker count.
+// and writes only its own diff. Circuits are therefore fanned out over the
+// batch's workers (fanout.Each), each owning a private scratch circuit and
+// solver; divergence-record write-back (the only mutation of shared
+// structures) is deferred and merged on the coordinating goroutine in
+// ascending circuit-id order, so results are bit-identical to serial
+// execution for every worker count. The inline case is the same body on
+// one worker, not a second copy.
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"fmossim/internal/fanout"
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
 	"fmossim/internal/switchsim"
 )
 
 // minParallelBatch is the smallest activated-circuit count worth paying
-// goroutine dispatch for; below it the inline path wins.
+// goroutine dispatch for; below it the fan-out runs on one worker, inline.
 const minParallelBatch = 8
 
 // recOp is one deferred divergence-record mutation: set (insert/update)
@@ -53,14 +52,19 @@ type recOp struct {
 }
 
 // stepResult locates one activated circuit's diff in its worker's op
-// arena. work carries the circuit's solver-work delta when the circuit is
-// a class representative (measured so the members' credit can be fanned
-// out at write-back).
+// arena.
 type stepResult struct {
-	wid    int
-	lo, hi int
-	osc    bool
-	work   switchsim.Work
+	wid, lo, hi int32
+	osc         bool
+}
+
+// laneInputs are one setting's lane-step inputs: set by runActivated
+// before the fan-out and read by every lane, never written during it.
+type laneInputs struct {
+	setting     switchsim.Setting
+	extraSeeds  []netlist.NodeID
+	traj        *switchsim.Trajectory
+	goodChanged []switchsim.Change
 }
 
 // faultWorker owns the per-goroutine state needed to execute one faulty
@@ -86,6 +90,12 @@ type faultWorker struct {
 
 	// ops is the worker's diff arena for the current setting.
 	ops []recOp
+
+	// credit is the work credited to the class members of the
+	// representatives this worker stepped: each one's solver-work delta,
+	// once per member (see trim.go). Per worker, so the fan-out shares no
+	// counter; faultWork sums it, and the sum is order-independent.
+	credit switchsim.Work
 
 	// onLane is a test hook: called with the circuit once its pre-step view
 	// is materialized (materialized true, before the setting is applied) and
@@ -154,8 +164,14 @@ func (w *faultWorker) diffChanges(chs []switchsim.Change) {
 // into the op arena; the fault is dropped before returning, so the scratch
 // carries no pin and no force between lane-steps. The returned range
 // [lo,hi) locates the circuit's ops; osc reports an oscillation.
-func (w *faultWorker) stepFaulty(ci CircuitID, setting switchsim.Setting, extraSeeds []netlist.NodeID, traj *switchsim.Trajectory, goodChanged []switchsim.Change) (lo, hi int, osc bool) {
+//
+// The initialization step is where a fault enters its circuit: the first
+// materialization applies it to the reset state, and the diff always
+// covers the forced node, so a defect is present from power-on — the
+// serial reference's reset + inject + settle-all.
+func (w *faultWorker) stepFaulty(ci CircuitID) (lo, hi int, osc bool) {
 	b := w.batch
+	in := &b.in
 	fs := b.faults[ci-1]
 
 	// Materialize the faulty circuit's pre-step view: copy prev, overlay
@@ -179,13 +195,13 @@ func (w *faultWorker) stepFaulty(ci CircuitID, setting switchsim.Setting, extraS
 		w.onLane(ci, true)
 	}
 
-	seeds := extraSeeds
-	if setting != nil {
-		seeds = w.solve.ApplySetting(w.scratch, setting)
+	seeds := in.extraSeeds
+	if in.setting != nil {
+		seeds = w.solve.ApplySetting(w.scratch, in.setting)
 	}
 
 	var res switchsim.SettleResult
-	if traj != nil {
+	if in.traj != nil {
 		// The prebuilt per-setting index carries this circuit's static
 		// divergence set in its lane of the interest-mask rows (divergence
 		// records with their gated channel terminals, plus the fault
@@ -205,7 +221,7 @@ func (w *faultWorker) stepFaulty(ci CircuitID, setting switchsim.Setting, extraS
 	w.diffEpoch++
 	lo = len(w.ops)
 	w.diffNodes(res.Explored)
-	w.diffChanges(goodChanged)
+	w.diffChanges(in.goodChanged)
 	if nodeFault {
 		w.diffNode(fs.f.Node)
 	}
@@ -227,28 +243,6 @@ func (w *faultWorker) stepFaulty(ci CircuitID, setting switchsim.Setting, extraS
 	return lo, hi, res.Oscillated
 }
 
-// insertFault records the immediate divergence a fault forces before any
-// settling: a forced node whose pinned value differs from the good
-// circuit's reset value. Transistor pins change no node values by
-// themselves, so they create no insertion records. prev equals the good
-// reset state when this runs, and the record store is empty, so the
-// pooled bitmap is correctly all-zero.
-func (w *faultWorker) insertFault(ci CircuitID) (lo, hi int) {
-	b := w.batch
-	fs := b.faults[ci-1]
-	if !fs.f.Kind.IsNodeFault() {
-		return 0, 0
-	}
-	w.scratch.CopyStateFrom(b.prev)
-	fs.f.Apply(w.scratch)
-	w.diffEpoch++
-	lo = len(w.ops)
-	w.diffNode(fs.f.Node)
-	hi = len(w.ops)
-	w.scratch.DropForce(fs.f.Node)
-	return lo, hi
-}
-
 // applyOps merges one circuit's deferred record mutations into the shared
 // stores. Called on the coordinating goroutine only, in ascending
 // circuit-id order.
@@ -266,102 +260,69 @@ func (b *FaultBatch) applyOps(ci CircuitID, ops []recOp, osc bool) {
 	}
 }
 
-// runActivated executes the scheduled active circuits — inline on
-// workers[0] when the batch is small or the pool has size 1, sharded
-// across the pool otherwise — and merges their diffs deterministically.
-// Class representatives have their per-circuit work delta measured and
-// credited once per member (a scheduled representative is live, and its
-// members with it), so work totals stay byte-identical to the untrimmed
-// run.
+// runActivated executes the scheduled active circuits and merges their
+// diffs deterministically: one fan-out over the active list (inline on
+// workers[0] below minParallelBatch circuits or with a pool of one), then
+// write-back in ascending circuit-id order, whichever worker computed what
+// and whenever it finished.
 //
 // The replay index is built here, on demand: a setting that activates no
 // circuit (a third of them on the RAM workloads) never pays for one. One
 // shared index serves every activated lane: the trajectory indexing and
 // static-flag closure a per-circuit replay would recompute is paid once for
 // the whole word group. interestMask is exactly the per-lane static
-// divergence rows, and the build still precedes every write-back of the
-// setting — write-back only ever mutates a circuit's own lane bits, so the
-// snapshot taken here matches what each circuit would have seeded at its
-// own turn. The good wave is compiled in the same place, from prev (the
-// pre-step state every lane is materialized from, which nothing writes
-// until the step's end), for the lanes about to run; index and wave are
-// read-only during the fan-out.
-func (b *FaultBatch) runActivated(setting switchsim.Setting, extraSeeds []netlist.NodeID, traj *switchsim.Trajectory, goodChanged []switchsim.Change) {
-	active := b.active
-	if len(active) == 0 {
+// divergence rows, and the build precedes every write-back of the setting —
+// write-back only ever mutates a circuit's own lane bits, so the snapshot
+// taken here matches what each circuit would have seeded at its own turn.
+// The good wave is compiled in the same place, from prev (the pre-step
+// state every lane is materialized from, which nothing writes until the
+// step's end), for the lanes about to run; index and wave are read-only
+// during the fan-out.
+func (b *FaultBatch) runActivated(in laneInputs) {
+	if len(b.active) == 0 {
 		return
 	}
-	if traj != nil {
-		b.ix.Build(traj, b.words, b.interestMask, b.interestNZ)
+	b.in = in
+	if in.traj != nil {
+		b.ix.Build(in.traj, b.words, b.interestMask, b.interestNZ)
 		if !b.noCompile {
-			b.ix.Compile(b.prev, setting, extraSeeds, b.activeMask())
+			b.ix.Compile(b.prev, in.setting, in.extraSeeds, b.activeMask())
 		}
 	}
-	if len(b.workers) == 1 || len(active) < minParallelBatch {
-		w := b.workers[0]
+	k := len(b.workers)
+	if len(b.active) < minParallelBatch {
+		k = 1
+	}
+	for _, w := range b.workers[:k] {
 		w.ops = w.ops[:0]
-		for _, ci := range active {
-			members := len(b.faults[ci-1].classMembers)
-			var w0 switchsim.Work
-			if members > 0 {
-				w0 = w.solve.Work()
-			}
-			lo, hi, osc := w.stepFaulty(ci, setting, extraSeeds, traj, goodChanged)
-			if members > 0 {
-				b.creditWork.Add(w.solve.Work().Sub(w0).Scaled(int64(members)))
-			}
-			b.applyOps(ci, w.ops[lo:hi], osc)
-			w.ops = w.ops[:lo]
-		}
-		return
 	}
-
-	if cap(b.results) < len(active) {
-		b.results = make([]stepResult, len(active)*2)
-	}
-	results := b.results[:len(active)]
-	nWorkers := len(b.workers)
-	if nWorkers > len(active) {
-		nWorkers = len(active)
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for wid := 0; wid < nWorkers; wid++ {
-		w := b.workers[wid]
-		w.ops = w.ops[:0]
-		wg.Add(1)
-		go func(wid int, w *faultWorker) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(active) {
-					return
-				}
-				ci := active[i]
-				measure := len(b.faults[ci-1].classMembers) > 0
-				var w0 switchsim.Work
-				if measure {
-					w0 = w.solve.Work()
-				}
-				lo, hi, osc := w.stepFaulty(ci, setting, extraSeeds, traj, goodChanged)
-				r := stepResult{wid: wid, lo: lo, hi: hi, osc: osc}
-				if measure {
-					r.work = w.solve.Work().Sub(w0)
-				}
-				results[i] = r
-			}
-		}(wid, w)
-	}
-	wg.Wait()
-	// Deterministic write-back: ascending circuit-id order, regardless of
-	// which worker computed what or when it finished.
-	for i, ci := range active {
-		r := results[i]
-		if members := len(b.faults[ci-1].classMembers); members > 0 {
-			b.creditWork.Add(r.work.Scaled(int64(members)))
-		}
+	fanout.Each(len(b.active), k, b.laneStep)
+	for i, ci := range b.active {
+		r := b.results[i]
 		b.applyOps(ci, b.workers[r.wid].ops[r.lo:r.hi], r.osc)
 	}
+}
+
+// stepLane is the fan-out body, bound once at construction as laneStep
+// (the method value escapes into the pool, so binding it per setting
+// would allocate per setting): worker wid steps the i-th active circuit
+// into its own arena and result slot. A class representative's work delta
+// is credited once per member (a scheduled representative is live, and its
+// members with it), so work totals stay byte-identical to the untrimmed
+// run.
+func (b *FaultBatch) stepLane(wid, i int) {
+	w := b.workers[wid]
+	ci := b.active[i]
+	members := len(b.faults[ci-1].classMembers)
+	var w0 switchsim.Work
+	if members > 0 {
+		w0 = w.solve.Work()
+	}
+	lo, hi, osc := w.stepFaulty(ci)
+	if members > 0 {
+		w.credit.Add(w.solve.Work().Sub(w0).Scaled(int64(members)))
+	}
+	b.results[i] = stepResult{wid: int32(wid), lo: int32(lo), hi: int32(hi), osc: osc}
 }
 
 // activeMask returns the lane bits of the scheduled active circuits, in the
@@ -391,16 +352,17 @@ func (b *FaultBatch) ReplayStats() switchsim.ReplayStats {
 }
 
 // faultWork sums the fault-side solver work counters across the pool,
-// plus the work credited to class members (their
+// plus the work each worker credited to class members (their
 // representative's, fanned out — see trim.go). Each circuit's work is
 // deterministic and the sum is order-independent, so the total is
 // identical for every worker count (and wherever a fault sits in the
 // packed words: the per-lane replay examines only its own lane's
 // divergence).
 func (b *FaultBatch) faultWork() switchsim.Work {
-	t := b.creditWork
+	var t switchsim.Work
 	for _, w := range b.workers {
 		t.Add(w.solve.Work())
+		t.Add(w.credit)
 	}
 	return t
 }

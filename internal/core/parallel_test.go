@@ -118,16 +118,36 @@ func TestParallelMatchesSerialEngine(t *testing.T) {
 	}
 }
 
-// TestWorkersDefault: Workers=0 selects GOMAXPROCS.
+// TestWorkersDefault: Workers=0 selects GOMAXPROCS, capped at the fault
+// count.
 func TestWorkersDefault(t *testing.T) {
 	m := ram.New(ram.Config{Rows: 2, Cols: 2})
-	s, err := core.New(m.Net, fault.NodeStuckFaults(m.Net, fault.Options{}),
-		core.Options{Observe: []netlist.NodeID{m.DataOut}})
+	faults := fault.NodeStuckFaults(m.Net, fault.Options{})
+	s, err := core.New(m.Net, faults, core.Options{Observe: []netlist.NodeID{m.DataOut}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("default workers = %d, want GOMAXPROCS = %d", got, want)
+	if got, want := s.Workers(), max(1, min(runtime.GOMAXPROCS(0), len(faults))); got != want {
+		t.Errorf("default workers = %d, want min(GOMAXPROCS, %d faults) = %d", got, len(faults), want)
+	}
+}
+
+// TestWorkersCappedAtFaults: a batch never holds more workers than it has
+// faults (each holds a scratch circuit, a solver and node-sized arrays),
+// and never fewer than one, whatever Workers asks for.
+func TestWorkersCappedAtFaults(t *testing.T) {
+	m := ram.New(ram.Config{Rows: 2, Cols: 2})
+	faults := fault.NodeStuckFaults(m.Net, fault.Options{})
+	for _, tc := range []struct{ workers, faults, want int }{
+		{1000, 4, 4}, {3, 4, 3}, {4, 4, 4}, {5, 4, 4}, {7, 1, 1}, {7, 0, 1},
+	} {
+		s, err := core.New(m.Net, faults[:tc.faults], core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Workers() != tc.want {
+			t.Errorf("Workers %d over %d faults: pool of %d, want %d", tc.workers, tc.faults, s.Workers(), tc.want)
+		}
 	}
 }
 

@@ -139,7 +139,6 @@ func (b *FaultBatch) dropCircuit(ci CircuitID) {
 		b.faults[mfi].dropped = true
 	}
 	b.live -= 1 + len(fs.classMembers)
-	b.retired += 1 + len(fs.classMembers)
 }
 
 // CheckInvariants verifies the bidirectional consistency of the record

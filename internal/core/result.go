@@ -6,8 +6,8 @@ import (
 )
 
 // SettingStats instruments one input setting. Every field is
-// deterministic: identical for every worker count, shard split, and lane
-// width.
+// deterministic: identical for every worker count and shard split, and
+// wherever a fault's lane sits.
 type SettingStats struct {
 	Pattern, Setting int
 	// ActiveCircuits is the number of faulty circuits re-simulated.
@@ -26,10 +26,6 @@ type SettingStats struct {
 	// servicing: trajectory vicinities adopted whole vs solved with full
 	// switch-level dynamics.
 	AdoptedVics, SolvedVics int64
-	// FaultsRetired counts circuits dropped (lane bits retired from every
-	// packed plane) since the previous setting's stats — i.e. by the
-	// observation interleaved between them.
-	FaultsRetired int
 }
 
 // PatternStats instruments one pattern (one clock cycle of settings).

@@ -4,11 +4,12 @@
 // one base64 JSON string.
 //
 // A batch result is mostly its per-setting table: thirteen small integers
-// for every input setting of the sequence, most of them zero (two of the
-// thirteen, and two of a pattern's ten, are reserved slots: they held
-// wall-clock nanoseconds until the result stopped carrying a clock, are
-// written 0, and are skipped on read, so files and peers on either side
-// of that change still understand each other). Written
+// for every input setting of the sequence, most of them zero (three of the
+// thirteen, and two of a pattern's ten, are reserved slots: four held
+// wall-clock nanoseconds until the result stopped carrying a clock, the
+// thirteenth a per-setting retirement count nothing read; they are written
+// 0 and skipped on read, so files and peers on either side of those
+// changes still understand each other). Written
 // column by column as varints, a zero costs one byte and nothing is spent
 // on field names; as a JSON object the same table was an order of
 // magnitude larger and dominated a shard's round trip.
@@ -84,7 +85,7 @@ var settingCols = []column[SettingStats]{
 	intCol(func(s *SettingStats) *int { return &s.ScalarFallbacks }),
 	int64Col(func(s *SettingStats) *int64 { return &s.AdoptedVics }),
 	int64Col(func(s *SettingStats) *int64 { return &s.SolvedVics }),
-	intCol(func(s *SettingStats) *int { return &s.FaultsRetired }),
+	reservedCol[SettingStats](),
 }
 
 // patternCols lists every PatternStats field but Name, which is not an

@@ -176,9 +176,10 @@ func TestBatchResultCodecCoversEveryField(t *testing.T) {
 
 // TestBatchResultReservedSlots: the two per-setting and two per-pattern
 // columns that carried wall-clock nanoseconds until the result lost its
-// clock are still on the wire — written 0, skipped on read — so a payload
-// written before that change (a checkpoint, an older worker's result line)
-// decodes to the value this build would have computed.
+// clock, and the per-setting column that carried a retirement count until
+// nothing read it, are still on the wire — written 0, skipped on read — so
+// a payload written before those changes (a checkpoint, an older worker's
+// result line) decodes to the value this build would have computed.
 func TestBatchResultReservedSlots(t *testing.T) {
 	want := &BatchResult{
 		NumFaults:  1,
@@ -192,7 +193,7 @@ func TestBatchResultReservedSlots(t *testing.T) {
 	// One row of one-byte values per table: a column is a byte.
 	settings := len(batchResultMagic) + 2 // NumFaults, len(PerSetting)
 	patterns := settings + len(settingCols) + 1
-	slots := []int{settings + 6, settings + 7, patterns + 8, patterns + 9}
+	slots := []int{settings + 6, settings + 7, settings + 12, patterns + 8, patterns + 9}
 	old := append([]byte(nil), bin...)
 	for _, at := range slots {
 		if bin[at] != 0 {

@@ -53,8 +53,8 @@ func materializationKey(f fault.Fault) matKey {
 
 // groupClasses collapses the batch's materialization-equivalent faults:
 // the first fault of each key becomes the representative, later ones its
-// members. Called from newBatch, before any fault registers interest, when
-// trimming is on.
+// members. Called from NewFaultBatch, before any fault registers interest,
+// when trimming is on.
 func (b *FaultBatch) groupClasses() {
 	first := make(map[matKey]int, len(b.faults))
 	for fi, fs := range b.faults {

@@ -477,6 +477,28 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestHugeWorkersIsBounded: "workers" arrives from outside and only its
+// sign is validated, so a batch must not build a worker per request —
+// each holds a scratch circuit, a solver and node-sized arrays. A job
+// asking for a billion finishes, allocating what a small job allocates.
+func TestHugeWorkersIsBounded(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	snap, resp := submit(t, ts, map[string]any{"workload": "ram64", "max_patterns": 2, "workers": 1_000_000_000})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	waitState(t, ts, snap.ID, server.StateDone, 30*time.Second)
+	runtime.ReadMemStats(&m1)
+	alloc := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("allocated %.1f MB", float64(alloc)/(1<<20))
+	if alloc > 64<<20 {
+		t.Fatalf("a RAM64 job of two patterns allocated %d MB", alloc>>20)
+	}
+}
+
 // TestInlineMatchesDirect: an inline-netlist job's result matches running
 // the same circuit directly through the library.
 func TestInlineMatchesDirect(t *testing.T) {
