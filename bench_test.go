@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -237,6 +238,129 @@ func BenchmarkCampaign_Checkpointed(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCampaign_Composition prices which faults share a batch. The
+// universe is the benchmark harness's ram256-overlap-trim mix at seed 1
+// (overlapUniverse): RAM256 under sequence 1, Trim on, batch 64, one
+// worker. "windows=index" runs core.RunBatch over the universe's own
+// 64-fault windows and merges them, as campaigns cut batches before they
+// cut them in site order; "windows=site" is campaign.Run. Both rows report
+// the same counts over the windows they run: builds/op is Σ
+// ReplayStats.Builds (one per batch and setting with an active lane),
+// lanes/op Σ ReplayStats.Lanes, freed/op Σ TrimStats.LanesFreed (class
+// members collapsed onto a representative), and fault-work the merged
+// result's FaultWork, which composition must not move.
+func BenchmarkCampaign_Composition(b *testing.B) {
+	m := ram.RAM256()
+	seq := march.Sequence1(m)
+	faults := overlapUniverse(m, 7, rand.New(rand.NewSource(1)))
+	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1, Trim: true}
+	rec := core.Record(m.Net, seq, opts)
+	tab := switchsim.NewTables(m.Net)
+	const batchSize = 64
+
+	// counts runs the windows one batch at a time and sums their counters.
+	counts := func(b *testing.B, windows [][]fault.Fault) (rs switchsim.ReplayStats, freed int) {
+		for _, w := range windows {
+			fb, err := core.NewFaultBatch(tab, w, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fb.RunRecording(context.Background(), rec, seq); err != nil {
+				b.Fatal(err)
+			}
+			rs.Add(fb.ReplayStats())
+			freed += fb.TrimStats().LanesFreed
+		}
+		return rs, freed
+	}
+	var index [][]fault.Fault
+	for lo := 0; lo < len(faults); lo += batchSize {
+		index = append(index, faults[lo:min(lo+batchSize, len(faults))])
+	}
+	l := campaign.NewLedger(context.Background(), m.Net, faults, batchSize, 0, 0, nil)
+	var site [][]fault.Fault
+	for i := 0; i < l.Batches(); i++ {
+		lo, hi := l.Window(i)
+		site = append(site, l.Faults()[lo:hi])
+	}
+	l.Verdict()
+
+	for _, row := range []struct {
+		name    string
+		windows [][]fault.Fault
+		run     func() (*campaign.Result, error)
+	}{
+		{"windows=index", index, func() (*campaign.Result, error) {
+			results := make([]*core.BatchResult, len(index))
+			for i, w := range index {
+				br, err := core.RunBatch(context.Background(), tab, w, rec, seq, opts)
+				if err != nil {
+					return nil, err
+				}
+				results[i] = br
+			}
+			return campaign.Merge(rec, seq, len(faults), batchSize, results), nil
+		}},
+		{"windows=site", site, func() (*campaign.Result, error) {
+			return campaign.Run(context.Background(), m.Net, faults, seq, campaign.Options{
+				Sim: opts, BatchSize: batchSize, Shards: 1, Recording: rec, Tables: tab,
+			})
+		}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			rs, freed := counts(b, row.windows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := row.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.Run.FaultWork), "fault-work")
+			}
+			b.ReportMetric(float64(rs.Builds), "builds/op")
+			b.ReportMetric(float64(rs.Lanes), "lanes/op")
+			b.ReportMetric(float64(freed), "freed/op")
+		})
+	}
+}
+
+// overlapUniverse is the benchmark harness's overlap mix: every every-th
+// stuck-at fault, the bridges of every every-th bit-line short plus a
+// stuck-closed fault on each of those transistors (materialization-
+// equivalent to the bridge), and a quarter of the stuck-at faults
+// duplicated, shuffled by a constant; rng then shuffles each 64-fault
+// window, as the harness's seed does.
+func overlapUniverse(m *ram.RAM, every int, rng *rand.Rand) []fault.Fault {
+	fixed := rand.New(rand.NewSource(1))
+	stuck := thin(fault.NodeStuckFaults(m.Net, fault.Options{}), every)
+	shorts := thin(m.BitlineShorts, every)
+	fs := append(append([]fault.Fault{}, stuck...), fault.BridgeFaults(shorts)...)
+	for _, t := range shorts {
+		fs = append(fs, fault.Fault{Kind: fault.TransStuckClosed, Trans: t})
+	}
+	for _, i := range fixed.Perm(len(stuck))[:len(stuck)/4] {
+		fs = append(fs, stuck[i])
+	}
+	shuffle := func(fs []fault.Fault, rng *rand.Rand) {
+		rng.Shuffle(len(fs), func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
+	}
+	shuffle(fs, fixed)
+	for lo := 0; lo < len(fs); lo += 64 {
+		shuffle(fs[lo:min(lo+64, len(fs))], rng)
+	}
+	return fs
+}
+
+// thin keeps each every-th element of xs, in order.
+func thin[T any](xs []T, every int) []T {
+	var out []T
+	for i := 0; i < len(xs); i += every {
+		out = append(out, xs[i])
+	}
+	return out
 }
 
 // BenchmarkBatchStep_Lanes pins the word-packed lane engine's stepping

@@ -16,11 +16,14 @@
 // faults are simulated.
 //
 // Large fault universes can run as a sharded campaign: -batch N splits
-// the fault list into batches of N faults, -shards N replays that many
+// the fault list into batches of N faults, cut in fault-site order
+// (internal/campaign, "Batch composition"), -shards N replays that many
 // batches concurrently against a once-recorded good-circuit trajectory,
 // -coverage-target F stops early once the detected fraction reaches F
-// (internal/campaign, "Early stop and cancellation", is the rule),
-// and -checkpoint FILE makes the campaign resumable (completed batches
+// and skips the batches not yet started — whole site-ordered windows,
+// not the tail of the fault list (internal/campaign, "Early stop and
+// cancellation", is the rule), and -checkpoint FILE makes the campaign
+// resumable (completed batches
 // are reloaded instead of re-simulated; a batch that was in flight
 // re-runs from its first setting). Campaign results are bit-identical to
 // the monolithic run.

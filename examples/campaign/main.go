@@ -77,7 +77,8 @@ func main() {
 		mono.Detected, mismatches, mono.FaultWork, res.Run.FaultWork)
 
 	// 4. Early stop: a 60% coverage target lets the campaign skip the
-	// tail of the universe once enough faults are detected.
+	// batches it has not started once enough faults are detected — whole
+	// windows of fault sites, not the tail of the fault list.
 	early, err := fmossim.Campaign(nw, faults, seq, fmossim.CampaignOptions{
 		Sim:            fmossim.FaultSimOptions{Observe: obs},
 		BatchSize:      32,

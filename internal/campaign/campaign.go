@@ -191,8 +191,9 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	l = NewLedger(ctx, len(faults), opts.BatchSize, shards, opts.CoverageTarget, opts.Progress)
+	l = NewLedger(ctx, nw, faults, opts.BatchSize, shards, opts.CoverageTarget, opts.Progress)
 	nBatches := l.Batches()
+	ordered := l.Faults()
 	shards = min(shards, nBatches)
 	simOpts := opts.Sim
 	if simOpts.Workers <= 0 && shards > 1 {
@@ -210,7 +211,7 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		NumTransistors: nw.NumTransistors(),
 		BatchSize:      l.BatchSize(),
 		NumBatches:     nBatches,
-		FaultsHash:     hashFaults(faults),
+		FaultsHash:     hashFaults(ordered),
 		SimHash:        hashSimOptions(simOpts),
 		Done:           map[int]*core.BatchResult{},
 	}
@@ -253,7 +254,7 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		if obs := l.observer(i); obs != nil {
 			batchOpts.OnObserve = obs
 		}
-		br, err := core.RunBatch(l.Context(), tab, faults[lo:hi], rec, seq, batchOpts)
+		br, err := core.RunBatch(l.Context(), tab, ordered[lo:hi], rec, seq, batchOpts)
 		if err == nil {
 			err = l.Complete(i, br)
 		}
@@ -277,16 +278,21 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 // MaxActive match a monolithic run exactly. Good-circuit work comes from
 // the recording, counted once.
 //
-// results is indexed by batch: batch i covers universe faults
-// [i*batchSize, min((i+1)*batchSize, nf)). A nil entry marks a batch that
-// was never simulated; its faults merge as Skipped. Every other entry must
-// have the shape of its window and of seq — the Ledger checks that where a
-// batch arrives (ErrBatchShape), so Merge indexes without truncating.
-// Merge is the single determinism point shared by Run and by distributed
-// coordinators (internal/distrib): any scheduler that produces the same
-// per-batch results — on one machine or many — merges to the same Result. The
-// Batches/BatchesRun/BatchesResumed/BatchesSkipped accounting fields are
-// left zero here; Ledger.Finish fills them.
+// results is indexed by window: batch i covers positions
+// [i*batchSize, min((i+1)*batchSize, nf)) of the fault list the batches
+// were cut from, and PerFault comes out in that list's order. A campaign
+// cuts them from its universe in batch order (Ledger.Faults), and
+// Ledger.Finish scatters PerFault back to universe order; a caller that
+// cut index windows of its own list gets that list's order. A nil entry
+// marks a batch that was never simulated; its faults merge as Skipped.
+// Every other entry must have the shape of its window and of seq — the
+// Ledger checks that where a batch arrives (ErrBatchShape), so Merge
+// indexes without truncating. Merge is the single determinism point shared
+// by Run and by distributed coordinators (internal/distrib): any scheduler
+// that produces the same per-batch results — on one machine or many —
+// merges to the same Result. The Batches/BatchesRun/BatchesResumed/
+// BatchesSkipped accounting fields are left zero here; Ledger.Finish
+// fills them.
 func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int, results []*core.BatchResult) *Result {
 	nSettings := seq.NumSettings()
 	res := &Result{Recording: rec}

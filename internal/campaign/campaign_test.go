@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -600,4 +601,84 @@ func mergedJSON(t *testing.T, res *campaign.Result) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// shuffledBench is testBench's universe in a seeded shuffled order: batch
+// order then differs from index order.
+func shuffledBench(t *testing.T) (*ram.RAM, []fault.Fault, *switchsim.Sequence) {
+	m, faults, seq := testBench(t)
+	rand.New(rand.NewSource(7)).Shuffle(len(faults), func(i, j int) { faults[i], faults[j] = faults[j], faults[i] })
+	return m, faults, seq
+}
+
+// TestCampaignSiteWindowsMatchIndexWindows: on a shuffled universe the
+// campaign cuts its batches in site order, and its merge is byte for byte
+// the merge of the universe's own index windows.
+func TestCampaignSiteWindowsMatchIndexWindows(t *testing.T) {
+	m, faults, seq := shuffledBench(t)
+	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
+	rec := core.Record(m.Net, seq, opts)
+	tab := switchsim.NewTables(m.Net)
+	const batchSize = 16
+	var results []*core.BatchResult
+	for lo := 0; lo < len(faults); lo += batchSize {
+		br, err := core.RunBatch(context.Background(), tab, faults[lo:min(lo+batchSize, len(faults))], rec, seq, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, br)
+	}
+	want := campaign.Merge(rec, seq, len(faults), batchSize, results)
+	got, err := campaign.Run(context.Background(), m.Net, faults, seq, campaign.Options{
+		Sim: opts, BatchSize: batchSize, Shards: 2, Recording: rec, Tables: tab,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mergedJSON(t, got) != mergedJSON(t, want) {
+		t.Fatal("the site-ordered campaign merges to other bytes than the index windows")
+	}
+}
+
+// TestCampaignEarlyStopIndices: with batches of 16 over a shuffled universe
+// and a coverage target, early stop skips whole site-ordered windows, and
+// every NewlyDetected index names a fault the result reports detected at
+// that pattern and setting.
+func TestCampaignEarlyStopIndices(t *testing.T) {
+	m, faults, seq := shuffledBench(t)
+	var events []campaign.ProgressEvent
+	res, err := campaign.Run(context.Background(), m.Net, faults, seq, campaign.Options{
+		Sim:            core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1},
+		BatchSize:      16,
+		Shards:         1,
+		CoverageTarget: 0.3,
+		Progress:       func(ev campaign.ProgressEvent) { events = append(events, ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BatchesSkipped == 0 {
+		t.Fatalf("no batch skipped at a 30%% target (%d run of %d)", res.BatchesRun, res.Batches)
+	}
+	skipped := 0
+	for _, o := range res.PerFault {
+		if o.Skipped {
+			skipped++
+		}
+	}
+	if skipped != 16*res.BatchesSkipped && skipped != len(faults)-16*(res.Batches-res.BatchesSkipped) {
+		t.Fatalf("%d faults skipped in %d skipped batches of 16", skipped, res.BatchesSkipped)
+	}
+	n := 0
+	for _, ev := range events {
+		for _, fi := range ev.NewlyDetected {
+			n++
+			if o := res.PerFault[fi]; !o.Detected || o.Detection.Pattern != ev.Pattern || o.Detection.Setting != ev.Setting {
+				t.Fatalf("fault %d streamed as detected at %d/%d; the result has %+v", fi, ev.Pattern, ev.Setting, o)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no detection was streamed")
+	}
 }

@@ -40,19 +40,20 @@ type Checkpoint struct {
 	NumTransistors int    `json:"num_transistors"`
 	BatchSize      int    `json:"batch_size"`
 	NumBatches     int    `json:"num_batches"`
-	// FaultsHash digests the fault list's content (kind/node/transistor
-	// per fault, in order) and SimHash the result-shaping simulator
-	// options (observed outputs, drop policy, round limit):
-	// resuming with a same-sized but different universe, or with
-	// different options, would silently attribute stale batch results,
-	// so both are part of the fingerprint.
+	// FaultsHash digests the universe in batch order (kind/node/transistor
+	// per fault, Ledger.Faults), so it changes exactly when some batch
+	// would hold other faults or hold them in another order; SimHash
+	// digests the result-shaping simulator options (observed outputs, drop
+	// policy, round limit). Resuming with a same-sized but differently cut
+	// universe, or with different options, would silently attribute stale
+	// batch results, so both are part of the fingerprint.
 	FaultsHash uint64 `json:"faults_hash"`
 	SimHash    uint64 `json:"sim_hash"`
 
 	Done map[int]*core.BatchResult `json:"done"`
 }
 
-// hashFaults digests the fault list content.
+// hashFaults digests the fault list content, in the order given.
 func hashFaults(faults []fault.Fault) uint64 {
 	h := fnv.New64a()
 	var buf [13]byte
@@ -94,7 +95,7 @@ func (c *Checkpoint) matches(want *Checkpoint) error {
 		return fmt.Errorf("sequence %q (%d settings), campaign runs %q (%d)",
 			c.Sequence, c.NumSettings, want.Sequence, want.NumSettings)
 	case c.NumFaults != want.NumFaults || c.FaultsHash != want.FaultsHash:
-		return fmt.Errorf("fault universe differs (%d faults, hash %x; campaign has %d, %x)",
+		return fmt.Errorf("fault universe or its batch composition differs (%d faults, hash %x; campaign has %d, %x)",
 			c.NumFaults, c.FaultsHash, want.NumFaults, want.FaultsHash)
 	case c.NumNodes != want.NumNodes || c.NumTransistors != want.NumTransistors:
 		return fmt.Errorf("network fingerprint %d/%d, campaign network is %d/%d",

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -178,7 +179,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err != nil || ck.matches(want) != nil {
 			return
 		}
-		l := NewLedger(context.Background(), want.NumFaults, want.BatchSize, 1, 0, nil)
+		l := NewLedger(context.Background(), b.nw, b.faults, want.BatchSize, 1, 0, nil)
 		for i := 0; i < l.Batches(); i++ {
 			br := ck.Done[i]
 			if br == nil {
@@ -211,4 +212,80 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			t.Fatalf("merge of a fully resumed checkpoint: %v", err)
 		}
 	})
+}
+
+// indexWindowCheckpoint is the checkpoint a build that cut batches as
+// index windows of the universe left after completing every batch: the
+// fingerprint over the universe in index order, and each window's result.
+func indexWindowCheckpoint(tb testing.TB, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts Options) *Checkpoint {
+	tb.Helper()
+	rec := core.Record(nw, seq, opts.Sim)
+	tab := switchsim.NewTables(nw)
+	ck := &Checkpoint{
+		Version: checkpointVersion, Sequence: seq.Name, NumSettings: seq.NumSettings(),
+		NumFaults: len(faults), NumNodes: nw.NumNodes(), NumTransistors: nw.NumTransistors(),
+		BatchSize: opts.BatchSize, NumBatches: (len(faults) + opts.BatchSize - 1) / opts.BatchSize,
+		FaultsHash: hashFaults(faults), SimHash: hashSimOptions(opts.Sim),
+		Done: map[int]*core.BatchResult{},
+	}
+	for i := 0; i < ck.NumBatches; i++ {
+		lo := i * opts.BatchSize
+		br, err := core.RunBatch(nil, tab, faults[lo:min(lo+opts.BatchSize, len(faults))], rec, seq, opts.Sim)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ck.Done[i] = br
+	}
+	return ck
+}
+
+// TestCheckpointIndexWindowsRefused: over a shuffled universe, a checkpoint
+// whose batches are index windows holds other faults than this build's
+// site-ordered windows, so the key differs and the file is refused, naming
+// the batch composition — never resumed into the wrong faults.
+func TestCheckpointIndexWindowsRefused(t *testing.T) {
+	b := newCkBench(t)
+	faults := slices.Clone(b.faults)
+	slices.Reverse(faults)
+	opts := b.opts
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ck")
+	if err := indexWindowCheckpoint(t, b.nw, faults, b.seq, opts).saveFile(opts.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Run(context.Background(), b.nw, faults, b.seq, opts)
+	if err == nil || !strings.Contains(err.Error(), "batch composition") {
+		t.Fatalf("index-window checkpoint over a shuffled universe: %v, want a refusal naming the batch composition", err)
+	}
+}
+
+// TestCheckpointSiteOrderedResumes: over a universe already in site order
+// the windows are the index windows, so a checkpoint written by a build
+// that cut index windows still resumes — every batch, none re-run — to the
+// merge of an uninterrupted run.
+func TestCheckpointSiteOrderedResumes(t *testing.T) {
+	b := newCkBench(t)
+	for p, fi := range batchOrder(b.nw, b.faults, b.opts.BatchSize) {
+		if int(fi) != p {
+			t.Fatalf("the bench universe is not in site order (position %d holds fault %d)", p, fi)
+		}
+	}
+	opts := b.opts
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ck")
+	if err := indexWindowCheckpoint(t, b.nw, b.faults, b.seq, opts).saveFile(opts.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), b.nw, b.faults, b.seq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.BatchesRun != 0 || got.BatchesResumed != got.Batches {
+		t.Fatalf("%d run, %d resumed of %d batches, want 0 run", got.BatchesRun, got.BatchesResumed, got.Batches)
+	}
+	want, err := Run(context.Background(), b.nw, b.faults, b.seq, b.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.PerFault, want.PerFault) || !reflect.DeepEqual(got.Run, want.Run) {
+		t.Fatal("the resumed merge differs from an uninterrupted run's")
+	}
 }

@@ -34,7 +34,9 @@
 //     started starts; every batch that has started runs to completion and
 //     is merged (a shard whose worker dies is still rerun); batches that
 //     never started are reported as skipped, per fault and in
-//     Result.BatchesSkipped.
+//     Result.BatchesSkipped. A batch is a site-ordered window (see "Batch
+//     composition"), so early stop skips whole windows of fault sites,
+//     not a tail of the caller's list.
 //   - A context cancelled at or after that point is a no-op: the
 //     early-stopped result stands. The ruling is made before the event
 //     that shows the target met is delivered, so a caller may cancel from
@@ -45,6 +47,23 @@
 //     error wraps ctx's. If every batch had already completed, the result
 //     stands.
 //
+// # Batch composition
+//
+// Which faults share a batch is the Ledger's to decide, once, for every
+// scheduler. It sorts the universe by each fault's anchor site — the node
+// of a node fault, the lower channel terminal of a transistor fault —
+// breaking ties on (kind, node, transistor), and cuts the sorted list into
+// windows of BatchSize; each window keeps its faults in ascending universe
+// order, so a universe that fits one batch runs as given. Faults that
+// share a site wake up in the same settings, so they share a batch's
+// per-setting replay index, and materialization-equivalent faults (a
+// duplicate, a bridge and the stuck-closed fault on its transistor) land
+// in one batch, where Trim collapses them. The order depends on the
+// universe's content, not on the caller's order of it, and it is not a
+// knob. Ledger.Faults is the universe in batch order; progress indices and
+// Result.PerFault are mapped back to universe indices, so a caller never
+// sees the order.
+//
 // # Recording fingerprint contract
 //
 // A switchsim.Recording is bound to the exact (network, sequence) pair it
@@ -54,8 +73,10 @@
 // serialized (Encode/DecodeRecording) and shipped to another process
 // revalidates identically there. Checkpoints extend the same idea to the
 // campaign level: a checkpoint fingerprints the sequence name and setting
-// count, the fault universe (content hash), the network shape, the
-// result-shaping simulator options, and the batching; Run refuses to
+// count, the fault universe (a content hash taken in batch order, so it
+// changes exactly when a batch would hold other faults), the network
+// shape, the result-shaping simulator options, and the batching; Run
+// refuses to
 // resume from a checkpoint whose fingerprint differs, because attributing
 // stale batch results to a different campaign would be silent corruption.
 // Worker counts and progress callbacks are deliberately outside the
@@ -70,7 +91,8 @@
 // Each fault's simulation depends only on the recorded trajectory and its
 // own state, never on which batch hosts it, which worker executes it, or
 // when its batch runs relative to others. Batches are merged at
-// input-setting granularity in ascending fault order, so a campaign's
+// input-setting granularity and every per-fault outcome is scattered
+// back to its universe index, so a campaign's
 // detections (with their pattern/setting coordinates), final divergence
 // records, and deterministic statistics (work units, active-circuit
 // counts, live counts) are bit-identical to a monolithic core.Simulator

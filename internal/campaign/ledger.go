@@ -1,18 +1,22 @@
-// The campaign ledger: batch windows, the coverage count, the early-stop
-// decision, the ruling on a caller's cancel, and the final verdict and
-// batch accounting — written once, for every scheduler that runs batches.
-// The rules themselves are stated in doc.go ("Early stop and
-// cancellation").
+// The campaign ledger: batch composition and windows, the coverage count,
+// the early-stop decision, the ruling on a caller's cancel, and the final
+// verdict and batch accounting — written once, for every scheduler that
+// runs batches. The rules themselves are stated in doc.go ("Early stop
+// and cancellation", "Batch composition").
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"fmossim/internal/core"
+	"fmossim/internal/fault"
+	"fmossim/internal/netlist"
 	"fmossim/internal/switchsim"
 )
 
@@ -20,7 +24,8 @@ import (
 // that executes its batches: Run's shard pool, the distributed
 // coordinator's worker slots, a job server's single shard. The scheduler
 // decides where a batch runs and what happens when a worker dies; the
-// ledger decides everything the result depends on. A scheduler asks Start
+// ledger decides everything the result depends on, starting with which
+// faults share a batch (Faults, Window). A scheduler asks Start
 // before (re)running a batch, runs it under Context, feeds what the batch
 // reports to Report, hands the outcome to Complete or Fail, and returns
 // Finish. All methods are safe for concurrent use.
@@ -33,6 +38,12 @@ type Ledger struct {
 	nf, batchSize, nBatches int
 	target                  int // detections that stop the campaign; 0: no target
 	progress                func(ProgressEvent)
+
+	// order[p] is the universe index of the fault at batch-order position
+	// p (batchOrder); faults is the universe in that order, so batch i
+	// simulates faults[lo:hi] for its Window.
+	order  []int32
+	faults []fault.Fault
 
 	// mu serializes counter updates and event delivery together: that is
 	// what makes Detected monotonic across delivered events, and what lets
@@ -54,24 +65,31 @@ type Ledger struct {
 	idle                    chan struct{}
 }
 
-// NewLedger opens the ledger of a campaign over nf faults. batchSize is
-// the number of faults per batch; 0 splits the universe evenly into parts
-// batches. coverageTarget (0: none) and progress (nil: none) are
+// NewLedger opens the ledger of a campaign over the fault universe faults
+// of nw, and cuts its batches (batchOrder). batchSize is the number of
+// faults per batch; 0 splits the universe evenly into parts batches.
+// coverageTarget (0: none) and progress (nil: none) are
 // Options.CoverageTarget and Options.Progress; ctx is the caller's.
-func NewLedger(ctx context.Context, nf, batchSize, parts int, coverageTarget float64, progress func(ProgressEvent)) *Ledger {
+func NewLedger(ctx context.Context, nw *netlist.Network, faults []fault.Fault, batchSize, parts int, coverageTarget float64, progress func(ProgressEvent)) *Ledger {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	nf := len(faults)
 	if batchSize <= 0 {
 		batchSize = max((nf+parts-1)/max(parts, 1), 1)
 	}
 	n := (nf + batchSize - 1) / batchSize
 	l := &Ledger{
 		ctx: ctx, nf: nf, batchSize: batchSize, nBatches: n, progress: progress,
+		order:   batchOrder(nw, faults, batchSize),
+		faults:  make([]fault.Fault, nf),
 		results: make([]*core.BatchResult, n),
 		started: make([]bool, n),
 		seen:    make([]int, n),
 		idle:    make(chan struct{}),
+	}
+	for p, fi := range l.order {
+		l.faults[p] = faults[fi]
 	}
 	if coverageTarget > 0 && nf > 0 {
 		l.target = int(math.Ceil(coverageTarget * float64(nf)))
@@ -86,13 +104,60 @@ func NewLedger(ctx context.Context, nf, batchSize, parts int, coverageTarget flo
 	return l
 }
 
+// batchOrder returns the universe indices of faults in batch order: batch
+// i is the i-th window of batchSize positions. The universe is sorted by
+// each fault's anchor site — the node of a node fault, the lower channel
+// terminal of a transistor fault — with ties broken on (kind, node,
+// transistor, universe index), so faults that share a site share a batch
+// (and its per-setting replay index) unless a window edge splits them,
+// and which faults share a batch does not depend on the caller's order.
+// Within a window the faults keep ascending universe order, so a universe
+// that fits one batch is the identity. See doc.go, "Batch composition".
+func batchOrder(nw *netlist.Network, faults []fault.Fault, batchSize int) []int32 {
+	order := make([]int32, len(faults))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	if len(faults) <= batchSize {
+		return order
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		fa, fb := &faults[a], &faults[b]
+		return cmp.Or(
+			cmp.Compare(anchorSite(nw, fa), anchorSite(nw, fb)),
+			cmp.Compare(fa.Kind, fb.Kind),
+			cmp.Compare(fa.Node, fb.Node),
+			cmp.Compare(fa.Trans, fb.Trans),
+			cmp.Compare(a, b))
+	})
+	for lo := 0; lo < len(order); lo += batchSize {
+		slices.Sort(order[lo:min(lo+batchSize, len(order))])
+	}
+	return order
+}
+
+// anchorSite is batchOrder's key: the node of a node fault, the lower
+// channel terminal of a transistor fault.
+func anchorSite(nw *netlist.Network, f *fault.Fault) netlist.NodeID {
+	if f.Kind.IsNodeFault() {
+		return f.Node
+	}
+	tr := nw.Transistor(f.Trans)
+	return min(tr.Source, tr.Drain)
+}
+
 // Batches returns the number of batches the universe splits into.
 func (l *Ledger) Batches() int { return l.nBatches }
 
 // BatchSize returns the number of faults per batch (the last may be short).
 func (l *Ledger) BatchSize() int { return l.batchSize }
 
-// Window returns batch i's universe fault range [lo, hi).
+// Faults returns the universe in batch order: batch i simulates
+// Faults()[lo:hi] for (lo, hi) = Window(i). The caller must not modify it.
+func (l *Ledger) Faults() []fault.Fault { return l.faults }
+
+// Window returns batch i's range [lo, hi) of batch-order positions: the
+// i-th window of Faults, not of the caller's universe.
 func (l *Ledger) Window(i int) (lo, hi int) {
 	lo = i * l.batchSize
 	return lo, min(lo+l.batchSize, l.nf)
@@ -170,10 +235,14 @@ func (l *Ledger) deliver(i int, ev ProgressEvent) {
 		return
 	}
 	if len(ev.NewlyDetected) > 0 {
-		lo, _ := l.Window(i)
-		newly := make([]int, len(ev.NewlyDetected))
-		for j, fi := range ev.NewlyDetected {
-			newly[j] = lo + fi
+		// A position outside the window (a worker's stream is input, not
+		// trusted) names no fault of this batch and is dropped.
+		lo, hi := l.Window(i)
+		newly := make([]int, 0, len(ev.NewlyDetected))
+		for _, j := range ev.NewlyDetected {
+			if j >= 0 && j < hi-lo {
+				newly = append(newly, int(l.order[lo+j]))
+			}
 		}
 		ev.NewlyDetected = newly
 	}
@@ -313,8 +382,9 @@ func (l *Ledger) Batch(i int) *core.BatchResult {
 }
 
 // Finish is Verdict followed, when it is nil, by the merge of every
-// completed batch and the batch accounting; batches that never ran merge
-// as skipped. A batch whose per-setting or per-pattern table is not as long
+// completed batch, the scatter of its per-fault outcomes back to universe
+// order, and the batch accounting; batches that never ran merge as
+// skipped. A batch whose per-setting or per-pattern table is not as long
 // as seq fails the campaign with ErrBatchShape.
 func (l *Ledger) Finish(rec *switchsim.Recording, seq *switchsim.Sequence) (*Result, error) {
 	if err := l.Verdict(); err != nil {
@@ -329,6 +399,11 @@ func (l *Ledger) Finish(rec *switchsim.Recording, seq *switchsim.Sequence) (*Res
 		}
 	}
 	res := Merge(rec, seq, l.nf, l.batchSize, l.results)
+	perFault := make([]FaultOutcome, l.nf)
+	for p, fi := range l.order {
+		perFault[fi] = res.PerFault[p]
+	}
+	res.PerFault = perFault
 	res.Batches = l.nBatches
 	res.BatchesResumed = l.resumed
 	res.BatchesRun = l.done - l.resumed

@@ -1,15 +1,29 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"fmossim/internal/core"
+	"fmossim/internal/fault"
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
+	"fmossim/internal/ram"
 	"fmossim/internal/switchsim"
 )
+
+// shuffledUniverse returns n stuck-at faults of a 4×4 RAM in a seeded
+// shuffled order, so that batch order is not index order.
+func shuffledUniverse(n int) (*netlist.Network, []fault.Fault) {
+	m := ram.New(ram.Config{Rows: 4, Cols: 4})
+	fs := fault.NodeStuckFaults(m.Net, fault.Options{})[:n]
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
+	return m.Net, fs
+}
 
 // batchWith fabricates a completed batch result of n faults, the first
 // det of them detected.
@@ -29,11 +43,12 @@ func batchWith(n, det int) *core.BatchResult {
 
 // TestLedgerFold feeds the ledger hand-made reports: duplicate, stale and
 // restarted-from-zero per-batch counts never lower Detected; a resumed
-// batch is pre-counted; NewlyDetected is offset to universe indices; the
-// final event's Detected is the merged result's.
+// batch is pre-counted; NewlyDetected is mapped from window positions to
+// universe indices; the final event's Detected is the merged result's.
 func TestLedgerFold(t *testing.T) {
 	var events []ProgressEvent
-	l := NewLedger(context.Background(), 40, 10, 0, 0, func(ev ProgressEvent) {
+	nw, faults := shuffledUniverse(40)
+	l := NewLedger(context.Background(), nw, faults, 10, 0, 0, func(ev ProgressEvent) {
 		if n := len(events); n > 0 && ev.Detected < events[n-1].Detected {
 			t.Errorf("Detected regressed: %d -> %d", events[n-1].Detected, ev.Detected)
 		}
@@ -54,10 +69,11 @@ func TestLedgerFold(t *testing.T) {
 			t.Fatalf("batch %d refused", i)
 		}
 	}
-	l.Report(1, ProgressEvent{Detected: 3, NewlyDetected: []int{0, 7}})
+	l.Report(1, ProgressEvent{Detected: 3, NewlyDetected: []int{0, 7, 10}})
 	if ev := last(); ev.Detected != 7 || ev.BatchesDone != 1 || ev.Batch != 1 ||
-		ev.NumFaults != 40 || ev.Batches != 4 || ev.NewlyDetected[0] != 10 || ev.NewlyDetected[1] != 17 {
-		t.Fatalf("first folded event: %+v", ev)
+		ev.NumFaults != 40 || ev.Batches != 4 || len(ev.NewlyDetected) != 2 ||
+		faults[ev.NewlyDetected[0]] != l.Faults()[10] || faults[ev.NewlyDetected[1]] != l.Faults()[17] {
+		t.Fatalf("first folded event: %+v (position 10 outside the window must be dropped)", ev)
 	}
 	for _, cum := range []int{3, 1, 0} { // duplicate, stale, a rerun restarting at zero
 		l.Report(1, ProgressEvent{Detected: cum})
@@ -117,8 +133,9 @@ func TestLedgerCancelRule(t *testing.T) {
 	seq := &switchsim.Sequence{Name: "none"}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	nw, faults := shuffledUniverse(40)
 	var l *Ledger
-	l = NewLedger(ctx, 40, 10, 0, 0.25, func(ev ProgressEvent) {
+	l = NewLedger(ctx, nw, faults, 10, 0, 0.25, func(ev ProgressEvent) {
 		if ev.Coverage() >= 0.25 {
 			if !l.reached {
 				t.Error("target shown to the callback before the ledger ruled it reached")
@@ -150,12 +167,19 @@ func TestLedgerCancelRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BatchesRun != 2 || res.BatchesSkipped != 2 || !res.PerFault[20].Skipped || res.PerFault[19].Skipped {
+	if res.BatchesRun != 2 || res.BatchesSkipped != 2 {
 		t.Fatalf("early-stopped accounting: %d run, %d skipped", res.BatchesRun, res.BatchesSkipped)
+	}
+	// The skipped faults are the last two windows' — in batch order, not
+	// the universe's last twenty.
+	for p, fi := range l.order {
+		if skipped := p >= 20; res.PerFault[fi].Skipped != skipped {
+			t.Fatalf("fault %d at batch position %d: skipped %v, want %v", fi, p, res.PerFault[fi].Skipped, skipped)
+		}
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
-	l = NewLedger(ctx, 40, 10, 0, 0.25, nil)
+	l = NewLedger(ctx, nw, faults, 10, 0, 0.25, nil)
 	l.Start(0)
 	cancel()
 	<-l.Context().Done()
@@ -177,7 +201,8 @@ func TestLedgerCancelRule(t *testing.T) {
 // the merge; neither is ever truncated into a Result.
 func TestLedgerRefusesWrongShape(t *testing.T) {
 	seq := &switchsim.Sequence{Name: "none"}
-	l := NewLedger(context.Background(), 15, 10, 0, 0, nil)
+	nw, faults := shuffledUniverse(15)
+	l := NewLedger(context.Background(), nw, faults, 10, 0, 0, nil)
 	if err := l.resume(1, batchWith(10, 0)); !errors.Is(err, ErrBatchShape) {
 		t.Fatalf("a 10-wide result resumed into the 5-wide last window: %v", err)
 	}
@@ -202,4 +227,171 @@ func TestLedgerRefusesWrongShape(t *testing.T) {
 	if _, err := l.Finish(&switchsim.Recording{}, seq); !errors.Is(err, ErrBatchShape) {
 		t.Fatalf("a batch with one setting merged over a sequence with none: %v", err)
 	}
+}
+
+// overlapMix is a 4×4 RAM universe in which faults share sites: every
+// stuck-at fault, the bit-line bridges, a stuck-closed fault on each bridge
+// transistor (materialization-equivalent to the bridge) and a quarter of
+// the stuck-at faults again, shuffled by seed.
+func overlapMix(seed int64) (*netlist.Network, []fault.Fault) {
+	m := ram.New(ram.Config{Rows: 4, Cols: 4})
+	fs := fault.NodeStuckFaults(m.Net, fault.Options{})
+	fs = append(fs, fs[:len(fs)/4]...)
+	fs = append(fs, fault.BridgeFaults(m.BitlineShorts)...)
+	for _, t := range m.BitlineShorts {
+		fs = append(fs, fault.Fault{Kind: fault.TransStuckClosed, Trans: t})
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(len(fs), func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
+	return m.Net, fs
+}
+
+// windows returns the faults of each batch batchOrder cuts, each window
+// sorted by content: the batch composition, independent of lane order.
+func windows(nw *netlist.Network, faults []fault.Fault, batchSize int) [][]fault.Fault {
+	order := batchOrder(nw, faults, batchSize)
+	var out [][]fault.Fault
+	for lo := 0; lo < len(order); lo += batchSize {
+		var w []fault.Fault
+		for _, fi := range order[lo:min(lo+batchSize, len(order))] {
+			w = append(w, faults[fi])
+		}
+		slices.SortFunc(w, func(a, b fault.Fault) int {
+			return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Trans, b.Trans))
+		})
+		out = append(out, w)
+	}
+	return out
+}
+
+// checkBatchOrder holds one batch order to its contract: a permutation,
+// ascending universe order within each window, and windows that follow
+// each other in anchor-site order.
+func checkBatchOrder(t *testing.T, nw *netlist.Network, faults []fault.Fault, batchSize int, order []int32) {
+	t.Helper()
+	if len(order) != len(faults) {
+		t.Fatalf("order has %d entries for %d faults", len(order), len(faults))
+	}
+	seen := make([]bool, len(faults))
+	for _, fi := range order {
+		if fi < 0 || int(fi) >= len(faults) || seen[fi] {
+			t.Fatalf("order is not a permutation: %v", order)
+		}
+		seen[fi] = true
+	}
+	lastMax := netlist.NodeID(-1)
+	for lo := 0; lo < len(order); lo += batchSize {
+		w := order[lo:min(lo+batchSize, len(order))]
+		if !slices.IsSorted(w) {
+			t.Fatalf("window at %d is not in universe order: %v", lo, w)
+		}
+		first, last := anchorSite(nw, &faults[w[0]]), anchorSite(nw, &faults[w[0]])
+		for _, fi := range w {
+			a := anchorSite(nw, &faults[fi])
+			first, last = min(first, a), max(last, a)
+		}
+		if first < lastMax {
+			t.Fatalf("a window's sites start at node %d, below the previous window's last, %d", first, lastMax)
+		}
+		lastMax = last
+	}
+}
+
+// TestBatchOrder: the batch order is a permutation, cut from the universe
+// in site order; two shuffles of one universe give the same batch
+// composition; a universe that fits one batch keeps its order; and
+// duplicate faults, and a bridge with the stuck-closed fault on the same
+// transistor, share a batch unless a window edge splits them.
+func TestBatchOrder(t *testing.T) {
+	const batchSize = 16
+	nw, faults := overlapMix(1)
+	order := batchOrder(nw, faults, batchSize)
+	checkBatchOrder(t, nw, faults, batchSize, order)
+
+	_, again := overlapMix(2)
+	if slices.Equal(faults, again) {
+		t.Fatal("the two shuffles agree; the test is vacuous")
+	}
+	a, b := windows(nw, faults, batchSize), windows(nw, again, batchSize)
+	for i := range a {
+		if !slices.Equal(a[i], b[i]) {
+			t.Fatalf("batch %d holds different faults for two shuffles of one universe:\n%v\n%v", i, a[i], b[i])
+		}
+	}
+
+	for _, bs := range []int{len(faults), len(faults) + 5} {
+		for p, fi := range batchOrder(nw, faults, bs) {
+			if int(fi) != p {
+				t.Fatalf("batch size %d: a one-batch universe is reordered (position %d holds fault %d)", bs, p, fi)
+			}
+		}
+	}
+
+	// Pairs that should share a batch: equal faults, and the bridge and the
+	// stuck-closed fault on one transistor.
+	batch := make([]int, len(faults))
+	for p, fi := range order {
+		batch[fi] = p / batchSize
+	}
+	together, split := 0, 0
+	for i := range faults {
+		for j := i + 1; j < len(faults); j++ {
+			fi, fj := faults[i], faults[j]
+			pair := fi == fj || fi.Trans == fj.Trans && min(fi.Kind, fj.Kind) == fault.TransStuckClosed && max(fi.Kind, fj.Kind) == fault.Bridge
+			switch {
+			case !pair:
+			case batch[i] == batch[j]:
+				together++
+			case max(batch[i], batch[j])-min(batch[i], batch[j]) == 1:
+				split++ // the window edge between two neighbouring batches runs between them
+			default:
+				t.Fatalf("%s and %s sit in batches %d and %d", fi.Describe(nw), fj.Describe(nw), batch[i], batch[j])
+			}
+		}
+	}
+	if together == 0 || split > together/4 {
+		t.Fatalf("%d pairs share a batch, %d are split by a window edge", together, split)
+	}
+}
+
+// FuzzBatchOrder holds batchOrder to its contract over arbitrary fault
+// lists (three bytes a fault: kind, node, transistor) and batch sizes: the
+// order is a permutation cut in site order with windows in universe order,
+// the reversed list has the same batch composition, and one window is the
+// identity.
+func FuzzBatchOrder(f *testing.F) {
+	m := ram.New(ram.Config{Rows: 2, Cols: 2})
+	nw := m.Net
+	f.Add([]byte{0, 5, 0, 1, 5, 0, 5, 0, 3, 4, 0, 3, 0, 5, 0}, uint8(1))
+	f.Add([]byte{3, 9, 1, 6, 2, 7, 1, 1, 1, 2, 8, 8}, uint8(0))
+	f.Add([]byte{}, uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, bs uint8) {
+		faults := make([]fault.Fault, len(data)/3)
+		for i := range faults {
+			b := data[3*i:]
+			faults[i] = fault.Fault{
+				Kind:  fault.Kind(b[0] % 7),
+				Node:  netlist.NodeID(int(b[1]) % nw.NumNodes()),
+				Trans: netlist.TransID(int(b[2]) % nw.NumTransistors()),
+			}
+		}
+		batchSize := 1 + int(bs)%8
+		order := batchOrder(nw, faults, batchSize)
+		checkBatchOrder(t, nw, faults, batchSize, order)
+
+		reversed := slices.Clone(faults)
+		slices.Reverse(reversed)
+		a, b := windows(nw, faults, batchSize), windows(nw, reversed, batchSize)
+		for i := range a {
+			if !slices.Equal(a[i], b[i]) {
+				t.Fatalf("batch %d holds different faults once the list is reversed", i)
+			}
+		}
+		if len(faults) <= batchSize {
+			for p, fi := range order {
+				if int(fi) != p {
+					t.Fatalf("a one-batch universe is reordered: %v", order)
+				}
+			}
+		}
+	})
 }

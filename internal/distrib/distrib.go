@@ -8,12 +8,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
+	"fmossim/internal/fault"
 	"fmossim/internal/server"
 	"fmossim/internal/switchsim"
 )
@@ -124,8 +126,9 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 		return nil, fmt.Errorf("distrib: spec is already a shard job")
 	}
 
-	// Resolve the workload exactly as the workers will, so shard windows
-	// computed here index the same faults there.
+	// Resolve the workload exactly as the workers will, so the recording
+	// captured here validates there and the fault list sent below names
+	// the same nodes and transistors.
 	wl, err := server.ResolveSpec(&spec)
 	if err != nil {
 		return nil, err
@@ -140,10 +143,22 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	}
 	encoded, fp := encodeRecording(rec)
 
-	// shardSpec is the worker-side template: the workload fields verbatim
-	// (so workers resolve the same universe), campaign-level fields
-	// stripped (the coordinator owns batching, early stop and merging).
+	slots := len(opts.Workers) * opts.InFlight
+	ledger := campaign.NewLedger(ctx, wl.Net, wl.Faults, opts.BatchSize, slots, spec.CoverageTarget, opts.Progress)
+	nBatches := ledger.Batches()
+
+	// shardSpec is the worker-side template: the circuit fields verbatim
+	// (so workers resolve the same network and sequence), the universe
+	// inline in batch order (so a worker's [shard_lo, shard_hi) is the
+	// ledger's window whatever build the worker runs), and campaign-level
+	// fields stripped (the coordinator owns batching, early stop and
+	// merging).
+	var list strings.Builder
+	fault.WriteList(&list, wl.Net, ledger.Faults()) // a strings.Builder takes every write
 	shardSpec := spec
+	shardSpec.Faults = list.String()
+	shardSpec.FaultModel = ""
+	shardSpec.SampleEvery = 0
 	shardSpec.BatchSize = 0
 	shardSpec.Shards = 0
 	shardSpec.CoverageTarget = 0
@@ -151,10 +166,6 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	shardSpec.Workers = opts.SimWorkers
 	shardSpec.RecordingFP = fp
 	shardSpec.IncludeBatch = true
-
-	slots := len(opts.Workers) * opts.InFlight
-	ledger := campaign.NewLedger(ctx, len(wl.Faults), opts.BatchSize, slots, spec.CoverageTarget, opts.Progress)
-	nBatches := ledger.Batches()
 	c := &coordinator{
 		opts:     opts,
 		spec:     shardSpec,
@@ -166,9 +177,12 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 		uploadMu: make([]sync.Mutex, len(opts.Workers)),
 		fails:    make([]int32, len(opts.Workers)),
 	}
-	// Seed the queue expensive-shards-first (see plan.go): the windows are
-	// the plain index-order split, only the dispatch order is planned.
-	for _, i := range planShardOrder(rec, wl.Net, wl.Faults, nBatches, ledger.BatchSize()) {
+	// Seed the queue in window order. The windows follow fault sites, so
+	// the faults on the circuit's first-built nodes — on the RAMs, the
+	// address decoders and control logic, the costliest shards — dispatch
+	// first; a cost-ranked order measured no better (DESIGN.md,
+	// "Distributed campaigns").
+	for i := 0; i < nBatches; i++ {
 		c.pending <- &shardState{idx: i, last: -1}
 	}
 

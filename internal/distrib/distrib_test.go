@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -19,6 +20,7 @@ import (
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
 	"fmossim/internal/distrib"
+	"fmossim/internal/fault"
 	"fmossim/internal/server"
 	"fmossim/internal/switchsim"
 )
@@ -253,27 +255,35 @@ func TestShortBatchIsRetried(t *testing.T) {
 
 // TestCoverageTargetStopsEarly: a cluster-wide coverage target stops
 // dispatch, lets the shards already on a worker finish, and reports the
-// rest skipped with the target actually met — every shard whose
-// detections the merged progress counted is in the result.
+// rest skipped with the target actually met. On a shuffled universe cut
+// into batches of 16, every index the merged progress streamed as newly
+// detected is a fault the result reports detected, at that pattern and
+// setting — so no shard whose detections were counted merged as skipped.
 func TestCoverageTargetStopsEarly(t *testing.T) {
 	spec := server.JobSpec{
 		Workload:       "ram64",
 		Sequence:       "sequence1",
-		FaultModel:     "paper",
 		CoverageTarget: 0.25,
 	}
-	const batchSize = 24
+	wl, err := server.ResolveSpec(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := wl.Faults
+	rand.New(rand.NewSource(3)).Shuffle(len(faults), func(i, j int) { faults[i], faults[j] = faults[j], faults[i] })
+	var list strings.Builder
+	if err := fault.WriteList(&list, wl.Net, faults); err != nil {
+		t.Fatal(err)
+	}
+	spec.Faults = list.String()
+
 	urls, _ := newWorkerPool(t, 2, server.Config{MaxJobs: 2})
-	streamed := map[int]bool{} // shards that streamed a detection; Progress is serialized
+	var events []campaign.ProgressEvent // Progress is serialized
 	got, err := distrib.Run(context.Background(), spec, distrib.Options{
 		Workers:   urls,
-		BatchSize: batchSize,
+		BatchSize: 16,
 		InFlight:  1,
-		Progress: func(ev campaign.ProgressEvent) {
-			if len(ev.NewlyDetected) > 0 {
-				streamed[ev.Batch] = true
-			}
-		},
+		Progress:  func(ev campaign.ProgressEvent) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,13 +304,18 @@ func TestCoverageTargetStopsEarly(t *testing.T) {
 	if got.BatchesSkipped > 0 && skipped == 0 {
 		t.Errorf("%d batches skipped but no fault marked skipped", got.BatchesSkipped)
 	}
-	if len(streamed) == 0 {
-		t.Error("no shard streamed a detection")
-	}
-	for i := range streamed {
-		if got.PerFault[i*batchSize].Skipped {
-			t.Errorf("shard %d streamed detections into the merged progress but merged as skipped", i)
+	streamed := 0
+	for _, ev := range events {
+		for _, fi := range ev.NewlyDetected {
+			streamed++
+			if o := got.PerFault[fi]; !o.Detected || o.Detection.Pattern != ev.Pattern || o.Detection.Setting != ev.Setting {
+				t.Fatalf("shard %d streamed fault %d as detected at %d/%d; the result has %+v",
+					ev.Batch, fi, ev.Pattern, ev.Setting, o)
+			}
 		}
+	}
+	if streamed == 0 {
+		t.Error("no shard streamed a detection")
 	}
 }
 

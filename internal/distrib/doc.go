@@ -18,11 +18,14 @@
 // # Execution model
 //
 // Run resolves the workload spec locally with server.ResolveSpec — the
-// byte-for-byte resolution path workers use — so the coordinator's shard
-// windows [lo, hi) index the identical fault universe on every worker.
-// The universe is partitioned into batches of BatchSize faults; each
-// batch becomes one shard job (POST /jobs with shard_lo/shard_hi,
-// recording_fp, include_batch) on the existing fmossimd job API. Worker
+// byte-for-byte resolution path workers use — and cuts the universe into
+// batches of BatchSize faults with a campaign.Ledger, in the ledger's
+// batch order (package campaign, "Batch composition"). Every shard job
+// carries the universe in that order as its inline fault list, so the
+// coordinator's window [lo, hi) names the same faults on every worker
+// and no worker applies an ordering rule of its own; each batch becomes
+// one shard job (POST /jobs with shard_lo/shard_hi, recording_fp,
+// include_batch) on the existing fmossimd job API. Worker
 // slots (InFlight per worker) pull shards from a shared queue, stream
 // each job's NDJSON progress, and return the raw core.BatchResult from
 // the terminal result line, where it travels in its binary column form
@@ -44,9 +47,10 @@
 // The merged result is bit-identical to a single-process campaign.Run
 // over the same spec and batch size: shard jobs run core.RunBatch (whose
 // results are deterministic for every worker count) against the same
-// fingerprinted recording, and the coordinator merges the per-batch
-// results through the ledger with campaign.Merge — the same
-// setting-granularity merge the single-process engine uses. Scheduling, retries, worker count and
+// fingerprinted recording over the same windows, and the coordinator
+// merges the per-batch results through the ledger with campaign.Merge —
+// the same setting-granularity merge the single-process engine uses.
+// Scheduling, retries, worker count and
 // shard arrival order leave no trace in the output. See ARCHITECTURE.md
 // for the fingerprint contract and the merge-determinism guarantee.
 package distrib

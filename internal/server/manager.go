@@ -307,8 +307,9 @@ func (m *Manager) runJob(job *Job) {
 	}
 
 	// A shard job is a one-batch campaign over its window of the universe,
-	// run exactly like a campaign job (progress and detection indices are
-	// relative to the window; the coordinator offsets them by shard_lo).
+	// run exactly like a campaign job. One batch keeps its faults in the
+	// order given, so progress and detection indices are positions in the
+	// window; the coordinator's ledger maps them to universe indices.
 	faults := wl.Faults
 	opts := campaign.Options{
 		Sim:            job.Spec.SimOptions(wl),

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -119,6 +120,8 @@ type streamLine struct {
 	State    server.State   `json:"state"`
 	Coverage float64        `json:"coverage"`
 	Detected int            `json:"detected"`
+	Pattern  int            `json:"pattern"`
+	Setting  int            `json:"setting"`
 	Faults   []int          `json:"faults"`
 	Result   *server.Result `json:"result"`
 }
@@ -315,6 +318,55 @@ func TestConcurrentJobsMatchCLI(t *testing.T) {
 				t.Fatalf("job %s fault %d: detection %+v, want %+v", id, fi, pf, d)
 			}
 		}
+	}
+}
+
+// TestJobEarlyStopIndices: a job over a shuffled inline universe, cut into
+// batches of 16 and stopped early by a coverage target, streams detection
+// groups whose fault indices are universe indices: each is a fault the
+// per-fault table reports detected at the group's pattern and setting.
+func TestJobEarlyStopIndices(t *testing.T) {
+	m := ram.RAM64()
+	faults := m.PaperFaults()
+	rand.New(rand.NewSource(5)).Shuffle(len(faults), func(i, j int) { faults[i], faults[j] = faults[j], faults[i] })
+	var list strings.Builder
+	if err := fault.WriteList(&list, m.Net, faults); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, server.Config{})
+	snap, resp := submit(t, ts, map[string]any{
+		"workload":          "ram64",
+		"faults":            list.String(),
+		"batch_size":        16,
+		"shards":            1,
+		"coverage_target":   0.3,
+		"include_per_fault": true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	lines := readStream(t, ts, snap.ID)
+	res := lines[len(lines)-1].Result
+	if res == nil || len(res.PerFault) != len(faults) {
+		t.Fatalf("stream ended without a per-fault result: %+v", lines[len(lines)-1])
+	}
+	if res.BatchesSkipped == 0 {
+		t.Fatalf("no batch skipped at a 30%% target (%d run of %d)", res.BatchesRun, res.Batches)
+	}
+	streamed := 0
+	for _, l := range lines {
+		if l.Type != "detections" {
+			continue
+		}
+		for _, fi := range l.Faults {
+			streamed++
+			if pf := res.PerFault[fi]; !pf.Detected || pf.Pattern != l.Pattern || pf.Setting != l.Setting {
+				t.Fatalf("fault %d streamed as detected at %d/%d; the result has %+v", fi, l.Pattern, l.Setting, pf)
+			}
+		}
+	}
+	if streamed == 0 {
+		t.Fatal("no detection was streamed")
 	}
 }
 
