@@ -279,7 +279,7 @@ func BenchmarkCampaign_Composition(b *testing.B) {
 	for lo := 0; lo < len(faults); lo += batchSize {
 		index = append(index, faults[lo:min(lo+batchSize, len(faults))])
 	}
-	l := campaign.NewLedger(context.Background(), m.Net, faults, batchSize, 0, 0, nil)
+	l := campaign.NewLedger(context.Background(), m.Net, faults, seq, batchSize, 0, 0, nil)
 	var site [][]fault.Fault
 	for i := 0; i < l.Batches(); i++ {
 		lo, hi := l.Window(i)

@@ -1,11 +1,11 @@
 // The planecanon analyzer: the two-plane ternary encoding is only
 // canonical if nobody writes the planes by hand. switchsim.LanePlanes
-// keeps the V bit clear wherever the X bit is set; every exported
-// operation (Set, Clear, Not, Lub, …) preserves that form, and the
-// word-wide equality/membership masks of the packed fault engine are
-// correct only against canonical planes. A direct store to .V or .X from
-// outside internal/switchsim can construct a non-canonical pair that
-// compares wrong in EqMask — a silent merge-determinism break.
+// keeps the V bit clear wherever the X bit is set; its two writers, Set
+// and Clear, preserve that form, and the word-wide comparison of the
+// packed fault engine (EqValueMask) is correct only against canonical
+// planes. A direct store to .V or .X from outside internal/switchsim can
+// construct a non-canonical pair that compares wrong in EqValueMask — a
+// silent merge-determinism break.
 package analysis
 
 import (
@@ -23,8 +23,8 @@ var Planecanon = &Analyzer{
 	Name: "planecanon",
 	Doc: "no raw LanePlanes plane writes outside internal/switchsim\n\n" +
 		"Direct stores to LanePlanes.V/.X can break the canonical two-plane\n" +
-		"encoding (V clear wherever X is set) that the word-wide lane algebra\n" +
-		"relies on; use Set/Clear and the exported plane operations.",
+		"encoding (V clear wherever X is set) that the word-wide EqValueMask\n" +
+		"relies on; use Set/Clear.",
 	Run: runPlanecanon,
 }
 
@@ -34,7 +34,7 @@ func runPlanecanon(pass *Pass) error {
 	}
 	report := func(se *ast.SelectorExpr, how string) {
 		pass.Reportf(se.Pos(),
-			"%s of LanePlanes.%s outside %s breaks the canonical two-plane encoding; use Set/Clear or the exported plane algebra",
+			"%s of LanePlanes.%s outside %s breaks the canonical two-plane encoding; use Set/Clear",
 			how, se.Sel.Name, switchsimPath)
 	}
 	for _, f := range pass.Files {

@@ -80,8 +80,7 @@ type CurveResult struct {
 // derive the shape metrics. headPatterns splits head from tail (87 for
 // sequence 1 on RAM64: 7 control + 40 row + 40 column).
 func RunCurve(m *ram.RAM, faults []fault.Fault, seq *switchsim.Sequence, headPatterns int) (*CurveResult, error) {
-	// Good-only reference run.
-	goodRes, err := serial.Run(m.Net, nil, seq, serial.Options{Observe: []netlist.NodeID{m.DataOut}})
+	goodRes, err := goodOnly(m, seq)
 	if err != nil {
 		return nil, err
 	}
@@ -120,17 +119,12 @@ func RunCurve(m *ram.RAM, faults []fault.Fault, seq *switchsim.Sequence, headPat
 		r.ConcurrentNS += ns
 	}
 	r.Detected = cum
-
-	detPatterns := make([]int, len(faults))
 	for i := range faults {
-		if d, ok := sim.Detected(i); ok {
-			detPatterns[i] = d.Pattern
-		} else {
-			detPatterns[i] = -1
+		if _, ok := sim.Detected(i); !ok {
 			r.Undetected = append(r.Undetected, faults[i].Describe(m.Net))
 		}
 	}
-	r.SerialEstWork = serial.Estimate(detPatterns, goodRes.GoodPerPattern, len(seq.Patterns))
+	r.SerialEstWork = serialEstimate(sim, len(faults), goodRes)
 
 	// Shape metrics.
 	var headWork int64
@@ -148,6 +142,27 @@ func RunCurve(m *ram.RAM, faults []fault.Fault, seq *switchsim.Sequence, headPat
 	r.ConcVsGood = stats.Ratio(float64(r.ConcurrentWork), float64(r.GoodOnlyWork))
 	r.SerialVsConc = stats.Ratio(float64(r.SerialEstWork), float64(r.ConcurrentWork))
 	return r, nil
+}
+
+// goodOnly runs the good circuit alone over seq, observing m's data
+// output: the good-only reference every figure compares against, and the
+// per-pattern cost basis of the serial estimate.
+func goodOnly(m *ram.RAM, seq *switchsim.Sequence) (*serial.Result, error) {
+	return serial.Run(m.Net, nil, seq, serial.Options{Observe: []netlist.NodeID{m.DataOut}})
+}
+
+// serialEstimate is the paper's serial estimate (serial.Estimate) for the
+// nf faults sim simulated: each costs good's average pattern up to its
+// first-detecting pattern, or the whole sequence when undetected.
+func serialEstimate(sim *core.Simulator, nf int, good *serial.Result) int64 {
+	det := make([]int, nf)
+	for i := range det {
+		det[i] = -1
+		if d, ok := sim.Detected(i); ok {
+			det[i] = d.Pattern
+		}
+	}
+	return serial.Estimate(det, good.GoodPerPattern, len(good.GoodPerPattern))
 }
 
 // Fig1 reproduces Figure 1: RAM64 under test sequence 1 with the

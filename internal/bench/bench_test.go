@@ -193,6 +193,31 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
+// TestFigureWorkGolden pins the concurrent work of Figures 1 and 2 (what
+// benchtab reports as conc_work) to the unit. Every counted unit of the
+// engine — settles, rounds, vicinities, relaxation steps, adoptions —
+// lands in these sums, so a change meant to leave the simulation alone
+// must leave them alone. The scaling run's figures are pinned under
+// -tags slow (golden_slow_test.go).
+func TestFigureWorkGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fig  func() (*bench.CurveResult, error)
+		want int64
+	}{
+		{"fig1", bench.Fig1, 11_595_940},
+		{"fig2", bench.Fig2, 17_470_405},
+	} {
+		r, err := tc.fig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ConcurrentWork != tc.want {
+			t.Errorf("%s: conc_work %d, want %d", tc.name, r.ConcurrentWork, tc.want)
+		}
+	}
+}
+
 // TestSequenceOrderingMatchesPaper: the paper's central Figure-2 claim —
 // the shorter sequence 2 costs MORE total concurrent time than sequence 1
 // because severe faults stay live longer, and its serial/concurrent

@@ -11,7 +11,6 @@ import (
 	"fmossim/internal/march"
 	"fmossim/internal/netlist"
 	"fmossim/internal/ram"
-	"fmossim/internal/serial"
 	"fmossim/internal/stats"
 )
 
@@ -75,7 +74,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 
 	// Good-only reference (also the 0-fault point and the estimator's
 	// per-pattern cost basis).
-	goodRes, err := serial.Run(m.Net, nil, seq, serial.Options{Observe: []netlist.NodeID{m.DataOut}})
+	goodRes, err := goodOnly(m, seq)
 	if err != nil {
 		return nil, err
 	}
@@ -105,19 +104,10 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 			row.NSPerPattern = float64(time.Since(t0).Nanoseconds()) / nPat
 			row.Detected = res.Detected
 			row.ConcPerPattern = float64(res.TotalWork()) / nPat
-			det := make([]int, len(fs))
-			for i := range fs {
-				if d, ok := sim.Detected(i); ok {
-					det[i] = d.Pattern
-				} else {
-					det[i] = -1
-				}
-			}
-			est := serial.Estimate(det, goodRes.GoodPerPattern, len(seq.Patterns))
 			// The estimator charges only faulty-circuit time; a serial
 			// campaign also simulates the good circuit once for the
 			// reference trace.
-			row.SerialPerPattern = float64(est+goodRes.GoodWork) / nPat
+			row.SerialPerPattern = float64(serialEstimate(sim, len(fs), goodRes)+goodRes.GoodWork) / nPat
 		}
 		r.Rows = append(r.Rows, row)
 	}

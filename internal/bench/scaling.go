@@ -9,7 +9,6 @@ import (
 	"fmossim/internal/march"
 	"fmossim/internal/netlist"
 	"fmossim/internal/ram"
-	"fmossim/internal/serial"
 	"fmossim/internal/stats"
 )
 
@@ -72,7 +71,7 @@ func scalingPoint(m *ram.RAM) (*ScalingPoint, error) {
 	seq := march.Sequence1(m)
 	faults := NodeStuckOnly(m)
 
-	goodRes, err := serial.Run(m.Net, nil, seq, serial.Options{Observe: []netlist.NodeID{m.DataOut}})
+	goodRes, err := goodOnly(m, seq)
 	if err != nil {
 		return nil, err
 	}
@@ -84,14 +83,6 @@ func scalingPoint(m *ram.RAM) (*ScalingPoint, error) {
 	res := sim.Run(seq)
 	concNS := time.Since(t0).Nanoseconds()
 
-	det := make([]int, len(faults))
-	for i := range faults {
-		if d, ok := sim.Detected(i); ok {
-			det[i] = d.Pattern
-		} else {
-			det[i] = -1
-		}
-	}
 	st := m.Net.Stats()
 	return &ScalingPoint{
 		Circuit:        fmt.Sprintf("RAM%d", m.Conf.Bits()),
@@ -102,7 +93,7 @@ func scalingPoint(m *ram.RAM) (*ScalingPoint, error) {
 		Detected:       res.Detected,
 		GoodWork:       goodRes.GoodWork,
 		ConcurrentWork: res.TotalWork(),
-		SerialEstWork:  serial.Estimate(det, goodRes.GoodPerPattern, len(seq.Patterns)) + goodRes.GoodWork,
+		SerialEstWork:  serialEstimate(sim, len(faults), goodRes) + goodRes.GoodWork,
 		ConcurrentNS:   concNS,
 	}, nil
 }

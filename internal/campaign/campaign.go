@@ -78,10 +78,8 @@ type ProgressEvent struct {
 	Batch   int `json:"batch"`
 	Pattern int `json:"pattern"`
 	Setting int `json:"setting"`
-	// ActiveCircuits and LiveFaults are the reporting batch's per-setting
-	// figures (activated faulty circuits; undropped faults).
-	ActiveCircuits int `json:"active_circuits"`
-	LiveFaults     int `json:"live_faults"`
+	// LiveFaults is the reporting batch's count of undropped faults.
+	LiveFaults int `json:"live_faults"`
 	// NewlyDetected lists the universe fault indices first detected at
 	// this setting's observation (nil when none).
 	NewlyDetected []int `json:"newly_detected,omitempty"`
@@ -165,7 +163,7 @@ func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *sw
 	if err != nil {
 		return nil, err
 	}
-	return l.Finish(rec, seq)
+	return l.Finish(rec)
 }
 
 // Execute is Run without the merge: it replays the batches and returns
@@ -191,7 +189,7 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	l = NewLedger(ctx, nw, faults, opts.BatchSize, shards, opts.CoverageTarget, opts.Progress)
+	l = NewLedger(ctx, nw, faults, seq, opts.BatchSize, shards, opts.CoverageTarget, opts.Progress)
 	nBatches := l.Batches()
 	ordered := l.Faults()
 	shards = min(shards, nBatches)

@@ -138,13 +138,13 @@ func TestCheckpointWrongWidthRefused(t *testing.T) {
 
 // FuzzLoadCheckpoint throws arbitrary bytes at the checkpoint path a
 // resuming campaign walks: LoadCheckpoint, the fingerprint match, the
-// ledger's width check on every completed batch and, when every batch is
+// ledger's shape check on every completed batch and, when every batch is
 // there, the merge. Its contract: the file is refused with an error, or
 // every batch it resumes re-encodes to bytes that decode to the same value
 // and encode to the same bytes again (a file written before the result
 // lost its clock has non-zero reserved slots, so the first re-encoding may
-// differ from the input) and the merge succeeds or names ErrBatchShape —
-// never a panic.
+// differ from the input) and the merge succeeds — never a panic, and never
+// a merge refused after every batch was resumed.
 func FuzzLoadCheckpoint(f *testing.F) {
 	b := newCkBench(f)
 	want, err := LoadCheckpoint(bytes.NewReader(b.file))
@@ -179,7 +179,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err != nil || ck.matches(want) != nil {
 			return
 		}
-		l := NewLedger(context.Background(), b.nw, b.faults, want.BatchSize, 1, 0, nil)
+		l := NewLedger(context.Background(), b.nw, b.faults, b.seq, want.BatchSize, 1, 0, nil)
 		for i := 0; i < l.Batches(); i++ {
 			br := ck.Done[i]
 			if br == nil {
@@ -208,7 +208,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			l.close()
 			return
 		}
-		if _, err := l.Finish(rec, b.seq); err != nil && !errors.Is(err, ErrBatchShape) {
+		if _, err := l.Finish(rec); err != nil {
 			t.Fatalf("merge of a fully resumed checkpoint: %v", err)
 		}
 	})

@@ -35,6 +35,7 @@ type Ledger struct {
 	cancelRun context.CancelFunc
 	unhook    func() bool
 
+	seq                     *switchsim.Sequence // every batch result has one row per setting and pattern of it
 	nf, batchSize, nBatches int
 	target                  int // detections that stop the campaign; 0: no target
 	progress                func(ProgressEvent)
@@ -66,11 +67,12 @@ type Ledger struct {
 }
 
 // NewLedger opens the ledger of a campaign over the fault universe faults
-// of nw, and cuts its batches (batchOrder). batchSize is the number of
-// faults per batch; 0 splits the universe evenly into parts batches.
-// coverageTarget (0: none) and progress (nil: none) are
-// Options.CoverageTarget and Options.Progress; ctx is the caller's.
-func NewLedger(ctx context.Context, nw *netlist.Network, faults []fault.Fault, batchSize, parts int, coverageTarget float64, progress func(ProgressEvent)) *Ledger {
+// of nw under the test sequence seq, and cuts its batches (batchOrder).
+// batchSize is the number of faults per batch; 0 splits the universe
+// evenly into parts batches. coverageTarget (0: none) and progress (nil:
+// none) are Options.CoverageTarget and Options.Progress; ctx is the
+// caller's.
+func NewLedger(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, batchSize, parts int, coverageTarget float64, progress func(ProgressEvent)) *Ledger {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -80,7 +82,7 @@ func NewLedger(ctx context.Context, nw *netlist.Network, faults []fault.Fault, b
 	}
 	n := (nf + batchSize - 1) / batchSize
 	l := &Ledger{
-		ctx: ctx, nf: nf, batchSize: batchSize, nBatches: n, progress: progress,
+		ctx: ctx, seq: seq, nf: nf, batchSize: batchSize, nBatches: n, progress: progress,
 		order:   batchOrder(nw, faults, batchSize),
 		faults:  make([]fault.Fault, nf),
 		results: make([]*core.BatchResult, n),
@@ -274,12 +276,11 @@ func (l *Ledger) observer(i int) func(core.BatchProgress) {
 	}
 	return func(bp core.BatchProgress) {
 		l.Report(i, ProgressEvent{
-			Pattern:        bp.Pattern,
-			Setting:        bp.Setting,
-			ActiveCircuits: bp.ActiveCircuits,
-			LiveFaults:     bp.LiveFaults,
-			NewlyDetected:  bp.Detected,
-			Detected:       bp.DetectedTotal,
+			Pattern:       bp.Pattern,
+			Setting:       bp.Setting,
+			LiveFaults:    bp.LiveFaults,
+			NewlyDetected: bp.Detected,
+			Detected:      bp.DetectedTotal,
 		})
 	}
 }
@@ -290,20 +291,25 @@ func (l *Ledger) observer(i int) func(core.BatchProgress) {
 // Result, so the ledger refuses it where it arrives.
 var ErrBatchShape = errors.New("batch result has the wrong shape")
 
-// checkWidth verifies br covers exactly batch i's window of the universe.
-func (l *Ledger) checkWidth(i int, br *core.BatchResult) error {
+// checkShape verifies br covers exactly batch i's window of the universe,
+// with one per-setting and one per-pattern row for each of the sequence's.
+func (l *Ledger) checkShape(i int, br *core.BatchResult) error {
 	lo, hi := l.Window(i)
 	if w := hi - lo; br.NumFaults != w || len(br.Detected) != w || len(br.Detections) != w ||
 		len(br.Oscillated) != w || len(br.Records) != w {
 		return fmt.Errorf("campaign: batch %d: %w: %d faults (columns of %d, %d, %d and %d), the window holds %d",
 			i, ErrBatchShape, br.NumFaults, len(br.Detected), len(br.Detections), len(br.Oscillated), len(br.Records), w)
 	}
+	if len(br.PerSetting) != l.seq.NumSettings() || len(br.PerPattern) != len(l.seq.Patterns) {
+		return fmt.Errorf("campaign: batch %d: %w: %d settings in %d patterns, the sequence has %d in %d",
+			i, ErrBatchShape, len(br.PerSetting), len(br.PerPattern), l.seq.NumSettings(), len(l.seq.Patterns))
+	}
 	return nil
 }
 
 // resume pre-counts batch i as completed by an earlier run (checkpoint).
 func (l *Ledger) resume(i int, br *core.BatchResult) error {
-	if err := l.checkWidth(i, br); err != nil {
+	if err := l.checkShape(i, br); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -316,11 +322,12 @@ func (l *Ledger) resume(i int, br *core.BatchResult) error {
 }
 
 // Complete records batch i's result and delivers its BatchDone event. A
-// result that is not as wide as the batch's window is refused with
+// result that is not as wide as the batch's window, or whose per-setting
+// or per-pattern table is not as long as the sequence, is refused with
 // ErrBatchShape and the batch stays outstanding: the scheduler runs it
 // again or fails the campaign.
 func (l *Ledger) Complete(i int, br *core.BatchResult) error {
-	if err := l.checkWidth(i, br); err != nil {
+	if err := l.checkShape(i, br); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -384,21 +391,14 @@ func (l *Ledger) Batch(i int) *core.BatchResult {
 // Finish is Verdict followed, when it is nil, by the merge of every
 // completed batch, the scatter of its per-fault outcomes back to universe
 // order, and the batch accounting; batches that never ran merge as
-// skipped. A batch whose per-setting or per-pattern table is not as long
-// as seq fails the campaign with ErrBatchShape.
-func (l *Ledger) Finish(rec *switchsim.Recording, seq *switchsim.Sequence) (*Result, error) {
+// skipped. Every merged batch passed the shape check on arrival.
+func (l *Ledger) Finish(rec *switchsim.Recording) (*Result, error) {
 	if err := l.Verdict(); err != nil {
 		return nil, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i, br := range l.results {
-		if br != nil && (len(br.PerSetting) != seq.NumSettings() || len(br.PerPattern) != len(seq.Patterns)) {
-			return nil, fmt.Errorf("campaign: batch %d: %w: %d settings in %d patterns, the sequence has %d in %d",
-				i, ErrBatchShape, len(br.PerSetting), len(br.PerPattern), seq.NumSettings(), len(seq.Patterns))
-		}
-	}
-	res := Merge(rec, seq, l.nf, l.batchSize, l.results)
+	res := Merge(rec, l.seq, l.nf, l.batchSize, l.results)
 	perFault := make([]FaultOutcome, l.nf)
 	for p, fi := range l.order {
 		perFault[fi] = res.PerFault[p]

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -47,8 +48,9 @@ func batchWith(n, det int) *core.BatchResult {
 // universe indices; the final event's Detected is the merged result's.
 func TestLedgerFold(t *testing.T) {
 	var events []ProgressEvent
+	seq := &switchsim.Sequence{Name: "none"}
 	nw, faults := shuffledUniverse(40)
-	l := NewLedger(context.Background(), nw, faults, 10, 0, 0, func(ev ProgressEvent) {
+	l := NewLedger(context.Background(), nw, faults, seq, 10, 0, 0, func(ev ProgressEvent) {
 		if n := len(events); n > 0 && ev.Detected < events[n-1].Detected {
 			t.Errorf("Detected regressed: %d -> %d", events[n-1].Detected, ev.Detected)
 		}
@@ -107,8 +109,7 @@ func TestLedgerFold(t *testing.T) {
 		t.Fatal("not idle with every batch complete")
 	}
 
-	seq := &switchsim.Sequence{Name: "none"}
-	res, err := l.Finish(&switchsim.Recording{}, seq)
+	res, err := l.Finish(&switchsim.Recording{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestLedgerCancelRule(t *testing.T) {
 	defer cancel()
 	nw, faults := shuffledUniverse(40)
 	var l *Ledger
-	l = NewLedger(ctx, nw, faults, 10, 0, 0.25, func(ev ProgressEvent) {
+	l = NewLedger(ctx, nw, faults, seq, 10, 0, 0.25, func(ev ProgressEvent) {
 		if ev.Coverage() >= 0.25 {
 			if !l.reached {
 				t.Error("target shown to the callback before the ledger ruled it reached")
@@ -163,7 +164,7 @@ func TestLedgerCancelRule(t *testing.T) {
 	}
 	l.Complete(0, batchWith(10, 9))
 	l.Complete(1, batchWith(10, 2))
-	res, err := l.Finish(&switchsim.Recording{}, seq)
+	res, err := l.Finish(&switchsim.Recording{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestLedgerCancelRule(t *testing.T) {
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
-	l = NewLedger(ctx, nw, faults, 10, 0, 0.25, nil)
+	l = NewLedger(ctx, nw, faults, seq, 10, 0, 0.25, nil)
 	l.Start(0)
 	cancel()
 	<-l.Context().Done()
@@ -190,42 +191,51 @@ func TestLedgerCancelRule(t *testing.T) {
 	if l.reached {
 		t.Fatal("an aborted campaign reached its target")
 	}
-	if _, err := l.Finish(&switchsim.Recording{}, seq); !errors.Is(err, context.Canceled) {
+	if _, err := l.Finish(&switchsim.Recording{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted campaign returned %v, want context.Canceled", err)
 	}
 }
 
 // TestLedgerRefusesWrongShape: a batch result that is not as wide as its
-// window is refused where it arrives — the batch stays outstanding and may
-// run again — and one whose tables are not as long as the sequence fails
-// the merge; neither is ever truncated into a Result.
+// window, or whose per-setting or per-pattern table is not as long as the
+// sequence, is refused where it arrives — by resume as by Complete — and
+// the batch stays outstanding and may run again; nothing of the wrong
+// shape reaches the merge.
 func TestLedgerRefusesWrongShape(t *testing.T) {
 	seq := &switchsim.Sequence{Name: "none"}
 	nw, faults := shuffledUniverse(15)
-	l := NewLedger(context.Background(), nw, faults, 10, 0, 0, nil)
+	l := NewLedger(context.Background(), nw, faults, seq, 10, 0, 0, nil)
+	short := batchWith(10, 2)
+	short.Detected = short.Detected[:9]
+	oneSetting := batchWith(10, 2)
+	oneSetting.PerSetting = make([]core.SettingStats, 1)
+	onePattern := batchWith(10, 2)
+	onePattern.PerPattern = make([]core.PatternStats, 1)
+	wrong := []*core.BatchResult{batchWith(3, 1), short, oneSetting, onePattern}
+
 	if err := l.resume(1, batchWith(10, 0)); !errors.Is(err, ErrBatchShape) {
 		t.Fatalf("a 10-wide result resumed into the 5-wide last window: %v", err)
 	}
-	short := batchWith(10, 2)
-	short.Detected = short.Detected[:9]
 	l.Start(0)
-	for _, br := range []*core.BatchResult{batchWith(3, 1), short} {
+	for _, br := range wrong {
+		shape := fmt.Sprintf("%d faults (%d flags, %d settings in %d patterns)", br.NumFaults, len(br.Detected), len(br.PerSetting), len(br.PerPattern))
+		if err := l.resume(0, br); !errors.Is(err, ErrBatchShape) {
+			t.Fatalf("a result of %s resumed a 10-wide batch over a sequence with none: %v", shape, err)
+		}
 		if err := l.Complete(0, br); !errors.Is(err, ErrBatchShape) {
-			t.Fatalf("a result of %d faults (%d flags) completed a 10-wide batch: %v", br.NumFaults, len(br.Detected), err)
+			t.Fatalf("a result of %s completed a 10-wide batch over a sequence with none: %v", shape, err)
 		}
 	}
 	if l.Batch(0) != nil || !l.Start(0) || l.outstanding() != 2 {
 		t.Fatal("a refused result must leave its batch outstanding and free to run again")
 	}
 
-	long := batchWith(10, 2)
-	long.PerSetting = make([]core.SettingStats, 1)
 	l.Start(1)
-	if err := errors.Join(l.Complete(0, long), l.Complete(1, batchWith(5, 0))); err != nil {
+	if err := errors.Join(l.Complete(0, batchWith(10, 2)), l.Complete(1, batchWith(5, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Finish(&switchsim.Recording{}, seq); !errors.Is(err, ErrBatchShape) {
-		t.Fatalf("a batch with one setting merged over a sequence with none: %v", err)
+	if _, err := l.Finish(&switchsim.Recording{}); err != nil {
+		t.Fatal(err)
 	}
 }
 

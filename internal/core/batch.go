@@ -443,9 +443,9 @@ func (b *FaultBatch) applyToCircuit(c *switchsim.Circuit, chs []switchsim.Change
 // simulateActivated schedules every live circuit whose interest set
 // intersects the touched region and re-simulates each: against the good
 // trajectory when one is available (adopting identical regions, solving
-// divergent ones — see switchsim.SettleReplayIndexed), or by a full
-// replay of the setting otherwise. Returns the number of activated
-// circuits.
+// divergent ones — see switchsim.SettleReplayIndexed), or by the same
+// loop with no index, solving every vicinity, otherwise. Returns the
+// number of activated circuits.
 //
 // Scheduling is word-wide: the touched nodes' interest-mask rows OR into
 // one lane accumulator (64 circuits per operation), and the set bits are
@@ -700,10 +700,9 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 			if b.opts.OnObserve != nil {
 				b.opts.OnObserve(BatchProgress{
 					Pattern: pi, Setting: i,
-					ActiveCircuits: st.ActiveCircuits,
-					LiveFaults:     b.live,
-					Detected:       det,
-					DetectedTotal:  detTotal,
+					LiveFaults:    b.live,
+					Detected:      det,
+					DetectedTotal: detTotal,
 				})
 			}
 		}

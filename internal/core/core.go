@@ -86,13 +86,12 @@ type Options struct {
 }
 
 // BatchProgress is one setting's progress report from a batch replay: the
-// position in the sequence, the setting's activity, the batch's live-fault
-// count after any observation, and the batch fault indices first detected
-// by this setting's observation (nil when none, or when the setting had no
-// observe point).
+// position in the sequence, the batch's live-fault count after any
+// observation, and the batch fault indices first detected by this
+// setting's observation (nil when none, or when the setting had no observe
+// point).
 type BatchProgress struct {
 	Pattern, Setting int
-	ActiveCircuits   int
 	LiveFaults       int
 	Detected         []int
 	// DetectedTotal is the cumulative number of detected faults in the

@@ -200,18 +200,19 @@ func (w *faultWorker) stepFaulty(ci CircuitID) (lo, hi int, osc bool) {
 		seeds = w.solve.ApplySetting(w.scratch, in.setting)
 	}
 
-	var res switchsim.SettleResult
-	if in.traj != nil {
-		// The prebuilt per-setting index carries this circuit's static
-		// divergence set in its lane of the interest-mask rows (divergence
-		// records with their gated channel terminals, plus the fault
-		// sites), so no per-circuit trajectory indexing or seeding happens
-		// here — see runActivated and SettleReplayIndexed.
-		word, bit := b.lane(ci)
-		res = w.solve.SettleReplayIndexed(w.scratch, seeds, b.ix, word, bit)
-	} else {
-		res = w.solve.Settle(w.scratch, seeds)
+	// The prebuilt per-setting index carries this circuit's static
+	// divergence set in its lane of the interest-mask rows (divergence
+	// records with their gated channel terminals, plus the fault sites), so
+	// no per-circuit trajectory indexing or seeding happens here — see
+	// runActivated and SettleReplayIndexed. An oscillated good step has no
+	// trajectory to follow: the same loop then runs with no index and
+	// solves every vicinity.
+	ix := b.ix
+	if in.traj == nil {
+		ix = nil
 	}
+	word, bit := b.lane(ci)
+	res := w.solve.SettleReplayIndexed(w.scratch, seeds, ix, word, bit)
 
 	// Diff: the faulty state may now differ from the good post-step state
 	// anywhere the faulty settle explored, anywhere the good circuit

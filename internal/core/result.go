@@ -19,8 +19,9 @@ type SettingStats struct {
 
 	// Lane occupancy: LanesReplayed counts activated circuits settled
 	// against the shared trajectory index this setting; ScalarFallbacks
-	// counts those that fell back to a full scalar settle (the good step
-	// oscillated). The two split ActiveCircuits exactly.
+	// counts those the settle loop ran with no index, solving every
+	// vicinity (the good step oscillated). The two split ActiveCircuits
+	// exactly.
 	LanesReplayed, ScalarFallbacks int
 	// AdoptedVics/SolvedVics split the replayed circuits' vicinity
 	// servicing: trajectory vicinities adopted whole vs solved with full

@@ -144,7 +144,7 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	encoded, fp := encodeRecording(rec)
 
 	slots := len(opts.Workers) * opts.InFlight
-	ledger := campaign.NewLedger(ctx, wl.Net, wl.Faults, opts.BatchSize, slots, spec.CoverageTarget, opts.Progress)
+	ledger := campaign.NewLedger(ctx, wl.Net, wl.Faults, wl.Seq, opts.BatchSize, slots, spec.CoverageTarget, opts.Progress)
 	nBatches := ledger.Batches()
 
 	// shardSpec is the worker-side template: the circuit fields verbatim
@@ -203,7 +203,7 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	default: // every slot gave up on its worker with shards still to run
 		ledger.Fail(errors.New("distrib: all workers unavailable"))
 	}
-	return ledger.Finish(rec, wl.Seq)
+	return ledger.Finish(rec)
 }
 
 // coordinator is the shared state of one distributed run. Everything the

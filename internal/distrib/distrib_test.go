@@ -194,21 +194,11 @@ func TestWorkerKilledMidRun(t *testing.T) {
 	assertIdentical(t, got, want)
 }
 
-// TestShortBatchIsRetried: a worker that answers a shard with a result one
-// fault narrower than the window costs the shard that attempt — the ledger
-// refuses the result by name, the shard runs again, and the merge is the
-// monolithic one, not one with a fault quietly reading as undetected.
-func TestShortBatchIsRetried(t *testing.T) {
-	spec := ram256Spec()
-	wl, rec := resolveAndRecord(t, spec)
-	want := monolithic(t, wl, rec, 32)
-
-	// The shim sits in front of a real worker and narrows the window of
-	// the first shard job it forwards.
-	mgr := server.NewManager(server.Config{MaxJobs: 2, StreamInterval: 2 * time.Millisecond})
-	worker := mgr.Handler()
+// narrowFirstJob is a shim in front of a worker that narrows the window of
+// the first shard job it forwards by one fault.
+func narrowFirstJob(t *testing.T, worker http.Handler) http.Handler {
 	var narrowed atomic.Bool
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && r.URL.Path == "/jobs" && narrowed.CompareAndSwap(false, true) {
 			var job map[string]any
 			if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
@@ -219,38 +209,95 @@ func TestShortBatchIsRetried(t *testing.T) {
 			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
 		}
 		worker.ServeHTTP(w, r)
-	}))
-	t.Cleanup(func() {
-		ts.Close()
-		mgr.Close()
 	})
+}
 
-	var mu sync.Mutex
-	var refused []string
-	got, err := distrib.Run(context.Background(), spec, distrib.Options{
-		Workers:   []string{ts.URL},
-		BatchSize: 32,
-		Recording: rec,
-		Logf: func(format string, args ...any) {
-			for _, a := range args {
-				if err, ok := a.(error); ok && errors.Is(err, campaign.ErrBatchShape) {
-					mu.Lock()
-					refused = append(refused, err.Error())
-					mu.Unlock()
-				}
+// dropSettingFromFirstResult is a shim in front of a worker that drops the
+// last per-setting row from the batch on the result line of the first
+// stream it forwards, leaving every other line and field as the worker
+// sent it.
+func dropSettingFromFirstResult(t *testing.T, worker http.Handler) http.Handler {
+	var dropped atomic.Bool
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || !strings.HasSuffix(r.URL.Path, "/stream") || !dropped.CompareAndSwap(false, true) {
+			worker.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		worker.ServeHTTP(rec, r)
+		w.WriteHeader(rec.Code)
+		for _, line := range bytes.SplitAfter(rec.Body.Bytes(), []byte("\n")) {
+			var l struct {
+				Type   string         `json:"type"`
+				Result *server.Result `json:"result"`
 			}
-		},
+			if json.Unmarshal(line, &l) == nil && l.Type == "result" {
+				br := l.Result.Batch
+				br.PerSetting = br.PerSetting[:len(br.PerSetting)-1]
+				var err error
+				if line, err = json.Marshal(l); err != nil {
+					t.Error(err)
+				}
+				line = append(line, '\n')
+			}
+			w.Write(line)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestShortBatchIsRetried: a worker that answers a shard with a result of
+// the wrong shape — one fault narrower than the window, or one setting
+// short of the sequence — costs the shard that attempt: the ledger refuses
+// the result by name where it arrives, the shard runs again, and the merge
+// is the monolithic one.
+func TestShortBatchIsRetried(t *testing.T) {
+	spec := ram256Spec()
+	wl, rec := resolveAndRecord(t, spec)
+	want := monolithic(t, wl, rec, 32)
+
+	for _, tc := range []struct {
+		name string
+		shim func(*testing.T, http.Handler) http.Handler
+	}{
+		{"window", narrowFirstJob},
+		{"settings", dropSettingFromFirstResult},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mgr := server.NewManager(server.Config{MaxJobs: 2, StreamInterval: 2 * time.Millisecond})
+			ts := httptest.NewServer(tc.shim(t, mgr.Handler()))
+			t.Cleanup(func() {
+				ts.Close()
+				mgr.Close()
+			})
+
+			var mu sync.Mutex
+			var refused []string
+			got, err := distrib.Run(context.Background(), spec, distrib.Options{
+				Workers:   []string{ts.URL},
+				BatchSize: 32,
+				Recording: rec,
+				Logf: func(format string, args ...any) {
+					for _, a := range args {
+						if err, ok := a.(error); ok && errors.Is(err, campaign.ErrBatchShape) {
+							mu.Lock()
+							refused = append(refused, err.Error())
+							mu.Unlock()
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(refused) != 1 {
+				t.Fatalf("the ledger refused %d results, want the one short batch: %q", len(refused), refused)
+			}
+			if got.BatchesRun != got.Batches {
+				t.Errorf("batches: %d run of %d", got.BatchesRun, got.Batches)
+			}
+			assertIdentical(t, got, want)
+		})
 	}
-	if len(refused) != 1 {
-		t.Fatalf("the ledger refused %d results, want the one short batch: %q", len(refused), refused)
-	}
-	if got.BatchesRun != got.Batches {
-		t.Errorf("batches: %d run of %d", got.BatchesRun, got.Batches)
-	}
-	assertIdentical(t, got, want)
 }
 
 // TestCoverageTargetStopsEarly: a cluster-wide coverage target stops

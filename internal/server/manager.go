@@ -357,7 +357,7 @@ func (m *Manager) runJob(job *Job) {
 		}
 	default:
 		var res *campaign.Result
-		if res, err = l.Finish(rec, wl.Seq); err == nil {
+		if res, err = l.Finish(rec); err == nil {
 			r = buildResult(wl, res, job.Spec.IncludePerFault)
 		}
 	}

@@ -18,15 +18,16 @@
 //     flags), built once and safely shared by any number of circuits,
 //     solvers, batches, and server jobs.
 //   - Circuit: the dynamic state of one circuit instance.
-//   - Solver: the steady-state settling engine, including the
-//     trajectory-guided replay path (SettleReplayIndexed) faulty circuits
-//     use to adopt provably identical regions of the good circuit's
-//     settle. Its vicinity kernel gathers once: the walk that collects a
-//     vicinity's members also summarizes each member's input-like
-//     neighbours and lists its conducting edges to other members, and
-//     the two relaxation phases read only that — same visiting order,
-//     same fixpoints, same work counters as a relaxation over the full
-//     channel lists (DESIGN.md, "Vicinity kernel").
+//   - Solver: the steady-state settling engine, with one unit-delay loop,
+//     SettleReplayIndexed. With no ReplayIndex it solves every pending
+//     vicinity (Settle); with one it is the replay faulty circuits use to
+//     adopt provably identical regions of the good circuit's settle
+//     (DESIGN.md, "One settle loop"). Its vicinity kernel gathers once: the walk that collects a vicinity's members
+//     also summarizes each member's input-like neighbours and lists its
+//     conducting edges to other members, and the two relaxation phases
+//     read only that — same visiting order, same fixpoints, same work
+//     counters as a relaxation over the full channel lists (DESIGN.md,
+//     "Vicinity kernel").
 //   - Simulator: the user-facing logic simulator driving test sequences.
 //   - Recording/StepTrace: the serializable trajectory artifact described
 //     below.

@@ -2,7 +2,9 @@
 // bit-planes, one lane per bit position. The concurrent simulator groups
 // fault circuits into lane words so that membership and divergence tests
 // against the good circuit run word-wide (one AND/XOR per 64 circuits)
-// instead of once per circuit.
+// instead of once per circuit: a lane word's divergence-record row answers
+// "which of these circuits differ from the good value" with one
+// EqValueMask.
 //
 // Encoding (canonical form):
 //
@@ -63,12 +65,6 @@ func (p LanePlanes) Get(bit uint) logic.Value {
 	return logic.Lo
 }
 
-// EqMask returns the lanes where p and q hold equal values. With the
-// canonical encoding two values are equal exactly when both planes agree.
-func (p LanePlanes) EqMask(q LanePlanes) uint64 {
-	return ^(p.V ^ q.V) & ^(p.X ^ q.X)
-}
-
 // EqValueMask returns the lanes where p equals the broadcast value v.
 func (p LanePlanes) EqValueMask(v logic.Value) uint64 {
 	switch v {
@@ -81,39 +77,6 @@ func (p LanePlanes) EqValueMask(v logic.Value) uint64 {
 	}
 }
 
-// DefiniteMask returns the lanes holding a definite (Lo or Hi) value.
-func (p LanePlanes) DefiniteMask() uint64 { return ^p.X }
-
-// Not returns the lane-wise ternary complement: Lo↔Hi, X→X.
-func (p LanePlanes) Not() LanePlanes {
-	return LanePlanes{V: ^p.V & ^p.X, X: p.X}
-}
-
-// Lub returns the lane-wise least upper bound in the information ordering:
-// equal values stay, differing values resolve to X (logic.Lub).
-func (p LanePlanes) Lub(q LanePlanes) LanePlanes {
-	eq := p.EqMask(q)
-	return LanePlanes{V: p.V & eq, X: ^eq | p.X}
-}
-
-// CoversMask returns the lanes where p covers q in the information
-// ordering (logic.Covers): p equals q, or p is X.
-func (p LanePlanes) CoversMask(q LanePlanes) uint64 {
-	return p.EqMask(q) | p.X
-}
-
-// Broadcast returns planes holding v in every lane.
-func Broadcast(v logic.Value) LanePlanes {
-	switch v {
-	case logic.Hi:
-		return LanePlanes{V: ^uint64(0)}
-	case logic.Lo:
-		return LanePlanes{}
-	default:
-		return LanePlanes{X: ^uint64(0)}
-	}
-}
-
 // Canonical reports whether p is in canonical form (no lane has both the
-// V and X bits set). All constructors in this package preserve it.
+// V and X bits set). Set and Clear preserve it.
 func (p LanePlanes) Canonical() bool { return p.V&p.X == 0 }

@@ -5,9 +5,13 @@ import (
 	"fmossim/internal/netlist"
 )
 
-// SettleReplayIndexed settles circuit c — a faulty circuit's materialized
+// SettleReplayIndexed is the one unit-delay settle loop. With a nil ix
+// there is nothing to adopt and every pending vicinity is solved: that is
+// Settle, and the only form that records s.Traj (when s.Record is set).
+//
+// With an index it settles circuit c — a faulty circuit's materialized
 // pre-step view — against the good circuit's recorded trajectory, as lane
-// (word, bit) of a prebuilt ReplayIndex. This is the concurrent
+// (word, bit) of the prebuilt ReplayIndex. This is the concurrent
 // simulator's fast path: regions where the faulty circuit provably behaves
 // identically to the good circuit are not re-solved; their recorded
 // changes are adopted instead.
@@ -86,19 +90,18 @@ import (
 // An index that was only Built compiles nothing and every replay walks.
 func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *ReplayIndex, word int, bit uint) SettleResult {
 	nw := s.tab.Net
-	traj := ix.traj
 	s.work.Settles++
 	s.exploredEpoch++
 	s.explored = s.explored[:0]
 	s.changedEpoch++
 	s.changed = s.changed[:0]
-	s.dynEpoch++
-	s.dynList = s.dynList[:0]
 
 	maxRounds := s.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = s.defaultMaxRounds()
 	}
+	// In X-mode each node value moves at most once (toward X) and each
+	// transistor follows, so settling is guaranteed within the hard cap.
 	hardCap := maxRounds + 2*(nw.NumNodes()+nw.NumTransistors()) + 16
 
 	s.pend = s.pend[:0]
@@ -116,18 +119,28 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 	xmode := false
 	adopted := int64(0)
 	zeroChange := int64(0)
-	s.replay.Lanes++
 
-	// Riding the good wave: the rounds this lane shares with the good
-	// circuit are applied from the compiled wave, not walked.
-	first := ix.sharedRounds(c, s.pend, word, bit, maxRounds)
-	if first > 0 {
-		res.Rounds = first
-		adopted = s.rideWave(c, ix, first)
+	record := ix == nil && s.Record
+	if record {
+		s.Traj.reset()
+	}
+	var traj *Trajectory
+	first := 0
+	if ix != nil {
+		traj = ix.traj
+		s.dynEpoch++
+		s.dynList = s.dynList[:0]
+		s.replay.Lanes++
+		// Riding the good wave: the rounds this lane shares with the good
+		// circuit are applied from the compiled wave, not walked.
+		if first = ix.sharedRounds(c, s.pend, word, bit, maxRounds); first > 0 {
+			res.Rounds = first
+			adopted = s.rideWave(c, ix, first)
+		}
 	}
 
 	for round := first; len(s.pend) > 0; round++ {
-		if s.onRound != nil {
+		if s.onRound != nil && ix != nil {
 			s.onRound(round)
 		}
 		res.Rounds++
@@ -137,6 +150,7 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 			res.Oscillated = true
 		}
 		if res.Rounds > hardCap {
+			// Unreachable in practice; resolve whatever is left to X and stop.
 			for _, n := range s.pend {
 				if c.val[n] != logic.X {
 					c.val[n] = logic.X
@@ -147,35 +161,43 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 		}
 
 		s.beginRound()
+		if ix == nil && cap(s.kn) < len(s.pend) {
+			// Every pending seed is solved this round: size the kernel
+			// storage once instead of doubling up to a settle-all.
+			s.kn = make([]vicNode, 0, len(s.pend))
+		}
 		s.next = s.next[:0]
 		s.pendEpoch++
 
 		// The round's trajectory vicinities are [vlo, vlo+nvic); the map
 		// and the per-vicinity state are round-local (0-based). The flags
-		// layout is word-major, so fw is this lane's word for each.
+		// layout is word-major, so fw is this lane's word for each. Past
+		// the trajectory's last round, and with no index, vicMap is nil and
+		// every pending vicinity is solved.
 		var (
 			vlo, nvic int
 			vicMap    []uint64
 			fw        []uint64
+			vicState  []uint32
 		)
-		if round < ix.rounds {
+		s.rvState = nil
+		if ix != nil && round < ix.rounds {
 			var vhi int
 			vlo, vhi = traj.RoundSpan(round)
 			nvic = vhi - vlo
 			vicMap = ix.vicMap[round]
 			fw = ix.flags[round][word*nvic:]
-		}
-		if len(s.vicState) < nvic {
-			s.vicState = make([]uint32, nvic*2)
-		}
-		vicState := s.vicState
-		s.nextVicTag()
-		// Dynamic overlay: flag vicinities containing nodes this replay has
-		// marked (solved members and their gated terminals, from any earlier
-		// round). A newly flagged vicinity's unfollowed changes are marked in
-		// turn, growing the list as it is scanned — the within-round flag
-		// fixpoint for free.
-		if vicMap != nil {
+			if len(s.vicState) < nvic {
+				s.vicState = make([]uint32, nvic*2)
+			}
+			vicState = s.vicState
+			s.nextVicTag()
+			s.rvMap, s.rvEpoch, s.rvState = vicMap, ix.epoch, vicState
+			// Dynamic overlay: flag vicinities containing nodes this replay
+			// has marked (solved members and their gated terminals, from any
+			// earlier round). A newly flagged vicinity's unfollowed changes
+			// are marked in turn, growing the list as it is scanned — the
+			// within-round flag fixpoint for free.
 			for i := 0; i < len(s.dynList); i++ {
 				m := vicMap[s.dynList[i]]
 				if uint32(m>>32) != ix.epoch {
@@ -190,10 +212,6 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 			}
 		}
 		genA := s.dynGen // divergence set as of the adoption decisions
-		s.rvMap, s.rvEpoch, s.rvState = vicMap, ix.epoch, nil
-		if vicMap != nil {
-			s.rvState = vicState
-		}
 
 		// Every pending node is a storage node of this circuit (seeds and
 		// pushes are filtered as they are queued), and one solved earlier
@@ -262,10 +280,15 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 					s.exploredStamp[u] = s.exploredEpoch
 					s.explored = append(s.explored, u)
 				}
-				s.markDiverged(u)
+				if vicMap != nil {
+					s.markDiverged(u)
+				}
 			}
 			newVal := s.vicNewVal()
 			s.solveVicinity(c, newVal)
+			if record {
+				s.Traj.nodes = append(s.Traj.nodes, s.vic...)
+			}
 			for i, u := range s.vic {
 				nv := newVal[i]
 				if xmode {
@@ -276,8 +299,19 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 				}
 				c.val[u] = nv
 				s.noteChanged(u)
+				if record {
+					s.Traj.changes = append(s.Traj.changes, Change{Node: u, Value: nv})
+				}
+				// The state change switches the transistors this node
+				// gates; their channel terminals are perturbed next round.
 				s.propagate(c, u)
 			}
+			if record {
+				s.Traj.endVicinity()
+			}
+		}
+		if record {
+			s.Traj.endRound()
 		}
 
 		s.pend, s.next = s.next, s.pend

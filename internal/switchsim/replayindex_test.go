@@ -139,6 +139,40 @@ func TestIndexedReplayMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestPlainSettleIsNoLane: with no index the settle loop is a plain settle,
+// not a lane replay. Init, Step and Settle leave ReplayStats at zero, and
+// each indexed replay counts one lane.
+func TestPlainSettleIsNoLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tc := testnet.Structured(rng)
+	tab := switchsim.NewTables(tc.Net)
+	good, gsv := switchsim.NewCircuit(tab), switchsim.NewSolver(tab)
+	fc, fsv := switchsim.NewCircuit(tab), switchsim.NewSolver(tab)
+	gsv.Record = true
+	gsv.Init(good)
+	fsv.Init(fc)
+	ix := switchsim.NewReplayIndex(tab)
+	replays := int64(0)
+	for step := 0; step < 8; step++ {
+		set := tc.RandomSetting(rng, 0)
+		osc := gsv.Step(good, set).Oscillated
+		seeds := fsv.ApplySetting(fc, set)
+		if osc || step%2 == 0 {
+			fsv.Settle(fc, seeds)
+			continue
+		}
+		ix.Build(&gsv.Traj, 1, make([]uint64, tc.Net.NumNodes()), nil)
+		fsv.SettleReplayIndexed(fc, seeds, ix, 0, 0)
+		replays++
+	}
+	if rs := gsv.ReplayStats(); rs != (switchsim.ReplayStats{}) {
+		t.Errorf("the good circuit's settles counted as replays: %+v", rs)
+	}
+	if got := fsv.ReplayStats().Lanes; got != replays || replays == 0 {
+		t.Errorf("%d lanes counted for %d indexed replays", got, replays)
+	}
+}
+
 // TestIndexedReplayPureAdoption: a lane with no static divergence bits
 // adopts the whole trajectory without solving a single vicinity, matching
 // the good state exactly — the fast path the word packing exists to share.

@@ -120,114 +120,11 @@ func (tr *Trajectory) endRound() {
 // the information ordering so oscillating nodes resolve monotonically to X.
 //
 // When s.Record is true, the solver additionally appends the full
-// per-round trajectory to s.Traj (reset at each Settle).
+// per-round trajectory to s.Traj (reset at each Settle). Settle is
+// SettleReplayIndexed with no index: the same loop, solving every pending
+// vicinity.
 func (s *Solver) Settle(c *Circuit, seeds []netlist.NodeID) SettleResult {
-	nw := s.tab.Net
-	s.work.Settles++
-	s.exploredEpoch++
-	s.explored = s.explored[:0]
-	s.changedEpoch++
-	s.changed = s.changed[:0]
-
-	maxRounds := s.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = s.defaultMaxRounds()
-	}
-	// In X-mode each node value moves at most once (toward X) and each
-	// transistor follows, so settling is guaranteed within the hard cap.
-	hardCap := maxRounds + 2*(nw.NumNodes()+nw.NumTransistors()) + 16
-
-	s.pend = s.pend[:0]
-	s.next = s.next[:0]
-	s.pendEpoch++
-	for _, n := range seeds {
-		if c.IsInputLike(n) || s.pendStamp[n] == s.pendEpoch {
-			continue
-		}
-		s.pendStamp[n] = s.pendEpoch
-		s.pend = append(s.pend, n)
-	}
-
-	res := SettleResult{}
-	xmode := false
-	if s.Record {
-		s.Traj.reset()
-	}
-
-	for len(s.pend) > 0 {
-		res.Rounds++
-		s.work.Rounds++
-		if res.Rounds > maxRounds && !xmode {
-			xmode = true
-			res.Oscillated = true
-		}
-		if res.Rounds > hardCap {
-			// Unreachable in practice; resolve whatever is left to X and stop.
-			for _, n := range s.pend {
-				if c.val[n] != logic.X {
-					c.val[n] = logic.X
-					s.noteChanged(n)
-				}
-			}
-			break
-		}
-
-		s.beginRound()
-		if cap(s.kn) < len(s.pend) {
-			// Every pending seed is solved this round: size the kernel
-			// storage once instead of doubling up to a settle-all.
-			s.kn = make([]vicNode, 0, len(s.pend))
-		}
-		s.next = s.next[:0]
-		s.pendEpoch++
-
-		for _, seed := range s.pend {
-			if !s.exploreVicinity(c, seed) {
-				continue // input-like, or already solved this round
-			}
-			for _, u := range s.vic {
-				if s.exploredStamp[u] != s.exploredEpoch {
-					s.exploredStamp[u] = s.exploredEpoch
-					s.explored = append(s.explored, u)
-				}
-			}
-			newVal := s.vicNewVal()
-			s.solveVicinity(c, newVal)
-
-			if s.Record {
-				s.Traj.nodes = append(s.Traj.nodes, s.vic...)
-			}
-
-			for i, u := range s.vic {
-				nv := newVal[i]
-				if xmode {
-					nv = logic.Lub(c.val[u], nv)
-				}
-				if nv == c.val[u] {
-					continue
-				}
-				c.val[u] = nv
-				s.noteChanged(u)
-				if s.Record {
-					s.Traj.changes = append(s.Traj.changes, Change{Node: u, Value: nv})
-				}
-				// The state change switches the transistors this node
-				// gates; their channel terminals are perturbed next round.
-				s.propagate(c, u)
-			}
-			if s.Record {
-				s.Traj.endVicinity()
-			}
-		}
-		if s.Record {
-			s.Traj.endRound()
-		}
-		s.pend, s.next = s.next, s.pend
-	}
-
-	res.Changed = s.changed
-	res.Explored = s.explored
-	return res
+	return s.SettleReplayIndexed(c, seeds, nil, 0, 0)
 }
 
 // propagate switches the transistors gated by changed node u and schedules
