@@ -13,7 +13,6 @@
 //	mapiter     no raw map iteration in result-affecting packages
 //	walltime    no clock/randomness reads in the deterministic engine
 //	ctxsettle   per-setting replay loops must poll cancellation
-//	planecanon  no raw LanePlanes plane writes outside switchsim
 //	mergeorder  merge-feeding functions keep ascending fault-id order
 //
 // plus the annotation facility, which rejects reason-less

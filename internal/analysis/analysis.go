@@ -70,5 +70,5 @@ func (d Diagnostic) String() string {
 // checking, unused-annotation detection) is not an Analyzer — it is part
 // of the driver and always runs.
 func All() []*Analyzer {
-	return []*Analyzer{Mapiter, Walltime, Ctxsettle, Planecanon, Mergeorder}
+	return []*Analyzer{Mapiter, Walltime, Ctxsettle, Mergeorder}
 }

@@ -18,8 +18,6 @@
 //   - ctxsettle — per-setting replay loops in context-carrying functions
 //     must poll ctx.Err() or invoke the OnObserve hook (the sub-second
 //     cancellation guarantee).
-//   - planecanon — no direct writes to switchsim.LanePlanes.V/.X outside
-//     internal/switchsim (the canonical two-plane encoding).
 //   - mergeorder — functions feeding campaign.Merge/core.BatchResult may
 //     not build circuit slices from map iteration or concurrent appends.
 //
@@ -43,5 +41,7 @@
 //
 // The suite is surfaced by cmd/fmossimvet and gated in CI; the
 // "mechanically enforced invariants" table in ARCHITECTURE.md maps each
-// analyzer to the contract clause it guards.
+// analyzer to the contract clause it guards. TestAllMatchesDocumentedSuite
+// holds All, the list above, the command's usage text and that table to
+// the same names.
 package analysis

@@ -53,8 +53,8 @@ type FaultBatch struct {
 	live   int // undropped circuits, maintained on drop (O(1) queries)
 
 	// Lane packing: circuit ci occupies bit (ci-1)%64 of lane word
-	// (ci-1)/64. words is the per-node row stride of the packed planes
-	// below.
+	// (ci-1)/64. words is the per-node row stride of the packed interest
+	// rows below.
 	words int
 
 	// interest[n] refcounts the circuits whose re-simulation triggers
@@ -62,19 +62,12 @@ type FaultBatch struct {
 	// rows (bit set ⟺ count > 0). The mask doubles as the static
 	// divergence rows the per-setting ReplayIndex is built from, and
 	// interestNZ[n] counts its nonzero words (the index build and the
-	// scheduler skip all-zero rows with one load).
+	// scheduler skip all-zero rows with one load). A circuit holding a
+	// record at n is interested in n, so node n's row is also the
+	// candidate set Observe scans there.
 	interest     []interestList
 	interestMask []uint64
 	interestNZ   []int32
-
-	// recRows[recRowIdx[n]] is node n's packed record row (lazily
-	// allocated; recRowIdx[n] < 0 until the first record lands on n):
-	// per lane word, a membership mask of the circuits holding a
-	// divergence record at n and the two-plane encoding of their recorded
-	// values — the paper's per-node state lists, word-packed (the good
-	// circuit's entry is implicit: it is the good state itself).
-	recRowIdx []int32
-	recRows   [][]laneCell
 
 	// ix is the per-setting trajectory index shared by every activated
 	// lane (built from interestMask by the Steps that activate a circuit,
@@ -121,16 +114,7 @@ type FaultBatch struct {
 	lanesFreed int
 }
 
-// laneCell is one lane word of a node's packed record row: the membership
-// mask of circuits holding a divergence record at the node, and the
-// two-plane ternary encoding of their recorded values (non-member lanes
-// hold the zero encoding).
-type laneCell struct {
-	member uint64
-	pl     switchsim.LanePlanes
-}
-
-// lane returns circuit ci's lane coordinates in the packed planes.
+// lane returns circuit ci's lane coordinates in the packed rows.
 func (b *FaultBatch) lane(ci CircuitID) (word int, bit uint) {
 	fi := int(ci) - 1
 	return fi >> 6, uint(fi & 63)
@@ -164,15 +148,11 @@ func NewFaultBatch(tab *switchsim.Tables, faults []fault.Fault, opts Options) (*
 		interest:     make([]interestList, nw.NumNodes()),
 		interestMask: make([]uint64, nw.NumNodes()*words),
 		interestNZ:   make([]int32, nw.NumNodes()),
-		recRowIdx:    make([]int32, nw.NumNodes()),
 		ix:           switchsim.NewReplayIndex(tab),
 		touchStamp:   make([]uint32, nw.NumNodes()),
 		inputStamp:   make([]uint32, nw.NumNodes()),
 		activeWords:  make([]uint64, words),
 		results:      make([]stepResult, len(faults)),
-	}
-	for i := range b.recRowIdx {
-		b.recRowIdx[i] = -1
 	}
 	b.laneStep = b.stepLane
 
@@ -517,35 +497,40 @@ func (b *FaultBatch) wasTouched(n netlist.NodeID) bool {
 // divergence record there against the good circuit, recording detections
 // and dropping circuits per the policy. Only circuits that actually
 // diverge at an output are examined — the paper's reason for keeping
-// per-node state lists, here word-packed: one EqValueMask per lane word
-// discharges up to 64 circuits whose recorded value happens to equal the
-// good output, and the surviving bits are detections. Returns the batch
-// indices of the faults first detected by this observation.
+// per-node state lists. A circuit holding a record at o is interested in
+// o, so o's interest row is a word-packed superset of the record holders:
+// its set bits are the candidates, and a candidate with no record at o
+// (interested through a site or a gated neighbour) is skipped. A record
+// never equals the good value (CheckInvariants), so every record found is
+// a difference. Returns the batch indices of the faults first detected by
+// this observation.
 func (b *FaultBatch) Observe() []int {
 	detectedNow := b.detBuf[:0]
 	for _, o := range b.opts.Observe {
-		ri := b.recRowIdx[o]
-		if ri < 0 {
+		if b.interestNZ[o] == 0 {
 			continue
 		}
-		row := b.recRows[ri]
+		row := b.interestMask[int(o)*b.words : (int(o)+1)*b.words]
 		gv := b.good.Value(o)
 		outStart := len(detectedNow)
 		for w := range row {
-			// The word snapshot is the iteration's working set: drops at
-			// this or earlier outputs clear member bits in the shared row,
-			// so each surviving bit is re-checked against fs.dropped.
-			m := row[w].member &^ row[w].pl.EqValueMask(gv)
+			// The word snapshot is the iteration's working set: a drop
+			// clears only the dropped circuit's own bits in the shared row.
+			// A dropped circuit has left every row and released its
+			// records, so the fs.dropped re-check fires only on a batch
+			// whose interest index is already inconsistent.
+			m := row[w]
 			for m != 0 {
-				bit := uint(bits.TrailingZeros64(m))
+				fi := w<<6 + bits.TrailingZeros64(m)
 				m &= m - 1
-				fi := w<<6 + int(bit)
-				ci := CircuitID(fi + 1)
 				fs := b.faults[fi]
 				if fs.dropped {
-					continue // dropped at an earlier output this observation
+					continue
 				}
-				fv := row[w].pl.Get(bit)
+				fv, ok := fs.recs.get(o)
+				if !ok {
+					continue
+				}
 				hard := gv.Definite() && fv.Definite()
 				// Under DropHardOnly, an X-vs-definite difference is only a
 				// potential detection and does not count; otherwise any
@@ -577,7 +562,7 @@ func (b *FaultBatch) Observe() []int {
 				case NeverDrop:
 				}
 				if drop {
-					b.dropCircuit(ci)
+					b.dropCircuit(CircuitID(fi + 1))
 				}
 			}
 		}

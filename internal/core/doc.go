@@ -69,22 +69,23 @@
 //
 // Inside a batch, faulty circuits are packed into 64-bit lane words:
 // circuit ci occupies bit (ci-1)%64 of word (ci-1)/64. The packing drives
-// three word-wide structures — per-node interest masks answering "which
-// circuits care about this node" with popcounts instead of list walks, a
-// per-setting switchsim.ReplayIndex whose static-divergence flag closure
-// is built once per word — on demand, by the Steps that activate a
-// circuit, which also compile the good circuit's wave so that lanes still
-// in step with it skip their shared leading rounds (FaultBatch.ReplayStats
-// counts them, outside every result) — and shared by every circuit in it,
-// and packed
-// divergence-record rows (two-plane ternary values, switchsim.LanePlanes)
-// that make the post-settle diff and Observe comparison word-wide.
-// Retiring a detected circuit clears its lane bit from each row it
-// occupies (O(records), no per-node list surgery). The packing is a pure
-// indexing layer: which lane a fault occupies never changes what its
-// circuit computes, so BatchResult is byte-identical wherever batch
-// boundaries put a fault (TestCampaignMatchesMonolithic runs batch sizes
-// 1, 7, 8, 64 and 65).
+// two word-wide structures. Per-node interest masks answer "which circuits
+// care about this node" a word at a time: the scheduler ORs the touched
+// nodes' rows, and Observe walks an output's row to find the circuits
+// holding a record there (a record at a node registers interest at the
+// node itself), reading each value from the circuit's one record store. A
+// per-setting switchsim.ReplayIndex, built from the masks once per word
+// and shared by every circuit in it, carries the static-divergence flag
+// closure; it is built on demand, by the Steps that activate a circuit,
+// which also compile the good circuit's wave so that lanes still in step
+// with it skip their shared leading rounds (FaultBatch.ReplayStats counts
+// them, outside every result). The post-settle diff is per circuit, against
+// the worker's pooled record bitmap. Retiring a detected circuit clears its
+// lane bit from each interest row it occupies (O(records + sites)). The
+// packing is a pure indexing layer: which lane a fault occupies never
+// changes what its circuit computes, so BatchResult is byte-identical
+// wherever batch boundaries put a fault (TestCampaignMatchesMonolithic
+// runs batch sizes 1, 7, 8, 64 and 65).
 // Recordings carry a fingerprint (network shape + setting count) that
 // RunBatch validates before replaying. Cancellation (the RunBatch
 // context) and progress reporting (Options.OnObserve) never affect

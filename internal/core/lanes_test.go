@@ -12,8 +12,7 @@ import (
 
 // TestLaneInvariantsEveryPattern drives the monolithic simulator over a
 // universe spanning several lane words (the last one partly filled),
-// checking the packed-plane/record/interest invariants after every
-// pattern. That a fault's lane position never changes its outcome is
+// checking the record/interest-row invariants after every pattern. That a fault's lane position never changes its outcome is
 // pinned by the batch-size cases of campaign's TestCampaignMatchesMonolithic.
 func TestLaneInvariantsEveryPattern(t *testing.T) {
 	m := ram.New(ram.Config{Rows: 4, Cols: 4})
@@ -46,6 +45,6 @@ func TestLaneInvariantsEveryPattern(t *testing.T) {
 		}
 	}
 	if detected == 0 {
-		t.Fatal("no faults detected: workload too weak to exercise the planes")
+		t.Fatal("no faults detected: workload too weak to exercise observation and drops")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"fmossim/internal/logic"
@@ -45,9 +44,10 @@ func (b *FaultBatch) decInterest(n netlist.NodeID, ci CircuitID) {
 // terminals of every transistor gated by n (their conduction in the faulty
 // circuit differs from the good circuit while n diverges). This is the
 // single definition of the record-interest neighborhood; the interest
-// index (inc/dec), the replay divergence seeding, and the invariant
-// checker all go through it. The visit closures below do not escape, so
-// they stay on the caller's stack.
+// index (inc/dec) and the invariant checker both go through it, and
+// because it visits n itself, Observe finds a node's record holders in its
+// interest row. The visit closures below do not escape, so they stay on
+// the caller's stack.
 func (b *FaultBatch) recordInterestNodes(n netlist.NodeID, visit func(netlist.NodeID)) {
 	visit(n)
 	for _, e := range b.tab.GatedByOf(n) {
@@ -70,33 +70,15 @@ func (b *FaultBatch) decRecordInterest(n netlist.NodeID, ci CircuitID) {
 	b.recordInterestNodes(n, func(m netlist.NodeID) { b.decInterest(m, ci) })
 }
 
-// recRow returns node n's packed record row, allocating it on first use.
-// Rows are lazy so a batch's footprint scales with the nodes that ever
-// carry divergence, not numNodes × words.
-func (b *FaultBatch) recRow(n netlist.NodeID) []laneCell {
-	ri := b.recRowIdx[n]
-	if ri < 0 {
-		ri = int32(len(b.recRows))
-		b.recRowIdx[n] = ri
-		b.recRows = append(b.recRows, make([]laneCell, b.words))
-	}
-	return b.recRows[ri]
-}
-
-// setRecord inserts or updates the divergence record ⟨ci, v⟩ at node n,
-// maintaining the node's packed row: membership bit plus the two-plane
-// encoding of v in the circuit's lane.
+// setRecord inserts or updates the divergence record ⟨ci, v⟩ at node n; a
+// new record registers its interest neighborhood.
 func (b *FaultBatch) setRecord(n netlist.NodeID, ci CircuitID, v logic.Value) {
 	fs := b.faults[ci-1]
 	i, exists := fs.recs.find(n)
-	word, bit := b.lane(ci)
-	cell := &b.recRow(n)[word]
-	cell.pl.Set(bit, v)
 	if exists {
 		fs.recs.vals[i] = v
 		return
 	}
-	cell.member |= 1 << bit
 	fs.recs.insertAt(i, n, v)
 	b.incRecordInterest(n, ci)
 }
@@ -110,24 +92,16 @@ func (b *FaultBatch) clearRecord(n netlist.NodeID, ci CircuitID) {
 		return
 	}
 	fs.recs.deleteAt(i)
-	word, bit := b.lane(ci)
-	cell := &b.recRows[b.recRowIdx[n]][word]
-	cell.member &^= 1 << bit
-	cell.pl.Clear(bit)
 	b.decRecordInterest(n, ci)
 }
 
 // dropCircuit purges every record and interest registration of circuit ci
-// — its lane bit leaves every packed plane in O(records), and it will
-// never be simulated again: the paper's fault dropping, lane-mask retired.
-// Its class members, which own no lane state, are dropped with it.
+// — its lane bit leaves every interest row in O(records + sites), and it
+// will never be simulated again: the paper's fault dropping, lane-mask
+// retired. Its class members, which own no lane state, are dropped with it.
 func (b *FaultBatch) dropCircuit(ci CircuitID) {
 	fs := b.faults[ci-1]
-	word, bit := b.lane(ci)
 	for _, n := range fs.recs.nodes {
-		cell := &b.recRows[b.recRowIdx[n]][word]
-		cell.member &^= 1 << bit
-		cell.pl.Clear(bit)
 		b.decRecordInterest(n, ci)
 	}
 	fs.recs.release()
@@ -142,18 +116,19 @@ func (b *FaultBatch) dropCircuit(ci CircuitID) {
 }
 
 // CheckInvariants verifies the bidirectional consistency of the record
-// stores and the interest index, and that every worker scratch is free of
+// stores and the interest index, that every record differs from the good
+// circuit's value at its node, and that every worker scratch is free of
 // pins, forces and pooled record bits between lane-steps. Exported for
 // tests; costs O(faults × records).
 func (b *FaultBatch) CheckInvariants() error { return b.checkRecordInvariants() }
 
-// checkRecordInvariants verifies the bidirectional consistency of the
-// record stores, the packed record rows, and the interest index; used by
-// tests.
+// checkRecordInvariants verifies the consistency of the record stores and
+// the interest index; used by tests.
 func (b *FaultBatch) checkRecordInvariants() error {
-	// Every per-circuit record appears as a member bit in the node's
-	// packed row with the matching two-plane value, and vice versa, and
-	// the per-circuit stores are sorted.
+	// The per-circuit stores are sorted, a dropped circuit holds none, and
+	// every record differs from the good circuit's value at its node, which
+	// lets Observe take a record at an output as a difference without a
+	// compare.
 	for fi, fs := range b.faults {
 		ci := CircuitID(fi + 1)
 		if !sort.SliceIsSorted(fs.recs.nodes, func(a, b int) bool {
@@ -161,47 +136,12 @@ func (b *FaultBatch) checkRecordInvariants() error {
 		}) {
 			return errf("circuit %d record store unsorted", ci)
 		}
-		word, bit := b.lane(ci)
+		if fs.dropped && fs.recs.size() > 0 {
+			return errf("dropped circuit %d still holds records", ci)
+		}
 		for i, n := range fs.recs.nodes {
-			ri := b.recRowIdx[n]
-			if ri < 0 {
-				return errf("record (%d,%s): node has no packed row", ci, b.nw.Name(n))
-			}
-			cell := &b.recRows[ri][word]
-			if cell.member>>bit&1 == 0 {
-				return errf("record (%d,%s) missing from packed row", ci, b.nw.Name(n))
-			}
-			if got := cell.pl.Get(bit); got != fs.recs.vals[i] {
-				return errf("record (%d,%s) plane value %v, store %v", ci, b.nw.Name(n), got, fs.recs.vals[i])
-			}
-		}
-	}
-	for n := 0; n < b.nw.NumNodes(); n++ {
-		ri := b.recRowIdx[n]
-		if ri < 0 {
-			continue
-		}
-		row := b.recRows[ri]
-		for w := range row {
-			cell := &row[w]
-			if !cell.pl.Canonical() {
-				return errf("node %s word %d: non-canonical planes", b.nw.Name(netlist.NodeID(n)), w)
-			}
-			if cell.pl.V&^cell.member != 0 || cell.pl.X&^cell.member != 0 {
-				return errf("node %s word %d: plane bits outside membership", b.nw.Name(netlist.NodeID(n)), w)
-			}
-			for m := cell.member; m != 0; m &= m - 1 {
-				fi := w<<6 + bits.TrailingZeros64(m)
-				if fi >= len(b.faults) {
-					return errf("node %s word %d: member bit beyond fault count", b.nw.Name(netlist.NodeID(n)), w)
-				}
-				fs := b.faults[fi]
-				if fs.dropped {
-					return errf("dropped circuit %d still packed on node %s", fi+1, b.nw.Name(netlist.NodeID(n)))
-				}
-				if _, ok := fs.recs.get(netlist.NodeID(n)); !ok {
-					return errf("packed member (%d,%s) has no record", fi+1, b.nw.Name(netlist.NodeID(n)))
-				}
+			if fs.recs.vals[i] == b.good.Value(n) {
+				return errf("record (%d,%s) equals the good value %v", ci, b.nw.Name(n), fs.recs.vals[i])
 			}
 		}
 	}

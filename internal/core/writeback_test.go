@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -13,12 +12,14 @@ import (
 )
 
 // TestWriteBackInIndexOrder: after every setting a batch's state, not just
-// its results, is the same for every worker count, because the fan-out's
-// diffs are written back in ascending circuit-id order. Packed record rows
-// are allocated lazily, in write-back order, so a write-back in completion
-// order would keep the same records in a different row layout — which no
-// result shows. The yields in the lane hook make lanes finish out of index
-// order even on one CPU.
+// its results, is the same for every worker count — each circuit's record
+// store, every node's interest list, the packed interest rows and their
+// nonzero-word counts. Each of these is kept sorted by node or circuit id,
+// so the order in which runActivated writes the diffs back (ascending
+// circuit id) leaves no trace in them; what the comparison pins is that no
+// diff is lost, doubled or applied to the wrong circuit when lanes finish
+// out of order. The yields in the lane hook make them do so even on one
+// CPU.
 func TestWriteBackInIndexOrder(t *testing.T) {
 	m := ram.RAM64()
 	faults := wideUniverse(m)
@@ -48,8 +49,20 @@ func TestWriteBackInIndexOrder(t *testing.T) {
 		if sa != sb {
 			t.Fatalf("%s: stats %+v with one worker, %+v with four", where, sa, sb)
 		}
-		if !slices.Equal(a.recRowIdx, b.recRowIdx) || !reflect.DeepEqual(a.recRows, b.recRows) {
-			t.Fatalf("%s: four workers laid the packed record rows out differently from one", where)
+		for fi := range faults {
+			ra, rb := &a.faults[fi].recs, &b.faults[fi].recs
+			if !slices.Equal(ra.nodes, rb.nodes) || !slices.Equal(ra.vals, rb.vals) {
+				t.Fatalf("%s: fault %s records differ between one worker and four", where, faults[fi].Describe(m.Net))
+			}
+		}
+		for n := range a.interest {
+			if !slices.Equal(a.interest[n], b.interest[n]) {
+				t.Fatalf("%s: node %s interest list %v with one worker, %v with four",
+					where, m.Net.Name(netlist.NodeID(n)), a.interest[n], b.interest[n])
+			}
+		}
+		if !slices.Equal(a.interestMask, b.interestMask) || !slices.Equal(a.interestNZ, b.interestNZ) {
+			t.Fatalf("%s: four workers left different interest rows from one", where)
 		}
 	})
 }

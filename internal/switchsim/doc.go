@@ -31,22 +31,20 @@
 //   - Simulator: the user-facing logic simulator driving test sequences.
 //   - Recording/StepTrace: the serializable trajectory artifact described
 //     below.
-//   - LanePlanes and ReplayIndex: word-packed lane primitives for the
-//     concurrent fault simulator — a two-plane ternary encoding holding
-//     one value for each of up to 64 circuits per 64-bit word, and a
-//     per-setting index whose flag-then-mark closure over a recording's
-//     trajectories is built once per lane word — and only for a setting
-//     that activates a circuit — and shared by every circuit in it
-//     (internal/core packs faulty circuits into lanes; see that
-//     package's doc for the lane lifecycle). The index also compiles the
-//     good circuit's own wave through the trajectory's leading rounds
-//     (ReplayIndex.Compile: the pend queue at each round boundary and
-//     the switch flips of each round), and a replay whose seeds are the
-//     good circuit's skips the rounds before the first one that flags a
-//     vicinity for its lane, flips a transistor it pins, or lies past
-//     its round limit — same SettleResult, same Work, less walking
-//     (DESIGN.md, "Riding the good wave"). ReplayStats counts what was
-//     skipped; it is diagnostic and belongs to no result.
+//   - ReplayIndex: the word-packed lane primitive of the concurrent fault
+//     simulator, a per-setting index whose flag-then-mark closure over a
+//     recording's trajectories is built once per 64-circuit lane word —
+//     and only for a setting that activates a circuit — and shared by
+//     every circuit in it (internal/core packs faulty circuits into
+//     lanes; see that package's doc for the lane lifecycle). It also
+//     compiles the good circuit's own wave through the trajectory's
+//     leading rounds (ReplayIndex.Compile: the pend queue at each round
+//     boundary and the switch flips of each round), and a replay whose
+//     seeds are the good circuit's skips the rounds before the first one
+//     that flags a vicinity for its lane, flips a transistor it pins, or
+//     lies past its round limit — same SettleResult, same Work, less
+//     walking (DESIGN.md, "Riding the good wave"). ReplayStats counts what
+//     was skipped; it is diagnostic and belongs to no result.
 //
 // # Recording fingerprint contract
 //
