@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fmossim/internal/bench"
+	"fmossim/internal/core"
 	"fmossim/internal/march"
 	"fmossim/internal/ram"
 )
@@ -99,7 +100,7 @@ func main() {
 			"serial_vs_conc": r.SerialVsConc,
 			"head_fraction":  r.HeadWorkFraction,
 			"tail_slowdown":  r.TailSlowdown,
-			"coverage":       float64(r.Detected) / float64(max(r.Faults, 1)),
+			"coverage":       core.Coverage(r.Detected, r.Faults),
 			"conc_work":      float64(r.ConcurrentWork),
 			"conc_ns":        float64(r.ConcurrentNS),
 		})
@@ -121,7 +122,7 @@ func main() {
 			"allocs":         ac.delta(),
 			"conc_vs_good":   r.ConcVsGood,
 			"serial_vs_conc": r.SerialVsConc,
-			"coverage":       float64(r.Detected) / float64(max(r.Faults, 1)),
+			"coverage":       core.Coverage(r.Detected, r.Faults),
 			"conc_work":      float64(r.ConcurrentWork),
 			"conc_ns":        float64(r.ConcurrentNS),
 		})

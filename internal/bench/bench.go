@@ -199,7 +199,7 @@ func WriteCurveCSV(w io.Writer, r *CurveResult) error {
 func (r *CurveResult) Summarize(w io.Writer, paper CurveShape) {
 	fmt.Fprintf(w, "%s / %s: %d patterns, %d faults, detected %d (%.1f%%)\n",
 		r.Circuit, r.Sequence, len(r.Rows), r.Faults, r.Detected,
-		100*float64(r.Detected)/float64(max(r.Faults, 1)))
+		100*core.Coverage(r.Detected, r.Faults))
 	fmt.Fprintf(w, "  concurrent work %d, good-only %d, serial estimate %d\n",
 		r.ConcurrentWork, r.GoodOnlyWork, r.SerialEstWork)
 	fmt.Fprintf(w, "  %-28s %10s %10s\n", "shape metric", "measured", "paper")

@@ -96,12 +96,7 @@ type ProgressEvent struct {
 }
 
 // Coverage returns the event's campaign-wide detected fraction.
-func (e ProgressEvent) Coverage() float64 {
-	if e.NumFaults == 0 {
-		return 0
-	}
-	return float64(e.Detected) / float64(e.NumFaults)
-}
+func (e ProgressEvent) Coverage() float64 { return core.Coverage(e.Detected, e.NumFaults) }
 
 // FaultOutcome is the merged result for one fault of the universe.
 type FaultOutcome struct {

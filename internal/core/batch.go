@@ -57,17 +57,22 @@ type FaultBatch struct {
 	// rows below.
 	words int
 
-	// interest[n] refcounts the circuits whose re-simulation triggers
-	// include node n; interestMask mirrors it as word-packed per-node
-	// rows (bit set ⟺ count > 0). The mask doubles as the static
-	// divergence rows the per-setting ReplayIndex is built from, and
-	// interestNZ[n] counts its nonzero words (the index build and the
-	// scheduler skip all-zero rows with one load). A circuit holding a
-	// record at n is interested in n, so node n's row is also the
-	// candidate set Observe scans there.
-	interest     []interestList
+	// interestMask is the interest relation, the batch's only interest
+	// index: word-packed per-node rows in which circuit ci's lane bit is set
+	// in node n's row iff n is one of ci's sites or lies in the
+	// neighborhood of one of its records (recordInterestNodes). The
+	// scheduler ORs the touched nodes' rows, the per-setting ReplayIndex is
+	// built from them as the static divergence rows, and, since a circuit
+	// holding a record at n is interested in n, node n's row is also the
+	// candidate set Observe scans there. interestNZ[n] counts the row's
+	// nonzero words (the index build and the scheduler skip all-zero rows
+	// with one load).
 	interestMask []uint64
 	interestNZ   []int32
+	// wbRecs is the node bitmap of the records of the circuit being written
+	// back, for clearRecord's re-derivation of interest bits (see applyOps);
+	// all zero between circuits.
+	wbRecs []uint64
 
 	// ix is the per-setting trajectory index shared by every activated
 	// lane (built from interestMask by the Steps that activate a circuit,
@@ -145,9 +150,9 @@ func NewFaultBatch(tab *switchsim.Tables, faults []fault.Fault, opts Options) (*
 		good:         switchsim.NewCircuit(tab),
 		prev:         switchsim.NewCircuit(tab),
 		words:        words,
-		interest:     make([]interestList, nw.NumNodes()),
 		interestMask: make([]uint64, nw.NumNodes()*words),
 		interestNZ:   make([]int32, nw.NumNodes()),
+		wbRecs:       make([]uint64, (nw.NumNodes()+63)/64),
 		ix:           switchsim.NewReplayIndex(tab),
 		touchStamp:   make([]uint32, nw.NumNodes()),
 		inputStamp:   make([]uint32, nw.NumNodes()),
@@ -183,7 +188,7 @@ func NewFaultBatch(tab *switchsim.Tables, faults []fault.Fault, opts Options) (*
 			continue
 		}
 		for _, n := range fs.sites {
-			b.incInterest(n, CircuitID(fi+1))
+			b.setInterest(n, CircuitID(fi+1))
 		}
 	}
 	return b, nil

@@ -137,9 +137,7 @@ type faultState struct {
 // Simulator is the concurrent fault simulator: a good-circuit producer
 // wired to a single FaultBatch covering the entire fault universe.
 type Simulator struct {
-	nw   *netlist.Network
-	opts Options
-
+	nw    *netlist.Network
 	gr    *goodRunner
 	batch *FaultBatch
 }
@@ -156,7 +154,7 @@ func New(nw *netlist.Network, faults []fault.Fault, opts Options) (*Simulator, e
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{nw: nw, opts: opts, gr: gr, batch: batch}
+	s := &Simulator{nw: nw, gr: gr, batch: batch}
 	// Power-on initialization, run as a concurrent step: it inserts the
 	// faults (see FaultBatch.Step).
 	batch.Step(gr.init())
@@ -200,9 +198,11 @@ func (s *Simulator) FaultValue(fi int, n netlist.NodeID) logic.Value {
 // Workers returns the size of the fault-circuit worker pool.
 func (s *Simulator) Workers() int { return len(s.batch.workers) }
 
-// CheckInvariants verifies the bidirectional consistency of the record
-// stores and the interest index; it is exported for tests and costs
-// O(faults × records), so production loops should not call it per setting.
+// CheckInvariants verifies the record stores and that the interest rows
+// are exactly the relation the fault sites and records define (see
+// FaultBatch.CheckInvariants); it is exported for tests and costs
+// O(faults × records + nodes × lane words), so production loops should
+// not call it per setting.
 func (s *Simulator) CheckInvariants() error { return s.batch.CheckInvariants() }
 
 // StepSetting advances every live circuit through one input setting: the
@@ -242,7 +242,11 @@ func (s *Simulator) RunPattern(p *switchsim.Pattern) PatternStats {
 
 // Run simulates an entire test sequence, returning the aggregated result.
 func (s *Simulator) Run(seq *switchsim.Sequence) *Result {
-	r := &Result{Sequence: seq.Name, NumFaults: s.batch.NumFaults()}
+	r := &Result{
+		Sequence:   seq.Name,
+		NumFaults:  s.batch.NumFaults(),
+		PerPattern: make([]PatternStats, 0, len(seq.Patterns)),
+	}
 	for i := range seq.Patterns {
 		ps := s.RunPattern(&seq.Patterns[i])
 		r.PerPattern = append(r.PerPattern, ps)

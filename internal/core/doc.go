@@ -21,9 +21,9 @@
 // transistors whose conduction in the faulty circuit differs from the good
 // circuit (stuck transistors, transistors gated by divergent or faulted
 // nodes), and the neighborhood of faulted nodes. The per-node interest
-// index plays the role of the paper's per-node state lists sorted by
-// circuit id with shadow pointers: it makes "which circuits care about
-// this node" an O(listeners) query.
+// rows play the role of the paper's per-node state lists sorted by circuit
+// id with shadow pointers: a node's row answers "which circuits care about
+// this node" a word of 64 circuits at a time, in ascending circuit order.
 //
 // Whenever a faulty circuit's observed output differs from the good
 // circuit's, the fault is detected and the circuit is dropped: its records

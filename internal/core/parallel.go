@@ -128,7 +128,7 @@ func (w *faultWorker) diffNode(n netlist.NodeID) {
 	}
 	w.diffStamp[n] = w.diffEpoch
 	fv := w.scratch.Value(n)
-	hasRec := w.recBits[uint(n)>>6]>>(uint(n)&63)&1 != 0
+	hasRec := hasNodeBit(w.recBits, n)
 	if fv != w.batch.good.Value(n) {
 		if !hasRec || w.recVal[n] != fv {
 			w.ops = append(w.ops, recOp{n: n, v: fv, set: true})
@@ -184,7 +184,7 @@ func (w *faultWorker) stepFaulty(ci CircuitID) (lo, hi int, osc bool) {
 	for i, n := range fs.recs.nodes {
 		v := fs.recs.vals[i]
 		w.scratch.OverrideValue(n, v)
-		w.recBits[uint(n)>>6] |= 1 << (uint(n) & 63)
+		setNodeBit(w.recBits, n)
 		w.recVal[n] = v
 	}
 	for _, n := range fs.recs.nodes {
@@ -244,20 +244,36 @@ func (w *faultWorker) stepFaulty(ci CircuitID) (lo, hi int, osc bool) {
 	return lo, hi, res.Oscillated
 }
 
-// applyOps merges one circuit's deferred record mutations into the shared
-// stores. Called on the coordinating goroutine only, in ascending
-// circuit-id order.
+// applyOps merges one circuit's deferred record mutations into its record
+// store and the interest rows. Called on the coordinating goroutine only,
+// in ascending circuit-id order. A clear re-derives interest bits from the
+// circuit's remaining records, read from the wbRecs bitmap: the first clear
+// op fills it from the store, the ops after it keep it in step, and it is
+// cleared whole after the last. A circuit whose ops only set never fills it.
 func (b *FaultBatch) applyOps(ci CircuitID, ops []recOp, osc bool) {
 	fs := b.faults[ci-1]
 	if osc {
 		fs.oscillated = true
 	}
+	filled := false
 	for _, op := range ops {
 		if op.set {
 			b.setRecord(op.n, ci, op.v)
-		} else {
-			b.clearRecord(op.n, ci)
+			if filled {
+				setNodeBit(b.wbRecs, op.n)
+			}
+			continue
 		}
+		if !filled {
+			for _, n := range fs.recs.nodes {
+				setNodeBit(b.wbRecs, n)
+			}
+			filled = true
+		}
+		b.clearRecord(op.n, ci)
+	}
+	if filled {
+		clear(b.wbRecs)
 	}
 }
 

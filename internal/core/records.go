@@ -2,17 +2,16 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
 )
 
-// incInterest registers circuit ci as interested in node n, setting the
-// circuit's lane bit in the node's packed interest-mask row (and bumping
-// the row's nonzero-word summary on a 0→1 word transition).
-func (b *FaultBatch) incInterest(n netlist.NodeID, ci CircuitID) {
-	b.interest[n] = b.interest[n].inc(ci)
+// setInterest sets circuit ci's lane bit in node n's interest row, bumping
+// the row's nonzero-word summary on a 0→1 word transition.
+func (b *FaultBatch) setInterest(n netlist.NodeID, ci CircuitID) {
 	word, bit := b.lane(ci)
 	w := &b.interestMask[int(n)*b.words+word]
 	if *w == 0 {
@@ -21,13 +20,9 @@ func (b *FaultBatch) incInterest(n netlist.NodeID, ci CircuitID) {
 	*w |= 1 << bit
 }
 
-// decInterest removes one interest reference, clearing the lane bit when
-// the count reaches zero.
-func (b *FaultBatch) decInterest(n netlist.NodeID, ci CircuitID) {
-	b.interest[n] = b.interest[n].dec(ci)
-	if _, ok := b.interest[n].find(ci); ok {
-		return
-	}
+// clearInterest clears circuit ci's lane bit in node n's interest row,
+// dropping the row's nonzero-word summary on a →0 word transition.
+func (b *FaultBatch) clearInterest(n netlist.NodeID, ci CircuitID) {
 	word, bit := b.lane(ci)
 	w := &b.interestMask[int(n)*b.words+word]
 	if *w>>bit&1 == 0 {
@@ -39,15 +34,15 @@ func (b *FaultBatch) decInterest(n netlist.NodeID, ci CircuitID) {
 	}
 }
 
-// recordInterestNodes visits the nodes whose interest registration follows
-// from a divergence record at n: n itself, plus the storage channel
-// terminals of every transistor gated by n (their conduction in the faulty
-// circuit differs from the good circuit while n diverges). This is the
-// single definition of the record-interest neighborhood; the interest
-// index (inc/dec) and the invariant checker both go through it, and
-// because it visits n itself, Observe finds a node's record holders in its
-// interest row. The visit closures below do not escape, so they stay on
-// the caller's stack.
+// recordInterestNodes visits the nodes whose interest follows from a
+// divergence record at n: n itself, plus the storage channel terminals of
+// every transistor gated by n (their conduction in the faulty circuit
+// differs from the good circuit while n diverges). This is the single
+// forward definition of the record-interest neighborhood: setRecord,
+// dropCircuit and the invariant checker go through it, keepsInterest is its
+// inverse, and because it visits n itself, Observe finds a node's record
+// holders in its interest row. The visit closures below do not escape, so
+// they stay on the caller's stack.
 func (b *FaultBatch) recordInterestNodes(n netlist.NodeID, visit func(netlist.NodeID)) {
 	visit(n)
 	for _, e := range b.tab.GatedByOf(n) {
@@ -60,18 +55,29 @@ func (b *FaultBatch) recordInterestNodes(n netlist.NodeID, visit func(netlist.No
 	}
 }
 
-// incRecordInterest / decRecordInterest adjust the interest refcounts
-// implied by a divergence record at n.
-func (b *FaultBatch) incRecordInterest(n netlist.NodeID, ci CircuitID) {
-	b.recordInterestNodes(n, func(m netlist.NodeID) { b.incInterest(m, ci) })
-}
-
-func (b *FaultBatch) decRecordInterest(n netlist.NodeID, ci CircuitID) {
-	b.recordInterestNodes(n, func(m netlist.NodeID) { b.decInterest(m, ci) })
+// keepsInterest reports whether circuit fs still has a reason to sit in
+// node m's interest row: m is one of its sites, or a record of it still
+// has m in its neighborhood — a record at m itself, or, for a storage node
+// m, a record at the gate of a transistor on m's channel. It inverts
+// recordInterestNodes, reading record membership from b.wbRecs, which
+// applyOps keeps in step with the circuit being written back.
+func (b *FaultBatch) keepsInterest(m netlist.NodeID, fs *faultState) bool {
+	if _, ok := slices.BinarySearch(fs.sites, m); ok || hasNodeBit(b.wbRecs, m) {
+		return true
+	}
+	if b.tab.IsInput(m) {
+		return false
+	}
+	for _, e := range b.tab.ChannelOf(m) {
+		if hasNodeBit(b.wbRecs, b.nw.Transistor(e.T).Gate) {
+			return true
+		}
+	}
+	return false
 }
 
 // setRecord inserts or updates the divergence record ⟨ci, v⟩ at node n; a
-// new record registers its interest neighborhood.
+// new record sets the circuit's bit across its interest neighborhood.
 func (b *FaultBatch) setRecord(n netlist.NodeID, ci CircuitID, v logic.Value) {
 	fs := b.faults[ci-1]
 	i, exists := fs.recs.find(n)
@@ -80,11 +86,13 @@ func (b *FaultBatch) setRecord(n netlist.NodeID, ci CircuitID, v logic.Value) {
 		return
 	}
 	fs.recs.insertAt(i, n, v)
-	b.incRecordInterest(n, ci)
+	b.recordInterestNodes(n, func(m netlist.NodeID) { b.setInterest(m, ci) })
 }
 
 // clearRecord removes the divergence record of circuit ci at node n, if
-// present.
+// present. A node of the record's neighborhood may still owe the circuit's
+// bit to a site or to another record, so each bit is re-derived rather than
+// cleared. b.wbRecs must hold ci's records (see applyOps).
 func (b *FaultBatch) clearRecord(n netlist.NodeID, ci CircuitID) {
 	fs := b.faults[ci-1]
 	i, exists := fs.recs.find(n)
@@ -92,21 +100,27 @@ func (b *FaultBatch) clearRecord(n netlist.NodeID, ci CircuitID) {
 		return
 	}
 	fs.recs.deleteAt(i)
-	b.decRecordInterest(n, ci)
+	clearNodeBit(b.wbRecs, n)
+	b.recordInterestNodes(n, func(m netlist.NodeID) {
+		if !b.keepsInterest(m, fs) {
+			b.clearInterest(m, ci)
+		}
+	})
 }
 
-// dropCircuit purges every record and interest registration of circuit ci
-// — its lane bit leaves every interest row in O(records + sites), and it
-// will never be simulated again: the paper's fault dropping, lane-mask
-// retired. Its class members, which own no lane state, are dropped with it.
+// dropCircuit purges every record and interest bit of circuit ci — its
+// lane bit leaves every interest row in O(records + sites), unconditionally,
+// because a dropped circuit has no reason left to sit in any — and it will
+// never be simulated again: the paper's fault dropping, lane-mask retired.
+// Its class members, which own no lane state, are dropped with it.
 func (b *FaultBatch) dropCircuit(ci CircuitID) {
 	fs := b.faults[ci-1]
 	for _, n := range fs.recs.nodes {
-		b.decRecordInterest(n, ci)
+		b.recordInterestNodes(n, func(m netlist.NodeID) { b.clearInterest(m, ci) })
 	}
 	fs.recs.release()
 	for _, n := range fs.sites {
-		b.decInterest(n, ci)
+		b.clearInterest(n, ci)
 	}
 	fs.dropped = true
 	for _, mfi := range fs.classMembers {
@@ -115,16 +129,13 @@ func (b *FaultBatch) dropCircuit(ci CircuitID) {
 	b.live -= 1 + len(fs.classMembers)
 }
 
-// CheckInvariants verifies the bidirectional consistency of the record
-// stores and the interest index, that every record differs from the good
-// circuit's value at its node, and that every worker scratch is free of
-// pins, forces and pooled record bits between lane-steps. Exported for
-// tests; costs O(faults × records).
-func (b *FaultBatch) CheckInvariants() error { return b.checkRecordInvariants() }
-
-// checkRecordInvariants verifies the consistency of the record stores and
-// the interest index; used by tests.
-func (b *FaultBatch) checkRecordInvariants() error {
+// CheckInvariants verifies that the record stores are sorted and every
+// record differs from the good circuit's value at its node, that the
+// interest rows are exactly the relation the sites and records define, and
+// that every worker scratch and the write-back bitmap are free of pins,
+// forces and record bits between lane-steps. Exported for tests; costs
+// O(faults × records + nodes × words).
+func (b *FaultBatch) CheckInvariants() error {
 	// The per-circuit stores are sorted, a dropped circuit holds none, and
 	// every record differs from the good circuit's value at its node, which
 	// lets Observe take a record at an output as a difference without a
@@ -158,25 +169,22 @@ func (b *FaultBatch) checkRecordInvariants() error {
 	// Between lane-steps a worker scratch holds whatever its last lane
 	// left — the next copy from prev overwrites values and transistor
 	// states — but never a pin or a force, which the copy does not carry.
-	// The pooled record bitmaps must be fully cleared between circuits.
+	// The pooled record bitmaps, and the write-back one, must be fully
+	// cleared between circuits.
 	for wi, w := range b.workers {
 		if w.scratch.Faulty() {
 			return errf("worker %d scratch still carries a pin or a force", wi)
 		}
-		for _, word := range w.recBits {
-			if word != 0 {
-				return errf("worker %d pooled record bitmap not cleared", wi)
-			}
+		if slices.ContainsFunc(w.recBits, func(word uint64) bool { return word != 0 }) {
+			return errf("worker %d pooled record bitmap not cleared", wi)
 		}
 	}
-	// Interest refcounts match the independently recomputed counts.
-	want := make([]map[CircuitID]int32, b.nw.NumNodes())
-	bump := func(n netlist.NodeID, ci CircuitID) {
-		if want[n] == nil {
-			want[n] = make(map[CircuitID]int32)
-		}
-		want[n][ci]++
+	if slices.ContainsFunc(b.wbRecs, func(word uint64) bool { return word != 0 }) {
+		return errf("write-back record bitmap not cleared")
 	}
+	// Every interest row equals the relation recomputed from each live
+	// lane's sites and records, and the nonzero-word summaries match.
+	want := make([]uint64, len(b.interestMask))
 	for fi, fs := range b.faults {
 		ci := CircuitID(fi + 1)
 		if fs.repFi >= 0 && (fs.recs.size() > 0 || fs.dropped != b.faults[fs.repFi].dropped) {
@@ -184,58 +192,26 @@ func (b *FaultBatch) checkRecordInvariants() error {
 		}
 		if fs.dropped || fs.repFi >= 0 {
 			// A class member owns no lane: its representative carries the
-			// class's interest registrations.
+			// class's interest.
 			continue
 		}
+		word, bit := b.lane(ci)
+		mark := func(m netlist.NodeID) { want[int(m)*b.words+word] |= 1 << bit }
 		for _, n := range fs.sites {
-			bump(n, ci)
+			mark(n)
 		}
 		for _, n := range fs.recs.nodes {
-			b.recordInterestNodes(n, func(m netlist.NodeID) { bump(m, ci) })
+			b.recordInterestNodes(n, mark)
 		}
 	}
-	for n := range b.interest {
-		for _, e := range b.interest[n] {
-			if want[n] == nil || want[n][e.ci] != e.count {
-				return errf("interest[%s][%d]=%d, want %d", b.nw.Name(netlist.NodeID(n)), e.ci, e.count, want[n][e.ci])
-			}
-		}
-		if want[n] != nil {
-			// Sorted keys: which violation gets reported must not depend
-			// on map iteration order.
-			cids := make([]CircuitID, 0, len(want[n]))
-			for ci := range want[n] {
-				cids = append(cids, ci)
-			}
-			sort.Slice(cids, func(x, y int) bool { return cids[x] < cids[y] })
-			for _, ci := range cids {
-				if i, ok := b.interest[n].find(ci); !ok || b.interest[n][i].count != want[n][ci] {
-					return errf("interest[%s][%d] missing or wrong, want %d", b.nw.Name(netlist.NodeID(n)), ci, want[n][ci])
-				}
-			}
-		}
-		if !sort.SliceIsSorted(b.interest[n], func(x, y int) bool {
-			return b.interest[n][x].ci < b.interest[n][y].ci
-		}) {
-			return errf("node %s interest list unsorted", b.nw.Name(netlist.NodeID(n)))
-		}
-	}
-	// The packed interest mask is exactly the bitmap of the interest
-	// lists, and the nonzero-word summaries match.
 	for n := 0; n < b.nw.NumNodes(); n++ {
-		row := b.interestMask[n*b.words : (n+1)*b.words]
-		wantRow := make([]uint64, b.words)
-		for _, e := range b.interest[n] {
-			word, bit := b.lane(e.ci)
-			wantRow[word] |= 1 << bit
-		}
 		nz := int32(0)
-		for w := range row {
-			if row[w] != wantRow[w] {
-				return errf("interest mask row %s word %d: %#x, want %#x",
-					b.nw.Name(netlist.NodeID(n)), w, row[w], wantRow[w])
+		for w := n * b.words; w < (n+1)*b.words; w++ {
+			if b.interestMask[w] != want[w] {
+				return errf("interest row %s word %d: %#x, want %#x",
+					b.nw.Name(netlist.NodeID(n)), w-n*b.words, b.interestMask[w], want[w])
 			}
-			if row[w] != 0 {
+			if want[w] != 0 {
 				nz++
 			}
 		}

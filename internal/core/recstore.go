@@ -60,55 +60,10 @@ func (r *recStore) size() int { return len(r.nodes) }
 // release drops the store's backing memory (fault dropping).
 func (r *recStore) release() { r.nodes, r.vals = nil, nil }
 
-// interestEntry is one refcounted (circuit, count) pair of a node's
-// interest list.
-type interestEntry struct {
-	ci    CircuitID
-	count int32
-}
+// Node-indexed bitmaps: bit n%64 of word n/64 stands for node n.
 
-// interestList is a node's interest index: the circuits whose
-// re-simulation triggers include the node, refcounted, sorted by circuit
-// id. The flat layout makes the scheduler's per-touched-node scan a
-// linear walk instead of a map iteration.
-type interestList []interestEntry
-
-// find returns the index of ci and whether it is present.
-func (l interestList) find(ci CircuitID) (int, bool) {
-	lo, hi := 0, len(l)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if l[mid].ci < ci {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(l) && l[lo].ci == ci
-}
-
-// inc adds one reference to ci, inserting it if absent.
-func (l interestList) inc(ci CircuitID) interestList {
-	i, ok := l.find(ci)
-	if ok {
-		l[i].count++
-		return l
-	}
-	l = append(l, interestEntry{})
-	copy(l[i+1:], l[i:])
-	l[i] = interestEntry{ci: ci, count: 1}
-	return l
-}
-
-// dec removes one reference to ci, deleting the entry at zero.
-func (l interestList) dec(ci CircuitID) interestList {
-	i, ok := l.find(ci)
-	if !ok {
-		return l
-	}
-	if l[i].count <= 1 {
-		return append(l[:i], l[i+1:]...)
-	}
-	l[i].count--
-	return l
+func setNodeBit(bm []uint64, n netlist.NodeID)   { bm[uint(n)>>6] |= 1 << (uint(n) & 63) }
+func clearNodeBit(bm []uint64, n netlist.NodeID) { bm[uint(n)>>6] &^= 1 << (uint(n) & 63) }
+func hasNodeBit(bm []uint64, n netlist.NodeID) bool {
+	return bm[uint(n)>>6]>>(uint(n)&63)&1 != 0
 }

@@ -83,11 +83,15 @@ func (r *Result) finish(b *FaultBatch) {
 }
 
 // Coverage returns the fault coverage in [0,1].
-func (r *Result) Coverage() float64 {
-	if r.NumFaults == 0 {
+func (r *Result) Coverage() float64 { return Coverage(r.Detected, r.NumFaults) }
+
+// Coverage is the one definition of fault coverage: the detected fraction
+// of a fault universe, in [0,1], and 0 for an empty universe.
+func Coverage(detected, faults int) float64 {
+	if faults == 0 {
 		return 0
 	}
-	return float64(r.Detected) / float64(r.NumFaults)
+	return float64(detected) / float64(faults)
 }
 
 // TotalWork returns the run's total deterministic work units.

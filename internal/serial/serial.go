@@ -117,21 +117,19 @@ func Run(nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opt
 	sv.MaxRounds = opts.MaxRounds
 
 	for _, f := range faults {
-		fr := simulateFault(tab, c, sv, f, seq, trace, opts)
+		fr := simulateFault(c, sv, f, seq, trace, opts)
 		res.FaultWork += fr.Work
 		res.PerFault = append(res.PerFault, fr)
 	}
 	return res, nil
 }
 
-func simulateFault(tab *switchsim.Tables, c *switchsim.Circuit, sv *switchsim.Solver, f fault.Fault, seq *switchsim.Sequence, trace [][]logic.Value, opts Options) FaultResult {
+func simulateFault(c *switchsim.Circuit, sv *switchsim.Solver, f fault.Fault, seq *switchsim.Sequence, trace [][]logic.Value, opts Options) FaultResult {
 	w0 := sv.Work().Units()
 	c.ClearFaults()
 	c.Reset()
-	seeds := f.Apply(c)
-	r := sv.SettleAll(c)
-	osc := r.Oscillated
-	_ = seeds // SettleAll covers the apply perturbations
+	f.Apply(c) // SettleAll covers the apply perturbations
+	osc := sv.SettleAll(c).Oscillated
 
 	fr := FaultResult{Pattern: -1, Setting: -1}
 	step := 0
@@ -167,8 +165,6 @@ patterns:
 	}
 	fr.Oscillated = osc
 	fr.Work = sv.Work().Units() - w0
-	fr.PatternsSimulated = max(fr.PatternsSimulated, 0)
-	_ = tab
 	return fr
 }
 

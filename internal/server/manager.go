@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fmossim/internal/campaign"
+	"fmossim/internal/core"
 )
 
 // Config sizes the server.
@@ -350,7 +351,7 @@ func (m *Manager) runJob(job *Job) {
 		if err = l.Verdict(); err == nil {
 			br := l.Batch(0)
 			r = &Result{Detected: br.DetectedCount(), NumFaults: br.NumFaults, Batches: 1, BatchesRun: 1}
-			r.Coverage = float64(r.Detected) / float64(r.NumFaults)
+			r.Coverage = core.Coverage(r.Detected, r.NumFaults)
 			if job.Spec.IncludeBatch {
 				r.Batch = br
 			}
