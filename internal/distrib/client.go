@@ -130,21 +130,6 @@ func (c *coordinator) submit(ctx context.Context, base string, spec *server.JobS
 	}
 }
 
-// streamLine is the wire shape of one NDJSON line: the union of the
-// server's snapshot, detection-group, and result lines (their field sets
-// are disjoint).
-type streamLine struct {
-	Type       string         `json:"type"`
-	State      server.State   `json:"state"`
-	Error      string         `json:"error"`
-	Detected   int            `json:"detected"`
-	LiveFaults int            `json:"live_faults"`
-	Pattern    int            `json:"pattern"`
-	Setting    int            `json:"setting"`
-	Faults     []int          `json:"faults"`
-	Result     *server.Result `json:"result"`
-}
-
 // stream consumes one shard job's NDJSON progress to its terminal state,
 // folding snapshots and detection groups into the merged progress view,
 // and returns the raw batch result carried on the result line. A stream
@@ -170,12 +155,12 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, sh *shardS
 	sc.Buffer(make([]byte, 0, 64*1024), 256<<20)
 	sawTerminal := false
 	for sc.Scan() {
-		var l streamLine
+		var l server.StreamLine
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			return nil, fmt.Errorf("bad stream line from %s: %w", base, err)
 		}
-		switch l.Type {
-		case "snapshot":
+		switch {
+		case l.Type == "snapshot" && l.Snapshot != nil:
 			c.ledger.Report(sh.idx, campaign.ProgressEvent{Detected: l.Detected, LiveFaults: l.LiveFaults})
 			if l.State.Terminal() {
 				sawTerminal = true
@@ -183,9 +168,9 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, sh *shardS
 					return nil, fmt.Errorf("job %s on %s ended %s: %s", jobID, base, l.State, l.Error)
 				}
 			}
-		case "detections":
+		case l.Type == "detections" && l.DetectionGroup != nil:
 			c.ledger.Report(sh.idx, campaign.ProgressEvent{Pattern: l.Pattern, Setting: l.Setting, NewlyDetected: l.Faults})
-		case "result":
+		case l.Type == "result":
 			if l.Result == nil || l.Result.Batch == nil {
 				return nil, fmt.Errorf("job %s on %s: result line without batch payload", jobID, base)
 			}

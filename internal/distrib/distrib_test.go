@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -298,6 +299,50 @@ func TestShortBatchIsRetried(t *testing.T) {
 			assertIdentical(t, got, want)
 		})
 	}
+}
+
+// TestFailedShardJobIsRetried: a shard whose stream ends in a failed
+// terminal snapshot is reported with the worker's error, runs again, and
+// the merge is the monolithic one.
+func TestFailedShardJobIsRetried(t *testing.T) {
+	spec := ram256Spec()
+	wl, rec := resolveAndRecord(t, spec)
+	want := monolithic(t, wl, rec, 32)
+
+	mgr := server.NewManager(server.Config{MaxJobs: 2, StreamInterval: 2 * time.Millisecond})
+	worker := mgr.Handler()
+	var failed atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/stream") && failed.CompareAndSwap(false, true) {
+			io.WriteString(w, `{"type":"snapshot","state":"failed","error":"injected failure"}`+"\n")
+			return
+		}
+		worker.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		mgr.Close()
+	})
+
+	var mu sync.Mutex
+	var logs []string
+	got, err := distrib.Run(context.Background(), spec, distrib.Options{
+		Workers:   []string{ts.URL},
+		BatchSize: 32,
+		Recording: rec,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(strings.Join(logs, "\n"), "ended failed: injected failure") {
+		t.Errorf("no shard failure names the worker's error; log:\n%s", strings.Join(logs, "\n"))
+	}
+	assertIdentical(t, got, want)
 }
 
 // TestCoverageTargetStopsEarly: a cluster-wide coverage target stops

@@ -37,8 +37,11 @@ type statusResponse struct {
 	Result *Result `json:"result,omitempty"`
 }
 
-// streamLine is one NDJSON line.
-type streamLine struct {
+// StreamLine is one NDJSON line of GET /jobs/{id}/stream. Type names the
+// line's kind, and the matching member is the one set: Snapshot for
+// "snapshot", DetectionGroup for "detections", Result for "result" (the
+// three field sets are disjoint).
+type StreamLine struct {
 	Type string `json:"type"`
 	*Snapshot
 	*DetectionGroup
@@ -152,19 +155,19 @@ func (m *Manager) handleStream(w http.ResponseWriter, r *http.Request) {
 		snap, groups, newCursor, notify := job.observe(cursor)
 		cursor = newCursor
 		for i := range groups {
-			enc.Encode(streamLine{Type: "detections", DetectionGroup: &groups[i]})
+			enc.Encode(StreamLine{Type: "detections", DetectionGroup: &groups[i]})
 		}
 		terminal := snap.State.Terminal()
 		if snap.Events != lastEvents &&
 			(terminal || len(groups) > 0 || time.Since(lastSnapshot) >= m.cfg.StreamInterval) {
-			enc.Encode(streamLine{Type: "snapshot", Snapshot: &snap})
+			enc.Encode(StreamLine{Type: "snapshot", Snapshot: &snap})
 			lastEvents = snap.Events
 			lastSnapshot = time.Now()
 		}
 		flusher.Flush()
 		if terminal {
 			if res := job.Result(); res != nil {
-				enc.Encode(streamLine{Type: "result", Result: res})
+				enc.Encode(StreamLine{Type: "result", Result: res})
 				flusher.Flush()
 			}
 			return

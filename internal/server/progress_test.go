@@ -47,15 +47,15 @@ func openStream(t *testing.T, ts *httptest.Server, id string) *streamReader {
 }
 
 // next returns the next line, or false at the end of the stream.
-func (r *streamReader) next() (streamLine, bool) {
+func (r *streamReader) next() (StreamLine, bool) {
 	r.t.Helper()
 	if !r.sc.Scan() {
 		if err := r.sc.Err(); err != nil {
 			r.t.Fatal(err)
 		}
-		return streamLine{}, false
+		return StreamLine{}, false
 	}
-	var l streamLine
+	var l StreamLine
 	if err := json.Unmarshal(r.sc.Bytes(), &l); err != nil {
 		r.t.Fatalf("bad stream line %q: %v", r.sc.Text(), err)
 	}
