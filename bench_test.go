@@ -242,8 +242,7 @@ func BenchmarkCampaign_Checkpointed(b *testing.B) {
 
 // BenchmarkCampaign_Composition prices which faults share a batch. The
 // universe is the benchmark harness's ram256-overlap-trim mix at seed 1
-// (overlapUniverse): RAM256 under sequence 1, Trim on, batch 64, one
-// worker. "windows=index" runs core.RunBatch over the universe's own
+// (overlapUniverse): RAM256 under sequence 1, batch 64, one worker. "windows=index" runs core.RunBatch over the universe's own
 // 64-fault windows and merges them, as campaigns cut batches before they
 // cut them in site order; "windows=site" is campaign.Run. Both rows report
 // the same counts over the windows they run: builds/op is Σ
@@ -255,7 +254,7 @@ func BenchmarkCampaign_Composition(b *testing.B) {
 	m := ram.RAM256()
 	seq := march.Sequence1(m)
 	faults := overlapUniverse(m, 7, rand.New(rand.NewSource(1)))
-	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1, Trim: true}
+	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
 	rec := core.Record(m.Net, seq, opts)
 	tab := switchsim.NewTables(m.Net)
 	const batchSize = 64

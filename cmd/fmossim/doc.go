@@ -39,11 +39,6 @@
 // re-runs from its first setting). Campaign results are bit-identical to
 // the monolithic run.
 //
-// -trim enables redundancy trimming: materialization-equivalent fault
-// classes collapse onto one representative lane when a batch is built,
-// and a batch whose circuits have all been dropped skips the rest of the
-// sequence. Results stay byte-identical; only executed work shrinks.
-//
 // # Distributed campaigns
 //
 // With -workers, the campaign runs on a pool of fmossimd servers

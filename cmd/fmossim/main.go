@@ -32,12 +32,12 @@ type config struct {
 // parse binds the flags straight to the campaign spec fmossimd takes and
 // to the coordinator options, refuses a flag the chosen mode does not
 // use, and resolves the spec through server.ResolveSpec, the code that
-// resolves a submitted job. A flag syntax error or -h exits, as
-// flag.Parse does.
+// resolves a submitted job. A flag syntax error is returned after the
+// flag set has printed it with the usage, and -h returns flag.ErrHelp.
 func parse(args []string) (*config, error) {
 	var c config
 	spec := &c.spec
-	fs := flag.NewFlagSet("fmossim", flag.ExitOnError)
+	fs := flag.NewFlagSet("fmossim", flag.ContinueOnError)
 	fs.StringVar(&spec.Workload, "workload", "", "built-in workload: ram64 or ram256")
 	fs.StringVar(&spec.Sequence, "sequence", "", "built-in test sequence: sequence1 or sequence2")
 	fs.IntVar(&spec.MaxPatterns, "max-patterns", 0, "truncate the sequence to its first N patterns")
@@ -53,12 +53,13 @@ func parse(args []string) (*config, error) {
 	fs.IntVar(&spec.Shards, "shards", 0, "campaign mode: concurrent batches (0: GOMAXPROCS)")
 	fs.Float64Var(&spec.CoverageTarget, "coverage-target", 0, "campaign mode: stop once this coverage fraction is reached")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "campaign mode: resumable checkpoint file")
-	fs.BoolVar(&spec.Trim, "trim", false, "redundancy trimming: collapse equivalent fault classes and skip the tail of fully-dropped batches (results are byte-identical)")
 	fs.IntVar(&spec.Workers, "sim-workers", 0, "simulator workers per batch (with -workers: per shard, on each remote)")
 	workers := fs.String("workers", "", "comma-separated worker base URLs (distributed mode)")
 	fs.IntVar(&c.dist.InFlight, "in-flight", 0, "concurrent shards per worker (default 2)")
 	fs.IntVar(&c.dist.MaxAttempts, "attempts", 0, "dispatch attempts per shard before the campaign fails (default 3)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 
 	for _, w := range strings.FieldsFunc(*workers, isListSep) {
 		if !strings.Contains(w, "://") {
@@ -110,6 +111,9 @@ func parse(args []string) (*config, error) {
 
 func main() {
 	c, err := parse(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	}
 	if err != nil {
 		fatal(err)
 	}

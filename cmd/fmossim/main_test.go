@@ -100,6 +100,8 @@ func TestParse(t *testing.T) {
 		{name: "net without patterns", args: "-net $NET -observe out", wantErr: "patterns is required"},
 		{name: "empty fault list", args: "-net $NET -patterns $PAT -observe out -faults $EMPTY", wantErr: "is empty"},
 		{name: "bad drop policy", args: "-workload ram64 -drop sometimes", wantErr: "unknown drop policy"},
+		// Every batch is trimmed: the switch is gone, not ignored.
+		{name: "trim is not a flag", args: "-workload ram64 -trim", wantErr: "flag provided but not defined: -trim"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := strings.Fields(tc.args)

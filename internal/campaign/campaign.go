@@ -19,7 +19,8 @@ import (
 // Options configures a fault campaign.
 type Options struct {
 	// Sim carries the per-batch simulator options (Observe is required;
-	// Drop, MaxRounds and Trim as in core.Options). Sim.Workers is the
+	// Drop and MaxRounds as in core.Options; every batch is trimmed, so
+	// Sim.Trim is read by nothing). Sim.Workers is the
 	// per-batch worker pool; when 0 it defaults to 1 if the campaign runs
 	// more than one shard (so shards × workers does not oversubscribe)
 	// and to GOMAXPROCS otherwise.

@@ -69,9 +69,9 @@ func hashFaults(faults []fault.Fault) uint64 {
 // hashSimOptions digests the result-shaping simulator options. Workers,
 // the OnObserve hook, and Trim are deliberately excluded: results are
 // bit-identical for every worker count, the hook never shapes them, and
-// the redundancy trims shed executed work while keeping every BatchResult
-// field byte-identical — all of them are legitimate things to change
-// between resume runs.
+// Trim is a stub nothing reads — so a checkpoint written with any of them
+// resumes under any other, as one written with the old Trim switch on or
+// off does.
 func hashSimOptions(opts core.Options) uint64 {
 	h := fnv.New64a()
 	var id [4]byte

@@ -1,9 +1,11 @@
 // Package difftest is the differential equivalence harness of the
 // campaign engine: seeded random execution configurations — circuit
 // size, test sequence, fault-universe mix, worker count, batching,
-// sharding, redundancy trimming, and mid-campaign interrupt/resume
-// points — are cross-checked byte-for-byte against a
-// monolithic single-batch reference over the same workload.
+// sharding, and mid-campaign interrupt/resume points — are cross-checked
+// byte-for-byte against a reference that runs every fault in a batch of
+// its own over the same workload. Every batch is trimmed, and a batch of
+// one fault has nothing to collapse, so the reference is the untrimmed
+// run.
 //
 // The property under test is the repo's determinism contract: every
 // execution shape produces the identical merged result — identical
@@ -43,8 +45,6 @@ type Case struct {
 	NumBatches int
 	Shards     int
 
-	Trim bool
-
 	// Interrupt, when true, cancels the campaign after InterruptAfter
 	// progress events and resumes it from the checkpoint: completed
 	// batches come back, the interrupted ones re-run.
@@ -53,9 +53,9 @@ type Case struct {
 }
 
 func (c Case) String() string {
-	return fmt.Sprintf("ram%dx%d/seq2=%v/max=%d/mix=%d/w=%d/b=%d/s=%d/trim=%v/int=%v@%d",
+	return fmt.Sprintf("ram%dx%d/seq2=%v/max=%d/mix=%d/w=%d/b=%d/s=%d/int=%v@%d",
 		c.Rows, c.Cols, c.Seq2, c.MaxPatterns, c.FaultMix, c.Workers,
-		c.NumBatches, c.Shards, c.Trim, c.Interrupt, c.InterruptAfter)
+		c.NumBatches, c.Shards, c.Interrupt, c.InterruptAfter)
 }
 
 // genCase draws one configuration. Geometry and depth come from the
@@ -75,7 +75,6 @@ func genCase(rng *rand.Rand) Case {
 	if rng.Intn(3) > 0 {
 		c.MaxPatterns = 4 + rng.Intn(12)
 	}
-	c.Trim = rng.Intn(2) == 1
 	if rng.Intn(3) == 0 {
 		c.Interrupt = true
 		c.InterruptAfter = 1 + rng.Intn(40)
@@ -130,8 +129,9 @@ func refKey(c Case) string {
 	return fmt.Sprintf("%dx%d/%v/%d/%d", c.Rows, c.Cols, c.Seq2, c.MaxPatterns, c.FaultMix)
 }
 
-// reference runs the monolithic baseline — one batch, one worker, no
-// trimming — and caches its canonical bytes per workload.
+// reference runs the baseline — every fault in a one-fault batch, so
+// nothing collapses, on one worker — and caches its canonical bytes per
+// workload.
 func reference(t *testing.T, cache map[string]string, c Case) string {
 	t.Helper()
 	key := refKey(c)
@@ -141,7 +141,7 @@ func reference(t *testing.T, cache map[string]string, c Case) string {
 	m, seq, faults := workload(c)
 	res, err := campaign.Run(context.Background(), m.Net, faults, seq, campaign.Options{
 		Sim:       core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1},
-		BatchSize: len(faults),
+		BatchSize: 1,
 		Shards:    1,
 	})
 	if err != nil {
@@ -161,7 +161,6 @@ func runCase(t *testing.T, c Case) string {
 		Sim: core.Options{
 			Observe: []netlist.NodeID{m.DataOut},
 			Workers: c.Workers,
-			Trim:    c.Trim,
 		},
 		BatchSize: (len(faults) + c.NumBatches - 1) / c.NumBatches,
 		Shards:    c.Shards,
@@ -201,7 +200,7 @@ func runCase(t *testing.T, c Case) string {
 }
 
 // TestDifferentialEquivalence draws nCases seeded configurations and
-// cross-checks each against the cached monolithic reference for its
+// cross-checks each against the cached one-fault-batch reference for its
 // workload. Failures print the full case so it can be replayed by
 // constructing the same Case by hand.
 func TestDifferentialEquivalence(t *testing.T) {
@@ -212,30 +211,28 @@ func TestDifferentialEquivalence(t *testing.T) {
 		want := reference(t, refs, c)
 		got := runCase(t, c)
 		if got != want {
-			t.Fatalf("case %d diverged from monolithic reference:\n%s", i, c)
+			t.Fatalf("case %d diverged from the one-fault-batch reference:\n%s", i, c)
 		}
 	}
 }
 
 // TestDifferentialPinnedCases locks in the corners the random draw might
-// miss at the bounded budget: trimmed classes spread over three batches,
-// and trimmed campaigns interrupted inside their
-// only batch (the checkpoint holds nothing to resume) and inside the first
-// of two.
+// miss at the bounded budget: classes spread over three batches, and
+// campaigns with classes interrupted inside their only batch (the
+// checkpoint holds nothing to resume) and inside the first of two.
 func TestDifferentialPinnedCases(t *testing.T) {
 	pinned := []Case{
-		{Rows: 4, Cols: 4, FaultMix: 1, Workers: 2, NumBatches: 3, Shards: 2,
-			Trim: true},
+		{Rows: 4, Cols: 4, FaultMix: 1, Workers: 2, NumBatches: 3, Shards: 2},
 		{Rows: 4, Cols: 4, FaultMix: 1, Workers: 1, NumBatches: 1, Shards: 1,
-			Trim: true, Interrupt: true, InterruptAfter: 25},
+			Interrupt: true, InterruptAfter: 25},
 		{Rows: 2, Cols: 4, Seq2: true, FaultMix: 0, Workers: 3, NumBatches: 5, Shards: 3},
 		{Rows: 4, Cols: 4, FaultMix: 1, MaxPatterns: 8, Workers: 2, NumBatches: 2,
-			Shards: 2, Trim: true, Interrupt: true, InterruptAfter: 10},
+			Shards: 2, Interrupt: true, InterruptAfter: 10},
 	}
 	refs := map[string]string{}
 	for _, c := range pinned {
 		if got, want := runCase(t, c), reference(t, refs, c); got != want {
-			t.Fatalf("pinned case diverged from monolithic reference:\n%s", c)
+			t.Fatalf("pinned case diverged from the one-fault-batch reference:\n%s", c)
 		}
 	}
 }

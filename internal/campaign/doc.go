@@ -58,7 +58,8 @@
 // share a site wake up in the same settings, so they share a batch's
 // per-setting replay index, and materialization-equivalent faults (a
 // duplicate, a bridge and the stuck-closed fault on its transistor) land
-// in one batch, where Trim collapses them. The order depends on the
+// in one batch, where every batch's redundancy trimming collapses them
+// onto one lane (internal/core, trim.go). The order depends on the
 // universe's content, not on the caller's order of it, and it is not a
 // knob. Ledger.Faults is the universe in batch order; progress indices and
 // Result.PerFault are mapped back to universe indices, so a caller never

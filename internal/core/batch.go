@@ -113,9 +113,12 @@ type FaultBatch struct {
 	started    bool // the initialization trace has been consumed
 	patternIdx int
 	settingIdx int
+	// detectedTotal counts the batch's detections so far, for
+	// BatchProgress.DetectedTotal.
+	detectedTotal int
 
 	// lanesFreed is the number of faults collapsed onto a class
-	// representative at construction (Options.Trim, see trim.go).
+	// representative at construction (see trim.go).
 	lanesFreed int
 }
 
@@ -177,9 +180,7 @@ func NewFaultBatch(tab *switchsim.Tables, faults []fault.Fault, opts Options) (*
 		b.faults = append(b.faults, &faultState{f: f, sites: siteSet(nw, f), repFi: -1})
 	}
 	b.live = len(b.faults)
-	if opts.Trim {
-		b.groupClasses()
-	}
+	b.groupClasses()
 
 	// Register static interest before initialization. A class member has
 	// none: its representative carries it.
@@ -253,15 +254,6 @@ func (b *FaultBatch) Records(fi int) map[netlist.NodeID]logic.Value {
 		out[n] = recs.vals[i]
 	}
 	return out
-}
-
-// FaultValue returns the state of node n in faulty circuit fi: the
-// divergence record if present, the good-circuit state otherwise.
-func (b *FaultBatch) FaultValue(fi int, n netlist.NodeID) logic.Value {
-	if v, ok := b.resolveFault(fi).recs.get(n); ok {
-		return v
-	}
-	return b.good.Value(n)
 }
 
 // BeginPattern resets the per-pattern setting counter; EndPattern advances
@@ -350,8 +342,9 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 // skipStep emits the SettingStats a full Step would produce when every
 // circuit in the batch is dropped — all-zero activity with only the
 // position counters filled in — without scheduling or advancing good and
-// prev (nothing reads them once the batch is empty). Used by the trimmed
-// replay loop to shed the dead tail of a fully-retired batch.
+// prev (nothing reads them once the batch is empty: a dropped circuit
+// holds no records, and a Simulator reads its own good circuit). Used by
+// runPattern to shed the dead tail of a fully-retired batch.
 func (b *FaultBatch) skipStep() SettingStats {
 	st := SettingStats{Pattern: b.patternIdx, Setting: b.settingIdx}
 	b.settingIdx++
@@ -583,6 +576,56 @@ func (b *FaultBatch) Observe() []int {
 	return detectedNow
 }
 
+// runPattern steps the batch through pattern p, the one pattern loop of
+// both drivers: next(i) yields setting i's good-circuit step trace, live
+// from a Simulator's goodRunner or replayed from a Recording. It polls
+// ctx between settings, observes at the pattern's observe points, reports
+// every setting to Options.OnObserve, and appends each setting's
+// statistics to *perSetting when that is non-nil. Once every circuit is
+// dropped the fault side is skipped (skipStep): the full step would
+// schedule nothing and observe nothing, so only executed work shrinks.
+// next is still called, so a live good circuit keeps stepping. Returns
+// the pattern's fault-side statistics; a cancelled ctx returns its error.
+func (b *FaultBatch) runPattern(ctx context.Context, p *switchsim.Pattern, next func(i int) *switchsim.StepTrace, perSetting *[]SettingStats) (PatternStats, error) {
+	b.BeginPattern()
+	ps := PatternStats{Pattern: b.patternIdx, Name: p.Name, LiveBefore: b.live}
+	for i := range p.Settings {
+		if err := ctx.Err(); err != nil {
+			return ps, fmt.Errorf("core: batch replay cancelled at pattern %d setting %d: %w", b.patternIdx, i, err)
+		}
+		trace := next(i)
+		var st SettingStats
+		var det []int
+		if b.live == 0 {
+			st = b.skipStep()
+		} else {
+			st = b.Step(trace)
+			if p.ObserveAt(i) {
+				det = b.Observe()
+			}
+		}
+		if perSetting != nil {
+			*perSetting = append(*perSetting, st)
+		}
+		ps.FaultWork += st.FaultWork
+		ps.MaxActive = max(ps.MaxActive, st.ActiveCircuits)
+		ps.Settings++
+		ps.Detected += len(det)
+		b.detectedTotal += len(det)
+		if b.opts.OnObserve != nil {
+			b.opts.OnObserve(BatchProgress{
+				Pattern: b.patternIdx, Setting: i,
+				LiveFaults:    b.live,
+				Detected:      det,
+				DetectedTotal: b.detectedTotal,
+			})
+		}
+	}
+	ps.LiveAfter = b.live
+	b.EndPattern()
+	return ps, nil
+}
+
 // BatchResult is the outcome of replaying one fault batch over a recorded
 // good trajectory. Every field is deterministic: bit-identical for every
 // batching and worker count, from run to run. It has one serialised form,
@@ -651,54 +694,15 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 		Oscillated: make([]bool, 0, len(b.faults)),
 		Records:    make([]map[netlist.NodeID]logic.Value, 0, len(b.faults)),
 	}
-	detTotal := 0
 	b.Step(&rec.Steps[0])
-	si := 1
+	// PerSetting holds one entry per setting stepped so far.
+	next := func(int) *switchsim.StepTrace { return &rec.Steps[1+len(br.PerSetting)] }
 	for pi := range seq.Patterns {
-		p := &seq.Patterns[pi]
-		b.BeginPattern()
-		ps := PatternStats{Pattern: pi, Name: p.Name, LiveBefore: b.live}
-		for i := range p.Settings {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: batch replay cancelled at pattern %d setting %d: %w", pi, i, err)
-			}
-			var st SettingStats
-			skipped := b.opts.Trim && b.live == 0
-			if skipped {
-				// Every circuit is dropped: the full step would schedule
-				// nothing, observe nothing, and report all-zero activity,
-				// so emit that result directly and skip the index build
-				// and mirror maintenance. Counted work is zero either
-				// way — this sheds executed tail cost only.
-				st = b.skipStep()
-			} else {
-				st = b.Step(&rec.Steps[si])
-			}
-			si++
-			br.PerSetting = append(br.PerSetting, st)
-			ps.FaultWork += st.FaultWork
-			if st.ActiveCircuits > ps.MaxActive {
-				ps.MaxActive = st.ActiveCircuits
-			}
-			ps.Settings++
-			var det []int
-			if p.ObserveAt(i) && !skipped {
-				det = b.Observe()
-				ps.Detected += len(det)
-				detTotal += len(det)
-			}
-			if b.opts.OnObserve != nil {
-				b.opts.OnObserve(BatchProgress{
-					Pattern: pi, Setting: i,
-					LiveFaults:    b.live,
-					Detected:      det,
-					DetectedTotal: detTotal,
-				})
-			}
+		ps, err := b.runPattern(ctx, &seq.Patterns[pi], next, &br.PerSetting)
+		if err != nil {
+			return nil, err
 		}
-		ps.LiveAfter = b.live
 		br.PerPattern = append(br.PerPattern, ps)
-		b.EndPattern()
 	}
 
 	for fi, fs := range b.faults {

@@ -4,6 +4,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"fmossim/internal/fault"
@@ -69,23 +70,19 @@ type Options struct {
 	// for every Workers value. 0 selects runtime.GOMAXPROCS(0); 1 runs
 	// fully inline.
 	Workers int
-	// Trim enables redundancy trimming: materialization-equivalent fault
-	// classes collapse onto one representative lane at construction (see
-	// trim.go), and a replay whose circuits have all been dropped skips the
-	// remaining settings' fault-side work (skipStep).
-	// Every BatchResult field is byte-identical with trimming on or off —
-	// the trims shed executed wall-clock work, not counted work; the
-	// class census is reported separately through FaultBatch.TrimStats.
+	// Trim is read by nothing: redundancy trimming (trim.go) is how every
+	// batch runs. The field exists only until a benchmark PR stops
+	// benchmarks/ from setting it (workloads.go and layers.go do).
 	Trim bool
-	// OnObserve, when non-nil, is invoked by batch replays
-	// (FaultBatch.RunRecording) after every input setting with that
-	// setting's progress. It is called synchronously from the replaying
+	// OnObserve, when non-nil, is invoked by every run (Simulator.Run and
+	// RunPattern, FaultBatch.RunRecording) after every input setting with
+	// that setting's progress. It is called synchronously from the running
 	// goroutine and must be fast; it never affects simulation results and
 	// is excluded from campaign checkpoint fingerprints.
 	OnObserve func(BatchProgress)
 }
 
-// BatchProgress is one setting's progress report from a batch replay: the
+// BatchProgress is one setting's progress report from a run: the
 // position in the sequence, the batch's live-fault count after any
 // observation, and the batch fault indices first detected by this
 // setting's observation (nil when none, or when the setting had no observe
@@ -126,7 +123,7 @@ type faultState struct {
 	// oscillated notes any settle of this circuit hit the round limit.
 	oscillated bool
 
-	// Equivalence-class bookkeeping (Options.Trim, see trim.go): repFi is
+	// Equivalence-class bookkeeping (see trim.go): repFi is
 	// the batch index of the representative this fault is collapsed onto
 	// (-1: it runs in its own lane); classMembers, on a representative, the
 	// batch indices of the faults collapsed onto it.
@@ -190,9 +187,14 @@ func (s *Simulator) Records(fi int) map[netlist.NodeID]logic.Value {
 }
 
 // FaultValue returns the state of node n in faulty circuit fi: the
-// divergence record if present, the good-circuit state otherwise.
+// divergence record if present, the good-circuit state otherwise. The
+// good state is the simulator's own good circuit: the batch's mirror of
+// it stops once every circuit is dropped.
 func (s *Simulator) FaultValue(fi int, n netlist.NodeID) logic.Value {
-	return s.batch.FaultValue(fi, n)
+	if v, ok := s.batch.resolveFault(fi).recs.get(n); ok {
+		return v
+	}
+	return s.gr.good.Value(n)
 }
 
 // Workers returns the size of the fault-circuit worker pool.
@@ -220,23 +222,16 @@ func (s *Simulator) StepSetting(setting switchsim.Setting) SettingStats {
 // settings, observing outputs per the pattern's observation points.
 // Returns the pattern's statistics.
 func (s *Simulator) RunPattern(p *switchsim.Pattern) PatternStats {
-	b := s.batch
-	b.BeginPattern()
-	ps := PatternStats{Pattern: b.patternIdx, Name: p.Name, LiveBefore: b.Live()}
-	for i := range p.Settings {
-		st := s.StepSetting(p.Settings[i])
-		ps.GoodWork += st.GoodWork
-		ps.FaultWork += st.FaultWork
-		if st.ActiveCircuits > ps.MaxActive {
-			ps.MaxActive = st.ActiveCircuits
-		}
-		ps.Settings++
-		if p.ObserveAt(i) {
-			ps.Detected += len(b.Observe())
-		}
+	var goodWork int64
+	next := func(i int) *switchsim.StepTrace {
+		trace := s.gr.step(p.Settings[i])
+		goodWork += trace.GoodWork
+		return trace
 	}
-	ps.LiveAfter = b.Live()
-	b.EndPattern()
+	// RunPattern takes no context: nothing cancels a monolithic run, so
+	// runPattern cannot fail.
+	ps, _ := s.batch.runPattern(context.TODO(), p, next, nil)
+	ps.GoodWork = goodWork
 	return ps
 }
 

@@ -42,7 +42,9 @@
 // for the sharded engine built on top). Either way a batch reads the good
 // circuit only through the traces: it keeps its own good-state mirror,
 // advanced from each trace's deltas, and a live batch and a replayed one
-// run the same code.
+// run the same code — one pattern loop (FaultBatch.runPattern) that
+// polls cancellation, observes, reports progress and sums the pattern's
+// statistics, fed a live trace or a recorded one per setting.
 //
 // Faults are inserted by the initialization step, the first trace every
 // batch steps: each circuit is materialized from the reset state with its
@@ -62,8 +64,11 @@
 // Result is a time: a result is a pure function of the network, the fault
 // list, the sequence and the result-shaping options, with no exempt
 // fields, and whoever wants a duration takes it around the call.
-// Redundancy trimming (Options.Trim, trim.go) keeps that true by deciding
-// fault equivalence once, from structure, when a batch is built.
+// Redundancy trimming (trim.go), which every batch runs, keeps that true
+// by deciding fault equivalence once, from structure, when a batch is
+// built; once every circuit of a batch is dropped, the rest of its
+// settings skip the fault side. A batch of one fault has nothing to
+// collapse, so one-fault batches are the untrimmed reference.
 //
 // # Word-packed lanes
 //

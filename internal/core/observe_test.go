@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/bits"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"fmossim/internal/fault"
 	"fmossim/internal/march"
 	"fmossim/internal/netlist"
 	"fmossim/internal/ram"
@@ -97,4 +100,74 @@ func TestCheckInvariantsRejectsRecordEqualToGood(t *testing.T) {
 		}
 	}
 	t.Fatal("no circuit holds a record")
+}
+
+// TestMonoAndReplayReportOneEventStream: a monolithic run steps its live
+// good circuit through the pattern loop a replayed batch runs, so with
+// OnObserve set it reports the BatchProgress sequence RunBatch reports
+// over the same universe and its recording, and the same fault-side
+// pattern statistics. The universe has duplicate faults (class members
+// share a detection) and is detected completely, so the stream runs on
+// through the dead tail.
+func TestMonoAndReplayReportOneEventStream(t *testing.T) {
+	m := ram.RAM64()
+	seq := march.Sequence1(m)
+	faults := fault.NodeStuckFaults(m.Net, fault.Options{})
+	faults = append(faults, faults[:16]...)
+	withEvents := func(events *[]BatchProgress) Options {
+		return Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1, OnObserve: func(p BatchProgress) {
+			p.Detected = slices.Clone(p.Detected) // the batch reuses the slice
+			*events = append(*events, p)
+		}}
+	}
+	var monoEvents, replayEvents []BatchProgress
+	sim, err := New(m.Net, faults, withEvents(&monoEvents))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono := sim.Run(seq).PerPattern
+	for i := range mono {
+		mono[i].GoodWork = 0 // a batch reports the fault side only
+	}
+	opts := withEvents(&replayEvents)
+	br, err := RunBatch(nil, switchsim.NewTables(m.Net), faults, Record(m.Net, seq, opts), seq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mono, br.PerPattern) {
+		t.Fatal("the monolithic run's fault-side pattern statistics differ from the replay's")
+	}
+	if len(monoEvents) != seq.NumSettings() || !reflect.DeepEqual(monoEvents, replayEvents) {
+		t.Fatalf("%d monolithic and %d replayed events over %d settings, or they differ",
+			len(monoEvents), len(replayEvents), seq.NumSettings())
+	}
+	if last := monoEvents[len(monoEvents)-1]; last.LiveFaults != 0 || last.DetectedTotal != len(faults) {
+		t.Fatalf("the run ends with %d live and %d of %d detected: want an empty batch",
+			last.LiveFaults, last.DetectedTotal, len(faults))
+	}
+}
+
+// TestFaultValueAfterEveryDrop: once a monolithic run has dropped every
+// fault, a dropped fault's circuit reads as the good circuit at every
+// node, though the batch stopped mirroring the good circuit when it
+// emptied.
+func TestFaultValueAfterEveryDrop(t *testing.T) {
+	m := ram.RAM64()
+	faults := fault.NodeStuckFaults(m.Net, fault.Options{})
+	sim, err := New(m.Net, faults, Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(march.Sequence1(m))
+	if sim.LiveFaults() != 0 {
+		t.Fatalf("%d faults still live: the test needs every fault dropped", sim.LiveFaults())
+	}
+	for fi := range faults {
+		for n := 0; n < m.Net.NumNodes(); n++ {
+			id := netlist.NodeID(n)
+			if got, want := sim.FaultValue(fi, id), sim.Good().Value(id); got != want {
+				t.Fatalf("dropped fault %d reads %v at %s, the good circuit %v", fi, got, m.Net.Name(id), want)
+			}
+		}
+	}
 }

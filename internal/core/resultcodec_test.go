@@ -17,8 +17,7 @@ import (
 // every part of the serialised form: a shard of the stuck-at universe with
 // fault dropping (detections, a long per-setting table), a never-dropping
 // run under a round limit of two (final divergence records on most faults,
-// oscillation flags on nearly all), and the whole universe in one trimmed
-// batch.
+// oscillation flags on nearly all), and the whole universe in one batch.
 func codecSeeds(tb testing.TB) []*BatchResult {
 	tb.Helper()
 	m := ram.RAM64()
@@ -40,13 +39,12 @@ func codecSeeds(tb testing.TB) []*BatchResult {
 		tb.Fatal(err)
 	}
 
-	trimOpts := Options{Observe: obs, Workers: 1, Trim: true}
-	trimmed, err := RunBatch(nil, tab, faults, Record(m.Net, seq, trimOpts), seq, trimOpts)
+	whole, err := RunBatch(nil, tab, faults, Record(m.Net, seq, shardOpts), seq, shardOpts)
 	if err != nil {
 		tb.Fatal(err)
 	}
 
-	seeds := []*BatchResult{shard, osc, trimmed}
+	seeds := []*BatchResult{shard, osc, whole}
 	var sawDetected, sawOsc, sawRecords bool
 	for _, br := range seeds {
 		for fi := 0; fi < br.NumFaults; fi++ {

@@ -1,5 +1,7 @@
-// Fault equivalence classes: the batch-level redundancy-trimming layer
-// (Options.Trim).
+// Fault equivalence classes: the batch-level redundancy-trimming layer.
+// Every batch is trimmed; a batch of one fault has nothing to collapse,
+// so one-fault batches are the untrimmed reference the tests compare
+// against.
 //
 // Two faults are materialization-equivalent when they patch a circuit
 // identically: node faults forcing the same node to the same value, or
@@ -19,9 +21,9 @@
 // detection/drop credit, oscillation flag, final records, and per-setting
 // work and activity are fanned back out from the representative, so every
 // BatchResult field is byte-identical to the untrimmed run. A wrong key
-// therefore shows as a wrong result in every test that compares the two
-// (there is no run-time re-check to absorb it; DESIGN.md "Redundancy
-// trimming" says why).
+// therefore shows as a wrong result in every test that compares a batch
+// with its one-fault batches (there is no run-time re-check to absorb
+// it; DESIGN.md "Redundancy trimming" says why).
 //
 // Determinism across shardings: classes form within a batch only, so
 // different shard splits collapse different pairs — but since collapse
@@ -31,42 +33,48 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"fmossim/internal/fault"
-	"fmossim/internal/logic"
 )
 
-// matKey is a fault's materialization identity: faults with equal keys
-// patch a circuit identically and share one lane.
-type matKey struct {
-	node bool
-	id   int32
-	v    logic.Value
-}
-
-func materializationKey(f fault.Fault) matKey {
+// materializationKey is a fault's materialization identity: faults with
+// equal keys patch a circuit identically and share one lane. It packs
+// the patch target's id, whether it is a node or a transistor, and the
+// forced or pinned value.
+func materializationKey(f fault.Fault) uint64 {
 	if fv, ok := f.ForcedState(); ok {
-		return matKey{node: true, id: int32(f.Node), v: fv}
+		return uint64(f.Node)<<9 | 1<<8 | uint64(fv)
 	}
 	pv, _ := f.PinnedState()
-	return matKey{node: false, id: int32(f.Trans), v: pv}
+	return uint64(f.Trans)<<9 | uint64(pv)
 }
 
 // groupClasses collapses the batch's materialization-equivalent faults:
 // the first fault of each key becomes the representative, later ones its
-// members. Called from NewFaultBatch, before any fault registers interest,
-// when trimming is on.
+// members. A permutation of the batch (4 bytes a fault, no map) sorted by
+// key, then fault index, lays each class out as one run, representative
+// first. Called from NewFaultBatch, before any fault registers interest.
 func (b *FaultBatch) groupClasses() {
-	first := make(map[matKey]int, len(b.faults))
-	for fi, fs := range b.faults {
-		k := materializationKey(fs.f)
-		if rfi, ok := first[k]; ok {
-			rep := b.faults[rfi]
-			rep.classMembers = append(rep.classMembers, fi)
-			fs.repFi = rfi
-			b.lanesFreed++
-		} else {
-			first[k] = fi
+	order := make([]int32, len(b.faults))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	key := func(fi int32) uint64 { return materializationKey(b.faults[fi].f) }
+	slices.SortFunc(order, func(i, j int32) int {
+		return cmp.Or(cmp.Compare(key(i), key(j)), cmp.Compare(i, j))
+	})
+	rfi := -1
+	for k, fi := range order {
+		if k == 0 || key(fi) != key(order[k-1]) {
+			rfi = int(fi)
+			continue
 		}
+		rep := b.faults[rfi]
+		rep.classMembers = append(rep.classMembers, int(fi))
+		b.faults[fi].repFi = rfi
+		b.lanesFreed++
 	}
 }
 
@@ -94,7 +102,8 @@ func (b *FaultBatch) resolveFault(fi int) *faultState {
 	return fs
 }
 
-// TrimStats is the batch's class-collapse census. The counts are a
+// TrimStats is the batch's class-collapse census. Every batch collapses
+// its classes at construction, so every batch has one. The counts are a
 // function of the fault slice alone — the same for every Options.Workers
 // value — but describe how the result was reached, not the result, so
 // they are never part of BatchResult.
@@ -111,8 +120,7 @@ type TrimStats struct {
 	Memo struct{ Hits, Misses, SavedUnits int64 }
 }
 
-// TrimStats returns the batch's trimming counters (zero when Options.Trim
-// is off).
+// TrimStats returns the batch's trimming counters.
 func (b *FaultBatch) TrimStats() TrimStats {
 	return TrimStats{ClassCandidates: b.lanesFreed, LanesFreed: b.lanesFreed}
 }

@@ -30,16 +30,84 @@ func times(f fault.Fault, n int) []fault.Fault {
 	return out
 }
 
-// TestTrimByteIdentical verifies the central trimming contract: with
-// Options.Trim on, every BatchResult field is byte-identical to the
-// untrimmed run — for a plain fault list (no classes form, so only the
-// dead-tail skip is exercised) and for lists assembled with
-// materialization-equivalent and duplicate faults, across worker counts
-// and drop policies. Classes collapse at construction, so a
-// member never runs a single setting of its own: the cases below are the
-// ones where that matters most — a class detected by the first
-// observation, one that oscillates in the initialization step, an
-// input-node representative, a batch that is one class.
+// oneFaultKey names a one-fault reference run.
+type oneFaultKey struct {
+	f         fault.Fault
+	drop      DropPolicy
+	maxRounds int
+}
+
+// oneFaultBatches is the untrimmed reference: every fault runs in a batch
+// of its own, where there is nothing to collapse, and the runs fold into
+// the BatchResult one batch of all of them reports — per-fault columns
+// side by side, per-setting counts summed, pattern counts summed, and each
+// pattern's MaxActive the peak of its summed ActiveCircuits. Runs are
+// cached across cases by fault, drop policy and round limit, the only
+// inputs a one-fault batch's result depends on.
+func oneFaultBatches(t *testing.T, cache map[oneFaultKey]*BatchResult, tab *switchsim.Tables,
+	faults []fault.Fault, rec *switchsim.Recording, seq *switchsim.Sequence, opts Options) *BatchResult {
+	t.Helper()
+	want := &BatchResult{NumFaults: len(faults)}
+	for fi, f := range faults {
+		k := oneFaultKey{f, opts.Drop, opts.MaxRounds}
+		one := cache[k]
+		if one == nil {
+			var err error
+			if one, err = RunBatch(nil, tab, faults[fi:fi+1], rec, seq, opts); err != nil {
+				t.Fatal(err)
+			}
+			cache[k] = one
+		}
+		want.Detected = append(want.Detected, one.Detected[0])
+		want.Detections = append(want.Detections, one.Detections[0])
+		want.Oscillated = append(want.Oscillated, one.Oscillated[0])
+		want.Records = append(want.Records, one.Records[0])
+		if fi == 0 {
+			want.PerSetting = append([]SettingStats(nil), one.PerSetting...)
+			want.PerPattern = append([]PatternStats(nil), one.PerPattern...)
+			continue
+		}
+		for si, st := range one.PerSetting {
+			w := &want.PerSetting[si]
+			w.ActiveCircuits += st.ActiveCircuits
+			w.LiveFaults += st.LiveFaults
+			w.FaultWork += st.FaultWork
+			w.LanesReplayed += st.LanesReplayed
+			w.ScalarFallbacks += st.ScalarFallbacks
+			w.AdoptedVics += st.AdoptedVics
+			w.SolvedVics += st.SolvedVics
+		}
+		for pi, ps := range one.PerPattern {
+			w := &want.PerPattern[pi]
+			w.LiveBefore += ps.LiveBefore
+			w.LiveAfter += ps.LiveAfter
+			w.Detected += ps.Detected
+			w.FaultWork += ps.FaultWork
+		}
+	}
+	si := 0
+	for pi := range want.PerPattern {
+		w := &want.PerPattern[pi]
+		w.MaxActive = 0
+		for _, st := range want.PerSetting[si : si+w.Settings] {
+			w.MaxActive = max(w.MaxActive, st.ActiveCircuits)
+		}
+		si += w.Settings
+	}
+	return want
+}
+
+// TestTrimByteIdentical verifies the central trimming contract: every
+// BatchResult field of a batch is byte-identical to the untrimmed
+// reference, its faults run in one-fault batches (oneFaultBatches) — for
+// a plain fault list (no classes form, so only the dead-tail skip is
+// exercised) and for lists assembled with materialization-equivalent and
+// duplicate faults, across worker counts and drop policies. Classes
+// collapse at construction, so a member never runs a single setting of
+// its own: the cases below are the ones where that matters most — a
+// class detected by the first observation, one that oscillates in the
+// initialization step, an input-node representative, a batch that is one
+// class.
 func TestTrimByteIdentical(t *testing.T) {
 	m := ram.RAM64()
 	seq := march.Sequence1(m)
@@ -52,6 +120,7 @@ func TestTrimByteIdentical(t *testing.T) {
 		o.MaxRounds = mr
 		recs[mr] = Record(m.Net, seq, o)
 	}
+	oneFault := map[oneFaultKey]*BatchResult{}
 
 	plain := fault.NodeStuckFaults(m.Net, fault.Options{})
 
@@ -88,7 +157,12 @@ func TestTrimByteIdentical(t *testing.T) {
 		// on the trimmed result and the batch that produced it.
 		premise func(t *testing.T, br *BatchResult, b *FaultBatch)
 	}{
-		{name: "plain/w1", faults: plain, work: 1},
+		{name: "plain/w1", faults: plain, work: 1,
+			premise: func(t *testing.T, br *BatchResult, b *FaultBatch) {
+				if b.Live() != 0 || br.PerSetting[len(br.PerSetting)-1].LiveFaults != 0 {
+					t.Fatal("the batch never emptied: its dead tail was not skipped")
+				}
+			}},
 		{name: "plain/workers4", faults: plain, work: 4},
 		{name: "overlap/w1", faults: overlap, work: 1, classes: 30},
 		{name: "overlap/workers3", faults: overlap, work: 3, classes: 30},
@@ -111,11 +185,11 @@ func TestTrimByteIdentical(t *testing.T) {
 			}},
 		{name: "init-oscillation", faults: twice, work: 1, drop: NeverDrop, maxRounds: 2, classes: 32,
 			premise: func(t *testing.T, br *BatchResult, _ *FaultBatch) {
-				// A fresh trimmed batch, stepped through the initialization
-				// alone: the flags it raises there must be in the result,
-				// for representative and member alike.
+				// A fresh batch, stepped through the initialization alone:
+				// the flags it raises there must be in the result, for
+				// representative and member alike.
 				o := base
-				o.MaxRounds, o.Trim = 2, true
+				o.MaxRounds = 2
 				b, err := NewFaultBatch(tab, twice, o)
 				if err != nil {
 					t.Fatal(err)
@@ -142,33 +216,28 @@ func TestTrimByteIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			off := base
-			off.Workers, off.Drop, off.MaxRounds = tc.work, tc.drop, tc.maxRounds
-			on := off
-			on.Trim = true
+			opts := base
+			opts.Workers, opts.Drop, opts.MaxRounds = tc.work, tc.drop, tc.maxRounds
 			rec := recs[tc.maxRounds]
 
-			bOff, err := RunBatch(nil, tab, tc.faults, rec, seq, off)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch, err := NewFaultBatch(tab, tc.faults, on)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := batch.CheckInvariants(); err != nil {
-				t.Fatalf("trimmed batch invariants at construction: %v", err)
-			}
-			bOn, err := batch.RunRecording(nil, rec, seq)
+			want := oneFaultBatches(t, oneFault, tab, tc.faults, rec, seq, opts)
+			batch, err := NewFaultBatch(tab, tc.faults, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := batch.CheckInvariants(); err != nil {
-				t.Fatalf("trimmed batch invariants: %v", err)
+				t.Fatalf("batch invariants at construction: %v", err)
 			}
-			jOff, jOn := mustJSON(t, bOff), mustJSON(t, bOn)
-			if string(jOff) != string(jOn) {
-				t.Fatalf("trimmed result differs from untrimmed\noff: %.400s\non:  %.400s", jOff, jOn)
+			got, err := batch.RunRecording(nil, rec, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := batch.CheckInvariants(); err != nil {
+				t.Fatalf("batch invariants: %v", err)
+			}
+			jWant, jGot := mustJSON(t, want), mustJSON(t, got)
+			if string(jWant) != string(jGot) {
+				t.Fatalf("batch result differs from its one-fault batches\nwant: %.400s\ngot:  %.400s", jWant, jGot)
 			}
 			ts := batch.TrimStats()
 			if ts.ClassCandidates != tc.classes || ts.LanesFreed != tc.classes {
@@ -176,7 +245,7 @@ func TestTrimByteIdentical(t *testing.T) {
 					ts.ClassCandidates, ts.LanesFreed, tc.classes)
 			}
 			if tc.premise != nil {
-				tc.premise(t, bOn, batch)
+				tc.premise(t, got, batch)
 			}
 		})
 	}

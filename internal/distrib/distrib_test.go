@@ -160,13 +160,14 @@ func TestDistributedMatchesMonolithic(t *testing.T) {
 	assertIdentical(t, got, want)
 }
 
-// TestWorkerKilledMidRun: killing one of three workers mid-campaign
-// requeues its shards onto the survivors and the merged result is still
-// bit-identical to the monolithic baseline.
+// TestWorkerKilledMidRun: killing one of three workers mid-campaign, with
+// batches of 16 so the kill lands mid-queue, requeues its shards onto the
+// survivors, which re-run them trimmed as every batch is, and the merged
+// result is still bit-identical to the monolithic baseline.
 func TestWorkerKilledMidRun(t *testing.T) {
 	spec := ram256Spec()
 	wl, rec := resolveAndRecord(t, spec)
-	want := monolithic(t, wl, rec, 16) // 16 → more shards, so the kill lands mid-queue
+	want := monolithic(t, wl, rec, 16)
 
 	urls, servers := newWorkerPool(t, 3, server.Config{MaxJobs: 2})
 	var kill sync.Once
@@ -451,41 +452,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestWorkerKilledMidRunTrimmed: the kill-a-worker scenario with
-// redundancy trimming on every shard — requeued shards re-run trimmed on
-// the survivors and the merge is still bit-identical to the untrimmed
-// monolithic baseline.
-func TestWorkerKilledMidRunTrimmed(t *testing.T) {
-	spec := ram256Spec()
-	wl, rec := resolveAndRecord(t, spec)
-	want := monolithic(t, wl, rec, 16)
-
-	spec.Trim = true
-	urls, servers := newWorkerPool(t, 3, server.Config{MaxJobs: 2})
-	var kill sync.Once
-	got, err := distrib.Run(context.Background(), spec, distrib.Options{
-		Workers:   urls,
-		BatchSize: 16,
-		Recording: rec,
-		Logf:      t.Logf,
-		Progress: func(ev campaign.ProgressEvent) {
-			kill.Do(func() {
-				go func() {
-					servers[0].CloseClientConnections()
-					servers[0].Close()
-				}()
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.BatchesRun != got.Batches {
-		t.Errorf("batches: %d run of %d", got.BatchesRun, got.Batches)
-	}
-	assertIdentical(t, got, want)
-}
-
 // TestEarlyStopDoubleCancelNoLeak: the coverage-target early stop fires
 // the coordinator's internal cancel while the caller's context is
 // cancelled at the same moment (double cancel), with shards still being
@@ -498,7 +464,6 @@ func TestEarlyStopDoubleCancelNoLeak(t *testing.T) {
 		Sequence:       "sequence1",
 		FaultModel:     "paper",
 		CoverageTarget: 0.2,
-		Trim:           true,
 	}
 	urls, _ := newWorkerPool(t, 2, server.Config{MaxJobs: 2})
 

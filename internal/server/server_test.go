@@ -502,6 +502,11 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("spec %v: %s, want 400", spec, resp.Status)
 		}
 	}
+	// "trim" switches nothing any more, but the benchmark harness still
+	// posts it: it must decode, not 400 as an unknown field.
+	if _, resp := submit(t, ts, map[string]any{"workload": "ram64", "max_patterns": 1, "trim": true}); resp.StatusCode != http.StatusAccepted {
+		t.Errorf(`a spec with "trim": %s, want 202`, resp.Status)
+	}
 
 	// A spec that passes validation but fails resolution fails the job,
 	// reported via status.

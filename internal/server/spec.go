@@ -66,9 +66,10 @@ type JobSpec struct {
 	// Drop is the fault-dropping policy: "any" (default), "hard", or
 	// "never".
 	Drop string `json:"drop,omitempty"`
-	// Trim enables redundancy trimming (fault-class collapse plus the
-	// fully-dropped-batch tail skip; see core.Options.Trim). Results are
-	// byte-identical either way — trimming sheds executed work only.
+	// Trim is read by nothing: every batch is trimmed (see
+	// core.Options.Trim). It still decodes, because benchmarks/ sets it
+	// and its server probe posts "trim": true, until a benchmark PR drops
+	// it.
 	Trim bool `json:"trim,omitempty"`
 
 	// IncludePerFault adds the per-fault outcome table to the job result.
@@ -190,14 +191,15 @@ func (s *JobSpec) SimOptions(wl *Workload) core.Options {
 		Observe: wl.Observe,
 		Drop:    s.dropPolicy(),
 		Workers: s.Workers,
-		Trim:    s.Trim,
 	}
 }
 
 // workloadKey identifies the shareable part of a built-in workload — the
-// circuit plus the exact test sequence — for the Tables and Recording
-// caches. Inline netlists are not cached (the parse is the cheap part;
-// the trajectory depends on the full inline text anyway).
+// circuit plus the whole test sequence — for the Tables and Recording
+// caches; a truncated sequence is served from the whole one's entry (see
+// circuitEntry.workload), so max_patterns values add no entries. Inline
+// netlists are not cached (the parse is the cheap part; the trajectory
+// depends on the full inline text anyway).
 func (s *JobSpec) workloadKey() (string, bool) {
 	if s.Workload == "" {
 		return "", false
@@ -206,7 +208,7 @@ func (s *JobSpec) workloadKey() (string, bool) {
 	if seq == "" {
 		seq = "sequence1"
 	}
-	return fmt.Sprintf("%s/%s/max=%d", s.Workload, seq, s.MaxPatterns), true
+	return s.Workload + "/" + seq, true
 }
 
 // Workload is a resolved, runnable campaign workload: everything
@@ -229,10 +231,10 @@ type Workload struct {
 	ram *ram.RAM // non-nil for built-in workloads
 }
 
-// circuitEntry is one cached built-in circuit + sequence: the network and
-// tables are immutable after construction and shared by every job over
-// the workload; the recording is captured once, on first use, under the
-// entry's own lock so concurrent first jobs do not record twice.
+// circuitEntry is one cached built-in circuit + whole sequence: the
+// network and tables are immutable after construction and shared by every
+// job over the workload; the recording is captured once, on first use,
+// under the entry's own lock so concurrent first jobs do not record twice.
 type circuitEntry struct {
 	nw  *netlist.Network
 	m   *ram.RAM
@@ -263,18 +265,17 @@ func (c *cache) builtin(spec *JobSpec) *circuitEntry {
 	if e := c.entries[key]; e != nil {
 		return e
 	}
-	m, seq := buildBuiltin(spec)
-	e := &circuitEntry{nw: m.Net, m: m, tab: switchsim.NewTables(m.Net), seq: seq}
+	e := newCircuitEntry(spec)
 	c.entries[key] = e
 	return e
 }
 
-// buildBuiltin constructs a built-in workload's circuit and (truncated)
-// test sequence. Construction is deterministic: every process resolving
-// the same spec builds the identical network and sequence, which is what
-// lets coordinator and workers agree on fault indices and recording
-// fingerprints without shipping circuits around.
-func buildBuiltin(spec *JobSpec) (*ram.RAM, *switchsim.Sequence) {
+// newCircuitEntry constructs a built-in workload's circuit, tables and
+// whole test sequence. Construction is deterministic: every process
+// resolving the same spec builds the identical network and sequence,
+// which is what lets coordinator and workers agree on fault indices and
+// recording fingerprints without shipping circuits around.
+func newCircuitEntry(spec *JobSpec) *circuitEntry {
 	var m *ram.RAM
 	if spec.Workload == "ram256" {
 		m = ram.RAM256()
@@ -287,8 +288,24 @@ func buildBuiltin(spec *JobSpec) (*ram.RAM, *switchsim.Sequence) {
 	} else {
 		seq = march.Sequence1(m)
 	}
-	truncate(seq, spec.MaxPatterns)
-	return m, seq
+	return &circuitEntry{nw: m.Net, m: m, tab: switchsim.NewTables(m.Net), seq: seq}
+}
+
+// workload resolves spec over the entry. Its sequence is a copy of the
+// entry's with the patterns truncated to max_patterns, and, when
+// withRecording, its recording the whole recording's first 1+settings
+// steps: a capture is a pure function of the steps so far, so that prefix
+// encodes byte-identically to a capture of the truncated sequence.
+func (e *circuitEntry) workload(spec *JobSpec, withRecording bool) (*Workload, error) {
+	seq := *e.seq
+	truncate(&seq, spec.MaxPatterns)
+	wl := &Workload{Net: e.nw, Tables: e.tab, Seq: &seq, ram: e.m}
+	if withRecording {
+		rec := *e.recording()
+		rec.Steps = rec.Steps[:1+seq.NumSettings()]
+		wl.Recording = &rec
+	}
+	return finishResolve(spec, wl)
 }
 
 // recording captures (once) and returns the entry's good trajectory.
@@ -308,17 +325,13 @@ func truncate(seq *switchsim.Sequence, n int) {
 }
 
 // resolve turns a validated spec into a runnable workload, sharing cached
-// tables and trajectories for built-in workloads. A spec that names an
-// uploaded recording is resolved without one: the job runs on the upload,
-// and a worker must not simulate a good circuit it was sent.
+// tables and trajectories for built-in workloads, whatever max_patterns
+// asks (see circuitEntry.workload). A spec that names an uploaded
+// recording is resolved without one: the job runs on the upload, and a
+// worker must not simulate a good circuit it was sent.
 func (m *Manager) resolve(spec *JobSpec) (*Workload, error) {
 	if spec.Workload != "" {
-		e := m.cache.builtin(spec)
-		wl := &Workload{Net: e.nw, Tables: e.tab, Seq: e.seq, ram: e.m}
-		if spec.RecordingFP == "" {
-			wl.Recording = e.recording()
-		}
-		return finishResolve(spec, wl)
+		return m.cache.builtin(spec).workload(spec, spec.RecordingFP == "")
 	}
 	return resolveInline(spec)
 }
@@ -332,9 +345,7 @@ func ResolveSpec(spec *JobSpec) (*Workload, error) {
 		return nil, err
 	}
 	if spec.Workload != "" {
-		m, seq := buildBuiltin(spec)
-		wl := &Workload{Net: m.Net, Tables: switchsim.NewTables(m.Net), Seq: seq, ram: m}
-		return finishResolve(spec, wl)
+		return newCircuitEntry(spec).workload(spec, false)
 	}
 	return resolveInline(spec)
 }
