@@ -203,9 +203,9 @@ func campaignRAM256() (*ram.RAM, []fault.Fault, *switchsim.Sequence, *switchsim.
 // BenchmarkCampaign_Checkpointed prices Options.CheckpointPath: the
 // workload of BenchmarkCampaign_RAM256 at batch 64 on one shard, without a
 // checkpoint and with one in a fresh temporary file per iteration. The
-// gap between the two rows is the per-batch completion save, which
-// rewrites (and fsyncs) every result completed so far; ckbytes is the
-// size of the file the last save left.
+// gap between the two rows is the checkpoint log: one line appended (and
+// fsynced) per completed batch, plus the header when the log is created;
+// ckbytes is the size of the log the run left.
 func BenchmarkCampaign_Checkpointed(b *testing.B) {
 	m, faults, seq, rec := campaignRAM256()
 	for _, checkpointed := range []bool{false, true} {

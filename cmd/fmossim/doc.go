@@ -34,10 +34,13 @@
 // and skips the batches not yet started — whole site-ordered windows,
 // not the tail of the fault list (internal/campaign, "Early stop and
 // cancellation", is the rule), and -checkpoint FILE makes the campaign
-// resumable (completed batches
-// are reloaded instead of re-simulated; a batch that was in flight
-// re-runs from its first setting). Campaign results are bit-identical to
-// the monolithic run.
+// resumable: FILE is a log to which each completed batch appends one
+// line, and a later run with the same flags reloads those batches instead
+// of re-simulating them. A batch that was in flight, or whose line a
+// crash cut short, re-runs from its first setting; the summary line
+// counts both ("N run, M resumed"). A file written by another campaign,
+// or by a build with another checkpoint format, is refused by name.
+// Campaign results are bit-identical to the monolithic run.
 //
 // # Distributed campaigns
 //

@@ -150,9 +150,6 @@ type (
 	// its merged outcome.
 	CampaignOptions = campaign.Options
 	CampaignResult  = campaign.Result
-	// CampaignCheckpoint is the resumable state of a partially completed
-	// campaign.
-	CampaignCheckpoint = campaign.Checkpoint
 	// CampaignProgress is one streaming progress event (see
 	// CampaignOptions.Progress): per-setting coverage, live-fault counts,
 	// and detection events, emitted concurrently from the shard pool.

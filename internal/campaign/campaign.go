@@ -6,7 +6,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"fmossim/internal/core"
 	"fmossim/internal/fanout"
@@ -51,8 +50,8 @@ type Options struct {
 	Tables *switchsim.Tables
 
 	// CheckpointPath, when non-empty, makes the campaign resumable: the
-	// checkpoint file is loaded if present (completed batches are not
-	// re-simulated) and rewritten after every batch completion.
+	// checkpoint log is loaded if present (completed batches are not
+	// re-simulated) and one line is appended to it per batch completion.
 	CheckpointPath string
 
 	// Progress, when non-nil, receives one ProgressEvent per simulated
@@ -194,51 +193,31 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		simOpts.Workers = 1
 	}
 
-	// Resume: completed batches come from the checkpoint, not from
+	// Resume: completed batches come from the checkpoint log, not from
 	// simulation.
-	ck := &Checkpoint{
-		Version:        checkpointVersion,
-		Sequence:       seq.Name,
-		NumSettings:    seq.NumSettings(),
-		NumFaults:      len(faults),
-		NumNodes:       nw.NumNodes(),
-		NumTransistors: nw.NumTransistors(),
-		BatchSize:      l.BatchSize(),
-		NumBatches:     nBatches,
-		FaultsHash:     hashFaults(ordered),
-		SimHash:        hashSimOptions(simOpts),
-		Done:           map[int]*core.BatchResult{},
-	}
+	var ck *ckLog
 	if opts.CheckpointPath != "" {
-		prev, err := loadCheckpointFile(opts.CheckpointPath)
-		if err == nil && prev != nil {
-			if err = prev.matches(ck); err != nil {
-				err = fmt.Errorf("campaign: checkpoint %s: %w", opts.CheckpointPath, err)
-			}
-		}
+		ck, err = openLog(opts.CheckpointPath, &ckHeader{
+			Version:        checkpointVersion,
+			Sequence:       seq.Name,
+			NumSettings:    seq.NumSettings(),
+			NumFaults:      len(faults),
+			NumNodes:       nw.NumNodes(),
+			NumTransistors: nw.NumTransistors(),
+			BatchSize:      l.BatchSize(),
+			NumBatches:     nBatches,
+			FaultsHash:     hashFaults(ordered),
+			SimHash:        hashSimOptions(simOpts),
+		}, l)
 		if err != nil {
 			l.close()
 			return nil, nil, err
 		}
-		if prev != nil {
-			// Walk the batches in index order so the whole resume path —
-			// counters included — is deterministic. A completed batch comes
-			// back as is; an interrupted one re-runs from its first setting.
-			for i := 0; i < nBatches; i++ {
-				if br := prev.Done[i]; br != nil {
-					if err := l.resume(i, br); err != nil {
-						l.close()
-						return nil, nil, fmt.Errorf("checkpoint %s: %w", opts.CheckpointPath, err)
-					}
-					ck.Done[i] = br
-				}
-			}
-		}
+		defer ck.f.Close()
 	}
 
 	// Once the campaign has failed, Start refuses every later batch, so a
 	// failing shard goes on draining indices without running them.
-	var ckMu sync.Mutex
 	fanout.Each(nBatches, shards, func(_, i int) {
 		if !l.Start(i) {
 			return // resumed from checkpoint, or the campaign has stopped
@@ -252,11 +231,8 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		if err == nil {
 			err = l.Complete(i, br)
 		}
-		if err == nil && opts.CheckpointPath != "" {
-			ckMu.Lock()
-			ck.Done[i] = br
-			err = ck.saveFile(opts.CheckpointPath)
-			ckMu.Unlock()
+		if err == nil && ck != nil {
+			err = ck.append(i, br)
 		}
 		if err != nil {
 			l.Fail(err)

@@ -467,9 +467,9 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
-// TestCampaignCheckpointVersionReject: a checkpoint written under an
-// older schema is refused with an error naming the version, instead of
-// silently reinterpreting its contents.
+// TestCampaignCheckpointVersionReject: a checkpoint written under another
+// schema is refused with an error naming the version, instead of silently
+// reinterpreting its contents.
 func TestCampaignCheckpointVersionReject(t *testing.T) {
 	m, faults, seq := testBench(t)
 	obs := []netlist.NodeID{m.DataOut}
@@ -484,107 +484,57 @@ func TestCampaignCheckpointVersionReject(t *testing.T) {
 	if _, err := campaign.Run(context.Background(), m.Net, faults, seq, opts); err != nil {
 		t.Fatal(err)
 	}
+	raw, err := os.ReadFile(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, batches, _ := bytes.Cut(raw, []byte("\n"))
+	var line0 struct {
+		Result []byte `json:"result"`
+	}
+	if err := json.Unmarshal(batches[:bytes.IndexByte(batches, '\n')], &line0); err != nil {
+		t.Fatal(err)
+	}
 
-	// Rewrite the file as another schema would have written it: same
-	// contents, another version field (a pre-versioned file decodes as 0 —
-	// also rejected). Version 2 spelled each completed batch out as a JSON
-	// object where this schema has a string; the version must be what the
-	// error names, not the first field that fails to decode.
-	for _, v := range []int{0, 1, 2, 99} {
-		raw, err := os.ReadFile(ckPath)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Rewrite the header as another schema would have written it: same
+	// fingerprint, another version field (a pre-versioned file decodes as
+	// 0 — also rejected), the batch lines after it. Versions 0-3 were one
+	// JSON document: a version 3 file is the fingerprint and a "done"
+	// object of base64 results, and version 2 spelled each result out as a
+	// JSON object. The version must be what the error names, not the first
+	// field or line that fails to decode.
+	for _, v := range []int{0, 1, 2, 3, 99} {
 		var doc map[string]any
-		if err := json.Unmarshal(raw, &doc); err != nil {
+		if err := json.Unmarshal(header, &doc); err != nil {
 			t.Fatal(err)
 		}
-		if v == 0 {
+		tail := batches
+		switch v {
+		case 0:
 			delete(doc, "version")
-		} else {
-			doc["version"] = v
-		}
-		if v == 2 {
+		case 2:
+			doc["version"], tail = v, nil
 			doc["done"] = map[string]any{"0": map[string]any{"num_faults": 1, "per_setting": []any{}}}
+		case 3:
+			doc["version"], tail = v, nil
+			doc["done"] = map[string]any{"0": line0.Result}
+		default:
+			doc["version"] = v
 		}
 		mut, err := json.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(ckPath, mut, 0o644); err != nil {
+		if err := os.WriteFile(ckPath, append(append(mut, '\n'), tail...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err = campaign.Run(context.Background(), m.Net, faults, seq, opts)
 		if err == nil {
 			t.Fatalf("version-%d checkpoint accepted", v)
 		}
-		if !strings.Contains(err.Error(), "version") {
-			t.Fatalf("version-%d rejection does not name the schema version: %v", v, err)
+		if want := fmt.Sprintf("schema version %d,", v); !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d rejection does not name the schema version (%q): %v", v, want, err)
 		}
-	}
-}
-
-// TestCampaignCheckpointIgnoresPartial: builds that saved mid-batch state
-// wrote a "partial" object next to "done", keyed by batch. This build
-// reads past it: the completed batches resume, the batch the partial
-// described re-runs from its first setting, and the merge is byte for
-// byte the uninterrupted one.
-func TestCampaignCheckpointIgnoresPartial(t *testing.T) {
-	m, faults, seq := testBench(t)
-	opts := campaign.Options{
-		Sim:            core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1},
-		BatchSize:      ceilDiv(len(faults), 3),
-		Shards:         1,
-		CheckpointPath: filepath.Join(t.TempDir(), "campaign.ck"),
-	}
-	want, err := campaign.Run(context.Background(), m.Net, faults, seq, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The file as the older build left it with batch 1 interrupted: no
-	// result for it, a snapshot of its state instead.
-	raw, err := os.ReadFile(opts.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	var done map[string]json.RawMessage
-	if err := json.Unmarshal(doc["done"], &done); err != nil {
-		t.Fatal(err)
-	}
-	delete(done, "1")
-	if doc["done"], err = json.Marshal(done); err != nil {
-		t.Fatal(err)
-	}
-	doc["partial"] = json.RawMessage(`{"1":{"num_faults":2,"num_nodes":9,"num_transistors":9,
-		"step":8,"pattern":1,"setting_done":1,"detected":[true,false],
-		"detections":[{"Pattern":0,"Setting":3,"Output":4,"Good":1,"Faulty":0,"Hard":true},{}],
-		"dropped":[true,false],"oscillated":[false,false],"records":[null,[{"n":99999,"v":7}]],
-		"retired":1,"last_retired":1,"settings_run":8,"per_setting":[],"per_pattern":[],
-		"partial_pattern":{},"detected_total":1}}`)
-	if raw, err = json.Marshal(doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(opts.CheckpointPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := campaign.Run(context.Background(), m.Net, faults, seq, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.BatchesResumed != 2 || got.BatchesRun != 1 {
-		t.Fatalf("resumed %d and ran %d of %d batches, want 2 and 1", got.BatchesResumed, got.BatchesRun, got.Batches)
-	}
-	if a, b := mergedJSON(t, got), mergedJSON(t, want); a != b {
-		t.Fatal("the merge differs from the uninterrupted run's")
-	}
-	if raw, err = os.ReadFile(opts.CheckpointPath); err != nil || strings.Contains(string(raw), "partial") {
-		t.Fatalf("rewritten checkpoint still carries a partial (read error %v)", err)
 	}
 }
 

@@ -1,37 +1,37 @@
-// Campaign checkpoints: a JSON snapshot of completed batches, written
-// after every batch completion and reloaded on the next Run with the same
-// CheckpointPath, so long campaigns survive interruption without
-// re-simulating finished shards. The batch results themselves are
+// Campaign checkpoints: an append-only log of completed batches, one line
+// written (and fsynced) per batch completion and reloaded on the next Run
+// with the same CheckpointPath, so long campaigns survive interruption
+// without re-simulating finished shards. The batch results themselves are
 // deterministic, so a resumed campaign merges to the same outcome as an
 // uninterrupted one.
 package campaign
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"fmossim/internal/core"
 	"fmossim/internal/fault"
 )
 
-// checkpointVersion is the current checkpoint schema: version 3 carries
-// each completed batch in core.BatchResult's binary form (one base64
-// string). Files of any other version (pre-versioned files decode as
-// version 0) are refused with an explicit error rather than silently
-// reinterpreted. A version 3 file written by a build that still saved
-// mid-batch state has a "partial" object next to "done"; it is ignored,
-// and the batches it described re-run.
-const checkpointVersion = 3
+// checkpointVersion is the current checkpoint schema: version 4 is a log,
+// a header line and then one line per completed batch. Files of any other
+// version (the whole-document files of versions 0-3 included; a
+// pre-versioned file decodes as version 0) are refused with an explicit
+// error rather than silently reinterpreted.
+const checkpointVersion = 4
 
-// Checkpoint is the serializable resume state of a campaign: the campaign
-// fingerprint (to refuse resuming a different campaign) plus the
-// completed batches' results, keyed by batch index.
-type Checkpoint struct {
+// ckHeader is the log's first line: the campaign fingerprint, which
+// refuses resuming a different campaign.
+type ckHeader struct {
 	Version        int    `json:"version"`
 	Sequence       string `json:"sequence"`
 	NumSettings    int    `json:"num_settings"`
@@ -49,8 +49,20 @@ type Checkpoint struct {
 	// batch results, so both are part of the fingerprint.
 	FaultsHash uint64 `json:"faults_hash"`
 	SimHash    uint64 `json:"sim_hash"`
+}
 
-	Done map[int]*core.BatchResult `json:"done"`
+// ckLine is one completed batch in the log: its index, its result in
+// core.BatchResult's binary form (base64 in the JSON line), and the CRC-32
+// (IEEE) of that payload, continued from the index as the running
+// checksum: crc32.Update(uint32(Batch), crc32.IEEETable, payload), which
+// is zlib's crc32(payload, Batch). A flipped base64 character can still
+// decode to a well-formed result — another one — and a flipped index
+// digit to another batch of the same width, so the checksum covers both:
+// no two indices give one payload the same CRC.
+type ckLine struct {
+	Batch  int    `json:"batch"`
+	CRC    uint32 `json:"crc"`
+	Result []byte `json:"result"`
 }
 
 // hashFaults digests the fault list content, in the order given.
@@ -88,9 +100,14 @@ func hashSimOptions(opts core.Options) uint64 {
 	return h.Sum64()
 }
 
-// matches verifies the checkpoint belongs to the same campaign.
-func (c *Checkpoint) matches(want *Checkpoint) error {
+// matches verifies the checkpoint belongs to the same campaign. The schema
+// version is checked first: the other fields of an older file need not
+// mean what they mean here, and the error should name the version.
+func (c *ckHeader) matches(want *ckHeader) error {
 	switch {
+	case c.Version != want.Version:
+		return fmt.Errorf("checkpoint schema version %d, this build writes version %d; delete the checkpoint file (completed batches will re-run) or finish the campaign with the build that wrote it",
+			c.Version, want.Version)
 	case c.Sequence != want.Sequence || c.NumSettings != want.NumSettings:
 		return fmt.Errorf("sequence %q (%d settings), campaign runs %q (%d)",
 			c.Sequence, c.NumSettings, want.Sequence, want.NumSettings)
@@ -109,84 +126,90 @@ func (c *Checkpoint) matches(want *Checkpoint) error {
 	return nil
 }
 
-// Save writes the checkpoint as JSON.
-func (c *Checkpoint) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(c)
+// resumeLog reads a non-empty log for the campaign want describes and
+// resumes its batches into l; the header must match want (version first)
+// and end in a newline. Batch lines are read up to the first one that is
+// cut short, does not decode or fails its CRC; keep is the length of the
+// prefix before it, where the log goes on, and the batches of that line
+// and of every line after it re-run. A line that passes its CRC but names
+// no batch still to run is refused with ErrBatchShape, by Ledger.resume.
+func resumeLog(data []byte, want *ckHeader, l *Ledger) (keep int, err error) {
+	line, rest, whole := bytes.Cut(data, []byte("\n"))
+	var head ckHeader
+	if err = json.Unmarshal(line, &head); err != nil {
+		err = fmt.Errorf("decoding header: %w", err)
+	} else if err = head.matches(want); err == nil && !whole {
+		err = fmt.Errorf("header line is cut short")
+	}
+	for whole && err == nil {
+		keep = len(data) - len(rest)
+		var ln ckLine
+		var br core.BatchResult
+		if line, rest, whole = bytes.Cut(rest, []byte("\n")); !whole || json.Unmarshal(line, &ln) != nil ||
+			crc32.Update(uint32(ln.Batch), crc32.IEEETable, ln.Result) != ln.CRC || br.UnmarshalBinary(ln.Result) != nil {
+			break
+		}
+		err = l.resume(ln.Batch, &br)
+	}
+	return keep, err
 }
 
-// LoadCheckpoint reads a checkpoint previously written by Save. The
-// schema version is read and checked before anything else is decoded: the
-// rest of an older file does not have this schema's shape, and the error
-// should say so rather than report whichever field broke first.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	data, err := io.ReadAll(r)
+// ckLog is an open checkpoint log; its methods are safe for concurrent
+// use.
+type ckLog struct {
+	mu sync.Mutex
+	f  *os.File
+}
+
+// openLog opens the checkpoint log at path for the campaign head
+// describes. A missing or empty file becomes a new log holding only the
+// header, durably: the file is fsynced, then its directory, once. Any
+// other file must be a log of this campaign; its intact batches are
+// resumed into l and the file is truncated after the last of them.
+func openLog(path string, head *ckHeader, l *Ledger) (*ckLog, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: reading checkpoint: %w", err)
+		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	var head struct {
-		Version int `json:"version"`
+	c := &ckLog{f: f}
+	data, err := io.ReadAll(f)
+	if err == nil && len(data) == 0 {
+		err = c.write(head)
+		// Persist the new name. Directory fsync can fail on exotic
+		// filesystems; don't fail the campaign over it.
+		if d, derr := os.Open(filepath.Dir(path)); derr == nil {
+			d.Sync()
+			d.Close()
+		}
+	} else if err == nil {
+		var keep int
+		if keep, err = resumeLog(data, head, l); err == nil {
+			err = f.Truncate(int64(keep)) // the file is in append mode: lines go on at keep
+		}
 	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return nil, fmt.Errorf("campaign: decoding checkpoint: %w", err)
-	}
-	if head.Version != checkpointVersion {
-		return nil, fmt.Errorf("campaign: checkpoint schema version %d, this build writes version %d; delete the checkpoint file (completed batches will re-run) or finish the campaign with the build that wrote it",
-			head.Version, checkpointVersion)
-	}
-	c := &Checkpoint{}
-	if err := json.Unmarshal(data, c); err != nil {
-		return nil, fmt.Errorf("campaign: decoding checkpoint: %w", err)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
 	}
 	return c, nil
 }
 
-// saveFile atomically and durably replaces the checkpoint file: write to
-// a temp file in the same directory, fsync it, rename over the target,
-// then fsync the directory. Without the fsyncs the rename is atomic
-// against concurrent readers but not against power loss — a crash could
-// leave the new name pointing at data that never reached the disk.
-func (c *Checkpoint) saveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".campaign-ck-*")
+// append logs batch i's result.
+func (c *ckLog) append(i int, br *core.BatchResult) error {
+	payload, err := br.AppendBinary(nil)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := c.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// Persist the rename itself. Directory fsync can fail on exotic
-	// filesystems; the data fsync above already happened, so don't fail
-	// the campaign over it.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return c.write(ckLine{Batch: i, CRC: crc32.Update(uint32(i), crc32.IEEETable, payload), Result: payload})
 }
 
-// loadCheckpointFile loads path, returning (nil, nil) when the file does
-// not exist yet.
-func loadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
+// write appends v to the log as one JSON line and fsyncs it. The encoder
+// writes the line, newline included, in one call.
+func (c *ckLog) write(v any) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := json.NewEncoder(c.f).Encode(v); err != nil {
+		return err
 	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadCheckpoint(f)
+	return c.f.Sync()
 }

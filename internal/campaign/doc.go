@@ -77,15 +77,24 @@
 // count, the fault universe (a content hash taken in batch order, so it
 // changes exactly when a batch would hold other faults), the network
 // shape, the result-shaping simulator options, and the batching; Run
-// refuses to
-// resume from a checkpoint whose fingerprint differs, because attributing
-// stale batch results to a different campaign would be silent corruption.
-// Worker counts and progress callbacks are deliberately outside the
-// fingerprint: they never change results. The fingerprint says which
-// campaign a file belongs to, not that its batches are well-formed: the
-// Ledger checks every batch result it is handed — from a checkpoint or
-// from a worker — against the batch's window and, at the merge, the
-// sequence, and refuses a mismatch with ErrBatchShape.
+// refuses to resume from a checkpoint whose fingerprint differs, because
+// attributing stale batch results to a different campaign would be silent
+// corruption. Worker counts and progress callbacks are deliberately
+// outside the fingerprint: they never change results.
+//
+// A checkpoint is an append-only log: the fingerprint on its first line,
+// then one line per completed batch, each carrying the batch index, the
+// result in core.BatchResult's binary form, and a CRC-32 over both,
+// written and fsynced once as the batch completes. Resuming reads the
+// lines up to the first one that is cut short, does not decode or fails
+// its CRC — what a crash mid-write leaves — truncates the file there and
+// re-runs those batches; results are deterministic, so the merge does not
+// change. The fingerprint says which campaign a file belongs to, not that
+// its batches are well-formed: the Ledger checks every batch result it is
+// handed — from a checkpoint or from a worker — against the batch's
+// window, the sequence and the network's nodes, and refuses a mismatch,
+// or a checkpoint line for a batch already resumed or outside the
+// campaign, with ErrBatchShape.
 //
 // # Batch/merge determinism guarantee
 //

@@ -36,6 +36,7 @@ type Ledger struct {
 	unhook    func() bool
 
 	seq                     *switchsim.Sequence // every batch result has one row per setting and pattern of it
+	nodes                   int                 // every node a batch result names is below it
 	nf, batchSize, nBatches int
 	target                  int // detections that stop the campaign; 0: no target
 	progress                func(ProgressEvent)
@@ -82,7 +83,7 @@ func NewLedger(ctx context.Context, nw *netlist.Network, faults []fault.Fault, s
 	}
 	n := (nf + batchSize - 1) / batchSize
 	l := &Ledger{
-		ctx: ctx, seq: seq, nf: nf, batchSize: batchSize, nBatches: n, progress: progress,
+		ctx: ctx, seq: seq, nodes: nw.NumNodes(), nf: nf, batchSize: batchSize, nBatches: n, progress: progress,
 		order:   batchOrder(nw, faults, batchSize),
 		faults:  make([]fault.Fault, nf),
 		results: make([]*core.BatchResult, n),
@@ -286,13 +287,17 @@ func (l *Ledger) observer(i int) func(core.BatchProgress) {
 }
 
 // ErrBatchShape reports a batch result that does not describe the batch it
-// was handed in for: a checkpoint entry or a worker's result line of the
-// wrong width or length. Merging one would yield a quietly different
-// Result, so the ledger refuses it where it arrives.
+// was handed in for: a checkpoint line or a worker's result line of the
+// wrong width or length, naming a node outside the network or a logic
+// value outside {0, 1, X}, or a checkpoint line for no batch still to run.
+// Merging one would yield a quietly different Result, or one a caller
+// cannot print, so the ledger refuses it where it arrives.
 var ErrBatchShape = errors.New("batch result has the wrong shape")
 
 // checkShape verifies br covers exactly batch i's window of the universe,
-// with one per-setting and one per-pattern row for each of the sequence's.
+// with one per-setting and one per-pattern row for each of the sequence's,
+// and that every detection and record names a node of the network and
+// valid logic values.
 func (l *Ledger) checkShape(i int, br *core.BatchResult) error {
 	lo, hi := l.Window(i)
 	if w := hi - lo; br.NumFaults != w || len(br.Detected) != w || len(br.Detections) != w ||
@@ -304,16 +309,31 @@ func (l *Ledger) checkShape(i int, br *core.BatchResult) error {
 		return fmt.Errorf("campaign: batch %d: %w: %d settings in %d patterns, the sequence has %d in %d",
 			i, ErrBatchShape, len(br.PerSetting), len(br.PerPattern), l.seq.NumSettings(), len(l.seq.Patterns))
 	}
+	for j, recs := range br.Records {
+		d := br.Detections[j]
+		ok := !br.Detected[j] || d.Output >= 0 && int(d.Output) < l.nodes && d.Good.Valid() && d.Faulty.Valid()
+		for n, v := range recs { //fmossim:nondeterminism-ok a conjunction over the records: the order cannot change ok
+			ok = ok && n >= 0 && int(n) < l.nodes && v.Valid()
+		}
+		if !ok {
+			return fmt.Errorf("campaign: batch %d: %w: fault %d names a node outside the network's %d or a value outside {0, 1, X}", i, ErrBatchShape, j, l.nodes)
+		}
+	}
 	return nil
 }
 
 // resume pre-counts batch i as completed by an earlier run (checkpoint).
+// An index outside the campaign, or of a batch already resumed, is refused
+// with ErrBatchShape.
 func (l *Ledger) resume(i int, br *core.BatchResult) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i < 0 || i >= l.nBatches || l.results[i] != nil {
+		return fmt.Errorf("campaign: batch %d: %w: not one of the %d batches still to run", i, ErrBatchShape, l.nBatches)
+	}
 	if err := l.checkShape(i, br); err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.results[i] = br
 	l.done++
 	l.resumed++

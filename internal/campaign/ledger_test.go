@@ -197,10 +197,12 @@ func TestLedgerCancelRule(t *testing.T) {
 }
 
 // TestLedgerRefusesWrongShape: a batch result that is not as wide as its
-// window, or whose per-setting or per-pattern table is not as long as the
-// sequence, is refused where it arrives — by resume as by Complete — and
-// the batch stays outstanding and may run again; nothing of the wrong
-// shape reaches the merge.
+// window, whose per-setting or per-pattern table is not as long as the
+// sequence, or that names a node outside the network or a logic value
+// outside {0, 1, X} in a detection or a record, is refused where it
+// arrives — by resume as by Complete — and the batch stays outstanding and
+// may run again; nothing of the wrong shape reaches the merge, or a caller
+// that prints the nodes it names.
 func TestLedgerRefusesWrongShape(t *testing.T) {
 	seq := &switchsim.Sequence{Name: "none"}
 	nw, faults := shuffledUniverse(15)
@@ -211,7 +213,17 @@ func TestLedgerRefusesWrongShape(t *testing.T) {
 	oneSetting.PerSetting = make([]core.SettingStats, 1)
 	onePattern := batchWith(10, 2)
 	onePattern.PerPattern = make([]core.PatternStats, 1)
-	wrong := []*core.BatchResult{batchWith(3, 1), short, oneSetting, onePattern}
+	farOutput := batchWith(10, 2)
+	farOutput.Detections[1].Output = 1 << 20
+	negOutput := batchWith(10, 2)
+	negOutput.Detections[0].Output = -1
+	badValue := batchWith(10, 2)
+	badValue.Detections[1].Faulty = logic.X + 1
+	farRecord := batchWith(10, 2)
+	farRecord.Records[7] = map[netlist.NodeID]logic.Value{3: logic.Hi, netlist.NodeID(nw.NumNodes()): logic.Lo}
+	badRecord := batchWith(10, 2)
+	badRecord.Records[9] = map[netlist.NodeID]logic.Value{3: logic.X + 1}
+	wrong := []*core.BatchResult{batchWith(3, 1), short, oneSetting, onePattern, farOutput, negOutput, badValue, farRecord, badRecord}
 
 	if err := l.resume(1, batchWith(10, 0)); !errors.Is(err, ErrBatchShape) {
 		t.Fatalf("a 10-wide result resumed into the 5-wide last window: %v", err)
@@ -230,8 +242,13 @@ func TestLedgerRefusesWrongShape(t *testing.T) {
 		t.Fatal("a refused result must leave its batch outstanding and free to run again")
 	}
 
+	// An undetected fault's detection is not read, and the last node is
+	// inside the network.
+	ok := batchWith(10, 2)
+	ok.Detections[5].Output = 1 << 20
+	ok.Records[7] = map[netlist.NodeID]logic.Value{netlist.NodeID(nw.NumNodes() - 1): logic.X}
 	l.Start(1)
-	if err := errors.Join(l.Complete(0, batchWith(10, 2)), l.Complete(1, batchWith(5, 0))); err != nil {
+	if err := errors.Join(l.Complete(0, ok), l.Complete(1, batchWith(5, 0))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Finish(&switchsim.Recording{}); err != nil {

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -214,14 +215,34 @@ func narrowFirstJob(t *testing.T, worker http.Handler) http.Handler {
 	})
 }
 
-// dropSettingFromFirstResult is a shim in front of a worker that drops the
-// last per-setting row from the batch on the result line of the first
-// stream it forwards, leaving every other line and field as the worker
-// sent it.
+// dropSettingFromFirstResult drops the last per-setting row from the first
+// result line (editFirstResult).
 func dropSettingFromFirstResult(t *testing.T, worker http.Handler) http.Handler {
-	var dropped atomic.Bool
+	return editFirstResult(t, worker, func(br *core.BatchResult) {
+		br.PerSetting = br.PerSetting[:len(br.PerSetting)-1]
+	})
+}
+
+// moveFirstDetection moves the first detection on the first result line
+// (editFirstResult) to a node far outside the network, which a caller
+// printing node names would index out of range.
+func moveFirstDetection(t *testing.T, worker http.Handler) http.Handler {
+	return editFirstResult(t, worker, func(br *core.BatchResult) {
+		if j := slices.Index(br.Detected, true); j >= 0 {
+			br.Detections[j].Output = 1 << 20
+		} else {
+			t.Error("the first result line detects nothing")
+		}
+	})
+}
+
+// editFirstResult is a shim in front of a worker that applies edit to the
+// batch on the result line of the first stream it forwards, leaving every
+// other line and field as the worker sent it.
+func editFirstResult(t *testing.T, worker http.Handler, edit func(*core.BatchResult)) http.Handler {
+	var edited atomic.Bool
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet || !strings.HasSuffix(r.URL.Path, "/stream") || !dropped.CompareAndSwap(false, true) {
+		if r.Method != http.MethodGet || !strings.HasSuffix(r.URL.Path, "/stream") || !edited.CompareAndSwap(false, true) {
 			worker.ServeHTTP(w, r)
 			return
 		}
@@ -234,8 +255,7 @@ func dropSettingFromFirstResult(t *testing.T, worker http.Handler) http.Handler 
 				Result *server.Result `json:"result"`
 			}
 			if json.Unmarshal(line, &l) == nil && l.Type == "result" {
-				br := l.Result.Batch
-				br.PerSetting = br.PerSetting[:len(br.PerSetting)-1]
+				edit(l.Result.Batch)
 				var err error
 				if line, err = json.Marshal(l); err != nil {
 					t.Error(err)
@@ -248,10 +268,10 @@ func dropSettingFromFirstResult(t *testing.T, worker http.Handler) http.Handler 
 }
 
 // TestShortBatchIsRetried: a worker that answers a shard with a result of
-// the wrong shape — one fault narrower than the window, or one setting
-// short of the sequence — costs the shard that attempt: the ledger refuses
-// the result by name where it arrives, the shard runs again, and the merge
-// is the monolithic one.
+// the wrong shape — one fault narrower than the window, one setting short
+// of the sequence, or a detection at a node outside the network — costs
+// the shard that attempt: the ledger refuses the result by name where it
+// arrives, the shard runs again, and the merge is the monolithic one.
 func TestShortBatchIsRetried(t *testing.T) {
 	spec := ram256Spec()
 	wl, rec := resolveAndRecord(t, spec)
@@ -263,6 +283,7 @@ func TestShortBatchIsRetried(t *testing.T) {
 	}{
 		{"window", narrowFirstJob},
 		{"settings", dropSettingFromFirstResult},
+		{"output", moveFirstDetection},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mgr := server.NewManager(server.Config{MaxJobs: 2, StreamInterval: 2 * time.Millisecond})
