@@ -39,8 +39,11 @@
 // of re-simulating them. A batch that was in flight, or whose line a
 // crash cut short, re-runs from its first setting; the summary line
 // counts both ("N run, M resumed"). A file written by another campaign,
-// or by a build with another checkpoint format, is refused by name.
-// Campaign results are bit-identical to the monolithic run.
+// or by a build with another checkpoint format, is refused by name. The
+// log is the same with and without -workers: a campaign interrupted in
+// one mode resumes in the other with the same -batch. Every mode names an
+// inline sequence "patterns", as fmossimd does, and the log is keyed by
+// that name. Campaign results are bit-identical to the monolithic run.
 //
 // # Distributed campaigns
 //
@@ -59,9 +62,12 @@
 //
 // -in-flight sets the concurrent shards per worker and -attempts the
 // dispatches per shard before the campaign fails; both need -workers,
-// and -shards and -checkpoint are refused with it. -coverage-target and
-// SIGINT follow the local rule: at the target, shards already on a worker
-// finish; a SIGINT before it DELETEs every outstanding worker job. A
+// and -shards is refused with it. A failed shard is retried on the next
+// worker in rotation. -coverage-target, -checkpoint and SIGINT follow the
+// local rule — one loop drives the batches in both modes: at the target,
+// shards already on a worker finish; each completed shard is appended to
+// the checkpoint log; a SIGINT before the target DELETEs every
+// outstanding worker job, and the next run resumes from the log. A
 // coverage line and the coordinator's log go to standard error.
 //
 // The summary is the same in every mode. Its detected: and work: lines

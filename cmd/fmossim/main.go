@@ -22,11 +22,10 @@ import (
 // config is one parsed command line: the campaign spec, the coordinator
 // options, and the workload the spec resolved to.
 type config struct {
-	spec       server.JobSpec
-	dist       distrib.Options
-	checkpoint string
-	verbose    bool
-	wl         *server.Workload
+	spec    server.JobSpec
+	dist    distrib.Options
+	verbose bool
+	wl      *server.Workload
 }
 
 // parse binds the flags straight to the campaign spec fmossimd takes and
@@ -52,7 +51,7 @@ func parse(args []string) (*config, error) {
 	fs.IntVar(&spec.BatchSize, "batch", 0, "campaign mode: faults per batch (0 with -shards: split evenly; with -workers: across worker slots)")
 	fs.IntVar(&spec.Shards, "shards", 0, "campaign mode: concurrent batches (0: GOMAXPROCS)")
 	fs.Float64Var(&spec.CoverageTarget, "coverage-target", 0, "campaign mode: stop once this coverage fraction is reached")
-	fs.StringVar(&c.checkpoint, "checkpoint", "", "campaign mode: resumable checkpoint file")
+	fs.StringVar(&c.dist.CheckpointPath, "checkpoint", "", "campaign mode: resumable checkpoint file")
 	fs.IntVar(&spec.Workers, "sim-workers", 0, "simulator workers per batch (with -workers: per shard, on each remote)")
 	workers := fs.String("workers", "", "comma-separated worker base URLs (distributed mode)")
 	fs.IntVar(&c.dist.InFlight, "in-flight", 0, "concurrent shards per worker (default 2)")
@@ -68,11 +67,11 @@ func parse(args []string) (*config, error) {
 		c.dist.Workers = append(c.dist.Workers, strings.TrimRight(w, "/"))
 	}
 	c.dist.BatchSize, c.dist.SimWorkers = spec.BatchSize, spec.Workers
-	// The other mode's flags are refused: distributed checkpoints do not
-	// exist, and a local campaign dispatches nothing.
+	// The other mode's flags are refused: a local campaign dispatches
+	// nothing, and a distributed one runs -in-flight shards per worker.
 	refused, mode := []string{"in-flight", "attempts"}, "distributed (with -workers)"
 	if c.dist.Workers != nil {
-		refused, mode = []string{"shards", "checkpoint"}, "local (without -workers)"
+		refused, mode = []string{"shards"}, "local (without -workers)"
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -101,11 +100,6 @@ func parse(args []string) (*config, error) {
 	if c.wl, err = server.ResolveSpec(spec); err != nil {
 		return nil, err
 	}
-	// An inline sequence is named after its file: the summary prints the
-	// name and a checkpoint is keyed by it.
-	if spec.Netlist != "" {
-		c.wl.Seq.Name = *patPath
-	}
 	return &c, nil
 }
 
@@ -127,7 +121,7 @@ func main() {
 		camp     *campaign.Result
 		detected func(int) (core.Detection, bool)
 	)
-	if len(c.dist.Workers) > 0 || c.spec.BatchSize > 0 || c.spec.Shards > 0 || c.spec.CoverageTarget > 0 || c.checkpoint != "" {
+	if len(c.dist.Workers) > 0 || c.spec.BatchSize > 0 || c.spec.Shards > 0 || c.spec.CoverageTarget > 0 || c.dist.CheckpointPath != "" {
 		if camp, err = runCampaign(c); err != nil {
 			fatal(err)
 		}
@@ -139,9 +133,6 @@ func main() {
 		}
 		res, detected = sim.Run(c.wl.Seq), sim.Detected
 	}
-	// distrib.Run resolves the spec again and names an inline sequence
-	// after no file; the summary names the one resolved here.
-	res.Sequence = c.wl.Seq.Name
 	res.Summary(os.Stdout)
 	if camp != nil {
 		fmt.Printf("  campaign: %d batches (%d run, %d resumed, %d skipped)\n",
@@ -175,7 +166,7 @@ func runCampaign(c *config) (*campaign.Result, error) {
 			BatchSize:      c.spec.BatchSize,
 			Shards:         c.spec.Shards,
 			CoverageTarget: c.spec.CoverageTarget,
-			CheckpointPath: c.checkpoint,
+			CheckpointPath: c.dist.CheckpointPath,
 			Tables:         c.wl.Tables,
 		})
 	}

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"fmossim/internal/campaign"
+	"fmossim/internal/server"
 )
 
 // invNet and invPatterns are a two-inverter chain toggled over two
@@ -61,8 +65,10 @@ func TestParse(t *testing.T) {
 				if c.spec.Netlist != invNet || c.spec.Patterns != invPatterns {
 					t.Error("netlist and patterns not read into the spec")
 				}
-				if c.wl.Seq.Name != files["$PAT"] {
-					t.Errorf("sequence named %q, want the pattern file %q", c.wl.Seq.Name, files["$PAT"])
+				// Named as fmossimd and a distributed campaign name it: a
+				// checkpoint is keyed by the name.
+				if c.wl.Seq.Name != "patterns" {
+					t.Errorf("sequence named %q, want %q", c.wl.Seq.Name, "patterns")
 				}
 			}},
 		{name: "observe list trimmed", args: "-net $NET -patterns $PAT -observe mid,_out,",
@@ -94,7 +100,12 @@ func TestParse(t *testing.T) {
 				}
 			}},
 		{name: "shards with workers", args: "-workload ram64 -workers h:1 -shards 0", wantErr: "-shards"},
-		{name: "checkpoint with workers", args: "-workload ram64 -workers h:1 -checkpoint ck", wantErr: "-checkpoint"},
+		{name: "checkpoint with workers", args: "-workload ram64 -workers h:1 -checkpoint ck",
+			check: func(t *testing.T, c *config) {
+				if c.dist.CheckpointPath != "ck" {
+					t.Errorf("CheckpointPath = %q, want %q", c.dist.CheckpointPath, "ck")
+				}
+			}},
 		{name: "in-flight without workers", args: "-workload ram64 -in-flight 2", wantErr: "-in-flight"},
 		{name: "attempts with blank workers", args: "-workload ram64 -workers _,_ -attempts 2", wantErr: "-attempts"},
 		{name: "net without patterns", args: "-net $NET -observe out", wantErr: "patterns is required"},
@@ -122,6 +133,62 @@ func TestParse(t *testing.T) {
 				t.Fatalf("parse(%q): %v", args, err)
 			default:
 				tc.check(t, c)
+			}
+		})
+	}
+}
+
+// TestCheckpointAcrossModes: over an inline netlist, a checkpoint log that
+// a local campaign wrote resumes in a distributed one, and the other way
+// round — both modes give the sequence the name the log is keyed by — and
+// the resumed merge is the one the first run made.
+func TestCheckpointAcrossModes(t *testing.T) {
+	mgr := server.NewManager(server.Config{MaxJobs: 2})
+	ts := httptest.NewServer(mgr.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		mgr.Close()
+	})
+	dir := t.TempDir()
+	netPath, patPath := filepath.Join(dir, "inv.sim"), filepath.Join(dir, "inv.pat")
+	for path, text := range map[string]string{netPath: invNet, patPath: invPatterns} {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct{ name, first, second string }{
+		{"local then distributed", "", ts.URL},
+		{"distributed then local", ts.URL, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck := filepath.Join(t.TempDir(), "ck")
+			run := func(workers string) *campaign.Result {
+				t.Helper()
+				args := []string{"-net", netPath, "-patterns", patPath, "-observe", "out", "-batch", "1", "-checkpoint", ck}
+				if workers != "" {
+					args = append(args, "-workers", workers)
+				}
+				c, err := parse(args)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := runCampaign(c)
+				if err != nil {
+					t.Fatalf("%q: %v", args, err)
+				}
+				return res
+			}
+			first := run(tc.first)
+			second := run(tc.second)
+			if first.Batches < 2 || first.BatchesRun != first.Batches {
+				t.Fatalf("first run: %d of %d batches run", first.BatchesRun, first.Batches)
+			}
+			if second.BatchesRun != 0 || second.BatchesResumed != second.Batches {
+				t.Errorf("second run: %d run, %d resumed of %d", second.BatchesRun, second.BatchesResumed, second.Batches)
+			}
+			if !reflect.DeepEqual(first.Run, second.Run) || !reflect.DeepEqual(first.PerFault, second.PerFault) {
+				t.Errorf("resumed merge differs:\n%+v\n%+v", second.Run, first.Run)
 			}
 		})
 	}

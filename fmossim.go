@@ -193,8 +193,8 @@ type (
 	// out across a worker pool.
 	JobSpec = server.JobSpec
 	// DistribOptions configures the distributed coordinator: the worker
-	// pool, per-worker in-flight bound, shard size, retry budget, and the
-	// merged progress callback.
+	// pool, per-worker in-flight bound, shard size, retry budget, the
+	// checkpoint log, and the merged progress callback.
 	DistribOptions = distrib.Options
 )
 
@@ -202,8 +202,8 @@ type (
 // fmossimd workers: the good trajectory is recorded (or taken from
 // opts.Recording) and uploaded to each worker once by content
 // fingerprint, the fault universe is partitioned into shard jobs
-// dispatched over the workers' HTTP job API with retry/requeue on worker
-// failure, and the per-shard batch results merge at setting granularity
+// dispatched over the workers' HTTP job API and retried on another worker
+// on failure, and the per-shard batch results merge at setting granularity
 // into a result bit-identical to Campaign on one machine with the same
 // batch size. spec.CoverageTarget and ctx mean what they mean to
 // Campaign (see internal/campaign, "Early stop and cancellation").

@@ -46,8 +46,19 @@ type Options struct {
 	// Tables, when non-nil, is a pre-built read-only table set over the
 	// campaign's network, shared by all batches (and, in a long-running
 	// service, across campaigns over the same circuit). When nil, tables
-	// are built per Run. Must have been built from the same Network.
+	// are built per Run, unless Remote runs the batches. Must have been
+	// built from the same Network.
 	Tables *switchsim.Tables
+
+	// Remote, when non-nil, runs the batches somewhere other than this
+	// process (internal/distrib). Execute calls it once, after the ledger
+	// is open and the checkpoint resumed, and runs every batch through the
+	// function it returns instead of core.RunBatch: slot is the shard-pool
+	// goroutine running batch i (in [0, Shards)), ctx the context batches
+	// execute under. The function reports the batch's progress to
+	// Ledger.Report, retries it as it sees fit, and returns a result that
+	// passes Ledger.Check or the error that fails the campaign.
+	Remote func(l *Ledger) func(ctx context.Context, slot, i int) (*core.BatchResult, error)
 
 	// CheckpointPath, when non-empty, makes the campaign resumable: the
 	// checkpoint log is loaded if present (completed batches are not
@@ -161,8 +172,11 @@ func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *sw
 	return l.Finish(rec)
 }
 
-// Execute is Run without the merge: it replays the batches and returns
-// the drained ledger with the recording they ran against. The caller ends
+// Execute is Run without the merge: it replays the batches — here, or
+// through Options.Remote — and returns the drained ledger with the
+// recording they ran against. It is the one loop that drives a
+// campaign's batches: each starts, runs, completes or fails the campaign,
+// and is appended to the checkpoint log, in that order. The caller ends
 // with Ledger.Finish — which is Run — or, when it only forwards raw
 // batches, with Ledger.Verdict and Ledger.Batch.
 func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts Options) (l *Ledger, rec *switchsim.Recording, err error) {
@@ -174,10 +188,11 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		return nil, nil, err
 	}
 	tab := opts.Tables
-	if tab == nil {
-		tab = switchsim.NewTables(nw)
-	} else if tab.Net != nw {
+	if tab != nil && tab.Net != nw {
 		return nil, nil, fmt.Errorf("campaign: Options.Tables was built over a different network")
+	}
+	if tab == nil && opts.Remote == nil {
+		tab = switchsim.NewTables(nw)
 	}
 
 	shards := opts.Shards
@@ -216,26 +231,32 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		defer ck.f.Close()
 	}
 
-	// Once the campaign has failed, Start refuses every later batch, so a
-	// failing shard goes on draining indices without running them.
-	fanout.Each(nBatches, shards, func(_, i int) {
-		if !l.Start(i) {
-			return // resumed from checkpoint, or the campaign has stopped
-		}
+	run := func(ctx context.Context, _, i int) (*core.BatchResult, error) {
 		lo, hi := l.Window(i)
 		batchOpts := simOpts
 		if obs := l.observer(i); obs != nil {
 			batchOpts.OnObserve = obs
 		}
-		br, err := core.RunBatch(l.Context(), tab, ordered[lo:hi], rec, seq, batchOpts)
+		return core.RunBatch(ctx, tab, ordered[lo:hi], rec, seq, batchOpts)
+	}
+	if opts.Remote != nil {
+		run = opts.Remote(l)
+	}
+	// Once the campaign has failed, start refuses every later batch, so a
+	// failing shard goes on draining indices without running them.
+	fanout.Each(nBatches, shards, func(slot, i int) {
+		if !l.start(i) {
+			return // resumed from checkpoint, or the campaign has stopped
+		}
+		br, err := run(l.run, slot, i)
 		if err == nil {
-			err = l.Complete(i, br)
+			err = l.complete(i, br)
 		}
 		if err == nil && ck != nil {
 			err = ck.append(i, br)
 		}
 		if err != nil {
-			l.Fail(err)
+			l.fail(err)
 		}
 	})
 	return l, rec, nil
@@ -257,12 +278,12 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 // marks a batch that was never simulated; its faults merge as Skipped.
 // Every other entry must have the shape of its window and of seq — the
 // Ledger checks that where a batch arrives (ErrBatchShape), so Merge
-// indexes without truncating. Merge is the single determinism point shared
-// by Run and by distributed coordinators (internal/distrib): any scheduler
-// that produces the same per-batch results — on one machine or many —
-// merges to the same Result. The Batches/BatchesRun/BatchesResumed/
-// BatchesSkipped accounting fields are left zero here; Ledger.Finish
-// fills them.
+// indexes without truncating. Merge is the single determinism point of
+// every campaign, local or distributed (internal/distrib runs its shards
+// through Run): batches that produce the same per-batch results — on one
+// machine or many — merge to the same Result. The Batches/BatchesRun/
+// BatchesResumed/BatchesSkipped accounting fields are left zero here;
+// Ledger.Finish fills them.
 func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int, results []*core.BatchResult) *Result {
 	nSettings := seq.NumSettings()
 	res := &Result{Recording: rec}

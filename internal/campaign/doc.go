@@ -17,10 +17,13 @@
 // # Early stop and cancellation
 //
 // Coverage, early stop and the ruling on a caller's cancel have one
-// definition, kept by one type — the Ledger — that every scheduler of
-// batches drives: Run's shard pool, the distributed coordinator's worker
-// slots (internal/distrib), and a job server's shard jobs
-// (internal/server, through Execute — Run without the merge).
+// definition, kept by one type — the Ledger — and one loop drives it:
+// Execute's shard pool, for a local campaign, for a job server's shard
+// jobs (internal/server, through Execute — Run without the merge), and
+// for the distributed coordinator (internal/distrib), whose
+// Options.Remote hook only says where a batch runs and how a failed one
+// is retried. A distributed campaign therefore writes and resumes the
+// same checkpoint log as a local one.
 //
 //   - ProgressEvent.Detected counts a detection when it is observed: each
 //     batch reports its cumulative detection count after every setting,
@@ -32,7 +35,7 @@
 //   - Early stop fires when that same counter reaches
 //     ceil(CoverageTarget × universe). From then on no batch that has not
 //     started starts; every batch that has started runs to completion and
-//     is merged (a shard whose worker dies is still rerun); batches that
+//     is merged (a shard whose worker dies is still retried); batches that
 //     never started are reported as skipped, per fault and in
 //     Result.BatchesSkipped. A batch is a site-ordered window (see "Batch
 //     composition"), so early stop skips whole windows of fault sites,

@@ -1,8 +1,8 @@
 // The campaign ledger: batch composition and windows, the coverage count,
 // the early-stop decision, the ruling on a caller's cancel, and the final
-// verdict and batch accounting — written once, for every scheduler that
-// runs batches. The rules themselves are stated in doc.go ("Early stop
-// and cancellation", "Batch composition").
+// verdict and batch accounting — written once, and driven by Execute for
+// every batch wherever it runs. The rules themselves are stated in doc.go
+// ("Early stop and cancellation", "Batch composition").
 package campaign
 
 import (
@@ -20,15 +20,16 @@ import (
 	"fmossim/internal/switchsim"
 )
 
-// Ledger is the bookkeeping of one campaign, shared by every scheduler
-// that executes its batches: Run's shard pool, the distributed
-// coordinator's worker slots, a job server's single shard. The scheduler
-// decides where a batch runs and what happens when a worker dies; the
-// ledger decides everything the result depends on, starting with which
-// faults share a batch (Faults, Window). A scheduler asks Start
-// before (re)running a batch, runs it under Context, feeds what the batch
-// reports to Report, hands the outcome to Complete or Fail, and returns
-// Finish. All methods are safe for concurrent use.
+// Ledger is the bookkeeping of one campaign: which faults share a batch
+// (Faults, Window), the coverage count, the early-stop decision, the
+// ruling on a caller's cancel, and how the campaign ended. Execute drives
+// it, for every batch wherever it runs: a batch starts, runs under the
+// campaign's run context, completes or fails the campaign, and is logged
+// to the checkpoint. A scheduler supplies only where a batch runs
+// (Options.Remote): it feeds what the batch reports to Report, and runs
+// a result through Check so that it can retry a refused one. A caller of
+// Execute ends with Finish, or with Verdict and Batch. All methods are
+// safe for concurrent use.
 type Ledger struct {
 	ctx       context.Context // the caller's
 	run       context.Context // what batches execute under
@@ -53,7 +54,6 @@ type Ledger struct {
 	// the event that provoked it was accounted.
 	mu      sync.Mutex
 	results []*core.BatchResult
-	started []bool
 	// seen[i] is the highest cumulative detection count batch i has
 	// reported, detected their sum. Folding with max absorbs duplicate and
 	// stale reports, and a retried shard restarting its count at zero:
@@ -64,7 +64,6 @@ type Ledger struct {
 	done, resumed, inflight int
 	reached, aborted        bool
 	err                     error
-	idle                    chan struct{}
 }
 
 // NewLedger opens the ledger of a campaign over the fault universe faults
@@ -87,18 +86,13 @@ func NewLedger(ctx context.Context, nw *netlist.Network, faults []fault.Fault, s
 		order:   batchOrder(nw, faults, batchSize),
 		faults:  make([]fault.Fault, nf),
 		results: make([]*core.BatchResult, n),
-		started: make([]bool, n),
 		seen:    make([]int, n),
-		idle:    make(chan struct{}),
 	}
 	for p, fi := range l.order {
 		l.faults[p] = faults[fi]
 	}
 	if coverageTarget > 0 && nf > 0 {
 		l.target = int(math.Ceil(coverageTarget * float64(nf)))
-	}
-	if n == 0 {
-		close(l.idle)
 	}
 	// Batches run under a context detached from the caller's: a cancel
 	// reaches them only through abort, which rules on it under mu.
@@ -166,14 +160,6 @@ func (l *Ledger) Window(i int) (lo, hi int) {
 	return lo, min(lo+l.batchSize, l.nf)
 }
 
-// Context is the context batches execute under: cancelled when the
-// campaign is aborted or has failed, never by the coverage target.
-func (l *Ledger) Context() context.Context { return l.run }
-
-// Idle is closed once nothing remains to run: every batch is complete,
-// or the target is reached and every started batch is complete.
-func (l *Ledger) Idle() <-chan struct{} { return l.idle }
-
 // outstanding returns how many batches still have to complete.
 func (l *Ledger) outstanding() int {
 	if l.reached {
@@ -193,21 +179,17 @@ func (l *Ledger) abort() {
 	}
 }
 
-// Start reports whether batch i may run now: true for a batch that has
-// not started while the campaign is live, and for one that did start and
-// has to run again (a shard requeued after its worker died); false once
-// the batch is complete, the target is reached, or the campaign is
-// aborted or failed.
-func (l *Ledger) Start(i int) bool {
+// start reports whether batch i may run now: true while the campaign is
+// live, false once the batch is resumed, the target is reached, or the
+// campaign is aborted or failed. Execute asks once per batch; a scheduler
+// that retries a batch does so inside one start (Options.Remote).
+func (l *Ledger) start(i int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.aborted || l.err != nil || l.results[i] != nil || l.reached && !l.started[i] {
+	if l.aborted || l.err != nil || l.results[i] != nil || l.reached {
 		return false
 	}
-	if !l.started[i] {
-		l.started[i] = true
-		l.inflight++
-	}
+	l.inflight++
 	return true
 }
 
@@ -221,13 +203,6 @@ func (l *Ledger) fold(i, cum int) {
 	}
 	if l.target > 0 && l.detected >= l.target && !l.aborted {
 		l.reached = true
-	}
-	if l.outstanding() == 0 {
-		select {
-		case <-l.idle:
-		default:
-			close(l.idle)
-		}
 	}
 }
 
@@ -288,17 +263,19 @@ func (l *Ledger) observer(i int) func(core.BatchProgress) {
 
 // ErrBatchShape reports a batch result that does not describe the batch it
 // was handed in for: a checkpoint line or a worker's result line of the
-// wrong width or length, naming a node outside the network or a logic
-// value outside {0, 1, X}, or a checkpoint line for no batch still to run.
-// Merging one would yield a quietly different Result, or one a caller
-// cannot print, so the ledger refuses it where it arrives.
+// wrong width or length, naming a setting outside the sequence, a node
+// outside the network or a logic value outside {0, 1, X}, or a checkpoint
+// line for no batch still to run. Merging one would yield a quietly
+// different Result, or one a caller cannot print, so the ledger refuses
+// it where it arrives.
 var ErrBatchShape = errors.New("batch result has the wrong shape")
 
-// checkShape verifies br covers exactly batch i's window of the universe,
-// with one per-setting and one per-pattern row for each of the sequence's,
-// and that every detection and record names a node of the network and
-// valid logic values.
-func (l *Ledger) checkShape(i int, br *core.BatchResult) error {
+// Check verifies br covers exactly batch i's window of the universe, with
+// one per-setting and one per-pattern row for each of the sequence's, that
+// every detection names a setting of the sequence, and that every
+// detection and record names a node of the network and valid logic
+// values. It refuses any other result with ErrBatchShape.
+func (l *Ledger) Check(i int, br *core.BatchResult) error {
 	lo, hi := l.Window(i)
 	if w := hi - lo; br.NumFaults != w || len(br.Detected) != w || len(br.Detections) != w ||
 		len(br.Oscillated) != w || len(br.Records) != w {
@@ -311,12 +288,13 @@ func (l *Ledger) checkShape(i int, br *core.BatchResult) error {
 	}
 	for j, recs := range br.Records {
 		d := br.Detections[j]
-		ok := !br.Detected[j] || d.Output >= 0 && int(d.Output) < l.nodes && d.Good.Valid() && d.Faulty.Valid()
+		ok := !br.Detected[j] || d.Output >= 0 && int(d.Output) < l.nodes && d.Good.Valid() && d.Faulty.Valid() &&
+			d.Pattern >= 0 && d.Pattern < len(l.seq.Patterns) && d.Setting >= 0 && d.Setting < len(l.seq.Patterns[d.Pattern].Settings)
 		for n, v := range recs { //fmossim:nondeterminism-ok a conjunction over the records: the order cannot change ok
 			ok = ok && n >= 0 && int(n) < l.nodes && v.Valid()
 		}
 		if !ok {
-			return fmt.Errorf("campaign: batch %d: %w: fault %d names a node outside the network's %d or a value outside {0, 1, X}", i, ErrBatchShape, j, l.nodes)
+			return fmt.Errorf("campaign: batch %d: %w: fault %d names a setting outside the sequence, a node outside the network's %d or a value outside {0, 1, X}", i, ErrBatchShape, j, l.nodes)
 		}
 	}
 	return nil
@@ -331,7 +309,7 @@ func (l *Ledger) resume(i int, br *core.BatchResult) error {
 	if i < 0 || i >= l.nBatches || l.results[i] != nil {
 		return fmt.Errorf("campaign: batch %d: %w: not one of the %d batches still to run", i, ErrBatchShape, l.nBatches)
 	}
-	if err := l.checkShape(i, br); err != nil {
+	if err := l.Check(i, br); err != nil {
 		return err
 	}
 	l.results[i] = br
@@ -341,13 +319,10 @@ func (l *Ledger) resume(i int, br *core.BatchResult) error {
 	return nil
 }
 
-// Complete records batch i's result and delivers its BatchDone event. A
-// result that is not as wide as the batch's window, or whose per-setting
-// or per-pattern table is not as long as the sequence, is refused with
-// ErrBatchShape and the batch stays outstanding: the scheduler runs it
-// again or fails the campaign.
-func (l *Ledger) Complete(i int, br *core.BatchResult) error {
-	if err := l.checkShape(i, br); err != nil {
+// complete records batch i's result and delivers its BatchDone event. A
+// result that fails Check is refused and the batch stays outstanding.
+func (l *Ledger) complete(i int, br *core.BatchResult) error {
+	if err := l.Check(i, br); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -364,8 +339,8 @@ func (l *Ledger) Complete(i int, br *core.BatchResult) error {
 	return nil
 }
 
-// Fail records the campaign's first error and stops the run.
-func (l *Ledger) Fail(err error) {
+// fail records the campaign's first error and stops the run.
+func (l *Ledger) fail(err error) {
 	l.mu.Lock()
 	if l.err == nil {
 		l.err = err
@@ -381,7 +356,7 @@ func (l *Ledger) close() {
 	l.cancelRun()
 }
 
-// Verdict closes the ledger after the scheduler has drained and reports
+// Verdict closes the ledger after Execute has drained and reports
 // how the campaign ended: the caller's cancel if it aborted the run with
 // batches outstanding, else the first failure, else nil — the completed
 // batches stand.

@@ -26,8 +26,15 @@ func shuffledUniverse(n int) (*netlist.Network, []fault.Fault) {
 	return m.Net, fs
 }
 
-// batchWith fabricates a completed batch result of n faults, the first
-// det of them detected.
+// oneSetting returns a sequence of one pattern of one setting, and a
+// recording of it: the smallest sequence a detection can name.
+func oneSetting() (*switchsim.Sequence, *switchsim.Recording) {
+	seq := &switchsim.Sequence{Name: "one", Patterns: []switchsim.Pattern{{Name: "p", Settings: make([]switchsim.Setting, 1)}}}
+	return seq, &switchsim.Recording{Steps: make([]switchsim.StepTrace, 2)}
+}
+
+// batchWith fabricates a completed batch result of n faults over
+// oneSetting's sequence, the first det of them detected at its setting.
 func batchWith(n, det int) *core.BatchResult {
 	br := &core.BatchResult{
 		NumFaults:  n,
@@ -35,6 +42,8 @@ func batchWith(n, det int) *core.BatchResult {
 		Detections: make([]core.Detection, n),
 		Oscillated: make([]bool, n),
 		Records:    make([]map[netlist.NodeID]logic.Value, n),
+		PerSetting: make([]core.SettingStats, 1),
+		PerPattern: make([]core.PatternStats, 1),
 	}
 	for i := 0; i < det; i++ {
 		br.Detected[i] = true
@@ -48,7 +57,7 @@ func batchWith(n, det int) *core.BatchResult {
 // universe indices; the final event's Detected is the merged result's.
 func TestLedgerFold(t *testing.T) {
 	var events []ProgressEvent
-	seq := &switchsim.Sequence{Name: "none"}
+	seq, rec := oneSetting()
 	nw, faults := shuffledUniverse(40)
 	l := NewLedger(context.Background(), nw, faults, seq, 10, 0, 0, func(ev ProgressEvent) {
 		if n := len(events); n > 0 && ev.Detected < events[n-1].Detected {
@@ -62,12 +71,12 @@ func TestLedgerFold(t *testing.T) {
 		t.Fatalf("ledger shape: %d batches of %d", l.Batches(), l.BatchSize())
 	}
 	l.resume(3, batchWith(10, 4))
-	if l.Start(3) {
+	if l.start(3) {
 		t.Fatal("a resumed batch may not start")
 	}
 
 	for i := 0; i < 3; i++ {
-		if !l.Start(i) {
+		if !l.start(i) {
 			t.Fatalf("batch %d refused", i)
 		}
 	}
@@ -83,33 +92,26 @@ func TestLedgerFold(t *testing.T) {
 			t.Fatalf("report of %d moved Detected to %d", cum, ev.Detected)
 		}
 	}
-	if !l.Start(1) {
-		t.Fatal("a started batch must be allowed to run again")
-	}
-	l.Report(1, ProgressEvent{Detected: 2}) // the rerun, still below its first attempt
+	l.Report(1, ProgressEvent{Detected: 2}) // a rerun, still below its first attempt
 	l.Report(0, ProgressEvent{Detected: 5})
 	if ev := last(); ev.Detected != 12 {
 		t.Fatalf("Detected %d after batch 0 reported 5, want 12", ev.Detected)
 	}
 
-	select {
-	case <-l.Idle():
-		t.Fatal("idle with three batches outstanding")
-	default:
+	if n := l.outstanding(); n != 3 {
+		t.Fatalf("%d batches outstanding, want 3", n)
 	}
-	l.Complete(0, batchWith(10, 6))
-	l.Complete(1, batchWith(10, 3))
-	l.Complete(2, batchWith(10, 0))
+	l.complete(0, batchWith(10, 6))
+	l.complete(1, batchWith(10, 3))
+	l.complete(2, batchWith(10, 0))
 	if ev := last(); !ev.BatchDone || ev.BatchesDone != 4 || ev.Detected != 13 {
 		t.Fatalf("last completion event: %+v", ev)
 	}
-	select {
-	case <-l.Idle():
-	default:
-		t.Fatal("not idle with every batch complete")
+	if n := l.outstanding(); n != 0 {
+		t.Fatalf("%d batches outstanding with every batch complete", n)
 	}
 
-	res, err := l.Finish(&switchsim.Recording{})
+	res, err := l.Finish(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +129,11 @@ func TestLedgerFold(t *testing.T) {
 
 // TestLedgerCancelRule: a cancel issued from inside the callback that
 // first shows the target met finds the ruling already made — the run
-// context stays live, started batches may finish (and rerun), unstarted
+// context stays live, started batches may finish (and retry), unstarted
 // ones are refused and merge as skipped. A cancel before the target
 // aborts the run, and detections reported afterwards do not revive it.
 func TestLedgerCancelRule(t *testing.T) {
-	seq := &switchsim.Sequence{Name: "none"}
+	seq, rec := oneSetting()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	nw, faults := shuffledUniverse(40)
@@ -144,27 +146,24 @@ func TestLedgerCancelRule(t *testing.T) {
 			cancel()
 		}
 	})
-	if !l.Start(0) || !l.Start(1) {
+	if !l.start(0) || !l.start(1) {
 		t.Fatal("live campaign refused a batch")
 	}
 	l.Report(0, ProgressEvent{Detected: 9})
 	l.Report(1, ProgressEvent{Detected: 1}) // 10 of 40: the target
 	l.abort()                               // what context.AfterFunc runs on the cancel
-	if err := l.Context().Err(); err != nil {
+	if err := l.run.Err(); err != nil {
 		t.Fatalf("run context after a cancel at the target: %v", err)
 	}
-	if l.Start(2) {
+	if l.start(2) {
 		t.Fatal("an unstarted batch started after the target")
-	}
-	if !l.Start(1) {
-		t.Fatal("a started batch must be allowed to rerun after the target")
 	}
 	if n := l.outstanding(); n != 2 {
 		t.Fatalf("%d outstanding after the target, want the 2 in flight", n)
 	}
-	l.Complete(0, batchWith(10, 9))
-	l.Complete(1, batchWith(10, 2))
-	res, err := l.Finish(&switchsim.Recording{})
+	l.complete(0, batchWith(10, 9))
+	l.complete(1, batchWith(10, 2))
+	res, err := l.Finish(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,38 +180,47 @@ func TestLedgerCancelRule(t *testing.T) {
 
 	ctx, cancel = context.WithCancel(context.Background())
 	l = NewLedger(ctx, nw, faults, seq, 10, 0, 0.25, nil)
-	l.Start(0)
+	l.start(0)
 	cancel()
-	<-l.Context().Done()
-	if l.Start(1) {
+	<-l.run.Done()
+	if l.start(1) {
 		t.Fatal("a batch started after the caller's cancel")
 	}
 	l.Report(0, ProgressEvent{Detected: 10})
 	if l.reached {
 		t.Fatal("an aborted campaign reached its target")
 	}
-	if _, err := l.Finish(&switchsim.Recording{}); !errors.Is(err, context.Canceled) {
+	if _, err := l.Finish(rec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted campaign returned %v, want context.Canceled", err)
 	}
 }
 
 // TestLedgerRefusesWrongShape: a batch result that is not as wide as its
 // window, whose per-setting or per-pattern table is not as long as the
-// sequence, or that names a node outside the network or a logic value
-// outside {0, 1, X} in a detection or a record, is refused where it
-// arrives — by resume as by Complete — and the batch stays outstanding and
-// may run again; nothing of the wrong shape reaches the merge, or a caller
-// that prints the nodes it names.
+// sequence, that detects at a pattern or setting the sequence does not
+// have, or that names a node outside the network or a logic value outside
+// {0, 1, X} in a detection or a record, is refused where it arrives — by
+// resume as by complete — and the batch stays outstanding and may run
+// again; nothing of the wrong shape reaches the merge, or a caller that
+// prints the nodes or patterns it names.
 func TestLedgerRefusesWrongShape(t *testing.T) {
-	seq := &switchsim.Sequence{Name: "none"}
+	seq, rec := oneSetting()
 	nw, faults := shuffledUniverse(15)
 	l := NewLedger(context.Background(), nw, faults, seq, 10, 0, 0, nil)
 	short := batchWith(10, 2)
 	short.Detected = short.Detected[:9]
-	oneSetting := batchWith(10, 2)
-	oneSetting.PerSetting = make([]core.SettingStats, 1)
-	onePattern := batchWith(10, 2)
-	onePattern.PerPattern = make([]core.PatternStats, 1)
+	twoSettings := batchWith(10, 2)
+	twoSettings.PerSetting = make([]core.SettingStats, 2)
+	noPattern := batchWith(10, 2)
+	noPattern.PerPattern = nil
+	farPattern := batchWith(10, 2)
+	farPattern.Detections[1].Pattern = 1 << 20
+	negPattern := batchWith(10, 2)
+	negPattern.Detections[0].Pattern = -1
+	farSetting := batchWith(10, 2)
+	farSetting.Detections[1].Setting = 1
+	negSetting := batchWith(10, 2)
+	negSetting.Detections[0].Setting = -1
 	farOutput := batchWith(10, 2)
 	farOutput.Detections[1].Output = 1 << 20
 	negOutput := batchWith(10, 2)
@@ -223,35 +231,36 @@ func TestLedgerRefusesWrongShape(t *testing.T) {
 	farRecord.Records[7] = map[netlist.NodeID]logic.Value{3: logic.Hi, netlist.NodeID(nw.NumNodes()): logic.Lo}
 	badRecord := batchWith(10, 2)
 	badRecord.Records[9] = map[netlist.NodeID]logic.Value{3: logic.X + 1}
-	wrong := []*core.BatchResult{batchWith(3, 1), short, oneSetting, onePattern, farOutput, negOutput, badValue, farRecord, badRecord}
+	wrong := []*core.BatchResult{batchWith(3, 1), short, twoSettings, noPattern, farPattern, negPattern, farSetting, negSetting,
+		farOutput, negOutput, badValue, farRecord, badRecord}
 
 	if err := l.resume(1, batchWith(10, 0)); !errors.Is(err, ErrBatchShape) {
 		t.Fatalf("a 10-wide result resumed into the 5-wide last window: %v", err)
 	}
-	l.Start(0)
+	l.start(0)
 	for _, br := range wrong {
 		shape := fmt.Sprintf("%d faults (%d flags, %d settings in %d patterns)", br.NumFaults, len(br.Detected), len(br.PerSetting), len(br.PerPattern))
 		if err := l.resume(0, br); !errors.Is(err, ErrBatchShape) {
-			t.Fatalf("a result of %s resumed a 10-wide batch over a sequence with none: %v", shape, err)
+			t.Fatalf("a result of %s resumed a 10-wide batch over a sequence of one setting: %v", shape, err)
 		}
-		if err := l.Complete(0, br); !errors.Is(err, ErrBatchShape) {
-			t.Fatalf("a result of %s completed a 10-wide batch over a sequence with none: %v", shape, err)
+		if err := l.complete(0, br); !errors.Is(err, ErrBatchShape) {
+			t.Fatalf("a result of %s completed a 10-wide batch over a sequence of one setting: %v", shape, err)
 		}
 	}
-	if l.Batch(0) != nil || !l.Start(0) || l.outstanding() != 2 {
-		t.Fatal("a refused result must leave its batch outstanding and free to run again")
+	if l.Batch(0) != nil || l.outstanding() != 2 {
+		t.Fatal("a refused result must leave its batch outstanding, free to run again")
 	}
 
 	// An undetected fault's detection is not read, and the last node is
 	// inside the network.
 	ok := batchWith(10, 2)
-	ok.Detections[5].Output = 1 << 20
+	ok.Detections[5] = core.Detection{Pattern: 1 << 20, Setting: -1, Output: 1 << 20}
 	ok.Records[7] = map[netlist.NodeID]logic.Value{netlist.NodeID(nw.NumNodes() - 1): logic.X}
-	l.Start(1)
-	if err := errors.Join(l.Complete(0, ok), l.Complete(1, batchWith(5, 0))); err != nil {
+	l.start(1)
+	if err := errors.Join(l.complete(0, ok), l.complete(1, batchWith(5, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Finish(&switchsim.Recording{}); err != nil {
+	if _, err := l.Finish(rec); err != nil {
 		t.Fatal(err)
 	}
 }

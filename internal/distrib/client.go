@@ -134,8 +134,8 @@ func (c *coordinator) submit(ctx context.Context, base string, spec *server.JobS
 // folding snapshots and detection groups into the merged progress view,
 // and returns the raw batch result carried on the result line. A stream
 // that breaks, or a job that ends failed or cancelled, is an error — the
-// caller requeues the shard.
-func (c *coordinator) stream(ctx context.Context, base, jobID string, sh *shardState) (*core.BatchResult, error) {
+// caller retries the shard.
+func (c *coordinator) stream(ctx context.Context, base, jobID string, i int) (*core.BatchResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+jobID+"/stream", nil)
 	if err != nil {
 		return nil, err
@@ -161,7 +161,7 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, sh *shardS
 		}
 		switch {
 		case l.Type == "snapshot" && l.Snapshot != nil:
-			c.ledger.Report(sh.idx, campaign.ProgressEvent{Detected: l.Detected, LiveFaults: l.LiveFaults})
+			c.ledger.Report(i, campaign.ProgressEvent{Detected: l.Detected, LiveFaults: l.LiveFaults})
 			if l.State.Terminal() {
 				sawTerminal = true
 				if l.State != server.StateDone {
@@ -169,7 +169,7 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, sh *shardS
 				}
 			}
 		case l.Type == "detections" && l.DetectionGroup != nil:
-			c.ledger.Report(sh.idx, campaign.ProgressEvent{Pattern: l.Pattern, Setting: l.Setting, NewlyDetected: l.Faults})
+			c.ledger.Report(i, campaign.ProgressEvent{Pattern: l.Pattern, Setting: l.Setting, NewlyDetected: l.Faults})
 		case l.Type == "result":
 			if l.Result == nil || l.Result.Batch == nil {
 				return nil, fmt.Errorf("job %s on %s: result line without batch payload", jobID, base)

@@ -1,5 +1,5 @@
-// Coordinator execution: shard partitioning, the worker-slot pool with
-// requeue-on-failure, merged monotonic progress, and the deterministic
+// Coordinator execution: where a shard runs and how a failed one is
+// retried. campaign.Execute drives the batches, the checkpoint and the
 // merge. Package documentation lives in doc.go.
 package distrib
 
@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
@@ -62,6 +61,13 @@ type Options struct {
 	// NewlyDetected indices are universe indices.
 	Progress func(campaign.ProgressEvent)
 
+	// CheckpointPath, when non-empty, makes the campaign resumable with
+	// the log campaign.Options.CheckpointPath names: completed shards are
+	// appended to it and not dispatched again. A log written by a local
+	// campaign with the same BatchSize resumes here, and the other way
+	// round.
+	CheckpointPath string
+
 	// Logf, when non-nil, receives coordinator lifecycle messages
 	// (dispatches, retries, worker failures).
 	Logf func(format string, args ...any)
@@ -84,31 +90,24 @@ func (o Options) withDefaults() Options {
 }
 
 // maxTransientRetries bounds 429-and-retry loops within one dispatch
-// attempt, and consecutive transport failures before a worker's slots
-// give up on it.
+// attempt, and the consecutive failures after which a worker is
+// abandoned.
 const maxTransientRetries = 10
 
 // dispatchError marks a shard failure where the job never started on the
-// worker (upload or submission failed): the shard requeues without
-// consuming one of its attempts, and the failure counts only toward the
-// worker's abandonment threshold.
+// worker (upload or submission failed): it counts toward the worker's
+// abandonment, not against the shard's attempts, so a dead worker cannot
+// burn a shard's attempts while the healthy workers are busy.
 type dispatchError struct{ err error }
 
 func (e *dispatchError) Error() string { return e.err.Error() }
 func (e *dispatchError) Unwrap() error { return e.err }
 
-// shardState tracks one shard through dispatch, failure and requeue.
-type shardState struct {
-	idx      int
-	attempts int
-	last     int // worker index of the last failed attempt, -1 initially
-	bounced  int // consecutive prefer-a-different-worker requeues
-}
-
 // Run executes a distributed fault campaign over the worker pool: one
-// recording upload per worker, one shard job per batch, merged with
-// campaign.Merge into a result bit-identical to the single-process
-// engine. See the package documentation for the execution model.
+// recording upload per worker, one shard job per batch, driven and
+// merged by campaign.Run into a result bit-identical to the
+// single-process engine. See the package documentation for the execution
+// model.
 //
 // The spec is a regular (non-shard) JobSpec. Its CoverageTarget and a
 // cancelled ctx mean here exactly what they mean to campaign.Run — one
@@ -133,77 +132,59 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	if err != nil {
 		return nil, err
 	}
-
 	rec := opts.Recording
 	if rec == nil {
 		rec = core.Record(wl.Net, wl.Seq, core.Options{})
 	}
-	if err := rec.Validate(wl.Net, wl.Seq.NumSettings()); err != nil {
-		return nil, err
-	}
-	encoded, fp := encodeRecording(rec)
-
-	slots := len(opts.Workers) * opts.InFlight
-	ledger := campaign.NewLedger(ctx, wl.Net, wl.Faults, wl.Seq, opts.BatchSize, slots, spec.CoverageTarget, opts.Progress)
-	nBatches := ledger.Batches()
-
-	// shardSpec is the worker-side template: the circuit fields verbatim
-	// (so workers resolve the same network and sequence), the universe
-	// inline in batch order (so a worker's [shard_lo, shard_hi) is the
-	// ledger's window whatever build the worker runs), and campaign-level
-	// fields stripped (the coordinator owns batching, early stop and
-	// merging).
-	var list strings.Builder
-	fault.WriteList(&list, wl.Net, ledger.Faults()) // a strings.Builder takes every write
-	shardSpec := spec
-	shardSpec.Faults = list.String()
-	shardSpec.FaultModel = ""
-	shardSpec.SampleEvery = 0
-	shardSpec.BatchSize = 0
-	shardSpec.Shards = 0
-	shardSpec.CoverageTarget = 0
-	shardSpec.IncludePerFault = false
-	shardSpec.Workers = opts.SimWorkers
-	shardSpec.RecordingFP = fp
-	shardSpec.IncludeBatch = true
+	n := len(opts.Workers)
 	c := &coordinator{
 		opts:     opts,
-		spec:     shardSpec,
-		encoded:  encoded,
-		fp:       fp,
-		ledger:   ledger,
-		pending:  make(chan *shardState, nBatches),
-		uploaded: make([]bool, len(opts.Workers)),
-		uploadMu: make([]sync.Mutex, len(opts.Workers)),
-		fails:    make([]int32, len(opts.Workers)),
+		uploaded: make([]bool, n),
+		uploadMu: make([]sync.Mutex, n),
+		sem:      make([]chan struct{}, n),
+		fails:    make([]atomic.Int32, n),
 	}
-	// Seed the queue in window order. The windows follow fault sites, so
+	c.encoded, c.fp = encodeRecording(rec)
+	for wi := range c.sem {
+		c.sem[wi] = make(chan struct{}, opts.InFlight)
+	}
+	remote := func(l *campaign.Ledger) func(context.Context, int, int) (*core.BatchResult, error) {
+		// The worker-side template: the circuit fields verbatim (so
+		// workers resolve the same network and sequence), the universe
+		// inline in batch order (so a worker's [shard_lo, shard_hi) is
+		// the ledger's window whatever build the worker runs), and
+		// campaign-level fields stripped (the coordinator owns batching,
+		// early stop and merging).
+		var list strings.Builder
+		fault.WriteList(&list, wl.Net, l.Faults()) // a strings.Builder takes every write
+		c.ledger, c.spec = l, spec
+		c.spec.Faults = list.String()
+		c.spec.FaultModel = ""
+		c.spec.SampleEvery = 0
+		c.spec.BatchSize = 0
+		c.spec.Shards = 0
+		c.spec.CoverageTarget = 0
+		c.spec.IncludePerFault = false
+		c.spec.Workers = opts.SimWorkers
+		c.spec.RecordingFP = c.fp
+		c.spec.IncludeBatch = true
+		return c.shard
+	}
+	// Shards go out in window order. The windows follow fault sites, so
 	// the faults on the circuit's first-built nodes — on the RAMs, the
 	// address decoders and control logic, the costliest shards — dispatch
 	// first; a cost-ranked order measured no better (DESIGN.md,
 	// "Distributed campaigns").
-	for i := 0; i < nBatches; i++ {
-		c.pending <- &shardState{idx: i, last: -1}
-	}
-
-	var wg sync.WaitGroup
-	for wi := range opts.Workers {
-		for s := 0; s < opts.InFlight; s++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				c.slot(ledger.Context(), wi)
-			}(wi)
-		}
-	}
-	wg.Wait()
-
-	select {
-	case <-ledger.Idle():
-	default: // every slot gave up on its worker with shards still to run
-		ledger.Fail(errors.New("distrib: all workers unavailable"))
-	}
-	return ledger.Finish(rec)
+	return campaign.Run(ctx, wl.Net, wl.Faults, wl.Seq, campaign.Options{
+		Sim:            spec.SimOptions(wl),
+		BatchSize:      opts.BatchSize,
+		Shards:         n * opts.InFlight,
+		CoverageTarget: spec.CoverageTarget,
+		Recording:      rec,
+		CheckpointPath: opts.CheckpointPath,
+		Progress:       opts.Progress,
+		Remote:         remote,
+	})
 }
 
 // coordinator is the shared state of one distributed run. Everything the
@@ -215,102 +196,82 @@ type coordinator struct {
 	spec    server.JobSpec
 	encoded []byte
 	fp      string
-
 	ledger  *campaign.Ledger
-	pending chan *shardState
 
 	uploadMu []sync.Mutex // per worker
 	uploaded []bool
-	fails    []int32 // consecutive transport failures per worker (atomic)
+	sem      []chan struct{} // per worker: InFlight shards at a time
+	fails    []atomic.Int32  // consecutive failures per worker
 }
 
-// slot is one worker dispatch slot: it pulls shards from the queue and
-// runs them on worker wi until the ledger has nothing left to run, the
-// run is aborted, or the worker is abandoned after repeated transport
-// failures.
-func (c *coordinator) slot(ctx context.Context, wi int) {
-	for {
+// shard runs batch i on the workers until the ledger accepts its result.
+// The first attempt goes to the slot's home worker, slot mod the worker
+// count, so each worker is home to InFlight slots; every retry goes to
+// the next worker in rotation that has not been abandoned. A failure
+// costs the worker one of its maxTransientRetries consecutive failures; a
+// job that broke, failed or returned a result the ledger refuses also
+// costs the shard one of its MaxAttempts.
+func (c *coordinator) shard(ctx context.Context, slot, i int) (*core.BatchResult, error) {
+	attempts := 0
+	for wi := slot; ; wi++ {
+		if wi = c.next(wi); wi < 0 {
+			return nil, errors.New("distrib: all workers unavailable")
+		}
 		select {
+		case c.sem[wi] <- struct{}{}:
 		case <-ctx.Done():
-			return
-		case <-c.ledger.Idle():
-			return
-		case sh := <-c.pending:
-			if !c.ledger.Start(sh.idx) {
-				// The campaign stopped before this shard was ever
-				// dispatched: it merges as skipped.
-				continue
-			}
-			// Prefer a different worker for a retry: the one that just
-			// failed this shard is the least likely to complete it. The
-			// bounce budget keeps this a preference, not a deadlock — if
-			// no other worker picks the shard up (all their slots gone or
-			// busy), the last-failed worker runs it anyway and the
-			// per-shard attempt bound takes over.
-			if sh.last == wi && len(c.opts.Workers) > 1 &&
-				sh.bounced < len(c.opts.Workers)*c.opts.InFlight {
-				sh.bounced++
-				c.pending <- sh
-				select {
-				case <-time.After(50 * time.Millisecond):
-				case <-ctx.Done():
-					return
-				}
-				continue
-			}
-			sh.bounced = 0
-			err := c.dispatch(ctx, wi, sh)
-			if err == nil {
-				atomic.StoreInt32(&c.fails[wi], 0)
-				continue
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			// A dispatch failure (recording upload or submit never
-			// reached the worker) is a strike against the worker, not the
-			// shard: a dead worker must not burn a shard's attempt budget
-			// while the healthy workers are busy. Execution failures —
-			// the job started and then broke or failed — count.
-			var de *dispatchError
-			if !errors.As(err, &de) {
-				sh.attempts++
-			}
-			sh.last = wi
-			c.opts.Logf("distrib: shard %d failed on %s (attempt %d): %v",
-				sh.idx, c.opts.Workers[wi], sh.attempts, err)
-			if sh.attempts >= c.opts.MaxAttempts {
-				c.ledger.Fail(fmt.Errorf("distrib: shard %d failed %d times, last on %s: %w",
-					sh.idx, sh.attempts, c.opts.Workers[wi], err))
-				return
-			}
-			c.pending <- sh
-			if atomic.AddInt32(&c.fails[wi], 1) >= maxTransientRetries {
-				c.opts.Logf("distrib: abandoning worker %s after %d consecutive failures",
-					c.opts.Workers[wi], maxTransientRetries)
-				return
-			}
+			return nil, ctx.Err()
+		}
+		br, err := c.dispatch(ctx, wi, i)
+		<-c.sem[wi]
+		if err == nil {
+			c.fails[wi].Store(0)
+			return br, nil
+		}
+		if ctx.Err() != nil {
+			return nil, err
+		}
+		var de *dispatchError
+		if !errors.As(err, &de) {
+			attempts++
+		}
+		c.opts.Logf("distrib: shard %d failed on %s (attempt %d): %v", i, c.opts.Workers[wi], attempts, err)
+		if attempts >= c.opts.MaxAttempts {
+			return nil, fmt.Errorf("distrib: shard %d failed %d times, last on %s: %w", i, attempts, c.opts.Workers[wi], err)
+		}
+		if c.fails[wi].Add(1) == maxTransientRetries {
+			c.opts.Logf("distrib: abandoning worker %s after %d consecutive failures", c.opts.Workers[wi], maxTransientRetries)
 		}
 	}
 }
 
-// dispatch executes one shard on one worker: ensure the recording is
-// uploaded, submit the job, stream it to a terminal state, and hand the
-// batch result to the ledger. Any error leaves the shard unassigned (the
-// caller requeues); the outstanding job, if any, is cancelled with DELETE
-// when the shard did not complete — which is also how an aborted campaign
-// reaches the workers.
-func (c *coordinator) dispatch(ctx context.Context, wi int, sh *shardState) (err error) {
+// next returns the first worker from wi on, in rotation, that has not
+// been abandoned, or -1 when every worker has.
+func (c *coordinator) next(wi int) int {
+	for k := range c.opts.Workers {
+		if w := (wi + k) % len(c.opts.Workers); c.fails[w].Load() < maxTransientRetries {
+			return w
+		}
+	}
+	return -1
+}
+
+// dispatch executes batch i on worker wi: ensure the recording is
+// uploaded, submit the job, stream it to a terminal state, and check the
+// batch result it returns. The outstanding job, if any, is cancelled
+// with DELETE when the shard did not complete — which is also how an
+// aborted campaign reaches the workers.
+func (c *coordinator) dispatch(ctx context.Context, wi, i int) (br *core.BatchResult, err error) {
 	base := c.opts.Workers[wi]
 	if err := c.ensureRecording(ctx, wi); err != nil {
-		return &dispatchError{fmt.Errorf("uploading recording: %w", err)}
+		return nil, &dispatchError{fmt.Errorf("uploading recording: %w", err)}
 	}
 
 	spec := c.spec
-	spec.ShardLo, spec.ShardHi = c.ledger.Window(sh.idx)
+	spec.ShardLo, spec.ShardHi = c.ledger.Window(i)
 	jobID, err := c.submit(ctx, base, &spec)
 	if err != nil {
-		return &dispatchError{err}
+		return nil, &dispatchError{err}
 	}
 	defer func() {
 		if err != nil {
@@ -318,8 +279,7 @@ func (c *coordinator) dispatch(ctx context.Context, wi int, sh *shardState) (err
 		}
 	}()
 
-	br, err := c.stream(ctx, base, jobID, sh)
-	if err != nil {
+	if br, err = c.stream(ctx, base, jobID, i); err != nil {
 		// A worker can lose its stored recording mid-campaign (restart,
 		// store eviction under concurrent campaigns) while this
 		// coordinator still believes it uploaded. If the recording is
@@ -329,10 +289,13 @@ func (c *coordinator) dispatch(ctx context.Context, wi int, sh *shardState) (err
 			c.uploadMu[wi].Lock()
 			c.uploaded[wi] = false
 			c.uploadMu[wi].Unlock()
-			return &dispatchError{fmt.Errorf("worker lost recording %s: %w", c.fp[:12], err)}
+			return nil, &dispatchError{fmt.Errorf("worker lost recording %s: %w", c.fp[:12], err)}
 		}
-		return err
+		return nil, err
 	}
-	// A result of the wrong width costs the shard this attempt.
-	return c.ledger.Complete(sh.idx, br)
+	// A result of the wrong shape costs the shard this attempt.
+	if err = c.ledger.Check(i, br); err != nil {
+		return nil, err
+	}
+	return br, nil
 }

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -162,7 +164,7 @@ func TestDistributedMatchesMonolithic(t *testing.T) {
 }
 
 // TestWorkerKilledMidRun: killing one of three workers mid-campaign, with
-// batches of 16 so the kill lands mid-queue, requeues its shards onto the
+// batches of 16 so the kill lands mid-queue, retries its shards on the
 // survivors, which re-run them trimmed as every batch is, and the merged
 // result is still bit-identical to the monolithic baseline.
 func TestWorkerKilledMidRun(t *testing.T) {
@@ -236,6 +238,19 @@ func moveFirstDetection(t *testing.T, worker http.Handler) http.Handler {
 	})
 }
 
+// moveFirstDetectionPattern moves the first detection on the first result
+// line (editFirstResult) to a pattern far outside the sequence, which a
+// caller printing the pattern's name would index out of range.
+func moveFirstDetectionPattern(t *testing.T, worker http.Handler) http.Handler {
+	return editFirstResult(t, worker, func(br *core.BatchResult) {
+		if j := slices.Index(br.Detected, true); j >= 0 {
+			br.Detections[j].Pattern = 1 << 20
+		} else {
+			t.Error("the first result line detects nothing")
+		}
+	})
+}
+
 // editFirstResult is a shim in front of a worker that applies edit to the
 // batch on the result line of the first stream it forwards, leaving every
 // other line and field as the worker sent it.
@@ -269,7 +284,8 @@ func editFirstResult(t *testing.T, worker http.Handler, edit func(*core.BatchRes
 
 // TestShortBatchIsRetried: a worker that answers a shard with a result of
 // the wrong shape — one fault narrower than the window, one setting short
-// of the sequence, or a detection at a node outside the network — costs
+// of the sequence, or a detection at a node outside the network or at a
+// pattern outside the sequence — costs
 // the shard that attempt: the ledger refuses the result by name where it
 // arrives, the shard runs again, and the merge is the monolithic one.
 func TestShortBatchIsRetried(t *testing.T) {
@@ -284,6 +300,7 @@ func TestShortBatchIsRetried(t *testing.T) {
 		{"window", narrowFirstJob},
 		{"settings", dropSettingFromFirstResult},
 		{"output", moveFirstDetection},
+		{"pattern", moveFirstDetectionPattern},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mgr := server.NewManager(server.Config{MaxJobs: 2, StreamInterval: 2 * time.Millisecond})
@@ -520,17 +537,25 @@ func TestEarlyStopDoubleCancelNoLeak(t *testing.T) {
 			got.BatchesRun, got.BatchesSkipped, got.Batches)
 	}
 
-	// Goroutine count must settle back: the slot pool, streams, the
+	// Goroutine count must settle back: the shard pool, streams, the
 	// workers' own job goroutines, and (after dropping the client's
 	// keep-alive connections) the per-connection server goroutines all
 	// wind down. Retry while they drain.
 	client.CloseIdleConnections()
+	settle(t, before)
+}
+
+// settle waits up to five seconds for the goroutine count to fall back to
+// within two of before, and fails the test with every stack if it does
+// not.
+func settle(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
 		after := runtime.NumGoroutine()
 		if after <= before+2 {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
@@ -538,6 +563,131 @@ func TestEarlyStopDoubleCancelNoLeak(t *testing.T) {
 				before, after, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestAllWorkersDeadFails: when every worker refuses connections, each is
+// abandoned after its run of consecutive failures, and the campaign fails
+// by name within seconds, leaving no goroutine behind.
+func TestAllWorkersDeadFails(t *testing.T) {
+	var urls []string
+	for i := 0; i < 3; i++ {
+		ts := httptest.NewServer(http.NotFoundHandler())
+		urls = append(urls, ts.URL)
+		ts.Close() // the port now refuses connections
+	}
+	spec := server.JobSpec{Workload: "ram64", Sequence: "sequence1"}
+	_, rec := resolveAndRecord(t, spec)
+
+	before := runtime.NumGoroutine()
+	client := &http.Client{}
+	start := time.Now()
+	res, err := distrib.Run(context.Background(), spec, distrib.Options{
+		Workers:   urls,
+		BatchSize: 16,
+		Recording: rec,
+		Client:    client,
+	})
+	if err == nil || res != nil || !strings.Contains(err.Error(), "all workers unavailable") {
+		t.Fatalf("Run over dead workers returned (%v, %v), want an error naming all workers unavailable", res, err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("failing took %v", d)
+	}
+	client.CloseIdleConnections()
+	settle(t, before)
+}
+
+// TestDistributedCheckpointResumes: a distributed campaign keeps the
+// local campaign's checkpoint log. Cancelled once k shards are done, it
+// leaves at least k batches in the log; a second distributed run resumes
+// them and merges to the monolithic result; a local campaign on the same
+// log runs nothing and merges the same; and one worker with one shard in
+// flight writes the very bytes a one-shard local campaign writes.
+func TestDistributedCheckpointResumes(t *testing.T) {
+	spec := ram256Spec()
+	wl, rec := resolveAndRecord(t, spec)
+	want := monolithic(t, wl, rec, 32)
+	urls, _ := newWorkerPool(t, 2, server.Config{MaxJobs: 2})
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "dist.ck")
+	local := func(path string, shards int) *campaign.Result {
+		t.Helper()
+		res, err := campaign.Run(context.Background(), wl.Net, wl.Faults, wl.Seq, campaign.Options{
+			Sim:            spec.SimOptions(wl),
+			BatchSize:      32,
+			Shards:         shards,
+			Recording:      rec,
+			Tables:         wl.Tables,
+			CheckpointPath: path,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	same := func(who string, got *campaign.Result) {
+		t.Helper()
+		if !reflect.DeepEqual(got.Run, want.Run) || !reflect.DeepEqual(got.PerFault, want.PerFault) {
+			t.Errorf("%s: the resumed merge differs from the monolithic one", who)
+		}
+	}
+
+	const k = 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := distrib.Run(ctx, spec, distrib.Options{
+		Workers:        urls,
+		BatchSize:      32,
+		Recording:      rec,
+		CheckpointPath: ck,
+		Progress: func(ev campaign.ProgressEvent) {
+			if ev.BatchesDone >= k {
+				cancel()
+			}
+		},
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("the cancelled run returned %v", err)
+	}
+
+	got, err := distrib.Run(context.Background(), spec, distrib.Options{
+		Workers:        urls,
+		BatchSize:      32,
+		Recording:      rec,
+		CheckpointPath: ck,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.BatchesResumed < k || got.BatchesResumed+got.BatchesRun != got.Batches {
+		t.Errorf("distributed resume: %d run, %d resumed of %d; want at least %d resumed",
+			got.BatchesRun, got.BatchesResumed, got.Batches, k)
+	}
+	same("distributed resume", got)
+	if res := local(ck, 0); res.BatchesRun != 0 || res.BatchesResumed != res.Batches {
+		t.Errorf("local resume of the distributed log: %d run, %d resumed of %d", res.BatchesRun, res.BatchesResumed, res.Batches)
+	} else {
+		same("local resume", res)
+	}
+
+	one, mono := filepath.Join(dir, "one.ck"), filepath.Join(dir, "mono.ck")
+	if _, err := distrib.Run(context.Background(), spec, distrib.Options{
+		Workers:        urls[:1],
+		InFlight:       1,
+		BatchSize:      32,
+		Recording:      rec,
+		CheckpointPath: one,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	local(mono, 1)
+	a, errA := os.ReadFile(one)
+	b, errB := os.ReadFile(mono)
+	if err := errors.Join(errA, errB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("one worker, one shard in flight wrote %d bytes of log; one local shard wrote %d other bytes", len(a), len(b))
 	}
 }
 

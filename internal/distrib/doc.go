@@ -18,29 +18,41 @@
 // # Execution model
 //
 // Run resolves the workload spec locally with server.ResolveSpec — the
-// byte-for-byte resolution path workers use — and cuts the universe into
-// batches of BatchSize faults with a campaign.Ledger, in the ledger's
-// batch order (package campaign, "Batch composition"). Every shard job
-// carries the universe in that order as its inline fault list, so the
-// coordinator's window [lo, hi) names the same faults on every worker
-// and no worker applies an ordering rule of its own; each batch becomes
-// one shard job (POST /jobs with shard_lo/shard_hi, recording_fp,
-// include_batch) on the existing fmossimd job API. Worker
-// slots (InFlight per worker) pull shards from a shared queue, stream
-// each job's NDJSON progress, and return the raw core.BatchResult from
-// the terminal result line, where it travels in its binary column form
-// as one base64 string (see core.BatchResult).
+// byte-for-byte resolution path workers use — records (or takes) the
+// recording, and hands the campaign to campaign.Run with a Remote hook:
+// campaign.Execute drives every shard — the ledger's batch windows of
+// BatchSize faults (package campaign, "Batch composition"), early stop,
+// the checkpoint log and the merge — exactly as it drives a local
+// campaign's batches, and distrib supplies only where a shard runs and
+// how a failed one is retried. Every shard job carries the universe in
+// batch order as its inline fault list, so the coordinator's window
+// [lo, hi) names the same faults on every worker and no worker applies an
+// ordering rule of its own; each batch becomes one shard job (POST /jobs
+// with shard_lo/shard_hi, recording_fp, include_batch) on the existing
+// fmossimd job API. Execute's pool runs len(Workers) × InFlight slots;
+// slot w sends its shards to worker w mod len(Workers), and a per-worker
+// bound keeps InFlight jobs on any one worker when shards are rerouted.
+// The slot streams each job's NDJSON progress and returns the raw
+// core.BatchResult from the terminal result line, where it travels in its
+// binary column form as one base64 string (see core.BatchResult).
 //
-// Failures requeue: a shard whose worker dies mid-stream (connection
-// refused, broken stream, failed job) goes back on the queue with its
-// attempt count incremented and is preferentially picked up by a
-// different worker; a shard exhausting MaxAttempts fails the campaign.
+// Failures retry in rotation: a shard whose worker dies mid-stream
+// (connection refused, broken stream, failed job), or whose result the
+// ledger refuses (campaign.ErrBatchShape), runs again on the next worker
+// that has not been abandoned. An execution failure or a refused result
+// uses one of the shard's MaxAttempts, and a shard exhausting them fails
+// the campaign; a failed upload or submission is charged to the worker
+// alone. A worker is abandoned after a run of consecutive failures, and
+// when every worker is, the campaign fails as "all workers unavailable".
 //
 // Coverage, early stop and cancellation are not the coordinator's to
 // define: it drives the same campaign.Ledger as campaign.Run (package
 // campaign, "Early stop and cancellation"). Reaching CoverageTarget
 // stops dispatch and lets the shards already on a worker finish; a
-// cancel before that propagates DELETE to every outstanding job.
+// cancel before that propagates DELETE to every outstanding job. With
+// CheckpointPath, each completed shard is appended to the campaign's
+// checkpoint log; a log written by a distributed or a local campaign
+// with the same BatchSize resumes in either mode.
 //
 // # Determinism
 //

@@ -5,7 +5,8 @@
 // It is the pool behind both of the engine's fan-outs — the activated
 // circuits of one setting across a batch's fault workers
 // (core.FaultBatch), and a campaign's batches across its shards
-// (campaign.Execute). Neither result may depend on scheduling, so Each
+// (campaign.Execute), whether the shards run in this process or, for a
+// distributed campaign, on the coordinator's workers (internal/distrib). Neither result may depend on scheduling, so Each
 // writes nothing back itself: fn writes only to slots owned by its index
 // i or its worker w, and a caller that needs an order (ascending circuit
 // id, for the divergence-record write-back) imposes it after Each returns.
