@@ -8,6 +8,8 @@ package fmossim_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -405,9 +407,12 @@ func reportReplayStats(b *testing.B, rs switchsim.ReplayStats) {
 // BenchmarkRecordingCodec pins what the trajectory artifact costs to make
 // and to move: RAM256 under sequence 1 (truncated as in
 // BenchmarkCampaign_RAM256), captured (good-circuit settle plus the owned
-// copy of every step), encoded and decoded. B/op and allocs/op are the
-// point as much as ns/op: an owned step is three exact-size slabs, Encode
-// allocates its one buffer, and decoding allocates per step, not per list.
+// copy of every step), captured straight into the wire form and its hash
+// (what a distributed coordinator does instead), encoded and decoded.
+// B/op and allocs/op are the point as much as ns/op: an owned step is
+// three exact-size slabs, a streamed one costs nothing beyond the
+// writer's chunk, Encode allocates its one buffer, and decoding allocates
+// per step, not per list. Both captures build their Tables.
 func BenchmarkRecordingCodec(b *testing.B) {
 	m := ram.New(ram.Config{Rows: 16, Cols: 16})
 	seq := march.Sequence1(m)
@@ -427,6 +432,25 @@ func BenchmarkRecordingCodec(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if got := core.Record(m.Net, seq, core.Options{}); len(got.Steps) != len(rec.Steps) {
 				b.Fatalf("captured %d steps, want %d", len(got.Steps), len(rec.Steps))
+			}
+		}
+	})
+	b.Run("capture-stream", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(enc)))
+		want, err := rec.Fingerprint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			h := sha256.New()
+			sw := switchsim.NewStepWriter(h, m.Net.NumNodes(), m.Net.NumTransistors(), 1+seq.NumSettings())
+			core.Capture(switchsim.NewTables(m.Net), seq, core.Options{}, sw.Append)
+			if err := sw.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want {
+				b.Fatalf("streamed capture fingerprints %s, the recording %s", got, want)
 			}
 		}
 	})

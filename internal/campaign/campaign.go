@@ -40,7 +40,10 @@ type Options struct {
 
 	// Recording, when non-nil, is a pre-captured good trajectory (see
 	// core.Record / Recording.Encode): the campaign skips good-circuit
-	// simulation entirely. When nil, the trajectory is recorded first.
+	// simulation entirely. When nil, the trajectory is recorded first —
+	// unless Remote runs the batches: then the campaign neither records
+	// nor reads a recording (the batches replay one elsewhere), and the
+	// caller hands Ledger.Finish the good work.
 	Recording *switchsim.Recording
 
 	// Tables, when non-nil, is a pre-built read-only table set over the
@@ -57,7 +60,9 @@ type Options struct {
 	// goroutine running batch i (in [0, Shards)), ctx the context batches
 	// execute under. The function reports the batch's progress to
 	// Ledger.Report, retries it as it sees fit, and returns a result that
-	// passes Ledger.Check or the error that fails the campaign.
+	// passes Ledger.Check or the error that fails the campaign. A Remote
+	// campaign goes through Execute, not Run: its merge needs the good
+	// work only the caller holds.
 	Remote func(l *Ledger) func(ctx context.Context, slot, i int) (*core.BatchResult, error)
 
 	// CheckpointPath, when non-empty, makes the campaign resumable: the
@@ -131,10 +136,6 @@ type Result struct {
 	Run core.Result
 	// PerFault holds one outcome per fault, in universe order.
 	PerFault []FaultOutcome
-	// Recording is the good trajectory the campaign replayed (the one
-	// passed in Options, or the one recorded on entry): reusable for
-	// further campaigns over the same sequence.
-	Recording *switchsim.Recording
 
 	// Batches is the total batch count; BatchesRun were simulated this
 	// call, BatchesResumed restored from the checkpoint, BatchesSkipped
@@ -165,27 +166,33 @@ func (r *Result) Coverage() float64 { return r.Run.Coverage() }
 // cancellation") for the full rule. Batches checkpointed before the
 // cancellation remain resumable. A nil ctx never cancels.
 func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts Options) (*Result, error) {
+	if opts.Remote != nil {
+		return nil, fmt.Errorf("campaign: a Remote campaign runs through Execute and Ledger.Finish")
+	}
 	l, rec, err := Execute(ctx, nw, faults, seq, opts)
 	if err != nil {
 		return nil, err
 	}
-	return l.Finish(rec)
+	return l.Finish(rec.SettingWork)
 }
 
 // Execute is Run without the merge: it replays the batches — here, or
 // through Options.Remote — and returns the drained ledger with the
-// recording they ran against. It is the one loop that drives a
+// recording they ran against (nil when Remote ran them: this process
+// then neither records nor holds one). It is the one loop that drives a
 // campaign's batches: each starts, runs, completes or fails the campaign,
 // and is appended to the checkpoint log, in that order. The caller ends
 // with Ledger.Finish — which is Run — or, when it only forwards raw
 // batches, with Ledger.Verdict and Ledger.Batch.
 func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts Options) (l *Ledger, rec *switchsim.Recording, err error) {
-	rec = opts.Recording
-	if rec == nil {
-		rec = core.Record(nw, seq, opts.Sim)
-	}
-	if err := rec.Validate(nw, seq.NumSettings()); err != nil {
-		return nil, nil, err
+	if opts.Remote == nil {
+		rec = opts.Recording
+		if rec == nil {
+			rec = core.Record(nw, seq, opts.Sim)
+		}
+		if err := rec.Validate(nw, seq.NumSettings()); err != nil {
+			return nil, nil, err
+		}
 	}
 	tab := opts.Tables
 	if tab != nil && tab.Net != nw {
@@ -267,7 +274,8 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 // granularity: per-setting active-circuit and live counts sum across
 // batches (each fault lives in exactly one), so pattern aggregates like
 // MaxActive match a monolithic run exactly. Good-circuit work comes from
-// the recording, counted once.
+// the recording (Recording.SettingWork), counted once; it is all Merge
+// reads of it.
 //
 // results is indexed by window: batch i covers positions
 // [i*batchSize, min((i+1)*batchSize, nf)) of the fault list the batches
@@ -285,8 +293,13 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 // BatchesResumed/BatchesSkipped accounting fields are left zero here;
 // Ledger.Finish fills them.
 func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int, results []*core.BatchResult) *Result {
+	return merge(rec.SettingWork, seq, nf, batchSize, results)
+}
+
+// merge is Merge given the good-circuit work of each setting.
+func merge(goodWork func(si int) int64, seq *switchsim.Sequence, nf, batchSize int, results []*core.BatchResult) *Result {
 	nSettings := seq.NumSettings()
-	res := &Result{Recording: rec}
+	res := &Result{}
 	res.Run = core.Result{Sequence: seq.Name, NumFaults: nf}
 	res.PerFault = make([]FaultOutcome, nf)
 
@@ -318,13 +331,13 @@ func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int,
 	}
 
 	// Assemble per-pattern statistics from the sequence structure, the
-	// recording's good-side figures, and the per-setting/-pattern sums.
+	// good work of each setting, and the per-setting/-pattern sums.
 	si := 0
 	for pi := range seq.Patterns {
 		p := &seq.Patterns[pi]
 		ps := core.PatternStats{Pattern: pi, Name: p.Name, Settings: len(p.Settings)}
 		for range p.Settings {
-			ps.GoodWork += rec.Steps[si+1].GoodWork // Steps[0] is the initialization
+			ps.GoodWork += goodWork(si)
 			ps.FaultWork += faultWork[si]
 			if active[si] > ps.MaxActive {
 				ps.MaxActive = active[si]

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
 	"fmossim/internal/fault"
+	"fmossim/internal/logic"
 	"fmossim/internal/march"
 	"fmossim/internal/netlist"
 	"fmossim/internal/ram"
@@ -356,6 +358,64 @@ func TestCampaignValidation(t *testing.T) {
 		Sim: core.Options{Observe: obs}, Recording: rec,
 	}); err == nil {
 		t.Error("foreign recording should fail validation")
+	}
+}
+
+// TestRemoteExecuteRecordsNothing: batches that run through Remote
+// replay a recording held elsewhere, so Execute neither records the good
+// circuit nor hands one back, and Run refuses a Remote campaign, whose
+// merge needs good work only its caller holds. Recording RAM256 sequence
+// 1 allocates over 10 MB; this Execute, with results its Remote
+// fabricates, a small fraction of that.
+func TestRemoteExecuteRecordsNothing(t *testing.T) {
+	m := ram.RAM256()
+	seq := march.Sequence1(m)
+	faults := fault.NodeStuckFaults(m.Net, fault.Options{})[:8]
+	const batchSize = 4
+	results := make([]*core.BatchResult, len(faults)/batchSize)
+	for i := range results {
+		results[i] = &core.BatchResult{
+			NumFaults:  batchSize,
+			Detected:   make([]bool, batchSize),
+			Detections: make([]core.Detection, batchSize),
+			Oscillated: make([]bool, batchSize),
+			Records:    make([]map[netlist.NodeID]logic.Value, batchSize),
+			PerSetting: make([]core.SettingStats, seq.NumSettings()),
+			PerPattern: make([]core.PatternStats, len(seq.Patterns)),
+		}
+	}
+	opts := campaign.Options{
+		Sim:       core.Options{Observe: []netlist.NodeID{m.DataOut}},
+		BatchSize: batchSize,
+		Shards:    1,
+		Remote: func(*campaign.Ledger) func(context.Context, int, int) (*core.BatchResult, error) {
+			return func(_ context.Context, _, i int) (*core.BatchResult, error) { return results[i], nil }
+		},
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, rec, err := campaign.Execute(context.Background(), m.Net, faults, seq, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec != nil {
+		t.Error("Execute handed back a recording of a campaign whose batches ran remotely")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2<<20 {
+		t.Errorf("Execute allocated %.1f MB for a remote campaign: it recorded the good circuit", float64(alloc)/(1<<20))
+	}
+	res, err := l.Finish(func(int) int64 { return 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Run.GoodWork != int64(seq.NumSettings()) || res.BatchesRun != len(results) {
+		t.Errorf("merged good work %d over %d batches, want %d over %d",
+			res.Run.GoodWork, res.BatchesRun, seq.NumSettings(), len(results))
+	}
+	if _, err := campaign.Run(context.Background(), m.Net, faults, seq, opts); err == nil {
+		t.Error("Run accepted a Remote campaign it cannot merge")
 	}
 }
 

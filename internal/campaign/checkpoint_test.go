@@ -404,7 +404,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if l.outstanding() > 0 {
 			return
 		}
-		if _, err := l.Finish(b.opts.Recording); err != nil {
+		if _, err := l.Finish(b.opts.Recording.SettingWork); err != nil {
 			t.Fatalf("merge of a fully resumed checkpoint: %v", err)
 		}
 	})

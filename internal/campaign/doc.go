@@ -23,7 +23,11 @@
 // for the distributed coordinator (internal/distrib), whose
 // Options.Remote hook only says where a batch runs and how a failed one
 // is retried. A distributed campaign therefore writes and resumes the
-// same checkpoint log as a local one.
+// same checkpoint log as a local one. A Remote campaign neither records
+// nor reads a recording — its batches replay one held elsewhere — so its
+// caller ends it with Ledger.Finish and the good-circuit work of each
+// setting, the one column of a recording the merge reads; Run, which
+// would take that column from a recording, refuses it.
 //
 //   - ProgressEvent.Detected counts a detection when it is observed: each
 //     batch reports its cumulative detection count after every setting,
@@ -75,7 +79,10 @@
 // and the sequence's setting count, and Run validates them before any
 // batch replays (switchsim.Recording.Validate). A recording that was
 // serialized (Encode/DecodeRecording) and shipped to another process
-// revalidates identically there. Checkpoints extend the same idea to the
+// revalidates identically there. A Result carries no recording: a caller
+// that replays one trajectory across campaigns records it once
+// (core.Record) and passes it in Options.Recording. Checkpoints extend
+// the same idea to the
 // campaign level: a checkpoint fingerprints the sequence name and setting
 // count, the fault universe (a content hash taken in batch order, so it
 // changes exactly when a batch would hold other faults), the network

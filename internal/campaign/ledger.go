@@ -387,13 +387,16 @@ func (l *Ledger) Batch(i int) *core.BatchResult {
 // completed batch, the scatter of its per-fault outcomes back to universe
 // order, and the batch accounting; batches that never ran merge as
 // skipped. Every merged batch passed the shape check on arrival.
-func (l *Ledger) Finish(rec *switchsim.Recording) (*Result, error) {
+// goodWork(si) is the good-circuit work of input setting si, settings
+// counted from 0 in sequence order: Recording.SettingWork of the
+// recording the batches replayed, or the column a caller kept of it.
+func (l *Ledger) Finish(goodWork func(si int) int64) (*Result, error) {
 	if err := l.Verdict(); err != nil {
 		return nil, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	res := Merge(rec, l.seq, l.nf, l.batchSize, l.results)
+	res := merge(goodWork, l.seq, l.nf, l.batchSize, l.results)
 	perFault := make([]FaultOutcome, l.nf)
 	for p, fi := range l.order {
 		perFault[fi] = res.PerFault[p]

@@ -26,11 +26,12 @@ func shuffledUniverse(n int) (*netlist.Network, []fault.Fault) {
 	return m.Net, fs
 }
 
-// oneSetting returns a sequence of one pattern of one setting, and a
-// recording of it: the smallest sequence a detection can name.
-func oneSetting() (*switchsim.Sequence, *switchsim.Recording) {
+// oneSetting returns a sequence of one pattern of one setting, the
+// smallest sequence a detection can name, and the good work of its
+// setting for Ledger.Finish.
+func oneSetting() (*switchsim.Sequence, func(si int) int64) {
 	seq := &switchsim.Sequence{Name: "one", Patterns: []switchsim.Pattern{{Name: "p", Settings: make([]switchsim.Setting, 1)}}}
-	return seq, &switchsim.Recording{Steps: make([]switchsim.StepTrace, 2)}
+	return seq, func(int) int64 { return 0 }
 }
 
 // batchWith fabricates a completed batch result of n faults over
@@ -57,7 +58,7 @@ func batchWith(n, det int) *core.BatchResult {
 // universe indices; the final event's Detected is the merged result's.
 func TestLedgerFold(t *testing.T) {
 	var events []ProgressEvent
-	seq, rec := oneSetting()
+	seq, goodWork := oneSetting()
 	nw, faults := shuffledUniverse(40)
 	l := NewLedger(context.Background(), nw, faults, seq, 10, 0, 0, func(ev ProgressEvent) {
 		if n := len(events); n > 0 && ev.Detected < events[n-1].Detected {
@@ -111,7 +112,7 @@ func TestLedgerFold(t *testing.T) {
 		t.Fatalf("%d batches outstanding with every batch complete", n)
 	}
 
-	res, err := l.Finish(rec)
+	res, err := l.Finish(goodWork)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestLedgerFold(t *testing.T) {
 // ones are refused and merge as skipped. A cancel before the target
 // aborts the run, and detections reported afterwards do not revive it.
 func TestLedgerCancelRule(t *testing.T) {
-	seq, rec := oneSetting()
+	seq, goodWork := oneSetting()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	nw, faults := shuffledUniverse(40)
@@ -163,7 +164,7 @@ func TestLedgerCancelRule(t *testing.T) {
 	}
 	l.complete(0, batchWith(10, 9))
 	l.complete(1, batchWith(10, 2))
-	res, err := l.Finish(rec)
+	res, err := l.Finish(goodWork)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestLedgerCancelRule(t *testing.T) {
 	if l.reached {
 		t.Fatal("an aborted campaign reached its target")
 	}
-	if _, err := l.Finish(rec); !errors.Is(err, context.Canceled) {
+	if _, err := l.Finish(goodWork); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted campaign returned %v, want context.Canceled", err)
 	}
 }
@@ -204,7 +205,7 @@ func TestLedgerCancelRule(t *testing.T) {
 // again; nothing of the wrong shape reaches the merge, or a caller that
 // prints the nodes or patterns it names.
 func TestLedgerRefusesWrongShape(t *testing.T) {
-	seq, rec := oneSetting()
+	seq, goodWork := oneSetting()
 	nw, faults := shuffledUniverse(15)
 	l := NewLedger(context.Background(), nw, faults, seq, 10, 0, 0, nil)
 	short := batchWith(10, 2)
@@ -260,7 +261,7 @@ func TestLedgerRefusesWrongShape(t *testing.T) {
 	if err := errors.Join(l.complete(0, ok), l.complete(1, batchWith(5, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Finish(rec); err != nil {
+	if _, err := l.Finish(goodWork); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -36,15 +36,18 @@
 // step (good.go); a FaultBatch consumes step traces and executes an
 // arbitrary slice of the fault universe against them (batch.go). The
 // Simulator wires one producer to one batch covering the whole universe —
-// the classic monolithic configuration. Record captures the producer's
-// traces as a switchsim.Recording, against which independent batches
-// replay without a good-circuit solver (RunBatch; see internal/campaign
-// for the sharded engine built on top). Either way a batch reads the good
-// circuit only through the traces: it keeps its own good-state mirror,
-// advanced from each trace's deltas, and a live batch and a replayed one
-// run the same code — one pattern loop (FaultBatch.runPattern) that
-// polls cancellation, observes, reports progress and sums the pattern's
-// statistics, fed a live trace or a recorded one per setting.
+// the classic monolithic configuration. Capture hands the producer's
+// traces to a sink as they are produced; Record is Capture into a
+// switchsim.Recording, against which independent batches replay without
+// a good-circuit solver (RunBatch; see internal/campaign for the sharded
+// engine built on top), and a distributed coordinator captures into a
+// switchsim.StepWriter, holding only the encoded bytes. Either way a
+// batch reads the good circuit only through the traces: it keeps its own
+// good-state mirror, advanced from each trace's deltas, and a live batch
+// and a replayed one run the same code — one pattern loop
+// (FaultBatch.runPattern) that polls cancellation, observes, reports
+// progress and sums the pattern's statistics, fed a live trace or a
+// recorded one per setting.
 //
 // Faults are inserted by the initialization step, the first trace every
 // batch steps: each circuit is materialized from the reset state with its

@@ -85,20 +85,31 @@ func (g *goodRunner) fill(init bool, inputs []switchsim.Change, res switchsim.Se
 // and captures its trajectory as a reusable, serializable Recording: the
 // power-on initialization plus one step per input setting. Fault batches
 // replay the recording without any good-circuit solver work — the
-// record-once/replay-many half of the campaign engine.
+// record-once/replay-many half of the campaign engine. It is Capture with
+// Recording.Append as the sink.
 //
 // Only the good-side option (MaxRounds) is consulted; Observe and the
 // fault-side options configure consumers, not the capture.
 func Record(nw *netlist.Network, seq *switchsim.Sequence, opts Options) *switchsim.Recording {
-	g := newGoodRunner(switchsim.NewTables(nw), opts)
 	rec := switchsim.NewRecording(nw)
 	rec.Steps = make([]switchsim.StepTrace, 0, 1+seq.NumSettings())
-	rec.Append(g.init())
+	Capture(switchsim.NewTables(nw), seq, opts, rec.Append)
+	return rec
+}
+
+// Capture simulates the good circuit over tab through seq and hands sink
+// each step's trace as it is produced: the initialization, then one per
+// input setting in sequence order. The trace is borrowed — it aliases
+// solver scratch and is valid only during the call — so a sink keeps
+// what it needs by copying (Recording.Append) or encoding
+// (switchsim.StepWriter.Append) it. Options as for Record.
+func Capture(tab *switchsim.Tables, seq *switchsim.Sequence, opts Options, sink func(*switchsim.StepTrace)) {
+	g := newGoodRunner(tab, opts)
+	sink(g.init())
 	for pi := range seq.Patterns {
 		p := &seq.Patterns[pi]
 		for i := range p.Settings {
-			rec.Append(g.step(p.Settings[i]))
+			sink(g.step(p.Settings[i]))
 		}
 	}
-	return rec
 }

@@ -148,10 +148,42 @@ func appendBools(b []byte, vs []bool) []byte {
 	return b
 }
 
+func columnsSize[T any](rows []T, cols []column[T]) int {
+	n := switchsim.UvarintLen(uint64(len(rows)))
+	for _, c := range cols {
+		for i := range rows {
+			n += switchsim.UvarintLen(uint64(c.get(&rows[i])))
+		}
+	}
+	return n
+}
+
+// encodedBound returns the length of the result's serialised form, exact
+// but for the records, whose node ids are counted at the longest varint:
+// sizing them exactly would walk every record map a second time.
+func (br *BatchResult) encodedBound() int {
+	n := len(batchResultMagic) + switchsim.UvarintLen(uint64(int64(br.NumFaults)))
+	n += columnsSize(br.PerSetting, settingCols) + columnsSize(br.PerPattern, patternCols)
+	for i := range br.PerPattern {
+		n += switchsim.UvarintLen(uint64(len(br.PerPattern[i].Name))) + len(br.PerPattern[i].Name)
+	}
+	n += switchsim.UvarintLen(uint64(len(br.Detected))) + len(br.Detected)
+	n += columnsSize(br.Detections, detectionCols)
+	n += switchsim.UvarintLen(uint64(len(br.Oscillated))) + len(br.Oscillated)
+	n += switchsim.UvarintLen(uint64(len(br.Records)))
+	for _, recs := range br.Records {
+		n += switchsim.UvarintLen(uint64(len(recs))) + len(recs)*(binary.MaxVarintLen64+1)
+	}
+	return n
+}
+
 // AppendBinary appends the result's serialised form to b. It is lossless:
 // UnmarshalBinary rebuilds an equal value (empty slices and empty record
-// maps come back nil).
+// maps come back nil). b grows at most once, to encodedBound.
 func (br BatchResult) AppendBinary(b []byte) ([]byte, error) {
+	if need := br.encodedBound(); cap(b)-len(b) < need {
+		b = append(make([]byte, 0, len(b)+need), b...)
+	}
 	b = append(b, batchResultMagic...)
 	b = binary.AppendUvarint(b, uint64(int64(br.NumFaults)))
 

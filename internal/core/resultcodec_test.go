@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -69,10 +70,22 @@ func encodeResult(tb testing.TB, br *BatchResult) []byte {
 }
 
 // TestBatchResultRoundTrip: the binary form, and the JSON string that
-// wraps it, rebuild a deeply equal value; damaged input is an error.
+// wraps it, rebuild a deeply equal value; damaged input is an error. The
+// binary form is written into one buffer, sized before the first byte.
 func TestBatchResultRoundTrip(t *testing.T) {
 	for i, want := range codecSeeds(t) {
 		bin := encodeResult(t, want)
+		// The bound is the length but for the records' node ids, each
+		// counted at the longest varint.
+		slack := 0
+		for _, recs := range want.Records {
+			for n := range recs {
+				slack += binary.MaxVarintLen64 - switchsim.UvarintLen(uint64(n))
+			}
+		}
+		if bound := want.encodedBound(); cap(bin) != bound || len(bin)+slack != bound {
+			t.Errorf("seed %d: %d bytes (%d of record slack) in a buffer of %d, sized to %d", i, len(bin), slack, cap(bin), bound)
+		}
 		var got BatchResult
 		if err := got.UnmarshalBinary(bin); err != nil {
 			t.Fatalf("seed %d: %v", i, err)

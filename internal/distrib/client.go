@@ -1,15 +1,21 @@
-// HTTP client half of the coordinator: recording upload, shard
-// submission, NDJSON stream consumption, and cancellation DELETEs.
+// HTTP client half of the coordinator: the recording's wire form and its
+// upload, shard submission, NDJSON stream consumption, and cancellation
+// DELETEs.
 package distrib
 
 import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
+	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -19,12 +25,77 @@ import (
 	"fmossim/internal/switchsim"
 )
 
-// encodeRecording serializes the recording once, into one buffer sized
-// up front, and fingerprints the bytes: the upload body and the shard
-// jobs' recording_fp reference.
-func encodeRecording(rec *switchsim.Recording) ([]byte, string) {
-	encoded := rec.AppendBinary(nil)
-	return encoded, switchsim.FingerprintBytes(encoded)
+// encoded is the campaign's recording as the coordinator holds it: its
+// wire form, in fixed-size chunks filled and hashed as the StepWriter
+// writes them — so no byte is copied to grow a buffer — and the
+// fingerprint of those bytes, the upload's name and the shard jobs'
+// recording_fp.
+type encoded struct {
+	chunks [][]byte
+	size   int
+	hash   hash.Hash
+	fp     string
+}
+
+// encodedChunk is the size of one chunk of an encoded recording.
+const encodedChunk = 256 << 10
+
+func (e *encoded) Write(p []byte) (int, error) {
+	e.hash.Write(p)
+	e.size += len(p)
+	for rest := p; len(rest) > 0; {
+		last := len(e.chunks) - 1
+		if last < 0 || len(e.chunks[last]) == cap(e.chunks[last]) {
+			e.chunks = append(e.chunks, make([]byte, 0, encodedChunk))
+			last++
+		}
+		c := e.chunks[last]
+		n := min(len(rest), cap(c)-len(c))
+		e.chunks[last] = append(c, rest[:n]...)
+		rest = rest[n:]
+	}
+	return len(p), nil
+}
+
+// body returns a reader over the bytes, one per upload.
+func (e *encoded) body() io.Reader {
+	bufs := net.Buffers(slices.Clone(e.chunks))
+	return &bufs
+}
+
+// streamRecording streams the campaign's good trajectory into its wire
+// form through a switchsim.StepWriter: rec, validated, when the caller
+// supplied one, else a capture over the workload's tables, encoded step
+// by step as the good circuit produces it — the coordinator never
+// replays the trajectory, so it never holds it decoded. It returns the
+// bytes and the good work of each setting, which is all the merge reads
+// of a recording.
+func streamRecording(wl *server.Workload, rec *switchsim.Recording) (*encoded, func(si int) int64, error) {
+	e := &encoded{hash: sha256.New()}
+	settings := wl.Seq.NumSettings()
+	var goodWork func(si int) int64
+	if rec != nil {
+		if err := rec.Validate(wl.Net, settings); err != nil {
+			return nil, nil, err
+		}
+		rec.Encode(e) // an encoded never fails a write
+		goodWork = rec.SettingWork
+	} else {
+		work := make([]int64, 0, settings)
+		sw := switchsim.NewStepWriter(e, wl.Net.NumNodes(), wl.Net.NumTransistors(), 1+settings)
+		core.Capture(wl.Tables, wl.Seq, core.Options{}, func(t *switchsim.StepTrace) {
+			sw.Append(t)
+			if !t.Init {
+				work = append(work, t.GoodWork)
+			}
+		})
+		if err := sw.Close(); err != nil {
+			return nil, nil, err
+		}
+		goodWork = func(si int) int64 { return work[si] }
+	}
+	e.fp = hex.EncodeToString(e.hash.Sum(nil))
+	return e, goodWork, nil
 }
 
 // ensureRecording uploads the encoded recording to worker wi unless a
@@ -45,14 +116,14 @@ func (c *coordinator) ensureRecording(ctx context.Context, wi int) error {
 	// it.
 	reqCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, base+"/recordings/"+c.fp, nil)
+	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, base+"/recordings/"+c.rec.fp, nil)
 	if err != nil {
 		return err
 	}
 	if resp, err := c.opts.Client.Do(req); err == nil {
 		drain(resp)
 		if resp.StatusCode == http.StatusOK {
-			c.opts.Logf("distrib: recording %s already on %s", c.fp[:12], base)
+			c.opts.Logf("distrib: recording %s already on %s", c.rec.fp[:12], base)
 			c.uploaded[wi] = true
 			return nil
 		}
@@ -61,20 +132,21 @@ func (c *coordinator) ensureRecording(ctx context.Context, wi int) error {
 	putCtx, cancelPut := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancelPut()
 	req, err = http.NewRequestWithContext(putCtx, http.MethodPut,
-		base+"/recordings/"+c.fp, bytes.NewReader(c.encoded))
+		base+"/recordings/"+c.rec.fp, c.rec.body())
 	if err != nil {
 		return err
 	}
-	req.ContentLength = int64(len(c.encoded))
+	req.ContentLength = int64(c.rec.size)
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(c.rec.body()), nil }
 	resp, err := c.opts.Client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("PUT /recordings/%s: %s: %s", c.fp[:12], resp.Status, readError(resp))
+		return fmt.Errorf("PUT /recordings/%s: %s: %s", c.rec.fp[:12], resp.Status, readError(resp))
 	}
-	c.opts.Logf("distrib: uploaded recording %s to %s (%d bytes)", c.fp[:12], base, len(c.encoded))
+	c.opts.Logf("distrib: uploaded recording %s to %s (%d bytes)", c.rec.fp[:12], base, c.rec.size)
 	c.uploaded[wi] = true
 	return nil
 }
@@ -193,7 +265,7 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, i int) (*c
 func (c *coordinator) recordingGone(base string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/recordings/"+c.fp, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/recordings/"+c.rec.fp, nil)
 	if err != nil {
 		return false
 	}

@@ -45,8 +45,9 @@ type Options struct {
 	MaxAttempts int
 
 	// Recording, when non-nil, is a pre-captured good trajectory; when
-	// nil, the coordinator records one on entry. Either way it is encoded
-	// once and uploaded to each worker by content fingerprint.
+	// nil, the coordinator records one on entry, straight into its wire
+	// form. Either way it is encoded once and uploaded to each worker by
+	// content fingerprint.
 	Recording *switchsim.Recording
 
 	// Client is the HTTP client for worker traffic. Default: a client
@@ -104,10 +105,10 @@ func (e *dispatchError) Error() string { return e.err.Error() }
 func (e *dispatchError) Unwrap() error { return e.err }
 
 // Run executes a distributed fault campaign over the worker pool: one
-// recording upload per worker, one shard job per batch, driven and
-// merged by campaign.Run into a result bit-identical to the
-// single-process engine. See the package documentation for the execution
-// model.
+// recording upload per worker, one shard job per batch, driven by
+// campaign.Execute and merged by its ledger into a result bit-identical
+// to the single-process engine. See the package documentation for the
+// execution model.
 //
 // The spec is a regular (non-shard) JobSpec. Its CoverageTarget and a
 // cancelled ctx mean here exactly what they mean to campaign.Run — one
@@ -132,19 +133,19 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	if err != nil {
 		return nil, err
 	}
-	rec := opts.Recording
-	if rec == nil {
-		rec = core.Record(wl.Net, wl.Seq, core.Options{})
+	rec, goodWork, err := streamRecording(wl, opts.Recording)
+	if err != nil {
+		return nil, err
 	}
 	n := len(opts.Workers)
 	c := &coordinator{
 		opts:     opts,
+		rec:      rec,
 		uploaded: make([]bool, n),
 		uploadMu: make([]sync.Mutex, n),
 		sem:      make([]chan struct{}, n),
 		fails:    make([]atomic.Int32, n),
 	}
-	c.encoded, c.fp = encodeRecording(rec)
 	for wi := range c.sem {
 		c.sem[wi] = make(chan struct{}, opts.InFlight)
 	}
@@ -166,7 +167,7 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 		c.spec.CoverageTarget = 0
 		c.spec.IncludePerFault = false
 		c.spec.Workers = opts.SimWorkers
-		c.spec.RecordingFP = c.fp
+		c.spec.RecordingFP = c.rec.fp
 		c.spec.IncludeBatch = true
 		return c.shard
 	}
@@ -175,16 +176,19 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	// address decoders and control logic, the costliest shards — dispatch
 	// first; a cost-ranked order measured no better (DESIGN.md,
 	// "Distributed campaigns").
-	return campaign.Run(ctx, wl.Net, wl.Faults, wl.Seq, campaign.Options{
+	l, _, err := campaign.Execute(ctx, wl.Net, wl.Faults, wl.Seq, campaign.Options{
 		Sim:            spec.SimOptions(wl),
 		BatchSize:      opts.BatchSize,
 		Shards:         n * opts.InFlight,
 		CoverageTarget: spec.CoverageTarget,
-		Recording:      rec,
 		CheckpointPath: opts.CheckpointPath,
 		Progress:       opts.Progress,
 		Remote:         remote,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return l.Finish(goodWork)
 }
 
 // coordinator is the shared state of one distributed run. Everything the
@@ -192,11 +196,10 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 // count, when to stop, how the run ended — is the ledger's; what is left
 // here is where shards run and what happens when a worker fails.
 type coordinator struct {
-	opts    Options
-	spec    server.JobSpec
-	encoded []byte
-	fp      string
-	ledger  *campaign.Ledger
+	opts   Options
+	spec   server.JobSpec
+	rec    *encoded
+	ledger *campaign.Ledger
 
 	uploadMu []sync.Mutex // per worker
 	uploaded []bool
@@ -289,7 +292,7 @@ func (c *coordinator) dispatch(ctx context.Context, wi, i int) (br *core.BatchRe
 			c.uploadMu[wi].Lock()
 			c.uploaded[wi] = false
 			c.uploadMu[wi].Unlock()
-			return nil, &dispatchError{fmt.Errorf("worker lost recording %s: %w", c.fp[:12], err)}
+			return nil, &dispatchError{fmt.Errorf("worker lost recording %s: %w", c.rec.fp[:12], err)}
 		}
 		return nil, err
 	}

@@ -691,41 +691,46 @@ func TestDistributedCheckpointResumes(t *testing.T) {
 	}
 }
 
-// countingTransport counts the recording uploads each worker receives.
+// countingTransport keeps the recording uploads each worker receives.
 type countingTransport struct {
 	mu   sync.Mutex
-	puts map[string]int // by worker host
+	puts map[string][][]byte // bodies by worker host
 }
 
 func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.Method == http.MethodPut && strings.HasPrefix(req.URL.Path, "/recordings/") {
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
 		ct.mu.Lock()
-		ct.puts[req.URL.Host]++
+		ct.puts[req.URL.Host] = append(ct.puts[req.URL.Host], body)
 		ct.mu.Unlock()
+		req = req.Clone(req.Context())
+		req.Body = io.NopCloser(bytes.NewReader(body))
 	}
 	return http.DefaultTransport.RoundTrip(req)
 }
 
 // TestSecondRunReusesRecording: the fingerprint names the trajectory, not
-// the capture, so a campaign over a circuit and sequence the workers have
-// already seen uploads nothing — even though its coordinator recorded the
-// good circuit afresh, with wall-clock figures of its own.
+// the capture. A first run that records the good circuit straight into
+// its wire form uploads exactly the bytes of the recording core.Record
+// captures; a second run, handed that recording, finds it on the workers
+// and uploads nothing.
 func TestSecondRunReusesRecording(t *testing.T) {
 	spec := ram256Spec()
 	urls, _ := newWorkerPool(t, 2, server.Config{MaxJobs: 2})
-	ct := &countingTransport{puts: map[string]int{}}
+	ct := &countingTransport{puts: map[string][][]byte{}}
 	client := &http.Client{Transport: ct}
+	wl, rec := resolveAndRecord(t, spec)
+	want := monolithic(t, wl, rec, 16)
 
-	for run, wantPuts := range []int{1, 0} {
-		wl, rec := resolveAndRecord(t, spec) // a fresh capture each run
-		want := monolithic(t, wl, rec, 16)
-		ct.mu.Lock()
-		clear(ct.puts)
-		ct.mu.Unlock()
+	for run, given := range []*switchsim.Recording{nil, rec} {
 		got, err := distrib.Run(context.Background(), spec, distrib.Options{
 			Workers:   urls,
 			BatchSize: 16,
-			Recording: rec,
+			Recording: given,
 			Client:    client,
 			Logf:      t.Logf,
 		})
@@ -735,10 +740,21 @@ func TestSecondRunReusesRecording(t *testing.T) {
 		assertIdentical(t, got, want)
 		ct.mu.Lock()
 		for _, u := range urls {
-			if n := ct.puts[strings.TrimPrefix(u, "http://")]; n != wantPuts {
-				t.Errorf("run %d: %d PUT /recordings/ to %s, want %d", run+1, n, u, wantPuts)
+			if n := len(ct.puts[strings.TrimPrefix(u, "http://")]); n != 1 {
+				t.Errorf("after run %d: %d PUT /recordings/ to %s, want the first run's 1", run+1, n, u)
 			}
 		}
 		ct.mu.Unlock()
+	}
+	var encoded bytes.Buffer
+	if err := rec.Encode(&encoded); err != nil {
+		t.Fatal(err)
+	}
+	for host, bodies := range ct.puts {
+		for _, body := range bodies {
+			if !bytes.Equal(body, encoded.Bytes()) {
+				t.Errorf("%s received %d bytes, not the %d of rec.Encode", host, len(body), encoded.Len())
+			}
+		}
 	}
 }

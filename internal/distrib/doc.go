@@ -5,13 +5,22 @@
 // process; the campaign engine amortizes one recorded trajectory across
 // batches; the job server amortizes it across jobs; distrib amortizes it
 // across machines — the coordinator records (or is handed) the
-// good-circuit switchsim.Recording exactly once, uploads its encoded
-// bytes to each worker under their content fingerprint, and dispatches
-// shard jobs that replay it, so a campaign of W workers × B shards pays
-// for exactly one good-circuit simulation, cluster-wide. The fingerprint
-// is a function of the trajectory alone (the encoding carries no
-// timing), so the upload happens once per workload, not once per
-// campaign: a later Run over the same circuit and sequence finds the
+// good-circuit trajectory exactly once, uploads its encoded bytes to each
+// worker under their content fingerprint, and dispatches shard jobs that
+// replay it, so a campaign of W workers × B shards pays for exactly one
+// good-circuit simulation, cluster-wide. The coordinator never replays
+// the trajectory, so it never holds it decoded: core.Capture runs the
+// good circuit over the resolved workload's tables and a
+// switchsim.StepWriter encodes each step as it is produced, into
+// fixed-size chunks and a SHA-256. What it keeps is those bytes (2.9 MB
+// for RAM256 sequence 1), their fingerprint, and one good-work value per
+// setting, which is all the merge reads of a recording; a caller-supplied
+// Options.Recording is validated and streamed through the same writer.
+// The bytes are those Recording.Encode writes for the recording
+// core.Record would capture, so the fingerprint is the same. The
+// fingerprint is a function of the trajectory alone (the encoding
+// carries no timing), so the upload happens once per workload, not once
+// per campaign: a later Run over the same circuit and sequence finds the
 // recording on the worker ("recording <fp> already on <worker>" through
 // Logf) and uploads nothing.
 //
@@ -19,7 +28,9 @@
 //
 // Run resolves the workload spec locally with server.ResolveSpec — the
 // byte-for-byte resolution path workers use — records (or takes) the
-// recording, and hands the campaign to campaign.Run with a Remote hook:
+// recording into its wire form, and hands the campaign to
+// campaign.Execute with a Remote hook, ending it with Ledger.Finish and
+// the good-work column:
 // campaign.Execute drives every shard — the ledger's batch windows of
 // BatchSize faults (package campaign, "Batch composition"), early stop,
 // the checkpoint log and the merge — exactly as it drives a local
@@ -60,8 +71,9 @@
 // over the same spec and batch size: shard jobs run core.RunBatch (whose
 // results are deterministic for every worker count) against the same
 // fingerprinted recording over the same windows, and the coordinator
-// merges the per-batch results through the ledger with campaign.Merge —
-// the same setting-granularity merge the single-process engine uses.
+// merges the per-batch results through the ledger — the same
+// setting-granularity merge (campaign.Merge) the single-process engine
+// uses, fed the same good work per setting.
 // Scheduling, retries, worker count and
 // shard arrival order leave no trace in the output. See ARCHITECTURE.md
 // for the fingerprint contract and the merge-determinism guarantee.

@@ -13,6 +13,16 @@ import (
 	"fmossim/internal/switchsim"
 )
 
+// encode returns rec's encoding.
+func encode(t *testing.T, rec *switchsim.Recording) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // waitDone polls a job to a terminal state and fails unless it is done.
 func waitDone(t *testing.T, job *Job) {
 	t.Helper()
@@ -41,7 +51,7 @@ func TestShardJobCapturesNoRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encoded := core.Record(wl.Net, wl.Seq, core.Options{}).AppendBinary(nil)
+	encoded := encode(t, core.Record(wl.Net, wl.Seq, core.Options{}))
 	uploaded, err := switchsim.DecodeRecordingBytes(encoded)
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +129,8 @@ func TestTruncatedJobsShareOneEntry(t *testing.T) {
 			t.Fatalf("max_patterns %d: served %d patterns, want %d",
 				maxPatterns, len(served.Seq.Patterns), len(want.Seq.Patterns))
 		}
-		recorded := core.Record(want.Net, want.Seq, core.Options{}).AppendBinary(nil)
-		if !bytes.Equal(served.Recording.AppendBinary(nil), recorded) {
+		recorded := encode(t, core.Record(want.Net, want.Seq, core.Options{}))
+		if !bytes.Equal(encode(t, served.Recording), recorded) {
 			t.Fatalf("max_patterns %d: the served recording differs from a capture of the truncated sequence", maxPatterns)
 		}
 

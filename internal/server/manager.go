@@ -358,7 +358,7 @@ func (m *Manager) runJob(job *Job) {
 		}
 	default:
 		var res *campaign.Result
-		if res, err = l.Finish(rec); err == nil {
+		if res, err = l.Finish(rec.SettingWork); err == nil {
 			r = buildResult(wl, res, job.Spec.IncludePerFault)
 		}
 	}

@@ -16,6 +16,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -144,7 +145,12 @@ func meta(fp string, e storedRecording) RecordingMeta {
 
 func (m *Manager) handlePutRecording(w http.ResponseWriter, r *http.Request) {
 	fp := strings.ToLower(r.PathValue("fp"))
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRecordingBytes))
+	data, err := readBody(w, r, maxRecordingBytes)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("recording body over %d bytes", tooBig.Limit))
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading recording body: %v", err))
 		return
@@ -166,6 +172,44 @@ func (m *Manager) handlePutRecording(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, m.recordings.put(fp, rec, len(data)))
+}
+
+// bodyReadAhead is the most readBody allocates for a body before its
+// bytes arrive: room for any of the paper's recordings (RAM256 sequence 1
+// encodes to 2.9 MB) in one buffer.
+const bodyReadAhead = 8 << 20
+
+// readBody reads a request body of at most limit bytes. With a
+// Content-Length it reads into a buffer sized from it (io.ReadAll's
+// doublings spend five times a recording's size on the way), but the
+// header is a claim, not bytes: the first buffer holds at most
+// bodyReadAhead, and each larger one, at most double the last and never
+// past the declared size, is allocated only once the bytes have filled
+// the one before. A declared size over limit is refused before a byte is
+// read; the server ends the body at the declared length, and a body that
+// stops short of it is an error. Without one (a chunked upload) it reads
+// under http.MaxBytesReader as the body comes.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	size := r.ContentLength
+	if size < 0 {
+		return io.ReadAll(body)
+	}
+	if size > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	data := make([]byte, 0, min(size, bodyReadAhead))
+	for int64(len(data)) < size {
+		if len(data) == cap(data) {
+			data = append(make([]byte, 0, min(size, 2*int64(cap(data)))), data...)
+		}
+		n, err := io.ReadFull(body, data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return data, nil
 }
 
 func (m *Manager) handleGetRecording(w http.ResponseWriter, r *http.Request) {

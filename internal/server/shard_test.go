@@ -1,12 +1,16 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -176,6 +180,69 @@ func TestPutRecordingFingerprintMismatch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("mismatched fingerprint: %s, want 400", resp.Status)
+	}
+}
+
+// TestPutRecordingLyingLength: the upload buffer is sized from the
+// request's Content-Length, so the header is checked, not trusted. A size
+// over the body limit is refused before anything is allocated for it; a
+// size at the limit allocates in step with the bytes that come, not the
+// 512 MB it claims; a body that stops short of its header, or runs past
+// it, is refused as a short read or a fingerprint mismatch; only the
+// honest upload is stored.
+func TestPutRecordingLyingLength(t *testing.T) {
+	m := ram.RAM64()
+	seq := march.Sequence1(m)
+	seq.Patterns = seq.Patterns[:4]
+	var buf bytes.Buffer
+	if err := core.Record(m.Net, seq, core.Options{}).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	fp := switchsim.FingerprintBytes(enc)
+	_, ts := newTestServer(t, server.Config{})
+
+	// put sends the upload by hand (net/http refuses to send a body that
+	// disagrees with its Content-Length) and returns the status and what
+	// the server allocated meanwhile.
+	put := func(length int64, body []byte) (int, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "PUT /recordings/%s HTTP/1.1\r\nHost: worker\r\nContent-Length: %d\r\nConnection: close\r\n\r\n", fp, length)
+		conn.Write(body)
+		conn.(*net.TCPConn).CloseWrite()
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		return resp.StatusCode, after.TotalAlloc - before.TotalAlloc
+	}
+	n := int64(len(enc))
+	for _, c := range []struct {
+		name   string
+		length int64
+		want   int
+	}{
+		{"over the limit", 1 << 40, http.StatusRequestEntityTooLarge},
+		{"at the limit", 512 << 20, http.StatusBadRequest},
+		{"longer than the body", n + 100, http.StatusBadRequest},
+		{"shorter than the body", n - 100, http.StatusBadRequest},
+		{"honest", n, http.StatusCreated},
+	} {
+		status, alloc := put(c.length, enc)
+		if status != c.want {
+			t.Errorf("%s: Content-Length %d for %d bytes answered %d, want %d", c.name, c.length, n, status, c.want)
+		}
+		if alloc > 32<<20 {
+			t.Errorf("%s: the upload of %d bytes allocated %d MB", c.name, n, alloc>>20)
+		}
 	}
 }
 

@@ -75,7 +75,10 @@
 // step (Recording.Append, DecodeRecording) copies them, with its own
 // lists, into exact-size arrays handed out as capacity-clipped windows — a
 // fixed number of allocations per step whatever the vicinity count.
-// Encode makes one pass with one chunk buffer, AppendBinary one pass into
-// one buffer sized up front, and DecodeRecordingBytes reads the byte slice
-// in place. DESIGN.md ("Wire forms") has the layout.
+// One encoder writes every step, the StepWriter: it encodes a capture
+// step by step as it is produced, without holding the recording, and
+// Encode (one pass, one chunk buffer) is that writer over a recording's
+// steps.
+// DecodeRecordingBytes reads the byte slice in place. DESIGN.md ("Wire
+// forms") has the layout.
 package switchsim

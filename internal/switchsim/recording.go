@@ -92,6 +92,11 @@ func (r *Recording) GoodWork() int64 {
 	return t
 }
 
+// SettingWork returns the good-circuit solver work units of input setting
+// si, settings counted from 0 in sequence order (Steps[0], the
+// initialization, is no setting).
+func (r *Recording) SettingWork(si int) int64 { return r.Steps[si+1].GoodWork }
+
 // Validate checks the recording against a network fingerprint and an
 // expected setting count (pass -1 to skip the count check).
 func (r *Recording) Validate(nw *netlist.Network, settings int) error {
@@ -209,70 +214,131 @@ const (
 	flagFrame // a state frame follows the step: no longer written, refused on decode
 )
 
-// encodeChunk is the size at which Encode hands its buffer to the writer.
+// encodeChunk is the size at which a StepWriter hands its buffer to the
+// writer.
 const encodeChunk = 32 << 10
 
-// Encode writes the recording in the versioned binary format, through one
-// chunk-sized buffer. Each step has one reserved byte, written as 0: it
-// held the capture's wall-clock time until the fingerprint became
-// content-only (time belongs to a capture run, not to the trajectory, and
-// a byte stream that carried it would never fingerprint the same twice).
+// StepWriter encodes a recording one step at a time, as it is captured,
+// through one chunk-sized buffer: the header goes out first, with the step
+// count the caller declares, then one step per Append. The bytes are the
+// ones Encode writes for the recording Recording.Append builds from the
+// same steps, so a caller that only needs the wire form — and its
+// fingerprint — never holds the decoded trajectory. Encode writes through
+// it too: the step encoding has one implementation. Write errors stick and
+// are reported by Close.
+type StepWriter struct {
+	w     io.Writer
+	chunk int // buffered bytes at which buf goes to w
+	buf   []byte
+	idLen int // the longest varint of a node id or a list length
+	left  int // steps the header declared and no Append has written yet
+	err   error
+}
+
+// NewStepWriter writes the header of a recording of steps steps over a
+// network of numNodes nodes and numTransistors transistors to w, and
+// returns the writer its steps go through. A capture declares
+// 1+seq.NumSettings() steps: the initialization, then one per setting.
+func NewStepWriter(w io.Writer, numNodes, numTransistors, steps int) *StepWriter {
+	return newStepWriter(w, encodeChunk, numNodes, numTransistors, steps)
+}
+
+func newStepWriter(w io.Writer, chunk, numNodes, numTransistors, steps int) *StepWriter {
+	sw := &StepWriter{w: w, chunk: chunk, buf: make([]byte, 0, 2*chunk),
+		idLen: UvarintLen(uint64(numNodes)), left: steps}
+	sw.buf = append(sw.buf, recordingMagic...)
+	sw.buf = binary.AppendUvarint(sw.buf, uint64(numNodes))
+	sw.buf = binary.AppendUvarint(sw.buf, uint64(numTransistors))
+	sw.buf = binary.AppendUvarint(sw.buf, uint64(steps))
+	return sw
+}
+
+// Append encodes one step, which may be borrowed: nothing of it is kept.
+// An oscillated step's trajectory is dropped, as Recording.Append drops
+// it.
+func (sw *StepWriter) Append(t *StepTrace) {
+	if t.Oscillated && t.Traj != nil {
+		st := *t
+		st.Traj = nil
+		t = &st
+	}
+	sw.step(t)
+}
+
+// step encodes t as it is. It first makes room for the step's bound, so
+// the buffer grows only for a step larger than any before it, and hands
+// the buffer to w once it holds a chunk.
+func (sw *StepWriter) step(t *StepTrace) {
+	if sw.err != nil {
+		return
+	}
+	if sw.left == 0 {
+		sw.err = fmt.Errorf("switchsim: more steps written than the recording header declared")
+		return
+	}
+	sw.left--
+	if need := t.encodedBound(sw.idLen); cap(sw.buf)-len(sw.buf) < need {
+		sw.flush()
+		if cap(sw.buf) < need {
+			sw.buf = make([]byte, 0, need)
+		}
+	}
+	sw.buf = t.appendBinary(sw.buf)
+	if len(sw.buf) >= sw.chunk {
+		sw.flush()
+	}
+}
+
+func (sw *StepWriter) flush() {
+	if sw.err == nil && len(sw.buf) > 0 {
+		_, sw.err = sw.w.Write(sw.buf)
+	}
+	sw.buf = sw.buf[:0]
+}
+
+// Close writes what is buffered and returns the first error: a failed
+// write, or a step count other than the header's. It does not close the
+// underlying writer.
+func (sw *StepWriter) Close() error {
+	if sw.err == nil && sw.left != 0 {
+		sw.err = fmt.Errorf("switchsim: %d of the recording's declared steps were never written", sw.left)
+	}
+	sw.flush()
+	return sw.err
+}
+
+// Encode writes the recording in the versioned binary format, through a
+// StepWriter. Each step has one reserved byte, written as 0: it held the
+// capture's wall-clock time until the fingerprint became content-only
+// (time belongs to a capture run, not to the trajectory, and a byte stream
+// that carried it would never fingerprint the same twice). Every step is
+// written as it is held.
 func (r *Recording) Encode(w io.Writer) error {
-	buf := r.appendHeader(make([]byte, 0, 2*encodeChunk))
+	sw := NewStepWriter(w, r.NumNodes, r.NumTransistors, len(r.Steps))
 	for i := range r.Steps {
-		buf = r.Steps[i].appendBinary(buf)
-		if len(buf) >= encodeChunk {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+		sw.step(&r.Steps[i])
 	}
-	_, err := w.Write(buf)
-	return err
+	return sw.Close()
 }
 
-// AppendBinary appends the bytes Encode writes to dst and returns the
-// extended slice, for a caller that wants the whole encoding in memory:
-// dst grows at most once, to a bound computed from the list lengths.
-func (r *Recording) AppendBinary(dst []byte) []byte {
-	if need := r.encodedBound(); cap(dst)-len(dst) < need {
-		dst = append(make([]byte, 0, len(dst)+need), dst...)
-	}
-	dst = r.appendHeader(dst)
-	for i := range r.Steps {
-		dst = r.Steps[i].appendBinary(dst)
-	}
-	return dst
-}
+// UvarintLen returns the length of v's uvarint encoding. Over a network of
+// n nodes, UvarintLen(n) is the longest varint of a node id or a list
+// length.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-func (r *Recording) appendHeader(b []byte) []byte {
-	b = append(b, recordingMagic...)
-	b = binary.AppendUvarint(b, uint64(r.NumNodes))
-	b = binary.AppendUvarint(b, uint64(r.NumTransistors))
-	return binary.AppendUvarint(b, uint64(len(r.Steps)))
-}
-
-// encodedBound returns an upper bound on the encoded size of a well-formed
-// recording (node ids and list lengths within NumNodes), one addition per
-// step: a varint of a value ≤ NumNodes is at most idLen bytes.
-func (r *Recording) encodedBound() int {
+// encodedBound returns an upper bound on the step's encoded size when its
+// node ids and list lengths take at most idLen bytes each.
+func (st *StepTrace) encodedBound(idLen int) int {
 	const big = binary.MaxVarintLen64
-	idLen := (bits.Len64(uint64(r.NumNodes)|1) + 6) / 7
-	n := len(recordingMagic) + 3*big
-	for i := range r.Steps {
-		st := &r.Steps[i]
-		nodes, changes, lists := len(st.Explored), len(st.InputChanges)+len(st.Changed), 3
-		n += 2 + 2*big // flags and reserved slot; work, round count
-		if tr := st.Traj; tr != nil {
-			nodes += len(tr.nodes)
-			changes += len(tr.changes)
-			lists += 2 * len(tr.vics)
-			n += big * len(tr.roundEnd)
-		}
-		n += idLen*(nodes+changes+lists) + changes
+	nodes, changes, lists := len(st.Explored), len(st.InputChanges)+len(st.Changed), 3
+	n := 2 + 2*big // flags and reserved slot; work, round count
+	if tr := st.Traj; tr != nil {
+		nodes += len(tr.nodes)
+		changes += len(tr.changes)
+		lists += 2 * len(tr.vics)
+		n += big * len(tr.roundEnd)
 	}
-	return n
+	return n + idLen*(nodes+changes+lists) + changes
 }
 
 func (st *StepTrace) appendBinary(b []byte) []byte {

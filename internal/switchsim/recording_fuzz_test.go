@@ -29,7 +29,7 @@ func FuzzDecodeRecording(f *testing.F) {
 	m := ram.RAM64()
 	seq := march.Sequence1(m)
 	seq.Patterns = seq.Patterns[:8] // keep the corpus entries small
-	plain := core.Record(m.Net, seq, core.Options{}).AppendBinary(nil)
+	plain := encode(f, core.Record(m.Net, seq, core.Options{}))
 	// The first step's flag byte follows the magic and the three header
 	// varints; bit 3 said a state frame follows the step.
 	flags := len("FMOSREC2")

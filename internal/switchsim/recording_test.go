@@ -64,6 +64,16 @@ func fakeRecording() *Recording {
 	return rec
 }
 
+// headerLen returns the length of rec's encoded header: where its first
+// step starts.
+func headerLen(rec *Recording) int {
+	n := len(recordingMagic)
+	for _, v := range []int{rec.NumNodes, rec.NumTransistors, len(rec.Steps)} {
+		n += UvarintLen(uint64(v))
+	}
+	return n
+}
+
 func TestRecordingRoundTrip(t *testing.T) {
 	rec := fakeRecording()
 	var buf bytes.Buffer
@@ -80,7 +90,7 @@ func TestRecordingRoundTrip(t *testing.T) {
 	}
 	// Each step keeps one reserved slot where the format once carried a
 	// time: Encode writes 0 there and the decoder skips whatever it finds.
-	slot := len(rec.appendHeader(nil)) + 1 + 2 // step 0: flags, then GoodWork 1234 in two bytes
+	slot := headerLen(rec) + 1 + 2 // step 0: flags, then GoodWork 1234 in two bytes
 	if enc[slot] != 0 {
 		t.Errorf("reserved slot of step 0 holds %d, want 0", enc[slot])
 	}
@@ -128,7 +138,7 @@ func TestRecordingDecodeErrors(t *testing.T) {
 	// A step flagged as carrying a state frame, which earlier builds wrote
 	// for mid-batch resume: refused by name, whatever follows the step.
 	framed := append([]byte(nil), enc...)
-	framed[len(rec.appendHeader(nil))] |= flagFrame
+	framed[headerLen(rec)] |= flagFrame
 	if _, err := DecodeRecordingBytes(framed); err == nil || !strings.Contains(err.Error(), "state frames") {
 		t.Errorf("frame bit set: err = %v, want the state-frames refusal", err)
 	}
