@@ -48,9 +48,10 @@ type Options struct {
 
 	// Tables, when non-nil, is a pre-built read-only table set over the
 	// campaign's network, shared by all batches (and, in a long-running
-	// service, across campaigns over the same circuit). When nil, tables
-	// are built per Run, unless Remote runs the batches. Must have been
-	// built from the same Network.
+	// service, across campaigns over the same circuit), and by the
+	// capture of the good trajectory when Recording is nil. When nil,
+	// tables are built per Run, unless Remote runs the batches. Must have
+	// been built from the same Network.
 	Tables *switchsim.Tables
 
 	// Remote, when non-nil, runs the batches somewhere other than this
@@ -185,21 +186,21 @@ func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *sw
 // with Ledger.Finish — which is Run — or, when it only forwards raw
 // batches, with Ledger.Verdict and Ledger.Batch.
 func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts Options) (l *Ledger, rec *switchsim.Recording, err error) {
-	if opts.Remote == nil {
-		rec = opts.Recording
-		if rec == nil {
-			rec = core.Record(nw, seq, opts.Sim)
-		}
-		if err := rec.Validate(nw, seq.NumSettings()); err != nil {
-			return nil, nil, err
-		}
-	}
 	tab := opts.Tables
 	if tab != nil && tab.Net != nw {
 		return nil, nil, fmt.Errorf("campaign: Options.Tables was built over a different network")
 	}
-	if tab == nil && opts.Remote == nil {
-		tab = switchsim.NewTables(nw)
+	if opts.Remote == nil {
+		if tab == nil {
+			tab = switchsim.NewTables(nw)
+		}
+		rec = opts.Recording
+		if rec == nil {
+			rec = core.RecordTables(tab, seq, opts.Sim)
+		}
+		if err := rec.Validate(nw, seq.NumSettings()); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	shards := opts.Shards

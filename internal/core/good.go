@@ -91,9 +91,15 @@ func (g *goodRunner) fill(init bool, inputs []switchsim.Change, res switchsim.Se
 // Only the good-side option (MaxRounds) is consulted; Observe and the
 // fault-side options configure consumers, not the capture.
 func Record(nw *netlist.Network, seq *switchsim.Sequence, opts Options) *switchsim.Recording {
-	rec := switchsim.NewRecording(nw)
+	return RecordTables(switchsim.NewTables(nw), seq, opts)
+}
+
+// RecordTables is Record over tables the caller already holds, so a
+// caller that goes on to replay the recording over tab builds them once.
+func RecordTables(tab *switchsim.Tables, seq *switchsim.Sequence, opts Options) *switchsim.Recording {
+	rec := switchsim.NewRecording(tab.Net)
 	rec.Steps = make([]switchsim.StepTrace, 0, 1+seq.NumSettings())
-	Capture(switchsim.NewTables(nw), seq, opts, rec.Append)
+	Capture(tab, seq, opts, rec.Append)
 	return rec
 }
 

@@ -152,7 +152,8 @@ func (c *coordinator) ensureRecording(ctx context.Context, wi int) error {
 }
 
 // submit POSTs one shard job, absorbing 429 load shedding by honoring
-// Retry-After within the attempt. Returns the job id.
+// Retry-After within the attempt. Returns the job id; a 409, the worker
+// not holding the recording, comes back as server.ErrUnknownRecording.
 func (c *coordinator) submit(ctx context.Context, base string, spec *server.JobSpec) (string, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -189,6 +190,9 @@ func (c *coordinator) submit(ctx context.Context, base string, spec *server.JobS
 			msg := readError(resp)
 			drain(resp)
 			cancel()
+			if resp.StatusCode == http.StatusConflict {
+				return "", fmt.Errorf("POST /jobs: %s: %w %s", resp.Status, server.ErrUnknownRecording, c.rec.fp[:12])
+			}
 			return "", fmt.Errorf("POST /jobs: %s: %s", resp.Status, msg)
 		}
 		var snap server.Snapshot
@@ -256,25 +260,6 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, i int) (*c
 		return nil, fmt.Errorf("job %s on %s: stream ended without a result line", jobID, base)
 	}
 	return nil, fmt.Errorf("stream from %s ended mid-job", base)
-}
-
-// recordingGone reports whether the worker definitively no longer holds
-// the campaign recording (a 404 from GET /recordings/{fp}). Transport
-// errors and other statuses report false: absence must be proven, not
-// assumed, before the coordinator rewinds its upload state.
-func (c *coordinator) recordingGone(base string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/recordings/"+c.rec.fp, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.opts.Client.Do(req)
-	if err != nil {
-		return false
-	}
-	drain(resp)
-	return resp.StatusCode == http.StatusNotFound
 }
 
 // deleteJob best-effort cancels an outstanding job. It runs on its own

@@ -15,6 +15,7 @@ import (
 	"fmossim/internal/campaign"
 	"fmossim/internal/core"
 	"fmossim/internal/fault"
+	"fmossim/internal/netlist"
 	"fmossim/internal/server"
 	"fmossim/internal/switchsim"
 )
@@ -151,15 +152,10 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	}
 	remote := func(l *campaign.Ledger) func(context.Context, int, int) (*core.BatchResult, error) {
 		// The worker-side template: the circuit fields verbatim (so
-		// workers resolve the same network and sequence), the universe
-		// inline in batch order (so a worker's [shard_lo, shard_hi) is
-		// the ledger's window whatever build the worker runs), and
+		// workers resolve the same network and sequence) and
 		// campaign-level fields stripped (the coordinator owns batching,
-		// early stop and merging).
-		var list strings.Builder
-		fault.WriteList(&list, wl.Net, l.Faults()) // a strings.Builder takes every write
-		c.ledger, c.spec = l, spec
-		c.spec.Faults = list.String()
+		// early stop and merging). dispatch fills in each shard's faults.
+		c.ledger, c.net, c.spec = l, wl.Net, spec
 		c.spec.FaultModel = ""
 		c.spec.SampleEvery = 0
 		c.spec.BatchSize = 0
@@ -198,6 +194,7 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 type coordinator struct {
 	opts   Options
 	spec   server.JobSpec
+	net    *netlist.Network
 	rec    *encoded
 	ledger *campaign.Ledger
 
@@ -261,18 +258,32 @@ func (c *coordinator) next(wi int) int {
 
 // dispatch executes batch i on worker wi: ensure the recording is
 // uploaded, submit the job, stream it to a terminal state, and check the
-// batch result it returns. The outstanding job, if any, is cancelled
-// with DELETE when the shard did not complete — which is also how an
-// aborted campaign reaches the workers.
+// batch result it returns. The job carries the batch's window of the
+// ledger's universe as its inline fault list and asks for all of it, so
+// the worker parses and holds only the faults it runs, and they are the
+// ledger's whatever build the worker runs. A 409 means the worker no
+// longer holds the recording (a restart, or its store evicted it): the
+// flag is cleared so the next shard sent there uploads again. The
+// outstanding job, if any, is cancelled with DELETE when the shard did
+// not complete — which is also how an aborted campaign reaches the
+// workers.
 func (c *coordinator) dispatch(ctx context.Context, wi, i int) (br *core.BatchResult, err error) {
 	base := c.opts.Workers[wi]
 	if err := c.ensureRecording(ctx, wi); err != nil {
 		return nil, &dispatchError{fmt.Errorf("uploading recording: %w", err)}
 	}
 
+	lo, hi := c.ledger.Window(i)
+	var list strings.Builder
+	fault.WriteList(&list, c.net, c.ledger.Faults()[lo:hi]) // a strings.Builder takes every write
 	spec := c.spec
-	spec.ShardLo, spec.ShardHi = c.ledger.Window(i)
+	spec.Faults, spec.ShardLo, spec.ShardHi = list.String(), 0, hi-lo
 	jobID, err := c.submit(ctx, base, &spec)
+	if errors.Is(err, server.ErrUnknownRecording) {
+		c.uploadMu[wi].Lock()
+		c.uploaded[wi] = false
+		c.uploadMu[wi].Unlock()
+	}
 	if err != nil {
 		return nil, &dispatchError{err}
 	}
@@ -283,17 +294,6 @@ func (c *coordinator) dispatch(ctx context.Context, wi, i int) (br *core.BatchRe
 	}()
 
 	if br, err = c.stream(ctx, base, jobID, i); err != nil {
-		// A worker can lose its stored recording mid-campaign (restart,
-		// store eviction under concurrent campaigns) while this
-		// coordinator still believes it uploaded. If the recording is
-		// definitively gone, clear the flag so the next shard re-uploads,
-		// and charge the failure to the worker, not the shard.
-		if ctx.Err() == nil && c.recordingGone(base) {
-			c.uploadMu[wi].Lock()
-			c.uploaded[wi] = false
-			c.uploadMu[wi].Unlock()
-			return nil, &dispatchError{fmt.Errorf("worker lost recording %s: %w", c.rec.fp[:12], err)}
-		}
 		return nil, err
 	}
 	// A result of the wrong shape costs the shard this attempt.

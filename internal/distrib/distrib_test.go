@@ -758,3 +758,92 @@ func TestSecondRunReusesRecording(t *testing.T) {
 		}
 	}
 }
+
+// evictingTransport stands between the coordinator and its workers. It
+// counts the recording uploads and 409s each worker answers, and on the
+// second shard job submitted to the worker at evict — with one shard in
+// flight per worker, after that worker's first shard result — it first
+// deletes the worker's recording, as a restart or a store eviction would.
+type evictingTransport struct {
+	evict string // host
+
+	mu        sync.Mutex
+	fp        string
+	puts      map[string]int
+	conflicts map[string]int
+	posts     int
+}
+
+func (et *evictingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	host := req.URL.Host
+	et.mu.Lock()
+	switch {
+	case req.Method == http.MethodPut && strings.HasPrefix(req.URL.Path, "/recordings/"):
+		et.fp = strings.TrimPrefix(req.URL.Path, "/recordings/")
+		et.puts[host]++
+	case req.Method == http.MethodPost && req.URL.Path == "/jobs" && host == et.evict:
+		if et.posts++; et.posts == 2 {
+			del, err := http.NewRequest(http.MethodDelete, "http://"+host+"/recordings/"+et.fp, nil)
+			if err != nil {
+				et.mu.Unlock()
+				return nil, err
+			}
+			resp, err := http.DefaultTransport.RoundTrip(del)
+			if err != nil {
+				et.mu.Unlock()
+				return nil, err
+			}
+			resp.Body.Close()
+		}
+	}
+	et.mu.Unlock()
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && resp.StatusCode == http.StatusConflict {
+		et.mu.Lock()
+		et.conflicts[host]++
+		et.mu.Unlock()
+	}
+	return resp, err
+}
+
+// TestLostRecordingIsUploadedAgain: a worker that loses the recording
+// mid-campaign answers the next shard job with 409. The shard runs on the
+// other worker, the failure is charged to the worker, and the next shard
+// sent there uploads the recording again — once — so the campaign still
+// merges to the monolithic result.
+func TestLostRecordingIsUploadedAgain(t *testing.T) {
+	spec := ram256Spec()
+	wl, rec := resolveAndRecord(t, spec)
+	want := monolithic(t, wl, rec, 16)
+	urls, _ := newWorkerPool(t, 2, server.Config{MaxJobs: 2})
+	hosts := []string{strings.TrimPrefix(urls[0], "http://"), strings.TrimPrefix(urls[1], "http://")}
+	et := &evictingTransport{evict: hosts[0], puts: map[string]int{}, conflicts: map[string]int{}}
+
+	got, err := distrib.Run(context.Background(), spec, distrib.Options{
+		Workers:   urls,
+		InFlight:  1,
+		BatchSize: 16,
+		Recording: rec,
+		Client:    &http.Client{Transport: et},
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, got, want)
+	if got.BatchesRun != got.Batches {
+		t.Errorf("batches: %d run of %d", got.BatchesRun, got.Batches)
+	}
+	et.mu.Lock()
+	defer et.mu.Unlock()
+	if et.posts < 3 {
+		t.Fatalf("%d shard jobs went to %s: too few to see the recording uploaded again", et.posts, hosts[0])
+	}
+	for wi, want := range []struct{ puts, conflicts int }{{2, 1}, {1, 0}} {
+		h := hosts[wi]
+		if et.puts[h] != want.puts || et.conflicts[h] != want.conflicts {
+			t.Errorf("worker %d: %d uploads and %d 409s, want %d and %d",
+				wi, et.puts[h], et.conflicts[h], want.puts, want.conflicts)
+		}
+	}
+}

@@ -35,12 +35,13 @@
 // BatchSize faults (package campaign, "Batch composition"), early stop,
 // the checkpoint log and the merge — exactly as it drives a local
 // campaign's batches, and distrib supplies only where a shard runs and
-// how a failed one is retried. Every shard job carries the universe in
-// batch order as its inline fault list, so the coordinator's window
-// [lo, hi) names the same faults on every worker and no worker applies an
-// ordering rule of its own; each batch becomes one shard job (POST /jobs
-// with shard_lo/shard_hi, recording_fp, include_batch) on the existing
-// fmossimd job API. Execute's pool runs len(Workers) × InFlight slots;
+// how a failed one is retried. Every shard job carries its window
+// [lo, hi) of the universe in batch order as its inline fault list, with
+// shard_lo 0 and shard_hi the window's width, so the worker runs exactly
+// the faults the coordinator's window names, applies no ordering rule of
+// its own, and parses only the faults it runs; each batch becomes one
+// shard job (POST /jobs with the window, recording_fp, include_batch) on
+// the existing fmossimd job API. Execute's pool runs len(Workers) × InFlight slots;
 // slot w sends its shards to worker w mod len(Workers), and a per-worker
 // bound keeps InFlight jobs on any one worker when shards are rerouted.
 // The slot streams each job's NDJSON progress and returns the raw
@@ -53,7 +54,12 @@
 // that has not been abandoned. An execution failure or a refused result
 // uses one of the shard's MaxAttempts, and a shard exhausting them fails
 // the campaign; a failed upload or submission is charged to the worker
-// alone. A worker is abandoned after a run of consecutive failures, and
+// alone. The worker checks a shard job when it accepts it, and an
+// accepted job holds its recording, so the coordinator learns that a
+// worker lost the recording (a restart, a store eviction) in one of two
+// ways only: the presence check before the first upload, or a 409 from
+// POST /jobs, after which the next shard sent to that worker uploads
+// again. A broken stream is a failed shard, nothing more. A worker is abandoned after a run of consecutive failures, and
 // when every worker is, the campaign fails as "all workers unavailable".
 //
 // Coverage, early stop and cancellation are not the coordinator's to

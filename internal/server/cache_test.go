@@ -130,7 +130,7 @@ func TestTruncatedJobsShareOneEntry(t *testing.T) {
 				maxPatterns, len(served.Seq.Patterns), len(want.Seq.Patterns))
 		}
 		recorded := encode(t, core.Record(want.Net, want.Seq, core.Options{}))
-		if !bytes.Equal(encode(t, served.Recording), recorded) {
+		if !bytes.Equal(encode(t, served.entry.recording(served.Seq.NumSettings())), recorded) {
 			t.Fatalf("max_patterns %d: the served recording differs from a capture of the truncated sequence", maxPatterns)
 		}
 

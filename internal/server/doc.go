@@ -31,6 +31,10 @@
 // unmerged), returning the raw core.BatchResult for setting-granularity merging on
 // the coordinator. On the result line Result.Batch is one base64 string:
 // core.BatchResult's binary column form, its only serialised form.
+// POST /jobs checks a job before it accepts it — every input failure is
+// a 400, and a recording_fp the store does not hold is a 409 Conflict
+// (ErrUnknownRecording) naming it — and an accepted shard job holds its
+// recording, so a later eviction from the store cannot fail it.
 // ResolveSpec exposes the spec-resolution path itself, so coordinator
 // and workers provably enumerate the same fault universe from the same
 // spec. The fingerprint contract and the merge-determinism guarantee are

@@ -1,7 +1,7 @@
 // HTTP surface: the job lifecycle endpoints, the NDJSON progress stream,
 // and the recording store (see recording.go).
 //
-//	POST   /jobs             submit a campaign or shard job (JobSpec JSON) -> 202 + Snapshot
+//	POST   /jobs             submit a campaign or shard job (JobSpec JSON) -> 202 + Snapshot / 400 / 409 / 429
 //	GET    /jobs             list all jobs -> []Snapshot
 //	GET    /jobs/{id}        one job's Snapshot (plus result when done)
 //	GET    /jobs/{id}/stream NDJSON progress until the job is terminal
@@ -11,7 +11,13 @@
 //	DELETE /recordings/{fp}  evict a recording
 //	GET    /healthz          liveness probe
 //
-// A saturated server answers POST /jobs with 429 and a Retry-After
+// POST /jobs checks a job before it accepts it: a spec that does not
+// validate or resolve — bad circuit, patterns, observed node, fault list,
+// a recording that does not match the circuit, a shard window past the
+// universe — answers 400, and a recording_fp the store does not hold
+// answers 409 Conflict naming it, so the coordinator uploads it and
+// submits again. An accepted job fails only if its campaign does. A
+// saturated server answers POST /jobs with 429 and a Retry-After
 // header. The stream emits three line types, one JSON object per line:
 // {"type":"snapshot",...} progress snapshots (coverage monotonically
 // non-decreasing, coalesced to at most one per Config.StreamInterval),
@@ -90,6 +96,9 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	case errors.Is(err, ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	case errors.Is(err, ErrUnknownRecording):
+		writeError(w, http.StatusConflict, err.Error())
 		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err.Error())

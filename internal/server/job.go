@@ -104,6 +104,11 @@ type Job struct {
 	ID   string
 	Spec JobSpec
 
+	// wl is the workload Submit resolved and checked: the runner only
+	// runs it. finish drops it, so a retained terminal job pins no
+	// workload and no uploaded recording.
+	wl *Workload
+
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -128,10 +133,10 @@ type Job struct {
 	notify chan struct{}
 }
 
-func newJob(id string, spec JobSpec, parent context.Context) *Job {
+func newJob(id string, spec JobSpec, wl *Workload, parent context.Context) *Job {
 	ctx, cancel := context.WithCancel(parent)
 	return &Job{
-		ID: id, Spec: spec,
+		ID: id, Spec: spec, wl: wl,
 		ctx: ctx, cancel: cancel,
 		state:     StateQueued,
 		submitted: time.Now(),
@@ -173,14 +178,18 @@ func (j *Job) onProgress(ev campaign.ProgressEvent) {
 	j.mu.Unlock()
 }
 
-func (j *Job) setRunning() {
+// setRunning moves the job to running and hands the runner its
+// workload: nil when the job lost the race with a cancellation.
+func (j *Job) setRunning() (wl *Workload) {
 	j.publish(func() {
-		if j.state.Terminal() { // lost the race with a cancellation
+		if j.state.Terminal() {
 			return
 		}
 		j.state = StateRunning
 		j.started = time.Now()
+		wl = j.wl
 	})
+	return wl
 }
 
 // finish moves the job to a terminal state exactly once.
@@ -193,6 +202,7 @@ func (j *Job) finish(state State, errMsg string, res *Result) {
 		j.errMsg = errMsg
 		j.finished = time.Now()
 		j.result = res
+		j.wl = nil
 		if res != nil {
 			j.last.Detected, j.last.NumFaults = res.Detected, res.NumFaults
 			j.last.BatchesDone, j.last.Batches = res.Batches-res.BatchesSkipped, res.Batches

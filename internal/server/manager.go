@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -70,6 +71,10 @@ var ErrQueueFull = errors.New("server: job queue full")
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("server: shutting down")
 
+// ErrUnknownRecording is returned by Submit for a spec whose recording_fp
+// names no stored recording; HTTP maps it to 409 Conflict.
+var ErrUnknownRecording = errors.New("server: unknown recording")
+
 // Manager owns the job table, the submission queue, the runner pool, and
 // the uploaded-recording store.
 type Manager struct {
@@ -114,30 +119,70 @@ func NewManager(cfg Config) *Manager {
 // Config returns the effective (defaulted) configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
-// Submit validates and enqueues a job. It returns ErrQueueFull when the
-// pool and queue are saturated and ErrClosed during shutdown; any other
-// error is a spec validation failure.
+// Submit checks and enqueues a job: every reason to refuse it is found
+// here, so a runner only runs what Submit accepted. It returns ErrClosed
+// during shutdown and ErrQueueFull when the pool and queue are saturated,
+// both before any resolve and again under the lock that enqueues;
+// ErrUnknownRecording (wrapped) when recording_fp names no stored
+// recording; and any other error for a spec that does not validate or
+// resolve, whose recording does not match its circuit, or whose shard
+// window runs past the universe. The accepted job holds its resolved
+// workload, cut to the window, and its recording.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
+	m.mu.Lock()
+	err := m.admitLocked()
+	m.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrClosed
+	wl, err := m.resolve(&spec)
+	if err != nil {
+		return nil, err
 	}
-	if len(m.pending) >= m.cfg.QueueDepth {
-		m.mu.Unlock()
-		return nil, ErrQueueFull
+	if fp := strings.ToLower(spec.RecordingFP); fp != "" { // the /recordings handlers store lowercase
+		e, ok := m.recordings.get(fp)
+		if !ok {
+			return nil, fmt.Errorf("%w %s: upload it with PUT /recordings/%s first", ErrUnknownRecording, fp, fp)
+		}
+		if err := e.rec.Validate(wl.Net, wl.Seq.NumSettings()); err != nil {
+			return nil, fmt.Errorf("recording %s: %w", fp, err)
+		}
+		wl.Recording = e.rec
+	}
+	if lo, hi := spec.ShardLo, spec.ShardHi; spec.IsShard() {
+		if hi > len(wl.Faults) {
+			return nil, fmt.Errorf("shard window [%d,%d) out of range: universe has %d faults", lo, hi, len(wl.Faults))
+		}
+		wl.Faults = wl.Faults[lo:hi]
+	}
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.admitLocked(); err != nil {
+		return nil, err
 	}
 	m.nextID++
-	job := newJob(fmt.Sprintf("job-%d", m.nextID), spec, m.ctx)
+	job := newJob(fmt.Sprintf("job-%d", m.nextID), spec, wl, m.ctx)
 	m.pending = append(m.pending, job)
 	m.jobs[job.ID] = job
 	m.order = append(m.order, job.ID)
 	m.nonIdle.Signal()
-	m.mu.Unlock()
 	return job, nil
+}
+
+// admitLocked reports why the manager takes no job now, if it does not.
+// The caller holds m.mu.
+func (m *Manager) admitLocked() error {
+	switch {
+	case m.closed:
+		return ErrClosed
+	case len(m.pending) >= m.cfg.QueueDepth:
+		return ErrQueueFull
+	}
+	return nil
 }
 
 // Cancel cancels a job by id: a queued job leaves the queue (freeing its
@@ -201,14 +246,16 @@ func (m *Manager) Remove(id string) bool {
 	if !ok || !j.Snapshot().State.Terminal() {
 		return false
 	}
-	delete(m.jobs, id)
-	for i, oid := range m.order {
-		if oid == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
+	m.forgetLocked([]string{id})
 	return true
+}
+
+// forgetLocked drops the jobs ids from the table. The caller holds m.mu.
+func (m *Manager) forgetLocked(ids []string) {
+	for _, id := range ids {
+		delete(m.jobs, id)
+	}
+	m.order = slices.DeleteFunc(m.order, func(id string) bool { return m.jobs[id] == nil })
 }
 
 // Close cancels every job, stops the runner pool, and waits for it to
@@ -264,85 +311,57 @@ func (m *Manager) pruneTerminal() {
 			terminal = append(terminal, id)
 		}
 	}
-	for len(terminal) > m.cfg.KeepTerminal {
-		id := terminal[0]
-		terminal = terminal[1:]
-		delete(m.jobs, id)
-		for i, oid := range m.order {
-			if oid == id {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
+	if n := len(terminal) - m.cfg.KeepTerminal; n > 0 {
+		m.forgetLocked(terminal[:n])
 	}
 }
 
-// runJob resolves and executes one campaign, publishing progress into the
-// job as it streams from the shard pool.
+// runJob executes one accepted campaign, publishing progress into the
+// job as it streams from the shard pool. Submit has checked everything
+// about the job, so what can fail here is the campaign itself.
 func (m *Manager) runJob(job *Job) {
-	job.setRunning()
+	wl := job.setRunning()
+	if wl == nil {
+		return
+	}
 	start := time.Now()
 
-	wl, err := m.resolve(&job.Spec)
-	if err != nil {
-		job.finish(StateFailed, err.Error(), nil)
-		return
+	// A built-in workload's job without an upload replays the entry's
+	// cached capture, taken here, on first use, and not on the
+	// submitting request.
+	rec := wl.Recording
+	if rec == nil && wl.entry != nil {
+		rec = wl.entry.recording(wl.Seq.NumSettings())
 	}
-	if fp := job.Spec.RecordingFP; fp != "" {
-		fp = strings.ToLower(fp) // the /recordings handlers store lowercase
-		rec, ok := m.recordings.get(fp)
-		if !ok {
-			job.finish(StateFailed, fmt.Sprintf(
-				"recording %s not found: upload it with PUT /recordings/%s first", fp, fp), nil)
-			return
-		}
-		if err := rec.Validate(wl.Net, wl.Seq.NumSettings()); err != nil {
-			job.finish(StateFailed, fmt.Sprintf("recording %s: %v", fp, err), nil)
-			return
-		}
-		wl.Recording = rec
-	}
-	if job.ctx.Err() != nil { // cancelled while resolving/cache-warming
-		job.finish(StateCancelled, "cancelled", nil)
-		return
-	}
-
-	// A shard job is a one-batch campaign over its window of the universe,
-	// run exactly like a campaign job. One batch keeps its faults in the
-	// order given, so progress and detection indices are positions in the
-	// window; the coordinator's ledger maps them to universe indices.
-	faults := wl.Faults
 	opts := campaign.Options{
 		Sim:            job.Spec.SimOptions(wl),
 		BatchSize:      job.Spec.BatchSize,
 		Shards:         job.Spec.Shards,
 		CoverageTarget: job.Spec.CoverageTarget,
-		Recording:      wl.Recording,
+		Recording:      rec,
 		Tables:         wl.Tables,
 		Progress:       job.onProgress,
 	}
 	if opts.Shards <= 0 {
 		opts.Shards = m.fairShare()
 	}
+	// A shard job is a one-batch campaign over its window of the universe
+	// (Submit cut it), run exactly like a campaign job. One batch keeps its
+	// faults in the order given, so progress and detection indices are
+	// positions in the window; the coordinator's ledger maps them to
+	// universe indices.
 	if job.Spec.IsShard() {
-		lo, hi := job.Spec.ShardLo, job.Spec.ShardHi
-		if hi > len(faults) {
-			job.finish(StateFailed, fmt.Sprintf("shard window [%d,%d) out of range: universe has %d faults",
-				lo, hi, len(faults)), nil)
-			return
-		}
-		faults = faults[lo:hi]
-		opts.BatchSize, opts.Shards = hi-lo, 1
+		opts.BatchSize, opts.Shards = len(wl.Faults), 1
 		if opts.Sim.Workers <= 0 {
 			opts.Sim.Workers = m.fairShare()
 		}
 	}
 	job.publish(func() {
-		job.last.NumFaults, job.last.LiveFaults = len(faults), len(faults)
+		job.last.NumFaults, job.last.LiveFaults = len(wl.Faults), len(wl.Faults)
 	})
 
 	var r *Result
-	l, rec, err := campaign.Execute(job.ctx, wl.Net, faults, wl.Seq, opts)
+	l, rec, err := campaign.Execute(job.ctx, wl.Net, wl.Faults, wl.Seq, opts)
 	switch {
 	case err != nil:
 	case job.Spec.IsShard():

@@ -16,7 +16,7 @@ import (
 func handJob(t *testing.T, interval time.Duration) (*Job, *httptest.Server) {
 	t.Helper()
 	m := NewManager(Config{MaxJobs: 1, StreamInterval: interval})
-	job := newJob("hand", JobSpec{}, m.ctx)
+	job := newJob("hand", JobSpec{}, nil, m.ctx)
 	m.mu.Lock()
 	m.jobs[job.ID] = job
 	m.order = append(m.order, job.ID)
@@ -67,7 +67,7 @@ func (r *streamReader) next() (StreamLine, bool) {
 // new notify channel — while one with detections logs its group and wakes
 // the subscribers.
 func TestQuietProgressWakesNobody(t *testing.T) {
-	job := newJob("j", JobSpec{}, context.Background())
+	job := newJob("j", JobSpec{}, nil, context.Background())
 	defer job.cancel()
 	quiet := campaign.ProgressEvent{Pattern: 3, Setting: 1, LiveFaults: 9, NumFaults: 12, Batches: 2}
 	notify := job.notify

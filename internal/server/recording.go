@@ -95,21 +95,11 @@ func (s *recordingStore) unlist(fp string) {
 	}
 }
 
-func (s *recordingStore) get(fp string) (*switchsim.Recording, bool) {
+func (s *recordingStore) get(fp string) (storedRecording, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[fp]
-	return e.rec, ok
-}
-
-func (s *recordingStore) getMeta(fp string) (RecordingMeta, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[fp]
-	if !ok {
-		return RecordingMeta{}, false
-	}
-	return meta(fp, e), true
+	return e, ok
 }
 
 func (s *recordingStore) delete(fp string) bool {
@@ -214,12 +204,12 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 
 func (m *Manager) handleGetRecording(w http.ResponseWriter, r *http.Request) {
 	fp := strings.ToLower(r.PathValue("fp"))
-	rm, ok := m.recordings.getMeta(fp)
+	e, ok := m.recordings.get(fp)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no such recording")
 		return
 	}
-	writeJSON(w, http.StatusOK, rm)
+	writeJSON(w, http.StatusOK, meta(fp, e))
 }
 
 func (m *Manager) handleDeleteRecording(w http.ResponseWriter, r *http.Request) {

@@ -508,30 +508,36 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf(`a spec with "trim": %s, want 202`, resp.Status)
 	}
 
-	// A spec that passes validation but fails resolution fails the job,
-	// reported via status.
-	snap, resp := submit(t, ts, map[string]any{
+	// A spec that passes validation but fails resolution is refused at
+	// submit too, with the reason.
+	status, msg := refusal(t, ts, map[string]any{
 		"netlist":  invNet,
 		"patterns": invPatterns,
 		"observe":  []string{"no_such_node"},
 	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %s", resp.Status)
+	if status != http.StatusBadRequest || !strings.Contains(msg, "no_such_node") {
+		t.Fatalf("unknown observed node: %d %q, want 400 naming the node", status, msg)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, _ := getStatus(t, ts, snap.ID)
-		if st.State == server.StateFailed {
-			if !strings.Contains(st.Error, "no_such_node") {
-				t.Fatalf("error = %q", st.Error)
-			}
-			break
-		}
-		if st.State.Terminal() || time.Now().After(deadline) {
-			t.Fatalf("state %q, want failed", st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
+}
+
+// refusal submits spec and returns the status and the error message the
+// server refused it with.
+func refusal(t *testing.T, ts *httptest.Server, spec map[string]any) (int, string) {
+	t.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e.Error
 }
 
 // TestHugeWorkersIsBounded: "workers" arrives from outside and only its

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -290,25 +291,22 @@ func TestPutRecordingAgain(t *testing.T) {
 }
 
 // TestShardJobMissingRecording: a shard job referencing an unknown
-// fingerprint fails with a pointed message instead of silently
-// re-recording.
+// fingerprint is refused at submit with 409 and a message naming it,
+// instead of silently re-recording.
 func TestShardJobMissingRecording(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	snap, resp := submit(t, ts, map[string]any{
+	fp := "0000000000000000000000000000000000000000000000000000000000000000"
+	status, msg := refusal(t, ts, map[string]any{
 		"netlist":       invNet,
 		"patterns":      invPatterns,
 		"observe":       []string{"out"},
 		"shard_lo":      0,
 		"shard_hi":      2,
-		"recording_fp":  "0000000000000000000000000000000000000000000000000000000000000000",
+		"recording_fp":  fp,
 		"include_batch": true,
 	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %s", resp.Status)
-	}
-	st := waitTerminal(t, ts, snap.ID)
-	if st.State != server.StateFailed {
-		t.Fatalf("state %q, want failed", st.State)
+	if status != http.StatusConflict || !strings.Contains(msg, fp) || !strings.Contains(msg, "PUT /recordings/") {
+		t.Fatalf("unknown recording: %d %q, want 409 naming it", status, msg)
 	}
 }
 
@@ -329,15 +327,73 @@ func TestShardSpecValidation(t *testing.T) {
 		}
 	}
 
-	// A window past the end of the universe fails the job at run time.
-	snap, resp := submit(t, ts, map[string]any{
+	// A window past the end of the universe is refused at submit too.
+	status, msg := refusal(t, ts, map[string]any{
 		"netlist": invNet, "patterns": invPatterns, "observe": []string{"out"},
 		"shard_lo": 0, "shard_hi": 10000,
 	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %s", resp.Status)
+	if status != http.StatusBadRequest || !strings.Contains(msg, "out of range") {
+		t.Fatalf("window past the universe: %d %q, want 400", status, msg)
 	}
-	if st := waitTerminal(t, ts, snap.ID); st.State != server.StateFailed {
-		t.Fatalf("state %q, want failed", st.State)
+}
+
+// TestAcceptedShardKeepsRecording: a shard job holds the recording it was
+// accepted with. Deleting the upload after the 202 and before the job
+// runs does not fail it: it completes with the batch core.RunBatch
+// computes. A blocking job in front of it on the one runner holds it
+// queued while the recording goes.
+func TestAcceptedShardKeepsRecording(t *testing.T) {
+	spec := server.JobSpec{Netlist: invNet, Patterns: invPatterns, Observe: []string{"out"}}
+	wl, err := server.ResolveSpec(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := core.Record(wl.Net, wl.Seq, core.Options{})
+	want, err := core.RunBatch(context.Background(), wl.Tables, wl.Faults, rec, wl.Seq,
+		core.Options{Observe: wl.Observe, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, server.Config{MaxJobs: 1})
+	blocker, resp := submit(t, ts, map[string]any{"workload": "ram256", "sequence": "sequence1"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit blocker: %s", resp.Status)
+	}
+	waitState(t, ts, blocker.ID, server.StateRunning, 30*time.Second)
+
+	fp := putRecording(t, ts, rec)
+	shard, resp := submit(t, ts, map[string]any{
+		"netlist": invNet, "patterns": invPatterns, "observe": []string{"out"},
+		"shard_lo": 0, "shard_hi": len(wl.Faults), "recording_fp": fp, "include_batch": true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit shard: %s", resp.Status)
+	}
+	del := func(path string, want int) {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+path, nil)
+		dresp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dresp.Body.Close()
+		if dresp.StatusCode != want {
+			t.Fatalf("DELETE %s: %s", path, dresp.Status)
+		}
+	}
+	del("/recordings/"+fp, http.StatusOK)
+	if st, _ := getStatus(t, ts, shard.ID); st.State != server.StateQueued {
+		t.Fatalf("shard job %s when its recording went, want it still queued", st.State)
+	}
+	del("/jobs/"+blocker.ID, http.StatusAccepted)
+	if st := waitTerminal(t, ts, shard.ID); st.State != server.StateDone {
+		t.Fatalf("shard job ended %s (%s), want done", st.State, st.Error)
+	}
+	if got := batchString(t, ts, shard.ID); got != string(local) {
+		t.Fatalf("the shard's batch differs from core.RunBatch's: %d bytes on the wire, %d locally", len(got), len(local))
 	}
 }

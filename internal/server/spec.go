@@ -90,8 +90,10 @@ type JobSpec struct {
 	// uploaded with PUT /recordings/{fp} by its content fingerprint (the
 	// SHA-256 of its encoded bytes, switchsim.FingerprintBytes). The job
 	// replays the uploaded recording instead of re-recording the good
-	// circuit; the job fails if the fingerprint is unknown or the
-	// recording does not match the resolved network and sequence.
+	// circuit. POST /jobs refuses an unknown fingerprint with 409 and a
+	// recording that does not match the resolved network and sequence
+	// with 400; an accepted job holds the recording, so a later eviction
+	// from the store cannot fail it.
 	RecordingFP string `json:"recording_fp,omitempty"`
 	// IncludeBatch embeds the raw core.BatchResult in a shard job's
 	// result so the coordinator can merge shards at setting granularity
@@ -224,11 +226,12 @@ type Workload struct {
 	Seq     *switchsim.Sequence
 	Observe []netlist.NodeID
 	// Recording is the good-circuit trajectory the job replays: the
-	// cached capture of a built-in workload, or the upload a spec's
-	// recording_fp names. Nil until one of the two is attached.
+	// upload a spec's recording_fp names, bound when the job is accepted.
+	// Nil otherwise: a built-in workload's job replays its entry's capture
+	// (circuitEntry.recording), and an inline one records its own.
 	Recording *switchsim.Recording
 
-	ram *ram.RAM // non-nil for built-in workloads
+	entry *circuitEntry // non-nil for built-in workloads
 }
 
 // circuitEntry is one cached built-in circuit + whole sequence: the
@@ -292,28 +295,24 @@ func newCircuitEntry(spec *JobSpec) *circuitEntry {
 }
 
 // workload resolves spec over the entry. Its sequence is a copy of the
-// entry's with the patterns truncated to max_patterns, and, when
-// withRecording, its recording the whole recording's first 1+settings
-// steps: a capture is a pure function of the steps so far, so that prefix
-// encodes byte-identically to a capture of the truncated sequence.
-func (e *circuitEntry) workload(spec *JobSpec, withRecording bool) (*Workload, error) {
+// entry's with the patterns truncated to max_patterns.
+func (e *circuitEntry) workload(spec *JobSpec) (*Workload, error) {
 	seq := *e.seq
 	truncate(&seq, spec.MaxPatterns)
-	wl := &Workload{Net: e.nw, Tables: e.tab, Seq: &seq, ram: e.m}
-	if withRecording {
-		rec := *e.recording()
-		rec.Steps = rec.Steps[:1+seq.NumSettings()]
-		wl.Recording = &rec
-	}
-	return finishResolve(spec, wl)
+	return finishResolve(spec, &Workload{Net: e.nw, Tables: e.tab, Seq: &seq, entry: e})
 }
 
-// recording captures (once) and returns the entry's good trajectory.
-func (e *circuitEntry) recording() *switchsim.Recording {
+// recording captures (once, over the entry's tables) the whole sequence's
+// good trajectory and returns its first 1+settings steps: a capture is a
+// pure function of the steps so far, so that prefix encodes
+// byte-identically to a capture of the sequence truncated to settings.
+func (e *circuitEntry) recording(settings int) *switchsim.Recording {
 	e.recOnce.Do(func() {
-		e.rec = core.Record(e.nw, e.seq, core.Options{})
+		e.rec = core.RecordTables(e.tab, e.seq, core.Options{})
 	})
-	return e.rec
+	rec := *e.rec
+	rec.Steps = rec.Steps[:1+settings]
+	return &rec
 }
 
 // truncate clips seq to its first n patterns (no-op when n is 0 or
@@ -325,13 +324,12 @@ func truncate(seq *switchsim.Sequence, n int) {
 }
 
 // resolve turns a validated spec into a runnable workload, sharing cached
-// tables and trajectories for built-in workloads, whatever max_patterns
-// asks (see circuitEntry.workload). A spec that names an uploaded
-// recording is resolved without one: the job runs on the upload, and a
-// worker must not simulate a good circuit it was sent.
+// tables for built-in workloads, whatever max_patterns asks. It captures
+// no good trajectory: that is the runner's to attach (Manager.runJob), so
+// a cold capture is never paid on the submitting request.
 func (m *Manager) resolve(spec *JobSpec) (*Workload, error) {
 	if spec.Workload != "" {
-		return m.cache.builtin(spec).workload(spec, spec.RecordingFP == "")
+		return m.cache.builtin(spec).workload(spec)
 	}
 	return resolveInline(spec)
 }
@@ -345,7 +343,7 @@ func ResolveSpec(spec *JobSpec) (*Workload, error) {
 		return nil, err
 	}
 	if spec.Workload != "" {
-		return newCircuitEntry(spec).workload(spec, false)
+		return newCircuitEntry(spec).workload(spec)
 	}
 	return resolveInline(spec)
 }
@@ -355,7 +353,7 @@ func ResolveSpec(spec *JobSpec) (*Workload, error) {
 func resolveInline(spec *JobSpec) (*Workload, error) {
 	nw, err := netlist.Read(strings.NewReader(spec.Netlist))
 	if err != nil {
-		return nil, fmt.Errorf("netlist: %w", err)
+		return nil, err // netlist.Read's errors name the netlist
 	}
 	seq, err := switchsim.ParseSequence(strings.NewReader(spec.Patterns), "patterns", nw)
 	if err != nil {
@@ -373,33 +371,31 @@ func finishResolve(spec *JobSpec, wl *Workload) (*Workload, error) {
 		if wl.Observe, err = lookupNodes(wl.Net, spec.Observe); err != nil {
 			return nil, err
 		}
-	} else if wl.ram != nil {
-		wl.Observe = []netlist.NodeID{wl.ram.DataOut}
+	} else if wl.entry != nil {
+		wl.Observe = []netlist.NodeID{wl.entry.m.DataOut}
 	}
-	if wl.Faults, err = resolveFaults(spec, wl.Net, wl.ram); err != nil {
+	if wl.Faults, err = resolveFaults(spec, wl); err != nil {
 		return nil, err
 	}
 	return wl, nil
 }
 
 // resolveFaults builds the job's fault universe: inline list, or the
-// model default, then sampling.
-func resolveFaults(spec *JobSpec, nw *netlist.Network, m *ram.RAM) ([]fault.Fault, error) {
+// model default (validate refuses "paper" without a built-in workload),
+// then sampling.
+func resolveFaults(spec *JobSpec, wl *Workload) ([]fault.Fault, error) {
 	var faults []fault.Fault
 	switch {
 	case spec.Faults != "":
 		var err error
-		faults, err = fault.ReadList(strings.NewReader(spec.Faults), nw)
+		faults, err = fault.ReadList(strings.NewReader(spec.Faults), wl.Net)
 		if err != nil {
 			return nil, fmt.Errorf("faults: %w", err)
 		}
-	case spec.FaultModel == "paper" || (spec.FaultModel == "" && m != nil):
-		if m == nil {
-			return nil, fmt.Errorf("fault_model paper requires a built-in workload")
-		}
-		faults = m.PaperFaults()
+	case wl.entry != nil && spec.FaultModel != "stuck":
+		faults = wl.entry.m.PaperFaults()
 	default:
-		faults = fault.NodeStuckFaults(nw, fault.Options{})
+		faults = fault.NodeStuckFaults(wl.Net, fault.Options{})
 	}
 	if k := spec.SampleEvery; k > 1 {
 		sampled := make([]fault.Fault, 0, (len(faults)+k-1)/k)
