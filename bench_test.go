@@ -826,7 +826,8 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 	step := func(t *switchsim.StepTrace) {
 		fb.Step(t)
-		for _, chs := range [][]switchsim.Change{t.InputChanges, t.Changed} {
+		_, changes := t.Traj.Lists()
+		for _, chs := range [][]switchsim.Change{t.InputChanges, changes} {
 			for _, ch := range chs {
 				good.OverrideValue(ch.Node, ch.Value)
 				good.RefreshGates(ch.Node)

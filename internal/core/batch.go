@@ -2,10 +2,11 @@
 //
 // A batch owns an arbitrary slice of the fault universe and executes it
 // against a stream of good-circuit step traces. It never runs the good
-// solver itself: everything it needs per step — input deltas, the changed
-// and explored sets, the settle trajectory — arrives in the trace, either
-// borrowed live from a goodRunner (the monolithic Simulator) or replayed
-// from a captured switchsim.Recording (the campaign engine). Per-fault
+// solver itself: everything it needs per step — input deltas and the
+// settle trajectory, whose change and member lists are the changed and
+// explored sets — arrives in the trace, either borrowed live from a
+// goodRunner (the monolithic Simulator) or replayed from a captured
+// switchsim.Recording (the campaign engine). Per-fault
 // memory is the sparse divergence store only; the dense per-node scratch
 // the diff pass needs is pooled per worker, so a batch's footprint scales
 // with its width (workers × nodes + records), never with the size of the
@@ -282,9 +283,10 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 	w0 := b.faultWork()
 
 	// Advance the good mirror to the post-step state before anything reads
-	// it (scheduling, inertness checks, the diff).
+	// it (scheduling, inertness checks, the diff): every good write, in order.
+	_, changes := trace.Traj.Lists()
 	b.applyToCircuit(b.good, trace.InputChanges)
-	b.applyToCircuit(b.good, trace.Changed)
+	b.applyToCircuit(b.good, changes)
 
 	traj := trace.Traj
 	if trace.Oscillated {
@@ -306,17 +308,17 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 				b.active = append(b.active, CircuitID(fi+1))
 			}
 		}
-		b.runActivated(laneInputs{extraSeeds: b.allStorageNodes(), traj: traj, goodChanged: trace.Changed})
+		b.runActivated(laneInputs{extraSeeds: b.allStorageNodes(), traj: traj, goodChanged: changes})
 		nActive = b.activeWithMembers()
 	} else {
 		b.markTouched(trace)
-		nActive = b.simulateActivated(b.reducedSetting(trace.InputChanges), traj, trace.Changed)
+		nActive = b.simulateActivated(b.reducedSetting(trace.InputChanges), traj, changes)
 	}
 
 	// Advance prev to the post-step state the next step's circuits
 	// materialize from: cost proportional to the step's activity.
 	b.applyToCircuit(b.prev, trace.InputChanges)
-	b.applyToCircuit(b.prev, trace.Changed)
+	b.applyToCircuit(b.prev, changes)
 
 	dw := b.faultWork().Sub(w0)
 	st := SettingStats{
@@ -356,7 +358,7 @@ func (b *FaultBatch) skipStep() SettingStats {
 // adjacent to a changing input through ANY transistor (a faulty circuit
 // may conduct where the good circuit does not), plus the channel terminals
 // of transistors the input gates — and everything the good settle
-// explored.
+// explored: the trajectory's members (touch skips repeats).
 func (b *FaultBatch) markTouched(trace *switchsim.StepTrace) {
 	b.touchEpoch++
 	b.touched = b.touched[:0]
@@ -377,7 +379,8 @@ func (b *FaultBatch) markTouched(trace *switchsim.StepTrace) {
 			}
 		}
 	}
-	for _, n := range trace.Explored {
+	members, _ := trace.Traj.Lists()
+	for _, n := range members {
 		b.touch(n)
 	}
 }

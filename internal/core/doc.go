@@ -43,8 +43,9 @@
 // engine built on top), and a distributed coordinator captures into a
 // switchsim.StepWriter, holding only the encoded bytes. Either way a
 // batch reads the good circuit only through the traces: it keeps its own
-// good-state mirror, advanced from each trace's deltas, and a live batch
-// and a replayed one run the same code — one pattern loop
+// good-state mirror, advanced from each trace's input changes and its
+// trajectory's change list, and schedules from the trajectory's members.
+// A live batch and a replayed one run the same code — one pattern loop
 // (FaultBatch.runPattern) that polls cancellation, observes, reports
 // progress and sums the pattern's statistics, fed a live trace or a
 // recorded one per setting.

@@ -1,10 +1,11 @@
 // Good-circuit producer: simulates the fault-free circuit and emits one
 // switchsim.StepTrace per step. The trace is everything a FaultBatch needs
-// to execute the step's faulty circuits — input deltas, changed/explored
-// sets, and the settle trajectory — so producer and consumer are fully
-// decoupled: a trace can be consumed live (zero-copy, borrowing solver
-// scratch) or captured into a switchsim.Recording and replayed later by
-// any number of independent batches without re-running the good solver.
+// to execute the step's faulty circuits — input deltas and the settle
+// trajectory, whose member and change lists are the step's explored and
+// changed sets — so producer and consumer are fully decoupled: a trace
+// can be consumed live (zero-copy, borrowing solver scratch) or captured
+// into a switchsim.Recording and replayed later by any number of
+// independent batches without re-running the good solver.
 package core
 
 import (
@@ -18,11 +19,10 @@ type goodRunner struct {
 	good   *switchsim.Circuit
 	gsolve *switchsim.Solver
 
-	// trace is the reusable live trace; inputBuf and changeBuf back its
-	// InputChanges and Changed slices. All are valid until the next step.
-	trace     switchsim.StepTrace
-	inputBuf  []switchsim.Change
-	changeBuf []switchsim.Change
+	// trace is the reusable live trace; inputBuf backs its InputChanges.
+	// Both are valid until the next step.
+	trace    switchsim.StepTrace
+	inputBuf []switchsim.Change
 }
 
 func newGoodRunner(tab *switchsim.Tables, opts Options) *goodRunner {
@@ -61,19 +61,12 @@ func (g *goodRunner) step(setting switchsim.Setting) *switchsim.StepTrace {
 	return g.fill(false, g.inputBuf, res, w0)
 }
 
-// fill assembles the borrowed step trace from a settle result: changed
-// nodes paired with their post-step values, the explored set, and the
+// fill assembles the borrowed step trace from a settle result and the
 // recorded trajectory.
 func (g *goodRunner) fill(init bool, inputs []switchsim.Change, res switchsim.SettleResult, w0 switchsim.Work) *switchsim.StepTrace {
-	g.changeBuf = g.changeBuf[:0]
-	for _, n := range res.Changed {
-		g.changeBuf = append(g.changeBuf, switchsim.Change{Node: n, Value: g.good.Value(n)})
-	}
 	g.trace = switchsim.StepTrace{
 		Init:         init,
 		InputChanges: inputs,
-		Changed:      g.changeBuf,
-		Explored:     res.Explored,
 		Oscillated:   res.Oscillated,
 		Traj:         &g.gsolve.Traj,
 		GoodWork:     g.gsolve.Work().Sub(w0).Units(),
@@ -105,9 +98,9 @@ func RecordTables(tab *switchsim.Tables, seq *switchsim.Sequence, opts Options) 
 
 // Capture simulates the good circuit over tab through seq and hands sink
 // each step's trace as it is produced: the initialization, then one per
-// input setting in sequence order. The trace is borrowed — it aliases
-// solver scratch and is valid only during the call — so a sink keeps
-// what it needs by copying (Recording.Append) or encoding
+// setting in order, each with its trajectory, oscillated or not (the trace
+// is borrowed: it aliases solver scratch and is valid only during the
+// call). A sink keeps it by copying (Recording.Append) or encoding
 // (switchsim.StepWriter.Append) it. Options as for Record.
 func Capture(tab *switchsim.Tables, seq *switchsim.Sequence, opts Options, sink func(*switchsim.StepTrace)) {
 	g := newGoodRunner(tab, opts)

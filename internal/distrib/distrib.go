@@ -234,12 +234,16 @@ func (c *coordinator) shard(ctx context.Context, slot, i int) (*core.BatchResult
 		var de *dispatchError
 		if !errors.As(err, &de) {
 			attempts++
+			c.opts.Logf("distrib: shard %d failed on %s (attempt %d of %d): %v", i, c.opts.Workers[wi], attempts, c.opts.MaxAttempts, err)
+			if attempts >= c.opts.MaxAttempts {
+				return nil, fmt.Errorf("distrib: shard %d failed %d times, last on %s: %w", i, attempts, c.opts.Workers[wi], err)
+			}
 		}
-		c.opts.Logf("distrib: shard %d failed on %s (attempt %d): %v", i, c.opts.Workers[wi], attempts, err)
-		if attempts >= c.opts.MaxAttempts {
-			return nil, fmt.Errorf("distrib: shard %d failed %d times, last on %s: %w", i, attempts, c.opts.Workers[wi], err)
+		k := c.fails[wi].Add(1)
+		if de != nil {
+			c.opts.Logf("distrib: shard %d failed on %s (worker failure %d of %d): %v", i, c.opts.Workers[wi], k, maxTransientRetries, err)
 		}
-		if c.fails[wi].Add(1) == maxTransientRetries {
+		if k == maxTransientRetries {
 			c.opts.Logf("distrib: abandoning worker %s after %d consecutive failures", c.opts.Workers[wi], maxTransientRetries)
 		}
 	}

@@ -13,12 +13,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"fmossim/internal/campaign"
@@ -806,26 +808,63 @@ func (et *evictingTransport) RoundTrip(req *http.Request) (*http.Response, error
 	return resp, err
 }
 
+// logLines is a distrib.Options.Logf that keeps the coordinator's lines
+// as well as logging them.
+type logLines struct {
+	t     *testing.T
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	line := fmt.Sprintf(format, args...)
+	l.t.Log(line)
+	l.mu.Lock()
+	l.lines = append(l.lines, line)
+	l.mu.Unlock()
+}
+
+// matching returns the kept lines that match the pattern.
+func (l *logLines) matching(pattern string) []string {
+	re := regexp.MustCompile(pattern)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, line := range l.lines {
+		if re.MatchString(line) {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
 // TestLostRecordingIsUploadedAgain: a worker that loses the recording
 // mid-campaign answers the next shard job with 409. The shard runs on the
-// other worker, the failure is charged to the worker, and the next shard
-// sent there uploads the recording again — once — so the campaign still
-// merges to the monolithic result.
+// other worker, the failure is charged to the worker — and logged as the
+// worker's failure, not as one of the shard's attempts — and the next
+// shard sent there uploads the recording again — once — so the campaign
+// still merges to the monolithic result.
+//
+// The worker that loses it is the second slot's home. The first slot's
+// first shard is the campaign's costliest (the universe is cut in site
+// order), so the second slot reaches its second shard early and a shard
+// is still queued for it after the retry, however the two slots race.
 func TestLostRecordingIsUploadedAgain(t *testing.T) {
 	spec := ram256Spec()
 	wl, rec := resolveAndRecord(t, spec)
-	want := monolithic(t, wl, rec, 16)
+	want := monolithic(t, wl, rec, 8)
 	urls, _ := newWorkerPool(t, 2, server.Config{MaxJobs: 2})
 	hosts := []string{strings.TrimPrefix(urls[0], "http://"), strings.TrimPrefix(urls[1], "http://")}
-	et := &evictingTransport{evict: hosts[0], puts: map[string]int{}, conflicts: map[string]int{}}
+	et := &evictingTransport{evict: hosts[1], puts: map[string]int{}, conflicts: map[string]int{}}
+	log := &logLines{t: t}
 
 	got, err := distrib.Run(context.Background(), spec, distrib.Options{
 		Workers:   urls,
 		InFlight:  1,
-		BatchSize: 16,
+		BatchSize: 8,
 		Recording: rec,
 		Client:    &http.Client{Transport: et},
-		Logf:      t.Logf,
+		Logf:      log.logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -837,13 +876,115 @@ func TestLostRecordingIsUploadedAgain(t *testing.T) {
 	et.mu.Lock()
 	defer et.mu.Unlock()
 	if et.posts < 3 {
-		t.Fatalf("%d shard jobs went to %s: too few to see the recording uploaded again", et.posts, hosts[0])
+		t.Fatalf("%d shard jobs went to %s: too few to see the recording uploaded again", et.posts, hosts[1])
 	}
-	for wi, want := range []struct{ puts, conflicts int }{{2, 1}, {1, 0}} {
+	for wi, want := range []struct{ puts, conflicts int }{{1, 0}, {2, 1}} {
 		h := hosts[wi]
 		if et.puts[h] != want.puts || et.conflicts[h] != want.conflicts {
 			t.Errorf("worker %d: %d uploads and %d 409s, want %d and %d",
 				wi, et.puts[h], et.conflicts[h], want.puts, want.conflicts)
 		}
+	}
+	conflict := `shard \d+ failed on ` + regexp.QuoteMeta(urls[1]) + ` \(worker failure 1 of \d+\): POST /jobs: 409 Conflict`
+	if lines := log.matching(conflict); len(lines) != 1 {
+		t.Errorf("%d log lines charge the 409 to the worker's first failure, want 1: %q", len(lines), lines)
+	}
+	if lines := log.matching(`\(attempt `); len(lines) != 0 {
+		t.Errorf("the 409 was logged as a shard attempt: %q", lines)
+	}
+}
+
+// cuttingTransport cuts the NDJSON stream of one shard job mid-line, once,
+// when cut is set: it reads the first stream through to its end, hands the
+// coordinator the bytes up to the middle of the last line — the result
+// line, which carries the batch — and then fails the read, as a dropped
+// connection would. Every other stream passes whole.
+type cuttingTransport struct {
+	cut bool
+
+	mu      sync.Mutex
+	streams int
+	cuts    int
+}
+
+func (ct *cuttingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.Method != http.MethodGet || !strings.HasSuffix(req.URL.Path, "/stream") || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	ct.mu.Lock()
+	ct.streams++
+	cutThis := ct.cut && ct.cuts == 0
+	if cutThis {
+		ct.cuts++
+	}
+	ct.mu.Unlock()
+	if !cutThis {
+		return resp, nil
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	last := bytes.LastIndexByte(bytes.TrimSuffix(data, []byte("\n")), '\n') + 1
+	mid := last + (len(data)-last)/2
+	resp.Body = io.NopCloser(io.MultiReader(bytes.NewReader(data[:mid]), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	return resp, nil
+}
+
+// checkCut is the "a stream was cut" check: exactly one stream was cut,
+// the coordinator charged the shard an attempt for it, and the shard ran
+// once more. (The scanner hands the cut line over before the read error,
+// so the coordinator reports it as a bad stream line.)
+func checkCut(ct *cuttingTransport, log *logLines, batches int) error {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	if ct.cuts != 1 {
+		return fmt.Errorf("%d streams were cut, want 1", ct.cuts)
+	}
+	if lines := log.matching(`\(attempt 1 of \d+\): `); len(lines) != 1 {
+		return fmt.Errorf("%d log lines charge a shard its first attempt, want 1: %q", len(lines), lines)
+	}
+	if ct.streams != batches+1 {
+		return fmt.Errorf("%d streams for %d batches, want one more for the retried shard", ct.streams, batches)
+	}
+	return nil
+}
+
+// TestCutStreamIsRetried: a shard job's stream cut mid-line costs the shard
+// one attempt, the shard runs again, and the campaign still merges to the
+// monolithic result — the half result line is never taken for a batch.
+// The control runs the same shim set to cut nothing, and the check that a
+// stream was cut must then fail.
+func TestCutStreamIsRetried(t *testing.T) {
+	spec := ram256Spec()
+	wl, rec := resolveAndRecord(t, spec)
+	want := monolithic(t, wl, rec, 16)
+	for _, cut := range []bool{true, false} {
+		name := map[bool]string{true: "cut", false: "control"}[cut]
+		t.Run(name, func(t *testing.T) {
+			urls, _ := newWorkerPool(t, 2, server.Config{MaxJobs: 2})
+			ct := &cuttingTransport{cut: cut}
+			log := &logLines{t: t}
+			got, err := distrib.Run(context.Background(), spec, distrib.Options{
+				Workers:   urls,
+				BatchSize: 16,
+				Recording: rec,
+				Client:    &http.Client{Transport: ct},
+				Logf:      log.logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, got, want)
+			err = checkCut(ct, log, got.Batches)
+			if cut && err != nil {
+				t.Fatal(err)
+			}
+			if !cut && err == nil {
+				t.Fatal("with nothing cut, the check that a stream was cut passed")
+			}
+		})
 	}
 }

@@ -12,7 +12,7 @@
 // the trajectory, so it never holds it decoded: core.Capture runs the
 // good circuit over the resolved workload's tables and a
 // switchsim.StepWriter encodes each step as it is produced, into
-// fixed-size chunks and a SHA-256. What it keeps is those bytes (2.9 MB
+// fixed-size chunks and a SHA-256. What it keeps is those bytes (2.0 MB
 // for RAM256 sequence 1), their fingerprint, and one good-work value per
 // setting, which is all the merge reads of a recording; a caller-supplied
 // Options.Recording is validated and streamed through the same writer.

@@ -71,10 +71,13 @@
 //
 // A Trajectory is four flat, pointer-free arrays (round ends, per-vicinity
 // member and change ends, nodes, changes) read through RoundSpan, Members
-// and Changes; the recording solver appends straight into them. An owned
-// step (Recording.Append, DecodeRecording) copies them, with its own
-// lists, into exact-size arrays handed out as capacity-clipped windows — a
-// fixed number of allocations per step whatever the vicinity count.
+// and Changes, or whole through Lists; the recording
+// solver appends straight into them. A step holds each fact of its settle
+// once: what it explored and changed are the trajectory's member and
+// change lists, not copies beside them. An owned step (Recording.Append,
+// DecodeRecording) copies the arrays, with its input changes, into
+// exact-size arrays handed out as capacity-clipped windows — a fixed
+// number of allocations per step whatever the vicinity count.
 // One encoder writes every step, the StepWriter: it encodes a capture
 // step by step as it is produced, without holding the recording, and
 // Encode (one pass, one chunk buffer) is that writer over a recording's

@@ -7,3 +7,7 @@ import "io"
 func NewStepWriterChunk(w io.Writer, chunk, numNodes, numTransistors, steps int) *StepWriter {
 	return newStepWriter(w, chunk, numNodes, numTransistors, steps)
 }
+
+// SetHardCap makes s stop every settle past rounds rounds, as the derived
+// cap would on a settle that never ends.
+func SetHardCap(s *Solver, rounds int) { s.hardCap = rounds }

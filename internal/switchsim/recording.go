@@ -29,9 +29,9 @@ import (
 //   - InputChanges re-applies the setting to the consumer's mirrors
 //     (assignments that matched the previous value are dropped: they
 //     perturb nothing in any circuit, faulty ones included);
-//   - Changed syncs the consumer's good-state and pre-step mirrors;
-//   - Explored drives activity scheduling (the touched region);
-//   - Traj is the settle trajectory faulty replays adopt from.
+//   - Traj is the settle trajectory faulty replays adopt from; its lists
+//     (Trajectory.Lists) are the step's explored and changed sets, which
+//     drive activity scheduling and sync the consumer's mirrors.
 type StepTrace struct {
 	// Init marks the power-on initialization step (Steps[0] of a
 	// Recording): every storage node is perturbed and every fault active.
@@ -39,18 +39,12 @@ type StepTrace struct {
 	// InputChanges lists the input nodes whose value changed this step,
 	// with the new values.
 	InputChanges []Change
-	// Changed lists the storage nodes whose value changed during the
-	// settle, with their post-step values.
-	Changed []Change
-	// Explored lists every storage node that was a member of any solved
-	// vicinity (a superset of the Changed nodes).
-	Explored []netlist.NodeID
 	// Oscillated reports the settle hit the round limit; the trajectory is
 	// then unreliable as an adoption oracle and consumers must fall back
 	// to full replays for this step.
 	Oscillated bool
-	// Traj is the recorded settle trajectory (nil when not recorded or
-	// when borrowed live from a non-recording path).
+	// Traj is the recorded settle trajectory. A nil one reads as a settle
+	// that explored and changed nothing.
 	Traj *Trajectory
 	// GoodWork is the solver work units the good-circuit settle consumed.
 	GoodWork int64
@@ -114,39 +108,28 @@ func (r *Recording) Validate(nw *netlist.Network, settings int) error {
 }
 
 // Append deep-copies a borrowed step trace (whose slices alias solver
-// scratch) into the recording. The trajectory is cloned only when usable:
-// an oscillated step's trajectory is never adopted, so it is dropped.
+// scratch) into the recording, trajectory included, oscillated or not.
 func (r *Recording) Append(t *StepTrace) {
-	st := *t
-	if st.Oscillated {
-		st.Traj = nil
-	}
-	r.Steps = append(r.Steps, st.owned())
+	r.Steps = append(r.Steps, t.owned())
 }
 
 // owned returns a deep copy of the step that shares no storage with t.
-// A step's lists are copied into exact-size arrays: one of nodes (Explored,
-// then the trajectory's members), one of changes (InputChanges, Changed,
-// then the trajectory's), and the trajectory's two span tables — a fixed
-// number of allocations whatever the vicinity count, and no slack. The
-// lists are capacity-clipped windows, so an append through one can never
-// reach its neighbour. Empty lists come back nil, whatever they were in t.
+// A step's lists are copied into exact-size arrays: one of changes
+// (InputChanges, then the trajectory's), the trajectory's members and its
+// two span tables — a fixed number of allocations whatever the vicinity
+// count, and no slack. The lists are capacity-clipped windows, so an
+// append through one can never reach its neighbour. Empty lists come back
+// nil, whatever they were in t.
 func (t *StepTrace) owned() StepTrace {
-	tr := t.Traj
-	if tr == nil {
-		tr = &Trajectory{}
-	}
-	nodes := make([]netlist.NodeID, 0, len(t.Explored)+len(tr.nodes))
-	changes := make([]Change, 0, len(t.InputChanges)+len(t.Changed)+len(tr.changes))
+	_, trChanges := t.Traj.Lists()
+	changes := make([]Change, 0, len(t.InputChanges)+len(trChanges))
 	st := *t
 	st.InputChanges = window(&changes, t.InputChanges)
-	st.Changed = window(&changes, t.Changed)
-	st.Explored = window(&nodes, t.Explored)
-	if t.Traj != nil {
+	if tr := t.Traj; tr != nil {
 		st.Traj = &Trajectory{
 			roundEnd: cloneOrNil(tr.roundEnd),
 			vics:     cloneOrNil(tr.vics),
-			nodes:    window(&nodes, tr.nodes),
+			nodes:    cloneOrNil(tr.nodes),
 			changes:  window(&changes, tr.changes),
 		}
 	}
@@ -179,10 +162,10 @@ func cloneOrNil[T any](src []T) []T {
 // by later fault campaigns without re-simulating the good circuit.
 
 // recordingMagic versions the on-disk format. It is the only version
-// Encode writes and the only one DecodeRecording accepts. Version 2 could
-// also carry per-step state frames (flagFrame); this build writes none and
-// refuses a stream that has one.
-const recordingMagic = "FMOSREC2"
+// Encode writes and the only one DecodeRecording accepts. FMOSREC2, whose
+// steps also held copies of their trajectory's lists, is refused by name,
+// as is a step flagged as carrying a state frame (flagFrame).
+const recordingMagic = "FMOSREC3"
 
 // Fingerprint returns the recording's content fingerprint: the lowercase
 // hex SHA-256 of its Encode serialization. The serialization carries the
@@ -254,21 +237,10 @@ func newStepWriter(w io.Writer, chunk, numNodes, numTransistors, steps int) *Ste
 }
 
 // Append encodes one step, which may be borrowed: nothing of it is kept.
-// An oscillated step's trajectory is dropped, as Recording.Append drops
-// it.
+// It first makes room for the step's bound, so the buffer grows only for a
+// step larger than any before it, and hands the buffer to w once it holds
+// a chunk.
 func (sw *StepWriter) Append(t *StepTrace) {
-	if t.Oscillated && t.Traj != nil {
-		st := *t
-		st.Traj = nil
-		t = &st
-	}
-	sw.step(t)
-}
-
-// step encodes t as it is. It first makes room for the step's bound, so
-// the buffer grows only for a step larger than any before it, and hands
-// the buffer to w once it holds a chunk.
-func (sw *StepWriter) step(t *StepTrace) {
 	if sw.err != nil {
 		return
 	}
@@ -316,7 +288,7 @@ func (sw *StepWriter) Close() error {
 func (r *Recording) Encode(w io.Writer) error {
 	sw := NewStepWriter(w, r.NumNodes, r.NumTransistors, len(r.Steps))
 	for i := range r.Steps {
-		sw.step(&r.Steps[i])
+		sw.Append(&r.Steps[i])
 	}
 	return sw.Close()
 }
@@ -330,7 +302,7 @@ func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // node ids and list lengths take at most idLen bytes each.
 func (st *StepTrace) encodedBound(idLen int) int {
 	const big = binary.MaxVarintLen64
-	nodes, changes, lists := len(st.Explored), len(st.InputChanges)+len(st.Changed), 3
+	nodes, changes, lists := 0, len(st.InputChanges), 1
 	n := 2 + 2*big // flags and reserved slot; work, round count
 	if tr := st.Traj; tr != nil {
 		nodes += len(tr.nodes)
@@ -356,8 +328,6 @@ func (st *StepTrace) appendBinary(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(st.GoodWork))
 	b = append(b, 0) // reserved
 	b = appendChanges(b, st.InputChanges)
-	b = appendChanges(b, st.Changed)
-	b = appendNodes(b, st.Explored)
 	if tr := st.Traj; tr != nil {
 		b = binary.AppendUvarint(b, uint64(tr.NumRounds()))
 		for r := range tr.roundEnd {
@@ -399,8 +369,8 @@ func DecodeRecording(r io.Reader) (*Recording, error) {
 }
 
 // minStepBytes is the shortest encoding of a step: flags, work, the
-// reserved slot and three empty lists.
-const minStepBytes = 6
+// reserved slot and an empty input list.
+const minStepBytes = 4
 
 // DecodeRecordingBytes decodes a recording held in memory. The result
 // shares no storage with data. Each step's reserved slot is skipped,
@@ -409,7 +379,9 @@ func DecodeRecordingBytes(data []byte) (*Recording, error) {
 	if len(data) < len(recordingMagic) {
 		return nil, fmt.Errorf("switchsim: reading recording header: %w", io.ErrUnexpectedEOF)
 	}
-	if magic := string(data[:len(recordingMagic)]); magic != recordingMagic {
+	if magic := string(data[:len(recordingMagic)]); magic == "FMOSREC2" {
+		return nil, fmt.Errorf("switchsim: recording format FMOSREC2 is retired (its steps held copies of their trajectory's lists); re-record as %s", recordingMagic)
+	} else if magic != recordingMagic {
 		return nil, fmt.Errorf("switchsim: not a recording (bad magic %q)", magic)
 	}
 	d := &decoder{VarintReader: VarintReader{Buf: data[len(recordingMagic):]}}
@@ -444,14 +416,13 @@ type decoder struct {
 	VarintReader
 	maxNode uint64
 
-	nodes   []netlist.NodeID
 	changes []Change
 	traj    Trajectory
 }
 
 // step parses one step into scratch and returns an owned copy.
 func (d *decoder) step() StepTrace {
-	d.nodes, d.changes = d.nodes[:0], d.changes[:0]
+	d.changes = d.changes[:0]
 	flags := d.Byte()
 	if flags&flagFrame != 0 {
 		d.Fail(fmt.Errorf("recording carries state frames, which this build no longer reads; re-record"))
@@ -464,8 +435,6 @@ func (d *decoder) step() StepTrace {
 	}
 	d.Uvarint() // reserved slot
 	st.InputChanges = d.changeList(&d.changes)
-	st.Changed = d.changeList(&d.changes)
-	st.Explored = d.nodeList(&d.nodes)
 	if flags&flagTraj != 0 {
 		tr := &d.traj
 		tr.reset()

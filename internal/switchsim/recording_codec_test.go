@@ -62,13 +62,13 @@ func TestFingerprintIgnoresWallClock(t *testing.T) {
 	}
 
 	for i := range b.Steps {
-		if ch := b.Steps[i].Changed; len(ch) > 0 {
+		if _, ch := b.Steps[i].Traj.Lists(); len(ch) > 0 {
 			ch[0].Value = (ch[0].Value + 1) % (logic.X + 1)
 			break
 		}
 	}
 	if got := fingerprint(t, b); got == want {
-		t.Fatal("changing one Changed value left the fingerprint as it was")
+		t.Fatal("changing one trajectory change left the fingerprint as it was")
 	}
 }
 
@@ -78,7 +78,7 @@ func TestFingerprintIgnoresWallClock(t *testing.T) {
 // in memory, or to the order in which the solver visits and relaxes a
 // vicinity, must leave every byte of the encoding where it was.
 func TestFingerprintStable(t *testing.T) {
-	const want = "c91db750759b84edd4a95711f32556ca904792fcc6e13e1c70d357d93f09f1f2"
+	const want = "168a7e0197cd8a641ea4261b69a98e40f9995f0934519fc50f286d0c27fa2928"
 	m := ram.RAM64()
 	rec := core.Record(m.Net, march.Sequence1(m), core.Options{})
 	if got := fingerprint(t, rec); got != want {
@@ -136,9 +136,10 @@ func TestRecordingCodecAllocs(t *testing.T) {
 }
 
 // TestRecordingFootprint bounds what capturing a recording allocates: for
-// RAM256 sequence 1 at most 14 MB, in a number of objects proportional to
+// RAM256 sequence 1 at most 10 MB, in a number of objects proportional to
 // the step count and independent of the 415 509 vicinities (one slice
-// header pair per vicinity used to cost 20 MB of the 30 MB total).
+// header pair per vicinity used to cost 20 MB of the 30 MB total, and
+// per-step Changed and Explored copies of the trajectory 2.7 MB of 11.9).
 func TestRecordingFootprint(t *testing.T) {
 	m := ram.RAM256()
 	seq := march.Sequence1(m)
@@ -157,8 +158,8 @@ func TestRecordingFootprint(t *testing.T) {
 	}
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("%d steps, %d vicinities: %.1f MB in %d objects", len(rec.Steps), vics, float64(bytes)/1e6, objects)
-	if bytes > 14e6 {
-		t.Errorf("core.Record allocated %.1f MB, want at most 14 MB", float64(bytes)/1e6)
+	if bytes > 10e6 {
+		t.Errorf("core.Record allocated %.1f MB, want at most 10 MB", float64(bytes)/1e6)
 	}
 	if limit := uint64(6*len(rec.Steps) + 512); objects > limit || vics < 10*len(rec.Steps) {
 		t.Errorf("core.Record allocated %d objects for %d steps and %d vicinities, want at most %d",

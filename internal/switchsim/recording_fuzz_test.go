@@ -24,7 +24,8 @@ import (
 // test sequence 1, the same stream with the first step's frame bit set
 // (which must be refused), plus truncations and a corrupted-magic
 // variant of both, so the fuzzer starts inside the format rather than
-// rediscovering the magic string.
+// rediscovering the magic string; then the stream under the retired
+// FMOSREC2 magic (refused by name) and the bare current magic.
 func FuzzDecodeRecording(f *testing.F) {
 	m := ram.RAM64()
 	seq := march.Sequence1(m)
@@ -32,7 +33,7 @@ func FuzzDecodeRecording(f *testing.F) {
 	plain := encode(f, core.Record(m.Net, seq, core.Options{}))
 	// The first step's flag byte follows the magic and the three header
 	// varints; bit 3 said a state frame follows the step.
-	flags := len("FMOSREC2")
+	flags := len("FMOSREC3")
 	for i := 0; i < 3; i++ {
 		_, n := binary.Uvarint(plain[flags:])
 		flags += n
@@ -50,8 +51,14 @@ func FuzzDecodeRecording(f *testing.F) {
 		copy(mut, "FMOSREC9")
 		f.Add(mut)
 	}
-	f.Add([]byte("FMOSREC2"))
+	retired := append([]byte(nil), plain...)
+	copy(retired, "FMOSREC2")
+	if _, err := switchsim.DecodeRecordingBytes(retired); err == nil || !strings.Contains(err.Error(), "FMOSREC2") {
+		f.Fatalf("retired magic: err = %v, want FMOSREC2 refused by name", err)
+	}
+	f.Add(retired)
 	f.Add([]byte{})
+	f.Add([]byte("FMOSREC3"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := switchsim.DecodeRecording(bytes.NewReader(data))

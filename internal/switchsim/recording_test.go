@@ -30,13 +30,12 @@ func testTrajectory(rounds ...[]testVic) *Trajectory {
 	return tr
 }
 
-// fakeRecording builds a small recording by hand, exercising every field.
+// fakeRecording builds a small recording by hand, exercising every field:
+// an oscillated step keeps its trajectory, and a step may have none.
 func fakeRecording() *Recording {
 	rec := &Recording{NumNodes: 16, NumTransistors: 9}
 	rec.Steps = append(rec.Steps, StepTrace{
 		Init:     true,
-		Changed:  []Change{{Node: 3, Value: logic.Hi}, {Node: 5, Value: logic.X}},
-		Explored: []netlist.NodeID{3, 5, 7},
 		GoodWork: 1234,
 		Traj: testTrajectory(
 			[]testVic{
@@ -50,15 +49,15 @@ func fakeRecording() *Recording {
 	})
 	rec.Steps = append(rec.Steps, StepTrace{
 		InputChanges: []Change{{Node: 0, Value: logic.Lo}},
-		Explored:     []netlist.NodeID{2},
 		Oscillated:   true,
 		GoodWork:     55,
+		Traj: testTrajectory(
+			[]testVic{{members: []netlist.NodeID{2, 9}, changes: []Change{{Node: 9, Value: logic.Hi}}}},
+			[]testVic{{members: []netlist.NodeID{2, 9}, changes: []Change{{Node: 2, Value: logic.X}, {Node: 9, Value: logic.X}}}},
+		),
 	})
 	rec.Steps = append(rec.Steps, StepTrace{
 		InputChanges: []Change{{Node: 1, Value: logic.Hi}},
-		Changed:      []Change{{Node: 9, Value: logic.Lo}},
-		Explored:     []netlist.NodeID{9},
-		Traj:         &Trajectory{},
 		GoodWork:     7,
 	})
 	return rec
@@ -106,6 +105,21 @@ func TestRecordingRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordingDecodeV2: a stream of the previous format, whose steps
+// carried Changed and Explored copies of the trajectory, is refused by the
+// name of its format, even when the body would parse.
+func TestRecordingDecodeV2(t *testing.T) {
+	var buf bytes.Buffer
+	if err := fakeRecording().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	copy(enc, "FMOSREC2")
+	if _, err := DecodeRecordingBytes(enc); err == nil || !strings.Contains(err.Error(), "FMOSREC2 is retired") {
+		t.Fatalf("v2 stream: err = %v, want FMOSREC2 refused by name", err)
+	}
+}
+
 // TestRecordingDecodeV1 verifies the decoder rejects the retired
 // FMOSREC1 stream version by its magic, even when the body would parse.
 func TestRecordingDecodeV1(t *testing.T) {
@@ -142,11 +156,10 @@ func TestRecordingDecodeErrors(t *testing.T) {
 	if _, err := DecodeRecordingBytes(framed); err == nil || !strings.Contains(err.Error(), "state frames") {
 		t.Errorf("frame bit set: err = %v, want the state-frames refusal", err)
 	}
-	// Corrupt a node id beyond NumNodes: flip the first Changed node
-	// entry to a large varint by corrupting bytes past the header; the
-	// decoder must reject out-of-range ids rather than crash. A blunt
-	// sweep over single-byte corruptions checks that no corruption
-	// panics (many legitimately still decode).
+	// A blunt sweep over single-byte corruptions past the magic: an
+	// out-of-range node id, a lying length or a bad value must come back
+	// as an error, never a panic (many corruptions legitimately still
+	// decode).
 	for i := len(recordingMagic); i < len(enc); i++ {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0xff

@@ -103,6 +103,9 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 	// In X-mode each node value moves at most once (toward X) and each
 	// transistor follows, so settling is guaranteed within the hard cap.
 	hardCap := maxRounds + 2*(nw.NumNodes()+nw.NumTransistors()) + 16
+	if s.hardCap > 0 {
+		hardCap = s.hardCap
+	}
 
 	s.pend = s.pend[:0]
 	s.next = s.next[:0]
@@ -151,12 +154,7 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 		}
 		if res.Rounds > hardCap {
 			// Unreachable in practice; resolve whatever is left to X and stop.
-			for _, n := range s.pend {
-				if c.val[n] != logic.X {
-					c.val[n] = logic.X
-					s.noteChanged(n)
-				}
-			}
+			s.pendToX(c, record)
 			break
 		}
 
@@ -323,6 +321,24 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 	res.Changed = s.changed
 	res.Explored = s.explored
 	return res
+}
+
+// pendToX resolves every pending node to X; a recording settle records the
+// writes as a round of one memberless vicinity, so Traj holds every write.
+func (s *Solver) pendToX(c *Circuit, record bool) {
+	for _, n := range s.pend {
+		if c.val[n] != logic.X {
+			c.val[n] = logic.X
+			s.noteChanged(n)
+			if record {
+				s.Traj.changes = append(s.Traj.changes, Change{Node: n, Value: logic.X})
+			}
+		}
+	}
+	if record {
+		s.Traj.endVicinity()
+		s.Traj.endRound()
+	}
 }
 
 // rideWave applies the first k rounds of ix's compiled wave to c, whose

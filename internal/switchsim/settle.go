@@ -87,6 +87,16 @@ func (tr *Trajectory) Changes(vi int) []Change {
 	return tr.changes[tr.changesBefore(vi):tr.vics[vi].changeEnd]
 }
 
+// Lists returns all members and all changes in solve order (none for a nil
+// trajectory). With repeats removed they are the recording settle's Explored
+// and Changed, a node's last change holding its post-step value.
+func (tr *Trajectory) Lists() ([]netlist.NodeID, []Change) {
+	if tr == nil {
+		return nil, nil
+	}
+	return tr.nodes, tr.changes
+}
+
 // changesBefore returns how many changes the vicinities before vi produced:
 // the start of vi's change list, and the end of the list of everything
 // before it.

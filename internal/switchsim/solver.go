@@ -100,6 +100,9 @@ type Solver struct {
 	// queue); the fast-forward tests check the compiled wave against it.
 	onSolve func(c *Circuit, newVal []logic.Value)
 	onRound func(round int)
+	// hardCap, when positive, replaces the round cap derived from the
+	// network's size, so the tests can reach the hard-cap branch.
+	hardCap int
 }
 
 // vicNode is the kernel's view of one node solved this round: what the

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,10 +62,11 @@ func TestStepWriterMatchesEncode(t *testing.T) {
 	}
 }
 
-// TestStepWriterDropsOscillatedTrajectory: a step marked oscillated with
-// its trajectory still attached — as the good runner hands one out — is
-// written without it, as Recording.Append keeps it.
-func TestStepWriterDropsOscillatedTrajectory(t *testing.T) {
+// TestStepWriterKeepsOscillatedTrajectory: a step marked oscillated is
+// written with its trajectory, as Recording.Append keeps it — the
+// trajectory is the step's only record of what the settle explored and
+// changed — and decodes with the trajectory it was written with.
+func TestStepWriterKeepsOscillatedTrajectory(t *testing.T) {
 	m := ram.RAM64()
 	seq := march.Sequence1(m)
 	seq.Patterns = seq.Patterns[:8]
@@ -72,17 +74,17 @@ func TestStepWriterDropsOscillatedTrajectory(t *testing.T) {
 
 	steps := make([]switchsim.StepTrace, len(src.Steps))
 	rec := switchsim.NewRecording(m.Net)
-	dropped := 0
+	kept := 0
 	for i := range src.Steps {
 		steps[i] = src.Steps[i]
 		if i%2 == 1 && steps[i].Traj != nil {
 			steps[i].Oscillated = true
-			dropped++
+			kept++
 		}
 		rec.Append(&steps[i])
 	}
-	if dropped == 0 {
-		t.Fatal("no step carried a trajectory to drop")
+	if kept == 0 {
+		t.Fatal("no step carried a trajectory to keep")
 	}
 	want := encode(t, rec)
 	for _, chunk := range writerChunks {
@@ -93,12 +95,23 @@ func TestStepWriterDropsOscillatedTrajectory(t *testing.T) {
 		})
 		if !bytes.Equal(got, want) {
 			t.Errorf("chunk %d: %d oscillated steps with trajectories stream to %d bytes, Append then Encode to %d",
-				chunk, dropped, len(got), len(want))
+				chunk, kept, len(got), len(want))
 		}
 	}
+	dec, err := switchsim.DecodeRecordingBytes(want)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range steps {
-		if steps[i].Oscillated && steps[i].Traj == nil {
-			t.Fatalf("step %d: the writer cleared its caller's trajectory", i)
+		if !steps[i].Oscillated {
+			continue
+		}
+		if rec.Steps[i].Traj == nil || dec.Steps[i].Traj == nil {
+			t.Fatalf("step %d: the oscillated step lost its trajectory (appended %v, decoded %v)",
+				i, rec.Steps[i].Traj != nil, dec.Steps[i].Traj != nil)
+		}
+		if !reflect.DeepEqual(dec.Steps[i].Traj, steps[i].Traj) {
+			t.Fatalf("step %d: the oscillated step decodes to another trajectory", i)
 		}
 	}
 }
