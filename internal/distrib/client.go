@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -226,6 +227,7 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, i int) (*c
 	}
 
 	sc := bufio.NewScanner(resp.Body)
+	sc.Split(scanTerminatedLines)
 	// A result line carries the whole BatchResult (per-setting table and
 	// records included): beyond the scanner's 64KB default.
 	sc.Buffer(make([]byte, 0, 64*1024), 256<<20)
@@ -260,6 +262,20 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, i int) (*c
 		return nil, fmt.Errorf("job %s on %s: stream ended without a result line", jobID, base)
 	}
 	return nil, fmt.Errorf("stream from %s ended mid-job", base)
+}
+
+// errUnterminatedLine ends a stream whose last line has no newline.
+var errUnterminatedLine = errors.New("stream ended inside a line")
+
+// scanTerminatedLines is bufio.ScanLines refusing an unterminated last
+// line: every stream line ends in a newline, so a stream cut mid-line
+// stops the scan as a broken stream, with the read error that cut it,
+// instead of handing over half a line.
+func scanTerminatedLines(data []byte, atEOF bool) (int, []byte, error) {
+	if atEOF && len(data) > 0 && bytes.IndexByte(data, '\n') < 0 {
+		return 0, nil, errUnterminatedLine
+	}
+	return bufio.ScanLines(data, atEOF)
 }
 
 // deleteJob best-effort cancels an outstanding job. It runs on its own

@@ -934,9 +934,9 @@ func (ct *cuttingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 }
 
 // checkCut is the "a stream was cut" check: exactly one stream was cut,
-// the coordinator charged the shard an attempt for it, and the shard ran
-// once more. (The scanner hands the cut line over before the read error,
-// so the coordinator reports it as a bad stream line.)
+// the coordinator charged the shard an attempt for it, naming the stream
+// as broken by the read error that cut it (the half line is never parsed),
+// and the shard ran once more.
 func checkCut(ct *cuttingTransport, log *logLines, batches int) error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -945,6 +945,9 @@ func checkCut(ct *cuttingTransport, log *logLines, batches int) error {
 	}
 	if lines := log.matching(`\(attempt 1 of \d+\): `); len(lines) != 1 {
 		return fmt.Errorf("%d log lines charge a shard its first attempt, want 1: %q", len(lines), lines)
+	}
+	if lines := log.matching(`\(attempt 1 of \d+\): stream from \S+ broke: unexpected EOF$`); len(lines) != 1 {
+		return fmt.Errorf("the charged attempt is not logged as a broken stream: %q", log.matching(`\(attempt 1 of `))
 	}
 	if ct.streams != batches+1 {
 		return fmt.Errorf("%d streams for %d batches, want one more for the retried shard", ct.streams, batches)

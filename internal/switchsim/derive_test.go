@@ -65,12 +65,10 @@ func checkDerives(t *testing.T, step string, sv *switchsim.Solver, c *switchsim.
 // the hard cap's X writes, the only ones no solve made.
 func capWrites(tr *switchsim.Trajectory) int {
 	n := 0
-	for r := 0; r < tr.NumRounds(); r++ {
-		lo, hi := tr.RoundSpan(r)
-		for vi := lo; vi < hi; vi++ {
-			if len(tr.Members(vi)) == 0 {
-				n += len(tr.Changes(vi))
-			}
+	members, changes := switchsim.Vicinities(tr)
+	for vi := range members {
+		if len(members[vi]) == 0 {
+			n += len(changes[vi])
 		}
 	}
 	return n

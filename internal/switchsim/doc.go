@@ -69,15 +69,17 @@
 // in the per-step slot that once held one and the decoder skips the slot,
 // so every capture of one circuit and sequence fingerprints the same.
 //
-// A Trajectory is four flat, pointer-free arrays (round ends, per-vicinity
-// member and change ends, nodes, changes) read through RoundSpan, Members
-// and Changes, or whole through Lists; the recording
-// solver appends straight into them. A step holds each fact of its settle
-// once: what it explored and changed are the trajectory's member and
-// change lists, not copies beside them. An owned step (Recording.Append,
-// DecodeRecording) copies the arrays, with its input changes, into
-// exact-size arrays handed out as capacity-clipped windows — a fixed
-// number of allocations per step whatever the vicinity count.
+// A Trajectory is three flat, pointer-free arrays: nodes, changes, and one
+// slab holding the vicinity boundaries as bits (one per list entry, two
+// per vicinity) and a table of round ends. Its lists are read whole through Lists or vicinity by
+// vicinity in order; random access to a vicinity is the ReplayIndex's,
+// which rebuilds the list starts as it indexes each round. The recording
+// solver appends straight into the arrays. A step holds each fact of its
+// settle once: what it explored and changed are the trajectory's member
+// and change lists, not copies beside them. An owned step
+// (Recording.Append, DecodeRecording) copies the arrays, with its input
+// changes, into exact-size arrays handed out as capacity-clipped windows —
+// four allocations per step whatever the vicinity count.
 // One encoder writes every step, the StepWriter: it encodes a capture
 // step by step as it is produced, without holding the recording, and
 // Encode (one pass, one chunk buffer) is that writer over a recording's

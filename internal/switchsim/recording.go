@@ -116,22 +116,17 @@ func (r *Recording) Append(t *StepTrace) {
 // owned returns a deep copy of the step that shares no storage with t.
 // A step's lists are copied into exact-size arrays: one of changes
 // (InputChanges, then the trajectory's), the trajectory's members and its
-// two span tables — a fixed number of allocations whatever the vicinity
-// count, and no slack. The lists are capacity-clipped windows, so an
-// append through one can never reach its neighbour. Empty lists come back
-// nil, whatever they were in t.
+// slab of boundary bits and round table — four allocations with the
+// trajectory itself, whatever the vicinity count, and no slack. The lists
+// are capacity-clipped windows, so an append through one can never reach
+// its neighbour. Empty lists come back nil, whatever they were in t.
 func (t *StepTrace) owned() StepTrace {
 	_, trChanges := t.Traj.Lists()
 	changes := make([]Change, 0, len(t.InputChanges)+len(trChanges))
 	st := *t
 	st.InputChanges = window(&changes, t.InputChanges)
 	if tr := t.Traj; tr != nil {
-		st.Traj = &Trajectory{
-			roundEnd: cloneOrNil(tr.roundEnd),
-			vics:     cloneOrNil(tr.vics),
-			nodes:    cloneOrNil(tr.nodes),
-			changes:  window(&changes, tr.changes),
-		}
+		st.Traj = tr.held(window(&changes, tr.changes))
 	}
 	return st
 }
@@ -307,8 +302,8 @@ func (st *StepTrace) encodedBound(idLen int) int {
 	if tr := st.Traj; tr != nil {
 		nodes += len(tr.nodes)
 		changes += len(tr.changes)
-		lists += 2 * len(tr.vics)
-		n += big * len(tr.roundEnd)
+		lists += 2 * int(tr.vics)
+		n += big * tr.NumRounds()
 	}
 	return n + idLen*(nodes+changes+lists) + changes
 }
@@ -330,12 +325,14 @@ func (st *StepTrace) appendBinary(b []byte) []byte {
 	b = appendChanges(b, st.InputChanges)
 	if tr := st.Traj; tr != nil {
 		b = binary.AppendUvarint(b, uint64(tr.NumRounds()))
-		for r := range tr.roundEnd {
+		vr := vicReader{tr: tr}
+		for r := range tr.NumRounds() {
 			lo, hi := tr.RoundSpan(r)
 			b = binary.AppendUvarint(b, uint64(hi-lo))
-			for vi := lo; vi < hi; vi++ {
-				b = appendNodes(b, tr.Members(vi))
-				b = appendChanges(b, tr.Changes(vi))
+			for range hi - lo {
+				members, changes := vr.next()
+				b = appendNodes(b, members)
+				b = appendChanges(b, changes)
 			}
 		}
 	}

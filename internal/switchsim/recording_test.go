@@ -16,7 +16,8 @@ type testVic struct {
 	changes []Change
 }
 
-// testTrajectory builds a trajectory from its rounds' vicinities.
+// testTrajectory builds a trajectory from its rounds' vicinities, through
+// the write API, and returns it as a recording holds it.
 func testTrajectory(rounds ...[]testVic) *Trajectory {
 	tr := &Trajectory{}
 	for _, round := range rounds {
@@ -27,7 +28,7 @@ func testTrajectory(rounds ...[]testVic) *Trajectory {
 		}
 		tr.endRound()
 	}
-	return tr
+	return (&StepTrace{Traj: tr}).owned().Traj
 }
 
 // fakeRecording builds a small recording by hand, exercising every field:

@@ -203,7 +203,7 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 				}
 				if vi := int32(uint32(m) >> 1); s.probeVic(vi, fw, bit)&vicFlagged == 0 {
 					vicState[vi] |= vicFlagged
-					for _, ch := range traj.Changes(vlo + int(vi)) {
+					for _, ch := range ix.changes(vlo + int(vi)) {
 						s.markDiverged(ch.Node)
 					}
 				}
@@ -235,7 +235,7 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 								continue // solved this round
 							}
 							adoptable = true
-							for _, u := range traj.Members(vlo + int(vi)) {
+							for _, u := range ix.members(vlo + int(vi)) {
 								adopted++
 								if s.dynStamp[u] == s.dynEpoch {
 									adoptable = false
@@ -250,7 +250,7 @@ func (s *Solver) SettleReplayIndexed(c *Circuit, seeds []netlist.NodeID, ix *Rep
 								zeroChange++
 								continue
 							}
-							for _, ch := range traj.Changes(vlo + int(vi)) {
+							for _, ch := range ix.changes(vlo + int(vi)) {
 								u := ch.Node
 								nv := ch.Value
 								if xmode {
@@ -347,8 +347,7 @@ func (s *Solver) pendToX(c *Circuit, record bool) {
 // queue. It returns the adopted-change count of the skipped rounds.
 func (s *Solver) rideWave(c *Circuit, ix *ReplayIndex, k int) (adopted int64) {
 	traj, wv := ix.traj, &ix.wave
-	nvic := int(traj.roundEnd[k-1])
-	nch := traj.changesBefore(nvic)
+	nvic, _, nch := traj.roundEnd(k - 1)
 	for _, ch := range traj.changes[:nch] {
 		if c.val[ch.Node] == ch.Value {
 			continue

@@ -47,13 +47,14 @@ func TestTrajectoryRecording(t *testing.T) {
 	}
 	final := map[netlist.NodeID]logic.Value{}
 	total := 0
+	members, changes := switchsim.Vicinities(&sv.Traj)
 	for r := 0; r < sv.Traj.NumRounds(); r++ {
 		lo, hi := sv.Traj.RoundSpan(r)
 		for vi := lo; vi < hi; vi++ {
-			if len(sv.Traj.Members(vi)) == 0 {
+			if len(members[vi]) == 0 {
 				t.Fatal("empty vicinity recorded")
 			}
-			for _, ch := range sv.Traj.Changes(vi) {
+			for _, ch := range changes[vi] {
 				if !changed[ch.Node] {
 					t.Errorf("recorded change on %s not in Changed", nw.Name(ch.Node))
 				}

@@ -93,6 +93,13 @@ type ReplayIndex struct {
 	// which some vicinity of the round is flagged. A lane whose bit is
 	// clear adopts the whole round (see Compile).
 	roundAny []uint64
+	// spans[2*vi] and spans[2*vi+1] are where vicinity vi's member and
+	// change lists start in the trajectory's flat lists, for every vicinity
+	// and one past the last. The trajectory holds its vicinity boundaries
+	// as bits, readable in order only; Build reads them as it visits each
+	// vicinity, and the walk reads a vicinity's lists through these starts
+	// (members, changes).
+	spans []uint32
 
 	wave compiledWave
 
@@ -161,6 +168,12 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 	}
 	orBuf, newBuf := ix.orBuf[:words], ix.newBuf[:words]
 
+	_, nv := traj.RoundSpan(ix.rounds - 1)
+	if need := 2 * (nv + 1); cap(ix.spans) < need {
+		ix.spans = make([]uint32, 0, need)
+	}
+	vr := vicReader{tr: traj}
+	ix.spans = append(ix.spans[:0], 0, 0)
 	for r := 0; r < ix.rounds; r++ {
 		vlo, vhi := traj.RoundSpan(r)
 		nvic := vhi - vlo
@@ -174,11 +187,13 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 			flags[i] = 0
 		}
 		for vi := vlo; vi < vhi; vi++ {
+			members, changes := vr.next()
+			ix.spans = append(ix.spans, vr.m, vr.c)
 			m := uint64(ix.epoch)<<32 | uint64(vi-vlo)<<1
-			if len(traj.Changes(vi)) > 0 {
+			if len(changes) > 0 {
 				m |= 1
 			}
-			for _, u := range traj.Members(vi) {
+			for _, u := range members {
 				vicMap[u] = m
 			}
 		}
@@ -192,7 +207,7 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 				for w := range orBuf {
 					orBuf[w] = 0
 				}
-				for _, u := range traj.Members(vi) {
+				for _, u := range ix.members(vi) {
 					hasDiv := divNZ == nil || divNZ[u] != 0
 					hasExtra := ix.extraStamp[u] == ix.epoch
 					if !hasDiv && !hasExtra {
@@ -228,7 +243,7 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 				// Newly flagged lanes will not follow this vicinity's
 				// changes: mark the change sites, and the channel terminals
 				// of the transistors they gate, diverged for those lanes.
-				for _, ch := range traj.Changes(vi) {
+				for _, ch := range ix.changes(vi) {
 					ix.markLanes(ch.Node, newBuf)
 					for _, e := range ix.tab.GatedByOf(ch.Node) {
 						ix.markLanes(e.Src, newBuf)
@@ -238,6 +253,18 @@ func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []
 			}
 		}
 	}
+}
+
+// members returns the member nodes of vicinity vi of the trajectory last
+// Built.
+func (ix *ReplayIndex) members(vi int) []netlist.NodeID {
+	return ix.traj.nodes[ix.spans[2*vi]:ix.spans[2*vi+2]]
+}
+
+// changes returns the changes vicinity vi of the trajectory last Built
+// produced.
+func (ix *ReplayIndex) changes(vi int) []Change {
+	return ix.traj.changes[ix.spans[2*vi+1]:ix.spans[2*vi+3]]
 }
 
 // markLanes ORs the lane mask into node u's overlay row.
@@ -391,8 +418,7 @@ func (ix *ReplayIndex) Compile(pre *Circuit, setting Setting, extraSeeds []netli
 
 	for r := 0; ; {
 		wv.pendEpoch++
-		lo, hi := traj.RoundSpan(r)
-		for _, ch := range traj.changes[traj.changesBefore(lo):traj.changesBefore(hi)] {
+		for _, ch := range traj.roundChanges(r) {
 			old := wv.value(pre, ch.Node)
 			if ch.Value == old {
 				continue

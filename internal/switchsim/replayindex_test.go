@@ -1,12 +1,16 @@
 package switchsim_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"fmossim/internal/core"
 	"fmossim/internal/logic"
+	"fmossim/internal/march"
 	"fmossim/internal/netlist"
+	"fmossim/internal/ram"
 	"fmossim/internal/switchsim"
 	"fmossim/internal/testnet"
 )
@@ -216,5 +220,70 @@ func TestIndexedReplayPureAdoption(t *testing.T) {
 					step, nw.Name(id), shadow.Value(id), good.Value(id))
 			}
 		}
+	}
+}
+
+// TestIndexSpansMatchReader: a trajectory holds its vicinity boundaries as
+// bits read in order, and Build rebuilds the list starts the walk reads.
+// For every step of the RAM64 sequence-1 and sequence-2 recordings, and for
+// the scratch trajectories of settles stopped by a low hard cap (whose last
+// round is one vicinity with no members), each vicinity's lists through a
+// built index are the ones the sequential reader hands to Encode, and the
+// reader's lists, back to back, are the trajectory's.
+func TestIndexSpansMatchReader(t *testing.T) {
+	m := ram.RAM64()
+	nw := m.Net
+	ix := switchsim.NewReplayIndex(switchsim.NewTables(nw))
+	div, divNZ := make([]uint64, nw.NumNodes()), make([]int32, nw.NumNodes())
+	memberless := 0
+	check := func(name string, tr *switchsim.Trajectory) {
+		t.Helper()
+		ix.Build(tr, 1, div, divNZ)
+		members, changes := switchsim.Vicinities(tr)
+		var allM []netlist.NodeID
+		var allC []switchsim.Change
+		for vi := range members {
+			gm, gc := switchsim.IndexedVicinity(ix, vi)
+			if !slices.Equal(gm, members[vi]) || !slices.Equal(gc, changes[vi]) {
+				t.Fatalf("%s: vicinity %d: the index gives %v / %v, the reader %v / %v",
+					name, vi, gm, gc, members[vi], changes[vi])
+			}
+			if len(members[vi]) == 0 {
+				memberless++
+			}
+			allM, allC = append(allM, members[vi]...), append(allC, changes[vi]...)
+		}
+		if wm, wc := tr.Lists(); !slices.Equal(allM, wm) || !slices.Equal(allC, wc) {
+			t.Fatalf("%s: the reader's %d members and %d changes are not the trajectory's %d and %d",
+				name, len(allM), len(allC), len(wm), len(wc))
+		}
+	}
+
+	for _, seq := range []*switchsim.Sequence{march.Sequence1(m), march.Sequence2(m)} {
+		rec := core.Record(nw, seq, core.Options{})
+		for i := range rec.Steps {
+			check(fmt.Sprintf("%s step %d", seq.Name, i), rec.Steps[i].Traj)
+		}
+	}
+	if memberless != 0 {
+		t.Fatalf("the RAM64 recordings hold %d vicinities with no members", memberless)
+	}
+
+	seq := march.Sequence1(m)
+	seq.Patterns = seq.Patterns[:16]
+	sim := switchsim.NewSimulator(nw)
+	sv := sim.Solver
+	sv.Record, sv.MaxRounds = true, 1
+	switchsim.SetHardCap(sv, 3)
+	sim.Init()
+	check("hard cap init", &sv.Traj)
+	for pi := range seq.Patterns {
+		for si, set := range seq.Patterns[pi].Settings {
+			sim.Step(set)
+			check(fmt.Sprintf("hard cap pattern %d setting %d", pi, si), &sv.Traj)
+		}
+	}
+	if memberless == 0 {
+		t.Fatal("no hard-capped settle recorded a vicinity with no members")
 	}
 }

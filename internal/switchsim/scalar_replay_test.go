@@ -74,6 +74,7 @@ func (sr *ScalarReplay) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *T
 	res := SettleResult{}
 	xmode := false
 	adopted := int64(0)
+	members, changes := Vicinities(traj)
 
 	for round := 0; len(s.pend) > 0; round++ {
 		res.Rounds++
@@ -114,7 +115,7 @@ func (sr *ScalarReplay) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *T
 		genRound := s.dynGen
 		for vi := vlo; vi < vhi; vi++ {
 			state[vi-vlo] = s.rvTag
-			for _, u := range traj.Members(vi) {
+			for _, u := range members[vi] {
 				adopted++ // indexing cost, counted honestly
 				sr.nodeVic[u] = uint64(s.epoch)<<32 | uint64(vi-vlo)<<1
 				if s.dynStamp[u] == s.dynEpoch || c.IsInputLike(u) {
@@ -122,7 +123,7 @@ func (sr *ScalarReplay) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *T
 				}
 			}
 			if state[vi-vlo]&vicFlagged != 0 {
-				for _, ch := range traj.Changes(vi) {
+				for _, ch := range changes[vi] {
 					s.markDiverged(ch.Node)
 				}
 			}
@@ -140,12 +141,12 @@ func (sr *ScalarReplay) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *T
 					if state[vi-vlo]&vicFlagged != 0 {
 						continue
 					}
-					for _, u := range traj.Members(vi) {
+					for _, u := range members[vi] {
 						adopted++
 						if s.dynStamp[u] == s.dynEpoch || c.IsInputLike(u) {
 							state[vi-vlo] |= vicFlagged
 							again = true
-							for _, ch := range traj.Changes(vi) {
+							for _, ch := range changes[vi] {
 								s.markDiverged(ch.Node)
 							}
 							break
@@ -176,7 +177,7 @@ func (sr *ScalarReplay) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *T
 					adoptable := s.dynGen == genA
 					if !adoptable {
 						adoptable = true
-						for _, u := range traj.Members(vlo + int(vi)) {
+						for _, u := range members[vlo+int(vi)] {
 							adopted++
 							if s.dynStamp[u] == s.dynEpoch {
 								adoptable = false
@@ -187,7 +188,7 @@ func (sr *ScalarReplay) SettleReplay(c *Circuit, seeds []netlist.NodeID, traj *T
 					if adoptable {
 						s.work.AdoptedVics++
 						state[vi] |= vicServiced
-						for _, ch := range traj.Changes(vlo + int(vi)) {
+						for _, ch := range changes[vlo+int(vi)] {
 							u := ch.Node
 							nv := ch.Value
 							if xmode {

@@ -1,6 +1,8 @@
 package switchsim
 
 import (
+	"math/bits"
+
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
 )
@@ -40,51 +42,63 @@ type Change struct {
 	Value logic.Value
 }
 
-// vicSpan closes one solved vicinity of a trajectory: the ends of its
-// member and change lists in the trajectory's flat arrays (each list starts
-// where the previous vicinity's ended).
-type vicSpan struct {
-	memberEnd, changeEnd uint32
-}
-
 // Trajectory is a full settling history: the solved vicinities of each
 // round, in order, each with its member nodes and the changes it produced.
 // It is the "good circuit script" the concurrent simulator's
 // faulty-circuit replays follow. Vicinities are numbered across the whole
-// trajectory; RoundSpan gives a round's range. The storage is four flat,
-// pointer-free arrays, so a trajectory costs the same handful of
-// allocations whatever its vicinity count. A solver's Traj is reused
-// scratch: valid only until the next recording Settle on the same Solver.
+// trajectory; RoundSpan gives a round's range.
+//
+// The members and the changes are two flat lists, back to back in solve
+// order (Lists). Where one vicinity's lists end is held in bits, read in
+// order (vicReader): each vicinity writes one 0 per member, a closing 1,
+// one 0 per change and a closing 1, so its boundaries cost two bits and a
+// vicinity without members or changes is held like any other. Random access to a vicinity's lists is
+// the replay walk's alone: ReplayIndex.Build reads them in order and keeps
+// every vicinity's list starts in its own scratch. The round table holds,
+// per round, the vicinity, member and change counts up to its end. Bits
+// and table share one pointer-free slab, so a held trajectory is three
+// allocations whatever its vicinity count (two more when it shares its
+// change list with its step's, as StepTrace.owned makes it). A solver's
+// Traj is reused scratch: valid only until the next recording Settle on
+// the same Solver.
 type Trajectory struct {
-	roundEnd []uint32 // roundEnd[r]: one past round r's last vicinity
-	vics     []vicSpan
-	nodes    []netlist.NodeID // member lists, back to back
-	changes  []Change         // change lists, back to back
+	nodes   []netlist.NodeID // member lists, back to back
+	changes []Change         // change lists, back to back
+	// tab[:bitWords] holds the boundary bits, 32 a word from bit 0 up;
+	// tab[bitWords:] is the round table, three words a round: vicinities,
+	// members and changes up to the round's end.
+	tab      []uint32
+	bitWords uint32
+	// vics, memberEnd and changeEnd count what the closed vicinities hold;
+	// the boundary bits in use are memberEnd+changeEnd+2*vics.
+	vics, memberEnd, changeEnd uint32
 }
 
 // NumRounds returns the number of recorded rounds.
-func (tr *Trajectory) NumRounds() int { return len(tr.roundEnd) }
+func (tr *Trajectory) NumRounds() int { return (len(tr.tab) - int(tr.bitWords)) / 3 }
+
+// roundEnd returns the vicinity, member and change counts up to the end of
+// round r; all zero for r = -1.
+func (tr *Trajectory) roundEnd(r int) (vics, members, changes uint32) {
+	if r < 0 {
+		return 0, 0, 0
+	}
+	e := tr.tab[int(tr.bitWords)+3*r:]
+	return e[0], e[1], e[2]
+}
 
 // RoundSpan returns the vicinity range [lo, hi) of round r.
 func (tr *Trajectory) RoundSpan(r int) (lo, hi int) {
-	if r > 0 {
-		lo = int(tr.roundEnd[r-1])
-	}
-	return lo, int(tr.roundEnd[r])
+	l, _, _ := tr.roundEnd(r - 1)
+	h, _, _ := tr.roundEnd(r)
+	return int(l), int(h)
 }
 
-// Members returns the member nodes of vicinity vi.
-func (tr *Trajectory) Members(vi int) []netlist.NodeID {
-	lo := uint32(0)
-	if vi > 0 {
-		lo = tr.vics[vi-1].memberEnd
-	}
-	return tr.nodes[lo:tr.vics[vi].memberEnd]
-}
-
-// Changes returns the changes vicinity vi produced.
-func (tr *Trajectory) Changes(vi int) []Change {
-	return tr.changes[tr.changesBefore(vi):tr.vics[vi].changeEnd]
+// roundChanges returns the changes of round r in solve order.
+func (tr *Trajectory) roundChanges(r int) []Change {
+	_, _, lo := tr.roundEnd(r - 1)
+	_, _, hi := tr.roundEnd(r)
+	return tr.changes[lo:hi]
 }
 
 // Lists returns all members and all changes in solve order (none for a nil
@@ -97,28 +111,89 @@ func (tr *Trajectory) Lists() ([]netlist.NodeID, []Change) {
 	return tr.nodes, tr.changes
 }
 
-// changesBefore returns how many changes the vicinities before vi produced:
-// the start of vi's change list, and the end of the list of everything
-// before it.
-func (tr *Trajectory) changesBefore(vi int) uint32 {
-	if vi == 0 {
-		return 0
-	}
-	return tr.vics[vi-1].changeEnd
-}
-
+// reset empties the trajectory, keeping its storage. Only the bit words
+// that were written are cleared: the rest are still zero.
 func (tr *Trajectory) reset() {
-	tr.roundEnd, tr.vics, tr.nodes, tr.changes = tr.roundEnd[:0], tr.vics[:0], tr.nodes[:0], tr.changes[:0]
+	clear(tr.tab[:(tr.memberEnd+tr.changeEnd+2*tr.vics+31)/32])
+	tr.tab = tr.tab[:tr.bitWords]
+	tr.nodes, tr.changes = tr.nodes[:0], tr.changes[:0]
+	tr.vics, tr.memberEnd, tr.changeEnd = 0, 0, 0
 }
 
 // endVicinity closes the vicinity whose members and changes were just
 // appended; endRound closes the round.
 func (tr *Trajectory) endVicinity() {
-	tr.vics = append(tr.vics, vicSpan{uint32(len(tr.nodes)), uint32(len(tr.changes))})
+	m, c := uint32(len(tr.nodes)), uint32(len(tr.changes))
+	tr.setBit(m + tr.changeEnd + 2*tr.vics)
+	tr.setBit(m + c + 2*tr.vics + 1)
+	tr.vics, tr.memberEnd, tr.changeEnd = tr.vics+1, m, c
 }
 
 func (tr *Trajectory) endRound() {
-	tr.roundEnd = append(tr.roundEnd, uint32(len(tr.vics)))
+	tr.tab = append(tr.tab, tr.vics, tr.memberEnd, tr.changeEnd)
+}
+
+// setBit sets boundary bit i, first doubling the bit words (and moving the
+// round table up) if they are too few.
+func (tr *Trajectory) setBit(i uint32) {
+	w := i / 32
+	if w >= tr.bitWords {
+		n := max(2*tr.bitWords, w+1)
+		tab := make([]uint32, n, int(n)+len(tr.tab)-int(tr.bitWords)+3)
+		copy(tab, tr.tab[:tr.bitWords])
+		tr.tab, tr.bitWords = append(tab, tr.tab[tr.bitWords:]...), n
+	}
+	tr.tab[w] |= 1 << (i % 32)
+}
+
+// held returns an exact-size copy of the trajectory whose changes are the
+// given copy of its change list.
+func (tr *Trajectory) held(changes []Change) *Trajectory {
+	words := (tr.memberEnd + tr.changeEnd + 2*tr.vics + 31) / 32
+	tab := make([]uint32, int(words)+len(tr.tab)-int(tr.bitWords))
+	copy(tab, tr.tab[:words])
+	copy(tab[words:], tr.tab[tr.bitWords:])
+	h := *tr
+	h.nodes, h.changes, h.tab, h.bitWords = cloneOrNil(tr.nodes), changes, tab, words
+	return &h
+}
+
+// vicReader reads a trajectory's vicinities in solve order.
+type vicReader struct {
+	tr *Trajectory
+	// bit is the next vicinity's first boundary bit; m and c are where its
+	// member and change lists start.
+	bit, m, c uint32
+}
+
+// next returns the next vicinity's members and changes.
+func (vr *vicReader) next() ([]netlist.NodeID, []Change) {
+	var m, c uint32
+	if x := vr.tr.tab[vr.bit/32] >> (vr.bit % 32); x&(x-1) != 0 {
+		// Both closing bits lie in this word, as they do for most
+		// vicinities: one or two members, rarely a change.
+		z := uint32(bits.TrailingZeros32(x))
+		m = vr.bit + z
+		c = m + 1 + uint32(bits.TrailingZeros32(x>>(z+1)))
+	} else {
+		m = vr.tr.nextOne(vr.bit)
+		c = vr.tr.nextOne(m + 1)
+	}
+	nm, nc := m-vr.bit, c-m-1
+	members, changes := vr.tr.nodes[vr.m:vr.m+nm], vr.tr.changes[vr.c:vr.c+nc]
+	vr.bit, vr.m, vr.c = c+1, vr.m+nm, vr.c+nc
+	return members, changes
+}
+
+// nextOne returns the position of the first set boundary bit at or after i.
+func (tr *Trajectory) nextOne(i uint32) uint32 {
+	w := i / 32
+	x := tr.tab[w] >> (i % 32) << (i % 32)
+	for x == 0 {
+		w++
+		x = tr.tab[w]
+	}
+	return w*32 + uint32(bits.TrailingZeros32(x))
 }
 
 // Settle drives the circuit to a steady state starting from the given
