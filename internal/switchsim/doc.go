@@ -77,9 +77,11 @@
 // solver appends straight into the arrays. A step holds each fact of its
 // settle once: what it explored and changed are the trajectory's member
 // and change lists, not copies beside them. An owned step
-// (Recording.Append, DecodeRecording) copies the arrays, with its input
-// changes, into exact-size arrays handed out as capacity-clipped windows —
-// four allocations per step whatever the vicinity count.
+// (Recording.Append, DecodeRecording) copies its input changes into an
+// exact-size array and holds its trajectory once per distinct content: a
+// step whose trajectory equals an earlier step's shares that one, and
+// otherwise the arrays are copied to exact size — four allocations whatever
+// the vicinity count. A held trajectory is read-only.
 // One encoder writes every step, the StepWriter: it encodes a capture
 // step by step as it is produced, without holding the recording, and
 // Encode (one pass, one chunk buffer) is that writer over a recording's

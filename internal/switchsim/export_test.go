@@ -33,3 +33,11 @@ func Vicinities(tr *Trajectory) (members [][]netlist.NodeID, changes [][]Change)
 func IndexedVicinity(ix *ReplayIndex, vi int) ([]netlist.NodeID, []Change) {
 	return ix.members(vi), ix.changes(vi)
 }
+
+// SameTrajectory reports whether a and b are equal in content, as a
+// recording compares them before it lets two steps share one.
+func SameTrajectory(a, b *Trajectory) bool { return a.sameContent(b) }
+
+// HoldsInternTable reports whether rec still holds the table through
+// which Append shares trajectories.
+func HoldsInternTable(rec *Recording) bool { return rec.intern != nil }

@@ -32,6 +32,9 @@ import (
 //   - Traj is the settle trajectory faulty replays adopt from; its lists
 //     (Trajectory.Lists) are the step's explored and changed sets, which
 //     drive activity scheduling and sync the consumer's mirrors.
+//
+// In a Recording, steps whose trajectories are equal in content share
+// one: nothing may write through Traj.
 type StepTrace struct {
 	// Init marks the power-on initialization step (Steps[0] of a
 	// Recording): every storage node is perturbed and every fault active.
@@ -53,13 +56,21 @@ type StepTrace struct {
 // Recording is the captured good-circuit trajectory of an entire test
 // sequence: Steps[0] is the initialization, Steps[1:] one entry per input
 // setting in sequence order. It is immutable once captured and safe for
-// concurrent replay by any number of consumers.
+// concurrent replay by any number of consumers. A march test settles the
+// same way at address after address, so a held recording keeps each
+// distinct trajectory once: every step whose trajectory is equal in
+// content to an earlier step's points at that one (Append,
+// DecodeRecordingBytes), so nothing may write through Steps[i].Traj.
 type Recording struct {
 	// NumNodes and NumTransistors fingerprint the network the recording
 	// was captured over; consumers refuse mismatched networks.
 	NumNodes, NumTransistors int
 	// Steps holds the per-step traces, initialization first.
 	Steps []StepTrace
+
+	// intern finds the trajectories of Steps while Append builds them;
+	// nil in a finished recording (see Append).
+	intern trajSet
 }
 
 // NewRecording returns an empty recording fingerprinted for nw.
@@ -107,39 +118,71 @@ func (r *Recording) Validate(nw *netlist.Network, settings int) error {
 	return nil
 }
 
-// Append deep-copies a borrowed step trace (whose slices alias solver
-// scratch) into the recording, trajectory included, oscillated or not.
+// Append copies a borrowed step trace (whose slices alias solver scratch)
+// into the recording, oscillated or not. The input changes are copied; the
+// trajectory is copied unless one equal in content is already held, which
+// the step then shares. The table that finds it lives while the steps are
+// appended: the Append that fills the capacity of Steps drops it, so a
+// builder that reserves its step count (as core.RecordTables does) leaves
+// a finished recording without one. An Append after that re-indexes the
+// steps already held.
 func (r *Recording) Append(t *StepTrace) {
-	r.Steps = append(r.Steps, t.owned())
+	if r.intern == nil {
+		r.intern = trajSet{}
+		for i := range r.Steps {
+			if tr := r.Steps[i].Traj; tr != nil {
+				if k, h := r.intern.find(tr); h == nil {
+					r.intern[k] = tr
+				}
+			}
+		}
+	}
+	r.Steps = append(r.Steps, t.owned(r.intern))
+	if len(r.Steps) == cap(r.Steps) {
+		r.intern = nil
+	}
 }
 
-// owned returns a deep copy of the step that shares no storage with t.
-// A step's lists are copied into exact-size arrays: one of changes
-// (InputChanges, then the trajectory's), the trajectory's members and its
-// slab of boundary bits and round table — four allocations with the
-// trajectory itself, whatever the vicinity count, and no slack. The lists
-// are capacity-clipped windows, so an append through one can never reach
-// its neighbour. Empty lists come back nil, whatever they were in t.
-func (t *StepTrace) owned() StepTrace {
-	_, trChanges := t.Traj.Lists()
-	changes := make([]Change, 0, len(t.InputChanges)+len(trChanges))
+// owned returns a copy of the step that shares no storage with t: its
+// input changes in an exact-size array (nil when empty), its trajectory
+// the one intern holds.
+func (t *StepTrace) owned(intern trajSet) StepTrace {
 	st := *t
-	st.InputChanges = window(&changes, t.InputChanges)
-	if tr := t.Traj; tr != nil {
-		st.Traj = tr.held(window(&changes, tr.changes))
+	st.InputChanges = cloneOrNil(t.InputChanges)
+	if t.Traj != nil {
+		st.Traj = intern.hold(t.Traj)
 	}
 	return st
 }
 
-// window appends a copy of src to the slab and returns the
-// capacity-clipped window holding it (nil when src is empty).
-func window[T any](slab *[]T, src []T) []T {
-	if len(src) == 0 {
-		return nil
+// trajSet interns held trajectories by content. It maps a content hash to
+// a held trajectory; a hash whose slot holds a different trajectory probes
+// the next key, so the full compare alone decides what is shared. It is
+// only ever looked up, never iterated.
+type trajSet map[uint64]*Trajectory
+
+// hold returns the held trajectory equal in content to tr, adding an
+// exact-size copy of tr when there is none.
+func (s trajSet) hold(tr *Trajectory) *Trajectory {
+	k, h := s.find(tr)
+	if h == nil {
+		h = tr.held()
+		s[k] = h
 	}
-	lo := len(*slab)
-	*slab = append(*slab, src...)
-	return (*slab)[lo:len(*slab):len(*slab)]
+	return h
+}
+
+// find returns the held trajectory equal in content to tr, or nil and the
+// free key tr goes in.
+func (s trajSet) find(tr *Trajectory) (uint64, *Trajectory) {
+	k := tr.contentHash()
+	for h, ok := s[k]; ok; h, ok = s[k] {
+		if h.sameContent(tr) {
+			return k, h
+		}
+		k++
+	}
+	return k, nil
 }
 
 // cloneOrNil returns an exact-size copy of src, nil when src is empty.
@@ -279,7 +322,7 @@ func (sw *StepWriter) Close() error {
 // capture's wall-clock time until the fingerprint became content-only
 // (time belongs to a capture run, not to the trajectory, and a byte stream
 // that carried it would never fingerprint the same twice). Every step is
-// written as it is held.
+// written in full, a trajectory that steps share once for each of them.
 func (r *Recording) Encode(w io.Writer) error {
 	sw := NewStepWriter(w, r.NumNodes, r.NumTransistors, len(r.Steps))
 	for i := range r.Steps {
@@ -370,8 +413,9 @@ func DecodeRecording(r io.Reader) (*Recording, error) {
 const minStepBytes = 4
 
 // DecodeRecordingBytes decodes a recording held in memory. The result
-// shares no storage with data. Each step's reserved slot is skipped,
-// whatever the stream carries there.
+// shares no storage with data, and its steps share trajectories as
+// Append's do. Each step's reserved slot is skipped, whatever the stream
+// carries there.
 func DecodeRecordingBytes(data []byte) (*Recording, error) {
 	if len(data) < len(recordingMagic) {
 		return nil, fmt.Errorf("switchsim: reading recording header: %w", io.ErrUnexpectedEOF)
@@ -381,7 +425,7 @@ func DecodeRecordingBytes(data []byte) (*Recording, error) {
 	} else if magic != recordingMagic {
 		return nil, fmt.Errorf("switchsim: not a recording (bad magic %q)", magic)
 	}
-	d := &decoder{VarintReader: VarintReader{Buf: data[len(recordingMagic):]}}
+	d := &decoder{VarintReader: VarintReader{Buf: data[len(recordingMagic):]}, intern: trajSet{}}
 	rec := &Recording{
 		NumNodes:       int(d.Uvarint()),
 		NumTransistors: int(d.Uvarint()),
@@ -408,13 +452,15 @@ func DecodeRecordingBytes(data []byte) (*Recording, error) {
 // handling (VarintReader) and node-range validation. A step is parsed into
 // the scratch lists (which grow only as input is consumed, so a lying
 // length prefix cannot provoke an allocation) and then copied out to
-// exact-size arrays.
+// exact-size arrays, its trajectory interned as Recording.Append interns
+// it.
 type decoder struct {
 	VarintReader
 	maxNode uint64
 
 	changes []Change
 	traj    Trajectory
+	intern  trajSet
 }
 
 // step parses one step into scratch and returns an owned copy.
@@ -450,7 +496,7 @@ func (d *decoder) step() StepTrace {
 	if d.Err != nil {
 		return StepTrace{}
 	}
-	return st.owned()
+	return st.owned(d.intern)
 }
 
 func (d *decoder) node() netlist.NodeID {

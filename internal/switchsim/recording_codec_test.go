@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"fmossim/internal/core"
@@ -98,10 +99,93 @@ func TestFingerprintStable(t *testing.T) {
 	}
 }
 
+// TestRecordingSharesRepeatedTrajectories: a march test settles the same
+// way at address after address, and a held recording keeps each distinct
+// trajectory once. On the capture path (core.Record, through
+// Recording.Append), on the decode path and on a recording grown step by
+// step without a reserved step count, two steps share a trajectory if and
+// only if their trajectories are equal in content, the same steps share on
+// every path, and a finished recording keeps no intern table.
+func TestRecordingSharesRepeatedTrajectories(t *testing.T) {
+	m := ram.RAM64()
+	for _, tc := range []struct {
+		name            string
+		seq             *switchsim.Sequence
+		distinct, steps int
+	}{
+		{"sequence 1", march.Sequence1(m), 877, 2443},
+		{"sequence 2", march.Sequence2(m), 732, 1963},
+	} {
+		rec := core.Record(m.Net, tc.seq, core.Options{})
+		dec, err := switchsim.DecodeRecordingBytes(encode(t, rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown := &switchsim.Recording{NumNodes: rec.NumNodes, NumTransistors: rec.NumTransistors}
+		for i := range rec.Steps {
+			grown.Append(&rec.Steps[i])
+		}
+		want := sharing(t, tc.name+", capture", rec)
+		for _, p := range []struct {
+			path string
+			rec  *switchsim.Recording
+		}{{"capture", rec}, {"decode", dec}, {"grown", grown}} {
+			name := tc.name + ", " + p.path
+			got := sharing(t, name, p.rec)
+			distinct := 0
+			for i, first := range got {
+				if first == i {
+					distinct++
+				}
+			}
+			if len(got) != tc.steps || distinct != tc.distinct {
+				t.Errorf("%s: %d distinct trajectories of %d steps, want %d of %d", name, distinct, len(got), tc.distinct, tc.steps)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: the steps share trajectories unlike the capture's", name)
+			}
+			if p.path != "grown" && switchsim.HoldsInternTable(p.rec) {
+				t.Errorf("%s: the finished recording still holds its intern table", name)
+			}
+		}
+	}
+}
+
+// sharing returns, for each step of rec, the first step holding the same
+// trajectory, and fails t unless steps share a trajectory exactly when
+// their trajectories are equal in content.
+func sharing(t *testing.T, name string, rec *switchsim.Recording) []int {
+	t.Helper()
+	first := make([]int, len(rec.Steps))
+	index := map[*switchsim.Trajectory]int{}
+	var held []*switchsim.Trajectory
+	for i := range rec.Steps {
+		tr := rec.Steps[i].Traj
+		if tr == nil {
+			t.Fatalf("%s: step %d holds no trajectory", name, i)
+		}
+		j, ok := index[tr]
+		if !ok {
+			j, index[tr] = i, i
+			held = append(held, tr)
+		}
+		first[i] = j
+	}
+	for i, a := range held {
+		for _, b := range held[i+1:] {
+			if switchsim.SameTrajectory(a, b) {
+				t.Fatalf("%s: two steps hold equal trajectories apart", name)
+			}
+		}
+	}
+	return first
+}
+
 // TestRecordingCodecAllocs guards the codec's allocation behaviour:
 // encoding costs a constant number of allocations however long the
-// recording, decoding a small multiple of its step count (the slabs of
-// each owned step), never one per list or per varint.
+// recording, decoding a small multiple of its step count (an owned step's
+// input changes, the arrays of each distinct trajectory), never one per
+// list or per varint.
 func TestRecordingCodecAllocs(t *testing.T) {
 	m := ram.RAM64()
 	full := march.Sequence1(m)
@@ -132,10 +216,11 @@ func TestRecordingCodecAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Per step: the node and change arrays, the trajectory and its slab
-		// of boundary bits and round table; plus the decoder's own scratch.
+		// Per step its input changes; per distinct trajectory its node and
+		// change arrays, itself and its slab of boundary bits and round
+		// table; plus the decoder's own scratch and intern table.
 		t.Logf("%d steps: DecodeRecordingBytes made %.0f allocations", len(rec.Steps), decAllocs)
-		if limit := float64(4*len(rec.Steps) + 64); decAllocs > limit {
+		if limit := float64(3*len(rec.Steps) + 64); decAllocs > limit {
 			t.Errorf("%d steps: DecodeRecordingBytes made %.0f allocations, want at most %.0f",
 				len(rec.Steps), decAllocs, limit)
 		}
@@ -145,12 +230,15 @@ func TestRecordingCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestRecordingFootprint bounds what capturing a recording allocates: for
-// RAM256 sequence 1 at most 7 MB, in a number of objects proportional to
-// the step count and independent of the 415 509 vicinities (one slice
-// header pair per vicinity used to cost 20 MB of the 30 MB total,
-// per-step Changed and Explored copies of the trajectory 2.7 MB of 11.9,
-// and a pair of list ends per vicinity 3.1 MB of 8.6).
+// TestRecordingFootprint bounds what capturing a recording allocates and
+// what a held recording keeps: for RAM256 sequence 1 at most 3.6 MB
+// allocated, in a number of objects proportional to the step count and
+// independent of the 415 509 vicinities, and at most 3.2 MB of live heap
+// for the recording decoded from its wire form. One slice header pair per
+// vicinity used to cost 20 MB of the 30 MB allocated, per-step Changed and
+// Explored copies of the trajectory 2.7 MB of 11.9, a pair of list ends
+// per vicinity 3.1 MB of 8.6, and a copy of every step's trajectory, where
+// 3 029 of the 8 683 are distinct, 2.2 MB of 5.5 (and 5.25 MB held).
 func TestRecordingFootprint(t *testing.T) {
 	m := ram.RAM256()
 	seq := march.Sequence1(m)
@@ -168,12 +256,29 @@ func TestRecordingFootprint(t *testing.T) {
 		}
 	}
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-	t.Logf("%d steps, %d vicinities: %.1f MB in %d objects", len(rec.Steps), vics, float64(bytes)/1e6, objects)
-	if bytes > 7e6 {
-		t.Errorf("core.Record allocated %.1f MB, want at most 7 MB", float64(bytes)/1e6)
+	t.Logf("%d steps, %d vicinities: %.2f MB in %d objects", len(rec.Steps), vics, float64(bytes)/1e6, objects)
+	if bytes > 3.6e6 {
+		t.Errorf("core.Record allocated %.2f MB, want at most 3.6 MB", float64(bytes)/1e6)
 	}
-	if limit := uint64(5*len(rec.Steps) + 512); objects > limit || vics < 10*len(rec.Steps) {
+	if limit := uint64(3*len(rec.Steps) + 512); objects > limit || vics < 10*len(rec.Steps) {
 		t.Errorf("core.Record allocated %d objects for %d steps and %d vicinities, want at most %d",
 			objects, len(rec.Steps), vics, limit)
 	}
+
+	enc := encode(t, rec)
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	dec, err := switchsim.DecodeRecordingBytes(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("held, decoded: %.2f MB", float64(held)/1e6)
+	if held > 3.2e6 {
+		t.Errorf("the decoded recording holds %.2f MB, want at most 3.2 MB", float64(held)/1e6)
+	}
+	runtime.KeepAlive(dec)
+	runtime.KeepAlive(enc)
 }

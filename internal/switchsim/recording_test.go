@@ -16,9 +16,9 @@ type testVic struct {
 	changes []Change
 }
 
-// testTrajectory builds a trajectory from its rounds' vicinities, through
-// the write API, and returns it as a recording holds it.
-func testTrajectory(rounds ...[]testVic) *Trajectory {
+// scratchTrajectory builds a trajectory from its rounds' vicinities,
+// through the write API, as a recording solver leaves it.
+func scratchTrajectory(rounds ...[]testVic) *Trajectory {
 	tr := &Trajectory{}
 	for _, round := range rounds {
 		for _, v := range round {
@@ -28,7 +28,12 @@ func testTrajectory(rounds ...[]testVic) *Trajectory {
 		}
 		tr.endRound()
 	}
-	return (&StepTrace{Traj: tr}).owned().Traj
+	return tr
+}
+
+// testTrajectory is scratchTrajectory as a recording holds it.
+func testTrajectory(rounds ...[]testVic) *Trajectory {
+	return scratchTrajectory(rounds...).held()
 }
 
 // fakeRecording builds a small recording by hand, exercising every field:
@@ -104,6 +109,103 @@ func TestRecordingRoundTrip(t *testing.T) {
 	if w := rec.GoodWork(); w != 1234+55+7 {
 		t.Errorf("GoodWork = %d", w)
 	}
+}
+
+// TestRecordingKeepsNearTwinsApart: a recording shares a trajectory only
+// between steps whose trajectories are equal in content. Each twin below
+// differs from the base in one respect only — how its lists split into
+// vicinities, how its vicinities split into rounds, one change value, or
+// (a forced collision) nothing but a shared hash slot — and must be held
+// apart from it on capture and on decode, while an exact repeat of the
+// base is shared.
+func TestRecordingKeepsNearTwinsApart(t *testing.T) {
+	c := func(n netlist.NodeID, v logic.Value) Change { return Change{Node: n, Value: v} }
+	ids := func(n ...netlist.NodeID) []netlist.NodeID { return n }
+	base := [][]testVic{
+		{{members: ids(1)}, {members: ids(2), changes: []Change{c(2, logic.Hi)}}},
+		{{members: ids(3), changes: []Change{c(3, logic.Lo)}}},
+	}
+	for _, tc := range []struct {
+		name string
+		twin [][]testVic
+		// same names what the twin shares with the base, checked first so
+		// that each case isolates one difference.
+		same func(a, b *Trajectory) bool
+	}{
+		{"vicinities split differently", [][]testVic{
+			{{members: ids(1, 2)}, {changes: []Change{c(2, logic.Hi)}}},
+			{{members: ids(3), changes: []Change{c(3, logic.Lo)}}},
+		}, func(a, b *Trajectory) bool {
+			return reflect.DeepEqual(a.roundTable(), b.roundTable()) && sameLists(a, b)
+		}},
+		{"rounds split differently", [][]testVic{
+			{{members: ids(1)}},
+			{{members: ids(2), changes: []Change{c(2, logic.Hi)}}, {members: ids(3), changes: []Change{c(3, logic.Lo)}}},
+		}, func(a, b *Trajectory) bool {
+			return reflect.DeepEqual(a.bitsInUse(), b.bitsInUse()) && sameLists(a, b)
+		}},
+		{"one change value flipped", [][]testVic{
+			{{members: ids(1)}, {members: ids(2), changes: []Change{c(2, logic.Hi)}}},
+			{{members: ids(3), changes: []Change{c(3, logic.Hi)}}},
+		}, func(a, b *Trajectory) bool {
+			return reflect.DeepEqual(a.tab, b.tab) && reflect.DeepEqual(a.nodes, b.nodes)
+		}},
+	} {
+		a, b := scratchTrajectory(base...), scratchTrajectory(tc.twin...)
+		if a.vics != b.vics || a.memberEnd != b.memberEnd || a.changeEnd != b.changeEnd || !tc.same(a, b) {
+			t.Fatalf("%s: the twin differs from the base in more than one respect", tc.name)
+		}
+		if a.sameContent(b) || b.sameContent(a) {
+			t.Errorf("%s: the twins compare equal in content", tc.name)
+		}
+		rec := &Recording{NumNodes: 4}
+		for _, tr := range []*Trajectory{a, b, scratchTrajectory(base...)} {
+			rec.Append(&StepTrace{Traj: tr})
+		}
+		dec, err := DecodeRecordingBytes(encodeRecording(t, rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []struct {
+			path string
+			rec  *Recording
+		}{{"capture", rec}, {"decode", dec}} {
+			if st := r.rec.Steps; st[0].Traj == st[1].Traj {
+				t.Errorf("%s, %s: the twin shares the base's trajectory", tc.name, r.path)
+			} else if st[2].Traj != st[0].Traj {
+				t.Errorf("%s, %s: an exact repeat of the base is held apart from it", tc.name, r.path)
+			}
+		}
+	}
+
+	// Two trajectories whose hashes collide are told apart by the full
+	// compare: the second probes past the first's slot.
+	a, b := scratchTrajectory(base...), scratchTrajectory(base[1:]...)
+	set := trajSet{b.contentHash(): a.held()}
+	hb := set.hold(b)
+	if hb == set[b.contentHash()] || !hb.sameContent(b) {
+		t.Error("a colliding trajectory shares the slot holder's trajectory")
+	}
+	if set.hold(scratchTrajectory(base[1:]...)) != hb {
+		t.Error("a repeat of the colliding trajectory is not found past the slot holder")
+	}
+}
+
+// sameLists reports whether a and b have the same member and change lists.
+func sameLists(a, b *Trajectory) bool {
+	an, ac := a.Lists()
+	bn, bc := b.Lists()
+	return reflect.DeepEqual(an, bn) && reflect.DeepEqual(ac, bc)
+}
+
+// encodeRecording returns rec's encoding.
+func encodeRecording(t *testing.T, rec *Recording) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestRecordingDecodeV2: a stream of the previous format, whose steps

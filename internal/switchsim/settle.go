@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"math/bits"
+	"slices"
 
 	"fmossim/internal/logic"
 	"fmossim/internal/netlist"
@@ -56,11 +57,11 @@ type Change struct {
 // the replay walk's alone: ReplayIndex.Build reads them in order and keeps
 // every vicinity's list starts in its own scratch. The round table holds,
 // per round, the vicinity, member and change counts up to its end. Bits
-// and table share one pointer-free slab, so a held trajectory is three
-// allocations whatever its vicinity count (two more when it shares its
-// change list with its step's, as StepTrace.owned makes it). A solver's
-// Traj is reused scratch: valid only until the next recording Settle on
-// the same Solver.
+// and table share one pointer-free slab, so a held trajectory is four
+// allocations whatever its vicinity count, and read-only: a Recording
+// holds one for every step that settles the same way. A solver's Traj is
+// reused scratch: valid only until the next recording Settle on the same
+// Solver.
 type Trajectory struct {
 	nodes   []netlist.NodeID // member lists, back to back
 	changes []Change         // change lists, back to back
@@ -114,7 +115,7 @@ func (tr *Trajectory) Lists() ([]netlist.NodeID, []Change) {
 // reset empties the trajectory, keeping its storage. Only the bit words
 // that were written are cleared: the rest are still zero.
 func (tr *Trajectory) reset() {
-	clear(tr.tab[:(tr.memberEnd+tr.changeEnd+2*tr.vics+31)/32])
+	clear(tr.bitsInUse())
 	tr.tab = tr.tab[:tr.bitWords]
 	tr.nodes, tr.changes = tr.nodes[:0], tr.changes[:0]
 	tr.vics, tr.memberEnd, tr.changeEnd = 0, 0, 0
@@ -146,16 +147,54 @@ func (tr *Trajectory) setBit(i uint32) {
 	tr.tab[w] |= 1 << (i % 32)
 }
 
-// held returns an exact-size copy of the trajectory whose changes are the
-// given copy of its change list.
-func (tr *Trajectory) held(changes []Change) *Trajectory {
-	words := (tr.memberEnd + tr.changeEnd + 2*tr.vics + 31) / 32
-	tab := make([]uint32, int(words)+len(tr.tab)-int(tr.bitWords))
-	copy(tab, tr.tab[:words])
-	copy(tab[words:], tr.tab[tr.bitWords:])
+// bitsInUse returns the words holding the closed vicinities' boundary
+// bits; the bits past the last one in use are zero.
+func (tr *Trajectory) bitsInUse() []uint32 {
+	return tr.tab[:(tr.memberEnd+tr.changeEnd+2*tr.vics+31)/32]
+}
+
+// roundTable returns the round table: per round, the vicinity, member and
+// change counts up to its end.
+func (tr *Trajectory) roundTable() []uint32 { return tr.tab[tr.bitWords:] }
+
+// held returns an exact-size copy of the trajectory.
+func (tr *Trajectory) held() *Trajectory {
+	bw, rounds := tr.bitsInUse(), tr.roundTable()
+	tab := make([]uint32, len(bw)+len(rounds))
+	copy(tab[copy(tab, bw):], rounds)
 	h := *tr
-	h.nodes, h.changes, h.tab, h.bitWords = cloneOrNil(tr.nodes), changes, tab, words
+	h.nodes, h.changes, h.tab, h.bitWords = cloneOrNil(tr.nodes), cloneOrNil(tr.changes), tab, uint32(len(bw))
 	return &h
+}
+
+// sameContent reports whether tr and o hold the same trajectory: the same
+// member and change lists, split into the same vicinities (boundary bits)
+// and rounds (round table). Where their slabs put the round table does
+// not matter.
+func (tr *Trajectory) sameContent(o *Trajectory) bool {
+	return tr.vics == o.vics && tr.memberEnd == o.memberEnd && tr.changeEnd == o.changeEnd &&
+		slices.Equal(tr.nodes, o.nodes) && slices.Equal(tr.changes, o.changes) &&
+		slices.Equal(tr.bitsInUse(), o.bitsInUse()) && slices.Equal(tr.roundTable(), o.roundTable())
+}
+
+// contentHash hashes what sameContent compares, a word at a time.
+func (tr *Trajectory) contentHash() uint64 {
+	const k = 0x9e3779b97f4a7c15
+	mix := func(h, w uint64) uint64 { return bits.RotateLeft64((h^w)*k, 29) }
+	h := mix(mix(uint64(tr.vics), uint64(tr.memberEnd)), uint64(tr.changeEnd))
+	for _, n := range tr.nodes {
+		h = mix(h, uint64(n))
+	}
+	for _, c := range tr.changes {
+		h = mix(h, uint64(c.Node)<<8|uint64(c.Value))
+	}
+	for _, w := range tr.bitsInUse() {
+		h = mix(h, uint64(w))
+	}
+	for _, w := range tr.roundTable() {
+		h = mix(h, uint64(w))
+	}
+	return h
 }
 
 // vicReader reads a trajectory's vicinities in solve order.
