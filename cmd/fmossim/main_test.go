@@ -193,3 +193,43 @@ func TestCheckpointAcrossModes(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeWideRowCheckpoint: a checkpoint log an earlier build wrote,
+// whose batch results still carry the per-setting and per-pattern fields
+// the batch rows have since dropped (testdata/README.md), resumes with
+// every batch resumed and nothing appended, and merges to the result a
+// fresh run of the same campaign computes.
+func TestResumeWideRowCheckpoint(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "ram64-stuck-wide-rows.ck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(t.TempDir(), "ck")
+	if err := os.WriteFile(ck, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(extra ...string) *campaign.Result {
+		t.Helper()
+		args := append([]string{"-workload", "ram64", "-fault-model", "stuck", "-sample-every", "4", "-max-patterns", "10", "-batch", "16"}, extra...)
+		c, err := parse(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runCampaign(c)
+		if err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		return res
+	}
+	resumed := run("-checkpoint", ck)
+	fresh := run()
+	if resumed.Batches != 7 || resumed.BatchesRun != 0 || resumed.BatchesResumed != resumed.Batches {
+		t.Errorf("%d run, %d resumed of %d batches; want all 7 resumed", resumed.BatchesRun, resumed.BatchesResumed, resumed.Batches)
+	}
+	if !reflect.DeepEqual(resumed.Run, fresh.Run) || !reflect.DeepEqual(resumed.PerFault, fresh.PerFault) {
+		t.Errorf("the resumed merge differs from a fresh run:\n%+v\n%+v", resumed.Run, fresh.Run)
+	}
+	if after, err := os.ReadFile(ck); err != nil || string(after) != string(golden) {
+		t.Errorf("resuming rewrote the log (%v)", err)
+	}
+}

@@ -272,11 +272,12 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 
 // Merge combines per-batch results into a monolithic-equivalent
 // core.Result plus per-fault outcomes. Batches are merged at setting
-// granularity: per-setting active-circuit and live counts sum across
-// batches (each fault lives in exactly one), so pattern aggregates like
-// MaxActive match a monolithic run exactly. Good-circuit work comes from
-// the recording (Recording.SettingWork), counted once; it is all Merge
-// reads of it.
+// granularity: per-setting active-circuit counts and fault work sum
+// across batches (each fault lives in exactly one), so pattern aggregates
+// like MaxActive match a monolithic run exactly; per-pattern live and
+// detected counts sum the same way. Pattern names and setting counts come
+// from seq, and good-circuit work from the recording
+// (Recording.SettingWork), counted once; it is all Merge reads of it.
 //
 // results is indexed by window: batch i covers positions
 // [i*batchSize, min((i+1)*batchSize, nf)) of the fault list the batches
@@ -299,31 +300,19 @@ func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int,
 
 // merge is Merge given the good-circuit work of each setting.
 func merge(goodWork func(si int) int64, seq *switchsim.Sequence, nf, batchSize int, results []*core.BatchResult) *Result {
-	nSettings := seq.NumSettings()
 	res := &Result{}
-	res.Run = core.Result{Sequence: seq.Name, NumFaults: nf}
+	res.Run = core.Result{Sequence: seq.Name, NumFaults: nf, PerPattern: make([]core.PatternStats, len(seq.Patterns))}
 	res.PerFault = make([]FaultOutcome, nf)
 
-	// Per-setting fault-side sums across batches. Skipped batches
-	// contribute their width to the live counts (their circuits were
-	// never simulated, hence never dropped).
-	active := make([]int, nSettings)
-	faultWork := make([]int64, nSettings)
 	for bi, br := range results {
 		lo := bi * batchSize
 		width := min(batchSize, nf-lo)
-		if br == nil {
-			for fi := lo; fi < lo+width; fi++ {
-				res.PerFault[fi].Skipped = true
-			}
-			continue
-		}
-		for si := range active {
-			active[si] += br.PerSetting[si].ActiveCircuits
-			faultWork[si] += br.PerSetting[si].FaultWork
-		}
 		for j := 0; j < width; j++ {
 			o := &res.PerFault[lo+j]
+			if br == nil {
+				o.Skipped = true
+				continue
+			}
 			o.Detected = br.Detected[j]
 			o.Detection = br.Detections[j]
 			o.Oscillated = br.Oscillated[j]
@@ -332,23 +321,30 @@ func merge(goodWork func(si int) int64, seq *switchsim.Sequence, nf, batchSize i
 	}
 
 	// Assemble per-pattern statistics from the sequence structure, the
-	// good work of each setting, and the per-setting/-pattern sums.
+	// good work of each setting, and the batches' per-setting and
+	// per-pattern rows, summed setting by setting. Skipped batches
+	// contribute their width to the live counts (their circuits were
+	// never simulated, hence never dropped).
 	si := 0
 	for pi := range seq.Patterns {
 		p := &seq.Patterns[pi]
-		ps := core.PatternStats{Pattern: pi, Name: p.Name, Settings: len(p.Settings)}
+		ps := &res.Run.PerPattern[pi]
+		*ps = core.PatternStats{Pattern: pi, Name: p.Name, Settings: len(p.Settings)}
 		for range p.Settings {
 			ps.GoodWork += goodWork(si)
-			ps.FaultWork += faultWork[si]
-			if active[si] > ps.MaxActive {
-				ps.MaxActive = active[si]
+			active := 0
+			for _, br := range results {
+				if br != nil {
+					active += br.PerSetting[si].ActiveCircuits
+					ps.FaultWork += br.PerSetting[si].FaultWork
+				}
 			}
+			ps.MaxActive = max(ps.MaxActive, active)
 			si++
 		}
 		for bi, br := range results {
-			lo := bi * batchSize
-			width := min(batchSize, nf-lo)
 			if br == nil {
+				width := min(batchSize, nf-bi*batchSize)
 				ps.LiveBefore += width
 				ps.LiveAfter += width
 				continue
@@ -357,7 +353,6 @@ func merge(goodWork func(si int) int64, seq *switchsim.Sequence, nf, batchSize i
 			ps.LiveAfter += br.PerPattern[pi].LiveAfter
 			ps.Detected += br.PerPattern[pi].Detected
 		}
-		res.Run.PerPattern = append(res.Run.PerPattern, ps)
 		res.Run.GoodWork += ps.GoodWork
 		res.Run.FaultWork += ps.FaultWork
 	}

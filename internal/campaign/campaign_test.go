@@ -381,7 +381,7 @@ func TestRemoteExecuteRecordsNothing(t *testing.T) {
 			Oscillated: make([]bool, batchSize),
 			Records:    make([]map[netlist.NodeID]logic.Value, batchSize),
 			PerSetting: make([]core.SettingStats, seq.NumSettings()),
-			PerPattern: make([]core.PatternStats, len(seq.Patterns)),
+			PerPattern: make([]core.BatchPattern, len(seq.Patterns)),
 		}
 	}
 	opts := campaign.Options{
@@ -611,6 +611,45 @@ func mergedJSON(t *testing.T, res *campaign.Result) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestMergeWideRowPayload: a batch result an earlier build wrote, before
+// the batch rows lost the fields Merge does not read (see
+// internal/core/testdata), merges byte for byte to what this build's
+// result for the same batch merges to — beside a batch of this build and
+// a skipped one, as a resumed checkpoint would mix them.
+func TestMergeWideRowPayload(t *testing.T) {
+	bin, err := os.ReadFile(filepath.Join("..", "core", "testdata", "batchresult-wide-rows.fmosbres"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old core.BatchResult
+	if err := old.UnmarshalBinary(bin); err != nil {
+		t.Fatal(err)
+	}
+	m := ram.RAM64()
+	seq := march.Sequence1(m)
+	seq.Patterns = seq.Patterns[:48]
+	faults := fault.NodeStuckFaults(m.Net, fault.Options{})
+	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
+	tab := switchsim.NewTables(m.Net)
+	rec := core.Record(m.Net, seq, opts)
+	batch := func(lo int) *core.BatchResult {
+		br, err := core.RunBatch(nil, tab, faults[lo:lo+64], rec, seq, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return br
+	}
+	fresh, next := batch(16), batch(80)
+	want := campaign.Merge(rec, seq, 3*64, 64, []*core.BatchResult{fresh, next, nil})
+	got := campaign.Merge(rec, seq, 3*64, 64, []*core.BatchResult{&old, next, nil})
+	if g, w := mergedJSON(t, got), mergedJSON(t, want); g != w {
+		t.Fatalf("the earlier build's payload merges to\n%s\nwant\n%s", g, w)
+	}
+	if got.Run.Detected == 0 || got.Run.FaultWork == 0 {
+		t.Fatalf("the merge detected %d faults with %d units of fault work: the batches did nothing", got.Run.Detected, got.Run.FaultWork)
+	}
 }
 
 // shuffledBench is testBench's universe in a seeded shuffled order: batch

@@ -44,7 +44,7 @@ func batchWith(n, det int) *core.BatchResult {
 		Oscillated: make([]bool, n),
 		Records:    make([]map[netlist.NodeID]logic.Value, n),
 		PerSetting: make([]core.SettingStats, 1),
-		PerPattern: make([]core.PatternStats, 1),
+		PerPattern: make([]core.BatchPattern, 1),
 	}
 	for i := 0; i < det; i++ {
 		br.Detected[i] = true

@@ -277,8 +277,7 @@ func (b *FaultBatch) touch(n netlist.NodeID) {
 // the batch: scheduling from the trace's activity, simulating each
 // activated circuit (adopting from the trajectory where provably
 // identical), diffing into divergence records, and finally advancing prev
-// to the post-step state. Returns the fault-side setting statistics (the
-// caller owns the good-side fields).
+// to the post-step state. Returns the setting's fault-side statistics.
 func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 	w0 := b.faultWork()
 
@@ -322,10 +321,7 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 
 	dw := b.faultWork().Sub(w0)
 	st := SettingStats{
-		Pattern:        b.patternIdx,
-		Setting:        b.settingIdx,
 		ActiveCircuits: nActive,
-		LiveFaults:     b.live,
 		FaultWork:      dw.Units(),
 		AdoptedVics:    dw.AdoptedVics,
 		SolvedVics:     dw.Vicinities,
@@ -342,15 +338,15 @@ func (b *FaultBatch) Step(trace *switchsim.StepTrace) SettingStats {
 }
 
 // skipStep emits the SettingStats a full Step would produce when every
-// circuit in the batch is dropped — all-zero activity with only the
-// position counters filled in — without scheduling or advancing good and
-// prev (nothing reads them once the batch is empty: a dropped circuit
-// holds no records, and a Simulator reads its own good circuit). Used by
-// runPattern to shed the dead tail of a fully-retired batch.
+// circuit in the batch is dropped — the zero row: nothing activates and
+// nothing is solved — and advances the setting counter, without
+// scheduling or advancing good and prev (nothing reads them once the
+// batch is empty: a dropped circuit holds no records, and a Simulator
+// reads its own good circuit). Used by runPattern to shed the dead tail
+// of a fully-retired batch.
 func (b *FaultBatch) skipStep() SettingStats {
-	st := SettingStats{Pattern: b.patternIdx, Setting: b.settingIdx}
 	b.settingIdx++
-	return st
+	return SettingStats{}
 }
 
 // markTouched recomputes the step's touched region from the trace: the
@@ -638,12 +634,12 @@ type BatchResult struct {
 	// NumFaults is the batch width.
 	NumFaults int
 	// PerSetting carries the fault-side stats of every input setting in
-	// sequence order (good-side fields zero: the producer owns them).
-	// Campaigns merge these at setting granularity so aggregates like
-	// MaxActive stay exact.
+	// sequence order. Campaigns merge these at setting granularity so
+	// aggregates like MaxActive stay exact.
 	PerSetting []SettingStats
-	// PerPattern aggregates the batch's fault-side pattern stats.
-	PerPattern []PatternStats
+	// PerPattern carries, per pattern of the sequence, the live and
+	// detected counts the per-setting rows cannot give.
+	PerPattern []BatchPattern
 	// Detected, Detections and Oscillated are indexed by batch fault
 	// index.
 	Detected   []bool
@@ -691,7 +687,7 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 	br := &BatchResult{
 		NumFaults:  len(b.faults),
 		PerSetting: make([]SettingStats, 0, seq.NumSettings()),
-		PerPattern: make([]PatternStats, 0, len(seq.Patterns)),
+		PerPattern: make([]BatchPattern, 0, len(seq.Patterns)),
 		Detected:   make([]bool, 0, len(b.faults)),
 		Detections: make([]Detection, 0, len(b.faults)),
 		Oscillated: make([]bool, 0, len(b.faults)),
@@ -705,7 +701,7 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 		if err != nil {
 			return nil, err
 		}
-		br.PerPattern = append(br.PerPattern, ps)
+		br.PerPattern = append(br.PerPattern, BatchPattern{LiveBefore: ps.LiveBefore, LiveAfter: ps.LiveAfter, Detected: ps.Detected})
 	}
 
 	for fi, fs := range b.faults {

@@ -61,11 +61,21 @@ func TestRunBatchMatchesMonolithic(t *testing.T) {
 	if fw != monoRes.FaultWork {
 		t.Fatalf("fault work %d vs monolithic %d", fw, monoRes.FaultWork)
 	}
+	// A batch's pattern row keeps the counts; the per-setting rows give
+	// the pattern's work and peak.
+	si := 0
 	for pi := range monoRes.PerPattern {
 		mp, bp := monoRes.PerPattern[pi], br.PerPattern[pi]
-		if bp.FaultWork != mp.FaultWork || bp.MaxActive != mp.MaxActive ||
+		var work int64
+		peak := 0
+		for _, st := range br.PerSetting[si : si+mp.Settings] {
+			work += st.FaultWork
+			peak = max(peak, st.ActiveCircuits)
+		}
+		si += mp.Settings
+		if work != mp.FaultWork || peak != mp.MaxActive ||
 			bp.Detected != mp.Detected || bp.LiveBefore != mp.LiveBefore || bp.LiveAfter != mp.LiveAfter {
-			t.Fatalf("pattern %d stats mismatch: batch %+v vs mono %+v", pi, bp, mp)
+			t.Fatalf("pattern %d stats mismatch: batch %+v (work %d, peak %d) vs mono %+v", pi, bp, work, peak, mp)
 		}
 	}
 

@@ -210,12 +210,10 @@ func (s *Simulator) CheckInvariants() error { return s.batch.CheckInvariants() }
 // StepSetting advances every live circuit through one input setting: the
 // good circuit first, then each activated faulty circuit in ascending
 // circuit-id order (the paper's circuit-by-circuit event processing).
-// Returns per-setting statistics.
+// Returns the setting's fault-side row, the one a batch result carries
+// (the good circuit's work is not in it).
 func (s *Simulator) StepSetting(setting switchsim.Setting) SettingStats {
-	trace := s.gr.step(setting)
-	st := s.batch.Step(trace)
-	st.GoodWork = trace.GoodWork
-	return st
+	return s.batch.Step(s.gr.step(setting))
 }
 
 // RunPattern advances the simulation through one pattern: all of its

@@ -105,8 +105,8 @@ func TestCheckInvariantsRejectsRecordEqualToGood(t *testing.T) {
 // TestMonoAndReplayReportOneEventStream: a monolithic run steps its live
 // good circuit through the pattern loop a replayed batch runs, so with
 // OnObserve set it reports the BatchProgress sequence RunBatch reports
-// over the same universe and its recording, and the same fault-side
-// pattern statistics. The universe has duplicate faults (class members
+// over the same universe and its recording, and the same per-pattern live
+// and detected counts. The universe has duplicate faults (class members
 // share a detection) and is detected completely, so the stream runs on
 // through the dead tail.
 func TestMonoAndReplayReportOneEventStream(t *testing.T) {
@@ -125,9 +125,9 @@ func TestMonoAndReplayReportOneEventStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono := sim.Run(seq).PerPattern
-	for i := range mono {
-		mono[i].GoodWork = 0 // a batch reports the fault side only
+	var mono []BatchPattern
+	for _, ps := range sim.Run(seq).PerPattern {
+		mono = append(mono, BatchPattern{LiveBefore: ps.LiveBefore, LiveAfter: ps.LiveAfter, Detected: ps.Detected})
 	}
 	opts := withEvents(&replayEvents)
 	br, err := RunBatch(nil, switchsim.NewTables(m.Net), faults, Record(m.Net, seq, opts), seq, opts)
@@ -135,7 +135,7 @@ func TestMonoAndReplayReportOneEventStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(mono, br.PerPattern) {
-		t.Fatal("the monolithic run's fault-side pattern statistics differ from the replay's")
+		t.Fatal("the monolithic run's pattern counts differ from the replay's")
 	}
 	if len(monoEvents) != seq.NumSettings() || !reflect.DeepEqual(monoEvents, replayEvents) {
 		t.Fatalf("%d monolithic and %d replayed events over %d settings, or they differ",

@@ -5,17 +5,18 @@ import (
 	"io"
 )
 
-// SettingStats instruments one input setting. Every field is
-// deterministic: identical for every worker count and shard split, and
-// wherever a fault's lane sits.
+// SettingStats is one row of a batch's per-setting table: the fault-side
+// figures of one input setting. Every field is deterministic: identical
+// for every worker count and shard split, and wherever a fault's lane
+// sits. A row holds only what some reader takes from it —
+// campaign.Merge sums ActiveCircuits and FaultWork, and the benchmark
+// harness sums the four lane columns; the row's position in the table is
+// its setting, and the good side is the recording's.
 type SettingStats struct {
-	Pattern, Setting int
 	// ActiveCircuits is the number of faulty circuits re-simulated.
 	ActiveCircuits int
-	// LiveFaults is the number of undropped circuits after the setting.
-	LiveFaults int
-	// GoodWork/FaultWork are deterministic solver work units.
-	GoodWork, FaultWork int64
+	// FaultWork is the faulty circuits' deterministic solver work units.
+	FaultWork int64
 
 	// Lane occupancy: LanesReplayed counts activated circuits settled
 	// against the shared trajectory index this setting; ScalarFallbacks
@@ -27,6 +28,18 @@ type SettingStats struct {
 	// servicing: trajectory vicinities adopted whole vs solved with full
 	// switch-level dynamics.
 	AdoptedVics, SolvedVics int64
+}
+
+// BatchPattern is one row of a batch's per-pattern table: the three
+// counts campaign.Merge cannot rebuild from the per-setting rows. The
+// row's position is its pattern; the rest of a PatternStats (name,
+// setting count, peak and summed work) is rebuilt at merge from the
+// sequence, the recording and the per-setting rows.
+type BatchPattern struct {
+	// LiveBefore/LiveAfter bracket the pattern; Detected counts faults
+	// first detected during it.
+	LiveBefore, LiveAfter int
+	Detected              int
 }
 
 // PatternStats instruments one pattern (one clock cycle of settings).

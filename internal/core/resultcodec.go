@@ -4,24 +4,27 @@
 // one base64 JSON string.
 //
 // A batch result is mostly its per-setting table: thirteen small integers
-// for every input setting of the sequence, most of them zero (three of the
-// thirteen, and two of a pattern's ten, are reserved slots: four held
-// wall-clock nanoseconds until the result stopped carrying a clock, the
-// thirteenth a per-setting retirement count nothing read; they are written
-// 0 and skipped on read, so files and peers on either side of those
-// changes still understand each other). Written
-// column by column as varints, a zero costs one byte and nothing is spent
-// on field names; as a JSON object the same table was an order of
-// magnitude larger and dominated a shard's round trip.
+// for every input setting of the sequence, most of them zero. Seven of the
+// thirteen, and seven of a pattern's ten, are reserved slots: four held
+// wall-clock nanoseconds until the result stopped carrying a clock, one a
+// per-setting retirement count nothing read, and the rest the position,
+// live-count and work fields that left the batch rows because no reader
+// takes them from a batch (campaign.Merge rebuilds them from the sequence
+// and the recording). Reserved slots are written 0 and skipped on
+// read, and pattern names are written empty and skipped on read, so files
+// and peers on either side of those changes still understand each other.
+// Written column by column as varints, a zero costs one byte and nothing
+// is spent on field names; as a JSON object the same table was an order
+// of magnitude larger and dominated a shard's round trip.
 //
 // Layout, every integer a uvarint of its two's-complement bits (so any
 // value survives, and the non-negative ones that occur are short):
 //
 //	magic "FMOSBRES"
 //	NumFaults
-//	len(PerSetting), then one column per SettingStats field
-//	len(PerPattern), one column per integer PatternStats field, then
-//	    the names (length-prefixed)
+//	len(PerSetting), then the thirteen per-setting columns
+//	len(PerPattern), the ten per-pattern columns, then one
+//	    length-prefixed name per pattern (written empty)
 //	len(Detected), one byte each
 //	len(Detections), then one column per Detection field
 //	len(Oscillated), one byte each
@@ -72,12 +75,15 @@ func reservedCol[T any]() column[T] {
 	}
 }
 
+// settingCols is the per-setting table's layout. The reserved slots held,
+// in order, the pattern and setting index, the live count, the good work,
+// two wall-clock spans and a retirement count.
 var settingCols = []column[SettingStats]{
-	intCol(func(s *SettingStats) *int { return &s.Pattern }),
-	intCol(func(s *SettingStats) *int { return &s.Setting }),
+	reservedCol[SettingStats](),
+	reservedCol[SettingStats](),
 	intCol(func(s *SettingStats) *int { return &s.ActiveCircuits }),
-	intCol(func(s *SettingStats) *int { return &s.LiveFaults }),
-	int64Col(func(s *SettingStats) *int64 { return &s.GoodWork }),
+	reservedCol[SettingStats](),
+	reservedCol[SettingStats](),
 	int64Col(func(s *SettingStats) *int64 { return &s.FaultWork }),
 	reservedCol[SettingStats](),
 	reservedCol[SettingStats](),
@@ -88,19 +94,21 @@ var settingCols = []column[SettingStats]{
 	reservedCol[SettingStats](),
 }
 
-// patternCols lists every PatternStats field but Name, which is not an
-// integer and is written after them.
-var patternCols = []column[PatternStats]{
-	intCol(func(p *PatternStats) *int { return &p.Pattern }),
-	intCol(func(p *PatternStats) *int { return &p.Settings }),
-	intCol(func(p *PatternStats) *int { return &p.LiveBefore }),
-	intCol(func(p *PatternStats) *int { return &p.LiveAfter }),
-	intCol(func(p *PatternStats) *int { return &p.Detected }),
-	intCol(func(p *PatternStats) *int { return &p.MaxActive }),
-	int64Col(func(p *PatternStats) *int64 { return &p.GoodWork }),
-	int64Col(func(p *PatternStats) *int64 { return &p.FaultWork }),
-	reservedCol[PatternStats](),
-	reservedCol[PatternStats](),
+// patternCols is the per-pattern table's layout. The reserved slots held,
+// in order, the pattern index, the setting count, the peak active count,
+// the good and the fault work, and two wall-clock spans; the names that
+// follow the columns are written empty.
+var patternCols = []column[BatchPattern]{
+	reservedCol[BatchPattern](),
+	reservedCol[BatchPattern](),
+	intCol(func(p *BatchPattern) *int { return &p.LiveBefore }),
+	intCol(func(p *BatchPattern) *int { return &p.LiveAfter }),
+	intCol(func(p *BatchPattern) *int { return &p.Detected }),
+	reservedCol[BatchPattern](),
+	reservedCol[BatchPattern](),
+	reservedCol[BatchPattern](),
+	reservedCol[BatchPattern](),
+	reservedCol[BatchPattern](),
 }
 
 var detectionCols = []column[Detection]{
@@ -164,9 +172,7 @@ func columnsSize[T any](rows []T, cols []column[T]) int {
 func (br *BatchResult) encodedBound() int {
 	n := len(batchResultMagic) + switchsim.UvarintLen(uint64(int64(br.NumFaults)))
 	n += columnsSize(br.PerSetting, settingCols) + columnsSize(br.PerPattern, patternCols)
-	for i := range br.PerPattern {
-		n += switchsim.UvarintLen(uint64(len(br.PerPattern[i].Name))) + len(br.PerPattern[i].Name)
-	}
+	n += len(br.PerPattern) // an empty name is one zero byte
 	n += switchsim.UvarintLen(uint64(len(br.Detected))) + len(br.Detected)
 	n += columnsSize(br.Detections, detectionCols)
 	n += switchsim.UvarintLen(uint64(len(br.Oscillated))) + len(br.Oscillated)
@@ -192,9 +198,8 @@ func (br BatchResult) AppendBinary(b []byte) ([]byte, error) {
 
 	b = binary.AppendUvarint(b, uint64(len(br.PerPattern)))
 	b = appendColumns(b, br.PerPattern, patternCols)
-	for i := range br.PerPattern {
-		b = binary.AppendUvarint(b, uint64(len(br.PerPattern[i].Name)))
-		b = append(b, br.PerPattern[i].Name...)
+	for range br.PerPattern {
+		b = append(b, 0) // the empty name
 	}
 
 	b = appendBools(b, br.Detected)
@@ -232,8 +237,8 @@ func (br *BatchResult) UnmarshalBinary(data []byte) error {
 	out.PerSetting = decodeColumns(d, d.Count(len(settingCols)), settingCols)
 
 	out.PerPattern = decodeColumns(d, d.Count(len(patternCols)+1), patternCols)
-	for i := range out.PerPattern {
-		out.PerPattern[i].Name = string(d.bytes(d.Count(1)))
+	for range out.PerPattern {
+		d.bytes(d.Count(1)) // a name: empty, or an older writer's, dropped
 	}
 
 	out.Detected = d.bools()

@@ -3,8 +3,11 @@ package core
 import (
 	"encoding/binary"
 	"encoding/json"
+	"os"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"fmossim/internal/fault"
 	"fmossim/internal/logic"
@@ -156,7 +159,7 @@ func TestBatchResultCodecCoversEveryField(t *testing.T) {
 	want := &BatchResult{
 		NumFaults:  2,
 		PerSetting: make([]SettingStats, 3),
-		PerPattern: make([]PatternStats, 2),
+		PerPattern: make([]BatchPattern, 2),
 		Detected:   []bool{true, false},
 		Detections: make([]Detection, 2),
 		Oscillated: []bool{false, true},
@@ -185,17 +188,21 @@ func TestBatchResultCodecCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestBatchResultReservedSlots: the two per-setting and two per-pattern
-// columns that carried wall-clock nanoseconds until the result lost its
-// clock, and the per-setting column that carried a retirement count until
-// nothing read it, are still on the wire — written 0, skipped on read — so
-// a payload written before those changes (a checkpoint, an older worker's
-// result line) decodes to the value this build would have computed.
+// TestBatchResultReservedSlots: the columns no row field owns any more are
+// still on the wire — written 0, skipped on read — and so is the name of
+// every pattern, written empty and skipped on read, so a payload written
+// before those fields left the rows (a checkpoint, an older worker's
+// result line) decodes to the value this build would have computed. The
+// slots held wall-clock nanoseconds until the result lost its clock, a
+// retirement count until nothing read it, and the position, live-count
+// and work fields until the batch rows kept only what campaign.Merge and
+// the benchmark harness read.
 func TestBatchResultReservedSlots(t *testing.T) {
 	want := &BatchResult{
-		NumFaults:  1,
-		PerSetting: []SettingStats{{Pattern: 1, Setting: 2, ActiveCircuits: 3, LiveFaults: 4, GoodWork: 5, FaultWork: 6, LanesReplayed: 7}},
-		PerPattern: []PatternStats{{Pattern: 1, Settings: 2, LiveBefore: 3, LiveAfter: 4, Detected: 5, MaxActive: 6, GoodWork: 7, FaultWork: 8, Name: "p"}},
+		NumFaults: 1,
+		PerSetting: []SettingStats{{ActiveCircuits: 3, FaultWork: 6, LanesReplayed: 7, ScalarFallbacks: 8,
+			AdoptedVics: 9, SolvedVics: 10}},
+		PerPattern: []BatchPattern{{LiveBefore: 3, LiveAfter: 4, Detected: 5}},
 		Detected:   []bool{false},
 		Detections: make([]Detection, 1),
 		Oscillated: []bool{false},
@@ -204,20 +211,132 @@ func TestBatchResultReservedSlots(t *testing.T) {
 	// One row of one-byte values per table: a column is a byte.
 	settings := len(batchResultMagic) + 2 // NumFaults, len(PerSetting)
 	patterns := settings + len(settingCols) + 1
-	slots := []int{settings + 6, settings + 7, settings + 12, patterns + 8, patterns + 9}
-	old := append([]byte(nil), bin...)
-	for _, at := range slots {
-		if bin[at] != 0 {
-			t.Fatalf("reserved slot at byte %d holds %d, want 0", at, bin[at])
-		}
-		old[at] = 0x7f
+	name := patterns + len(patternCols)
+	slots := []struct {
+		field string
+		at    int
+	}{
+		{"SettingStats.Pattern", settings + 0},
+		{"SettingStats.Setting", settings + 1},
+		{"SettingStats.LiveFaults", settings + 3},
+		{"SettingStats.GoodWork", settings + 4},
+		{"setting wall-clock 1", settings + 6},
+		{"setting wall-clock 2", settings + 7},
+		{"setting retirements", settings + 12},
+		{"PatternStats.Pattern", patterns + 0},
+		{"PatternStats.Settings", patterns + 1},
+		{"PatternStats.MaxActive", patterns + 5},
+		{"PatternStats.GoodWork", patterns + 6},
+		{"PatternStats.FaultWork", patterns + 7},
+		{"pattern wall-clock 1", patterns + 8},
+		{"pattern wall-clock 2", patterns + 9},
 	}
+	old := append([]byte(nil), bin...)
+	for _, s := range slots {
+		if bin[s.at] != 0 {
+			t.Fatalf("reserved slot %s at byte %d holds %d, want 0", s.field, s.at, bin[s.at])
+		}
+		old[s.at] = 0x7f
+	}
+	if bin[name] != 0 {
+		t.Fatalf("the pattern name at byte %d has length %d, want empty", name, bin[name])
+	}
+	// An older writer named the pattern.
+	old = slices.Concat(old[:name], []byte{2, 'p', '0'}, old[name+1:])
 	var got BatchResult
 	if err := got.UnmarshalBinary(old); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(&got, want) {
-		t.Fatalf("a payload with non-zero reserved slots decodes to\n%+v, want\n%+v", &got, want)
+		t.Fatalf("a payload with non-zero reserved slots and a named pattern decodes to\n%+v, want\n%+v", &got, want)
+	}
+}
+
+// wideRowGolden is a batch result an earlier build wrote, before the batch
+// rows lost their position, live-count, work and name fields: every one of
+// those columns holds non-zero values in it and every pattern is named
+// (testdata/README.md says how it was made).
+const wideRowGolden = "testdata/batchresult-wide-rows.fmosbres"
+
+// TestBatchResultWideRowGolden: the earlier build's payload decodes to the
+// slim rows this build computes for the same batch, dropping the columns
+// that are reserved now and the pattern names — which the golden must
+// actually fill for the test to show that.
+func TestBatchResultWideRowGolden(t *testing.T) {
+	bin, err := os.ReadFile(wideRowGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got BatchResult
+	if err := got.UnmarshalBinary(bin); err != nil {
+		t.Fatal(err)
+	}
+	m := ram.RAM64()
+	seq := march.Sequence1(m)
+	seq.Patterns = seq.Patterns[:48]
+	faults := fault.NodeStuckFaults(m.Net, fault.Options{})
+	opts := Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
+	want, err := RunBatch(nil, switchsim.NewTables(m.Net), faults[16:80], Record(m.Net, seq, opts), seq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatal("the earlier build's payload decodes to another result than this build computes")
+	}
+
+	// The premise: read raw, every column reserved now holds a non-zero
+	// value (the wall-clock and retirement slots were 0 already), and
+	// every pattern has a name.
+	d := &resultDecoder{switchsim.VarintReader{Buf: bin[len(batchResultMagic):]}}
+	d.Uvarint() // NumFaults
+	settings := rawNonZeroColumns(d, settingCols)
+	patterns := rawNonZeroColumns(d, patternCols)
+	for _, ci := range []int{0, 1, 3, 4} {
+		if !slices.Contains(settings, ci) {
+			t.Errorf("per-setting column %d is all zero in the golden", ci)
+		}
+	}
+	for _, ci := range []int{0, 1, 5, 6, 7} {
+		if !slices.Contains(patterns, ci) {
+			t.Errorf("per-pattern column %d is all zero in the golden", ci)
+		}
+	}
+	for pi := range got.PerPattern {
+		if len(d.bytes(d.Count(1))) == 0 {
+			t.Errorf("pattern %d has no name in the golden", pi)
+		}
+	}
+	if d.Err != nil {
+		t.Fatal(d.Err)
+	}
+}
+
+// rawNonZeroColumns reads a table of cols from d, its row count first, and
+// returns the indices of the columns holding a non-zero value.
+func rawNonZeroColumns[T any](d *resultDecoder, cols []column[T]) []int {
+	n := d.Count(len(cols))
+	var nonZero []int
+	for ci := range cols {
+		hit := false
+		for range n {
+			hit = d.Uvarint() != 0 || hit
+		}
+		if hit {
+			nonZero = append(nonZero, ci)
+		}
+	}
+	return nonZero
+}
+
+// TestBatchRowSizes pins the batch rows' sizes: a campaign holds one
+// SettingStats per setting and one BatchPattern per pattern of every
+// batch, and those tables are most of what a batch allocates.
+func TestBatchRowSizes(t *testing.T) {
+	if got := unsafe.Sizeof(SettingStats{}); got != 48 {
+		t.Errorf("SettingStats is %d bytes, want 48: a new batch-row field needs a named reader (Merge, a CLI, the harness or the server; ROADMAP item 3)", got)
+	}
+	if got := unsafe.Sizeof(BatchPattern{}); got != 24 {
+		t.Errorf("BatchPattern is %d bytes, want 24: a new batch-row field needs a named reader (Merge, a CLI, the harness or the server; ROADMAP item 3)", got)
 	}
 }
 
@@ -226,7 +345,8 @@ func TestBatchResultReservedSlots(t *testing.T) {
 // length prefixes the input cannot back, out-of-range values, per-fault
 // columns of different lengths, trailing bytes) returns an error and never
 // panics; anything that does decode re-encodes and re-decodes to the
-// identical value.
+// identical value. The seeds include an earlier build's payload, whose
+// reserved columns and pattern names are filled.
 func FuzzDecodeBatchResult(f *testing.F) {
 	for _, br := range codecSeeds(f) {
 		bin := encodeResult(f, br)
@@ -234,6 +354,11 @@ func FuzzDecodeBatchResult(f *testing.F) {
 		f.Add(bin[:len(bin)/2])
 		f.Add(bin[:len(bin)-1])
 	}
+	old, err := os.ReadFile(wideRowGolden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 	f.Add([]byte(batchResultMagic))
 	f.Add([]byte{})
 

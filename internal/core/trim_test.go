@@ -40,8 +40,7 @@ type oneFaultKey struct {
 // oneFaultBatches is the untrimmed reference: every fault runs in a batch
 // of its own, where there is nothing to collapse, and the runs fold into
 // the BatchResult one batch of all of them reports — per-fault columns
-// side by side, per-setting counts summed, pattern counts summed, and each
-// pattern's MaxActive the peak of its summed ActiveCircuits. Runs are
+// side by side, per-setting counts summed, pattern counts summed. Runs are
 // cached across cases by fault, drop policy and round limit, the only
 // inputs a one-fault batch's result depends on.
 func oneFaultBatches(t *testing.T, cache map[oneFaultKey]*BatchResult, tab *switchsim.Tables,
@@ -64,13 +63,12 @@ func oneFaultBatches(t *testing.T, cache map[oneFaultKey]*BatchResult, tab *swit
 		want.Records = append(want.Records, one.Records[0])
 		if fi == 0 {
 			want.PerSetting = append([]SettingStats(nil), one.PerSetting...)
-			want.PerPattern = append([]PatternStats(nil), one.PerPattern...)
+			want.PerPattern = append([]BatchPattern(nil), one.PerPattern...)
 			continue
 		}
 		for si, st := range one.PerSetting {
 			w := &want.PerSetting[si]
 			w.ActiveCircuits += st.ActiveCircuits
-			w.LiveFaults += st.LiveFaults
 			w.FaultWork += st.FaultWork
 			w.LanesReplayed += st.LanesReplayed
 			w.ScalarFallbacks += st.ScalarFallbacks
@@ -82,17 +80,7 @@ func oneFaultBatches(t *testing.T, cache map[oneFaultKey]*BatchResult, tab *swit
 			w.LiveBefore += ps.LiveBefore
 			w.LiveAfter += ps.LiveAfter
 			w.Detected += ps.Detected
-			w.FaultWork += ps.FaultWork
 		}
-	}
-	si := 0
-	for pi := range want.PerPattern {
-		w := &want.PerPattern[pi]
-		w.MaxActive = 0
-		for _, st := range want.PerSetting[si : si+w.Settings] {
-			w.MaxActive = max(w.MaxActive, st.ActiveCircuits)
-		}
-		si += w.Settings
 	}
 	return want
 }
@@ -159,7 +147,7 @@ func TestTrimByteIdentical(t *testing.T) {
 	}{
 		{name: "plain/w1", faults: plain, work: 1,
 			premise: func(t *testing.T, br *BatchResult, b *FaultBatch) {
-				if b.Live() != 0 || br.PerSetting[len(br.PerSetting)-1].LiveFaults != 0 {
+				if b.Live() != 0 || br.PerPattern[len(br.PerPattern)-1].LiveAfter != 0 {
 					t.Fatal("the batch never emptied: its dead tail was not skipped")
 				}
 			}},
