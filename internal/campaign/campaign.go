@@ -239,13 +239,29 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		defer ck.f.Close()
 	}
 
-	run := func(ctx context.Context, _, i int) (*core.BatchResult, error) {
+	// A local slot keeps one batch and re-arms it for every batch it runs
+	// (core.FaultBatch.Reset): the interest rows, replay index, circuits
+	// and worker solvers are allocated once per slot, not once per batch.
+	// A slot runs one batch at a time, so its batch is never shared.
+	slotBatch := make([]*core.FaultBatch, shards)
+	run := func(ctx context.Context, slot, i int) (*core.BatchResult, error) {
 		lo, hi := l.Window(i)
 		batchOpts := simOpts
 		if obs := l.observer(i); obs != nil {
 			batchOpts.OnObserve = obs
 		}
-		return core.RunBatch(ctx, tab, ordered[lo:hi], rec, seq, batchOpts)
+		b := slotBatch[slot]
+		var err error
+		if b == nil {
+			b, err = core.NewFaultBatch(tab, ordered[lo:hi], batchOpts)
+			slotBatch[slot] = b
+		} else {
+			err = b.Reset(ordered[lo:hi], batchOpts)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return b.RunRecording(ctx, rec, seq)
 	}
 	if opts.Remote != nil {
 		run = opts.Remote(l)

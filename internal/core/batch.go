@@ -27,7 +27,8 @@ import (
 )
 
 // FaultBatch executes one slice of the fault universe against good-circuit
-// step traces. Construct with NewFaultBatch.
+// step traces. Construct with NewFaultBatch; re-arm one that has run with
+// Reset.
 type FaultBatch struct {
 	tab  *switchsim.Tables
 	nw   *netlist.Network
@@ -48,9 +49,15 @@ type FaultBatch struct {
 	// workers execute activated faulty circuits; each owns a scratch
 	// circuit (overwritten from prev at the start of every lane-step) and
 	// a private solver. There are never more than the batch has faults.
+	// pool holds every worker the batch has made, across Resets; workers
+	// is the prefix the current window uses.
 	workers []*faultWorker
+	pool    []*faultWorker
 
+	// faults points into slab, the per-fault state of the window, one
+	// entry per fault (see Reset).
 	faults []*faultState
+	slab   []faultState
 	live   int // undropped circuits, maintained on drop (O(1) queries)
 
 	// Lane packing: circuit ci occupies bit (ci-1)%64 of lane word
@@ -119,8 +126,10 @@ type FaultBatch struct {
 	detectedTotal int
 
 	// lanesFreed is the number of faults collapsed onto a class
-	// representative at construction (see trim.go).
+	// representative at construction (see trim.go); classOrder is
+	// groupClasses' sort scratch.
 	lanesFreed int
+	classOrder []int32
 }
 
 // lane returns circuit ci's lane coordinates in the packed rows.
@@ -131,39 +140,84 @@ func (b *FaultBatch) lane(ci CircuitID) (word int, bit uint) {
 
 // NewFaultBatch builds a consumer over a shared Tables, at the reset state.
 // The batch runs no good-circuit solver: it is driven by step traces, live
-// from a Simulator's producer or recorded (RunRecording), so campaigns
-// construct one per fault shard. The first trace it steps must be the
-// initialization step, which is where the faults are inserted: every
-// circuit is materialized with its fault applied to the reset state, so
-// defects are present from power-on.
+// from a Simulator's producer or recorded (RunRecording). The first trace
+// it steps must be the initialization step, which is where the faults are
+// inserted: every circuit is materialized with its fault applied to the
+// reset state, so defects are present from power-on. It is Reset on an
+// empty batch: a batch that has run is re-armed for the next fault window
+// with Reset, not rebuilt.
 func NewFaultBatch(tab *switchsim.Tables, faults []fault.Fault, opts Options) (*FaultBatch, error) {
-	nw := tab.Net
+	b := &FaultBatch{tab: tab, nw: tab.Net}
+	b.laneStep = b.stepLane
+	if err := b.Reset(faults, opts); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Reset re-arms the batch for a new fault window over the same Tables, at
+// the reset state: afterwards it runs exactly as NewFaultBatch(tab, faults,
+// opts) would — the same results, work, ReplayStats and TrimStats. What a
+// batch sizes by the network, not by its window, is kept: both circuits,
+// the interest rows, the replay index, the workers with their scratch
+// circuits, solvers and diff scratch, and the per-fault slab with its
+// record stores; each grows only when the window is wider than any before.
+// Only what a fresh batch reads as zero is cleared — the interest rows at
+// the new stride, the counters and the statistics. The stamp epochs keep
+// counting, so no stamp of an earlier window reads as current. A campaign
+// keeps one batch per shard slot and re-arms it for every batch the slot
+// runs; a batch is never shared between goroutines. A Reset that fails
+// leaves the batch as it was.
+func (b *FaultBatch) Reset(faults []fault.Fault, opts Options) error {
+	nw := b.nw
 	if len(opts.Observe) == 0 {
-		return nil, fmt.Errorf("core: no observed outputs configured")
+		return fmt.Errorf("core: no observed outputs configured")
 	}
 	for _, o := range opts.Observe {
 		if o < 0 || int(o) >= nw.NumNodes() {
-			return nil, fmt.Errorf("core: observed node %d out of range", o)
+			return fmt.Errorf("core: observed node %d out of range", o)
 		}
 	}
+	n := nw.NumNodes()
 	words := (len(faults) + 63) / 64
-	b := &FaultBatch{
-		tab:          tab,
+	old := *b
+	*b = FaultBatch{
+		tab:          old.tab,
 		nw:           nw,
 		opts:         opts,
-		good:         switchsim.NewCircuit(tab),
-		prev:         switchsim.NewCircuit(tab),
+		good:         old.good,
+		prev:         old.prev,
+		pool:         old.pool,
+		faults:       old.faults[:0],
 		words:        words,
-		interestMask: make([]uint64, nw.NumNodes()*words),
-		interestNZ:   make([]int32, nw.NumNodes()),
-		wbRecs:       make([]uint64, (nw.NumNodes()+63)/64),
-		ix:           switchsim.NewReplayIndex(tab),
-		touchStamp:   make([]uint32, nw.NumNodes()),
-		inputStamp:   make([]uint32, nw.NumNodes()),
-		activeWords:  make([]uint64, words),
-		results:      make([]stepResult, len(faults)),
+		interestMask: zeroed(old.interestMask, n*words),
+		interestNZ:   zeroed(old.interestNZ, n),
+		wbRecs:       zeroed(old.wbRecs, (n+63)/64),
+		ix:           old.ix,
+		touchStamp:   old.touchStamp,
+		touchEpoch:   old.touchEpoch,
+		touched:      old.touched[:0],
+		inputStamp:   old.inputStamp,
+		inputEpoch:   old.inputEpoch,
+		activeWords:  zeroed(old.activeWords, words),
+		active:       old.active[:0],
+		results:      zeroed(old.results, len(faults)),
+		detBuf:       old.detBuf[:0],
+		laneStep:     old.laneStep,
+		settingBuf:   old.settingBuf[:0],
+		allNodes:     old.allNodes,
+		slab:         old.slab,
+		classOrder:   old.classOrder,
 	}
-	b.laneStep = b.stepLane
+	if b.good == nil {
+		b.good, b.prev = switchsim.NewCircuit(b.tab), switchsim.NewCircuit(b.tab)
+		b.ix = switchsim.NewReplayIndex(b.tab)
+		b.touchStamp, b.inputStamp = make([]uint32, n), make([]uint32, n)
+	} else {
+		b.good.Reset()
+		b.prev.Reset()
+		b.ix.ResetStats()
+	}
 
 	// A batch cannot use more workers than it has lanes, and each one holds
 	// a scratch circuit, a solver and node-sized diff arrays: the pool is
@@ -173,12 +227,29 @@ func NewFaultBatch(tab *switchsim.Tables, faults []fault.Fault, opts Options) (*
 		nWorkers = runtime.GOMAXPROCS(0)
 	}
 	nWorkers = max(1, min(nWorkers, len(faults)))
-	for i := 0; i < nWorkers; i++ {
-		b.workers = append(b.workers, newFaultWorker(b))
+	for len(b.pool) < nWorkers {
+		b.pool = append(b.pool, newFaultWorker(b))
+	}
+	b.workers = b.pool[:nWorkers]
+	for _, w := range b.workers {
+		w.reset()
 	}
 
-	for _, f := range faults {
-		b.faults = append(b.faults, &faultState{f: f, sites: siteSet(nw, f), repFi: -1})
+	// The per-fault state lives in one slab; a slot keeps its record
+	// store's arrays and its class member list.
+	if cap(b.slab) < len(faults) {
+		b.slab = make([]faultState, len(faults))
+		b.faults = make([]*faultState, 0, len(faults))
+	}
+	b.slab = b.slab[:len(faults)]
+	for i, f := range faults {
+		fs := &b.slab[i]
+		*fs = faultState{
+			f: f, sites: siteSet(nw, f), repFi: -1,
+			recs:         recStore{nodes: fs.recs.nodes[:0], vals: fs.recs.vals[:0]},
+			classMembers: fs.classMembers[:0],
+		}
+		b.faults = append(b.faults, fs)
 	}
 	b.live = len(b.faults)
 	b.groupClasses()
@@ -193,7 +264,18 @@ func NewFaultBatch(tab *switchsim.Tables, faults []fault.Fault, opts Options) (*
 			b.setInterest(n, CircuitID(fi+1))
 		}
 	}
-	return b, nil
+	return nil
+}
+
+// zeroed returns s resliced to n zero elements, reusing its array when it
+// holds n.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // siteSet computes the static interest sites of a fault: the storage
@@ -513,9 +595,9 @@ func (b *FaultBatch) Observe() []int {
 		for w := range row {
 			// The word snapshot is the iteration's working set: a drop
 			// clears only the dropped circuit's own bits in the shared row.
-			// A dropped circuit has left every row and released its
-			// records, so the fs.dropped re-check fires only on a batch
-			// whose interest index is already inconsistent.
+			// A dropped circuit has left every row and holds no records,
+			// so the fs.dropped re-check fires only on a batch whose
+			// interest index is already inconsistent.
 			m := row[w]
 			for m != 0 {
 				fi := w<<6 + bits.TrailingZeros64(m)
@@ -664,8 +746,10 @@ func (br *BatchResult) DetectedCount() int {
 
 // RunRecording replays a captured good trajectory against the batch: the
 // initialization step first, then every pattern of seq with observations
-// at its observe points. The batch must be freshly constructed. The
-// recording must have been captured over the same network and sequence.
+// at its observe points. The batch must be fresh from NewFaultBatch or
+// Reset: a batch that has run replays again only once Reset re-arms it.
+// The recording must have been captured over the same network and
+// sequence.
 //
 // Cancellation is cooperative at setting granularity: ctx is checked
 // between settings (each a few microseconds to milliseconds of work), and
@@ -673,7 +757,7 @@ func (br *BatchResult) DetectedCount() int {
 // ctx behaves like context.Background().
 func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording, seq *switchsim.Sequence) (*BatchResult, error) {
 	if b.started {
-		return nil, fmt.Errorf("core: batch already ran; build a fresh FaultBatch per replay")
+		return nil, fmt.Errorf("core: batch already ran; Reset it before another replay")
 	}
 	if err := rec.Validate(b.nw, seq.NumSettings()); err != nil {
 		return nil, err
@@ -721,8 +805,9 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 	return br, nil
 }
 
-// RunBatch builds a batch over one slice of the fault universe and runs it
-// against a recorded good trajectory: the campaign engine's unit of work.
+// RunBatch builds a fresh batch over one slice of the fault universe and
+// runs it against a recorded good trajectory: the campaign engine's unit
+// of work, and the reference a re-armed batch (Reset) is checked against.
 // Batches over the same Tables are independent and safe to run
 // concurrently. Cancelling ctx stops the replay between settings (see
 // RunRecording); a nil ctx never cancels.

@@ -145,6 +145,75 @@ func TestBatchMemoryScalesWithWidth(t *testing.T) {
 	}
 }
 
+// TestRearmKeepsBatchScratch pins what Reset saves. A re-armed RAM64
+// batch replaying a window allocates its result and little else: at most
+// the bytes of the decoded result (what any replay of the window hands
+// back) plus those of one fresh construction, where a fresh RunBatch of the
+// same window also pays the construction (circuits, interest rows, worker
+// circuits and solvers) and regrows the replay index and solver queues
+// during the run. One worker keeps the fan-out inline, so the counts are
+// the same from run to run. A change that allocates the index or the
+// workers per batch again fails it.
+func TestRearmKeepsBatchScratch(t *testing.T) {
+	m := ram.RAM64()
+	tab := switchsim.NewTables(m.Net)
+	seq := march.Sequence1(m)
+	faults := fault.NodeStuckFaults(m.Net, fault.Options{})
+	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
+	rec := core.RecordTables(tab, seq, opts)
+	first, window := faults[:64], faults[64:128]
+
+	b, err := core.NewFaultBatch(tab, first, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RunRecording(context.Background(), rec, seq); err != nil {
+		t.Fatal(err)
+	}
+	var sink []any
+	construct := allocBytes(func() {
+		nb, err := core.NewFaultBatch(tab, window, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = append(sink, nb)
+	})
+	var br *core.BatchResult
+	fresh := allocBytes(func() {
+		if br, err = core.RunBatch(context.Background(), tab, window, rec, seq, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bin, err := br.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := allocBytes(func() {
+		var br core.BatchResult
+		if err := br.UnmarshalBinary(bin); err != nil {
+			t.Fatal(err)
+		}
+		sink = append(sink, &br)
+	})
+	rearmed := allocBytes(func() {
+		if err := b.Reset(window, opts); err != nil {
+			t.Fatal(err)
+		}
+		br, err := b.RunRecording(context.Background(), rec, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = append(sink, br)
+	})
+	_ = sink
+	t.Logf("RAM64 window of %d faults: fresh RunBatch %d B, Reset+RunRecording %d B (construction %d B, decoded result %d B)",
+		len(window), fresh, rearmed, construct, result)
+	if rearmed > result+construct {
+		t.Fatalf("a re-armed batch allocates %d B: more than its %d B result plus one %d B construction (a fresh RunBatch allocates %d B)",
+			rearmed, result, construct, fresh)
+	}
+}
+
 // TestDropPolicyString covers the policy names.
 func TestDropPolicyString(t *testing.T) {
 	cases := map[core.DropPolicy]string{

@@ -40,7 +40,8 @@
 // traces to a sink as they are produced; Record is Capture into a
 // switchsim.Recording, against which independent batches replay without
 // a good-circuit solver (RunBatch; see internal/campaign for the sharded
-// engine built on top), and a distributed coordinator captures into a
+// engine built on top, which re-arms one batch per shard slot with
+// FaultBatch.Reset), and a distributed coordinator captures into a
 // switchsim.StepWriter, holding only the encoded bytes. Either way a
 // batch reads the good circuit only through the traces: it keeps its own
 // good-state mirror, advanced from each trace's input changes and its

@@ -105,7 +105,7 @@ type faultWorker struct {
 
 func newFaultWorker(b *FaultBatch) *faultWorker {
 	n := b.nw.NumNodes()
-	w := &faultWorker{
+	return &faultWorker{
 		batch:     b,
 		scratch:   switchsim.NewCircuit(b.tab),
 		solve:     switchsim.NewSolver(b.tab),
@@ -113,8 +113,17 @@ func newFaultWorker(b *FaultBatch) *faultWorker {
 		recBits:   make([]uint64, (n+63)/64),
 		recVal:    make([]logic.Value, n),
 	}
-	w.solve.MaxRounds = b.opts.MaxRounds
-	return w
+}
+
+// reset arms a worker for its batch's current window (see
+// FaultBatch.Reset): the counters start over and the round limit is the
+// window's; the scratch circuit, the solver's arrays and the diff scratch
+// are kept, the diff epoch counting on.
+func (w *faultWorker) reset() {
+	w.solve.MaxRounds = w.batch.opts.MaxRounds
+	w.solve.ResetWork()
+	w.credit = switchsim.Work{}
+	w.onLane = nil
 }
 
 // diffNode compares the scratch (faulty) state against the good post-step

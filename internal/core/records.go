@@ -118,7 +118,7 @@ func (b *FaultBatch) dropCircuit(ci CircuitID) {
 	for _, n := range fs.recs.nodes {
 		b.recordInterestNodes(n, func(m netlist.NodeID) { b.clearInterest(m, ci) })
 	}
-	fs.recs.release()
+	fs.recs.empty()
 	for _, n := range fs.sites {
 		b.clearInterest(n, ci)
 	}

@@ -57,8 +57,9 @@ func (r *recStore) deleteAt(i int) {
 // size returns the number of records.
 func (r *recStore) size() int { return len(r.nodes) }
 
-// release drops the store's backing memory (fault dropping).
-func (r *recStore) release() { r.nodes, r.vals = nil, nil }
+// empty removes every record (fault dropping), keeping the arrays for the
+// next window a re-armed batch runs in this slot (see FaultBatch.Reset).
+func (r *recStore) empty() { r.nodes, r.vals = r.nodes[:0], r.vals[:0] }
 
 // Node-indexed bitmaps: bit n%64 of word n/64 stands for node n.
 

@@ -55,12 +55,13 @@ func materializationKey(f fault.Fault) uint64 {
 // the first fault of each key becomes the representative, later ones its
 // members. A permutation of the batch (4 bytes a fault, no map) sorted by
 // key, then fault index, lays each class out as one run, representative
-// first. Called from NewFaultBatch, before any fault registers interest.
+// first. Called from Reset, before any fault registers interest.
 func (b *FaultBatch) groupClasses() {
-	order := make([]int32, len(b.faults))
-	for i := range order {
-		order[i] = int32(i)
+	order := b.classOrder[:0]
+	for i := range b.faults {
+		order = append(order, int32(i))
 	}
+	b.classOrder = order
 	key := func(fi int32) uint64 { return materializationKey(b.faults[fi].f) }
 	slices.SortFunc(order, func(i, j int32) int {
 		return cmp.Or(cmp.Compare(key(i), key(j)), cmp.Compare(i, j))

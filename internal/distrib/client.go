@@ -211,8 +211,8 @@ func (c *coordinator) submit(ctx context.Context, base string, spec *server.JobS
 // folding snapshots and detection groups into the merged progress view,
 // and returns the raw batch result carried on the result line. A stream
 // that breaks, or a job that ends failed or cancelled, is an error — the
-// caller retries the shard.
-func (c *coordinator) stream(ctx context.Context, base, jobID string, i int) (*core.BatchResult, error) {
+// caller retries the shard. Lines are read into the slot's buffer.
+func (c *coordinator) stream(ctx context.Context, slot int, base, jobID string, i int) (*core.BatchResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+jobID+"/stream", nil)
 	if err != nil {
 		return nil, err
@@ -229,10 +229,22 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, i int) (*c
 	sc := bufio.NewScanner(resp.Body)
 	sc.Split(scanTerminatedLines)
 	// A result line carries the whole BatchResult (per-setting table and
-	// records included): beyond the scanner's 64KB default.
-	sc.Buffer(make([]byte, 0, 64*1024), 256<<20)
+	// records included): beyond the scanner's 64KB default. The slot keeps
+	// the buffer across its streams, so only its first result line grows
+	// one.
+	buf := c.lineBuf[slot]
+	if buf == nil {
+		buf = make([]byte, 0, 64*1024)
+	}
+	sc.Buffer(buf, 256<<20)
 	sawTerminal := false
 	for sc.Scan() {
+		if line := sc.Bytes(); cap(line) > cap(c.lineBuf[slot]) {
+			// The scanner grew its buffer, and a grown buffer starts with
+			// the line that outgrew the old one: keep it. Nothing holds a
+			// line past its Unmarshal, so the next stream may overwrite it.
+			c.lineBuf[slot] = line[:0]
+		}
 		var l server.StreamLine
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			return nil, fmt.Errorf("bad stream line from %s: %w", base, err)

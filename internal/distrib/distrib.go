@@ -146,6 +146,7 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 		uploadMu: make([]sync.Mutex, n),
 		sem:      make([]chan struct{}, n),
 		fails:    make([]atomic.Int32, n),
+		lineBuf:  make([][]byte, n*opts.InFlight),
 	}
 	for wi := range c.sem {
 		c.sem[wi] = make(chan struct{}, opts.InFlight)
@@ -202,6 +203,11 @@ type coordinator struct {
 	uploaded []bool
 	sem      []chan struct{} // per worker: InFlight shards at a time
 	fails    []atomic.Int32  // consecutive failures per worker
+
+	// lineBuf is each shard slot's stream line buffer, as large as the
+	// longest line the slot has read (a result line is hundreds of
+	// kilobytes). Only the slot's goroutine touches it.
+	lineBuf [][]byte
 }
 
 // shard runs batch i on the workers until the ledger accepts its result.
@@ -222,7 +228,7 @@ func (c *coordinator) shard(ctx context.Context, slot, i int) (*core.BatchResult
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		br, err := c.dispatch(ctx, wi, i)
+		br, err := c.dispatch(ctx, slot, wi, i)
 		<-c.sem[wi]
 		if err == nil {
 			c.fails[wi].Store(0)
@@ -260,18 +266,17 @@ func (c *coordinator) next(wi int) int {
 	return -1
 }
 
-// dispatch executes batch i on worker wi: ensure the recording is
-// uploaded, submit the job, stream it to a terminal state, and check the
-// batch result it returns. The job carries the batch's window of the
-// ledger's universe as its inline fault list and asks for all of it, so
+// dispatch executes batch i on worker wi for shard slot slot: ensure the
+// recording is uploaded, submit the job, stream it to a terminal state, and
+// check the batch result it returns. The job carries the batch's window of
+// the ledger's universe as its inline fault list and asks for all of it, so
 // the worker parses and holds only the faults it runs, and they are the
-// ledger's whatever build the worker runs. A 409 means the worker no
-// longer holds the recording (a restart, or its store evicted it): the
-// flag is cleared so the next shard sent there uploads again. The
-// outstanding job, if any, is cancelled with DELETE when the shard did
-// not complete — which is also how an aborted campaign reaches the
-// workers.
-func (c *coordinator) dispatch(ctx context.Context, wi, i int) (br *core.BatchResult, err error) {
+// ledger's whatever build the worker runs. A 409 means the worker no longer
+// holds the recording (a restart, or its store evicted it): the flag is
+// cleared so the next shard sent there uploads again. The outstanding job,
+// if any, is cancelled with DELETE when the shard did not complete — which
+// is also how an aborted campaign reaches the workers.
+func (c *coordinator) dispatch(ctx context.Context, slot, wi, i int) (br *core.BatchResult, err error) {
 	base := c.opts.Workers[wi]
 	if err := c.ensureRecording(ctx, wi); err != nil {
 		return nil, &dispatchError{fmt.Errorf("uploading recording: %w", err)}
@@ -297,7 +302,7 @@ func (c *coordinator) dispatch(ctx context.Context, wi, i int) (br *core.BatchRe
 		}
 	}()
 
-	if br, err = c.stream(ctx, base, jobID, i); err != nil {
+	if br, err = c.stream(ctx, slot, base, jobID, i); err != nil {
 		return nil, err
 	}
 	// A result of the wrong shape costs the shard this attempt.

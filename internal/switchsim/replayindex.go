@@ -69,8 +69,12 @@ const (
 type ReplayIndex struct {
 	tab *Tables
 
-	// epoch versions the stamp arrays so Build never clears them.
-	epoch uint32
+	// epoch versions the stamp arrays so Build never clears them. It
+	// counts for the index's lifetime, ResetStats included: a row stamped
+	// by an earlier build must never read as current. builds counts the
+	// Builds since ResetStats.
+	epoch  uint32
+	builds int
 	// words is the lane-word count of the current build; traj/rounds the
 	// indexed trajectory.
 	words  int
@@ -138,6 +142,7 @@ func NewReplayIndex(tab *Tables) *ReplayIndex {
 // round (repeat until stable) and persist into all later rounds.
 func (ix *ReplayIndex) Build(traj *Trajectory, words int, div []uint64, divNZ []int32) {
 	ix.epoch++
+	ix.builds++
 	ix.words = words
 	ix.traj = traj
 	ix.rounds = traj.NumRounds()
@@ -280,9 +285,9 @@ func (ix *ReplayIndex) markLanes(u netlist.NodeID, m []uint64) {
 	}
 }
 
-// Builds returns how many times Build has run on this index. Exported for
-// tests.
-func (ix *ReplayIndex) Builds() int { return int(ix.epoch) }
+// Builds returns how many times Build has run on this index since it was
+// made or its counters were last reset.
+func (ix *ReplayIndex) Builds() int { return ix.builds }
 
 // compiledWave is the good circuit's own wave through the leading rounds
 // of the indexed trajectory, walked once by Compile for every lane of the
@@ -499,5 +504,11 @@ func (ix *ReplayIndex) sharedRounds(c *Circuit, pend []netlist.NodeID, word int,
 	return k
 }
 
-// Compiles returns how many good waves this index has compiled.
+// Compiles returns how many good waves this index has compiled since it
+// was made or its counters were last reset.
 func (ix *ReplayIndex) Compiles() int64 { return ix.wave.compiles }
+
+// ResetStats zeroes the Builds and Compiles counters, for an owner that
+// re-arms the index for a new lane group (core.FaultBatch.Reset). The
+// stamp epoch keeps counting.
+func (ix *ReplayIndex) ResetStats() { ix.builds, ix.wave.compiles = 0, 0 }

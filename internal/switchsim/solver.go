@@ -169,12 +169,12 @@ func (s *Solver) markDyn(n netlist.NodeID) {
 func (s *Solver) Work() Work { return s.work }
 
 // ReplayStats returns what this solver's indexed replays did since it was
-// made. Unlike Work it is no part of any result: it describes how the
-// replay got there, not what it computed.
+// made or last ResetWork. Unlike Work it is no part of any result: it
+// describes how the replay got there, not what it computed.
 func (s *Solver) ReplayStats() ReplayStats { return s.replay }
 
-// ResetWork zeroes the work counters.
-func (s *Solver) ResetWork() { s.work = Work{} }
+// ResetWork zeroes the work counters and the replay statistics.
+func (s *Solver) ResetWork() { s.work, s.replay = Work{}, ReplayStats{} }
 
 // beginRound opens a unit-delay round: fresh vicinity stamps, and no node
 // solved yet.
