@@ -266,11 +266,28 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 	if opts.Remote != nil {
 		run = opts.Remote(l)
 	}
+	// slotLast[slot] is the last batch the slot completed and logged, -1
+	// before its first. When the slot starts its next batch the ledger
+	// folds that result's row tables and hands them back (Ledger.release):
+	// a local slot's batch refills them (core.FaultBatch.ReuseRows), a
+	// Remote slot lets them go. So a campaign holds its row sums plus one
+	// table per slot, not one per batch; the last batch a slot runs keeps
+	// its rows.
+	slotLast := make([]int, shards)
+	for slot := range slotLast {
+		slotLast[slot] = -1
+	}
 	// Once the campaign has failed, start refuses every later batch, so a
 	// failing shard goes on draining indices without running them.
 	fanout.Each(nBatches, shards, func(slot, i int) {
 		if !l.start(i) {
 			return // resumed from checkpoint, or the campaign has stopped
+		}
+		if last := slotLast[slot]; last >= 0 {
+			perSetting, perPattern := l.release(last)
+			if b := slotBatch[slot]; b != nil {
+				b.ReuseRows(perSetting, perPattern)
+			}
 		}
 		br, err := run(l.run, slot, i)
 		if err == nil {
@@ -281,19 +298,24 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		}
 		if err != nil {
 			l.fail(err)
+			return
 		}
+		slotLast[slot] = i
 	})
 	return l, rec, nil
 }
 
 // Merge combines per-batch results into a monolithic-equivalent
 // core.Result plus per-fault outcomes. Batches are merged at setting
-// granularity: per-setting active-circuit counts and fault work sum
-// across batches (each fault lives in exactly one), so pattern aggregates
-// like MaxActive match a monolithic run exactly; per-pattern live and
-// detected counts sum the same way. Pattern names and setting counts come
-// from seq, and good-circuit work from the recording
-// (Recording.SettingWork), counted once; it is all Merge reads of it.
+// granularity: per-setting active-circuit counts sum across batches (each
+// fault lives in exactly one), so pattern aggregates like MaxActive match
+// a monolithic run exactly; fault work and per-pattern live and detected
+// counts sum the same way. Merge folds every result's row tables into
+// one set of sums (rowSums, the fold a Ledger applies to each batch's
+// rows as they come free) and then assembles from the sums. Pattern
+// names and setting counts come from seq, and good-circuit work from the
+// recording (Recording.SettingWork), counted once; it is all Merge reads
+// of it.
 //
 // results is indexed by window: batch i covers positions
 // [i*batchSize, min((i+1)*batchSize, nf)) of the fault list the batches
@@ -307,22 +329,87 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 // indexes without truncating. Merge is the single determinism point of
 // every campaign, local or distributed (internal/distrib runs its shards
 // through Run): batches that produce the same per-batch results — on one
-// machine or many — merge to the same Result. The Batches/BatchesRun/
-// BatchesResumed/BatchesSkipped accounting fields are left zero here;
-// Ledger.Finish fills them.
+// machine or many, folded in any order — merge to the same Result. The
+// Batches/BatchesRun/BatchesResumed/BatchesSkipped accounting fields are
+// left zero here; Ledger.Finish fills them.
 func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int, results []*core.BatchResult) *Result {
-	return merge(rec.SettingWork, seq, nf, batchSize, results)
+	sums := rowSums{seq: seq}
+	for _, br := range results {
+		if br != nil {
+			sums.add(br)
+		}
+	}
+	return sums.merge(rec.SettingWork, nf, batchSize, results)
 }
 
-// merge is Merge given the good-circuit work of each setting.
-func merge(goodWork func(si int) int64, seq *switchsim.Sequence, nf, batchSize int, results []*core.BatchResult) *Result {
+// rowSums is the one merge arithmetic of a campaign: the row tables of
+// the batches folded so far, summed. active[si] sums the batches'
+// ActiveCircuits of input setting si, settings counted from 0 in
+// sequence order (a pattern's MaxActive is the maximum over its
+// settings, taken at assembly); pattern[pi] sums pattern pi's live and
+// detected counts and its settings' fault work. Integer sums do not
+// depend on order, so batches fold in whatever order their rows come
+// free, each read once. The sums are allocated at the first fold: a
+// ledger that never folds (a shard job's, which hands its one batch on
+// raw) allocates none.
+type rowSums struct {
+	seq     *switchsim.Sequence
+	active  []int
+	pattern []patternSums
+}
+
+// patternSums is one pattern's row of rowSums.
+type patternSums struct {
+	core.BatchPattern
+	faultWork int64
+}
+
+// alloc makes the zero sums on first use.
+func (s *rowSums) alloc() {
+	if s.active == nil {
+		s.active, s.pattern = make([]int, s.seq.NumSettings()), make([]patternSums, len(s.seq.Patterns))
+	}
+}
+
+// add folds one batch result's row tables into the sums. br must have the
+// shape of seq (Ledger.Check).
+func (s *rowSums) add(br *core.BatchResult) {
+	s.alloc()
+	si := 0
+	for pi := range s.seq.Patterns {
+		ps := &s.pattern[pi]
+		for range s.seq.Patterns[pi].Settings {
+			st := &br.PerSetting[si]
+			s.active[si] += st.ActiveCircuits
+			ps.faultWork += st.FaultWork
+			si++
+		}
+		bp := &br.PerPattern[pi]
+		ps.LiveBefore += bp.LiveBefore
+		ps.LiveAfter += bp.LiveAfter
+		ps.Detected += bp.Detected
+	}
+}
+
+// merge assembles the Result of a campaign whose batches' rows are
+// folded into s: per-pattern statistics from the sequence, the good work
+// of each setting and the sums, and per-fault outcomes from the results'
+// per-fault columns (results as in Merge). Skipped batches contribute
+// their width to the live counts (their circuits were never simulated,
+// hence never dropped).
+func (s *rowSums) merge(goodWork func(si int) int64, nf, batchSize int, results []*core.BatchResult) *Result {
+	s.alloc()
 	res := &Result{}
-	res.Run = core.Result{Sequence: seq.Name, NumFaults: nf, PerPattern: make([]core.PatternStats, len(seq.Patterns))}
+	res.Run = core.Result{Sequence: s.seq.Name, NumFaults: nf, PerPattern: make([]core.PatternStats, len(s.seq.Patterns))}
 	res.PerFault = make([]FaultOutcome, nf)
 
+	skipped := 0
 	for bi, br := range results {
 		lo := bi * batchSize
 		width := min(batchSize, nf-lo)
+		if br == nil {
+			skipped += width
+		}
 		for j := 0; j < width; j++ {
 			o := &res.PerFault[lo+j]
 			if br == nil {
@@ -336,38 +423,22 @@ func merge(goodWork func(si int) int64, seq *switchsim.Sequence, nf, batchSize i
 		}
 	}
 
-	// Assemble per-pattern statistics from the sequence structure, the
-	// good work of each setting, and the batches' per-setting and
-	// per-pattern rows, summed setting by setting. Skipped batches
-	// contribute their width to the live counts (their circuits were
-	// never simulated, hence never dropped).
 	si := 0
-	for pi := range seq.Patterns {
-		p := &seq.Patterns[pi]
+	for pi := range s.seq.Patterns {
+		p := &s.seq.Patterns[pi]
+		sum := &s.pattern[pi]
 		ps := &res.Run.PerPattern[pi]
-		*ps = core.PatternStats{Pattern: pi, Name: p.Name, Settings: len(p.Settings)}
+		*ps = core.PatternStats{
+			Pattern: pi, Name: p.Name, Settings: len(p.Settings),
+			LiveBefore: sum.LiveBefore + skipped,
+			LiveAfter:  sum.LiveAfter + skipped,
+			Detected:   sum.Detected,
+			FaultWork:  sum.faultWork,
+		}
 		for range p.Settings {
 			ps.GoodWork += goodWork(si)
-			active := 0
-			for _, br := range results {
-				if br != nil {
-					active += br.PerSetting[si].ActiveCircuits
-					ps.FaultWork += br.PerSetting[si].FaultWork
-				}
-			}
-			ps.MaxActive = max(ps.MaxActive, active)
+			ps.MaxActive = max(ps.MaxActive, s.active[si])
 			si++
-		}
-		for bi, br := range results {
-			if br == nil {
-				width := min(batchSize, nf-bi*batchSize)
-				ps.LiveBefore += width
-				ps.LiveAfter += width
-				continue
-			}
-			ps.LiveBefore += br.PerPattern[pi].LiveBefore
-			ps.LiveAfter += br.PerPattern[pi].LiveAfter
-			ps.Detected += br.PerPattern[pi].Detected
 		}
 		res.Run.GoodWork += ps.GoodWork
 		res.Run.FaultWork += ps.FaultWork

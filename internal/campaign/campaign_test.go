@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -730,4 +731,111 @@ func TestCampaignEarlyStopIndices(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no detection was streamed")
 	}
+}
+
+// TestFoldedMergeMatchesMerge: a campaign folds each batch's row tables
+// into its sums as they come free (when the batch's slot starts another
+// batch, at resume, at Finish), its slots refill one table each, and
+// Finish assembles from the sums. What it merges is byte for byte
+// campaign.Merge over fresh core.RunBatch results of its windows — on
+// RAM64 sequences 1 and 2, batches of 16 and 64, and 1, 2 and 3 shards;
+// run through with a checkpoint, resumed from that checkpoint cut to half
+// its batches, stopped early by a coverage target (the batches it skipped
+// merge as nil; the target is half the coverage the whole run reached),
+// and run through a Remote that returns the fresh results.
+// Under the race detector each sequence is cut to its first patterns.
+func TestFoldedMergeMatchesMerge(t *testing.T) {
+	m := ram.RAM64()
+	// Node stuck-at faults come in node order, sa0 before sa1: their batch
+	// order is their own, so Merge over index windows is what Finish
+	// scatters back to universe order (checked below).
+	faults := fault.NodeStuckFaults(m.Net, fault.Options{})
+	sim := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
+	tab := switchsim.NewTables(m.Net)
+	for _, seq := range []*switchsim.Sequence{march.Sequence1(m), march.Sequence2(m)} {
+		if raceDetector {
+			seq.Patterns = seq.Patterns[:16]
+		}
+		rec := core.RecordTables(tab, seq, sim)
+		for _, batchSize := range []int{16, 64} {
+			fresh := make([]*core.BatchResult, ceilDiv(len(faults), batchSize))
+			for i := range fresh {
+				lo := i * batchSize
+				br, err := core.RunBatch(context.Background(), tab, faults[lo:min(lo+batchSize, len(faults))], rec, seq, sim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh[i] = br
+			}
+			for _, shards := range []int{1, 2, 3} {
+				tag := fmt.Sprintf("%s/batch%d/shards%d", seq.Name, batchSize, shards)
+				ckPath := filepath.Join(t.TempDir(), "campaign.ck")
+				opts := campaign.Options{Sim: sim, BatchSize: batchSize, Shards: shards, Recording: rec, Tables: tab, CheckpointPath: ckPath}
+				res := foldedRun(t, tag, m.Net, faults, seq, opts, rec, fresh)
+				if res.BatchesRun != len(fresh) {
+					t.Fatalf("%s: %d of %d batches run", tag, res.BatchesRun, len(fresh))
+				}
+
+				data, err := os.ReadFile(ckPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines := bytes.SplitAfter(data, []byte("\n"))
+				half := bytes.Join(lines[:1+len(fresh)/2], nil)
+				if err := os.WriteFile(ckPath, half, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				res = foldedRun(t, tag+"/resumed", m.Net, faults, seq, opts, rec, fresh)
+				if res.BatchesResumed != len(fresh)/2 || res.BatchesRun != len(fresh)-len(fresh)/2 {
+					t.Fatalf("%s: resumed %d and ran %d of %d batches from a log of half of them", tag, res.BatchesResumed, res.BatchesRun, len(fresh))
+				}
+
+				target := opts
+				target.CheckpointPath, target.CoverageTarget = "", res.Coverage()/2
+				res = foldedRun(t, tag+"/target", m.Net, faults, seq, target, rec, fresh)
+				if res.BatchesSkipped == 0 {
+					t.Fatalf("%s: the coverage target skipped no batch", tag)
+				}
+
+				remote := opts
+				remote.CheckpointPath = ""
+				remote.Remote = func(*campaign.Ledger) func(context.Context, int, int) (*core.BatchResult, error) {
+					return func(_ context.Context, _, i int) (*core.BatchResult, error) {
+						br := *fresh[i] // the campaign takes its rows: hand it a copy
+						return &br, nil
+					}
+				}
+				foldedRun(t, tag+"/remote", m.Net, faults, seq, remote, rec, fresh)
+			}
+		}
+	}
+}
+
+// foldedRun executes a campaign and checks that Finish merges byte for
+// byte what campaign.Merge makes of the fresh results of the batches it
+// ran, with nil for those it skipped.
+func foldedRun(t *testing.T, tag string, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts campaign.Options, rec *switchsim.Recording, fresh []*core.BatchResult) *campaign.Result {
+	t.Helper()
+	l, _, err := campaign.Execute(context.Background(), nw, faults, seq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(l.Faults(), faults) {
+		t.Fatalf("%s: the universe's batch order is not its own", tag)
+	}
+	res, err := l.Finish(rec.SettingWork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make([]*core.BatchResult, len(fresh))
+	for i := range ran {
+		if l.Batch(i) != nil {
+			ran[i] = fresh[i]
+		}
+	}
+	want := campaign.Merge(rec, seq, len(faults), opts.BatchSize, ran)
+	if got, want := mergedJSON(t, res), mergedJSON(t, want); got != want {
+		t.Fatalf("%s: the folded merge is\n%.300s\nMerge over fresh batches is\n%.300s", tag, got, want)
+	}
+	return res
 }

@@ -111,8 +111,9 @@
 // Each fault's simulation depends only on the recorded trajectory and its
 // own state, never on which batch hosts it, which worker executes it, or
 // when its batch runs relative to others. Batches are merged at
-// input-setting granularity and every per-fault outcome is scattered
-// back to its universe index, so a campaign's
+// input-setting granularity — their rows folded into integer sums, which
+// do not depend on the order batches arrive in — and every per-fault
+// outcome is scattered back to its universe index, so a campaign's
 // detections (with their pattern/setting coordinates), final divergence
 // records, and deterministic statistics (work units, active-circuit
 // counts, live counts) are bit-identical to a monolithic core.Simulator

@@ -54,6 +54,11 @@ type Ledger struct {
 	// the event that provoked it was accounted.
 	mu      sync.Mutex
 	results []*core.BatchResult
+	// sums holds the folded row tables of the batches that have arrived;
+	// Finish assembles from it. A result keeps its rows until they are
+	// folded, and the fold takes them (takeRows), so rows are in a result
+	// or in the sums, never both, and each is read once.
+	sums rowSums
 	// seen[i] is the highest cumulative detection count batch i has
 	// reported, detected their sum. Folding with max absorbs duplicate and
 	// stale reports, and a retried shard restarting its count at zero:
@@ -86,6 +91,7 @@ func NewLedger(ctx context.Context, nw *netlist.Network, faults []fault.Fault, s
 		order:   batchOrder(nw, faults, batchSize),
 		faults:  make([]fault.Fault, nf),
 		results: make([]*core.BatchResult, n),
+		sums:    rowSums{seq: seq},
 		seen:    make([]int, n),
 	}
 	for p, fi := range l.order {
@@ -313,6 +319,7 @@ func (l *Ledger) resume(i int, br *core.BatchResult) error {
 		return err
 	}
 	l.results[i] = br
+	l.takeRows(i) // the log holds them; no slot refills them
 	l.done++
 	l.resumed++
 	l.fold(i, br.DetectedCount())
@@ -337,6 +344,29 @@ func (l *Ledger) complete(i int, br *core.BatchResult) error {
 	}
 	l.deliver(i, ev)
 	return nil
+}
+
+// takeRows folds batch i's row tables into the sums and takes them off
+// its result, returning them. Called under mu, once per result: the rows
+// of a resumed batch as it is resumed, of a run batch when the slot that
+// ran it starts its next batch (release) or at Finish, whichever comes
+// first.
+func (l *Ledger) takeRows(i int) ([]core.SettingStats, []core.BatchPattern) {
+	br := l.results[i]
+	l.sums.add(br)
+	ps, pp := br.PerSetting, br.PerPattern
+	br.PerSetting, br.PerPattern = nil, nil
+	return ps, pp
+}
+
+// release folds batch i's row tables and hands them back for the next
+// batch its slot runs. Execute calls it when that slot starts its next
+// batch: by then the batch has completed and the checkpoint has logged
+// it, so nothing else reads its rows.
+func (l *Ledger) release(i int) ([]core.SettingStats, []core.BatchPattern) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.takeRows(i)
 }
 
 // fail records the campaign's first error and stops the run.
@@ -377,6 +407,12 @@ func (l *Ledger) Verdict() error {
 
 // Batch returns batch i's raw result, nil unless it completed. A shard
 // job hands it to its coordinator as is, without paying for a merge.
+// Its row tables (PerSetting, PerPattern) are gone once the ledger has
+// folded them: a resumed batch's as it is resumed, a run batch's once the
+// shard slot that ran it has started another batch, or Finish has run.
+// The last batch each slot ran keeps its rows until Finish, so a
+// one-batch campaign's Batch(0) after Verdict is the batch's whole
+// result.
 func (l *Ledger) Batch(i int) *core.BatchResult {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -384,9 +420,11 @@ func (l *Ledger) Batch(i int) *core.BatchResult {
 }
 
 // Finish is Verdict followed, when it is nil, by the merge of every
-// completed batch, the scatter of its per-fault outcomes back to universe
-// order, and the batch accounting; batches that never ran merge as
-// skipped. Every merged batch passed the shape check on arrival.
+// completed batch — it folds the rows the last batch of each slot still
+// holds and assembles from the row sums and the results' per-fault
+// columns — the scatter of its per-fault outcomes back to universe order,
+// and the batch accounting; batches that never ran merge as skipped.
+// Every merged batch passed the shape check on arrival.
 // goodWork(si) is the good-circuit work of input setting si, settings
 // counted from 0 in sequence order: Recording.SettingWork of the
 // recording the batches replayed, or the column a caller kept of it.
@@ -396,7 +434,12 @@ func (l *Ledger) Finish(goodWork func(si int) int64) (*Result, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	res := merge(goodWork, l.seq, l.nf, l.batchSize, l.results)
+	for i, br := range l.results {
+		if br != nil && (br.PerSetting != nil || br.PerPattern != nil) {
+			l.takeRows(i) // the last batch a slot ran
+		}
+	}
+	res := l.sums.merge(goodWork, l.nf, l.batchSize, l.results)
 	perFault := make([]FaultOutcome, l.nf)
 	for p, fi := range l.order {
 		perFault[fi] = res.PerFault[p]

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 
 	"fmossim/internal/fault"
@@ -130,6 +131,11 @@ type FaultBatch struct {
 	// groupClasses' sort scratch.
 	lanesFreed int
 	classOrder []int32
+
+	// reuseSetting and reusePattern are the row tables ReuseRows handed
+	// over, for the next RunRecording to fill; Reset keeps them.
+	reuseSetting []SettingStats
+	reusePattern []BatchPattern
 }
 
 // lane returns circuit ci's lane coordinates in the packed rows.
@@ -208,6 +214,8 @@ func (b *FaultBatch) Reset(faults []fault.Fault, opts Options) error {
 		allNodes:     old.allNodes,
 		slab:         old.slab,
 		classOrder:   old.classOrder,
+		reuseSetting: old.reuseSetting,
+		reusePattern: old.reusePattern,
 	}
 	if b.good == nil {
 		b.good, b.prev = switchsim.NewCircuit(b.tab), switchsim.NewCircuit(b.tab)
@@ -235,8 +243,8 @@ func (b *FaultBatch) Reset(faults []fault.Fault, opts Options) error {
 		w.reset()
 	}
 
-	// The per-fault state lives in one slab; a slot keeps its record
-	// store's arrays and its class member list.
+	// The per-fault state lives in one slab; a slot keeps its site list's,
+	// its record store's and its class member list's arrays.
 	if cap(b.slab) < len(faults) {
 		b.slab = make([]faultState, len(faults))
 		b.faults = make([]*faultState, 0, len(faults))
@@ -245,7 +253,7 @@ func (b *FaultBatch) Reset(faults []fault.Fault, opts Options) error {
 	for i, f := range faults {
 		fs := &b.slab[i]
 		*fs = faultState{
-			f: f, sites: siteSet(nw, f), repFi: -1,
+			f: f, sites: siteSet(fs.sites, nw, f), repFi: -1,
 			recs:         recStore{nodes: fs.recs.nodes[:0], vals: fs.recs.vals[:0]},
 			classMembers: fs.classMembers[:0],
 		}
@@ -292,21 +300,19 @@ func zeroed[T any](s []T, n int) []T {
 // neighborhood must be registered explicitly — this is what makes a
 // frozen clock line expensive (its interest spans every clocked element,
 // the paper's head-phase behavior) while a stuck memory bit stays cheap.
-func siteSet(nw *netlist.Network, f fault.Fault) []netlist.NodeID {
-	sites := f.Sites(nw)
+//
+// The sites are appended to dst[:0], so a slab slot that keeps its array
+// across windows rebuilds them without allocating.
+func siteSet(dst []netlist.NodeID, nw *netlist.Network, f fault.Fault) []netlist.NodeID {
+	sites := f.AppendSites(dst[:0], nw)
 	if f.Kind.IsNodeFault() && nw.Node(f.Node).Kind == netlist.Input {
-		seen := make(map[netlist.NodeID]bool, len(sites)+4)
-		for _, n := range sites {
-			seen[n] = true
-		}
 		for _, t := range nw.Channel(f.Node) {
-			o := nw.Transistor(t).Other(f.Node)
-			if nw.Node(o).Kind != netlist.Input && !seen[o] {
-				seen[o] = true
+			if o := nw.Transistor(t).Other(f.Node); nw.Node(o).Kind != netlist.Input {
 				sites = append(sites, o)
 			}
 		}
-		sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+		slices.Sort(sites)
+		sites = slices.Compact(sites)
 	}
 	return sites
 }
@@ -744,12 +750,25 @@ func (br *BatchResult) DetectedCount() int {
 	return n
 }
 
+// ReuseRows hands the batch the row tables of a result it no longer
+// needs: the next RunRecording fills their arrays with its per-setting
+// and per-pattern rows instead of allocating new ones, and the result it
+// returns owns them. A table too short for the sequence is dropped and a
+// new one allocated. The caller must not touch the tables afterwards;
+// nothing else about the replay changes. A campaign slot hands its batch
+// the tables of the result it ran before, once the ledger has folded
+// and logged it, so the slot fills one table for every batch it runs.
+func (b *FaultBatch) ReuseRows(perSetting []SettingStats, perPattern []BatchPattern) {
+	b.reuseSetting, b.reusePattern = perSetting, perPattern
+}
+
 // RunRecording replays a captured good trajectory against the batch: the
 // initialization step first, then every pattern of seq with observations
 // at its observe points. The batch must be fresh from NewFaultBatch or
 // Reset: a batch that has run replays again only once Reset re-arms it.
 // The recording must have been captured over the same network and
-// sequence.
+// sequence. The result's row tables are the ones ReuseRows handed over,
+// when it did and they are long enough, and new ones otherwise.
 //
 // Cancellation is cooperative at setting granularity: ctx is checked
 // between settings (each a few microseconds to milliseconds of work), and
@@ -770,13 +789,14 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 	// allocated them twice over.
 	br := &BatchResult{
 		NumFaults:  len(b.faults),
-		PerSetting: make([]SettingStats, 0, seq.NumSettings()),
-		PerPattern: make([]BatchPattern, 0, len(seq.Patterns)),
+		PerSetting: emptyRows(b.reuseSetting, seq.NumSettings()),
+		PerPattern: emptyRows(b.reusePattern, len(seq.Patterns)),
 		Detected:   make([]bool, 0, len(b.faults)),
 		Detections: make([]Detection, 0, len(b.faults)),
 		Oscillated: make([]bool, 0, len(b.faults)),
 		Records:    make([]map[netlist.NodeID]logic.Value, 0, len(b.faults)),
 	}
+	b.reuseSetting, b.reusePattern = nil, nil // the result owns them now
 	b.Step(&rec.Steps[0])
 	// PerSetting holds one entry per setting stepped so far.
 	next := func(int) *switchsim.StepTrace { return &rec.Steps[1+len(br.PerSetting)] }
@@ -803,6 +823,16 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 		br.Records = append(br.Records, recs)
 	}
 	return br, nil
+}
+
+// emptyRows returns rows cut to length 0 when it can hold n rows, else a
+// new table of capacity n. Every row is appended whole, so a reused
+// array's old rows need no clearing.
+func emptyRows[T any](rows []T, n int) []T {
+	if cap(rows) < n {
+		return make([]T, 0, n)
+	}
+	return rows[:0]
 }
 
 // RunBatch builds a fresh batch over one slice of the fault universe and

@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"fmossim/internal/core"
 	"fmossim/internal/fault"
@@ -211,6 +213,66 @@ func TestRearmKeepsBatchScratch(t *testing.T) {
 	if rearmed > result+construct {
 		t.Fatalf("a re-armed batch allocates %d B: more than its %d B result plus one %d B construction (a fresh RunBatch allocates %d B)",
 			rearmed, result, construct, fresh)
+	}
+}
+
+// TestRearmReusesRowTables pins ReuseRows: a re-armed batch handed the
+// row tables of its previous result fills them, so the slot's second
+// batch allocates less than one per-setting table of the sequence — a
+// re-arm that made the tables again would allocate more than that on its
+// own — and its result is byte for byte a fresh RunBatch's of the window.
+// One worker keeps the fan-out inline, so the counts are the same from
+// run to run.
+func TestRearmReusesRowTables(t *testing.T) {
+	m := ram.RAM64()
+	tab := switchsim.NewTables(m.Net)
+	seq := march.Sequence1(m)
+	faults := fault.NodeStuckFaults(m.Net, fault.Options{})
+	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
+	rec := core.RecordTables(tab, seq, opts)
+	first, window := faults[:64], faults[64:128]
+
+	b, err := core.NewFaultBatch(tab, first, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := b.RunRecording(context.Background(), rec, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := uint64(seq.NumSettings()) * uint64(unsafe.Sizeof(core.SettingStats{}))
+	rows := &prev.PerSetting[0]
+	var br *core.BatchResult
+	second := allocBytes(func() {
+		if err := b.Reset(window, opts); err != nil {
+			t.Fatal(err)
+		}
+		b.ReuseRows(prev.PerSetting, prev.PerPattern)
+		if br, err = b.RunRecording(context.Background(), rec, seq); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("RAM64 sequence 1, %d settings: second batch of a re-armed slot %d B, one per-setting table %d B", seq.NumSettings(), second, table)
+	if &br.PerSetting[0] != rows {
+		t.Fatal("the second batch's per-setting rows are not in the table ReuseRows handed over")
+	}
+	if second >= table {
+		t.Fatalf("the second batch allocates %d B, not less than one %d B per-setting table: its rows were allocated again", second, table)
+	}
+	fresh, err := core.RunBatch(context.Background(), tab, window, rec, seq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := br.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the batch that refilled its handed-over rows encodes to other bytes than a fresh RunBatch of its window")
 	}
 }
 

@@ -41,7 +41,8 @@
 // switchsim.Recording, against which independent batches replay without
 // a good-circuit solver (RunBatch; see internal/campaign for the sharded
 // engine built on top, which re-arms one batch per shard slot with
-// FaultBatch.Reset), and a distributed coordinator captures into a
+// FaultBatch.Reset and hands it its last result's row tables to refill
+// with FaultBatch.ReuseRows), and a distributed coordinator captures into a
 // switchsim.StepWriter, holding only the encoded bytes. Either way a
 // batch reads the good circuit only through the traces: it keeps its own
 // good-state mirror, advanced from each trace's input changes and its

@@ -5,6 +5,7 @@ package fault
 import (
 	"fmt"
 	"math/rand" //fmossim:nondeterminism-ok Sample takes a caller-seeded *rand.Rand; sampling is reproducible given the seed
+	"slices"
 	"sort"
 
 	"fmossim/internal/logic"
@@ -149,11 +150,17 @@ func (f Fault) Remove(c *switchsim.Circuit) []netlist.NodeID {
 // circuit's even when their local states agree. The concurrent simulator
 // re-simulates a faulty circuit whenever good-circuit activity touches one
 // of these (or one of the circuit's divergence records).
-func (f Fault) Sites(nw *netlist.Network) []netlist.NodeID {
-	var sites []netlist.NodeID
+func (f Fault) Sites(nw *netlist.Network) []netlist.NodeID { return f.AppendSites(nil, nw) }
+
+// AppendSites appends the fault's static interest sites (Sites), sorted
+// and without duplicates, to dst and returns the extended slice: a caller
+// that keeps dst's array across faults allocates nothing once it is large
+// enough.
+func (f Fault) AppendSites(dst []netlist.NodeID, nw *netlist.Network) []netlist.NodeID {
+	start := len(dst)
 	add := func(n netlist.NodeID) {
 		if nw.Node(n).Kind != netlist.Input {
-			sites = append(sites, n)
+			dst = append(dst, n)
 		}
 	}
 	if f.Kind.IsNodeFault() {
@@ -165,23 +172,13 @@ func (f Fault) Sites(nw *netlist.Network) []netlist.NodeID {
 			add(tr.Source)
 			add(tr.Drain)
 		}
-		return dedupe(sites)
+	} else {
+		tr := nw.Transistor(f.Trans)
+		add(tr.Source)
+		add(tr.Drain)
 	}
-	tr := nw.Transistor(f.Trans)
-	add(tr.Source)
-	add(tr.Drain)
-	return dedupe(sites)
-}
-
-func dedupe(ns []netlist.NodeID) []netlist.NodeID {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	out := ns[:0]
-	for i, n := range ns {
-		if i == 0 || n != ns[i-1] {
-			out = append(out, n)
-		}
-	}
-	return out
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
 // Options configures fault enumeration.

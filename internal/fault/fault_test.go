@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -148,9 +149,20 @@ func TestSitesNeverEmptyForStorageFaults(t *testing.T) {
 		{Kind: fault.Bridge, Trans: short},
 		{Kind: fault.Open, Trans: wire},
 	}
+	// AppendSites leaves what dst holds alone and appends exactly Sites,
+	// sorted and without duplicates, however full dst's array is.
+	prefix := []netlist.NodeID{9, 0, 9}
 	for _, f := range fs {
-		if len(f.Sites(nw)) == 0 {
+		sites := f.Sites(nw)
+		if len(sites) == 0 {
 			t.Errorf("%s: empty site set", f.Describe(nw))
+		}
+		if !slices.IsSorted(sites) || len(slices.Compact(slices.Clone(sites))) != len(sites) {
+			t.Errorf("%s: sites %v are not a sorted set", f.Describe(nw), sites)
+		}
+		dst := append(make([]netlist.NodeID, 0, 64), prefix...)
+		if got := f.AppendSites(dst, nw); !slices.Equal(got, append(slices.Clone(prefix), sites...)) {
+			t.Errorf("%s: AppendSites onto %v gives %v, want the prefix then %v", f.Describe(nw), prefix, got, sites)
 		}
 	}
 }
