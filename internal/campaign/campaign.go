@@ -306,155 +306,59 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 }
 
 // Merge combines per-batch results into a monolithic-equivalent
-// core.Result plus per-fault outcomes. Batches are merged at setting
+// core.Result plus per-fault outcomes, folding every result's row tables
+// through core.Fold, the one assembly of a core.Result, at setting
 // granularity: per-setting active-circuit counts sum across batches (each
-// fault lives in exactly one), so pattern aggregates like MaxActive match
-// a monolithic run exactly; fault work and per-pattern live and detected
-// counts sum the same way. Merge folds every result's row tables into
-// one set of sums (rowSums, the fold a Ledger applies to each batch's
-// rows as they come free) and then assembles from the sums. Pattern
-// names and setting counts come from seq, and good-circuit work from the
-// recording (Recording.SettingWork), counted once; it is all Merge reads
-// of it.
+// fault lives in exactly one), so MaxActive matches a monolithic run
+// exactly. Pattern names and setting counts come from seq, and good work
+// from the recording (Recording.SettingWork, all Merge reads of it).
 //
 // results is indexed by window: batch i covers positions
 // [i*batchSize, min((i+1)*batchSize, nf)) of the fault list the batches
-// were cut from, and PerFault comes out in that list's order. A campaign
-// cuts them from its universe in batch order (Ledger.Faults), and
-// Ledger.Finish scatters PerFault back to universe order; a caller that
-// cut index windows of its own list gets that list's order. A nil entry
-// marks a batch that was never simulated; its faults merge as Skipped.
-// Every other entry must have the shape of its window and of seq — the
-// Ledger checks that where a batch arrives (ErrBatchShape), so Merge
-// indexes without truncating. Merge is the single determinism point of
-// every campaign, local or distributed (internal/distrib runs its shards
-// through Run): batches that produce the same per-batch results — on one
-// machine or many, folded in any order — merge to the same Result. The
-// Batches/BatchesRun/BatchesResumed/BatchesSkipped accounting fields are
-// left zero here; Ledger.Finish fills them.
+// were cut from, and PerFault comes out in that list's order (Ledger.Finish
+// writes universe order instead). A nil entry marks a batch that was never
+// simulated; its faults merge as Skipped. Every other entry must have the
+// shape of its window and of seq (Ledger.Check, ErrBatchShape). Merge is
+// the single determinism point of every campaign, local or distributed:
+// batches that produce the same results — on one machine or many, folded
+// in any order — merge to the same Result. The Batches* accounting fields
+// are left zero; Ledger.Finish fills them.
 func Merge(rec *switchsim.Recording, seq *switchsim.Sequence, nf, batchSize int, results []*core.BatchResult) *Result {
-	sums := rowSums{seq: seq}
+	f := core.NewFold(seq, nf, len(results))
 	for _, br := range results {
 		if br != nil {
-			sums.add(br)
+			f.Add(br)
 		}
 	}
-	return sums.merge(rec.SettingWork, nf, batchSize, results)
+	return merge(&f, rec.SettingWork, nf, batchSize, results, nil)
 }
 
-// rowSums is the one merge arithmetic of a campaign: the row tables of
-// the batches folded so far, summed. active[si] sums the batches'
-// ActiveCircuits of input setting si, settings counted from 0 in
-// sequence order (a pattern's MaxActive is the maximum over its
-// settings, taken at assembly); pattern[pi] sums pattern pi's live and
-// detected counts and its settings' fault work. Integer sums do not
-// depend on order, so batches fold in whatever order their rows come
-// free, each read once. The sums are allocated at the first fold: a
-// ledger that never folds (a shard job's, which hands its one batch on
-// raw) allocates none.
-type rowSums struct {
-	seq     *switchsim.Sequence
-	active  []int
-	pattern []patternSums
-}
-
-// patternSums is one pattern's row of rowSums.
-type patternSums struct {
-	core.BatchPattern
-	faultWork int64
-}
-
-// alloc makes the zero sums on first use.
-func (s *rowSums) alloc() {
-	if s.active == nil {
-		s.active, s.pattern = make([]int, s.seq.NumSettings()), make([]patternSums, len(s.seq.Patterns))
-	}
-}
-
-// add folds one batch result's row tables into the sums. br must have the
-// shape of seq (Ledger.Check).
-func (s *rowSums) add(br *core.BatchResult) {
-	s.alloc()
-	si := 0
-	for pi := range s.seq.Patterns {
-		ps := &s.pattern[pi]
-		for range s.seq.Patterns[pi].Settings {
-			st := &br.PerSetting[si]
-			s.active[si] += st.ActiveCircuits
-			ps.faultWork += st.FaultWork
-			si++
-		}
-		bp := &br.PerPattern[pi]
-		ps.LiveBefore += bp.LiveBefore
-		ps.LiveAfter += bp.LiveAfter
-		ps.Detected += bp.Detected
-	}
-}
-
-// merge assembles the Result of a campaign whose batches' rows are
-// folded into s: per-pattern statistics from the sequence, the good work
-// of each setting and the sums, and per-fault outcomes from the results'
-// per-fault columns (results as in Merge). Skipped batches contribute
-// their width to the live counts (their circuits were never simulated,
-// hence never dropped).
-func (s *rowSums) merge(goodWork func(si int) int64, nf, batchSize int, results []*core.BatchResult) *Result {
-	s.alloc()
-	res := &Result{}
-	res.Run = core.Result{Sequence: s.seq.Name, NumFaults: nf, PerPattern: make([]core.PatternStats, len(s.seq.Patterns))}
-	res.PerFault = make([]FaultOutcome, nf)
-
+// merge finishes the fold f, into which every non-nil result's rows are
+// folded, with the results' per-fault columns (results as in Merge): the
+// outcome of batch position p goes to PerFault[order[p]], or to
+// PerFault[p] when order is nil. Skipped batches contribute their width
+// to the live counts (their circuits were never simulated, hence never
+// dropped).
+func merge(f *core.Fold, goodWork func(si int) int64, nf, batchSize int, results []*core.BatchResult, order []int32) *Result {
+	res := &Result{PerFault: make([]FaultOutcome, nf)}
 	skipped := 0
 	for bi, br := range results {
 		lo := bi * batchSize
-		width := min(batchSize, nf-lo)
-		if br == nil {
-			skipped += width
-		}
-		for j := 0; j < width; j++ {
-			o := &res.PerFault[lo+j]
+		for j := range min(batchSize, nf-lo) {
+			p := lo + j
+			if order != nil {
+				p = int(order[p])
+			}
+			o := &res.PerFault[p]
 			if br == nil {
 				o.Skipped = true
+				skipped++
 				continue
 			}
-			o.Detected = br.Detected[j]
-			o.Detection = br.Detections[j]
-			o.Oscillated = br.Oscillated[j]
-			o.Records = br.Records[j]
+			*o = FaultOutcome{Detected: br.Detected[j], Detection: br.Detections[j], Oscillated: br.Oscillated[j], Records: br.Records[j]}
+			f.Count(o.Detected, o.Detection, o.Oscillated)
 		}
 	}
-
-	si := 0
-	for pi := range s.seq.Patterns {
-		p := &s.seq.Patterns[pi]
-		sum := &s.pattern[pi]
-		ps := &res.Run.PerPattern[pi]
-		*ps = core.PatternStats{
-			Pattern: pi, Name: p.Name, Settings: len(p.Settings),
-			LiveBefore: sum.LiveBefore + skipped,
-			LiveAfter:  sum.LiveAfter + skipped,
-			Detected:   sum.Detected,
-			FaultWork:  sum.faultWork,
-		}
-		for range p.Settings {
-			ps.GoodWork += goodWork(si)
-			ps.MaxActive = max(ps.MaxActive, s.active[si])
-			si++
-		}
-		res.Run.GoodWork += ps.GoodWork
-		res.Run.FaultWork += ps.FaultWork
-	}
-
-	for fi := range res.PerFault {
-		o := &res.PerFault[fi]
-		if o.Detected {
-			res.Run.Detected++
-			if o.Detection.Hard {
-				res.Run.HardDetected++
-			}
-		}
-		if o.Oscillated {
-			res.Run.Oscillated++
-		}
-	}
+	res.Run = *f.Finish(goodWork, skipped)
 	return res
 }

@@ -54,11 +54,10 @@ type Ledger struct {
 	// the event that provoked it was accounted.
 	mu      sync.Mutex
 	results []*core.BatchResult
-	// sums holds the folded row tables of the batches that have arrived;
-	// Finish assembles from it. A result keeps its rows until they are
-	// folded, and the fold takes them (takeRows), so rows are in a result
-	// or in the sums, never both, and each is read once.
-	sums rowSums
+	// rows folds the row tables of the batches that have arrived, each
+	// taken off its result (takeRows), so read once. A shard job's
+	// ledger, which hands its one batch on raw, never opens it.
+	rows *core.Fold
 	// seen[i] is the highest cumulative detection count batch i has
 	// reported, detected their sum. Folding with max absorbs duplicate and
 	// stale reports, and a retried shard restarting its count at zero:
@@ -91,7 +90,6 @@ func NewLedger(ctx context.Context, nw *netlist.Network, faults []fault.Fault, s
 		order:   batchOrder(nw, faults, batchSize),
 		faults:  make([]fault.Fault, nf),
 		results: make([]*core.BatchResult, n),
-		sums:    rowSums{seq: seq},
 		seen:    make([]int, n),
 	}
 	for p, fi := range l.order {
@@ -353,10 +351,19 @@ func (l *Ledger) complete(i int, br *core.BatchResult) error {
 // first.
 func (l *Ledger) takeRows(i int) ([]core.SettingStats, []core.BatchPattern) {
 	br := l.results[i]
-	l.sums.add(br)
+	l.rowFold().Add(br)
 	ps, pp := br.PerSetting, br.PerPattern
 	br.PerSetting, br.PerPattern = nil, nil
 	return ps, pp
+}
+
+// rowFold returns the ledger's row fold, opened on first use, under mu.
+func (l *Ledger) rowFold() *core.Fold {
+	if l.rows == nil {
+		f := core.NewFold(l.seq, l.nf, l.nBatches)
+		l.rows = &f
+	}
+	return l.rows
 }
 
 // release folds batch i's row tables and hands them back for the next
@@ -421,9 +428,9 @@ func (l *Ledger) Batch(i int) *core.BatchResult {
 
 // Finish is Verdict followed, when it is nil, by the merge of every
 // completed batch — it folds the rows the last batch of each slot still
-// holds and assembles from the row sums and the results' per-fault
-// columns — the scatter of its per-fault outcomes back to universe order,
-// and the batch accounting; batches that never ran merge as skipped.
+// holds and finishes the fold, writing each per-fault outcome once, at
+// its universe position — and the batch accounting; batches that never
+// ran merge as skipped.
 // Every merged batch passed the shape check on arrival.
 // goodWork(si) is the good-circuit work of input setting si, settings
 // counted from 0 in sequence order: Recording.SettingWork of the
@@ -439,12 +446,7 @@ func (l *Ledger) Finish(goodWork func(si int) int64) (*Result, error) {
 			l.takeRows(i) // the last batch a slot ran
 		}
 	}
-	res := l.sums.merge(goodWork, l.nf, l.batchSize, l.results)
-	perFault := make([]FaultOutcome, l.nf)
-	for p, fi := range l.order {
-		perFault[fi] = res.PerFault[p]
-	}
-	res.PerFault = perFault
+	res := merge(l.rowFold(), goodWork, l.nf, l.batchSize, l.results, l.order)
 	res.Batches = l.nBatches
 	res.BatchesResumed = l.resumed
 	res.BatchesRun = l.done - l.resumed

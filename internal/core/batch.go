@@ -667,18 +667,18 @@ func (b *FaultBatch) Observe() []int {
 // both drivers: next(i) yields setting i's good-circuit step trace, live
 // from a Simulator's goodRunner or replayed from a Recording. It polls
 // ctx between settings, observes at the pattern's observe points, reports
-// every setting to Options.OnObserve, and appends each setting's
-// statistics to *perSetting when that is non-nil. Once every circuit is
-// dropped the fault side is skipped (skipStep): the full step would
-// schedule nothing and observe nothing, so only executed work shrinks.
-// next is still called, so a live good circuit keeps stepping. Returns
-// the pattern's fault-side statistics; a cancelled ctx returns its error.
-func (b *FaultBatch) runPattern(ctx context.Context, p *switchsim.Pattern, next func(i int) *switchsim.StepTrace, perSetting *[]SettingStats) (PatternStats, error) {
+// every setting to Options.OnObserve, and hands each setting's row to
+// row. Once every circuit is dropped the fault side is skipped
+// (skipStep): the full step would schedule nothing and observe nothing,
+// so only executed work shrinks. next is still called, so a live good
+// circuit keeps stepping. Returns the pattern's row; a cancelled ctx
+// returns its error.
+func (b *FaultBatch) runPattern(ctx context.Context, p *switchsim.Pattern, next func(i int) *switchsim.StepTrace, row func(SettingStats)) (BatchPattern, error) {
 	b.BeginPattern()
-	ps := PatternStats{Pattern: b.patternIdx, Name: p.Name, LiveBefore: b.live}
+	bp := BatchPattern{LiveBefore: b.live}
 	for i := range p.Settings {
 		if err := ctx.Err(); err != nil {
-			return ps, fmt.Errorf("core: batch replay cancelled at pattern %d setting %d: %w", b.patternIdx, i, err)
+			return bp, fmt.Errorf("core: batch replay cancelled at pattern %d setting %d: %w", b.patternIdx, i, err)
 		}
 		trace := next(i)
 		var st SettingStats
@@ -691,13 +691,8 @@ func (b *FaultBatch) runPattern(ctx context.Context, p *switchsim.Pattern, next 
 				det = b.Observe()
 			}
 		}
-		if perSetting != nil {
-			*perSetting = append(*perSetting, st)
-		}
-		ps.FaultWork += st.FaultWork
-		ps.MaxActive = max(ps.MaxActive, st.ActiveCircuits)
-		ps.Settings++
-		ps.Detected += len(det)
+		row(st)
+		bp.Detected += len(det)
 		b.detectedTotal += len(det)
 		if b.opts.OnObserve != nil {
 			b.opts.OnObserve(BatchProgress{
@@ -708,9 +703,9 @@ func (b *FaultBatch) runPattern(ctx context.Context, p *switchsim.Pattern, next 
 			})
 		}
 	}
-	ps.LiveAfter = b.live
+	bp.LiveAfter = b.live
 	b.EndPattern()
-	return ps, nil
+	return bp, nil
 }
 
 // BatchResult is the outcome of replaying one fault batch over a recorded
@@ -800,12 +795,13 @@ func (b *FaultBatch) RunRecording(ctx context.Context, rec *switchsim.Recording,
 	b.Step(&rec.Steps[0])
 	// PerSetting holds one entry per setting stepped so far.
 	next := func(int) *switchsim.StepTrace { return &rec.Steps[1+len(br.PerSetting)] }
+	row := func(st SettingStats) { br.PerSetting = append(br.PerSetting, st) }
 	for pi := range seq.Patterns {
-		ps, err := b.runPattern(ctx, &seq.Patterns[pi], next, &br.PerSetting)
+		bp, err := b.runPattern(ctx, &seq.Patterns[pi], next, row)
 		if err != nil {
 			return nil, err
 		}
-		br.PerPattern = append(br.PerPattern, BatchPattern{LiveBefore: ps.LiveBefore, LiveAfter: ps.LiveAfter, Detected: ps.Detected})
+		br.PerPattern = append(br.PerPattern, bp)
 	}
 
 	for fi, fs := range b.faults {

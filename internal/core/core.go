@@ -220,30 +220,36 @@ func (s *Simulator) StepSetting(setting switchsim.Setting) SettingStats {
 // settings, observing outputs per the pattern's observation points.
 // Returns the pattern's statistics.
 func (s *Simulator) RunPattern(p *switchsim.Pattern) PatternStats {
-	var goodWork int64
-	next := func(i int) *switchsim.StepTrace {
-		trace := s.gr.step(p.Settings[i])
-		goodWork += trace.GoodWork
-		return trace
-	}
-	// RunPattern takes no context: nothing cancels a monolithic run, so
-	// runPattern cannot fail.
-	ps, _ := s.batch.runPattern(context.TODO(), p, next, nil)
-	ps.GoodWork = goodWork
+	ps := PatternStats{Pattern: s.batch.patternIdx, Name: p.Name, Settings: len(p.Settings)}
+	s.runPattern(&Fold{}, &ps, p)
 	return ps
 }
 
-// Run simulates an entire test sequence, returning the aggregated result.
+// runPattern steps pattern p live, folding its rows into ps through f.
+func (s *Simulator) runPattern(f *Fold, ps *PatternStats, p *switchsim.Pattern) {
+	var goodWork int64
+	next := func(i int) *switchsim.StepTrace {
+		trace := s.gr.step(p.Settings[i])
+		goodWork = trace.GoodWork
+		return trace
+	}
+	// A live run folds one batch, with no per-setting table to index.
+	row := func(st SettingStats) { f.setting(ps, 0, goodWork, st) }
+	// Nothing cancels a monolithic run, so runPattern cannot fail.
+	bp, _ := s.batch.runPattern(context.TODO(), p, next, row)
+	f.pattern(ps, bp)
+}
+
+// Run simulates an entire test sequence, returning the aggregated result:
+// a fold of one batch, the whole universe, folded as the patterns run.
 func (s *Simulator) Run(seq *switchsim.Sequence) *Result {
-	r := &Result{
-		Sequence:   seq.Name,
-		NumFaults:  s.batch.NumFaults(),
-		PerPattern: make([]PatternStats, 0, len(seq.Patterns)),
+	f := NewFold(seq, s.batch.NumFaults(), 1)
+	for pi := range seq.Patterns {
+		s.runPattern(&f, &f.r.PerPattern[pi], &seq.Patterns[pi])
 	}
-	for i := range seq.Patterns {
-		ps := s.RunPattern(&seq.Patterns[i])
-		r.PerPattern = append(r.PerPattern, ps)
+	for fi := range s.batch.faults {
+		det, ok := s.batch.Detected(fi)
+		f.Count(ok, det, s.batch.Oscillated(fi))
 	}
-	r.finish(s.batch)
-	return r
+	return f.Finish(nil, 0)
 }

@@ -49,8 +49,10 @@
 // trajectory's change list, and schedules from the trajectory's members.
 // A live batch and a replayed one run the same code — one pattern loop
 // (FaultBatch.runPattern) that polls cancellation, observes, reports
-// progress and sums the pattern's statistics, fed a live trace or a
-// recorded one per setting.
+// progress and hands each setting's row on, fed a live trace or a
+// recorded one per setting. One type assembles every Result: Fold. A
+// monolithic Run is a fold of one batch, its rows folded as the patterns
+// run; a campaign folds its batches' row tables (internal/campaign).
 //
 // Faults are inserted by the initialization step, the first trace every
 // batch steps: each circuit is materialized from the reset state with its

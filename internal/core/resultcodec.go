@@ -9,8 +9,8 @@
 // wall-clock nanoseconds until the result stopped carrying a clock, one a
 // per-setting retirement count nothing read, and the rest the position,
 // live-count and work fields that left the batch rows because no reader
-// takes them from a batch (campaign.Merge rebuilds them from the sequence
-// and the recording). Reserved slots are written 0 and skipped on
+// takes them from a batch (Fold rebuilds them from the sequence and the
+// recording). Reserved slots are written 0 and skipped on
 // read, and pattern names are written empty and skipped on read, so files
 // and peers on either side of those changes still understand each other.
 // Written column by column as varints, a zero costs one byte and nothing
