@@ -220,13 +220,15 @@ func (s *Simulator) StepSetting(setting switchsim.Setting) SettingStats {
 // settings, observing outputs per the pattern's observation points.
 // Returns the pattern's statistics.
 func (s *Simulator) RunPattern(p *switchsim.Pattern) PatternStats {
-	ps := PatternStats{Pattern: s.batch.patternIdx, Name: p.Name, Settings: len(p.Settings)}
+	ps := PatternStats{Name: p.Name, Settings: len(p.Settings)}
 	s.runPattern(&Fold{}, &ps, p)
 	return ps
 }
 
 // runPattern steps pattern p live, folding its rows into ps through f.
+// Patterns are numbered on from those the simulator has already run.
 func (s *Simulator) runPattern(f *Fold, ps *PatternStats, p *switchsim.Pattern) {
+	ps.Pattern = s.batch.patternIdx
 	var goodWork int64
 	next := func(i int) *switchsim.StepTrace {
 		trace := s.gr.step(p.Settings[i])

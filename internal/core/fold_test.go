@@ -116,6 +116,36 @@ func TestFoldPadsSkippedBatches(t *testing.T) {
 	}
 }
 
+// TestRunContinuesRunPattern: a Run after RunPattern calls goes on from
+// where they left the circuits, and its rows, numbered on from the
+// patterns already run, are the rows of one Run over the whole sequence.
+func TestRunContinuesRunPattern(t *testing.T) {
+	m := ram.RAM64()
+	seq := march.Sequence1(m)
+	opts := core.Options{Observe: []netlist.NodeID{m.DataOut}, Workers: 1}
+	var sims [2]*core.Simulator
+	for i := range sims {
+		sim, err := core.New(m.Net, m.PaperFaults(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims[i] = sim
+	}
+	want := sims[0].Run(seq).PerPattern
+	const done = 3
+	for pi := range done {
+		if got := sims[1].RunPattern(&seq.Patterns[pi]); got != want[pi] {
+			t.Fatalf("RunPattern(%d) = %+v, Run's row %+v", pi, got, want[pi])
+		}
+	}
+	rest := &switchsim.Sequence{Name: seq.Name, Patterns: seq.Patterns[done:]}
+	for i, got := range sims[1].Run(rest).PerPattern {
+		if got != want[done+i] {
+			t.Fatalf("continued Run row %d = %+v, the whole Run's %+v", i, got, want[done+i])
+		}
+	}
+}
+
 func resultJSON(t *testing.T, r *core.Result) string {
 	t.Helper()
 	b, err := json.Marshal(r)
