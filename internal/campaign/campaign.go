@@ -57,14 +57,18 @@ type Options struct {
 	// Remote, when non-nil, runs the batches somewhere other than this
 	// process (internal/distrib). Execute calls it once, after the ledger
 	// is open and the checkpoint resumed, and runs every batch through the
-	// function it returns instead of core.RunBatch: slot is the shard-pool
-	// goroutine running batch i (in [0, Shards)), ctx the context batches
-	// execute under. The function reports the batch's progress to
-	// Ledger.Report, retries it as it sees fit, and returns a result that
-	// passes Ledger.Check or the error that fails the campaign. A Remote
-	// campaign goes through Execute, not Run: its merge needs the good
-	// work only the caller holds.
-	Remote func(l *Ledger) func(ctx context.Context, slot, i int) (*core.BatchResult, error)
+	// function it returns instead of a local slot batch: slot is the
+	// shard-pool goroutine running batch i (in [0, Shards)), ctx the
+	// context batches execute under, and into a new result holding only
+	// the row tables the slot's previous batch released (Ledger.release;
+	// none before its first), for the batch's result to be decoded into
+	// (core.BatchResult.UnmarshalBinary fills them). The function reports
+	// the batch's progress to Ledger.Report, retries it as it sees fit, and
+	// returns a result that passes Ledger.Check — into, or any other — or
+	// the error that fails the campaign. A Remote campaign goes through
+	// Execute, not Run: its merge needs the good work only the caller
+	// holds.
+	Remote func(l *Ledger) func(ctx context.Context, slot, i int, into *core.BatchResult) (*core.BatchResult, error)
 
 	// CheckpointPath, when non-empty, makes the campaign resumable: the
 	// checkpoint log is loaded if present (completed batches are not
@@ -170,7 +174,7 @@ func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *sw
 	if opts.Remote != nil {
 		return nil, fmt.Errorf("campaign: a Remote campaign runs through Execute and Ledger.Finish")
 	}
-	l, rec, err := Execute(ctx, nw, faults, seq, opts)
+	l, rec, err := Execute(ctx, nw, faults, seq, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +189,18 @@ func Run(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *sw
 // and is appended to the checkpoint log, in that order. The caller ends
 // with Ledger.Finish — which is Run — or, when it only forwards raw
 // batches, with Ledger.Verdict and Ledger.Batch.
-func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts Options) (l *Ledger, rec *switchsim.Recording, err error) {
+//
+// slots are the batches of the shard slots: slot s re-arms slots[s]
+// (core.FaultBatch.Reset) for every batch it runs, and a nil or missing
+// entry is built on the slot's first batch and, when slots has room for
+// it, stored back. So a caller that keeps the slice — a server runner
+// between jobs — keeps each slot's batch, with its row tables, from one
+// campaign to the next; nil slots make Execute their only owner. Every
+// batch in slots must have been built over the campaign's tables, and a
+// caller hands the slots to its next campaign only once this one has
+// ended (Finish, or Verdict and Batch): until then they are this
+// campaign's. A Remote campaign runs no slot batch and ignores slots.
+func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts Options, slots []*core.FaultBatch) (l *Ledger, rec *switchsim.Recording, err error) {
 	tab := opts.Tables
 	if tab != nil && tab.Net != nw {
 		return nil, nil, fmt.Errorf("campaign: Options.Tables was built over a different network")
@@ -241,10 +256,12 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 
 	// A local slot keeps one batch and re-arms it for every batch it runs
 	// (core.FaultBatch.Reset): the interest rows, replay index, circuits
-	// and worker solvers are allocated once per slot, not once per batch.
-	// A slot runs one batch at a time, so its batch is never shared.
+	// and worker solvers are allocated once per slot, not once per batch
+	// — and, with the caller's slots, not once per campaign. A slot runs
+	// one batch at a time, so its batch is never shared.
 	slotBatch := make([]*core.FaultBatch, shards)
-	run := func(ctx context.Context, slot, i int) (*core.BatchResult, error) {
+	copy(slotBatch, slots)
+	run := func(ctx context.Context, slot, i int, into *core.BatchResult) (*core.BatchResult, error) {
 		lo, hi := l.Window(i)
 		batchOpts := simOpts
 		if obs := l.observer(i); obs != nil {
@@ -261,6 +278,9 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		if err != nil {
 			return nil, err
 		}
+		if into.PerSetting != nil || into.PerPattern != nil {
+			b.ReuseRows(into.PerSetting, into.PerPattern)
+		}
 		return b.RunRecording(ctx, rec, seq)
 	}
 	if opts.Remote != nil {
@@ -268,11 +288,11 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 	}
 	// slotLast[slot] is the last batch the slot completed and logged, -1
 	// before its first. When the slot starts its next batch the ledger
-	// folds that result's row tables and hands them back (Ledger.release):
-	// a local slot's batch refills them (core.FaultBatch.ReuseRows), a
-	// Remote slot lets them go. So a campaign holds its row sums plus one
-	// table per slot, not one per batch; the last batch a slot runs keeps
-	// its rows.
+	// folds that result's row tables and hands them back (Ledger.release)
+	// for the slot to fill again: a local slot's batch refills them
+	// (core.FaultBatch.ReuseRows), a Remote slot decodes its next result
+	// into them. So a campaign holds its row sums plus one table per slot,
+	// not one per batch; the last batch a slot runs keeps its rows.
 	slotLast := make([]int, shards)
 	for slot := range slotLast {
 		slotLast[slot] = -1
@@ -283,13 +303,11 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		if !l.start(i) {
 			return // resumed from checkpoint, or the campaign has stopped
 		}
+		into := &core.BatchResult{}
 		if last := slotLast[slot]; last >= 0 {
-			perSetting, perPattern := l.release(last)
-			if b := slotBatch[slot]; b != nil {
-				b.ReuseRows(perSetting, perPattern)
-			}
+			into.PerSetting, into.PerPattern = l.release(last)
 		}
-		br, err := run(l.run, slot, i)
+		br, err := run(l.run, slot, i, into)
 		if err == nil {
 			err = l.complete(i, br)
 		}
@@ -302,6 +320,14 @@ func Execute(ctx context.Context, nw *netlist.Network, faults []fault.Fault, seq
 		}
 		slotLast[slot] = i
 	})
+	// The last batch each local slot ran keeps its rows until Finish, which
+	// hands them back to the slot's batch.
+	for slot, i := range slotLast {
+		if b := slotBatch[slot]; i >= 0 && b != nil {
+			l.home(i, b)
+		}
+	}
+	copy(slots, slotBatch)
 	return l, rec, nil
 }
 

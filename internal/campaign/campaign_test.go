@@ -389,14 +389,14 @@ func TestRemoteExecuteRecordsNothing(t *testing.T) {
 		Sim:       core.Options{Observe: []netlist.NodeID{m.DataOut}},
 		BatchSize: batchSize,
 		Shards:    1,
-		Remote: func(*campaign.Ledger) func(context.Context, int, int) (*core.BatchResult, error) {
-			return func(_ context.Context, _, i int) (*core.BatchResult, error) { return results[i], nil }
+		Remote: func(*campaign.Ledger) func(context.Context, int, int, *core.BatchResult) (*core.BatchResult, error) {
+			return func(_ context.Context, _, i int, _ *core.BatchResult) (*core.BatchResult, error) { return results[i], nil }
 		},
 	}
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	l, rec, err := campaign.Execute(context.Background(), m.Net, faults, seq, opts)
+	l, rec, err := campaign.Execute(context.Background(), m.Net, faults, seq, opts, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -799,8 +799,8 @@ func TestFoldedMergeMatchesMerge(t *testing.T) {
 
 				remote := opts
 				remote.CheckpointPath = ""
-				remote.Remote = func(*campaign.Ledger) func(context.Context, int, int) (*core.BatchResult, error) {
-					return func(_ context.Context, _, i int) (*core.BatchResult, error) {
+				remote.Remote = func(*campaign.Ledger) func(context.Context, int, int, *core.BatchResult) (*core.BatchResult, error) {
+					return func(_ context.Context, _, i int, _ *core.BatchResult) (*core.BatchResult, error) {
 						br := *fresh[i] // the campaign takes its rows: hand it a copy
 						return &br, nil
 					}
@@ -816,7 +816,7 @@ func TestFoldedMergeMatchesMerge(t *testing.T) {
 // ran, with nil for those it skipped.
 func foldedRun(t *testing.T, tag string, nw *netlist.Network, faults []fault.Fault, seq *switchsim.Sequence, opts campaign.Options, rec *switchsim.Recording, fresh []*core.BatchResult) *campaign.Result {
 	t.Helper()
-	l, _, err := campaign.Execute(context.Background(), nw, faults, seq, opts)
+	l, _, err := campaign.Execute(context.Background(), nw, faults, seq, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,6 +58,10 @@ type Ledger struct {
 	// taken off its result (takeRows), so read once. A shard job's
 	// ledger, which hands its one batch on raw, never opens it.
 	rows *core.Fold
+	// homes maps the last batch each local slot ran to the slot's batch
+	// (Execute sets it as it returns): Finish hands that batch the rows it
+	// folds, so the slot's next campaign fills them.
+	homes map[int]*core.FaultBatch
 	// seen[i] is the highest cumulative detection count batch i has
 	// reported, detected their sum. Folding with max absorbs duplicate and
 	// stale reports, and a retried shard restarting its count at zero:
@@ -367,13 +371,26 @@ func (l *Ledger) rowFold() *core.Fold {
 }
 
 // release folds batch i's row tables and hands them back for the next
-// batch its slot runs. Execute calls it when that slot starts its next
-// batch: by then the batch has completed and the checkpoint has logged
-// it, so nothing else reads its rows.
+// batch its slot runs: a local slot's batch refills them
+// (core.FaultBatch.ReuseRows), a Remote slot decodes its next result into
+// them (core.BatchResult.UnmarshalBinary). Execute calls it when that
+// slot starts its next batch: by then the batch has completed and the
+// checkpoint has logged it, so nothing else reads its rows.
 func (l *Ledger) release(i int) ([]core.SettingStats, []core.BatchPattern) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.takeRows(i)
+}
+
+// home records that b, a local slot's batch, ran batch i last: Finish
+// hands b the rows of batch i once it has folded them.
+func (l *Ledger) home(i int, b *core.FaultBatch) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.homes == nil {
+		l.homes = map[int]*core.FaultBatch{}
+	}
+	l.homes[i] = b
 }
 
 // fail records the campaign's first error and stops the run.
@@ -428,9 +445,9 @@ func (l *Ledger) Batch(i int) *core.BatchResult {
 
 // Finish is Verdict followed, when it is nil, by the merge of every
 // completed batch — it folds the rows the last batch of each slot still
-// holds and finishes the fold, writing each per-fault outcome once, at
-// its universe position — and the batch accounting; batches that never
-// ran merge as skipped.
+// holds, hands a local slot's back to its batch, and finishes the fold,
+// writing each per-fault outcome once, at its universe position — and
+// the batch accounting; batches that never ran merge as skipped.
 // Every merged batch passed the shape check on arrival.
 // goodWork(si) is the good-circuit work of input setting si, settings
 // counted from 0 in sequence order: Recording.SettingWork of the
@@ -443,7 +460,10 @@ func (l *Ledger) Finish(goodWork func(si int) int64) (*Result, error) {
 	defer l.mu.Unlock()
 	for i, br := range l.results {
 		if br != nil && (br.PerSetting != nil || br.PerPattern != nil) {
-			l.takeRows(i) // the last batch a slot ran
+			ps, pp := l.takeRows(i) // the last batch a slot ran
+			if b := l.homes[i]; b != nil {
+				b.ReuseRows(ps, pp)
+			}
 		}
 	}
 	res := merge(l.rowFold(), goodWork, l.nf, l.batchSize, l.results, l.order)

@@ -33,6 +33,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -226,7 +227,14 @@ func (br BatchResult) AppendBinary(b []byte) ([]byte, error) {
 
 // UnmarshalBinary replaces br with the result serialised in data.
 // Malformed input is an error, never a panic, and no length prefix is
-// trusted beyond the bytes that could back it.
+// trusted beyond the bytes that could back it. The row tables br holds
+// are decoded into when they are long enough, so a caller that hands in
+// the tables of a result it no longer needs (a coordinator slot, with
+// what campaign's Ledger released) fills them instead of allocating; the
+// per-fault columns and record maps are always new, and the value is the
+// one a decode into a zero BatchResult gives. A failed decode leaves br's
+// fields as they were, but the contents of its tables undefined. data is
+// not retained.
 func (br *BatchResult) UnmarshalBinary(data []byte) error {
 	if len(data) < len(batchResultMagic) || string(data[:len(batchResultMagic)]) != batchResultMagic {
 		return fmt.Errorf("core: not a batch result (bad magic)")
@@ -234,15 +242,15 @@ func (br *BatchResult) UnmarshalBinary(data []byte) error {
 	d := &resultDecoder{switchsim.VarintReader{Buf: data[len(batchResultMagic):]}}
 	out := BatchResult{NumFaults: int(int64(d.Uvarint()))}
 
-	out.PerSetting = decodeColumns(d, d.Count(len(settingCols)), settingCols)
+	out.PerSetting = decodeColumns(d, d.Count(len(settingCols)), settingCols, br.PerSetting)
 
-	out.PerPattern = decodeColumns(d, d.Count(len(patternCols)+1), patternCols)
+	out.PerPattern = decodeColumns(d, d.Count(len(patternCols)+1), patternCols, br.PerPattern)
 	for range out.PerPattern {
 		d.bytes(d.Count(1)) // a name: empty, or an older writer's, dropped
 	}
 
 	out.Detected = d.bools()
-	out.Detections = decodeColumns(d, d.Count(len(detectionCols)), detectionCols)
+	out.Detections = decodeColumns(d, d.Count(len(detectionCols)), detectionCols, nil)
 	for i := range out.Detections {
 		if det := &out.Detections[i]; det.Good > logic.X || det.Faulty > logic.X {
 			d.Fail(fmt.Errorf("detection %d: logic value out of range", i))
@@ -300,17 +308,40 @@ func (br BatchResult) MarshalJSON() ([]byte, error) {
 	return append(out, '"'), nil
 }
 
-// UnmarshalJSON reads the base64 string MarshalJSON writes; null leaves
-// br as it is.
+// UnmarshalJSON reads the base64 string MarshalJSON writes, into br's row
+// tables as UnmarshalBinary does; null leaves br as it is.
 func (br *BatchResult) UnmarshalJSON(data []byte) error {
+	_, err := br.DecodeJSON(data, nil)
+	return err
+}
+
+// DecodeJSON is UnmarshalJSON decoding the base64 string into scratch,
+// grown when it is too short, instead of into a new buffer, and returning
+// scratch for the caller's next decode. The string is read once: a
+// string with no escape in it, which is every string MarshalJSON writes,
+// is decoded where it lies.
+func (br *BatchResult) DecodeJSON(data, scratch []byte) ([]byte, error) {
 	if string(data) == "null" {
-		return nil
+		return scratch, nil
 	}
-	var bin []byte
-	if err := json.Unmarshal(data, &bin); err != nil {
-		return fmt.Errorf("core: batch result is not a base64 string: %w", err)
+	s := data
+	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' || bytes.IndexByte(s, '\\') >= 0 {
+		var str string // not a string, or one a JSON writer escaped
+		if err := json.Unmarshal(data, &str); err != nil {
+			return scratch, fmt.Errorf("core: batch result is not a base64 string: %w", err)
+		}
+		s = []byte(str)
+	} else {
+		s = s[1 : len(s)-1]
 	}
-	return br.UnmarshalBinary(bin)
+	if n := base64.StdEncoding.DecodedLen(len(s)); cap(scratch) < n {
+		scratch = make([]byte, n)
+	}
+	n, err := base64.StdEncoding.Decode(scratch[:cap(scratch)], s)
+	if err != nil {
+		return scratch, fmt.Errorf("core: batch result is not a base64 string: %w", err)
+	}
+	return scratch[:0], br.UnmarshalBinary(scratch[:n])
 }
 
 // resultDecoder is the sticky-error reader the recording codec uses, plus
@@ -344,11 +375,13 @@ func (d *resultDecoder) bools() []bool {
 	return out
 }
 
-func decodeColumns[T any](d *resultDecoder, n int, cols []column[T]) []T {
+// decodeColumns reads a table of n rows, into reuse's array when it holds
+// n rows.
+func decodeColumns[T any](d *resultDecoder, n int, cols []column[T], reuse []T) []T {
 	if n == 0 {
 		return nil
 	}
-	rows := make([]T, n)
+	rows := zeroed(reuse, n)
 	for _, c := range cols {
 		for i := range rows {
 			c.set(&rows[i], int64(d.Uvarint()))

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -328,6 +331,120 @@ func rawNonZeroColumns[T any](d *resultDecoder, cols []column[T]) []int {
 	return nonZero
 }
 
+// dirtyResult returns a result with row tables of settings and patterns
+// rows and per-fault columns of faults entries, every one of them
+// non-zero: what a slot hands a decode once it has run other batches.
+func dirtyResult(settings, patterns, faults int) *BatchResult {
+	br := &BatchResult{
+		NumFaults:  faults,
+		PerSetting: make([]SettingStats, settings),
+		PerPattern: make([]BatchPattern, patterns),
+		Detected:   make([]bool, faults),
+		Detections: make([]Detection, faults),
+		Oscillated: make([]bool, faults),
+		Records:    make([]map[netlist.NodeID]logic.Value, faults),
+	}
+	for i := range br.PerSetting {
+		br.PerSetting[i] = SettingStats{ActiveCircuits: 7, FaultWork: 9, LanesReplayed: 3, ScalarFallbacks: 4, AdoptedVics: 5, SolvedVics: 6}
+	}
+	for i := range br.PerPattern {
+		br.PerPattern[i] = BatchPattern{LiveBefore: 8, LiveAfter: 2, Detected: 6}
+	}
+	for i := range faults {
+		br.Detected[i], br.Oscillated[i] = true, true
+		br.Detections[i] = Detection{Pattern: 1, Setting: 2, Output: 3, Good: logic.X, Faulty: logic.Lo, Hard: true}
+		br.Records[i] = map[netlist.NodeID]logic.Value{1: logic.X}
+	}
+	return br
+}
+
+// committedPayloads returns the binary forms the codec tests decode: the
+// codec seeds this build writes and the earlier build's golden.
+func committedPayloads(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, br := range codecSeeds(tb) {
+		out = append(out, encodeResult(tb, br))
+	}
+	old, err := os.ReadFile(wideRowGolden)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(out, old)
+}
+
+// TestDecodeIntoReusedTables: a payload decoded into a result whose row
+// tables are longer than its own and dirty equals its decode into the
+// zero value, and fills the handed tables in place — while the per-fault
+// columns are new, never the handed ones, since a campaign's ledger keeps
+// them. DecodeJSON reads MarshalJSON's string the same way through its
+// scratch buffer, which a second decode reuses, and a string a JSON
+// writer escaped decodes to the same result.
+func TestDecodeIntoReusedTables(t *testing.T) {
+	var scratch []byte
+	for i, bin := range committedPayloads(t) {
+		var want BatchResult
+		if err := want.UnmarshalBinary(bin); err != nil {
+			t.Fatalf("payload %d: %v", i, err)
+		}
+		got := dirtyResult(len(want.PerSetting)+7, len(want.PerPattern)+3, want.NumFaults+5)
+		rows, pats, det := &got.PerSetting[0], &got.PerPattern[0], &got.Detected[0]
+		if err := got.UnmarshalBinary(bin); err != nil {
+			t.Fatalf("payload %d: into dirty tables: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Fatalf("payload %d: a decode into dirty tables differs from one into the zero value", i)
+		}
+		if &got.PerSetting[0] != rows || &got.PerPattern[0] != pats {
+			t.Fatalf("payload %d: the decode did not fill the row tables it was handed", i)
+		}
+		if &got.Detected[0] == det {
+			t.Fatalf("payload %d: the decode reused a per-fault column", i)
+		}
+
+		js, err := json.Marshal(&want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		escaped := []byte(strings.ReplaceAll(string(js), "/", `\/`))
+		for _, data := range [][]byte{js, escaped} {
+			got := dirtyResult(len(want.PerSetting)+1, len(want.PerPattern)+1, 1)
+			if scratch, err = got.DecodeJSON(data, scratch); err != nil {
+				t.Fatalf("payload %d: DecodeJSON: %v", i, err)
+			}
+			if !reflect.DeepEqual(got, &want) {
+				t.Fatalf("payload %d: DecodeJSON of %d bytes differs from the binary decode", i, len(data))
+			}
+		}
+		if cap(scratch) < len(bin) {
+			t.Fatalf("payload %d: DecodeJSON handed back %d bytes of scratch for a %d-byte payload", i, cap(scratch), len(bin))
+		}
+		again := allocs(func() {
+			var br BatchResult
+			br.PerSetting, br.PerPattern = want.PerSetting, want.PerPattern
+			br.DecodeJSON(js, scratch)
+		})
+		if fresh := allocs(func() { new(BatchResult).UnmarshalJSON(js) }); again >= fresh {
+			t.Fatalf("payload %d: a decode through scratch into held tables allocates %d B, a fresh one %d B", i, again, fresh)
+		}
+
+		for _, bad := range []string{`"FMOS"`, `"not base64!"`, `12`, `"` + base64.StdEncoding.EncodeToString(bin[:len(bin)/2]) + `"`} {
+			if _, err := dirtyResult(3, 3, 3).DecodeJSON([]byte(bad), nil); err == nil {
+				t.Errorf("payload %d: %q decoded", i, bad)
+			}
+		}
+	}
+}
+
+// allocs returns the bytes f allocates.
+func allocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestBatchRowSizes pins the batch rows' sizes: a campaign holds one
 // SettingStats per setting and one BatchPattern per pattern of every
 // batch, and those tables are most of what a batch allocates.
@@ -348,24 +465,28 @@ func TestBatchRowSizes(t *testing.T) {
 // identical value. The seeds include an earlier build's payload, whose
 // reserved columns and pattern names are filled.
 func FuzzDecodeBatchResult(f *testing.F) {
-	for _, br := range codecSeeds(f) {
-		bin := encodeResult(f, br)
+	for _, bin := range committedPayloads(f) {
 		f.Add(bin)
 		f.Add(bin[:len(bin)/2])
 		f.Add(bin[:len(bin)-1])
 	}
-	old, err := os.ReadFile(wideRowGolden)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(old)
 	f.Add([]byte(batchResultMagic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var br BatchResult
-		if err := br.UnmarshalBinary(data); err != nil {
+		err := br.UnmarshalBinary(data)
+		// The same bytes decoded into a slot's dirty tables, longer than
+		// any the fuzzer's inputs back: the same verdict and value.
+		into := dirtyResult(64, 16, 4)
+		if errInto := into.UnmarshalBinary(data); (err == nil) != (errInto == nil) {
+			t.Fatalf("decode into the zero value: %v; into dirty tables: %v", err, errInto)
+		}
+		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(&br, into) {
+			t.Fatal("a decode into dirty tables differs from one into the zero value")
 		}
 		if len(br.Detections) != len(br.Detected) || len(br.Oscillated) != len(br.Detected) {
 			t.Fatalf("decoded per-fault columns of %d, %d and %d faults",

@@ -207,12 +207,45 @@ func (c *coordinator) submit(ctx context.Context, base string, spec *server.JobS
 	}
 }
 
+// streamLine is server.StreamLine as the coordinator reads it: of a
+// result line it reads the batch alone, straight into the result the
+// shard decodes into.
+type streamLine struct {
+	server.StreamLine
+	Result *resultBatch `json:"result"`
+}
+
+// resultBatch is the part of a server.Result the coordinator reads.
+type resultBatch struct {
+	Batch batchInto `json:"batch"`
+}
+
+// batchInto decodes a result line's batch payload into br, through the
+// slot's base64 buffer, and records that the line carried one.
+type batchInto struct {
+	br  *core.BatchResult
+	bin *[]byte
+	ok  bool
+}
+
+func (b *batchInto) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var err error
+	*b.bin, err = b.br.DecodeJSON(data, *b.bin)
+	b.ok = err == nil
+	return err
+}
+
 // stream consumes one shard job's NDJSON progress to its terminal state,
 // folding snapshots and detection groups into the merged progress view,
-// and returns the raw batch result carried on the result line. A stream
+// and returns the raw batch result carried on the result line, decoded
+// into into: its row tables are the ones the slot's previous shard
+// released, so a slot fills one table for every shard it runs. A stream
 // that breaks, or a job that ends failed or cancelled, is an error — the
 // caller retries the shard. Lines are read into the slot's buffer.
-func (c *coordinator) stream(ctx context.Context, slot int, base, jobID string, i int) (*core.BatchResult, error) {
+func (c *coordinator) stream(ctx context.Context, slot int, base, jobID string, i int, into *core.BatchResult) (*core.BatchResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+jobID+"/stream", nil)
 	if err != nil {
 		return nil, err
@@ -237,6 +270,7 @@ func (c *coordinator) stream(ctx context.Context, slot int, base, jobID string, 
 		buf = make([]byte, 0, 64*1024)
 	}
 	sc.Buffer(buf, 256<<20)
+	res := &resultBatch{batchInto{br: into, bin: &c.binBuf[slot]}}
 	sawTerminal := false
 	for sc.Scan() {
 		if line := sc.Bytes(); cap(line) > cap(c.lineBuf[slot]) {
@@ -245,7 +279,7 @@ func (c *coordinator) stream(ctx context.Context, slot int, base, jobID string, 
 			// line past its Unmarshal, so the next stream may overwrite it.
 			c.lineBuf[slot] = line[:0]
 		}
-		var l server.StreamLine
+		l := streamLine{Result: res}
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			return nil, fmt.Errorf("bad stream line from %s: %w", base, err)
 		}
@@ -261,10 +295,10 @@ func (c *coordinator) stream(ctx context.Context, slot int, base, jobID string, 
 		case l.Type == "detections" && l.DetectionGroup != nil:
 			c.ledger.Report(i, campaign.ProgressEvent{Pattern: l.Pattern, Setting: l.Setting, NewlyDetected: l.Faults})
 		case l.Type == "result":
-			if l.Result == nil || l.Result.Batch == nil {
+			if l.Result == nil || !l.Result.Batch.ok {
 				return nil, fmt.Errorf("job %s on %s: result line without batch payload", jobID, base)
 			}
-			return l.Result.Batch, nil
+			return into, nil
 		}
 	}
 	if err := sc.Err(); err != nil {

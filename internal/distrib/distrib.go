@@ -147,11 +147,12 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 		sem:      make([]chan struct{}, n),
 		fails:    make([]atomic.Int32, n),
 		lineBuf:  make([][]byte, n*opts.InFlight),
+		binBuf:   make([][]byte, n*opts.InFlight),
 	}
 	for wi := range c.sem {
 		c.sem[wi] = make(chan struct{}, opts.InFlight)
 	}
-	remote := func(l *campaign.Ledger) func(context.Context, int, int) (*core.BatchResult, error) {
+	remote := func(l *campaign.Ledger) func(context.Context, int, int, *core.BatchResult) (*core.BatchResult, error) {
 		// The worker-side template: the circuit fields verbatim (so
 		// workers resolve the same network and sequence) and
 		// campaign-level fields stripped (the coordinator owns batching,
@@ -181,7 +182,7 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 		CheckpointPath: opts.CheckpointPath,
 		Progress:       opts.Progress,
 		Remote:         remote,
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -206,8 +207,10 @@ type coordinator struct {
 
 	// lineBuf is each shard slot's stream line buffer, as large as the
 	// longest line the slot has read (a result line is hundreds of
-	// kilobytes). Only the slot's goroutine touches it.
-	lineBuf [][]byte
+	// kilobytes), and binBuf the buffer its result lines' base64 payloads
+	// decode into (core.BatchResult.DecodeJSON). Only the slot's goroutine
+	// touches them.
+	lineBuf, binBuf [][]byte
 }
 
 // shard runs batch i on the workers until the ledger accepts its result.
@@ -217,7 +220,7 @@ type coordinator struct {
 // costs the worker one of its maxTransientRetries consecutive failures; a
 // job that broke, failed or returned a result the ledger refuses also
 // costs the shard one of its MaxAttempts.
-func (c *coordinator) shard(ctx context.Context, slot, i int) (*core.BatchResult, error) {
+func (c *coordinator) shard(ctx context.Context, slot, i int, into *core.BatchResult) (*core.BatchResult, error) {
 	attempts := 0
 	for wi := slot; ; wi++ {
 		if wi = c.next(wi); wi < 0 {
@@ -228,7 +231,7 @@ func (c *coordinator) shard(ctx context.Context, slot, i int) (*core.BatchResult
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		br, err := c.dispatch(ctx, slot, wi, i)
+		br, err := c.dispatch(ctx, slot, wi, i, into)
 		<-c.sem[wi]
 		if err == nil {
 			c.fails[wi].Store(0)
@@ -275,8 +278,9 @@ func (c *coordinator) next(wi int) int {
 // holds the recording (a restart, or its store evicted it): the flag is
 // cleared so the next shard sent there uploads again. The outstanding job,
 // if any, is cancelled with DELETE when the shard did not complete — which
-// is also how an aborted campaign reaches the workers.
-func (c *coordinator) dispatch(ctx context.Context, slot, wi, i int) (br *core.BatchResult, err error) {
+// is also how an aborted campaign reaches the workers. The result is
+// decoded into into, whose row tables the slot's previous shard released.
+func (c *coordinator) dispatch(ctx context.Context, slot, wi, i int, into *core.BatchResult) (br *core.BatchResult, err error) {
 	base := c.opts.Workers[wi]
 	if err := c.ensureRecording(ctx, wi); err != nil {
 		return nil, &dispatchError{fmt.Errorf("uploading recording: %w", err)}
@@ -302,7 +306,7 @@ func (c *coordinator) dispatch(ctx context.Context, slot, wi, i int) (br *core.B
 		}
 	}()
 
-	if br, err = c.stream(ctx, slot, base, jobID, i); err != nil {
+	if br, err = c.stream(ctx, slot, base, jobID, i, into); err != nil {
 		return nil, err
 	}
 	// A result of the wrong shape costs the shard this attempt.

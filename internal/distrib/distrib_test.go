@@ -165,6 +165,31 @@ func TestDistributedMatchesMonolithic(t *testing.T) {
 	assertIdentical(t, got, want)
 }
 
+// TestRearmedSlotsMatchMonolithic: on one worker with one runner and a
+// coordinator with one shard slot, every shard after the first re-arms
+// the worker's slot and decodes into the row tables the previous shard
+// released on the coordinator. The merge is the monolithic one, and a
+// second campaign, on the worker's warm slot, merges to it again.
+func TestRearmedSlotsMatchMonolithic(t *testing.T) {
+	spec := ram256Spec()
+	wl, rec := resolveAndRecord(t, spec)
+	want := monolithic(t, wl, rec, 16)
+
+	urls, _ := newWorkerPool(t, 1, server.Config{MaxJobs: 1})
+	for run := range 2 {
+		got, err := distrib.Run(context.Background(), spec, distrib.Options{
+			Workers: urls, InFlight: 1, BatchSize: 16, SimWorkers: 1, Recording: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.BatchesRun < 3 {
+			t.Fatalf("run %d: %d shards leave the slots nothing to re-arm", run, got.BatchesRun)
+		}
+		assertIdentical(t, got, want)
+	}
+}
+
 // TestWorkerKilledMidRun: killing one of three workers mid-campaign, with
 // batches of 16 so the kill lands mid-queue, retries its shards on the
 // survivors, which re-run them trimmed as every batch is, and the merged

@@ -46,7 +46,8 @@
 // bound keeps InFlight jobs on any one worker when shards are rerouted.
 // The slot streams each job's NDJSON progress and returns the raw
 // core.BatchResult from the terminal result line, where it travels in its
-// binary column form as one base64 string (see core.BatchResult).
+// binary column form as one base64 string (see core.BatchResult), decoded
+// into the row tables the slot's previous shard released.
 //
 // Failures retry in rotation: a shard whose worker dies mid-stream
 // (connection refused, broken stream, failed job), or whose result the

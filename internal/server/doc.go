@@ -30,7 +30,9 @@
 // campaign over the window, executed like a campaign job but left
 // unmerged), returning the raw core.BatchResult for setting-granularity merging on
 // the coordinator. On the result line Result.Batch is one base64 string:
-// core.BatchResult's binary column form, its only serialised form.
+// core.BatchResult's binary column form, its only serialised form, which
+// a shard job encodes once, as it finishes. Each runner keeps its
+// campaign slots between jobs, per built-in circuit.
 // POST /jobs checks a job before it accepts it — every input failure is
 // a 400, and a recording_fp the store does not hold is a 409 Conflict
 // (ErrUnknownRecording) naming it — and an accepted shard job holds its

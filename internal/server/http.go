@@ -27,21 +27,17 @@
 package server
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
 	"time"
 )
 
-// statusResponse is GET /jobs/{id}: the snapshot plus the terminal
-// result when available.
-type statusResponse struct {
-	Snapshot
-	Result *Result `json:"result,omitempty"`
-}
 
 // StreamLine is one NDJSON line of GET /jobs/{id}/stream. Type names the
 // line's kind, and the matching member is the one set: Snapshot for
@@ -112,13 +108,49 @@ func (m *Manager) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m.List())
 }
 
+// handleGet writes the job's Snapshot, with its terminal result, when it
+// has one, as a "result" member after the snapshot's fields.
 func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request) {
 	job, ok := m.Get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, statusResponse{Snapshot: job.Snapshot(), Result: job.Result()})
+	snap, res := job.Snapshot(), job.Result()
+	if res == nil {
+		writeJSON(w, http.StatusOK, snap)
+		return
+	}
+	head, err := json.Marshal(snap)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(head[:len(head)-1])
+	io.WriteString(w, `,"result":`)
+	writeResult(w, res)
+	io.WriteString(w, "}\n")
+}
+
+// writeResult writes res as JSON: the bytes json.Marshal gives for the
+// result with its batch decoded, but with the batch's base64 string
+// streamed from the binary form the job encoded as it finished, so that
+// writing a result copies no batch.
+func writeResult(w io.Writer, res *Result) error {
+	head, err := json.Marshal(res)
+	if err != nil || res.batch == nil {
+		w.Write(head)
+		return err
+	}
+	w.Write(head[:len(head)-1])
+	io.WriteString(w, `,"batch":"`)
+	enc := base64.NewEncoder(base64.StdEncoding, w)
+	enc.Write(res.batch)
+	enc.Close()
+	_, err = io.WriteString(w, `"}`)
+	return err
 }
 
 func (m *Manager) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -176,7 +208,9 @@ func (m *Manager) handleStream(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		if terminal {
 			if res := job.Result(); res != nil {
-				enc.Encode(StreamLine{Type: "result", Result: res})
+				io.WriteString(w, `{"type":"result","result":`)
+				writeResult(w, res)
+				io.WriteString(w, "}\n")
 				flusher.Flush()
 			}
 			return

@@ -95,8 +95,14 @@ type Result struct {
 	PerFault       []PerFault `json:"per_fault,omitempty"`
 	// Batch is a shard job's raw per-batch result (present only when the
 	// spec set include_batch): what a distributed coordinator merges at
-	// setting granularity via campaign.Merge.
+	// setting granularity via campaign.Merge. On the wire it is one base64
+	// string of the result's binary form (core.BatchResult.MarshalJSON),
+	// and a client decoding a result line finds it here. The server keeps
+	// the binary form only, encoded once as the job finished, not the
+	// rows: its own results hold Batch nil and the bytes in batch, which
+	// GET /jobs/{id} and the stream write.
 	Batch *core.BatchResult `json:"batch,omitempty"`
+	batch []byte
 }
 
 // Job is one submitted campaign.

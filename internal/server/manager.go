@@ -86,6 +86,11 @@ type Manager struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
+	// slots[r] is runner r's campaign slots, kept between jobs: per
+	// built-in circuit entry, at most fairShare() re-armable batches with
+	// their row tables (runJob). Only runner r touches slots[r].
+	slots []map[*circuitEntry][]*core.FaultBatch
+
 	mu      sync.Mutex
 	nonIdle sync.Cond // signaled when pending grows or the manager closes
 	pending []*Job    // queued jobs, submission order; len bounded by QueueDepth
@@ -107,11 +112,13 @@ func NewManager(cfg Config) *Manager {
 		ctx:        ctx,
 		cancel:     cancel,
 		jobs:       map[string]*Job{},
+		slots:      make([]map[*circuitEntry][]*core.FaultBatch, cfg.MaxJobs),
 	}
 	m.nonIdle.L = &m.mu
-	for i := 0; i < cfg.MaxJobs; i++ {
+	for i := range m.slots {
+		m.slots[i] = map[*circuitEntry][]*core.FaultBatch{}
 		m.wg.Add(1)
-		go m.runner()
+		go m.runner(m.slots[i])
 	}
 	return m
 }
@@ -275,8 +282,9 @@ func (m *Manager) Close() {
 }
 
 // runner is one worker of the bounded pool: it drains the pending queue,
-// running one campaign at a time, until Close.
-func (m *Manager) runner() {
+// running one campaign at a time, until Close. slots are its campaign
+// slots.
+func (m *Manager) runner(slots map[*circuitEntry][]*core.FaultBatch) {
 	defer m.wg.Done()
 	for {
 		m.mu.Lock()
@@ -293,7 +301,7 @@ func (m *Manager) runner() {
 		if job.ctx.Err() != nil {
 			job.finish(StateCancelled, "cancelled while queued", nil)
 		} else {
-			m.runJob(job)
+			m.runJob(job, slots)
 		}
 		m.pruneTerminal()
 	}
@@ -318,8 +326,12 @@ func (m *Manager) pruneTerminal() {
 
 // runJob executes one accepted campaign, publishing progress into the
 // job as it streams from the shard pool. Submit has checked everything
-// about the job, so what can fail here is the campaign itself.
-func (m *Manager) runJob(job *Job) {
+// about the job, so what can fail here is the campaign itself. A job over
+// a built-in circuit re-arms the runner's slots for its entry (held):
+// the batches, with their row tables, outlive the job, and the runner
+// keeps at most fairShare() of them per entry. An inline circuit's job
+// keeps none after it ends.
+func (m *Manager) runJob(job *Job, held map[*circuitEntry][]*core.FaultBatch) {
 	wl := job.setRunning()
 	if wl == nil {
 		return
@@ -360,19 +372,32 @@ func (m *Manager) runJob(job *Job) {
 		job.last.NumFaults, job.last.LiveFaults = len(wl.Faults), len(wl.Faults)
 	})
 
+	var slots []*core.FaultBatch
+	if wl.entry != nil {
+		slots = held[wl.entry]
+		if n := opts.Shards; len(slots) < n {
+			slots = append(slots, make([]*core.FaultBatch, n-len(slots))...)
+		}
+	}
+
 	var r *Result
-	l, rec, err := campaign.Execute(job.ctx, wl.Net, wl.Faults, wl.Seq, opts)
+	l, rec, err := campaign.Execute(job.ctx, wl.Net, wl.Faults, wl.Seq, opts, slots)
 	switch {
 	case err != nil:
 	case job.Spec.IsShard():
 		// The coordinator merges, so the worker does not: the raw batch
-		// comes straight off the ledger.
+		// comes straight off the ledger, is encoded once, here, for every
+		// GET and stream of the job to write, and then hands its rows back
+		// to the slot that ran it.
 		if err = l.Verdict(); err == nil {
 			br := l.Batch(0)
 			r = &Result{Detected: br.DetectedCount(), NumFaults: br.NumFaults, Batches: 1, BatchesRun: 1}
 			r.Coverage = core.Coverage(r.Detected, r.NumFaults)
 			if job.Spec.IncludeBatch {
-				r.Batch = br
+				r.batch, err = br.AppendBinary(nil)
+			}
+			if len(slots) > 0 && slots[0] != nil {
+				slots[0].ReuseRows(br.PerSetting, br.PerPattern)
 			}
 		}
 	default:
@@ -380,6 +405,12 @@ func (m *Manager) runJob(job *Job) {
 		if res, err = l.Finish(rec.SettingWork); err == nil {
 			r = buildResult(wl, res, job.Spec.IncludePerFault)
 		}
+	}
+	if wl.entry != nil {
+		// The campaign has ended, so the slots are the runner's again.
+		keep := min(len(slots), m.fairShare())
+		clear(slots[keep:])
+		held[wl.entry] = slots[:keep]
 	}
 	switch {
 	case err != nil && (errors.Is(err, context.Canceled) || job.ctx.Err() != nil):
